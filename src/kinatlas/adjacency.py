@@ -1,9 +1,14 @@
 """Connectivity of open CAD cells in the complement of a curve set.
 
-Horizontally adjacent cells are joined when their fiber intervals overlap
-near the shared base root and the witness segment misses every variety
-polynomial; vertically stacked cells are joined when the separating fiber
-root belongs only to spurious projection factors.
+One pass per decomposition serves every variety asked of it.  The pass
+enumerates the candidate edges once: vertically stacked cells, and
+horizontally adjacent cells whose fiber intervals overlap near the shared
+base root at the first witness rung where they overlap (each with a
+horizontal witness segment).  For each candidate it records which variety
+polynomials block it: in a stacked pair, a root between the two samples;
+across a base root, a zero on the witness segment.  The graph of each
+variety is then a filter that keeps the candidates none of its own
+polynomials block.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from fractions import Fraction
 
 from .ratpoly import MPoly, UPoly
 from .realroots import (
-    NEG_INF, POS_INF, IsolatingInterval, isolate, count_roots, segment_crosses,
+    NEG_INF, POS_INF, IsolatingInterval, RealRootError, isolate, count_roots,
     _sign_at,
 )
 from .cad2d import Decomposition, _specialize_product
@@ -76,15 +81,10 @@ def _gcd_cached(p: UPoly, q: UPoly) -> UPoly:
     return p.gcd(q)
 
 
-def _cmp_bounds(a, b, max_iter: int = 200) -> int:
-    if a == NEG_INF:
-        return 0 if b == NEG_INF else -1
-    if b == NEG_INF:
-        return 1
-    if a == POS_INF:
-        return 0 if b == POS_INF else 1
-    if b == POS_INF:
-        return -1
+def _cmp_bounds(a: IsolatingInterval, b: IsolatingInterval, max_iter: int = 50) -> int:
+    """Sign of (root a) - (root b).  Each round narrows both intervals below
+    a sixteenth of their width in one `refine` call, so max_iter rounds go
+    past 2^-200 of the starting widths."""
     x, y = a, b
     for it in range(max_iter):
         if x.high < y.low:
@@ -94,7 +94,7 @@ def _cmp_bounds(a, b, max_iter: int = 200) -> int:
         if x.is_exact() and y.is_exact():
             return 0 if x.low == y.low else (-1 if x.low < y.low else 1)
         # refine a few rounds before paying for the shared-root check
-        if it >= 6:
+        if it >= 2:
             g = _gcd_cached(x.polynomial, y.polynomial)
             if g.degree >= 1:
                 lo = max(x.low, y.low)
@@ -106,9 +106,9 @@ def _cmp_bounds(a, b, max_iter: int = 200) -> int:
                         # the isolated root of each side
                         return 0
         if not x.is_exact():
-            x = x.refine(x.width() / 2)
+            x = x.refine(x.width() / 16)
         if not y.is_exact():
-            y = y.refine(y.width() / 2)
+            y = y.refine(y.width() / 16)
     raise AdjacencyError("could not order algebraic bounds")
 
 
@@ -135,27 +135,78 @@ def _rational_between(lo, hi) -> Fraction:
     raise AdjacencyError("could not separate bounds")
 
 
-def _overlaps(lo, hi) -> bool:
-    if lo == NEG_INF or hi == POS_INF:
-        return True
-    if lo == POS_INF or hi == NEG_INF:
-        return False
-    return _cmp_bounds(lo, hi) < 0
-
-
-def _roots_at(dec: Decomposition, w: Fraction, expect: int) -> list[IsolatingInterval]:
+def _roots_at(dec: Decomposition, w: Fraction, col: list, where: str) -> list[IsolatingInterval]:
     f = _specialize_product(dec.polys, dec.base_var, dec.fiber_var, w)
     roots = isolate(f) if f.degree >= 1 else []
-    if len(roots) != expect:
+    if len(roots) != len(col) - 1:
         raise AdjacencyError(
-            f"delineability violated at witness {w}: {len(roots)} roots vs {expect}")
+            f"{where}, cells {col[0].id}..{col[-1].id}: delineability violated at "
+            f"witness {w}: {len(roots)} roots vs {len(col) - 1}")
     return roots
 
 
-def _bound_pair(roots: list[IsolatingInterval], k: int):
-    lo = roots[k - 1] if k >= 1 else NEG_INF
-    hi = roots[k] if k < len(roots) else POS_INF
-    return lo, hi
+def _ranks(roots1: list[IsolatingInterval],
+           roots2: list[IsolatingInterval]) -> tuple[list[int], list[int]]:
+    """Ranks 1..m of two increasing root lists in their merged order; equal
+    roots share a rank.  On failure the raised AdjacencyError carries the
+    indices of the two roots it could not order as `roots`."""
+    rank1, rank2 = [0] * len(roots1), [0] * len(roots2)
+    i = k = rank = 0
+    while i < len(roots1) or k < len(roots2):
+        if k == len(roots2):
+            c = -1
+        elif i == len(roots1):
+            c = 1
+        else:
+            try:
+                c = _cmp_bounds(roots1[i], roots2[k])
+            except AdjacencyError as e:
+                e.roots = (i, k)
+                raise
+        rank += 1
+        if c <= 0:
+            rank1[i] = rank
+            i += 1
+        if c >= 0:
+            rank2[k] = rank
+            k += 1
+    return rank1, rank2
+
+
+def _ranked_bounds(roots: list[IsolatingInterval], ranks: list[int], k: int, top: int):
+    """Fiber bounds of interval k with their ranks (0 and `top` for -inf/+inf)."""
+    lo, rlo = (roots[k - 1], ranks[k - 1]) if k >= 1 else (NEG_INF, 0)
+    hi, rhi = (roots[k], ranks[k]) if k < len(roots) else (POS_INF, top)
+    return lo, hi, rlo, rhi
+
+
+def _rows(p: MPoly, var: str, other: str) -> list[tuple[Fraction, ...]]:
+    """Coefficients of p in `var`, each a dense coefficient tuple in `other`."""
+    return [UPoly.from_mpoly(c, other).coeffs for c in p.coeffs_in(var)]
+
+
+def _bind(rows: list[tuple[Fraction, ...]], value: Fraction, var: str) -> UPoly:
+    """The polynomial in `var` that rows (from `_rows(p, var, other)`) give
+    with `other` bound to value."""
+    out = []
+    for row in rows:
+        acc = Fraction(0)
+        for c in reversed(row):
+            acc = acc * value + c
+        out.append(acc)
+    return UPoly(out, var)
+
+
+def _crosses_horizontal(rows, c: Fraction, w1: Fraction, w2: Fraction, var: str) -> bool:
+    """Whether p(x, c) vanishes for some x in [w1, w2], rows = _rows(p, x, y)."""
+    u = _bind(rows, c, var)
+    if u.is_zero():
+        return True
+    if u.degree <= 0:
+        return False
+    if u(w1) == 0 or u(w2) == 0:
+        return True
+    return count_roots(u, w1, w2) > 0
 
 
 def _witnesses(dec: Decomposition, j: int, shrink: int = 1 << 10) -> tuple[Fraction, Fraction]:
@@ -183,61 +234,94 @@ def _witnesses(dec: Decomposition, j: int, shrink: int = 1 << 10) -> tuple[Fract
         d /= 2
 
 
-def build_graph(dec: Decomposition, variety: list[MPoly]) -> AdjacencyGraph:
-    """Undirected graph joining cells in one connected component of the
-    complement of the variety."""
-    vs = (dec.base_var, dec.fiber_var)
-    vpolys = [p.with_vars(vs) for p in variety]
-    edges: set[tuple[int, int]] = set()
+_RUNGS = (1 << 10, 1 << 22, 1 << 40)   # witness shrink factors, tried in turn
 
-    def add(a: int, b: int):
-        edges.add((min(a, b), max(a, b)))
+
+def build_graphs(dec: Decomposition, varieties: list[list[MPoly]]) -> list[AdjacencyGraph]:
+    """One graph per variety, joining cells in one connected component of
+    its complement, from a single adjacency pass over `dec`."""
+    bv, fv = dec.base_var, dec.fiber_var
+    polys: list[MPoly] = []          # distinct polynomials of all varieties
+    users: list[set[int]] = []       # the varieties each one belongs to
+    for i, variety in enumerate(varieties):
+        for p in variety:
+            q = p.with_vars((bv, fv))
+            if q not in polys:
+                polys.append(q)
+                users.append(set())
+            users[polys.index(q)].add(i)
+    edges: list[set[tuple[int, int]]] = [set() for _ in varieties]
+
+    def add(a: int, b: int, blocks):
+        """Keep candidate (a, b) for every variety none of whose
+        polynomials (by index t) `blocks(t)`."""
+        open_ = set(range(len(varieties)))
+        for t, used_by in enumerate(users):
+            if open_ & used_by and blocks(t):
+                open_ -= used_by
+                if not open_:
+                    return
+        for i in open_:
+            edges[i].add((min(a, b), max(a, b)))
 
     # vertical: stacked cells in one column, blocked only by a variety root
-    for k1, col in enumerate(dec.columns):
-        s = dec.base_samples[k1]
-        for low_cell, high_cell in zip(col, col[1:]):
-            a = low_cell.sample[1]
-            b = high_cell.sample[1]
-            blocked = False
-            for v in vpolys:
-                sv = v.eval({dec.base_var: s})
-                if isinstance(sv, Fraction):
-                    continue
-                u = UPoly.from_mpoly(sv.with_vars((dec.fiber_var,)), dec.fiber_var)
-                if u.degree < 1:
-                    continue
-                if count_roots(u, a, b) > 0:
-                    blocked = True
-                    break
-            if not blocked:
-                add(low_cell.id, high_cell.id)
+    vrows = [_rows(p, fv, bv) for p in polys]
+    for k, col in enumerate(dec.columns):
+        if len(col) < 2:
+            continue
+        fibre = [_bind(r, dec.base_samples[k], fv) for r in vrows]
+        for low, high in zip(col, col[1:]):
+            a, b = low.sample[1], high.sample[1]
+            try:
+                add(low.id, high.id,
+                    lambda t: fibre[t].degree >= 1 and count_roots(fibre[t], a, b) > 0)
+            except RealRootError as e:
+                raise AdjacencyError(f"column {k}, cells ({low.id}, {high.id}): {e}") from e
 
     # horizontal: cells across each base root; witnesses escalate toward the
     # boundary because fiber overlap is a limit criterion in e
+    hrows = [_rows(p, bv, fv) for p in polys]
     for j in range(len(dec.base_roots)):
         left, right = dec.columns[j], dec.columns[j + 1]
         pending = {(c1.id, c2.id) for c1 in left for c2 in right}
-        for shrink in (1 << 10, 1 << 22, 1 << 40):
+        for shrink in _RUNGS:
             if not pending:
                 break
+            where = f"base root {j}, shrink {shrink}"
             w1, w2 = _witnesses(dec, j, shrink)
-            roots1 = _roots_at(dec, w1, len(dec.fiber_roots[j]))
-            roots2 = _roots_at(dec, w2, len(dec.fiber_roots[j + 1]))
+            roots1 = _roots_at(dec, w1, left, where)
+            roots2 = _roots_at(dec, w2, right, where)
+            try:
+                rank1, rank2 = _ranks(roots1, roots2)
+            except AdjacencyError as e:
+                i, k = e.roots
+                raise AdjacencyError(
+                    f"{where}, cells ({left[i].id}, {right[k].id}): upper fiber "
+                    f"bounds: {e}") from e
+            top = len(roots1) + len(roots2) + 1
+            bounds2 = [_ranked_bounds(roots2, rank2, c2.fiber_index, top) for c2 in right]
             for c1 in left:
-                lo1, hi1 = _bound_pair(roots1, c1.fiber_index)
-                for c2 in right:
-                    if (c1.id, c2.id) not in pending:
+                lo1, hi1, rl1, rh1 = _ranked_bounds(roots1, rank1, c1.fiber_index, top)
+                for c2, (lo2, hi2, rl2, rh2) in zip(right, bounds2):
+                    pair = (c1.id, c2.id)
+                    if pair not in pending or max(rl1, rl2) >= min(rh1, rh2):
                         continue
-                    lo2, hi2 = _bound_pair(roots2, c2.fiber_index)
-                    lo = lo1 if _cmp_bounds(lo1, lo2) >= 0 else lo2
-                    hi = hi1 if _cmp_bounds(hi1, hi2) <= 0 else hi2
-                    if not _overlaps(lo, hi):
-                        continue
-                    pending.discard((c1.id, c2.id))
-                    c = _rational_between(lo, hi)
-                    if not segment_crosses(vpolys, (w1, c), (w2, c)):
-                        add(c1.id, c2.id)
+                    pending.discard(pair)
+                    # on equal ranks the left bound is kept
+                    lo = lo1 if rl1 >= rl2 else lo2
+                    hi = hi1 if rh1 <= rh2 else hi2
+                    try:
+                        c = _rational_between(lo, hi)
+                        add(c1.id, c2.id,
+                            lambda t: _crosses_horizontal(hrows[t], c, w1, w2, bv))
+                    except (AdjacencyError, RealRootError) as e:
+                        raise AdjacencyError(f"{where}, cells {pair}: {e}") from e
 
     nodes = tuple(c.id for c in dec.cells)
-    return AdjacencyGraph(nodes, tuple(sorted(edges)))
+    return [AdjacencyGraph(nodes, tuple(sorted(es))) for es in edges]
+
+
+def build_graph(dec: Decomposition, variety: list[MPoly]) -> AdjacencyGraph:
+    """Undirected graph joining cells in one connected component of the
+    complement of the variety."""
+    return build_graphs(dec, [variety])[0]

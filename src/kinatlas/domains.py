@@ -15,7 +15,7 @@ from fractions import Fraction
 from .ratpoly import MPoly, UPoly, divides, exact_div, squarefree_total, mgcd
 from .realroots import isolate
 from .cad2d import Decomposition, decompose, interval_eval, resultant_bivar
-from .adjacency import AdjacencyGraph, build_graph, components
+from .adjacency import AdjacencyGraph, build_graph, build_graphs, components
 from .mechanism import (
     MechanismParams, WorkingMode, WorkspaceSlice, JointSlice,
     slice_workspace, slice_jointspace, project_parallel_to_joint,
@@ -124,8 +124,7 @@ def analyze_workspace(ws: WorkspaceSlice, prc: MPoly | None = None) -> Workspace
     g_s = build_graph(dec_s, sing)
     fine = sing + list(sc.polynomials)
     dec_f = decompose(fine, "x", "tphi")
-    g_f = build_graph(dec_f, fine)
-    g_fs = build_graph(dec_f, sing)
+    g_f, g_fs = build_graphs(dec_f, [fine, sing])
     # the half-tangent chart cuts the workspace cylinder at phi = pi; glue
     # columns back together where the cut line is off the variety
     bl_sing = _cut_blockers(ws, None)

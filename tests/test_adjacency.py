@@ -1,0 +1,108 @@
+"""One adjacency pass per decomposition: per-variety graphs are filters of
+a single candidate-edge pass, and every edge is exact."""
+
+import random
+from fractions import Fraction
+
+from kinatlas.ratpoly import UPoly, parse_poly
+from kinatlas.realroots import isolate
+from kinatlas.cad2d import decompose
+from kinatlas.adjacency import build_graph, build_graphs, _cmp_bounds, _ranks
+
+from test_cad2d import _rand_conic
+
+
+def P(text):
+    return parse_poly(text, ("u", "v"))
+
+
+def U(coeffs):
+    return UPoly([Fraction(c) for c in coeffs], "x")
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+class TestBuildGraphs:
+    def test_matches_separate_passes_random_conics(self):
+        span = 4
+        box = [P(f"u-{span}"), P(f"u+{span}"), P(f"v-{span}"), P(f"v+{span}")]
+        rng = random.Random(77)
+        done = 0
+        while done < 8:
+            polys = [_rand_conic(rng) for _ in range(rng.randint(1, 3))]
+            polys = [p for p in polys if not p.is_zero() and not p.is_constant()]
+            if not polys:
+                continue
+            V = polys + box
+            try:
+                dec = decompose(V, "u", "v")
+            except Exception:
+                continue  # degenerate arrangement (e.g. identical curves)
+            k = rng.randint(0, len(V) - 1)
+            got = build_graphs(dec, [V, V[:k]])
+            assert got == [build_graph(dec, V), build_graph(dec, V[:k])], \
+                f"{[str(p) for p in V]}, k = {k}"
+            done += 1
+
+    def test_shared_and_disjoint_varieties(self):
+        circle, line = P("u^2+v^2-1"), P("v")
+        dec = decompose([circle, line], "u", "v")
+        varieties = [[circle, line], [line], [], [circle]]
+        assert build_graphs(dec, varieties) == [build_graph(dec, v) for v in varieties]
+        assert build_graphs(dec, []) == []
+
+
+class TestRanks:
+    def _check(self, p, q):
+        roots1, roots2 = isolate(p), isolate(q)
+        rank1, rank2 = _ranks(roots1, roots2)
+        for ranks in (rank1, rank2):
+            assert all(a < b for a, b in zip(ranks, ranks[1:]))
+        for i, a in enumerate(roots1):
+            for k, b in enumerate(roots2):
+                assert _sign(rank1[i] - rank2[k]) == _cmp_bounds(a, b), (i, k)
+        return roots1, roots2, rank1, rank2
+
+    def test_shared_irrational_roots(self):
+        # (x^2 - 2)(x - 1) against (x^2 - 2)(x + 3): -3 < -sqrt2 < 1 < sqrt2
+        _, _, rank1, rank2 = self._check(U([2, -2, -1, 1]), U([-6, -2, 3, 1]))
+        assert rank1 == [2, 3, 4]
+        assert rank2 == [1, 2, 4]
+
+    def test_shared_rational_root(self):
+        # (x - 1)(x^2 - 2) against (x - 1)(x + 3)
+        _, _, rank1, rank2 = self._check(U([2, -2, -1, 1]), U([-3, 2, 1]))
+        assert rank1 == [2, 3, 4]
+        assert rank2 == [1, 3]
+
+    def test_empty_side(self):
+        assert _ranks(isolate(U([-2, 0, 1])), []) == ([1, 2], [])
+        assert _ranks([], []) == ([], [])
+
+
+class TestEdgeInvariance:
+    def test_reference_slice_edges_keep_sign_vectors(self, atlas_pp):
+        # every edge the pass returns (before the half-tangent wrap edges are
+        # added) joins two cells with the same sign vector over its variety
+        ws, wa = atlas_pp.ws, atlas_pp.wa
+        sing = [ws.serial[0], ws.serial[1], ws.parallel]
+        fine = sing + list(wa.sc.polynomials)
+        g_s = build_graph(wa.dec_sing, sing)
+        g_f, g_fs = build_graphs(wa.dec_fine, [fine, sing])
+        checked = 0
+        for dec, g, variety, final in ((wa.dec_sing, g_s, sing, wa.graph_sing),
+                                       (wa.dec_fine, g_f, fine, wa.graph_fine),
+                                       (wa.dec_fine, g_fs, sing, wa.graph_fine_sing)):
+            assert g.edges
+            for a, b in g.edges:
+                sa = [dec.sign_at_sample(p, a) for p in variety]
+                sb = [dec.sign_at_sample(p, b) for p in variety]
+                assert 0 not in sa and sa == sb, (a, b)
+                checked += 1
+            # the analysis adds only wrap edges, bottom to top of a column
+            wrap = {(col[0].id, col[-1].id) for col in dec.columns}
+            assert set(g.edges) <= set(final.edges)
+            assert set(final.edges) - set(g.edges) <= wrap
+        assert checked > 0
