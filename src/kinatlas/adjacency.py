@@ -35,15 +35,6 @@ class AdjacencyGraph:
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
-
     def to_json(self) -> dict:
         return {
             "nodes": list(self.nodes),

@@ -14,9 +14,8 @@ from fractions import Fraction
 
 from .ratpoly import (
     MPoly, UPoly,
-    discriminant, resultant, squarefree_total, mgcd, exact_div,
+    discriminant, resultant, squarefree_total, exact_div,
 )
-from .groebner import PolySystem, eliminate
 from .realroots import (
     NEG_INF, POS_INF, IsolatingInterval, IndexedRoot,
     isolate, count_roots, sample_between,
@@ -267,26 +266,19 @@ def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:
     base_samples = [sample_between(base, l, base_roots) for l in range(n + 1)] \
         if base.degree >= 1 else [Fraction(0)]
 
-    from ._util import parallel_map
-
-    def lift(s: Fraction):
-        f = _specialize_product(polys, base_var, fiber_var, s)
-        fr = isolate(f) if f.degree >= 1 else []
-        samples = [sample_between(f, k2, fr) if f.degree >= 1 else Fraction(0)
-                   for k2 in range(len(fr) + 1)]
-        return f, fr, samples
-
-    lifted = parallel_map(lift, base_samples)
     cells: list[Cell2D] = []
     columns: list[list[Cell2D]] = []
     fiber_products: list[UPoly] = []
     fiber_roots_all: list[list[IsolatingInterval]] = []
     cid = 0
-    for k1, (s, (f, fr, fsamples)) in enumerate(zip(base_samples, lifted)):
+    for k1, s in enumerate(base_samples):
+        f = _specialize_product(polys, base_var, fiber_var, s)
+        fr = isolate(f) if f.degree >= 1 else []
         fiber_products.append(f)
         fiber_roots_all.append(fr)
         col = []
-        for k2, fy in enumerate(fsamples):
+        for k2 in range(len(fr) + 1):
+            fy = sample_between(f, k2, fr)
             cell = Cell2D(
                 id=cid, base_index=k1, fiber_index=k2,
                 base_lo=_indexed(base, k1, base_roots),
@@ -313,175 +305,6 @@ def _indexed(p: UPoly, l: int, roots: list[IsolatingInterval]) -> IndexedRoot:
     if l > len(roots):
         return IndexedRoot(p, l, POS_INF)
     return IndexedRoot(p, l, roots[l - 1])
-
-
-# ---------------------------------------------------------------------------
-# parametric systems and the discriminant-variety construction
-
-
-@dataclass(frozen=True)
-class ParametricSystem:
-    """Equations p_i = 0 with optional side conditions q_j != 0 or >= 0 in
-    the unknowns, over at most two parameters."""
-
-    equations: tuple[MPoly, ...]
-    unknowns: tuple[str, ...]
-    parameters: tuple[str, ...]
-    inequations: tuple[MPoly, ...] = ()      # q != 0
-    inequalities: tuple[MPoly, ...] = ()     # q >= 0
-
-    def __post_init__(self):
-        if not 1 <= len(self.parameters) <= 2:
-            raise CadError("parameter space must have dimension 1 or 2")
-        if set(self.unknowns) & set(self.parameters):
-            raise CadError("unknowns and parameters must be disjoint")
-
-
-def discriminant_variety(sys: ParametricSystem) -> list[MPoly]:
-    """Parameter-space polynomials covering every solution-count change:
-    critical loci, side-condition contacts, and elimination degenerations.
-
-    A pragmatic union: extra components only over-refine the decomposition.
-    """
-    all_vars = tuple(sys.unknowns) + tuple(sys.parameters)
-    eqs = [p.with_vars(all_vars) for p in sys.equations]
-    out: list[MPoly] = []
-
-    def push(q: MPoly):
-        if q.is_zero():
-            raise CadError("not zero-dimensional: projection vanished identically")
-        if q.is_constant():
-            return
-        qq = squarefree_total(q.with_vars(tuple(sys.parameters))).canonical()
-        if all(qq != r for r in out):
-            out.append(qq)
-
-    # generic finiteness check + leading-coefficient degenerations
-    for xv in sys.unknowns:
-        others = [v for v in sys.unknowns if v != xv]
-        ps = PolySystem.of(eqs, all_vars)
-        el = eliminate(ps, others) if others else ps
-        uni = [g for g in el.polynomials if g.degree(xv) > 0]
-        if not uni:
-            raise CadError(f"not zero-dimensional in {xv}")
-        g = uni[0]
-        lc = g.leading_coefficient(xv)
-        if not lc.is_constant():
-            push(lc)
-    # critical locus: equations plus det of the Jacobian wrt the unknowns
-    jac = [[p.diff(v) for v in sys.unknowns] for p in eqs]
-    det = _det(jac)
-    crit = PolySystem.of(eqs + [det], all_vars)
-    for g in eliminate(crit, list(sys.unknowns)).polynomials:
-        push(g)
-    # side-condition contacts
-    for q in tuple(sys.inequations) + tuple(sys.inequalities):
-        contact = PolySystem.of(eqs + [q.with_vars(all_vars)], all_vars)
-        for g in eliminate(contact, list(sys.unknowns)).polynomials:
-            push(g)
-    return out
-
-
-def _det(m: list[list[MPoly]]) -> MPoly:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    acc = None
-    for i in range(n):
-        if m[i][0].is_zero():
-            continue
-        minor = [row[1:] for k, row in enumerate(m) if k != i]
-        term = m[i][0] * _det(minor)
-        if i % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else MPoly.const(0, m[0][0].vars)
-
-
-def solution_count(sys: ParametricSystem, point: dict[str, Fraction]) -> int:
-    """Exact number of real solutions of the system at a rational parameter
-    point, honoring inequations (!= 0) and inequalities (>= 0).
-
-    Counting oracle: eliminate to a univariate per unknown, isolate, and
-    filter candidate tuples by exact residual and side-condition signs.
-    """
-    all_vars = tuple(sys.unknowns) + tuple(sys.parameters)
-    eqs = []
-    for p in sys.equations:
-        s = p.with_vars(all_vars).eval(point)
-        if isinstance(s, Fraction):
-            if s != 0:
-                return 0
-            continue
-        eqs.append(s.with_vars(tuple(sys.unknowns)))
-    if not eqs:
-        raise CadError("no equations left after specialization")
-    candidates = [{}]
-    for xv in sys.unknowns:
-        others = [v for v in sys.unknowns if v != xv]
-        el = eliminate(PolySystem.of(eqs, tuple(sys.unknowns)), others) if others \
-            else PolySystem.of(eqs, tuple(sys.unknowns))
-        unis = [g for g in el.polynomials if g.degree(xv) > 0]
-        if not unis:
-            raise CadError(f"positive-dimensional fiber in {xv}")
-        g = unis[0]
-        for h in unis[1:]:
-            g = mgcd(g, h)
-        if g.degree(xv) <= 0:
-            return 0
-        u = UPoly.from_mpoly(g.with_vars((xv,)), xv)
-        roots = isolate(u)
-        new = []
-        for cand in candidates:
-            for iv in roots:
-                c2 = dict(cand)
-                c2[xv] = iv
-                new.append(c2)
-        candidates = new
-    uvars = tuple(sys.unknowns)
-    ineqs = [_specialized(q, point, uvars) for q in sys.inequations]
-    geqs = [_specialized(q, point, uvars) for q in sys.inequalities]
-    count = 0
-    for cand in candidates:
-        if _verify_candidate(eqs, ineqs, geqs, cand):
-            count += 1
-    return count
-
-
-def _specialized(q: MPoly, point: dict, uvars: tuple[str, ...]):
-    s = q.with_vars(uvars + tuple(point.keys())).eval(point)
-    if isinstance(s, Fraction):
-        return MPoly.const(s, uvars)
-    return s.with_vars(uvars)
-
-
-def _verify_candidate(eqs, ineqs, geqs, cand: dict) -> bool:
-    """Interval check that a box of isolated coordinates carries a solution
-    satisfying the side conditions; exact rational points decide outright."""
-    width = Fraction(1, 1 << 24)
-    for _ in range(4):
-        boxes = {v: (iv.refine(width).low, iv.refine(width).high) for v, iv in cand.items()}
-        for p in eqs:
-            lo, hi = interval_eval(p, boxes)
-            if lo > 0 or hi < 0:
-                return False
-        undecided = False
-        for q in ineqs:
-            lo, hi = interval_eval(q, boxes)
-            if lo == hi == 0:
-                return False
-            if lo <= 0 <= hi:
-                undecided = True
-        for q in geqs:
-            lo, hi = interval_eval(q, boxes)
-            if hi < 0:
-                return False
-            if lo < 0 <= hi and not lo == hi:
-                undecided = True
-        if not undecided:
-            return True
-        width /= 1 << 12
-    return True  # side condition undecided at maximal depth: counted
 
 
 def interval_eval(p: MPoly, boxes: dict[str, tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:

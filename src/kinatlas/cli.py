@@ -39,10 +39,6 @@ def _frac(s) -> Fraction:
         raise ConfigError(f"bad rational {s!r}: {e}") from e
 
 
-def _fstr(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _write_atomic(path: Path, data: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
@@ -68,9 +64,11 @@ def _load_config(path: str) -> MechanismParams:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} line {e.lineno}: {e.msg}") from e
+    if not isinstance(d, dict):
+        raise ConfigError(f"config {path}: expected a JSON object")
     try:
         return MechanismParams.from_json(d)
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:
         raise ConfigError(f"config {path}: {e}") from e
 
 
@@ -188,8 +186,11 @@ def cmd_check_trajectory(args) -> int:
         return 2
     out = Path(args.out)
     try:
+        if not isinstance(tdata, dict):
+            raise TrajectoryError("expected a JSON object")
         traj = Trajectory.from_json(tdata)
-    except (KeyError, ValueError, TrajectoryError) as e:
+    except (KeyError, IndexError, ValueError, TypeError, ZeroDivisionError,
+            TrajectoryError) as e:
         print(f"config error: bad trajectory: {e}", file=sys.stderr)
         return 2
     try:
@@ -254,9 +255,13 @@ def cmd_solve(args) -> int:
         vals = [float(_frac(v)) for v in args.ik.split(",")]
         if len(vals) != 3:
             raise ConfigError("--ik needs x,y,phi")
-        s2, s3 = (int(v) for v in args.mode.split(","))
         try:
-            jv, pa = inverse_kinematics(Pose(*vals), WorkingMode(s2, s3), params)
+            s2, s3 = (int(v) for v in args.mode.split(","))
+            mode = WorkingMode(s2, s3)
+        except ValueError as e:
+            raise ConfigError(f"--mode needs s2,s3 with signs +1 or -1: {e}") from e
+        try:
+            jv, pa = inverse_kinematics(Pose(*vals), mode, params)
         except KinematicsError as e:
             print(json.dumps({"solutions": [], "error": str(e)}))
             return 0

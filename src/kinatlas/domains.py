@@ -203,10 +203,6 @@ class JointAnalysis:
     dec: Decomposition             # (r, c3) chart arrangement
     graph: AdjacencyGraph
 
-    def dk_at(self, ws: WorkspaceSlice, cid: int) -> int:
-        c = self.dec.cells[cid]
-        return dk_count_chart(c.sample[0], c.sample[1], ws)
-
 
 def analyze_jointspace(js: JointSlice) -> JointAnalysis:
     polys = [js.parallel_rc] + list(js.serial_rc)
@@ -300,15 +296,6 @@ def _fine_inside_aspect(wa: WorkspaceAnalysis, sample, aspect: RegionSet) -> boo
     decomposition and test aspect membership."""
     loc = wa.dec_sing.locate(sample[0], sample[1])
     return loc is not None and loc in aspect.cells
-
-
-def basic_components(basics: list[BasicRegion], mode: WorkingMode) -> list[RegionSet]:
-    out = []
-    for i, b in enumerate(basics, 1):
-        out.append(RegionSet(
-            kind="basic-component", label=f"QAb_{mode.label}_{i}", mode=mode,
-            cells=b.component_cells, sample=None, sign=None))
-    return out
 
 
 def uniqueness_domains(wa: WorkspaceAnalysis, basics: list[BasicRegion],

@@ -22,7 +22,6 @@ from .ratpoly import (
     MPoly, UPoly,
     exact_div, resultant, squarefree_total,
 )
-from .groebner import PolySystem
 from . import realroots
 
 
@@ -178,33 +177,6 @@ ALL_ANGLES = {"phi": ("cphi", "sphi", "tphi"),
               "alpha3": ("c3", "s3", "t3")}
 
 
-def constraints(params: MechanismParams) -> PolySystem:
-    """Eq-system with every angle rationalized to its half-tangent."""
-    polys = []
-    for p in constraints_trig(params):
-        q, _ = rationalize(p, ALL_ANGLES)
-        polys.append(q)
-    vs = ("x", "y", "tphi", "t2", "t3", "rho1", "rho2", "rho3")
-    return PolySystem.of(polys, vs)
-
-
-def custom_constraints(config: dict) -> PolySystem:
-    """Raw constraint polynomials from a config record.
-
-    Expects `constraints` in the textual polynomial format plus declared
-    `pose`, `joints`, and `passive` symbol lists.
-    """
-    from .ratpoly import parse_poly
-    pose = tuple(config.get("pose", ()))
-    joints = tuple(config.get("joints", ()))
-    passive = tuple(config.get("passive", ()))
-    vs = pose + passive + joints
-    if not vs:
-        raise ValueError("custom mechanism needs declared symbol lists")
-    polys = [parse_poly(s, vs) for s in config["constraints"]]
-    return PolySystem.of(polys, vs)
-
-
 def residuals(pose: Pose, joints: JointValues, passives: PassiveAngles,
               params: MechanismParams) -> list[float]:
     point = {
@@ -287,12 +259,6 @@ def parallel_singularity(params: MechanismParams) -> MPoly:
 
 # ---------------------------------------------------------------------------
 # closed-form kinematics
-
-
-def _mode_of(passives: PassiveAngles) -> WorkingMode:
-    s2 = 1 if math.cos(passives.alpha2) >= 0 else -1
-    s3 = 1 if math.sin(passives.alpha3) >= 0 else -1
-    return WorkingMode(s2, s3)
 
 
 def inverse_kinematics(pose: Pose, mode: WorkingMode,
@@ -428,7 +394,6 @@ class WorkspaceSlice:
     s2sign: int
     params: MechanismParams
     c2_sq: Fraction
-    system: PolySystem            # Eq system with c2 symbolic, c2^2 pinned
     serial: tuple[MPoly, MPoly]   # leg-3 reach boundaries in (x, tphi)
     parallel: MPoly               # parallel-singularity curve in (x, tphi)
     rho1sq_num: MPoly             # (x,tphi)-numerator of rho1^2 (denominator (1+t^2)^2)
@@ -473,24 +438,8 @@ def slice_workspace(y0: Fraction, s2sign: int, params: MechanismParams) -> Works
     par = spr.with_vars(vs).canonical()
     rho1sq = (x * op - a * om) ** 2 + (y0 * op - a * tt) ** 2
     c3num = x * op + b * om
-    # constraint system at the slice, alpha2 branch kept symbolic via c2
-    sys_vs = ("x", "tphi", "t3", "c2", "rho1", "rho2", "rho3")
-    X = MPoly.var("x", sys_vs); T = MPoly.var("tphi", sys_vs)
-    T3 = MPoly.var("t3", sys_vs); C2 = MPoly.var("c2", sys_vs)
-    R1 = MPoly.var("rho1", sys_vs); R2 = MPoly.var("rho2", sys_vs); R3 = MPoly.var("rho3", sys_vs)
-    ONE = MPoly.const(1, sys_vs)
-    OPT = ONE + T * T; OMT = ONE - T * T
-    OP3 = ONE + T3 * T3; OM3 = ONE - T3 * T3
-    eqs = [
-        R2 + params.l2 * C2 - X,
-        (X * OPT - a * OMT) ** 2 + (y0 * OPT - a * 2 * T) ** 2 - R1 * R1 * OPT * OPT,
-        l3 * OM3 * OPT - b * OMT * OP3 - X * OPT * OP3,
-        (R3 * OP3 + l3 * 2 * T3) * OPT - (b * 2 * T + y0 * OPT) * OP3,
-        C2 * C2 - c2sq,
-    ]
-    system = PolySystem.of(eqs, sys_vs)
     return WorkspaceSlice(
-        y0=y0, s2sign=s2sign, params=params, c2_sq=c2sq, system=system,
+        y0=y0, s2sign=s2sign, params=params, c2_sq=c2sq,
         serial=(ser_out.canonical(), ser_in.canonical()), parallel=par,
         rho1sq_num=rho1sq,
         c3_num=c3num, excluded=("phi=pi",),
@@ -515,10 +464,6 @@ class JointSlice:
     serial_rc: tuple[MPoly, ...]
     serial_ru: tuple[MPoly, ...]
     excluded: tuple[str, ...]
-
-    @property
-    def system(self) -> PolySystem:
-        return PolySystem.of([self.parallel_ru] + list(self.serial_ru), ("r", "u"))
 
 
 def slice_jointspace(s2sign: int, params: MechanismParams,

@@ -416,32 +416,6 @@ def divides(den: MPoly, num: MPoly) -> bool:
         return False
 
 
-def _upoly_gcd_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of dense rational coefficient lists (low degree first)."""
-    def strip(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = strip(list(a)), strip(list(b))
-    while b:
-        # remainder of a by b
-        d = len(b) - 1
-        lc = b[-1]
-        r = list(a)
-        while len(r) - 1 >= d and strip(r):
-            k = len(r) - 1 - d
-            c = r[-1] / lc
-            for i, bc in enumerate(b):
-                r[k + i] -= c * bc
-            r = strip(r)
-        a, b = b, r
-    if not a:
-        return []
-    lc = a[-1]
-    return [c / lc for c in a]
-
-
 def mgcd(p: MPoly, q: MPoly) -> MPoly:
     """Multivariate gcd by primitive PRS recursion, canonical output."""
     if p.is_zero():
@@ -458,13 +432,8 @@ def mgcd(p: MPoly, q: MPoly) -> MPoly:
     var = common[0]
     p, q = p._aligned(q)
     if len(p.live_vars()) == 1 and len(q.live_vars()) == 1:
-        # pure univariate: fast Euclid over Q
-        ca = [c.constant_value() for c in p.coeffs_in(var)]
-        cb = [c.constant_value() for c in q.coeffs_in(var)]
-        g = _upoly_gcd_frac(ca, cb)
-        rest = tuple(v for v in p.vars if v != var)
-        out = MPoly.from_coeffs([MPoly.const(c, rest) for c in g], var)
-        return out.with_vars(p.vars).canonical()
+        g = UPoly.from_mpoly(p, var).gcd(UPoly.from_mpoly(q, var))
+        return g.to_mpoly().with_vars(p.vars).canonical()
     pp, pc = p.primitive_and_content_in(var)
     qp, qc = q.primitive_and_content_in(var)
     cont = mgcd(pc, qc)
@@ -575,55 +544,6 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
             if sign < 0:
                 res = -res
             return res
-
-
-def sylvester_resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
-    """Resultant via Sylvester-matrix cofactor expansion (small degrees only).
-
-    Independent of the PRS path; used as a cross-check oracle.
-    """
-    p, q = p._aligned(q)
-    m, n = p.degree(var), q.degree(var)
-    if m <= 0 or n <= 0:
-        raise RatPolyError("resultant needs positive degree in the variable")
-    rest = tuple(v for v in p.vars if v != var)
-    pc = [c.with_vars(rest) for c in p.coeffs_in(var)]
-    qc = [c.with_vars(rest) for c in q.coeffs_in(var)]
-    size = m + n
-    zero = MPoly.const(0, rest)
-    rows: list[list[MPoly]] = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(pc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(qc)):
-            row[i + j] = c
-        rows.append(row)
-    return _det_expand(rows)
-
-
-def _det_expand(rows: list[list[MPoly]]) -> MPoly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    # expansion along first column
-    acc = None
-    for i in range(n):
-        c = rows[i][0]
-        if c.is_zero():
-            continue
-        minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        term = c * _det_expand(minor)
-        if i % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        vs = rows[0][0].vars
-        return MPoly.const(0, vs)
-    return acc
 
 
 def discriminant(p: MPoly, var: str) -> MPoly:

@@ -1,7 +1,7 @@
 """Exact real-root isolation and counting for univariate polynomials.
 
 Two independent routes are provided on purpose: Descartes-rule bisection
-drives isolation, Sturm sequences drive counting and the segment test.
+drives isolation, Sturm sequences drive counting.
 Sample points are dyadic rationals so bit sizes stay bounded when these
 feed the plane decomposition.
 """
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratpoly import MPoly, UPoly
+from .ratpoly import UPoly
 
 NEG_INF = -math.inf
 POS_INF = math.inf
@@ -54,12 +54,6 @@ def _taylor_shift_1(cs: list[int]) -> list[int]:
         for j in range(n - 2, i - 1, -1):
             out[j] += out[j + 1]
     return out
-
-
-def _descartes_01(cs: list[int]) -> int:
-    """Descartes bound for the number of roots of p in the open (0, 1)."""
-    rev = list(reversed(cs))
-    return _sign_variations(_taylor_shift_1(rev))
 
 
 def _scale_shift(cs: list[int], a: Fraction, w: Fraction) -> list[int]:
@@ -141,9 +135,6 @@ class IsolatingInterval:
         iv = self.refine(Fraction(1, 1 << 60))
         return float(iv.midpoint())
 
-    def contains(self, x: Fraction) -> bool:
-        return self.low <= x <= self.high
-
 
 @dataclass(frozen=True)
 class IndexedRoot:
@@ -152,12 +143,6 @@ class IndexedRoot:
     polynomial: UPoly
     index: int
     value: "IsolatingInterval | float"
-
-    def is_neg_inf(self) -> bool:
-        return self.value == NEG_INF
-
-    def is_pos_inf(self) -> bool:
-        return self.value == POS_INF
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +291,6 @@ def isolate(p: UPoly) -> list[IsolatingInterval]:
     return out
 
 
-def root_at_index(p: UPoly, l: int) -> IndexedRoot:
-    """Root(p, l) with -inf for l <= 0 and +inf for l beyond the last root."""
-    if l <= 0:
-        return IndexedRoot(p, l, NEG_INF)
-    roots = isolate(p)
-    if l > len(roots):
-        return IndexedRoot(p, l, POS_INF)
-    return IndexedRoot(p, l, roots[l - 1])
-
-
 def sample_between(p: UPoly, l: int, roots: list[IsolatingInterval] | None = None) -> Fraction:
     """Deterministic dyadic rational strictly between Root(p, l) and Root(p, l+1)."""
     if roots is None:
@@ -343,54 +318,3 @@ def sample_between(p: UPoly, l: int, roots: list[IsolatingInterval] | None = Non
         a = a.refine(a.width() / 2) if not a.is_exact() else a
         b = b.refine(b.width() / 2) if not b.is_exact() else b
 
-
-# ---------------------------------------------------------------------------
-# segment crossing
-
-
-def restrict_to_segment(poly: MPoly, p1, p2, tvar: str = "t") -> UPoly:
-    """Restriction of a plane polynomial to the segment p1 + t (p2 - p1).
-
-    The polynomial's first declared variable pairs with the x coordinate,
-    the second with y.
-    """
-    if not 1 <= len(poly.vars) <= 2:
-        raise RealRootError(f"not a plane polynomial: vars {poly.vars}")
-    x1, y1 = Fraction(p1[0]), Fraction(p1[1])
-    x2, y2 = Fraction(p2[0]), Fraction(p2[1])
-    t = MPoly.var(tvar)
-    sub = {poly.vars[0]: MPoly.const(x1, (tvar,)) + (x2 - x1) * t}
-    if len(poly.vars) > 1:
-        sub[poly.vars[1]] = MPoly.const(y1, (tvar,)) + (y2 - y1) * t
-    r = poly.eval(sub)
-    if isinstance(r, Fraction):
-        return UPoly([r], tvar)
-    return UPoly.from_mpoly(r.with_vars((tvar,)), tvar)
-
-
-def segment_crosses(polys: list[MPoly], p1, p2, with_flag: bool = False):
-    """True iff some polynomial vanishes on the closed segment [p1, p2].
-
-    A polynomial identically zero along the segment counts as a crossing;
-    with_flag=True also returns whether that degenerate case occurred.
-    """
-    if tuple(p1) == tuple(p2):
-        raise RealRootError("degenerate segment")
-    crossed = False
-    degenerate = False
-    for poly in polys:
-        u = restrict_to_segment(poly, p1, p2)
-        if u.is_zero():
-            crossed = True
-            degenerate = True
-            continue
-        if u.degree <= 0:
-            continue
-        if u(0) == 0 or u(1) == 0:
-            crossed = True
-            continue
-        if count_roots(u, Fraction(0), Fraction(1)) > 0:
-            crossed = True
-    if with_flag:
-        return crossed, degenerate
-    return crossed

@@ -1,9 +1,9 @@
-"""Workspace trajectories: joint-space mapping, assembly-mode branch
-tracking, and cusp-encirclement verdicts.
+"""Workspace trajectories: assembly-mode branch continuation and
+cusp-encirclement verdicts.
 
-Continuation runs in floating point (predictor: previous solution,
-corrector: damped Newton on the reduced distance equations); region
-membership of the endpoints is decided on the exact cell data.
+Continuation runs in floating point (pseudo-arclength predictor, Newton
+corrector on the reduced distance equations); region membership of the
+endpoints is decided on the exact cell data.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .mechanism import (
     MechanismParams, WorkingMode, Pose, JointValues, PassiveAngles,
-    inverse_kinematics, direct_kinematics, KinematicsError,
+    inverse_kinematics, direct_kinematics,
 )
 
 
@@ -111,13 +111,14 @@ def _distance_jacobian(x: float, y: float, phi: float, q, params):
     ]
 
 
-def _solve3(m, r):
+def _solve(m, r):
+    """Gauss-Jordan solve of the square system m z = r, partial pivoting."""
     a = [row[:] + [v] for row, v in zip(m, r)]
-    n = 3
+    n = len(m)
     for col in range(n):
         piv = max(range(col, n), key=lambda i: abs(a[i][col]))
         if abs(a[piv][col]) < 1e-14:
-            raise ZeroDivisionError("singular jacobian")
+            raise ZeroDivisionError("singular matrix")
         a[col], a[piv] = a[piv], a[col]
         for i in range(n):
             if i == col:
@@ -125,7 +126,7 @@ def _solve3(m, r):
             f = a[i][col] / a[col][col]
             for j in range(col, n + 1):
                 a[i][j] -= f * a[col][j]
-    return [a[i][3] / a[i][i] for i in range(n)]
+    return [a[i][n] / a[i][i] for i in range(n)]
 
 
 def _newton(x, y, phi, q, params, tol=1e-12, iters=40):
@@ -136,7 +137,7 @@ def _newton(x, y, phi, q, params, tol=1e-12, iters=40):
             return (x, y, phi, err)
         j = _distance_jacobian(x, y, phi, q, params)
         try:
-            d = _solve3(j, r)
+            d = _solve(j, r)
         except ZeroDivisionError:
             return None
         lam = 1.0
@@ -180,134 +181,6 @@ def joint_values_at(traj: Trajectory, s: float, params: MechanismParams) -> Join
     return jv
 
 
-def map_to_jointspace(traj: Trajectory, params: MechanismParams,
-                      tol: float = 1e-3) -> list[tuple[float, float, JointValues]]:
-    """Adaptive sampling of the joint image: (s, alpha3, joints) samples with
-    consecutive joint values closer than tol."""
-    samples: list[tuple[float, JointValues, PassiveAngles]] = []
-
-    def at(s):
-        pose = traj.pose_at(s)
-        try:
-            jv, pa = inverse_kinematics(pose, traj.mode, params)
-        except KinematicsError as e:
-            raise TrajectoryError(
-                f"serial singularity contact at path parameter {s:.6f} (leg {e.leg})") from e
-        return (s, jv, pa)
-
-    work = [(0.0, 1.0)]
-    samples.append(at(0.0))
-    done = []
-    # recursive bisection until consecutive joints are close
-    def refine(s0, rec0, s1, rec1, depth=0):
-        d = max(abs(rec0[1].rho1 - rec1[1].rho1), abs(rec0[1].rho2 - rec1[1].rho2),
-                abs(rec0[1].rho3 - rec1[1].rho3))
-        if d < tol or depth > 24:
-            done.append(rec1)
-            return
-        sm = (s0 + s1) / 2
-        rm = at(sm)
-        refine(s0, rec0, sm, rm, depth + 1)
-        refine(sm, rm, s1, rec1, depth + 1)
-
-    r0 = at(0.0)
-    r1 = at(1.0)
-    refine(0.0, r0, 1.0, r1)
-    out = [(r0[0], r0[2].alpha3, r0[1])] + [(s, pa.alpha3, jv) for s, jv, pa in done]
-    return out
-
-
-@dataclass
-class BranchTrack:
-    """One direct-kinematics branch continued along the joint path."""
-
-    states: list[tuple[float, float, float]]        # (x, y, phi) per step
-    alpha3: list[float]
-    rho1: list[float]
-    min_det: float
-    alive: bool = True
-    died_at: float | None = None
-
-
-def track_all_branches(traj: Trajectory, params: MechanismParams,
-                       steps: int = 256, collision_tol: float = 1e-7,
-                       tracked: int | None = None
-                       ) -> tuple[list[BranchTrack], list[float], int]:
-    """Continue every DK solution of q(s) from s=0 to 1.
-
-    Partner branches may annihilate pairwise on a parallel singularity and
-    are retired; the tracked branch (the one starting at the trajectory's
-    start pose) colliding with another branch is indeterminate and raises.
-    Returns (branches, s-grid, tracked index).
-    """
-    q0 = joint_values_at(traj, 0.0, params)
-    sols = direct_kinematics(q0, params)
-    if not sols:
-        raise TrajectoryError("no direct-kinematics solution at the start")
-    branches = [BranchTrack(states=[(p.x, p.y, p.phi)], alpha3=[pa.alpha3],
-                            rho1=[q0.rho1], min_det=math.inf)
-                for p, pa in sols]
-    if tracked is None:
-        p0 = traj.pose_at(0.0)
-        tracked = min(range(len(branches)),
-                      key=lambda i: max(abs(branches[i].states[0][0] - p0.x),
-                                        abs(branches[i].states[0][2] - p0.phi)))
-        b0 = branches[tracked].states[0]
-        if max(abs(b0[0] - p0.x), abs(b0[2] - p0.phi)) > 1e-6:
-            raise TrajectoryError("start pose is not a direct-kinematics solution")
-    grid = [0.0]
-    s = 0.0
-    h = 1.0 / steps
-    while s < 1.0 - 1e-12:
-        h_try = min(h, 1.0 - s)
-        while True:
-            s_next = s + h_try
-            q = joint_values_at(traj, s_next, params)
-            qt = (q.rho1, q.rho2, q.rho3)
-            new_states: dict[int, tuple] = {}
-            failed: list[int] = []
-            for i, br in enumerate(branches):
-                if not br.alive:
-                    continue
-                x, y, phi = br.states[-1]
-                res = _newton(x, y, phi, qt, params)
-                if res is None:
-                    failed.append(i)
-                else:
-                    new_states[i] = res
-            if i_ok := (tracked in new_states):
-                if not failed or h_try < 1e-7:
-                    break
-            elif h_try < 1e-7:
-                raise TrajectoryError(f"tracked branch lost near s={s:.6f}")
-            h_try /= 2
-        for i in failed:
-            branches[i].alive = False
-            branches[i].died_at = s + h_try
-        # collision involving the tracked branch is indeterminate
-        xt = new_states[tracked]
-        for i, st in new_states.items():
-            if i == tracked:
-                continue
-            if max(abs(st[k] - xt[k]) for k in range(3)) < collision_tol:
-                raise TrajectoryError(
-                    "indeterminate near-singular passage: tracked branch "
-                    f"collides near s={s + h_try:.6f}")
-        for i, st in new_states.items():
-            br = branches[i]
-            x, y, phi, _ = st
-            br.states.append((x, y, phi))
-            pa = _passives_of(x, y, phi, qt, params)
-            br.alpha3.append(pa.alpha3)
-            br.rho1.append(qt[0])
-            det = abs(_det_a_normalized(x, y, phi, qt, params))
-            if det < br.min_det:
-                br.min_det = det
-        s += h_try
-        grid.append(s)
-    return branches, grid, tracked
-
-
 # ---------------------------------------------------------------------------
 # solution-manifold chains (pseudo-arclength, turns at folds)
 
@@ -336,7 +209,7 @@ def _tangent4(j4, prev=None):
         m = [[j4[r][c] for c in cols] for r in range(3)]
         rhs = [-j4[r][fixed] for r in range(3)]
         try:
-            sol = _solve3(m, rhs)
+            sol = _solve(m, rhs)
         except ZeroDivisionError:
             continue
         t = [0.0] * 4
@@ -470,7 +343,7 @@ def _corrector4(x, y, phi, s, tangent, traj, params, iters=25):
         j4 = _sys_jacobian4(x, y, phi, s, traj, params)
         m = [row[:] for row in j4] + [list(tangent)]
         try:
-            d = _solve4(m, r)
+            d = _solve(m, r)
         except ZeroDivisionError:
             return None
         x, y, phi, s = x - d[0], y - d[1], phi - d[2], s - d[3]
@@ -478,22 +351,6 @@ def _corrector4(x, y, phi, s, tangent, traj, params, iters=25):
             return None
     return None
 
-
-def _solve4(m, r):
-    a = [row[:] + [v] for row, v in zip(m, r)]
-    n = 4
-    for col in range(n):
-        piv = max(range(col, n), key=lambda i: abs(a[i][col]))
-        if abs(a[piv][col]) < 1e-14:
-            raise ZeroDivisionError("singular")
-        a[col], a[piv] = a[piv], a[col]
-        for i in range(n):
-            if i == col:
-                continue
-            f = a[i][col] / a[col][col]
-            for j in range(col, n + 1):
-                a[i][j] -= f * a[col][j]
-    return [a[i][4] / a[i][i] for i in range(n)]
 
 
 def winding_number(path: list[tuple[float, float]], center: tuple[float, float]) -> int:

@@ -4,11 +4,14 @@ a single candidate-edge pass, and every edge is exact."""
 import random
 from fractions import Fraction
 
-from kinatlas.ratpoly import UPoly, parse_poly
+from kinatlas.ratpoly import MPoly, UPoly, parse_poly
 from kinatlas.realroots import isolate
 from kinatlas.cad2d import decompose
-from kinatlas.adjacency import build_graph, build_graphs, _cmp_bounds, _ranks
+from kinatlas.adjacency import (
+    build_graph, build_graphs, _cmp_bounds, _ranks, _rows, _crosses_horizontal,
+)
 
+from oracles import segment_crosses, restrict_to_segment
 from test_cad2d import _rand_conic
 
 
@@ -80,6 +83,39 @@ class TestRanks:
     def test_empty_side(self):
         assert _ranks(isolate(U([-2, 0, 1])), []) == ([1, 2], [])
         assert _ranks([], []) == ([], [])
+
+
+class TestHorizontalCrossing:
+    def test_matches_segment_oracle_random_conics(self):
+        # p(u, c) on [w1, w2] by the pass's specialised test against the
+        # substituted restriction of the oracle; a third of the cases are
+        # shifted to vanish at an endpoint, a sixth vanish on the whole line
+        rng = random.Random(29)
+        grid = [Fraction(k, 2) for k in range(-6, 7)]
+        v = MPoly.var("v", ("u", "v"))
+        kinds = {"endpoint": 0, "identically zero": 0, "crossed": 0, "clear": 0}
+        for case in range(300):
+            c = rng.choice(grid)
+            w1, w2 = sorted(rng.sample(grid, 2))
+            p = _rand_conic(rng)
+            if case % 6 == 0:
+                p = (v - c) * (MPoly.var("u", ("u", "v")) + rng.randint(-3, 3))
+            elif case % 3 == 1:
+                w = w1 if rng.random() < 0.5 else w2
+                p = p - MPoly.const(p.eval({"u": w, "v": c}), ("u", "v"))
+            if p.is_zero():
+                continue
+            got = _crosses_horizontal(_rows(p, "u", "v"), c, w1, w2, "u")
+            want = segment_crosses([p], (w1, c), (w2, c))
+            assert got == want, (str(p), c, w1, w2)
+            u = restrict_to_segment(p, (w1, c), (w2, c))
+            if u.is_zero():
+                kinds["identically zero"] += 1
+            elif u(0) == 0 or u(1) == 0:
+                kinds["endpoint"] += 1
+            else:
+                kinds["crossed" if want else "clear"] += 1
+        assert all(n >= 10 for n in kinds.values()), kinds
 
 
 class TestEdgeInvariance:

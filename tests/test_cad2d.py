@@ -1,13 +1,8 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from kinatlas.ratpoly import MPoly, parse_poly
-from kinatlas.cad2d import (
-    CadError, ParametricSystem, projection_set, decompose, discriminant_variety,
-    solution_count, interval_eval,
-)
+from kinatlas.cad2d import projection_set, decompose, interval_eval
 from kinatlas.adjacency import build_graph, components
 
 
@@ -159,46 +154,6 @@ class TestAdjacency:
             done += 1
 
 
-class TestParametric:
-    def test_sqrt_count_change(self):
-        sys = ParametricSystem(
-            equations=(parse_poly("x^2-u", ("x", "u")),),
-            unknowns=("x",), parameters=("u",))
-        dv = discriminant_variety(sys)
-        strs = {str(q) for q in dv}
-        assert "u" in strs
-        assert solution_count(sys, {"u": Fraction(1)}) == 2
-        assert solution_count(sys, {"u": Fraction(-1)}) == 0
-
-    def test_imaginary_sphere_point(self):
-        sys = ParametricSystem(
-            equations=(parse_poly("x^2+u^2+v^2", ("x", "u", "v")),),
-            unknowns=("x",), parameters=("u", "v"))
-        dv = discriminant_variety(sys)
-        val = Fraction(0)
-        assert any(q.eval({"u": val, "v": val}) == 0 for q in dv)
-
-    def test_count_constant_inside_cells(self):
-        sys = ParametricSystem(
-            equations=(parse_poly("x^2-u", ("x", "u")),),
-            unknowns=("x",), parameters=("u",))
-        assert solution_count(sys, {"u": Fraction(4)}) == 2
-        assert solution_count(sys, {"u": Fraction(9)}) == 2
-        assert solution_count(sys, {"u": Fraction(-4)}) == 0
-
-    def test_inequation_filter(self):
-        sys = ParametricSystem(
-            equations=(parse_poly("x^2-u", ("x", "u")),),
-            unknowns=("x",), parameters=("u",),
-            inequations=(parse_poly("x-1", ("x", "u")),))
-        # at u=1 the root x=1 is excluded by x != 1
-        assert solution_count(sys, {"u": Fraction(1)}) == 1
-
-    def test_dimension_guard(self):
-        with pytest.raises(CadError):
-            ParametricSystem(equations=(), unknowns=("x",), parameters=("a", "b", "c"))
-
-
 class TestIntervalEval:
     def test_simple(self):
         p = parse_poly("u^2-v", ("u", "v"))
@@ -305,12 +260,3 @@ class TestResultantRoutes:
             assert a == b
             done += 1
 
-
-class TestThreadCap:
-    def test_parallel_lifting_is_deterministic(self, monkeypatch):
-        monkeypatch.setenv("ATLAS_THREADS", "3")
-        threaded = decompose([CIRCLE, P("v-u")], "u", "v")
-        monkeypatch.setenv("ATLAS_THREADS", "1")
-        serial = decompose([CIRCLE, P("v-u")], "u", "v")
-        assert [c.sample for c in threaded.cells] == [c.sample for c in serial.cells]
-        assert [c.fiber_index for c in threaded.cells] == [c.fiber_index for c in serial.cells]

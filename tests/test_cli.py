@@ -72,11 +72,24 @@ class TestSolve:
         out = json.loads(capsys.readouterr().out)
         assert out["solutions"] == []
 
-    def test_bad_config_exit_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        rc = main(["solve", "--config", str(bad), "--dk", "1,1,1"])
+    @pytest.mark.parametrize("config, args", [
+        ("{nope", ["--dk", "1,1,1"]),
+        ('{"l2": [3], "l3": "3", "a": "1", "b": "1"}', ["--dk", "1,1,1"]),
+        ('{"l2": "1/0"}', ["--dk", "1,1,1"]),
+        ('["RPR-2PRR", "3", "3", "1", "1"]', ["--dk", "1,1,1"]),
+        (None, ["--ik", "1,1/2,0", "--mode", "1,2"]),
+        (None, ["--ik", "1,1/2,0", "--mode", "1"]),
+        (None, ["--ik", "1,1/2,0", "--mode", "a,b"]),
+    ], ids=["malformed-json", "list-length", "zero-denominator", "array-config",
+            "mode-sign", "mode-arity", "mode-not-int"])
+    def test_bad_config_exit_2(self, config, args, config_file, tmp_path, capsys):
+        if config is not None:
+            bad = tmp_path / "bad.json"
+            bad.write_text(config)
+            config_file = str(bad)
+        rc = main(["solve", "--config", config_file] + args)
         assert rc == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -147,6 +160,23 @@ class TestCheckTrajectory:
         assert rc == 4
         v = json.loads((out / "verdict.json").read_text())
         assert "error" in v
+
+
+    @pytest.mark.parametrize("traj", [
+        ["1/2", [1, 1], [["-1", "1"], ["0", "1/2"]]],
+        {"y": [1], "mode": [1, 1], "waypoints": [["-1", "1"], ["0", "1/2"]]},
+        {"y": "1/2", "mode": [1, 1], "waypoints": 5},
+        {"y": "1/2", "mode": [1, 1], "waypoints": [["-1", "1"], ["0"]]},
+        {"y": "1/0", "mode": [1, 1], "waypoints": [["-1", "1"], ["0", "1/2"]]},
+    ], ids=["array", "y-list", "waypoints-int", "waypoint-arity", "zero-denominator"])
+    def test_bad_trajectory_exit_2(self, traj, config_file, tmp_path, capsys):
+        tf = tmp_path / "bad_traj.json"
+        tf.write_text(json.dumps(traj))
+        rc = main(["check-trajectory", "--config", config_file,
+                   "--traj", str(tf), "--out", str(tmp_path / "v")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
 
 
 class TestJointPlot:

@@ -8,7 +8,7 @@ from kinatlas.ratpoly import MPoly, parse_poly, exact_div
 from kinatlas.mechanism import (
     MechanismParams, WorkingMode, Pose, JointValues, PassiveAngles,
     KinematicsError, CS_VARS,
-    constraints, constraints_trig, custom_constraints, rationalize, ALL_ANGLES, PHI_ANGLE,
+    constraints_trig, rationalize, ALL_ANGLES, PHI_ANGLE,
     jacobians, det3, serial_singularity, parallel_singularity,
     inverse_kinematics, direct_kinematics, residuals,
     slice_workspace, slice_jointspace, project_parallel_to_joint, dk_count_chart,
@@ -64,24 +64,6 @@ class TestConstraints:
         pa = PassiveAngles(0.1, 0.2)
         res = residuals(pose, joints, pa, PARAMS)
         assert max(abs(v) for v in res) > 1e-3
-
-    def test_rationalized_system_variables(self):
-        sys0 = constraints(PARAMS)
-        assert sys0.variables == ("x", "y", "tphi", "t2", "t3", "rho1", "rho2", "rho3")
-        assert len(sys0.polynomials) == 5
-
-    def test_custom_constraints_interface(self):
-        cfg = {
-            "type": "custom",
-            "constraints": ["x^2 + y^2 - rho1^2", "x - rho2"],
-            "pose": ["x", "y"],
-            "joints": ["rho1", "rho2"],
-            "passive": [],
-        }
-        sys0 = custom_constraints(cfg)
-        assert len(sys0.polynomials) == 2
-        assert set(("x", "y", "rho1", "rho2")) <= set(sys0.variables)
-
 
 class TestRationalize:
     def test_cos_plus_one(self):

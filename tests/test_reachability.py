@@ -1,0 +1,79 @@
+"""Reachability guard: the package carries no code that only tests call.
+
+Every top-level function or class of `src/kinatlas`, and every method that
+is not a dunder, must be named (by a `Name` or `Attribute` node) somewhere
+in the package outside its own body.  Docstrings, comments and imports do
+not count, so a helper that the package imports but never calls fails.
+Names are matched by their last component, so the guard finds dead code,
+not every unreachable path.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "kinatlas"
+
+# definitions kept without a caller in the package, each with its reason
+ALLOWED = {
+    "groebner.eliminate": "acceptance criterion 4 projects the constraint ideal with it",
+    "groebner.PolySystem.of": "acceptance criterion 4 builds the systems it eliminates",
+    "mechanism.serial_singularity": "acceptance criterion 1 checks det B through it",
+    "ratpoly.parse_poly": "textual polynomial input for library users and tests",
+    "mechanism.WorkingMode.all_modes": "public enumeration of the four working modes",
+    "mechanism.WorkingMode.from_label": "inverse of WorkingMode.label for library users",
+}
+
+
+def _definitions():
+    """(qualified name, short name, path, node) of each guarded definition."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if not isinstance(node, funcs + (ast.ClassDef,)):
+                continue
+            qual = f"{path.stem}.{node.name}"
+            yield qual, node.name, path, node
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, funcs) and not (m.name.startswith("__")
+                                                     and m.name.endswith("__")):
+                        yield f"{qual}.{m.name}", m.name, path, m
+
+
+def _references() -> dict[str, list[tuple[Path, int]]]:
+    """Every name used by a Name or Attribute node, with where it occurs."""
+    refs: dict[str, list[tuple[Path, int]]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            refs.setdefault(name, []).append((path, node.lineno))
+    return refs
+
+
+def _unreferenced() -> list[str]:
+    refs = _references()
+    out = []
+    for qual, name, path, node in _definitions():
+        outside = [(p, ln) for p, ln in refs.get(name, ())
+                   if not (p == path and node.lineno <= ln <= node.end_lineno)]
+        if not outside:
+            out.append(qual)
+    return out
+
+
+def test_every_definition_is_referenced():
+    dead = [q for q in _unreferenced() if q not in ALLOWED]
+    assert not dead, f"defined in src/kinatlas but never referenced there: {dead}"
+
+
+def test_allowlist_is_current():
+    defined = {qual for qual, *_ in _definitions()}
+    unreferenced = set(_unreferenced())
+    stale = [q for q in ALLOWED if q not in defined or q not in unreferenced]
+    assert not stale, f"allowlist entries that are gone or now referenced: {stale}"

@@ -8,7 +8,7 @@ from kinatlas.mechanism import (
 )
 from kinatlas.trajectory import (
     Trajectory, TrajectoryError,
-    map_to_jointspace, track_branches, track_all_branches, follow_chain,
+    track_branches, follow_chain,
     tracked_chart, encirclement, winding_number, joint_values_at,
 )
 
@@ -39,35 +39,7 @@ class TestTrajectoryBasics:
             assert abs(p.x - x) < 1e-12 and abs(p.phi - phi) < 1e-12
 
 
-class TestJointMapping:
-    def test_constant_trajectory(self):
-        t = _traj(((0.5, 0.3), (0.5, 0.3 + 1e-15)))
-        samples = map_to_jointspace(t, PARAMS)
-        qs = [jv for _, _, jv in samples]
-        assert max(abs(a.rho1 - qs[0].rho1) for a in qs) < 1e-9
-
-    def test_adaptive_density(self):
-        t = _traj()
-        samples = map_to_jointspace(t, PARAMS, tol=1e-3)
-        for (s0, a0, q0), (s1, a1, q1) in zip(samples, samples[1:]):
-            d = max(abs(q0.rho1 - q1.rho1), abs(q0.rho2 - q1.rho2), abs(q0.rho3 - q1.rho3))
-            assert d < 1e-3
-
-    def test_serial_contact_error(self):
-        # sweep x across the leg-3 reach boundary at fixed phi = 0
-        t = _traj(((0.0, 0.0), (3.5, 0.0)))
-        with pytest.raises(TrajectoryError) as e:
-            map_to_jointspace(t, PARAMS)
-        assert "serial" in str(e.value)
-
-
 class TestTracking:
-    def test_branch_count_and_survival(self):
-        t = _traj()
-        branches, grid, ti = track_all_branches(t, PARAMS)
-        assert len(branches) == 2
-        assert branches[ti].alive
-
     def test_fig10_chain_reaches_far_end(self):
         t = _traj()
         q0 = joint_values_at(t, 0.0, PARAMS)
