@@ -23,7 +23,7 @@ from .realroots import (
     NEG_INF, POS_INF, IsolatingInterval, RealRootError, isolate, count_roots,
     _sign_at,
 )
-from .cad2d import Decomposition, _specialize_product
+from .cad2d import Decomposition, _bind, _rows, _specialize_product
 
 
 class AdjacencyError(Exception):
@@ -67,7 +67,9 @@ def components(g: AdjacencyGraph) -> list[set[int]]:
 # algebraic fiber bounds: IsolatingInterval values or +-inf sentinels
 
 
-@functools.lru_cache(maxsize=256)
+# `_ranks` compares the roots of one pair of witness fibres at a time, so a
+# few entries catch every repeat; more would only keep old fibres alive
+@functools.lru_cache(maxsize=4)
 def _gcd_cached(p: UPoly, q: UPoly) -> UPoly:
     return p.gcd(q)
 
@@ -169,23 +171,6 @@ def _ranked_bounds(roots: list[IsolatingInterval], ranks: list[int], k: int, top
     lo, rlo = (roots[k - 1], ranks[k - 1]) if k >= 1 else (NEG_INF, 0)
     hi, rhi = (roots[k], ranks[k]) if k < len(roots) else (POS_INF, top)
     return lo, hi, rlo, rhi
-
-
-def _rows(p: MPoly, var: str, other: str) -> list[tuple[Fraction, ...]]:
-    """Coefficients of p in `var`, each a dense coefficient tuple in `other`."""
-    return [UPoly.from_mpoly(c, other).coeffs for c in p.coeffs_in(var)]
-
-
-def _bind(rows: list[tuple[Fraction, ...]], value: Fraction, var: str) -> UPoly:
-    """The polynomial in `var` that rows (from `_rows(p, var, other)`) give
-    with `other` bound to value."""
-    out = []
-    for row in rows:
-        acc = Fraction(0)
-        for c in reversed(row):
-            acc = acc * value + c
-        out.append(acc)
-    return UPoly(out, var)
 
 
 def _crosses_horizontal(rows, c: Fraction, w1: Fraction, w2: Fraction, var: str) -> bool:

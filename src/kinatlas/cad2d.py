@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .ratpoly import (
     MPoly, UPoly,
@@ -170,10 +171,11 @@ def projection_set(p2, base_var: str, fiber_var: str) -> ProjectionSet:
 def resultant_bivar(p: MPoly, q: MPoly, elim: str, keep: str) -> MPoly:
     """Bivariate resultant by evaluation-interpolation.
 
-    Specializes `keep` at rational points where neither leading coefficient
-    vanishes, computes univariate resultants, and Lagrange-interpolates;
-    agrees with the subresultant-PRS route (pinned by tests), but runs in
-    many small exact steps instead of one large one.
+    Binds `keep` at rational points where neither leading coefficient
+    vanishes, takes the univariate resultants of the bound coefficient
+    lists, and Lagrange-interpolates; agrees with the subresultant-PRS
+    route (pinned by tests), but runs in many small exact steps instead of
+    one large one.
     """
     dpe, dqe = p.degree(elim), q.degree(elim)
     if dpe <= 0 or dqe <= 0:
@@ -182,23 +184,45 @@ def resultant_bivar(p: MPoly, q: MPoly, elim: str, keep: str) -> MPoly:
     if dpk == 0 and dqk == 0:
         return resultant(p, q, elim)
     bound = dpk * dqe + dqk * dpe
-    lcp = p.leading_coefficient(elim)
-    lcq = q.leading_coefficient(elim)
+    prows, qrows = _rows(p, elim, keep), _rows(q, elim, keep)
     xs: list[Fraction] = []
     ys: list[Fraction] = []
     k = 0
     while len(xs) <= bound:
         x0 = Fraction(k if k % 2 == 0 else -(k + 1) // 2, 1)
         k += 1
-        if lcp.eval({keep: x0}) == 0 or lcq.eval({keep: x0}) == 0:
-            continue
-        pu = UPoly.from_mpoly(_as_univar(p, elim, keep, x0), elim)
-        qu = UPoly.from_mpoly(_as_univar(q, elim, keep, x0), elim)
-        r = resultant(pu.to_mpoly(), qu.to_mpoly(), elim) if pu.degree > 0 and qu.degree > 0 \
-            else MPoly.const(0, ())
-        ys.append(r.constant_value() if r.is_constant() else Fraction(0))
+        pu, qu = _bind(prows, x0, elim), _bind(qrows, x0, elim)
+        if pu.degree < dpe or qu.degree < dqe:
+            continue  # a leading coefficient vanishes at x0
+        ys.append(_resultant_scalar(pu.coeffs, qu.coeffs))
         xs.append(x0)
     return _lagrange(xs, ys, keep)
+
+
+def _resultant_scalar(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> Fraction:
+    """Resultant of two nonconstant polynomials given by coefficient lists
+    (constant term first), by the Euclidean remainder sequence over Q."""
+    res = Fraction(1)
+    while True:
+        m, n = len(a) - 1, len(b) - 1
+        if n == 0:
+            return res * b[0] ** m
+        r = list(a)
+        lb = b[-1]
+        while len(r) > n:
+            c = r.pop() / lb
+            if c:
+                for i in range(n):
+                    r[len(r) - n + i] -= c * b[i]
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            return Fraction(0)
+        # res(a, b) = (-1)^(mn) lc(b)^(m - deg r) res(b, r)
+        res *= lb ** (m - len(r) + 1)
+        if m * n % 2:
+            res = -res
+        a, b = b, tuple(r)
 
 
 def discriminant_bivar(p: MPoly, var: str, keep: str) -> MPoly:
@@ -216,11 +240,33 @@ def discriminant_bivar(p: MPoly, var: str, keep: str) -> MPoly:
     return r
 
 
-def _as_univar(p: MPoly, elim: str, keep: str, x0: Fraction) -> MPoly:
-    s = p.eval({keep: x0})
-    if isinstance(s, Fraction):
-        return MPoly.const(s, (elim,))
-    return s.with_vars((elim,))
+def _rows(p: MPoly, var: str, other: str) -> list[tuple[tuple[int, ...], int]]:
+    """Coefficients of p in `var`, each a dense coefficient tuple in `other`
+    held as integer numerators over one common denominator."""
+    rows = []
+    for c in p.coeffs_in(var):
+        cs = UPoly.from_mpoly(c, other).coeffs
+        den = lcm(*(k.denominator for k in cs))
+        rows.append((tuple(k.numerator * (den // k.denominator) for k in cs), den))
+    return rows
+
+
+def _bind(rows: list[tuple[tuple[int, ...], int]], value: Fraction, var: str) -> UPoly:
+    """The polynomial in `var` that rows (from `_rows(p, var, other)`) give
+    with `other` bound to value: one integer Horner pass per row."""
+    a, b = value.numerator, value.denominator
+    out = []
+    for ints, den in rows:
+        if not ints:
+            out.append(Fraction(0))
+            continue
+        acc = ints[-1]
+        bp = 1
+        for c in reversed(ints[:-1]):
+            bp *= b
+            acc = acc * a + c * bp
+        out.append(Fraction(acc, den * bp))
+    return UPoly(out, var)
 
 
 def _lagrange(xs: list[Fraction], ys: list[Fraction], var: str) -> MPoly:
@@ -230,10 +276,12 @@ def _lagrange(xs: list[Fraction], ys: list[Fraction], var: str) -> MPoly:
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = UPoly([coeffs[-1]], var)
+    poly = [coeffs[-1]]  # Horner in the Newton basis: poly * (var - x_i) + c_i
     for i in range(n - 2, -1, -1):
-        poly = poly * UPoly([-xs[i], Fraction(1)], var) + UPoly([coeffs[i]], var)
-    return poly.to_mpoly()
+        x = xs[i]
+        poly = ([coeffs[i] - x * poly[0]]
+                + [poly[k - 1] - x * poly[k] for k in range(1, len(poly))] + [poly[-1]])
+    return UPoly(poly, var).to_mpoly()
 
 
 def _specialize_product(polys, base_var: str, fiber_var: str, x0: Fraction) -> UPoly:
@@ -246,8 +294,10 @@ def _specialize_product(polys, base_var: str, fiber_var: str, x0: Fraction) -> U
             continue
         u = UPoly.from_mpoly(s.with_vars((fiber_var,)), fiber_var)
         if u.degree >= 1:
-            acc = acc * u.squarefree()
-    return acc.squarefree() if acc.degree >= 1 else acc
+            # lcm of the squarefree parts: the squarefree part of the product
+            u = u.squarefree()
+            acc = acc * u.divmod(acc.gcd(u))[0]
+    return acc
 
 
 def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:

@@ -10,6 +10,7 @@ are byte-identical.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -39,12 +40,13 @@ def _frac(s) -> Fraction:
         raise ConfigError(f"bad rational {s!r}: {e}") from e
 
 
-def _write_atomic(path: Path, data: str):
+def _write_atomic(path: Path, chunks):
+    """Write the text chunks to a temporary file, then rename it to path."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(data)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -53,7 +55,9 @@ def _write_atomic(path: Path, data: str):
 
 
 def _write_json(path: Path, obj):
-    _write_atomic(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    # streamed: cells.json alone is half a megabyte of text
+    encoder = json.JSONEncoder(indent=1, sort_keys=True)
+    _write_atomic(path, itertools.chain(encoder.iterencode(obj), "\n"))
 
 
 def _load_config(path: str) -> MechanismParams:
@@ -133,7 +137,7 @@ def cmd_analyze(args) -> int:
         "cusps": [c.to_json() for c in atlas.cusps],
         "all_singular_points": [c.to_json() for c in atlas.singular_points],
     })
-    _write_atomic(out / "plot.svg", _plot_slice(atlas, space, args.window, args.density))
+    _write_atomic(out / "plot.svg", [_plot_slice(atlas, space, args.window, args.density)])
     print(f"analysis written to {out}")
     return 0
 
@@ -205,7 +209,7 @@ def cmd_check_trajectory(args) -> int:
         print(f"indeterminate: {e}", file=sys.stderr)
         return 4
     _write_json(out / "verdict.json", verdict.to_json())
-    _write_atomic(out / "trajectory.svg", _plot_trajectory(atlas, traj, params, verdict))
+    _write_atomic(out / "trajectory.svg", [_plot_trajectory(atlas, traj, params, verdict)])
     print(f"verdict written to {out}")
     return 0
 

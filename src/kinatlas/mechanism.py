@@ -52,6 +52,9 @@ class MechanismParams:
     def from_json(d: dict) -> "MechanismParams":
         if d.get("type", "RPR-2PRR") != "RPR-2PRR":
             raise ValueError(f"unsupported mechanism type {d.get('type')!r}")
+        unknown = sorted(set(d) - {"type", "l2", "l3", "a", "b"})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
         kw = {k: Fraction(d[k]) for k in ("l2", "l3", "a", "b") if k in d}
         return MechanismParams(**kw)
 

@@ -9,7 +9,7 @@ values are immutable and every operation is a pure function.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 
 Rational = Fraction
 
@@ -586,7 +586,7 @@ def squarefree_total(p: MPoly) -> MPoly:
 class UPoly:
     """Dense univariate polynomial over Fraction, lowest degree first."""
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs", "var", "_ints")
 
     def __init__(self, coeffs, var: str = "x"):
         cs = [Fraction(c) for c in coeffs]
@@ -594,6 +594,7 @@ class UPoly:
             cs.pop()
         self.coeffs = tuple(cs)
         self.var = var
+        self._ints = None
 
     @staticmethod
     def from_mpoly(p: MPoly, var: str | None = None) -> "UPoly":
@@ -725,18 +726,15 @@ class UPoly:
         lc = self.coeffs[-1]
         return UPoly([c / lc for c in self.coeffs], self.var)
 
-    def int_cleared(self) -> list[int]:
-        """Coefficients scaled to coprime integers (for fast isolation)."""
-        if not self.coeffs:
-            return []
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for k in ints:
-            g = _int_gcd(g, abs(k))
-        return [k // g for k in ints] if g else ints
+    def int_cleared(self) -> tuple[int, ...]:
+        """Coefficients scaled to coprime integers (for fast isolation),
+        computed on first use and kept."""
+        if self._ints is None:
+            den = _int_lcm(*(c.denominator for c in self.coeffs))
+            ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+            g = _int_gcd(*ints)
+            self._ints = tuple(k // g for k in ints) if g > 1 else tuple(ints)
+        return self._ints
 
     def __repr__(self):
         return f"UPoly({format_poly(self.to_mpoly())!r})"
@@ -767,12 +765,9 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
 
 def _int_primitive(r: list[int]) -> list[int]:
     """Strip integer content in place (sign preserved)."""
-    g = 0
-    for c in r:
-        g = _int_gcd(g, abs(c))
+    g = _int_gcd(*r)
     if g > 1:
-        for i in range(len(r)):
-            r[i] //= g
+        r[:] = [c // g for c in r]
     return r
 
 

@@ -1,7 +1,11 @@
 """Exact real-root isolation and counting for univariate polynomials.
 
 Two independent routes are provided on purpose: Descartes-rule bisection
-drives isolation, Sturm sequences drive counting.
+drives isolation, Sturm sequences drive counting.  Both work on integer
+coefficients only.  Isolation is incremental (Rouillier-Zimmermann): p is
+rescaled to the root interval once, and each half interval's polynomial
+comes from its parent's by a halving and a Taylor shift by 1.  Sturm
+sequences are kept as integer tuples, keyed by the integer coefficients.
 Sample points are dyadic rationals so bit sizes stay bounded when these
 feed the plane decomposition.
 """
@@ -13,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratpoly import UPoly
+from .ratpoly import UPoly, _int_prem, _int_primitive
 
 NEG_INF = -math.inf
 POS_INF = math.inf
@@ -149,8 +153,9 @@ class IndexedRoot:
 # Sturm route
 
 
-def sturm_sequence(p: UPoly) -> list[UPoly]:
-    """Signed remainder sequence of the squarefree part of p.
+def sturm_sequence(p: UPoly) -> tuple[tuple[int, ...], ...]:
+    """Signed remainder sequence of the squarefree part of p, as primitive
+    integer coefficient tuples.
 
     Computed fraction-free: each remainder is the negated pseudo-remainder,
     sign-corrected for the pseudo-division multiplier and stripped to
@@ -160,44 +165,37 @@ def sturm_sequence(p: UPoly) -> list[UPoly]:
         raise RealRootError("zero polynomial")
     f = p.squarefree()
     if f.degree == 0:
-        return [f]
-    seq_i = [_seq_ints(f)]
-    d = f.derivative()
-    seq_i.append(_seq_ints(d))
-    from .ratpoly import _int_prem, _int_primitive
-    while len(seq_i[-1]) > 1:
-        a, b = seq_i[-2], seq_i[-1]
+        return (f.int_cleared(),)
+    seq = [f.int_cleared(), f.derivative().int_cleared()]
+    while len(seq[-1]) > 1:
+        a, b = seq[-2], seq[-1]
         delta = len(a) - len(b)  # = deg a - deg b
         r = _int_prem(a, b)
         if not r:
             break
         # prem scales by lc(b)^(delta+1); restore the true remainder's sign
-        if b[-1] < 0 and (delta + 1) % 2 == 1:
-            r = [c for c in r]
-        else:
+        if not (b[-1] < 0 and (delta + 1) % 2 == 1):
             r = [-c for c in r]
         _int_primitive(r)
-        seq_i.append(r)
-    return [UPoly([Fraction(c) for c in s], p.var) for s in seq_i]
+        seq.append(tuple(r))
+    return tuple(seq)
 
 
-def _seq_ints(u: UPoly) -> list[int]:
-    return u.int_cleared()
-
-
-def _variations_at(seq: list[UPoly], x) -> int:
+def _variations_at(seq: tuple[tuple[int, ...], ...], x) -> int:
     if x == NEG_INF:
-        vals = [s.coeffs[-1] * (-1) ** s.degree if not s.is_zero() else 0 for s in seq]
+        vals = [s[-1] if len(s) % 2 else -s[-1] for s in seq]
     elif x == POS_INF:
-        vals = [s.coeffs[-1] if not s.is_zero() else 0 for s in seq]
+        vals = [s[-1] for s in seq]
     else:
-        vals = [_sign_at(s.int_cleared(), Fraction(x)) for s in seq]
+        x = Fraction(x)
+        vals = [_sign_at(s, x) for s in seq]
     return _sign_variations(vals)
 
 
 @functools.lru_cache(maxsize=512)
-def _sturm_cached(p: UPoly) -> tuple[UPoly, ...]:
-    return tuple(sturm_sequence(p))
+def _sturm_cached(ints: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Sturm sequence keyed by integer coefficients: the cache holds no Fractions."""
+    return sturm_sequence(UPoly(ints))
 
 
 def count_roots(p: UPoly, low=NEG_INF, high=POS_INF) -> int:
@@ -209,7 +207,7 @@ def count_roots(p: UPoly, low=NEG_INF, high=POS_INF) -> int:
     if not (low == NEG_INF or high == POS_INF):
         if not low < high:
             raise RealRootError("empty interval")
-    seq = _sturm_cached(p)
+    seq = _sturm_cached(p.int_cleared())
     return _variations_at(seq, low) - _variations_at(seq, high)
 
 
@@ -228,8 +226,25 @@ def _root_bound(ints: list[int]) -> Fraction:
     return b
 
 
+def _halve(q: list[int]) -> list[int]:
+    """2^n q(x/2) without its common power of two: q on the left half of (0, 1)."""
+    n = len(q) - 1
+    out = [c << (n - i) for i, c in enumerate(q)]
+    bits = 0
+    for c in out:
+        bits |= c
+    tz = (bits & -bits).bit_length() - 1
+    return [c >> tz for c in out] if tz > 0 else out
+
+
 def isolate(p: UPoly) -> list[IsolatingInterval]:
-    """Disjoint dyadic isolating intervals, one per distinct real root."""
+    """Disjoint dyadic isolating intervals, one per distinct real root.
+
+    Descartes bisection with incremental transforms: each node (a, b)
+    carries q(x), a positive multiple of p(a + (b - a) x), so the signs of
+    p at a and b are those of q(0) and q(1).  Its halves are 2^n q(x/2) and
+    that polynomial shifted by 1; only the root intervals are rescaled.
+    """
     if p.is_zero():
         raise RealRootError("zero polynomial")
     f = p.squarefree()
@@ -247,33 +262,31 @@ def isolate(p: UPoly) -> list[IsolatingInterval]:
             k += 1
         ints_nz = ints[k:]
         fiso = UPoly([Fraction(c) for c in ints_nz], f.var)
-        stack = [(-B, Fraction(0)), (Fraction(0), B)]
+        tops = [(-B, Fraction(0)), (Fraction(0), B)]
     else:
         ints_nz = ints
         fiso = f
-        stack = [(-B, B)]
+        tops = [(-B, B)]
     if len(ints_nz) <= 1:
         return out
-
-    def count_on(a: Fraction, b: Fraction) -> int:
-        return _sign_variations(_taylor_shift_1(list(reversed(_scale_shift(ints_nz, a, b - a)))))
+    stack = [(a, b, _scale_shift(ints_nz, a, b - a)) for a, b in tops]
     while stack:
-        a, b = stack.pop()
-        v = count_on(a, b)
+        a, b, q = stack.pop()
+        v = _sign_variations(_taylor_shift_1(q[::-1]))
         if v == 0:
             continue
         if v == 1:
-            sa = _sign_at(ints_nz, a)
-            sb = _sign_at(ints_nz, b)
-            if sa != 0 and sb != 0 and sa != sb:
+            sa, sb = q[0], sum(q)
+            if (sa < 0 < sb) or (sb < 0 < sa):
                 out.append(IsolatingInterval(a, b, fiso))
                 continue
             # an endpoint sits exactly on some other root: keep bisecting
         m = (a + b) / 2
-        if _sign_at(ints_nz, m) == 0:
+        left = _halve(q)
+        if sum(left) == 0:
             out.append(IsolatingInterval(m, m, fiso))
-        stack.append((a, m))
-        stack.append((m, b))
+        stack.append((a, m, left))
+        stack.append((m, b, _taylor_shift_1(left)))
     out.sort(key=lambda iv: (iv.low, iv.high))
     # make neighbours strictly disjoint
     for i in range(len(out) - 1):

@@ -37,7 +37,11 @@ class Trajectory:
     @staticmethod
     def from_json(d: dict) -> "Trajectory":
         y0 = Fraction(d["y"])
+        if len(d["mode"]) != 2:
+            raise ValueError(f"mode needs 2 entries, got {len(d['mode'])}")
         mode = WorkingMode(int(d["mode"][0]), int(d["mode"][1]))
+        if any(len(w) != 2 for w in d["waypoints"]):
+            raise ValueError("each waypoint needs 2 coordinates (x, phi)")
         wps = tuple((float(Fraction(str(w[0]))), float(Fraction(str(w[1]))))
                     for w in d["waypoints"])
         return Trajectory(y0=y0, mode=mode, waypoints=wps)

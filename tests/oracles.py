@@ -1,15 +1,21 @@
 """Reference implementations that the tests compare the package against.
 
 Each computes something the package computes by another route: the
-Sylvester-determinant resultant against the subresultant PRS, and the
+Sylvester-determinant resultant against the subresultant PRS, the
 substituted segment restriction against the adjacency pass's specialised
-horizontal segment test.  They are slow and meant for small inputs.
+horizontal segment test, Descartes bisection that rescales p for every
+interval against the incremental one, and the squarefree part of the whole
+fibre product against the lcm of the factors' squarefree parts.  They are
+slow and meant for small inputs.
 """
 
 from fractions import Fraction
 
 from kinatlas.ratpoly import MPoly, UPoly, RatPolyError
-from kinatlas.realroots import RealRootError, count_roots
+from kinatlas.realroots import (
+    IsolatingInterval, RealRootError, count_roots,
+    _root_bound, _scale_shift, _sign_at, _sign_variations, _taylor_shift_1,
+)
 
 
 def sylvester_resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
@@ -104,3 +110,77 @@ def segment_crosses(polys: list[MPoly], p1, p2, with_flag: bool = False):
     if with_flag:
         return crossed, degenerate
     return crossed
+
+
+def isolate_by_scaling(p: UPoly) -> list[IsolatingInterval]:
+    """Descartes bisection computing p(a + (b - a) x) afresh for every
+    interval and evaluating p at the endpoints; the same subdivision tree
+    and acceptance rule as `realroots.isolate`."""
+    if p.is_zero():
+        raise RealRootError("zero polynomial")
+    f = p.squarefree()
+    if f.degree <= 0:
+        return []
+    ints = f.int_cleared()
+    out: list[IsolatingInterval] = []
+    B = _root_bound(ints)
+    if ints[0] == 0:
+        out.append(IsolatingInterval(Fraction(0), Fraction(0), f))
+        k = 0
+        while ints[k] == 0:
+            k += 1
+        ints_nz = ints[k:]
+        fiso = UPoly([Fraction(c) for c in ints_nz], f.var)
+        stack = [(-B, Fraction(0)), (Fraction(0), B)]
+    else:
+        ints_nz = ints
+        fiso = f
+        stack = [(-B, B)]
+    if len(ints_nz) <= 1:
+        return out
+    while stack:
+        a, b = stack.pop()
+        v = _sign_variations(_taylor_shift_1(list(reversed(_scale_shift(ints_nz, a, b - a)))))
+        if v == 0:
+            continue
+        if v == 1:
+            sa = _sign_at(ints_nz, a)
+            sb = _sign_at(ints_nz, b)
+            if sa != 0 and sb != 0 and sa != sb:
+                out.append(IsolatingInterval(a, b, fiso))
+                continue
+        m = (a + b) / 2
+        if _sign_at(ints_nz, m) == 0:
+            out.append(IsolatingInterval(m, m, fiso))
+        stack.append((a, m))
+        stack.append((m, b))
+    out.sort(key=lambda iv: (iv.low, iv.high))
+    for i in range(len(out) - 1):
+        a, b = out[i], out[i + 1]
+        while not a.high < b.low:
+            if not a.is_exact():
+                a = a.refine(a.width() / 2)
+            if not b.is_exact():
+                b = b.refine(b.width() / 2)
+            if a.is_exact() and b.is_exact():
+                if a.low == b.low:
+                    raise RealRootError("duplicate root after squarefree")
+                break
+        out[i], out[i + 1] = a, b
+    return out
+
+
+def specialize_product_whole(polys, base_var: str, fiber_var: str, x0) -> UPoly:
+    """Squarefree part of the product of the specialised curves, taken on
+    the whole product (the route `cad2d._specialize_product` replaces)."""
+    acc = UPoly([Fraction(1)], fiber_var)
+    for p in polys:
+        if p.degree(fiber_var) == 0:
+            continue
+        s = p.eval({base_var: Fraction(x0)})
+        if isinstance(s, Fraction):
+            continue
+        u = UPoly.from_mpoly(s.with_vars((fiber_var,)), fiber_var)
+        if u.degree >= 1:
+            acc = acc * u.squarefree()
+    return acc.squarefree() if acc.degree >= 1 else acc

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from kinatlas.ratpoly import MPoly, parse_poly
+from kinatlas.ratpoly import MPoly, UPoly, parse_poly
 from kinatlas.cad2d import projection_set, decompose, interval_eval
 from kinatlas.adjacency import build_graph, components
 
@@ -230,6 +230,65 @@ class TestTiling:
         assert located > 80
 
 
+def _through(rng, x0: Fraction, y0: Fraction) -> MPoly:
+    """A random conic through (x0, y0)."""
+    c = _rand_conic(rng) + MPoly(("u", "v"), {(0, 2): Fraction(1)})
+    return c - c.eval({"u": x0, "v": y0})
+
+
+class TestFibreProduct:
+    def test_lcm_matches_whole_product_squarefree(self):
+        from kinatlas.cad2d import _specialize_product
+        from oracles import specialize_product_whole
+        rng = random.Random(41)
+        shared = tangent = 0
+        for _ in range(150):
+            x0 = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+            y0 = Fraction(rng.randint(-6, 6), rng.choice([1, 4]))
+            polys = [_through(rng, x0, y0) for _ in range(rng.randint(2, 3))]
+            if rng.random() < 0.3:
+                # (v - y0)^2 + (u - x0) * (u + v): a double fibre root at x0
+                polys.append((P("v") - y0) ** 2 + (P("u") - x0) * P("u + v"))
+            if rng.random() < 0.2:
+                polys.append(_rand_conic(rng))
+            polys.append(polys[0])  # the same curve twice
+            for x in (x0, x0 + Fraction(1, 3)):
+                got = _specialize_product(polys, "u", "v", x)
+                want = specialize_product_whole(polys, "u", "v", x)
+                assert got == want and got.var == want.var == "v"
+                assert got.is_zero() or got.coeffs[-1] == 1
+            fibres = [UPoly.from_mpoly(p.eval({"u": x0}).with_vars(("v",)), "v")
+                      for p in polys if p.degree("v") >= 1]
+            shared += sum(f(y0) == 0 for f in fibres) >= 2
+            tangent += any(f.degree >= 1 and f.gcd(f.derivative()).degree >= 1 for f in fibres)
+        assert shared >= 100 and tangent >= 20, (shared, tangent)
+
+
+class TestScalarResultant:
+    def test_matches_prs_on_univariate_pairs(self):
+        from kinatlas.cad2d import _resultant_scalar
+        from kinatlas.ratpoly import resultant
+        rng = random.Random(43)
+        zero = linear = swapped = 0
+        for _ in range(400):
+            def rand_upoly(d):
+                return UPoly([Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(d)]
+                             + [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))], "v")
+            a, b = rand_upoly(rng.randint(1, 6)), rand_upoly(rng.randint(1, 6))
+            if rng.random() < 0.25:
+                common = rand_upoly(rng.randint(1, 2))
+                a, b = a * common, b * common
+            want = resultant(a.to_mpoly(), b.to_mpoly(), "v").constant_value()
+            assert _resultant_scalar(a.coeffs, b.coeffs) == want
+            # res(b, a) = (-1)^(deg a * deg b) res(a, b)
+            sign = -1 if a.degree * b.degree % 2 else 1
+            assert _resultant_scalar(b.coeffs, a.coeffs) == sign * want
+            zero += want == 0
+            linear += min(a.degree, b.degree) == 1
+            swapped += a.degree < b.degree
+        assert zero >= 50 and linear >= 50 and swapped >= 50, (zero, linear, swapped)
+
+
 class TestResultantRoutes:
     def test_interpolated_matches_prs(self):
         from kinatlas.cad2d import resultant_bivar, discriminant_bivar
@@ -260,3 +319,22 @@ class TestResultantRoutes:
             assert a == b
             done += 1
 
+    def test_cubic_quartic_with_vanishing_leading_coefficient(self):
+        # leading coefficients in v vanish at interpolation nodes (u = 0,
+        # -1, 2, ...), so those nodes are skipped
+        from kinatlas.cad2d import resultant_bivar
+        from kinatlas.ratpoly import resultant
+        rng = random.Random(47)
+        for i in range(12):
+            lcp = P(("u", "u + 1", "u - 2", "u^2 + u")[i % 4])
+            lcq = P(("u - 2", "u", "3*u + 3", "1")[i % 4])
+            p = lcp * P("v^3") + _rand_conic(rng) * (P("v") + rng.randint(-3, 3))
+            q = lcq * P("v^4") + _rand_conic(rng) * _rand_conic(rng)
+            if p.degree("v") < 3 or q.degree("v") < 4:
+                continue
+            a = resultant_bivar(p, q, "v", "u")
+            b = resultant(p, q, "v").with_vars(a.vars)
+            assert a == b
+            a = resultant_bivar(q, p, "v", "u")
+            b = resultant(q, p, "v").with_vars(a.vars)
+            assert a == b

@@ -168,7 +168,10 @@ class TestCheckTrajectory:
         {"y": "1/2", "mode": [1, 1], "waypoints": 5},
         {"y": "1/2", "mode": [1, 1], "waypoints": [["-1", "1"], ["0"]]},
         {"y": "1/0", "mode": [1, 1], "waypoints": [["-1", "1"], ["0", "1/2"]]},
-    ], ids=["array", "y-list", "waypoints-int", "waypoint-arity", "zero-denominator"])
+        {"y": "1/2", "mode": [1, 1, 9], "waypoints": [["-1", "1"], ["0", "1/2"]]},
+        {"y": "1/2", "mode": [1, 1], "waypoints": [["-1", "1"], ["1", "0", "4"]]},
+    ], ids=["array", "y-list", "waypoints-int", "waypoint-arity", "zero-denominator",
+            "mode-three-entries", "waypoint-three-coordinates"])
     def test_bad_trajectory_exit_2(self, traj, config_file, tmp_path, capsys):
         tf = tmp_path / "bad_traj.json"
         tf.write_text(json.dumps(traj))
@@ -188,6 +191,19 @@ class TestJointPlot:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("command", ["analyze", "check-trajectory"])
+    def test_unknown_key_exit_2(self, command, traj_file, tmp_path, capsys):
+        # misspelled l2/l3 must not fall back to the default geometry
+        cfg = tmp_path / "typo.json"
+        cfg.write_text('{"type": "RPR-2PRR", "L2": "5", "l_3": "7"}')
+        out = tmp_path / "out"
+        args = ["--slice", "W:y=1/2"] if command == "analyze" else ["--traj", traj_file]
+        rc = main([command, "--config", str(cfg), "--out", str(out)] + args)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "L2" in err and "l_3" in err
+        assert not out.exists()
+
     def test_density_floor(self, config_file):
         rc = main(["analyze", "--config", config_file, "--slice", "W:y=1/2",
                    "--out", "/tmp/kinatlas-bad-density", "--density", "1"])

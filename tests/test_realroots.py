@@ -7,10 +7,11 @@ import pytest
 from kinatlas.ratpoly import MPoly, UPoly, parse_poly
 from kinatlas.realroots import (
     RealRootError,
-    sturm_sequence, count_roots, isolate, sample_between,
+    NEG_INF, POS_INF,
+    sturm_sequence, count_roots, isolate, sample_between, _sturm_cached,
 )
 
-from oracles import segment_crosses, restrict_to_segment
+from oracles import isolate_by_scaling, segment_crosses, restrict_to_segment
 
 
 def U(*coeffs):
@@ -37,10 +38,10 @@ def _scan_count(p: UPoly, lo: float, hi: float, n: int = 20000) -> int:
 class TestSturm:
     def test_basic_sequence(self):
         seq = sturm_sequence(U(-2, 0, 1))  # x^2 - 2
-        assert seq[0] == U(-2, 0, 1)
-        # entries are positive rescalings of the classical sequence
-        assert seq[1].degree == 1 and seq[1].coeffs[-1] > 0 and seq[1](0) == 0
-        assert len(seq) == 3 and seq[2].degree == 0 and seq[2].coeffs[0] > 0
+        assert seq[0] == (-2, 0, 1)
+        # entries are positive integer rescalings of the classical sequence
+        assert len(seq[1]) == 2 and seq[1][-1] > 0 and seq[1][0] == 0
+        assert len(seq) == 3 and len(seq[2]) == 1 and seq[2][0] > 0
 
     def test_linear(self):
         seq = sturm_sequence(U(-1, 1))
@@ -48,7 +49,7 @@ class TestSturm:
 
     def test_squared_factor_uses_squarefree(self):
         seq = sturm_sequence(U(1, -2, 1))  # (x-1)^2
-        assert seq[0].degree == 1
+        assert seq[0] == (-1, 1)
 
     def test_zero_rejected(self):
         with pytest.raises(RealRootError):
@@ -130,6 +131,136 @@ class TestIsolate:
             n_exact = len(isolate(p))
             n_scan = _scan_count(p, -6.0, 6.0)
             assert n_exact == n_scan, f"c3={c3}"
+
+
+def _bounds(ivs):
+    return [(iv.low, iv.high) for iv in ivs]
+
+
+def _oracle_polys(n: int = 320):
+    """Seeded random integer polynomials: (poly, features, rational roots
+    built into it)."""
+    rng = random.Random(2024)
+    out = []
+    for i in range(n):
+        deg = rng.randint(1, 7)
+        p = UPoly([rng.randint(-30, 30) for _ in range(deg)] + [rng.choice([-5, -2, 1, 3, 8])])
+        feats, known = set(), []
+        kind = i % 4
+        if kind == 0:   # exact dyadic roots c / 2^k, maybe two of them
+            for _ in range(rng.randint(1, 2)):
+                r = Fraction(rng.randint(-40, 40) | 1, 1 << rng.randint(0, 6))
+                p = p * UPoly([-r.numerator, r.denominator])
+                known.append(r)
+            feats.add("dyadic")
+        elif kind == 1:  # a root at 0
+            p = p * UPoly([0] * rng.randint(1, 2) + [1])
+            known.append(Fraction(0))
+            feats.add("zero")
+        elif kind == 2:  # repeated factors
+            f = UPoly([rng.randint(-9, 9), rng.randint(-4, 4), rng.randint(1, 3)])
+            p = p * f * f
+            if rng.random() < 0.5:  # a repeated dyadic root
+                p = p * UPoly([-1, 2]) * UPoly([-1, 2])
+                known.append(Fraction(1, 2))
+            feats.add("repeated")
+        else:            # close roots: a cluster around a rational point
+            c = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+            for k in range(rng.randint(2, 3)):
+                r = c + Fraction(k + 1, 10 ** rng.randint(2, 5))
+                p = p * UPoly([-r.numerator, r.denominator])
+                known.append(r)
+            feats.add("cluster")
+        if p.degree >= 8:
+            feats.add("degree>=8")
+        out.append((p, feats, known))
+    return out
+
+
+class TestIncrementalIsolation:
+    """`isolate` carries p(a + (b - a) x) down the subdivision tree; the
+    oracle rescales p for every interval.  Same tree, same intervals."""
+
+    def test_matches_rescaling_oracle(self):
+        seen = {"dyadic": 0, "zero": 0, "repeated": 0, "cluster": 0, "degree>=8": 0}
+        polys = _oracle_polys()
+        assert len(polys) >= 300
+        for p, feats, known in polys:
+            got = isolate(p)
+            assert _bounds(got) == _bounds(isolate_by_scaling(p)), p
+            f = p.squarefree()
+            assert len(got) == count_roots(f)
+            for r in set(known):
+                assert sum(iv.low <= r <= iv.high for iv in got) == 1, (p, r)
+            if "zero" in feats:
+                assert (0, 0) in _bounds(got)
+            if "repeated" in feats:
+                assert f.degree < p.degree
+            for k in seen:
+                seen[k] += k in feats
+        assert min(seen.values()) >= 50, seen
+
+    def test_reference_fibre_products(self, atlas_pp):
+        dec = atlas_pp.wa.dec_fine
+        assert len(dec.fiber_products) >= 10
+        for f, roots in zip(dec.fiber_products, dec.fiber_roots):
+            if f.degree >= 1:
+                assert _bounds(isolate(f)) == _bounds(isolate_by_scaling(f)) == _bounds(roots)
+
+
+class TestKernelCaches:
+    def test_int_cleared_is_kept_and_immutable(self):
+        rng = random.Random(77)
+        for _ in range(200):
+            p = UPoly([Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+                       for _ in range(rng.randint(1, 9))])
+            ints = p.int_cleared()
+            assert isinstance(ints, tuple) and p.int_cleared() is ints
+            # fresh recomputation: clear denominators, strip the content
+            den = math.lcm(*(c.denominator for c in p.coeffs))
+            raw = [int(c * den) for c in p.coeffs]
+            g = math.gcd(*raw)
+            assert list(ints) == ([k // g for k in raw] if g else raw)
+            if ints:
+                with pytest.raises(TypeError):
+                    ints[0] = ints[0] + 1
+            assert p.int_cleared() == UPoly(p.coeffs).int_cleared()
+
+    def test_cached_sturm_counts_match_uncached(self):
+        rng = random.Random(78)
+        cases = []
+        for _ in range(150):
+            deg = rng.randint(1, 8)
+            p = UPoly([Fraction(rng.randint(-9, 9)) for _ in range(deg)] + [Fraction(rng.randint(1, 5))])
+            lo = Fraction(rng.randint(-40, 40), 8)
+            hi = lo + Fraction(rng.randint(1, 40), 8)
+            cases.append(((p, NEG_INF, lo), (p, lo, hi), (p, hi, POS_INF))[len(cases) % 3])
+        _sturm_cached.cache_clear()
+        cold = [count_roots(p, lo, hi) for p, lo, hi in cases]
+        warm = [count_roots(p, lo, hi) for p, lo, hi in cases]
+        # a positive rational multiple has the same integer coefficients: same entry
+        scaled = [count_roots(p * Fraction(3, 7), lo, hi) for p, lo, hi in cases]
+        assert _sturm_cached.cache_info().hits >= 2 * len(cases) - 10
+        direct = []
+        for p, lo, hi in cases:
+            seq = sturm_sequence(p)
+            assert seq == _sturm_cached(p.int_cleared())
+            direct.append(len(isolate_in(p, lo, hi)))
+        assert cold == warm == scaled == direct
+
+
+def isolate_in(p: UPoly, lo: Fraction, hi: Fraction):
+    """Roots of p in (lo, hi] from the isolating intervals, refined until
+    each one lies on one side of both bounds."""
+    out = []
+    for iv in isolate(p):
+        while not iv.is_exact() and (iv.low < lo < iv.high or iv.low < hi < iv.high
+                                     or lo in (iv.low, iv.high) or hi in (iv.low, iv.high)):
+            iv = iv.refine(iv.width() / 2)
+        x = iv.low if iv.is_exact() else iv.midpoint()
+        if lo < x <= hi:
+            out.append(iv)
+    return out
 
 
 def _eq11_rho1_coeffs(c2s: Fraction, c3s: Fraction) -> list[Fraction]:
