@@ -205,7 +205,8 @@ def _witnesses(dec: Decomposition, j: int, shrink: int = 1 << 10) -> tuple[Fract
     ints = dec.base_poly.int_cleared()
     d = gap / shrink
     while True:
-        if _sign_at(ints, v - d) != 0 and _sign_at(ints, v + d) != 0:
+        if (_sign_at(ints, *(v - d).as_integer_ratio()) != 0
+                and _sign_at(ints, *(v + d).as_integer_ratio()) != 0):
             return v - d, v + d
         d /= 2
 

@@ -536,8 +536,10 @@ class SliceAtlas:
         start label, end label) for two slice points given as (x, tphi)."""
         b0 = self.locate_basic(*p0)
         b1 = self.locate_basic(*p1)
-        if b0 is None or b1 is None:
-            raise DomainError("trajectory endpoint on a boundary or outside the atlas")
+        for name, (x, t), b in (("start", p0, b0), ("end", p1, b1)):
+            if b is None:
+                raise DomainError(f"trajectory {name} point (x, tphi) = ({x}, {t}) "
+                                  "lies on a boundary or outside the atlas")
         d0 = self.domains_containing(b0)
         d1 = self.domains_containing(b1)
         same = b0 is b1 or any(lab in d1 for lab in d0)

@@ -691,7 +691,13 @@ class UPoly:
         return self.divmod(other)[1]
 
     def gcd(self, other: "UPoly") -> "UPoly":
-        """Monic gcd via integer primitive PRS (no fraction blowup)."""
+        """Monic gcd via integer primitive PRS (no fraction blowup).
+
+        Coprime operands are settled by one gcd over GF(P) first: when P
+        does not divide the leading coefficient of the higher-degree
+        operand, the true gcd keeps its degree modulo P, so a constant
+        gcd modulo P proves it constant.  Every other case runs the PRS.
+        """
         if self.is_zero():
             return other.monic()
         if other.is_zero():
@@ -700,6 +706,8 @@ class UPoly:
         b = other.int_cleared()
         if len(a) < len(b):
             a, b = b, a
+        if a[-1] % _GCD_PRIME and _coprime_mod_prime(a, b):
+            return UPoly([Fraction(1)], self.var)
         while b and len(b) > 1:
             r = _int_prem(a, b)
             if not r:
@@ -761,6 +769,37 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
         f = lb ** e
         r = [c * f for c in r]
     return r
+
+
+_GCD_PRIME = (1 << 61) - 1
+
+
+def _coprime_mod_prime(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """True iff the gcd of a and b over GF(_GCD_PRIME) is a nonzero constant
+    (Euclid on monic remainders, coefficient lists lowest degree first)."""
+    P = _GCD_PRIME
+    f = [c % P for c in a]
+    g = [c % P for c in b]
+    while f and f[-1] == 0:
+        f.pop()
+    while g and g[-1] == 0:
+        g.pop()
+    while g:
+        if len(g) == 1:
+            return True
+        inv = pow(g[-1], -1, P)
+        g = [c * inv % P for c in g]
+        dg = len(g) - 1
+        while len(f) > dg:
+            top = f.pop()
+            if top:
+                k = len(f) - dg
+                for i in range(dg):
+                    f[k + i] = (f[k + i] - top * g[i]) % P
+            while f and f[-1] == 0:
+                f.pop()
+        f, g = g, f
+    return len(f) == 1
 
 
 def _int_primitive(r: list[int]) -> list[int]:

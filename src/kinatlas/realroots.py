@@ -4,10 +4,13 @@ Two independent routes are provided on purpose: Descartes-rule bisection
 drives isolation, Sturm sequences drive counting.  Both work on integer
 coefficients only.  Isolation is incremental (Rouillier-Zimmermann): p is
 rescaled to the root interval once, and each half interval's polynomial
-comes from its parent's by a halving and a Taylor shift by 1.  Sturm
-sequences are kept as integer tuples, keyed by the integer coefficients.
-Sample points are dyadic rationals so bit sizes stay bounded when these
-feed the plane decomposition.
+comes from its parent's by a halving and a Taylor shift by 1.  Refinement
+bisects on integers: the interval is A/d, B/d over one common denominator,
+and the one Horner sign routine takes an integer numerator and
+denominator.  The root bound is found on integers too.  Sturm sequences
+are kept as integer tuples, keyed by the integer coefficients.  Sample
+points are dyadic rationals so bit sizes stay bounded when these feed the
+plane decomposition.
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ def _sign_variations(seq) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sign_at(ints: list[int], x: Fraction) -> int:
-    """Sign of p(x) for integer coefficients, exact (denominator-cleared Horner)."""
+def _sign_at(ints: list[int], a: int, b: int) -> int:
+    """Sign of p(a/b) for integer coefficients and b > 0, exact
+    (denominator-cleared Horner; a/b need not be in lowest terms)."""
     if not ints:
         return 0
-    a, b = x.numerator, x.denominator
     n = len(ints) - 1
     acc = 0
     bp = 1
@@ -115,25 +118,36 @@ class IsolatingInterval:
         return (self.low + self.high) / 2
 
     def refine(self, width: Fraction) -> "IsolatingInterval":
-        """Narrow below `width` by sign-preserving bisection."""
+        """Narrow below `width` by sign-preserving bisection.
+
+        The interval is held as A/d, B/d over one common denominator; a
+        halving doubles A, B and d and takes A + B as the midpoint, so the
+        loop runs on integers and widths compare by cross-multiplication.
+        """
         lo, hi = self.low, self.high
         if lo == hi:
             return self
         p = self.polynomial
         ints = p.int_cleared()
-        slo = _sign_at(ints, lo)
+        d = math.lcm(lo.denominator, hi.denominator)
+        A = lo.numerator * (d // lo.denominator)
+        B = hi.numerator * (d // hi.denominator)
+        slo = _sign_at(ints, A, d)
         if slo == 0:
             return IsolatingInterval(lo, lo, p)
-        while hi - lo >= width:
-            m = (lo + hi) / 2
-            sm = _sign_at(ints, m)
+        wn, wd = width.numerator, width.denominator
+        while (B - A) * wd >= wn * d:
+            M = A + B
+            A, B, d = A << 1, B << 1, d << 1
+            sm = _sign_at(ints, M, d)
             if sm == 0:
+                m = Fraction(M, d)
                 return IsolatingInterval(m, m, p)
             if sm == slo:
-                lo = m
+                A = M
             else:
-                hi = m
-        return IsolatingInterval(lo, hi, p)
+                B = M
+        return IsolatingInterval(Fraction(A, d), Fraction(B, d), p)
 
     def float(self) -> float:
         iv = self.refine(Fraction(1, 1 << 60))
@@ -188,7 +202,7 @@ def _variations_at(seq: tuple[tuple[int, ...], ...], x) -> int:
         vals = [s[-1] for s in seq]
     else:
         x = Fraction(x)
-        vals = [_sign_at(s, x) for s in seq]
+        vals = [_sign_at(s, *x.as_integer_ratio()) for s in seq]
     return _sign_variations(vals)
 
 
@@ -216,14 +230,12 @@ def count_roots(p: UPoly, low=NEG_INF, high=POS_INF) -> int:
 
 
 def _root_bound(ints: list[int]) -> Fraction:
-    """Cauchy bound, rounded up to a power of two."""
+    """Cauchy bound 1 + m/|lc|, rounded up to a power of two: the least
+    b = 2^k with b |lc| >= |lc| + m, found on integers."""
     lc = abs(ints[-1])
     m = max((abs(c) for c in ints[:-1]), default=0)
-    bound = 1 + m / lc
-    b = Fraction(1)
-    while b < bound:
-        b *= 2
-    return b
+    q = -(-(lc + m) // lc)  # ceil((lc + m) / lc)
+    return Fraction(1 << (q - 1).bit_length())
 
 
 def _halve(q: list[int]) -> list[int]:
@@ -326,7 +338,7 @@ def sample_between(p: UPoly, l: int, roots: list[IsolatingInterval] | None = Non
         if a.high == b.low:
             # shared dyadic endpoint which is not a root of either side
             ints = a.polynomial.int_cleared()
-            if _sign_at(ints, a.high) != 0:
+            if _sign_at(ints, *a.high.as_integer_ratio()) != 0:
                 return a.high
         a = a.refine(a.width() / 2) if not a.is_exact() else a
         b = b.refine(b.width() / 2) if not b.is_exact() else b

@@ -8,29 +8,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ratpoly import MPoly, UPoly
+from .cad2d import _bind, _rows
+from .ratpoly import MPoly
 from .realroots import isolate
-
-
-def _fiber_roots_float(poly: MPoly, base_var: str, fiber_var: str,
-                       x0: Fraction) -> list[float]:
-    s = poly.eval({base_var: x0})
-    if isinstance(s, Fraction):
-        return []
-    u = UPoly.from_mpoly(s.with_vars((fiber_var,)), fiber_var)
-    if u.degree < 1:
-        return []
-    return [iv.refine(Fraction(1, 1 << 40)).float() for iv in isolate(u)]
 
 
 def curve_points(poly: MPoly, base_var: str, fiber_var: str,
                  x_lo: Fraction, x_hi: Fraction, density: int,
                  fiber_map=None) -> list[list[tuple[float, float]]]:
     """Column-wise points of the curve, one list per abscissa."""
+    rows = _rows(poly, fiber_var, base_var)
     cols = []
     for i in range(density + 1):
         x0 = x_lo + (x_hi - x_lo) * Fraction(i, density)
-        ys = _fiber_roots_float(poly, base_var, fiber_var, x0)
+        u = _bind(rows, x0, fiber_var)
+        ys = [iv.float() for iv in isolate(u)] if u.degree >= 1 else []
         if fiber_map is not None:
             ys = [fiber_map(v) for v in ys]
         cols.append([(float(x0), y) for y in ys])

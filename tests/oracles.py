@@ -4,16 +4,19 @@ Each computes something the package computes by another route: the
 Sylvester-determinant resultant against the subresultant PRS, the
 substituted segment restriction against the adjacency pass's specialised
 horizontal segment test, Descartes bisection that rescales p for every
-interval against the incremental one, and the squarefree part of the whole
-fibre product against the lcm of the factors' squarefree parts.  They are
-slow and meant for small inputs.
+interval against the incremental one, the squarefree part of the whole
+fibre product against the lcm of the factors' squarefree parts, the gcd by
+integer PRS alone against the one settling coprime pairs modulo a prime,
+bisection on Fractions against bisection on integers over a common
+denominator, and plot columns by substitution against row-wise binding.
+They are slow and meant for small inputs.
 """
 
 from fractions import Fraction
 
-from kinatlas.ratpoly import MPoly, UPoly, RatPolyError
+from kinatlas.ratpoly import MPoly, UPoly, RatPolyError, _int_prem, _int_primitive
 from kinatlas.realroots import (
-    IsolatingInterval, RealRootError, count_roots,
+    IsolatingInterval, RealRootError, count_roots, isolate,
     _root_bound, _scale_shift, _sign_at, _sign_variations, _taylor_shift_1,
 )
 
@@ -144,13 +147,13 @@ def isolate_by_scaling(p: UPoly) -> list[IsolatingInterval]:
         if v == 0:
             continue
         if v == 1:
-            sa = _sign_at(ints_nz, a)
-            sb = _sign_at(ints_nz, b)
+            sa = _sign_at(ints_nz, *a.as_integer_ratio())
+            sb = _sign_at(ints_nz, *b.as_integer_ratio())
             if sa != 0 and sb != 0 and sa != sb:
                 out.append(IsolatingInterval(a, b, fiso))
                 continue
         m = (a + b) / 2
-        if _sign_at(ints_nz, m) == 0:
+        if _sign_at(ints_nz, *m.as_integer_ratio()) == 0:
             out.append(IsolatingInterval(m, m, fiso))
         stack.append((a, m))
         stack.append((m, b))
@@ -184,3 +187,59 @@ def specialize_product_whole(polys, base_var: str, fiber_var: str, x0) -> UPoly:
         if u.degree >= 1:
             acc = acc * u.squarefree()
     return acc.squarefree() if acc.degree >= 1 else acc
+
+
+def gcd_prs(p: UPoly, q: UPoly) -> UPoly:
+    """Monic gcd by the integer primitive PRS run down to the last nonzero
+    remainder, with no modular shortcut."""
+    if p.is_zero():
+        return q.monic()
+    if q.is_zero():
+        return p.monic()
+    a, b = p.int_cleared(), q.int_cleared()
+    if len(a) < len(b):
+        a, b = b, a
+    while b and len(b) > 1:
+        r = _int_prem(a, b)
+        if not r:
+            a, b = b, r
+            break
+        _int_primitive(r)
+        a, b = b, r
+    if b:
+        return UPoly([Fraction(1)], p.var)
+    return UPoly([Fraction(c) for c in a], p.var).monic()
+
+
+def refine_by_fractions(iv: IsolatingInterval, width: Fraction) -> IsolatingInterval:
+    """Sign-preserving bisection below `width`, every midpoint a Fraction."""
+    lo, hi = iv.low, iv.high
+    if lo == hi:
+        return iv
+    p = iv.polynomial
+    ints = p.int_cleared()
+    slo = _sign_at(ints, *lo.as_integer_ratio())
+    if slo == 0:
+        return IsolatingInterval(lo, lo, p)
+    while hi - lo >= width:
+        m = (lo + hi) / 2
+        sm = _sign_at(ints, *m.as_integer_ratio())
+        if sm == 0:
+            return IsolatingInterval(m, m, p)
+        if sm == slo:
+            lo = m
+        else:
+            hi = m
+    return IsolatingInterval(lo, hi, p)
+
+
+def fiber_roots_by_eval(poly: MPoly, base_var: str, fiber_var: str, x0) -> list[float]:
+    """Float fibre roots of a plane curve over x0, substituting x0 through
+    `MPoly.eval` and refining each root to 2^-40 before `float()`."""
+    s = poly.eval({base_var: Fraction(x0)})
+    if isinstance(s, Fraction):
+        return []
+    u = UPoly.from_mpoly(s.with_vars((fiber_var,)), fiber_var)
+    if u.degree < 1:
+        return []
+    return [iv.refine(Fraction(1, 1 << 40)).float() for iv in isolate(u)]

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -149,7 +150,7 @@ class TestCheckTrajectory:
         assert len(v["encircled_cusps"]) >= 1
         assert (out / "trajectory.svg").exists()
 
-    def test_singular_trajectory_exit_4(self, config_file, tmp_path):
+    def test_singular_trajectory_exit_4(self, config_file, tmp_path, capsys):
         tf = tmp_path / "bad_traj.json"
         tf.write_text(json.dumps({
             "y": "1/2", "mode": [1, 1],
@@ -160,6 +161,19 @@ class TestCheckTrajectory:
         assert rc == 4
         v = json.loads((out / "verdict.json").read_text())
         assert "error" in v
+        assert "end point (x, tphi) = (7/2, 0)" in capsys.readouterr().err
+
+    def test_start_outside_atlas_named(self, config_file, tmp_path, capsys):
+        tf = tmp_path / "bad_traj.json"
+        tf.write_text(json.dumps({
+            "y": "1/2", "mode": [1, 1],
+            "waypoints": [["7/2", "0"], ["0", "0"]]}))
+        rc = main(["check-trajectory", "--config", config_file,
+                   "--traj", str(tf), "--out", str(tmp_path / "v")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("indeterminate: trajectory start point (x, tphi) = (7/2, 0) ")
+        assert "on a boundary or outside the atlas" in err
 
 
     @pytest.mark.parametrize("traj", [
@@ -180,6 +194,23 @@ class TestCheckTrajectory:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
+
+
+class TestCurvePoints:
+    def test_columns_match_substitution_oracle(self, atlas_pp):
+        from kinatlas.svg import curve_points
+        from oracles import fiber_roots_by_eval
+        curves = [(p, "x", "tphi", Fraction(-5), Fraction(5))
+                  for p in (atlas_pp.ws.parallel, *atlas_pp.ws.serial, *atlas_pp.wa.sc.polynomials)]
+        curves.append((atlas_pp.js.parallel_ru, "r", "u", Fraction(0), Fraction(16)))
+        points = 0
+        for poly, xv, yv, lo, hi in curves:
+            cols = curve_points(poly, xv, yv, lo, hi, 24)
+            for i, col in enumerate(cols):
+                x0 = lo + (hi - lo) * Fraction(i, 24)
+                assert col == [(float(x0), y) for y in fiber_roots_by_eval(poly, xv, yv, x0)]
+                points += len(col)
+        assert points >= 100
 
 
 class TestJointPlot:

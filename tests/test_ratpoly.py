@@ -6,10 +6,10 @@ import pytest
 from kinatlas.ratpoly import (
     MPoly, UPoly, RatPolyError, parse_poly, format_poly,
     resultant, discriminant, squarefree_part,
-    exact_div, mgcd, divides,
+    exact_div, mgcd, divides, _GCD_PRIME, _coprime_mod_prime,
 )
 
-from oracles import sylvester_resultant
+from oracles import gcd_prs, sylvester_resultant
 
 
 def P(text, vs=None):
@@ -187,6 +187,66 @@ class TestGcdDivision:
             assert divides(g.canonical(), got)
 
 
+class TestGcdCertificate:
+    """`UPoly.gcd` settles coprime pairs by one gcd modulo a prime; it must
+    equal the PRS-only gcd, including where the modular test cannot decide."""
+
+    def test_matches_prs_oracle(self):
+        rng = random.Random(53)
+        seen = {"coprime": 0, "shared": 0, "trivial": 0, "big": 0}
+        for i in range(320):
+            kind = ("coprime", "shared", "trivial", "big")[i % 4]
+            a, b = _rand_upoly(rng, 1, 5), _rand_upoly(rng, 1, 5)
+            if kind == "shared":
+                g = _rand_upoly(rng, 1, 3)
+                a, b = a * g, b * g
+            elif kind == "trivial":
+                a = rng.choice([UPoly([]), UPoly([Fraction(rng.randint(1, 9), 7)])])
+            elif kind == "big":
+                a, b = _rand_upoly(rng, 1, 5, 1 << 90), _rand_upoly(rng, 1, 5, 1 << 90)
+            got = a.gcd(b)
+            assert got == gcd_prs(a, b) == gcd_prs(b, a), (a, b)
+            assert b.gcd(a) == got
+            seen[kind] += 1
+        assert min(seen.values()) >= 80, seen
+
+    def test_certificate_is_sound_and_settles_coprime_pairs(self):
+        rng = random.Random(59)
+        coprime = shared = 0
+        for _ in range(200):
+            g = _rand_upoly(rng, 0, 2)
+            a, b = _rand_upoly(rng, 1, 5) * g, _rand_upoly(rng, 1, 5) * g
+            ia, ib = a.int_cleared(), b.int_cleared()
+            if len(ia) < len(ib):
+                ia, ib = ib, ia
+            if gcd_prs(a, b).degree == 0:
+                coprime += 1
+                assert _coprime_mod_prime(ia, ib), (a, b)
+            else:
+                shared += 1
+                assert not _coprime_mod_prime(ia, ib), (a, b)
+        assert coprime >= 50 and shared >= 50, (coprime, shared)
+
+    def test_shared_factor_with_leading_coefficient_zero_mod_prime(self):
+        # (P x + 1) vanishes modulo P to a constant: without the leading
+        # coefficient test the residues x + 2 and x + 3 would read coprime
+        f = UPoly([1, _GCD_PRIME])
+        a, b = f * UPoly([2, 1]), f * UPoly([3, 1])
+        assert _coprime_mod_prime(a.int_cleared(), b.int_cleared())
+        assert a.gcd(b) == gcd_prs(a, b) == f.monic()
+
+    def test_coprime_over_q_equal_mod_prime(self):
+        a, b = UPoly([0, 1]), UPoly([-_GCD_PRIME, 1])
+        assert not _coprime_mod_prime(a.int_cleared(), b.int_cleared())
+        assert a.gcd(b) == gcd_prs(a, b) == UPoly([1])
+
+    def test_leading_coefficient_divisible_by_prime(self):
+        a = UPoly([3, 0, 2 * _GCD_PRIME])
+        assert a.gcd(UPoly([1, 1])) == gcd_prs(a, UPoly([1, 1])) == UPoly([1])
+        h = UPoly([-1, 1])
+        assert (a * h).gcd(h * UPoly([5, 1])) == h
+
+
 class TestTextFormat:
     def test_spec_example(self):
         p = P("rho1^8 - 52*rho1^6")
@@ -237,3 +297,11 @@ def _rand_poly(rng, vs, deg=3, nz=5):
         if c:
             terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + c
     return MPoly(tuple(vs), {e: c for e, c in terms.items() if c})
+
+
+def _rand_upoly(rng, lo, hi, mag=9):
+    """Random univariate polynomial of degree lo..hi with rational
+    coefficients of numerator up to mag, nonzero leading coefficient."""
+    d = rng.randint(lo, hi)
+    cs = [Fraction(rng.randint(-mag, mag), rng.choice((1, 1, 2, 3, 5))) for _ in range(d)]
+    return UPoly(cs + [Fraction(rng.choice((-1, 1)) * rng.randint(1, mag), rng.choice((1, 4)))])

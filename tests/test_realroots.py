@@ -8,10 +8,11 @@ from kinatlas.ratpoly import MPoly, UPoly, parse_poly
 from kinatlas.realroots import (
     RealRootError,
     NEG_INF, POS_INF,
-    sturm_sequence, count_roots, isolate, sample_between, _sturm_cached,
+    IsolatingInterval,
+    sturm_sequence, count_roots, isolate, sample_between, _root_bound, _sturm_cached,
 )
 
-from oracles import isolate_by_scaling, segment_crosses, restrict_to_segment
+from oracles import isolate_by_scaling, refine_by_fractions, segment_crosses, restrict_to_segment
 
 
 def U(*coeffs):
@@ -206,6 +207,73 @@ class TestIncrementalIsolation:
         for f, roots in zip(dec.fiber_products, dec.fiber_roots):
             if f.degree >= 1:
                 assert _bounds(isolate(f)) == _bounds(isolate_by_scaling(f)) == _bounds(roots)
+
+
+class TestIntegerRefine:
+    """`refine` bisects on integers over a common denominator; the oracle
+    bisects on Fractions.  Same midpoints, same stopping rule, same result."""
+
+    @staticmethod
+    def _same(iv, width):
+        got = iv.refine(width)
+        assert (got.low, got.high) == _bounds([refine_by_fractions(iv, width)])[0], (iv, width)
+        return got
+
+    def test_non_dyadic_intervals_and_widths(self):
+        rng = random.Random(61)
+        narrowed = 0
+        for _ in range(300):
+            roots = [Fraction(rng.randint(-40, 40), rng.choice((3, 5, 7, 9, 10))) for _ in range(3)]
+            p = UPoly([1])
+            for r in roots:
+                p = p * UPoly([-r, 1])
+            p = p * UPoly([-rng.randint(2, 30), 0, 1])
+            r = rng.choice(roots)
+            lo = r - Fraction(rng.randint(1, 50), rng.choice((3, 7, 11, 100)))
+            hi = r + Fraction(rng.randint(1, 50), rng.choice((3, 7, 11, 100)))
+            width = Fraction(rng.randint(1, 99), rng.choice((3, 10, 7 ** 9, 10 ** 12)))
+            got = self._same(IsolatingInterval(lo, hi, p), width)
+            narrowed += got.width() < width < hi - lo
+        assert narrowed >= 200
+
+    def test_root_at_a_midpoint(self):
+        p = U(-3, 8)  # 8x - 3
+        got = self._same(IsolatingInterval(Fraction(0), Fraction(1), p), Fraction(1, 1000))
+        assert got.is_exact() and got.low == Fraction(3, 8)
+        q = U(-1, 2)  # 2x - 1, the first midpoint of (1/3, 2/3)
+        got = self._same(IsolatingInterval(Fraction(1, 3), Fraction(2, 3), q), Fraction(1, 7))
+        assert got.is_exact() and got.low == Fraction(1, 2)
+
+    def test_root_at_low_endpoint(self):
+        p = U(-1, 2)
+        got = self._same(IsolatingInterval(Fraction(1, 2), Fraction(5, 3), p), Fraction(1, 9))
+        assert got.is_exact() and got.low == Fraction(1, 2)
+
+    def test_reference_decomposition_roots(self, atlas_pp):
+        dec = atlas_pp.wa.dec_fine
+        roots = list(dec.base_roots) + [iv for fr in dec.fiber_roots for iv in fr]
+        assert len(roots) >= 50
+        for iv in roots:
+            for k in (40, 80):
+                self._same(iv, Fraction(1, 1 << k))
+
+
+class TestRootBound:
+    def test_huge_coefficients(self):
+        for p, rts in ((U(-(10 ** 400), 1), [10 ** 400]),
+                       (U(-(10 ** 400), 0, 1), [-(10 ** 200), 10 ** 200])):
+            got = isolate(p)
+            assert len(got) == len(rts)
+            for iv, r in zip(got, rts):
+                assert iv.low <= r <= iv.high
+
+    def test_least_power_of_two_above_cauchy_bound(self):
+        # 1 + m/lc = 2^60 + 1/3 rounds to 2^60 in floats
+        cases = [(1, 0), (1, 1), (3, 3), (3, 3 * 2 ** 60 - 2), (7, 10 ** 30), (2 ** 70, 1)]
+        for lc, m in cases:
+            b = _root_bound([m, -lc] if m else [0, lc])
+            assert b.denominator == 1 and b.numerator & (b.numerator - 1) == 0
+            assert b * lc >= lc + m and (b == 1 or b / 2 * lc < lc + m), (lc, m, b)
 
 
 class TestKernelCaches:
