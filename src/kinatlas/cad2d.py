@@ -16,6 +16,7 @@ from math import lcm
 from .ratpoly import (
     MPoly, UPoly,
     discriminant, resultant, squarefree_total, exact_div,
+    int_poly_gcd, _int_prem, _int_primitive,
 )
 from .realroots import (
     NEG_INF, POS_INF, IsolatingInterval, IndexedRoot,
@@ -169,13 +170,17 @@ def projection_set(p2, base_var: str, fiber_var: str) -> ProjectionSet:
 
 
 def resultant_bivar(p: MPoly, q: MPoly, elim: str, keep: str) -> MPoly:
-    """Bivariate resultant by evaluation-interpolation.
+    """Bivariate resultant by evaluation and interpolation on integers.
 
-    Binds `keep` at rational points where neither leading coefficient
-    vanishes, takes the univariate resultants of the bound coefficient
-    lists, and Lagrange-interpolates; agrees with the subresultant-PRS
-    route (pinned by tests), but runs in many small exact steps instead of
-    one large one.
+    Each operand is cleared once to integer rows over one denominator,
+    p = P / D_p and q = Q / D_q.  `keep` is bound at the integer nodes 0,
+    -1, 2, -2, 4, ..., skipping every node where a leading coefficient in
+    `elim` vanishes.  At each node Res(P, Q) is taken by the integer
+    subresultant PRS, and the values are interpolated by Newton divided
+    differences, which are integers too (Collins, JACM 1971).  As
+    Res(P, Q) = D_p^deg_q D_q^deg_p Res(p, q) in `elim`, one division at
+    the end gives the result; it equals `ratpoly.resultant` (pinned by
+    tests).
     """
     dpe, dqe = p.degree(elim), q.degree(elim)
     if dpe <= 0 or dqe <= 0:
@@ -184,45 +189,80 @@ def resultant_bivar(p: MPoly, q: MPoly, elim: str, keep: str) -> MPoly:
     if dpk == 0 and dqk == 0:
         return resultant(p, q, elim)
     bound = dpk * dqe + dqk * dpe
-    prows, qrows = _rows(p, elim, keep), _rows(q, elim, keep)
-    xs: list[Fraction] = []
-    ys: list[Fraction] = []
+    (prows, dp), (qrows, dq) = _rows(p, elim, keep), _rows(q, elim, keep)
+    xs: list[int] = []
+    ys: list[int] = []
     k = 0
     while len(xs) <= bound:
-        x0 = Fraction(k if k % 2 == 0 else -(k + 1) // 2, 1)
+        x0 = k if k % 2 == 0 else -(k + 1) // 2
         k += 1
-        pu, qu = _bind(prows, x0, elim), _bind(qrows, x0, elim)
-        if pu.degree < dpe or qu.degree < dqe:
+        a, b = _bind_int(prows, x0, 1), _bind_int(qrows, x0, 1)
+        if not a[-1] or not b[-1]:
             continue  # a leading coefficient vanishes at x0
-        ys.append(_resultant_scalar(pu.coeffs, qu.coeffs))
+        ys.append(_resultant_int(a, b))
         xs.append(x0)
-    return _lagrange(xs, ys, keep)
+    scale = dp ** dqe * dq ** dpe
+    return UPoly([Fraction(c, scale) for c in _newton_int(xs, ys)], keep).to_mpoly()
 
 
-def _resultant_scalar(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> Fraction:
-    """Resultant of two nonconstant polynomials given by coefficient lists
-    (constant term first), by the Euclidean remainder sequence over Q."""
-    res = Fraction(1)
-    while True:
-        m, n = len(a) - 1, len(b) - 1
-        if n == 0:
-            return res * b[0] ** m
-        r = list(a)
-        lb = b[-1]
-        while len(r) > n:
-            c = r.pop() / lb
-            if c:
-                for i in range(n):
-                    r[len(r) - n + i] -= c * b[i]
-        while r and r[-1] == 0:
-            r.pop()
-        if not r:
-            return Fraction(0)
-        # res(a, b) = (-1)^(mn) lc(b)^(m - deg r) res(b, r)
-        res *= lb ** (m - len(r) + 1)
+def _resultant_int(a: list[int], b: list[int]) -> int:
+    """Resultant of two nonconstant integer polynomials given by coefficient
+    lists (constant term first, nonzero leading coefficients), by the
+    subresultant PRS with Collins' divisors; every division is exact."""
+    m, n = len(a) - 1, len(b) - 1
+    sign = 1
+    if m < n:
+        a, b = b, a
         if m * n % 2:
-            res = -res
-        a, b = b, tuple(r)
+            sign = -1
+    g = h = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        d = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        r = _int_prem(a, b)
+        if not r:
+            return 0
+        den = g * h ** d
+        r = [_exact_quo(c, den, "subresultant coefficient") for c in r]
+        a, b = b, r
+        g = a[-1]
+        if d >= 1:
+            h = _exact_quo(g ** d, h ** (d - 1), "subresultant scale")
+        if len(b) == 1:
+            da = len(a) - 1
+            res = _exact_quo(b[0] ** da, h ** (da - 1), "resultant") if da > 1 else b[0] ** da
+            return sign * res
+
+
+def _exact_quo(n: int, d: int, what: str) -> int:
+    q, r = divmod(n, d)
+    if r:
+        raise CadError(f"inexact integer division in the {what}")
+    return q
+
+
+def _newton_int(xs: list[int], ys: list[int]) -> list[int]:
+    """Coefficients (constant term first) of the polynomial of degree below
+    len(xs) through the points (xs[i], ys[i]), by Newton divided
+    differences on integers.  They are integers whenever an integer
+    polynomial takes the values at distinct integer nodes; any other
+    input raises CadError naming the node."""
+    n = len(xs)
+    c = list(ys)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i], r = divmod(c[i] - c[i - 1], xs[i] - xs[i - j])
+            if r:
+                raise CadError(f"divided difference of order {j} at node {xs[i]} "
+                               "is not an integer")
+    poly = [c[-1]]  # Horner in the Newton basis: poly * (var - x_i) + c_i
+    for i in range(n - 2, -1, -1):
+        x = xs[i]
+        poly = ([c[i] - x * poly[0]]
+                + [poly[k - 1] - x * poly[k] for k in range(1, len(poly))] + [poly[-1]])
+    return poly
 
 
 def discriminant_bivar(p: MPoly, var: str, keep: str) -> MPoly:
@@ -240,64 +280,102 @@ def discriminant_bivar(p: MPoly, var: str, keep: str) -> MPoly:
     return r
 
 
-def _rows(p: MPoly, var: str, other: str) -> list[tuple[tuple[int, ...], int]]:
-    """Coefficients of p in `var`, each a dense coefficient tuple in `other`
-    held as integer numerators over one common denominator."""
-    rows = []
-    for c in p.coeffs_in(var):
-        cs = UPoly.from_mpoly(c, other).coeffs
-        den = lcm(*(k.denominator for k in cs))
-        rows.append((tuple(k.numerator * (den // k.denominator) for k in cs), den))
-    return rows
+def _rows(p: MPoly, var: str, other: str) -> tuple[list[list[int]], int]:
+    """p over one denominator D, read straight from its terms: rows[k] is
+    the dense coefficient list (constant term first) in `other` of the
+    integer polynomial D * [var^k] p, every row padded to p's degree in
+    `other`."""
+    at = {v: i for i, v in enumerate(p.vars)}
+    iv, io = at.get(var), at.get(other)
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    width = max(p.degree(other), 0) + 1
+    rows = [[0] * width for _ in range(max(p.degree(var), 0) + 1)]
+    for e, c in p.terms.items():
+        k = e[iv] if iv is not None else 0
+        i = e[io] if io is not None else 0
+        if sum(e) != k + i:
+            raise CadError(f"polynomial not over ({var},{other}): {p.live_vars()}")
+        rows[k][i] = c.numerator * (den // c.denominator)
+    return rows, den
 
 
-def _bind(rows: list[tuple[tuple[int, ...], int]], value: Fraction, var: str) -> UPoly:
-    """The polynomial in `var` that rows (from `_rows(p, var, other)`) give
-    with `other` bound to value: one integer Horner pass per row."""
-    a, b = value.numerator, value.denominator
+def _bind_int(rows: list[list[int]], a: int, b: int) -> list[int]:
+    """The integers b^d * rows[k](a/b), d the rows' common degree: one
+    homogeneous integer Horner pass per row."""
     out = []
-    for ints, den in rows:
-        if not ints:
-            out.append(Fraction(0))
-            continue
+    for ints in rows:
         acc = ints[-1]
         bp = 1
         for c in reversed(ints[:-1]):
             bp *= b
             acc = acc * a + c * bp
-        out.append(Fraction(acc, den * bp))
-    return UPoly(out, var)
+        out.append(acc)
+    return out
 
 
-def _lagrange(xs: list[Fraction], ys: list[Fraction], var: str) -> MPoly:
-    """Exact Lagrange interpolation, Newton form."""
-    n = len(xs)
-    coeffs = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = [coeffs[-1]]  # Horner in the Newton basis: poly * (var - x_i) + c_i
-    for i in range(n - 2, -1, -1):
-        x = xs[i]
-        poly = ([coeffs[i] - x * poly[0]]
-                + [poly[k - 1] - x * poly[k] for k in range(1, len(poly))] + [poly[-1]])
-    return UPoly(poly, var).to_mpoly()
+def _bind(rows: tuple[list[list[int]], int], value: Fraction, var: str) -> UPoly:
+    """The polynomial in `var` that rows (from `_rows(p, var, other)`) give
+    with `other` bound to value."""
+    ints, den = rows
+    a, b = value.numerator, value.denominator
+    scale = den * b ** (len(ints[0]) - 1)
+    return UPoly([Fraction(c, scale) for c in _bind_int(ints, a, b)], var)
 
 
 def _specialize_product(polys, base_var: str, fiber_var: str, x0: Fraction) -> UPoly:
-    acc = UPoly([Fraction(1)], fiber_var)
-    for p in polys:
-        if p.degree(fiber_var) == 0:
+    """Monic lcm of the squarefree parts of the curves bound at base_var =
+    x0 (the squarefree part of their product), on integers: each curve is
+    bound through its integer rows, its primitive squarefree part is taken
+    with the integer gcd, and the lcm is built by exact integer quotients."""
+    a, b = Fraction(x0).as_integer_ratio()
+    acc = [1]
+    for n, p in enumerate(polys):
+        if p.degree(fiber_var) <= 0:
             continue
-        s = p.eval({base_var: x0})
-        if isinstance(s, Fraction):
+        f = _bind_int(_rows(p, fiber_var, base_var)[0], a, b)
+        while f and f[-1] == 0:
+            f.pop()
+        if len(f) < 2:
             continue
-        u = UPoly.from_mpoly(s.with_vars((fiber_var,)), fiber_var)
-        if u.degree >= 1:
-            # lcm of the squarefree parts: the squarefree part of the product
-            u = u.squarefree()
-            acc = acc * u.divmod(acc.gcd(u))[0]
-    return acc
+        _int_primitive(f)
+        if len(f) > 2:
+            g = int_poly_gcd(f, [i * c for i, c in enumerate(f)][1:])
+            if len(g) > 1:
+                f = _poly_quo(f, g, f"squarefree part of curve {n} at {x0}")
+        g = int_poly_gcd(acc, f)
+        if len(g) > 1:
+            f = _poly_quo(f, g, f"lcm factor of curve {n} at {x0}")
+        acc = _poly_mul(acc, f)
+    lc = acc[-1]
+    return UPoly([Fraction(c, lc) for c in acc], fiber_var)
+
+
+def _poly_quo(a: list[int], b: list[int], what: str) -> list[int]:
+    """Exact quotient a / b of integer polynomials (constant term first);
+    CadError naming `what` if b does not divide a over the integers."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[k + db], lb)
+        if m:
+            raise CadError(f"inexact integer quotient: {what}")
+        q[k] = c
+        if c:
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    if any(r[:db]):
+        raise CadError(f"inexact integer quotient: {what}")
+    return q
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:

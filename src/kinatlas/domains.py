@@ -497,7 +497,7 @@ class SliceAtlas:
         ws = slice_workspace(y0, mode.s2, params)
         prc = project_parallel_to_joint(ws)
         wa = analyze_workspace(ws, prc)
-        js = slice_jointspace(mode.s2, params, y0 / params.l2)
+        js = slice_jointspace(mode.s2, params, y0 / params.l2, prc)
         ja = analyze_jointspace(js)
         aspects = w_aspects(wa, mode)
         qaspects = q_aspects(ja, ws, mode)

@@ -470,10 +470,14 @@ class JointSlice:
 
 
 def slice_jointspace(s2sign: int, params: MechanismParams,
-                     sin_alpha2: Fraction = Fraction(1, 6)) -> JointSlice:
+                     sin_alpha2: Fraction = Fraction(1, 6),
+                     prc: MPoly | None = None) -> JointSlice:
+    """The joint section at sin(alpha2) = sin_alpha2; `prc`, when given, is
+    `project_parallel_to_joint` of that slice, already computed."""
     y0 = Fraction(sin_alpha2) * params.l2
     ws = slice_workspace(y0, s2sign, params)
-    prc = project_parallel_to_joint(ws)
+    if prc is None:
+        prc = project_parallel_to_joint(ws)
     vs = ("r", "u")
     r = MPoly.var("r", vs)
     u = MPoly.var("u", vs)

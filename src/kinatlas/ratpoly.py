@@ -691,34 +691,13 @@ class UPoly:
         return self.divmod(other)[1]
 
     def gcd(self, other: "UPoly") -> "UPoly":
-        """Monic gcd via integer primitive PRS (no fraction blowup).
-
-        Coprime operands are settled by one gcd over GF(P) first: when P
-        does not divide the leading coefficient of the higher-degree
-        operand, the true gcd keeps its degree modulo P, so a constant
-        gcd modulo P proves it constant.  Every other case runs the PRS.
-        """
+        """Monic gcd by `int_poly_gcd` on the cleared coefficients."""
         if self.is_zero():
             return other.monic()
         if other.is_zero():
             return self.monic()
-        a = self.int_cleared()
-        b = other.int_cleared()
-        if len(a) < len(b):
-            a, b = b, a
-        if a[-1] % _GCD_PRIME and _coprime_mod_prime(a, b):
-            return UPoly([Fraction(1)], self.var)
-        while b and len(b) > 1:
-            r = _int_prem(a, b)
-            if not r:
-                a, b = b, r
-                break
-            _int_primitive(r)
-            a, b = b, r
-        if b:  # nonzero constant remainder: coprime
-            return UPoly([Fraction(1)], self.var)
-        g = UPoly([Fraction(c) for c in a], self.var)
-        return g.monic()
+        g = int_poly_gcd(self.int_cleared(), other.int_cleared())
+        return UPoly([Fraction(c) for c in g], self.var).monic()
 
     def squarefree(self) -> "UPoly":
         if self.degree <= 1:
@@ -746,6 +725,31 @@ class UPoly:
 
     def __repr__(self):
         return f"UPoly({format_poly(self.to_mpoly())!r})"
+
+
+def int_poly_gcd(a, b) -> list[int]:
+    """Primitive gcd (up to sign) of two nonzero integer polynomials given
+    by coefficient lists, constant term first; [1] when they are coprime.
+
+    Coprime operands are settled by one gcd over GF(P) first: when P does
+    not divide the leading coefficient of the higher-degree operand, the
+    true gcd keeps its degree modulo P, so a constant gcd modulo P proves
+    it constant.  Every other case runs the integer primitive PRS.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if a[-1] % _GCD_PRIME and _coprime_mod_prime(a, b):
+        return [1]
+    while b and len(b) > 1:
+        r = _int_prem(a, b)
+        if not r:
+            a, b = b, r
+            break
+        _int_primitive(r)
+        a, b = b, r
+    if b:  # nonzero constant remainder: coprime
+        return [1]
+    return _int_primitive(list(a))
 
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:

@@ -8,8 +8,9 @@ interval against the incremental one, the squarefree part of the whole
 fibre product against the lcm of the factors' squarefree parts, the gcd by
 integer PRS alone against the one settling coprime pairs modulo a prime,
 bisection on Fractions against bisection on integers over a common
-denominator, and plot columns by substitution against row-wise binding.
-They are slow and meant for small inputs.
+denominator, plot columns by substitution against row-wise binding, and
+the Fraction routes of the interpolated resultant and of the fibre product
+against their integer ones.  They are slow and meant for small inputs.
 """
 
 from fractions import Fraction
@@ -243,3 +244,79 @@ def fiber_roots_by_eval(poly: MPoly, base_var: str, fiber_var: str, x0) -> list[
     if u.degree < 1:
         return []
     return [iv.refine(Fraction(1, 1 << 40)).float() for iv in isolate(u)]
+
+
+def resultant_scalar(a, b) -> Fraction:
+    """Resultant of two nonconstant polynomials given by coefficient lists
+    (constant term first), by the Euclidean remainder sequence over Q."""
+    res = Fraction(1)
+    while True:
+        m, n = len(a) - 1, len(b) - 1
+        if n == 0:
+            return res * b[0] ** m
+        r = [Fraction(c) for c in a]
+        lb = b[-1]
+        while len(r) > n:
+            c = r.pop() / lb
+            if c:
+                for i in range(n):
+                    r[len(r) - n + i] -= c * b[i]
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            return Fraction(0)
+        # res(a, b) = (-1)^(mn) lc(b)^(m - deg r) res(b, r)
+        res *= lb ** (m - len(r) + 1)
+        if m * n % 2:
+            res = -res
+        a, b = b, tuple(r)
+
+
+def lagrange(xs, ys, var: str) -> MPoly:
+    """Interpolating polynomial through (xs[i], ys[i]) by Newton divided
+    differences on Fractions."""
+    n = len(xs)
+    coeffs = [Fraction(y) for y in ys]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
+    poly = [coeffs[-1]]  # Horner in the Newton basis: poly * (var - x_i) + c_i
+    for i in range(n - 2, -1, -1):
+        x = xs[i]
+        poly = ([coeffs[i] - x * poly[0]]
+                + [poly[k - 1] - x * poly[k] for k in range(1, len(poly))] + [poly[-1]])
+    return UPoly(poly, var).to_mpoly()
+
+
+def resultant_bivar_by_fractions(p: MPoly, q: MPoly, elim: str, keep: str) -> MPoly:
+    """`cad2d.resultant_bivar` on Fractions: `keep` bound by substitution at
+    the same nodes, scalar resultants over Q, Lagrange interpolation."""
+    dpe, dqe = p.degree(elim), q.degree(elim)
+    bound = p.degree(keep) * dqe + q.degree(keep) * dpe
+    xs, ys = [], []
+    k = 0
+    while len(xs) <= bound:
+        x0 = Fraction(k if k % 2 == 0 else -(k + 1) // 2)
+        k += 1
+        pu, qu = (UPoly.from_mpoly(f.eval({keep: x0}).with_vars((elim,)), elim)
+                  for f in (p, q))
+        if pu.degree < dpe or qu.degree < dqe:
+            continue
+        ys.append(resultant_scalar(pu.coeffs, qu.coeffs))
+        xs.append(x0)
+    return lagrange(xs, ys, keep)
+
+
+def specialize_product_by_fractions(polys, base_var: str, fiber_var: str, x0) -> UPoly:
+    """Lcm of the squarefree parts of the specialised curves, by
+    substitution and Fraction `UPoly` products and divisions."""
+    acc = UPoly([Fraction(1)], fiber_var)
+    for p in polys:
+        if p.degree(fiber_var) == 0:
+            continue
+        s = p.eval({base_var: Fraction(x0)})
+        u = UPoly.from_mpoly(s.with_vars((fiber_var,)), fiber_var)
+        if u.degree >= 1:
+            u = u.squarefree()
+            acc = acc * u.divmod(acc.gcd(u))[0]
+    return acc

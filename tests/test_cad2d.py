@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from kinatlas.ratpoly import MPoly, UPoly, parse_poly
 from kinatlas.cad2d import projection_set, decompose, interval_eval
 from kinatlas.adjacency import build_graph, components
@@ -263,11 +265,45 @@ class TestFibreProduct:
             tangent += any(f.degree >= 1 and f.gcd(f.derivative()).degree >= 1 for f in fibres)
         assert shared >= 100 and tangent >= 20, (shared, tangent)
 
+    def test_matches_both_oracles_at_fine_witnesses(self):
+        # witnesses 2^-40 beside a shared fibre root, as the last rung of
+        # the adjacency ladder takes them
+        from kinatlas.cad2d import _specialize_product
+        from oracles import specialize_product_by_fractions, specialize_product_whole
+        rng = random.Random(59)
+        for _ in range(60):
+            x0 = Fraction(rng.randint(-6, 6), rng.choice([1, 3, 7]))
+            y0 = Fraction(rng.randint(-6, 6), rng.choice([1, 4]))
+            polys = [_through(rng, x0, y0) for _ in range(rng.randint(2, 3))]
+            polys.append((P("v") - y0) ** 2 + (P("u") - x0) * P("u + v"))
+            for k in (-1, 1, rng.randrange(1, 1 << 20, 2)):
+                w = x0 + Fraction(k, 1 << 40) / rng.choice([1, 3])
+                got = _specialize_product(polys, "u", "v", w)
+                assert got == specialize_product_by_fractions(polys, "u", "v", w)
+                assert got == specialize_product_whole(polys, "u", "v", w)
+
+    def test_matches_both_oracles_at_reference_witnesses(self, atlas_pp):
+        from kinatlas.adjacency import _RUNGS, _witnesses
+        from kinatlas.cad2d import _specialize_product
+        from oracles import specialize_product_by_fractions, specialize_product_whole
+        dec = atlas_pp.wa.dec_fine
+        n = 0
+        for j in range(len(dec.base_roots)):
+            for shrink in _RUNGS:
+                for w in _witnesses(dec, j, shrink):
+                    args = (dec.polys, dec.base_var, dec.fiber_var, w)
+                    got = _specialize_product(*args)
+                    assert got == specialize_product_by_fractions(*args)
+                    assert got == specialize_product_whole(*args)
+                    n += 1
+        assert n == 6 * len(dec.base_roots) > 0
+
 
 class TestScalarResultant:
     def test_matches_prs_on_univariate_pairs(self):
-        from kinatlas.cad2d import _resultant_scalar
+        from kinatlas.cad2d import _resultant_int
         from kinatlas.ratpoly import resultant
+        from oracles import resultant_scalar
         rng = random.Random(43)
         zero = linear = swapped = 0
         for _ in range(400):
@@ -279,10 +315,15 @@ class TestScalarResultant:
                 common = rand_upoly(rng.randint(1, 2))
                 a, b = a * common, b * common
             want = resultant(a.to_mpoly(), b.to_mpoly(), "v").constant_value()
-            assert _resultant_scalar(a.coeffs, b.coeffs) == want
+            assert resultant_scalar(a.coeffs, b.coeffs) == want
+            # a = A / da, b = B / db: res(A, B) = da^deg b * db^deg a * res(a, b)
+            ia, ib = list(a.int_cleared()), list(b.int_cleared())
+            da, db = ia[-1] / a.coeffs[-1], ib[-1] / b.coeffs[-1]
+            scale = da ** b.degree * db ** a.degree
+            assert _resultant_int(ia, ib) == scale * want
             # res(b, a) = (-1)^(deg a * deg b) res(a, b)
             sign = -1 if a.degree * b.degree % 2 else 1
-            assert _resultant_scalar(b.coeffs, a.coeffs) == sign * want
+            assert _resultant_int(ib, ia) == sign * scale * want
             zero += want == 0
             linear += min(a.degree, b.degree) == 1
             swapped += a.degree < b.degree
@@ -338,3 +379,56 @@ class TestResultantRoutes:
             a = resultant_bivar(q, p, "v", "u")
             b = resultant(q, p, "v").with_vars(a.vars)
             assert a == b
+
+    def test_integer_route_matches_prs_and_fraction_oracle(self):
+        # rows of one operand carry different denominators; leading
+        # coefficients in v vanish at the nodes 0, -1 and 2 (and at 1, which
+        # is not a node); degrees are swapped, including odd-by-odd pairs
+        # where the swap flips the sign
+        from kinatlas.cad2d import resultant_bivar
+        from kinatlas.ratpoly import resultant
+        from oracles import resultant_bivar_by_fractions
+        rng = random.Random(53)
+        lcs = ("u", "u + 1", "u - 1", "u - 2", "u^2 - 1", "1/3*u^2 + 1/5", "7/2")
+        at_node = {"u", "u + 1", "u - 2", "u^2 - 1"}   # zero at 0, -1, 2, -1
+
+        def rand_poly(dv, lc):
+            terms = {}
+            for k in range(dv):
+                for e in range(3):
+                    c = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 4, 6, 9]))
+                    if c:
+                        terms[(e, k)] = c
+            return MPoly(("u", "v"), terms) + P(lc) * P("v") ** dv
+
+        mixed = vanishing = odd_swaps = 0
+        for i in range(40):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            lcp, lcq = lcs[i % len(lcs)], lcs[(3 * i + 1) % len(lcs)]
+            p, q = rand_poly(m, lcp), rand_poly(n, lcq)
+            if p.degree("u") == 0 and q.degree("u") == 0:
+                continue
+            got = resultant_bivar(p, q, "v", "u")
+            assert got == resultant(p, q, "v").with_vars(got.vars)
+            assert got == resultant_bivar_by_fractions(p, q, "v", "u").with_vars(got.vars)
+            assert resultant_bivar(q, p, "v", "u") == (-got if m * n % 2 else got)
+            mixed += len({c.denominator for c in p.terms.values()}) > 1
+            vanishing += bool({lcp, lcq} & at_node)
+            odd_swaps += m * n % 2 == 1 and m != n
+        assert mixed >= 30 and vanishing >= 20 and odd_swaps >= 5, (mixed, vanishing, odd_swaps)
+
+
+class TestExactnessGuards:
+    def test_non_integer_divided_difference_raises(self):
+        from kinatlas.cad2d import CadError, _newton_int
+        with pytest.raises(CadError, match="node 1"):
+            _newton_int([0, -1, 1], [0, 1, 0])
+        assert _newton_int([0, -1, 1], [1, 0, 4]) == [1, 2, 1]   # (u + 1)^2
+
+    def test_inexact_polynomial_quotient_raises(self):
+        from kinatlas.cad2d import CadError, _poly_quo
+        with pytest.raises(CadError, match="curve 3"):
+            _poly_quo([1, 0, 1], [1, 1], "curve 3")        # v^2 + 1 by v + 1
+        with pytest.raises(CadError, match="curve 4"):
+            _poly_quo([2, 2], [1, 2], "curve 4")           # 2v + 2 by 2v + 1
+        assert _poly_quo([-1, 0, 1], [1, 1], "") == [-1, 1]

@@ -240,6 +240,14 @@ class TestJointProjection:
         prc = project_parallel_to_joint(ws)
         assert prc.canonical() == eq11_rc.canonical()
 
+    @pytest.mark.parametrize("y0", [Fraction(1, 2), Fraction(2)])
+    def test_passed_projection_matches_recomputed(self, y0):
+        prc = project_parallel_to_joint(slice_workspace(y0, 1, PARAMS))
+        given = slice_jointspace(1, PARAMS, y0 / PARAMS.l2, prc)
+        recomputed = slice_jointspace(1, PARAMS, y0 / PARAMS.l2)
+        assert given.parallel_rc == recomputed.parallel_rc == prc
+        assert given.parallel_ru == recomputed.parallel_ru
+
 
 def _random_reachable(rng) -> Pose:
     while True:
