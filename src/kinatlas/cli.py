@@ -19,7 +19,10 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from .ratpoly import format_poly
+from .ratpoly import format_poly, RatPolyError
+from .realroots import RealRootError
+from .cad2d import CadError
+from .adjacency import AdjacencyError
 from .mechanism import (
     MechanismParams, WorkingMode, Pose, JointValues,
     inverse_kinematics, direct_kinematics, residuals, KinematicsError,
@@ -31,6 +34,12 @@ from . import svg
 
 class ConfigError(Exception):
     pass
+
+
+# what the exact layers raise on an input they cannot decide: exit 3 while
+# the atlas is built (degeneracy), exit 4 while a verdict is taken
+_MATH_ERRORS = (KinematicsError, DomainError, AdjacencyError, CadError,
+               RealRootError, RatPolyError)
 
 
 def _frac(s) -> Fraction:
@@ -113,7 +122,7 @@ def cmd_analyze(args) -> int:
     out = Path(args.out)
     try:
         atlas = SliceAtlas.build(params, y0, mode)
-    except (KinematicsError, DomainError) as e:
+    except _MATH_ERRORS as e:
         print(f"degeneracy: {e}", file=sys.stderr)
         return 3
     dec = atlas.wa.dec_fine
@@ -199,12 +208,12 @@ def cmd_check_trajectory(args) -> int:
         return 2
     try:
         atlas = SliceAtlas.build(params, Fraction(traj.y0), traj.mode)
-    except (KinematicsError, DomainError) as e:
+    except _MATH_ERRORS as e:
         print(f"degeneracy: {e}", file=sys.stderr)
         return 3
     try:
         verdict = track_branches(traj, params, atlas)
-    except (TrajectoryError, DomainError, KinematicsError) as e:
+    except (TrajectoryError,) + _MATH_ERRORS as e:
         _write_json(out / "verdict.json", {"error": str(e)})
         print(f"indeterminate: {e}", file=sys.stderr)
         return 4

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .ratpoly import (
     MPoly, UPoly,
@@ -47,6 +48,12 @@ class MechanismParams:
                 object.__setattr__(self, name, Fraction(v))
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+
+    @cached_property
+    def floats(self) -> tuple[float, float, float, float]:
+        """(l2, l3, a, b) as floats, converted once per instance; not a
+        field, so equality, hashing and `to_json` do not see it."""
+        return float(self.l2), float(self.l3), float(self.a), float(self.b)
 
     @staticmethod
     def from_json(d: dict) -> "MechanismParams":
@@ -266,7 +273,7 @@ def parallel_singularity(params: MechanismParams) -> MPoly:
 
 def inverse_kinematics(pose: Pose, mode: WorkingMode,
                        params: MechanismParams) -> tuple[JointValues, PassiveAngles]:
-    l2, l3, a, b = (float(params.l2), float(params.l3), float(params.a), float(params.b))
+    l2, l3, a, b = params.floats
     x, y, phi = pose.x, pose.y, pose.phi
     if abs(y) >= l2:
         raise KinematicsError(f"leg 2 serial singularity / out of reach: |y|={abs(y)} >= l2", leg=2)
@@ -312,8 +319,7 @@ def direct_kinematics(q: JointValues, params: MechanismParams,
         xf = xnum.eval_float({"t": tf}) / d
         yf = ynum.eval_float({"t": tf}) / d
         phi = 2.0 * math.atan(tf)
-        l2, l3 = float(params.l2), float(params.l3)
-        b = float(params.b)
+        l2, l3, _, b = params.floats
         s2v = yf / l2
         c2v = (xf - float(r2)) / l2
         c3v = (xf + b * math.cos(phi)) / l3

@@ -3,13 +3,18 @@ cusp-encirclement verdicts.
 
 Continuation runs in floating point (pseudo-arclength predictor, Newton
 corrector on the reduced distance equations); region membership of the
-endpoints is decided on the exact cell data.
+endpoints is decided on the exact cell data.  A continuation step reads
+the mechanism's lengths from its one float view (`MechanismParams.floats`),
+takes each inverse kinematics once per path parameter (the corrector hands
+the joints of its converged point to the next Jacobian) and each
+conditioning determinant once per tangent candidate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .mechanism import (
@@ -29,10 +34,13 @@ class Trajectory:
     y0: Fraction
     mode: WorkingMode
     waypoints: tuple[tuple[float, float], ...]
+    # float(y0), converted once when the trajectory is built
+    y0_float: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.waypoints) < 2:
             raise TrajectoryError("need at least 2 waypoints")
+        object.__setattr__(self, "y0_float", float(self.y0))
 
     @staticmethod
     def from_json(d: dict) -> "Trajectory":
@@ -60,7 +68,7 @@ class Trajectory:
             x0, p0 = self.waypoints[k]
             x1, p1 = self.waypoints[k + 1]
             x, phi = x0 + f * (x1 - x0), p0 + f * (p1 - p0)
-        return Pose(x, float(self.y0), phi)
+        return Pose(x, self.y0_float, phi)
 
 
 @dataclass(frozen=True)
@@ -94,8 +102,7 @@ class Verdict:
 
 
 def _distance_residuals(x: float, y: float, phi: float, q, params) -> tuple[float, float, float]:
-    l2, l3 = float(params.l2), float(params.l3)
-    a, b = float(params.a), float(params.b)
+    l2, l3, a, b = params.floats
     c, s = math.cos(phi), math.sin(phi)
     return (
         (x - a * c) ** 2 + (y - a * s) ** 2 - q[0] * q[0],
@@ -105,7 +112,7 @@ def _distance_residuals(x: float, y: float, phi: float, q, params) -> tuple[floa
 
 
 def _distance_jacobian(x: float, y: float, phi: float, q, params):
-    a, b = float(params.a), float(params.b)
+    _, _, a, b = params.floats
     c, s = math.cos(phi), math.sin(phi)
     return [
         [2 * (x - a * c), 2 * (y - a * s), 2 * a * ((x) * s - (y) * c)],
@@ -120,16 +127,25 @@ def _solve(m, r):
     a = [row[:] + [v] for row, v in zip(m, r)]
     n = len(m)
     for col in range(n):
-        piv = max(range(col, n), key=lambda i: abs(a[i][col]))
-        if abs(a[piv][col]) < 1e-14:
+        # the first row of largest |entry|, as max() would pick it
+        piv, big = col, abs(a[col][col])
+        for i in range(col + 1, n):
+            v = abs(a[i][col])
+            if v > big:
+                piv, big = i, v
+        if big < 1e-14:
             raise ZeroDivisionError("singular matrix")
         a[col], a[piv] = a[piv], a[col]
+        prow = a[col]
+        pv = prow[col]
+        # column col of the other rows is never read again: start right of it
         for i in range(n):
             if i == col:
                 continue
-            f = a[i][col] / a[col][col]
-            for j in range(col, n + 1):
-                a[i][j] -= f * a[col][j]
+            row = a[i]
+            f = row[col] / pv
+            for j in range(col + 1, n + 1):
+                row[j] -= f * prow[j]
     return [a[i][n] / a[i][i] for i in range(n)]
 
 
@@ -171,8 +187,7 @@ def _det_a_normalized(x, y, phi, q, params) -> float:
 
 
 def _passives_of(x, y, phi, q, params) -> PassiveAngles:
-    l2, l3 = float(params.l2), float(params.l3)
-    b = float(params.b)
+    l2, l3, _, b = params.floats
     alpha2 = math.atan2(y / l2, (x - q[1]) / l2)
     alpha3 = math.atan2((y + b * math.sin(phi) - q[2]) / l3,
                         (x + b * math.cos(phi)) / l3)
@@ -185,21 +200,26 @@ def joint_values_at(traj: Trajectory, s: float, params: MechanismParams) -> Join
     return jv
 
 
+def _rhos_at(traj: Trajectory, s: float, params: MechanismParams) -> tuple[float, float, float]:
+    jv = joint_values_at(traj, s, params)
+    return (jv.rho1, jv.rho2, jv.rho3)
+
+
 # ---------------------------------------------------------------------------
 # solution-manifold chains (pseudo-arclength, turns at folds)
 
 
-def _sys_jacobian4(x, y, phi, s, traj, params, ds=1e-7):
-    """3x4 Jacobian of F(X; q(s)) wrt (x, y, phi, s); dF/ds by central difference."""
-    q = joint_values_at(traj, s, params)
-    qt = (q.rho1, q.rho2, q.rho3)
-    j3 = _distance_jacobian(x, y, phi, qt, params)
+def _sys_jacobian4(x, y, phi, s, traj, params, q=None, ds=1e-7):
+    """3x4 Jacobian of F(X; q(s)) wrt (x, y, phi, s); dF/ds by central difference.
+
+    q is the joint triple (rho1, rho2, rho3) at s, when the caller has it."""
+    if q is None:
+        q = _rhos_at(traj, s, params)
+    j3 = _distance_jacobian(x, y, phi, q, params)
     sp = min(1.0, s + ds)
     sm = max(0.0, s - ds)
-    qp = joint_values_at(traj, sp, params)
-    qm = joint_values_at(traj, sm, params)
-    rp = _distance_residuals(x, y, phi, (qp.rho1, qp.rho2, qp.rho3), params)
-    rm = _distance_residuals(x, y, phi, (qm.rho1, qm.rho2, qm.rho3), params)
+    rp = _distance_residuals(x, y, phi, _rhos_at(traj, sp, params), params)
+    rm = _distance_residuals(x, y, phi, _rhos_at(traj, sm, params), params)
     dcol = [(a - b) / (sp - sm) for a, b in zip(rp, rm)]
     return [row + [d] for row, d in zip(j3, dcol)]
 
@@ -207,6 +227,7 @@ def _sys_jacobian4(x, y, phi, s, traj, params, ds=1e-7):
 def _tangent4(j4, prev=None):
     """Unit null vector of a 3x4 Jacobian, oriented along prev."""
     best = None
+    best_det = 0.0
     # solve J t = 0 by fixing each coordinate to 1
     for fixed in range(4):
         cols = [c for c in range(4) if c != fixed]
@@ -222,8 +243,9 @@ def _tangent4(j4, prev=None):
             t[c] = v
         n = math.sqrt(sum(v * v for v in t))
         cand = [v / n for v in t]
-        if best is None or abs(_det44_proxy(j4, cand)) > abs(_det44_proxy(j4, best)):
-            best = cand
+        det = abs(_det44_proxy(j4, cand))
+        if best is None or det > best_det:
+            best, best_det = cand, det
     if best is None:
         raise TrajectoryError("rank-deficient system on the solution manifold")
     if prev is not None and sum(a * b for a, b in zip(best, prev)) < 0:
@@ -232,27 +254,19 @@ def _tangent4(j4, prev=None):
 
 
 def _det44_proxy(j4, t):
-    # conditioning proxy: determinant of [J; t]
-    m = [row[:] for row in j4] + [t[:]]
+    """Conditioning proxy: the determinant of [J; t] as a Leibniz sum."""
+    r0, r1, r2 = j4
     det = 0.0
-    for perm, sgn in _PERMS4:
-        p = 1.0
-        for r, c in enumerate(perm):
-            p *= m[r][c]
-        det += sgn * p
+    for c0, c1, c2, c3, sgn in _PERMS4:
+        det += sgn * (r0[c0] * r1[c1] * r2[c2] * t[c3])
     return det
 
 
-def _perms4():
-    import itertools
-    out = []
-    for perm in itertools.permutations(range(4)):
-        inv = sum(1 for i in range(4) for j in range(i + 1, 4) if perm[i] > perm[j])
-        out.append((perm, -1.0 if inv % 2 else 1.0))
-    return out
-
-
-_PERMS4 = _perms4()
+# the permutations of range(4) in lexicographic order, each with its sign
+_PERMS4 = tuple(
+    (*perm, -1.0 if sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4)) % 2
+     else 1.0)
+    for perm in itertools.permutations(range(4)))
 
 
 @dataclass
@@ -267,9 +281,9 @@ class Chain:
         """(rho1, alpha3) samples along the chain."""
         out = []
         for x, y, phi, s in self.points:
-            q = joint_values_at(traj, s, params)
-            pa = _passives_of(x, y, phi, (q.rho1, q.rho2, q.rho3), params)
-            out.append((q.rho1, pa.alpha3))
+            q = _rhos_at(traj, s, params)
+            pa = _passives_of(x, y, phi, q, params)
+            out.append((q[0], pa.alpha3))
         return out
 
 
@@ -280,7 +294,6 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
     x, y, phi = start_state
     s = 0.0
     pts = [(x, y, phi, s)]
-    tangent = None
     j4 = _sys_jacobian4(x, y, phi, s, traj, params)
     tangent = _tangent4(j4)
     if tangent[3] < 0:
@@ -302,8 +315,7 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
                 px = x + lam * h * tangent[0]
                 py = y + lam * h * tangent[1]
                 pphi = phi + lam * h * tangent[2]
-                q = joint_values_at(traj, target, params)
-                res = _newton(px, py, pphi, (q.rho1, q.rho2, q.rho3), params)
+                res = _newton(px, py, pphi, _rhos_at(traj, target, params), params)
                 if res is not None:
                     pts.append((res[0], res[1], res[2], target))
                     return Chain(points=pts, end_s=target)
@@ -318,8 +330,8 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
             if h < 1e-10:
                 raise TrajectoryError("chain corrector stalled")
             continue
-        nx, ny, nphi, ns = res
-        j4 = _sys_jacobian4(nx, ny, nphi, ns, traj, params)
+        (nx, ny, nphi, ns), q = res
+        j4 = _sys_jacobian4(nx, ny, nphi, ns, traj, params, q)
         tangent = _tangent4(j4, tangent)
         x, y, phi, s = nx, ny, nphi, ns
         pts.append((x, y, phi, s))
@@ -333,19 +345,19 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
 
 
 def _corrector4(x, y, phi, s, tangent, traj, params, iters=25):
+    """Newton on {F = 0, tangent . (Z - start) = 0}: the converged point
+    (x, y, phi, s) and its joint triple, or None."""
     base = (x, y, phi, s)
     for _ in range(iters):
         s = min(1.0, max(0.0, s))
-        q = joint_values_at(traj, s, params)
-        qt = (q.rho1, q.rho2, q.rho3)
-        r = list(_distance_residuals(x, y, phi, qt, params))
+        q = _rhos_at(traj, s, params)
+        r = list(_distance_residuals(x, y, phi, q, params))
         plane = sum(t * (z - b) for t, z, b in zip(tangent, (x, y, phi, s), base))
         r.append(plane)
         err = max(abs(v) for v in r)
         if err < 1e-11:
-            return (x, y, phi, s)
-        j4 = _sys_jacobian4(x, y, phi, s, traj, params)
-        m = [row[:] for row in j4] + [list(tangent)]
+            return (x, y, phi, s), q
+        m = _sys_jacobian4(x, y, phi, s, traj, params, q) + [tangent]
         try:
             d = _solve(m, r)
         except ZeroDivisionError:

@@ -10,9 +10,14 @@ integer PRS alone against the one settling coprime pairs modulo a prime,
 bisection on Fractions against bisection on integers over a common
 denominator, plot columns by substitution against row-wise binding, and
 the Fraction routes of the interpolated resultant and of the fibre product
-against their integer ones.  They are slow and meant for small inputs.
+against their integer ones, and the continuation step's float kernels as
+first written (pivot by `max`, determinant of copied rows, every tangent
+comparison recomputing both determinants) against the ones that do each
+piece of work once.  They are slow and meant for small inputs.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 from kinatlas.ratpoly import MPoly, UPoly, RatPolyError, _int_prem, _int_primitive
@@ -20,6 +25,7 @@ from kinatlas.realroots import (
     IsolatingInterval, RealRootError, count_roots, isolate,
     _root_bound, _scale_shift, _sign_at, _sign_variations, _taylor_shift_1,
 )
+from kinatlas.trajectory import TrajectoryError
 
 
 def sylvester_resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
@@ -320,3 +326,72 @@ def specialize_product_by_fractions(polys, base_var: str, fiber_var: str, x0) ->
             u = u.squarefree()
             acc = acc * u.divmod(acc.gcd(u))[0]
     return acc
+
+
+def solve(m, r):
+    """Gauss-Jordan solve of the square system m z = r, partial pivoting
+    by `max` over the column."""
+    a = [row[:] + [v] for row, v in zip(m, r)]
+    n = len(m)
+    for col in range(n):
+        piv = max(range(col, n), key=lambda i: abs(a[i][col]))
+        if abs(a[piv][col]) < 1e-14:
+            raise ZeroDivisionError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        for i in range(n):
+            if i == col:
+                continue
+            f = a[i][col] / a[col][col]
+            for j in range(col, n + 1):
+                a[i][j] -= f * a[col][j]
+    return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def _perms4():
+    out = []
+    for perm in itertools.permutations(range(4)):
+        inv = sum(1 for i in range(4) for j in range(i + 1, 4) if perm[i] > perm[j])
+        out.append((perm, -1.0 if inv % 2 else 1.0))
+    return out
+
+
+_PERMS4 = _perms4()
+
+
+def det44_proxy(j4, t):
+    """Determinant of [J; t] by the Leibniz sum over copied rows."""
+    m = [row[:] for row in j4] + [t[:]]
+    det = 0.0
+    for perm, sgn in _PERMS4:
+        p = 1.0
+        for r, c in enumerate(perm):
+            p *= m[r][c]
+        det += sgn * p
+    return det
+
+
+def tangent4(j4, prev=None):
+    """Unit null vector of a 3x4 Jacobian, oriented along prev; each
+    comparison recomputes the determinants of both candidates."""
+    best = None
+    for fixed in range(4):
+        cols = [c for c in range(4) if c != fixed]
+        m = [[j4[r][c] for c in cols] for r in range(3)]
+        rhs = [-j4[r][fixed] for r in range(3)]
+        try:
+            sol = solve(m, rhs)
+        except ZeroDivisionError:
+            continue
+        t = [0.0] * 4
+        t[fixed] = 1.0
+        for c, v in zip(cols, sol):
+            t[c] = v
+        n = math.sqrt(sum(v * v for v in t))
+        cand = [v / n for v in t]
+        if best is None or abs(det44_proxy(j4, cand)) > abs(det44_proxy(j4, best)):
+            best = cand
+    if best is None:
+        raise TrajectoryError("rank-deficient system on the solution manifold")
+    if prev is not None and sum(a * b for a, b in zip(best, prev)) < 0:
+        best = [-v for v in best]
+    return best

@@ -244,3 +244,63 @@ class TestConfigValidation:
         rc = main(["analyze", "--config", config_file, "--slice", "W:y=1/2",
                    "--out", "/tmp/kinatlas-bad-window", "--window", "1,0,0,1"])
         assert rc == 2
+
+
+# every exception class the exact layers raise on an undecidable input
+EXACT_LAYER_ERRORS = [
+    ("kinatlas.mechanism", "KinematicsError"), ("kinatlas.domains", "DomainError"),
+    ("kinatlas.adjacency", "AdjacencyError"), ("kinatlas.cad2d", "CadError"),
+    ("kinatlas.realroots", "RealRootError"), ("kinatlas.ratpoly", "RatPolyError"),
+]
+
+
+def _error_class(module, name):
+    import importlib
+    return getattr(importlib.import_module(module), name)
+
+
+class TestExactLayerErrors:
+    """Build-time failures exit 3 (`degeneracy: …`); verdict-time failures
+    exit 4 with `{"error": …}` in verdict.json.  Each class is forced by
+    monkeypatching the call that would raise it."""
+
+    @pytest.mark.parametrize("module, name", EXACT_LAYER_ERRORS,
+                             ids=[n for _, n in EXACT_LAYER_ERRORS])
+    @pytest.mark.parametrize("command", ["analyze", "check-trajectory"])
+    def test_build_failure_exit_3(self, command, module, name, config_file, traj_file,
+                                  tmp_path, monkeypatch, capsys):
+        from kinatlas import cli
+        err_cls = _error_class(module, name)
+
+        def build(*args, **kwargs):
+            raise err_cls(f"forced {name} at base root 7")
+
+        monkeypatch.setattr(cli.SliceAtlas, "build", staticmethod(build))
+        out = tmp_path / "out"
+        args = ["--slice", "W:y=1/2"] if command == "analyze" else ["--traj", traj_file]
+        rc = main([command, "--config", config_file, "--out", str(out)] + args)
+        assert rc == 3
+        assert capsys.readouterr().err == f"degeneracy: forced {name} at base root 7\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("module, name",
+                             EXACT_LAYER_ERRORS + [("kinatlas.trajectory", "TrajectoryError")],
+                             ids=[n for _, n in EXACT_LAYER_ERRORS] + ["TrajectoryError"])
+    def test_verdict_failure_exit_4(self, module, name, config_file, traj_file,
+                                    tmp_path, monkeypatch, capsys):
+        from kinatlas import cli
+        err_cls = _error_class(module, name)
+
+        def track_branches(*args, **kwargs):
+            raise err_cls(f"forced {name} at s = 0.25")
+
+        monkeypatch.setattr(cli.SliceAtlas, "build", staticmethod(lambda *a, **k: object()))
+        monkeypatch.setattr(cli, "track_branches", track_branches)
+        out = tmp_path / "out"
+        rc = main(["check-trajectory", "--config", config_file,
+                   "--traj", traj_file, "--out", str(out)])
+        assert rc == 4
+        assert json.loads((out / "verdict.json").read_text()) == {
+            "error": f"forced {name} at s = 0.25"}
+        assert capsys.readouterr().err == f"indeterminate: forced {name} at s = 0.25\n"
+        assert not (out / "trajectory.svg").exists()

@@ -30,6 +30,17 @@ class TestParams:
         assert d == {"type": "RPR-2PRR", "l2": "3", "l3": "3", "a": "1", "b": "1"}
         assert MechanismParams.from_json(d) == PARAMS
 
+    def test_float_view_is_not_a_field(self):
+        viewed = MechanismParams(Fraction(5, 2), Fraction(3), Fraction(1, 3), Fraction(2))
+        fresh = MechanismParams(Fraction(5, 2), Fraction(3), Fraction(1, 3), Fraction(2))
+        assert viewed.floats == (2.5, 3.0, 1 / 3, 2.0)
+        assert "floats" in vars(viewed) and "floats" not in vars(fresh)
+        assert viewed == fresh and hash(viewed) == hash(fresh)
+        assert {viewed: 1}[fresh] == 1
+        assert repr(viewed) == repr(fresh)
+        assert viewed.to_json() == fresh.to_json() == {
+            "type": "RPR-2PRR", "l2": "5/2", "l3": "3", "a": "1/3", "b": "2"}
+
 
 class TestWorkingModes:
     def test_exactly_four(self):

@@ -1,4 +1,6 @@
 import math
+import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from kinatlas.trajectory import (
     Trajectory, TrajectoryError,
     track_branches, follow_chain,
     tracked_chart, encirclement, winding_number, joint_values_at,
+    _solve, _det44_proxy, _tangent4, _sys_jacobian4,
 )
 
 PARAMS = MechanismParams()
@@ -31,6 +34,12 @@ class TestTrajectoryBasics:
             "waypoints": [["-1", "1"], ["0", "1/2"], ["1", "-1"], ["1/2", "-2"]]})
         assert t.waypoints == FIG10
         assert t.mode == WorkingMode(1, 1)
+
+    def test_float_y0_is_not_compared(self):
+        t = _traj()
+        assert t.y0_float == 0.5 and t.pose_at(0.3).y == 0.5
+        assert t == _traj() and hash(t) == hash(_traj())
+        assert "y0_float" not in repr(t)
 
     def test_interpolation_hits_waypoints(self):
         t = _traj()
@@ -151,3 +160,165 @@ class TestWinding:
         assert winding_number(loop, (0, 0)) == 1
         assert winding_number(list(reversed(loop)), (0, 0)) == -1
         assert winding_number(loop, (5, 5)) == 0
+
+
+def _bits(values):
+    """The IEEE-754 bytes of each float, so that 0.0 and -0.0 differ."""
+    return [struct.pack("d", v) for v in values]
+
+
+def _outcome(fn, *args):
+    """('ok', bytes of each entry) or ('raise', exception class name)."""
+    try:
+        out = fn(*args)
+    except (ZeroDivisionError, TrajectoryError) as e:
+        return ("raise", type(e).__name__)
+    return ("ok", _bits(out))
+
+
+def _kernel_systems(rng):
+    """Square systems for `_solve` and 3x4 Jacobians for `_tangent4`:
+    random ones, tied pivots, signed zeros, a zero column and near-singular
+    ones around the 1e-14 pivot threshold."""
+    def rand(rows, cols):
+        return [[rng.uniform(-3.0, 3.0) for _ in range(cols)] for _ in range(rows)]
+
+    squares, jacobians = [], []
+    for n in (3, 4):
+        for _ in range(150):
+            squares.append(rand(n, n))
+        for _ in range(40):
+            m = rand(n, n)
+            v = rng.choice((1.0, 0.5, 2.0))
+            for i in range(n):               # equal |entries| down each column
+                m[i][rng.randrange(n)] = rng.choice((v, -v))
+            m[rng.randrange(n)][0] = -m[0][0]
+            squares.append(m)
+        for _ in range(20):
+            m = rand(n, n)
+            c = rng.randrange(n)
+            for i in range(n):
+                m[i][c] = rng.choice((0.0, -0.0))
+            squares.append(m)
+        for piv in (1e-14, -1e-14, 0.99e-14, 1.01e-14):   # pivot on the threshold
+            m = rand(n, n)
+            for i in range(n):
+                m[i][0] = 0.0
+            m[rng.randrange(n)][0] = piv
+            squares.append(m)
+        for eps in (1e-13, 1e-14, 0.99e-14, 1e-16):
+            m = rand(n, n)
+            m[-1] = [a + eps * rng.uniform(-1, 1) for a in m[0]]
+            squares.append(m)
+            m = rand(n, n)
+            m[rng.randrange(n)][rng.randrange(n)] = 0.0
+            squares.append(m)
+    for _ in range(150):
+        jacobians.append(rand(3, 4))
+    for _ in range(40):
+        j = rand(3, 4)
+        for r in range(3):
+            j[r][rng.randrange(4)] = rng.choice((1.0, -1.0))
+        jacobians.append(j)
+    for c in range(4):
+        j = rand(3, 4)
+        for r in range(3):
+            j[r][c] = -0.0 if r % 2 else 0.0
+        jacobians.append(j)
+    for eps in (1e-6, 1e-10, 1e-14, 1e-16, 0.0):
+        j = rand(3, 4)
+        j[2] = [a + b + eps * rng.uniform(-1, 1) for a, b in zip(j[0], j[1])]
+        jacobians.append(j)
+    jacobians.append([[0.0] * 4 for _ in range(3)])
+    # near-singular and signed-zero Jacobians as the walk forms them
+    t = _traj()
+    for s in (0.0, 0.25, 0.5, 1.0):
+        p = t.pose_at(s)
+        j = _sys_jacobian4(p.x, p.y, p.phi, s, t, PARAMS)
+        jacobians.append(j)
+        jacobians.append([[v * 1e-15 for v in row] for row in j])
+    return squares, jacobians
+
+
+class TestKernelOracles:
+    """The continuation kernels are bit-identical to their oracles."""
+
+    def test_solve_and_tangent_match_oracles_bitwise(self):
+        from oracles import solve, det44_proxy, tangent4
+        rng = random.Random(20261018)
+        squares, jacobians = _kernel_systems(rng)
+        raised = 0
+        for m in squares:
+            r = [rng.uniform(-2.0, 2.0) for _ in m]
+            r[rng.randrange(len(r))] = rng.choice((0.0, -0.0))
+            want = _outcome(solve, m, r)
+            assert _outcome(_solve, m, r) == want, m
+            raised += want[0] == "raise"
+        assert raised >= 40
+        for j in jacobians:
+            prev = [rng.uniform(-1.0, 1.0) for _ in range(4)]
+            assert _outcome(_tangent4, j) == _outcome(tangent4, j), j
+            assert _outcome(_tangent4, j, prev) == _outcome(tangent4, j, prev), j
+            for t in ([rng.uniform(-1.0, 1.0) for _ in range(4)], [0.0, -0.0, 1.0, -1.0]):
+                assert _bits([_det44_proxy(j, t)]) == _bits([det44_proxy(j, t)])
+        assert _outcome(tangent4, [[0.0] * 4 for _ in range(3)]) == ("raise", "TrajectoryError")
+
+    def test_jacobian_with_passed_joints_matches_recomputed(self):
+        t = _traj()
+        rng = random.Random(7)
+        for s in [0.0, 1.0, 1e-8, 1 - 1e-8] + [rng.random() for _ in range(30)]:
+            p = t.pose_at(s)
+            x, y, phi = p.x + rng.uniform(-1e-3, 1e-3), p.y, p.phi + rng.uniform(-1e-3, 1e-3)
+            q = joint_values_at(t, s, PARAMS)
+            with_q = _sys_jacobian4(x, y, phi, s, t, PARAMS, (q.rho1, q.rho2, q.rho3))
+            without = _sys_jacobian4(x, y, phi, s, t, PARAMS)
+            assert [_bits(row) for row in with_q] == [_bits(row) for row in without]
+
+
+def _partner_starts(t):
+    p0 = t.pose_at(0.0)
+    sols = direct_kinematics(joint_values_at(t, 0.0, PARAMS), PARAMS)
+    return [(p.x, p.y, p.phi) for p, _ in sols
+            if max(abs(p.x - p0.x), abs(p.y - p0.y), abs(p.phi - p0.phi)) >= 1e-6]
+
+
+class TestWalkIdentity:
+    @pytest.mark.parametrize("wps", [FIG10, tuple(reversed(FIG10))], ids=["fig10", "reversed"])
+    def test_follow_chain_identical_with_oracle_kernels(self, wps, monkeypatch):
+        import oracles
+        from kinatlas import trajectory as tj
+        t = _traj(wps)
+        starts = _partner_starts(t)
+        assert starts
+        jacobian = tj._sys_jacobian4
+        passed = []
+
+        def checked_jacobian(x, y, phi, s, traj, params, q=None):
+            # joints handed over by the walk are those of the same s
+            if q is not None:
+                jv = joint_values_at(traj, s, params)
+                assert _bits(q) == _bits((jv.rho1, jv.rho2, jv.rho3)), s
+                passed.append(s)
+            return jacobian(x, y, phi, s, traj, params, q)
+
+        walks = []
+        for patch in (False, True):
+            with monkeypatch.context() as mp:
+                if not patch:
+                    mp.setattr(tj, "_sys_jacobian4", checked_jacobian)
+                else:
+                    mp.setattr(tj, "_solve", oracles.solve)
+                    mp.setattr(tj, "_det44_proxy", oracles.det44_proxy)
+                    mp.setattr(tj, "_tangent4", oracles.tangent4)
+                chains = []
+                for st in starts:
+                    try:
+                        ch = follow_chain(t, PARAMS, st)
+                    except TrajectoryError as e:
+                        chains.append(("raise", str(e)))
+                        continue
+                    chains.append((repr(ch.points), ch.end_s))
+                walks.append(chains)
+        assert walks[0] == walks[1]
+        assert any(c[1] == 1.0 for c in walks[0])
+        assert len(passed) > 100
