@@ -15,7 +15,7 @@ from math import lcm
 
 from .ratpoly import (
     MPoly, UPoly,
-    discriminant, resultant, squarefree_total, exact_div,
+    squarefree_total, exact_div,
     int_poly_gcd, _int_prem, _int_primitive,
 )
 from .realroots import (
@@ -85,9 +85,6 @@ class Decomposition:
     fiber_roots: list[list[IsolatingInterval]]
     cells: list[Cell2D]
     columns: list[list[Cell2D]]
-
-    def cell(self, cid: int) -> Cell2D:
-        return self.cells[cid]
 
     def locate(self, px: Fraction, py: Fraction) -> int | None:
         """Cell id containing the rational point; None on the variety or a
@@ -186,8 +183,6 @@ def resultant_bivar(p: MPoly, q: MPoly, elim: str, keep: str) -> MPoly:
     if dpe <= 0 or dqe <= 0:
         raise CadError("resultant needs positive degree in the eliminated variable")
     dpk, dqk = p.degree(keep), q.degree(keep)
-    if dpk == 0 and dqk == 0:
-        return resultant(p, q, elim)
     bound = dpk * dqe + dqk * dpe
     (prows, dp), (qrows, dq) = _rows(p, elim, keep), _rows(q, elim, keep)
     xs: list[int] = []
@@ -270,8 +265,6 @@ def discriminant_bivar(p: MPoly, var: str, keep: str) -> MPoly:
     d = p.degree(var)
     if d < 2:
         raise CadError("discriminant needs degree >= 2")
-    if p.degree(keep) == 0:
-        return discriminant(p, var)
     r = resultant_bivar(p, p.diff(var), var, keep)
     lc = p.leading_coefficient(var)
     r = exact_div(r.with_vars((keep,)), lc.with_vars((keep,)))

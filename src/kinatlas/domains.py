@@ -3,8 +3,11 @@ and solution-count atlases on 2D slices.
 
 The workspace slice (x, tphi) is decomposed against the serial reach
 boundaries and the parallel-singularity curve; refining by the
-characteristic surface yields basic regions, whose joint-chart images
-drive the uniqueness-domain grouping.
+characteristic surface yields basic regions.  Each basic region carries the
+id of the joint-chart component (connected piece of the complement of the
+joint curves) that the images of its cells lie in.  Uniqueness domains are
+the maximal connected unions of basic regions whose components are
+pairwise different, and every one of them is enumerated.
 """
 
 from __future__ import annotations
@@ -188,8 +191,6 @@ def w_aspects(wa: WorkspaceAnalysis, mode: WorkingMode) -> list[RegionSet]:
             kind="W-aspect", label=f"WA_{mode.label}_{idx}", mode=mode,
             cells=frozenset(comp), sample=cell.sample, sign=sgn))
         idx += 1
-    # group same-sign components only if they are the same connected region;
-    # aspects stay per-component (maximal connected)
     return out
 
 
@@ -243,107 +244,82 @@ def q_aspects(ja: JointAnalysis, ws: WorkspaceSlice, mode: WorkingMode) -> list[
 class BasicRegion:
     region: RegionSet              # cells in the fine workspace decomposition
     aspect_label: str
-    component_cells: frozenset[int]   # joint-chart cells its image touches
-    samples: tuple[tuple[Fraction, Fraction], ...]
+    components: frozenset[int]     # ids in components(ja.graph) its image meets
 
 
 def basic_regions(wa: WorkspaceAnalysis, ja: JointAnalysis,
-                  aspects: list[RegionSet], mode: WorkingMode,
-                  samples_per_region: int = 20) -> list[BasicRegion]:
+                  aspects: list[RegionSet], mode: WorkingMode) -> list[BasicRegion]:
     """Connected pieces of each aspect after refining by the characteristic
-    surface, with their joint-chart image components."""
-    dec, graph = wa.dec_fine, wa.graph_fine
-    comps = components(graph)
-    # map fine components into aspects by the parallel sign + reachability
+    surface, with the joint component their image lies in."""
+    dec = wa.dec_fine
+    joint_comp = {cid: k for k, comp in enumerate(components(ja.graph)) for cid in comp}
     out: list[BasicRegion] = []
     counters: dict[str, int] = {}
-    for comp in comps:
+    for comp in components(wa.graph_fine):
         rep = min(comp)
         if not wa.reachable(dec, rep):
             continue
+        sample = dec.cells[rep].sample
         sgn = dec.sign_at_sample(wa.ws.parallel, rep)
-        owner = None
-        for a in aspects:
-            if a.sign == sgn and _fine_inside_aspect(wa, dec.cells[rep].sample, a):
-                owner = a
-                break
+        loc = wa.dec_sing.locate(*sample)
+        owner = next((a for a in aspects if a.sign == sgn and loc in a.cells), None)
         if owner is None:
             continue
         k = counters.get(owner.label, 0) + 1
         counters[owner.label] = k
-        cells = sorted(comp)
-        samples = []
-        step = max(1, len(cells) // samples_per_region)
-        for cid in cells[::step]:
-            samples.append(dec.cells[cid].sample)
-        image_cells = set()
-        for s in samples:
-            r, c3 = wa.ws.chart_image(s[0], s[1])
-            loc = ja.dec.locate(r, c3)
-            if loc is not None:
-                image_cells.add(loc)
         label = f"WAb_{mode.label}_{owner.label.rsplit('_', 1)[1]}_{k}"
+        image = set()
+        for cid in comp:
+            jc = ja.dec.locate(*wa.ws.chart_image(*dec.cells[cid].sample))
+            if jc is not None:  # None: the image lies on a joint curve
+                image.add(joint_comp[jc])
+        if len(image) > 1:
+            raise DomainError(f"basic region {label} maps into joint components "
+                              f"{sorted(image)}, not one")
         rs = RegionSet(kind="basic-region", label=label, mode=mode,
-                       cells=frozenset(comp), sample=dec.cells[rep].sample, sign=sgn)
+                       cells=frozenset(comp), sample=sample, sign=sgn)
         out.append(BasicRegion(region=rs, aspect_label=owner.label,
-                               component_cells=frozenset(image_cells),
-                               samples=tuple(samples)))
+                               components=frozenset(image)))
     return out
-
-
-def _fine_inside_aspect(wa: WorkspaceAnalysis, sample, aspect: RegionSet) -> bool:
-    """Locate a fine-decomposition sample inside the singularity-only
-    decomposition and test aspect membership."""
-    loc = wa.dec_sing.locate(sample[0], sample[1])
-    return loc is not None and loc in aspect.cells
 
 
 def uniqueness_domains(wa: WorkspaceAnalysis, basics: list[BasicRegion],
                        mode: WorkingMode) -> list[RegionSet]:
-    """Maximal unions of adjacent basic regions whose joint images are
-    pairwise disjoint (decided by joint-chart cell components)."""
-    n = len(basics)
-    # adjacency between basic regions: cells adjacent once the characteristic
-    # surface is ignored (variety = singularities only on the fine cells)
-    edge = [[False] * n for _ in range(n)]
-    cell_owner: dict[int, int] = {}
-    for i, b in enumerate(basics):
-        for cid in b.region.cells:
-            cell_owner[cid] = i
-    for a, bz in wa.graph_fine_sing.edges:
-        ia, ib = cell_owner.get(a), cell_owner.get(bz)
-        if ia is None or ib is None or ia == ib:
-            continue
-        edge[ia][ib] = edge[ib][ia] = True
+    """Every maximal connected union of basic regions whose images are
+    pairwise different joint components.
 
-    disjoint = [[basics[i].component_cells.isdisjoint(basics[j].component_cells)
-                 for j in range(n)] for i in range(n)]
-    # greedy maximal unions: grow from each region, largest-first determinism
-    domains: list[set[int]] = []
-    for seed in range(n):
-        group = {seed}
-        changed = True
-        while changed:
-            changed = False
-            for j in range(n):
-                if j in group:
-                    continue
-                if not any(edge[i][j] for i in group):
-                    continue
-                if all(disjoint[i][j] for i in group):
-                    group.add(j)
-                    changed = True
-        if group not in domains:
-            domains.append(group)
-    # keep maximal groups only
-    maximal = [g for g in domains if not any(g < h for h in domains)]
+    Two regions are adjacent when some of their cells are adjacent in
+    `graph_fine_sing`, the fine cells' graph with the characteristic surface
+    ignored.  Each connected admissible set
+    is grown one admissible neighbour at a time, so every one is visited; a
+    set with no admissible neighbour is maximal, since any admissible
+    connected superset would contain one."""
+    owner = {cid: i for i, b in enumerate(basics) for cid in b.region.cells}
+    nbrs: list[set[int]] = [set() for _ in basics]
+    for a, b in wa.graph_fine_sing.edges:
+        ia, ib = owner.get(a), owner.get(b)
+        if ia is not None and ib is not None and ia != ib:
+            nbrs[ia].add(ib)
+            nbrs[ib].add(ia)
+    visited: set[frozenset[int]] = set()
+    maximal: list[frozenset[int]] = []
+
+    def grow(group: frozenset[int], used: frozenset[int]):
+        if group in visited:
+            return
+        visited.add(group)
+        grown = False
+        for j in set().union(*(nbrs[i] for i in group)) - group:
+            if used.isdisjoint(basics[j].components):
+                grow(group | {j}, used | basics[j].components)
+                grown = True
+        if not grown:
+            maximal.append(group)
+
+    for i, b in enumerate(basics):
+        grow(frozenset({i}), b.components)
     out = []
-    seen = set()
-    for k, g in enumerate(sorted(maximal, key=lambda s: sorted(s)), 1):
-        key = frozenset(g)
-        if key in seen:
-            continue
-        seen.add(key)
+    for k, g in enumerate(sorted(maximal, key=sorted), 1):
         cells = frozenset().union(*(basics[i].region.cells for i in g))
         out.append(RegionSet(
             kind="uniqueness-domain", label=f"Wu_{mode.label}_{k}", mode=mode,
@@ -355,7 +331,7 @@ def uniqueness_domains(wa: WorkspaceAnalysis, basics: list[BasicRegion],
 # count atlas and cusps
 
 
-def count_atlas(wa: WorkspaceAnalysis, ja: JointAnalysis | None = None) -> list[RegionSet]:
+def count_atlas(wa: WorkspaceAnalysis) -> list[RegionSet]:
     """Connected regions of the refined slice with IK and DK counts;
     unreachable regions carry zero counts."""
     dec, graph = wa.dec_fine, wa.graph_fine
@@ -497,13 +473,13 @@ class SliceAtlas:
         ws = slice_workspace(y0, mode.s2, params)
         prc = project_parallel_to_joint(ws)
         wa = analyze_workspace(ws, prc)
-        js = slice_jointspace(mode.s2, params, y0 / params.l2, prc)
+        js = slice_jointspace(ws, prc)
         ja = analyze_jointspace(js)
         aspects = w_aspects(wa, mode)
         qaspects = q_aspects(ja, ws, mode)
         basics = basic_regions(wa, ja, aspects, mode)
         uds = uniqueness_domains(wa, basics, mode)
-        atlas = count_atlas(wa, ja)
+        atlas = count_atlas(wa)
         sing = cusp_points(js)
         return SliceAtlas(params=params, y0=y0, mode=mode, ws=ws, prc=prc,
                           wa=wa, js=js, ja=ja, aspects=aspects, qaspects=qaspects,
@@ -546,7 +522,7 @@ class SliceAtlas:
         if same:
             changed = False
         else:
-            changed = not b0.component_cells.isdisjoint(b1.component_cells)
+            changed = not b0.components.isdisjoint(b1.components)
         lab0 = d0[0] if d0 else b0.region.label
         lab1 = d1[0] if d1 else b1.region.label
         return b0, b1, same, changed, lab0, lab1

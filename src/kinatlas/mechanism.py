@@ -467,25 +467,17 @@ class JointSlice:
     y0: Fraction
     s2sign: int
     params: MechanismParams
-    c2_sq: Fraction
     parallel_rc: MPoly     # curve in (r, c3)
     parallel_ru: MPoly     # curve in (r, u)
     serial_rc: tuple[MPoly, ...]
-    serial_ru: tuple[MPoly, ...]
-    excluded: tuple[str, ...]
 
 
-def slice_jointspace(s2sign: int, params: MechanismParams,
-                     sin_alpha2: Fraction = Fraction(1, 6),
-                     prc: MPoly | None = None) -> JointSlice:
-    """The joint section at sin(alpha2) = sin_alpha2; `prc`, when given, is
-    `project_parallel_to_joint` of that slice, already computed."""
-    y0 = Fraction(sin_alpha2) * params.l2
-    ws = slice_workspace(y0, s2sign, params)
+def slice_jointspace(ws: WorkspaceSlice, prc: MPoly | None = None) -> JointSlice:
+    """The joint section of the workspace slice `ws` (sin(alpha2) = y0/l2);
+    `prc`, when given, is `project_parallel_to_joint(ws)`, already computed."""
     if prc is None:
         prc = project_parallel_to_joint(ws)
     vs = ("r", "u")
-    r = MPoly.var("r", vs)
     u = MPoly.var("u", vs)
     one = MPoly.const(1, vs)
     opu = one + u * u
@@ -501,11 +493,9 @@ def slice_jointspace(s2sign: int, params: MechanismParams,
     rv = MPoly.var("r", ("r", "c3"))
     one_rc = MPoly.const(1, ("r", "c3"))
     return JointSlice(
-        y0=y0, s2sign=s2sign, params=params, c2_sq=ws.c2_sq,
+        y0=ws.y0, s2sign=ws.s2sign, params=ws.params,
         parallel_rc=prc, parallel_ru=pru,
         serial_rc=(rv, one_rc - c3v, one_rc + c3v),
-        serial_ru=(r, u),
-        excluded=("alpha3=pi", "phi=pi"),
     )
 
 

@@ -2,7 +2,7 @@
 
 Sparse multivariate polynomials (MPoly) and dense univariate polynomials
 (UPoly) over arbitrary-precision rationals, with subresultant-PRS
-resultants, discriminants, multivariate gcd and squarefree parts.  All
+resultants, multivariate gcd and squarefree parts.  All
 values are immutable and every operation is a pure function.
 """
 
@@ -546,19 +546,6 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
             return res
 
 
-def discriminant(p: MPoly, var: str) -> MPoly:
-    """(-1)^(d(d-1)/2) resultant(p, p', var) / lc(p, var), exact."""
-    d = p.degree(var)
-    if d < 2:
-        raise RatPolyError("discriminant needs degree >= 2")
-    r = resultant(p, p.diff(var), var)
-    lc = p.leading_coefficient(var)
-    r = exact_div(r, lc.with_vars(r.vars))
-    if (d * (d - 1) // 2) % 2 == 1:
-        r = -r
-    return r
-
-
 def squarefree_part(p: MPoly, var: str) -> MPoly:
     """p / gcd(p, dp/dvar), canonicalized."""
     if p.is_zero():
@@ -686,9 +673,6 @@ class UPoly:
             while r and r[-1] == 0:
                 r.pop()
         return UPoly(q, self.var), UPoly(r, self.var)
-
-    def rem(self, other: "UPoly") -> "UPoly":
-        return self.divmod(other)[1]
 
     def gcd(self, other: "UPoly") -> "UPoly":
         """Monic gcd by `int_poly_gcd` on the cleared coefficients."""

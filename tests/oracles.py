@@ -13,14 +13,19 @@ the Fraction routes of the interpolated resultant and of the fibre product
 against their integer ones, and the continuation step's float kernels as
 first written (pivot by `max`, determinant of copied rows, every tangent
 comparison recomputing both determinants) against the ones that do each
-piece of work once.  They are slow and meant for small inputs.
+piece of work once, the discriminant by the subresultant PRS on `MPoly`
+coefficients against the interpolated one, and uniqueness domains by
+testing every subset of basic regions against their exact enumeration.
+They are slow and meant for small inputs.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from kinatlas.ratpoly import MPoly, UPoly, RatPolyError, _int_prem, _int_primitive
+from kinatlas.ratpoly import (
+    MPoly, UPoly, RatPolyError, _int_prem, _int_primitive, exact_div, resultant,
+)
 from kinatlas.realroots import (
     IsolatingInterval, RealRootError, count_roots, isolate,
     _root_bound, _scale_shift, _sign_at, _sign_variations, _taylor_shift_1,
@@ -51,6 +56,19 @@ def sylvester_resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
             row[i + j] = c
         rows.append(row)
     return _det_expand(rows)
+
+
+def discriminant(p: MPoly, var: str) -> MPoly:
+    """(-1)^(d(d-1)/2) resultant(p, p', var) / lc(p, var), exact."""
+    d = p.degree(var)
+    if d < 2:
+        raise RatPolyError("discriminant needs degree >= 2")
+    r = resultant(p, p.diff(var), var)
+    lc = p.leading_coefficient(var)
+    r = exact_div(r, lc.with_vars(r.vars))
+    if (d * (d - 1) // 2) % 2 == 1:
+        r = -r
+    return r
 
 
 def _det_expand(rows: list[list[MPoly]]) -> MPoly:
@@ -395,3 +413,30 @@ def tangent4(j4, prev=None):
     if prev is not None and sum(a * b for a, b in zip(best, prev)) < 0:
         best = [-v for v in best]
     return best
+
+
+def maximal_domains(adjacent, comps) -> set[frozenset[int]]:
+    """Uniqueness domains by brute force over region indices 0..n-1: every
+    subset that is connected in `adjacent` (a set of index pairs) and whose
+    members' component sets `comps[i]` are pairwise disjoint, kept when no
+    other such subset strictly contains it."""
+    n = len(comps)
+
+    def connected(s):
+        todo, seen = [min(s)], {min(s)}
+        while todo:
+            i = todo.pop()
+            for j in s:
+                if j not in seen and ((i, j) in adjacent or (j, i) in adjacent):
+                    seen.add(j)
+                    todo.append(j)
+        return seen == s
+
+    ok = []
+    for k in range(1, n + 1):
+        for sub in itertools.combinations(range(n), k):
+            s = frozenset(sub)
+            if connected(s) and all(comps[i].isdisjoint(comps[j])
+                                    for i, j in itertools.combinations(sub, 2)):
+                ok.append(s)
+    return {s for s in ok if not any(s < t for t in ok)}

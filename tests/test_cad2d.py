@@ -332,8 +332,8 @@ class TestScalarResultant:
 
 class TestResultantRoutes:
     def test_interpolated_matches_prs(self):
-        from kinatlas.cad2d import resultant_bivar, discriminant_bivar
-        from kinatlas.ratpoly import resultant, discriminant
+        from kinatlas.cad2d import resultant_bivar
+        from kinatlas.ratpoly import resultant
         rng = random.Random(13)
         done = 0
         while done < 30:
@@ -348,7 +348,7 @@ class TestResultantRoutes:
 
     def test_interpolated_discriminant_matches(self):
         from kinatlas.cad2d import discriminant_bivar
-        from kinatlas.ratpoly import discriminant
+        from oracles import discriminant
         rng = random.Random(37)
         done = 0
         while done < 20:
@@ -359,6 +359,20 @@ class TestResultantRoutes:
             b = discriminant(p, "v").with_vars(a.vars)
             assert a == b
             done += 1
+
+    def test_operands_free_of_the_kept_variable(self):
+        # the joint chart's lines 1 - c3 and 1 + c3 have degree 0 in r; the
+        # interpolation bound is then 0 and one node gives the resultant
+        from kinatlas.cad2d import resultant_bivar, discriminant_bivar
+        from kinatlas.ratpoly import resultant
+        from oracles import discriminant
+        for p, q in [(P("1-v"), P("1+v")), (P("2*v^2-3"), P("3*v+1/2")),
+                     (P("v^2-2"), P("u+v")), (P("v^3-v"), P("v^2-1"))]:
+            a = resultant_bivar(p, q, "v", "u")
+            assert a == resultant(p, q, "v").with_vars(a.vars)
+        for p in (P("v^2-2"), P("2*v^3-v+1/3"), P("v^2-2*v+1")):
+            a = discriminant_bivar(p, "v", "u")
+            assert a == discriminant(p, "v").with_vars(a.vars)
 
     def test_cubic_quartic_with_vanishing_leading_coefficient(self):
         # leading coefficients in v vanish at interpolation nodes (u = 0,

@@ -1,6 +1,9 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
 
 from kinatlas.ratpoly import MPoly, UPoly, squarefree_total
 from kinatlas.realroots import isolate
@@ -10,10 +13,37 @@ from kinatlas.mechanism import (
 )
 from kinatlas.domains import (
     w_aspects, q_aspects, basic_regions, uniqueness_domains, cusp_points,
+    BasicRegion, DomainError, JointAnalysis, RegionSet, WorkspaceAnalysis,
 )
-from kinatlas.adjacency import components
+from kinatlas.adjacency import AdjacencyGraph, build_graph, components
+from kinatlas.cad2d import decompose
+
+from oracles import maximal_domains
 
 PARAMS = MechanismParams()
+MODE = WorkingMode(1, 1)
+_X = MPoly.var("x", ("x", "tphi"))
+_R = MPoly.var("r", ("r", "c3"))
+
+
+def _toy_slice(fine_variety, joint_variety):
+    """A workspace whose fine cells are x < 0 and x > 0 (one aspect, every
+    cell reachable) and a joint chart whose cells are r < 0 and r > 0, with
+    the chart image (x, tphi) -> (r, c3) = (x, tphi).  The varieties given
+    decide which cells are adjacent on each side."""
+    ws = SimpleNamespace(parallel=MPoly.const(1, ("x", "tphi")),
+                         ik_count=lambda x, t: 4, chart_image=lambda x, t: (x, t))
+    dec_sing = decompose([], "x", "tphi")
+    dec_fine = decompose([_X], "x", "tphi")
+    wa = WorkspaceAnalysis(ws=ws, sc=None, dec_sing=dec_sing,
+                           graph_sing=build_graph(dec_sing, []), dec_fine=dec_fine,
+                           graph_fine=build_graph(dec_fine, fine_variety),
+                           graph_fine_sing=build_graph(dec_fine, []))
+    dec_joint = decompose([_R], "r", "c3")
+    ja = JointAnalysis(js=None, dec=dec_joint, graph=build_graph(dec_joint, joint_variety))
+    aspect = RegionSet(kind="W-aspect", label="WA_++_1", mode=MODE,
+                       cells=frozenset({0}), sign=1)
+    return wa, ja, [aspect]
 
 
 class TestCounts:
@@ -143,10 +173,18 @@ class TestBasicRegions:
         assert set().union(*by_aspect.values()) == reach_fine
 
     def test_images_inside_single_q_aspect(self, atlas_pp):
+        comps = components(atlas_pp.ja.graph)
         qcells = {a.label: a.cells for a in atlas_pp.qaspects}
         for b in atlas_pp.basics:
-            owners = {lab for lab, cells in qcells.items() if b.component_cells & cells}
+            assert len(b.components) == 1, b.region.label
+            (k,) = b.components
+            owners = {lab for lab, cells in qcells.items() if comps[k] <= cells}
             assert len(owners) == 1, b.region.label
+
+    def test_region_spanning_two_joint_components_raises(self):
+        wa, ja, aspects = _toy_slice(fine_variety=[], joint_variety=[_R])
+        with pytest.raises(DomainError, match=r"WAb_pp_1_1 .*\[0, 1\]"):
+            basic_regions(wa, ja, aspects, MODE)
 
 
 class TestUniqueness:
@@ -183,6 +221,72 @@ class TestUniqueness:
                         assert max(abs(a - b) for a, b in zip(p1, p2)) < 1e-7
 
 
+def _oracle_domains(basics, edges):
+    """Brute-force domains of `basics`, as sets of region indices."""
+    owner = {cid: i for i, b in enumerate(basics) for cid in b.region.cells}
+    adjacent = {(owner[a], owner[b]) for a, b in edges
+                if a in owner and b in owner and owner[a] != owner[b]}
+    return maximal_domains(adjacent, [b.components for b in basics])
+
+
+def _members(domains, basics):
+    return {frozenset(i for i, b in enumerate(basics) if b.region.cells <= d.cells)
+            for d in domains}
+
+
+class TestUniquenessEnumeration:
+    def test_matches_brute_force_on_random_region_graphs(self):
+        rng = random.Random(8)
+        rich = 0  # trials with several domains, one of 3+ regions
+        for trial in range(300):
+            n = rng.randint(1, 7)
+            basics = []
+            for i in range(n):
+                comp = rng.choice([frozenset(), *(frozenset({k}) for k in range(4))])
+                # two fine cells per region; cells 100+ belong to no region
+                rs = RegionSet(kind="basic-region", label=f"b{i}", mode=MODE,
+                               cells=frozenset({2 * i, 2 * i + 1}),
+                               sample=(Fraction(i), Fraction(0)))
+                basics.append(BasicRegion(rs, "WA_++_1", comp))
+            cells = list(range(2 * n)) + [100, 101]
+            edges = sorted({tuple(sorted(rng.sample(cells, 2)))
+                            for _ in range(rng.randint(0, 3 * n))})
+            wa = SimpleNamespace(graph_fine_sing=AdjacencyGraph(tuple(cells), tuple(edges)))
+            got = uniqueness_domains(wa, basics, MODE)
+            want = _oracle_domains(basics, edges)
+            assert _members(got, basics) == want, (trial, edges)
+            # labels follow the sorted member lists
+            order = [sorted(i for i, b in enumerate(basics) if b.region.cells <= d.cells)
+                     for d in got]
+            assert order == sorted(order)
+            assert [d.label for d in got] == [f"Wu_pp_{k}" for k in range(1, len(got) + 1)]
+            rich += len(want) >= 2 and max(map(len, want)) >= 3
+        assert rich >= 30, rich
+
+    def test_reference_slice_matches_brute_force_in_every_mode(self, atlas_pp):
+        for mode in WorkingMode.all_modes():
+            aspects = w_aspects(atlas_pp.wa, mode)
+            basics = basic_regions(atlas_pp.wa, atlas_pp.ja, aspects, mode)
+            got = uniqueness_domains(atlas_pp.wa, basics, mode)
+            want = _oracle_domains(basics, atlas_pp.wa.graph_fine_sing.edges)
+            assert len(got) == 4, mode.label
+            assert _members(got, basics) == want, mode.label
+
+    def test_same_component_through_different_cells_stays_apart(self):
+        # two adjacent basic regions whose images are the two cells r < 0 and
+        # r > 0 of one joint component: they share that component, so no
+        # domain holds both (disjoint joint *cell* sets would have merged them)
+        wa, ja, aspects = _toy_slice(fine_variety=[_X], joint_variety=[])
+        basics = basic_regions(wa, ja, aspects, MODE)
+        assert [b.components for b in basics] == [frozenset({0})] * 2
+        images = [{ja.dec.locate(*c.sample) for c in wa.dec_fine.cells if c.id in b.region.cells}
+                  for b in basics]
+        assert images == [{0}, {1}]
+        assert wa.graph_fine_sing.edges == ((0, 1),)
+        domains = uniqueness_domains(wa, basics, MODE)
+        assert [d.cells for d in domains] == [frozenset({0}), frozenset({1})]
+
+
 class TestCusps:
     def test_classification(self, atlas_pp):
         kinds = sorted(p.kind for p in atlas_pp.singular_points)
@@ -196,9 +300,7 @@ class TestCusps:
         circle = MPoly.var("r", vs) ** 2 + MPoly.var("u", vs) ** 2 - 1
         rc = (MPoly.var("r", ("r", "c3")) ** 2 + MPoly.var("c3", ("r", "c3")) ** 2 - 1)
         js = JointSlice(y0=Fraction(1, 2), s2sign=1, params=PARAMS,
-                        c2_sq=Fraction(35, 36), parallel_rc=rc,
-                        parallel_ru=circle, serial_rc=(), serial_ru=(),
-                        excluded=())
+                        parallel_rc=rc, parallel_ru=circle, serial_rc=())
         assert cusp_points(js) == []
 
     def test_cusp_projections_meet_sc_parallel_intersections(self, atlas_pp):

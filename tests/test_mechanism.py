@@ -235,8 +235,8 @@ class TestSlices:
         assert c3 == Fraction(2, 3)
 
     def test_branch_flip_leaves_joint_curve_invariant(self):
-        a = slice_jointspace(1, PARAMS, Fraction(1, 6))
-        b = slice_jointspace(-1, PARAMS, Fraction(1, 6))
+        a = slice_jointspace(slice_workspace(Fraction(1, 2), 1, PARAMS))
+        b = slice_jointspace(slice_workspace(Fraction(1, 2), -1, PARAMS))
         assert a.parallel_rc == b.parallel_rc
 
     def test_dk_count_chart_reference(self):
@@ -253,9 +253,10 @@ class TestJointProjection:
 
     @pytest.mark.parametrize("y0", [Fraction(1, 2), Fraction(2)])
     def test_passed_projection_matches_recomputed(self, y0):
-        prc = project_parallel_to_joint(slice_workspace(y0, 1, PARAMS))
-        given = slice_jointspace(1, PARAMS, y0 / PARAMS.l2, prc)
-        recomputed = slice_jointspace(1, PARAMS, y0 / PARAMS.l2)
+        ws = slice_workspace(y0, 1, PARAMS)
+        prc = project_parallel_to_joint(ws)
+        given = slice_jointspace(ws, prc)
+        recomputed = slice_jointspace(ws)
         assert given.parallel_rc == recomputed.parallel_rc == prc
         assert given.parallel_ru == recomputed.parallel_ru
 

@@ -5,11 +5,11 @@ import pytest
 
 from kinatlas.ratpoly import (
     MPoly, UPoly, RatPolyError, parse_poly, format_poly,
-    resultant, discriminant, squarefree_part,
+    resultant, squarefree_part, squarefree_total,
     exact_div, mgcd, divides, _GCD_PRIME, _coprime_mod_prime,
 )
 
-from oracles import gcd_prs, sylvester_resultant
+from oracles import discriminant, gcd_prs, sylvester_resultant
 
 
 def P(text, vs=None):
@@ -160,6 +160,15 @@ class TestSquarefree:
     def test_zero_rejected(self):
         with pytest.raises(RatPolyError):
             squarefree_part(MPoly.const(0, ("x",)), "x")
+
+    # the second is the parallel curve of the slice y0 = 0: the x-pass divides
+    # by gcd(p, dp/dx) = tphi and so drops the line tphi = 0
+    @pytest.mark.xfail(strict=True, reason="squarefree_part(p, v) divides by "
+                       "gcd(p, dp/dv), which holds every v-free factor of p")
+    @pytest.mark.parametrize("text", ["tphi*(x*tphi^2+x-2)", "tphi*((2*x+1)*tphi^2+2*x-1)"])
+    def test_total_keeps_factors_free_of_a_variable(self, text):
+        p = P(text, ("x", "tphi"))
+        assert squarefree_total(p) == p.canonical()
 
 
 class TestGcdDivision:

@@ -1,11 +1,13 @@
 """Reachability guard: the package carries no code that only tests call.
 
-Every top-level function or class of `src/kinatlas`, and every method that
-is not a dunder, must be named (by a `Name` or `Attribute` node) somewhere
-in the package outside its own body.  Docstrings, comments and imports do
-not count, so a helper that the package imports but never calls fails.
-Names are matched by their last component, so the guard finds dead code,
-not every unreachable path.
+Every top-level function or class of `src/kinatlas` must be named (by a
+`Name` or `Attribute` node) somewhere in the package outside its own body,
+and every method that is not a dunder by an `Attribute` node: a method is
+only reached through an object, so a local variable of the same name does
+not keep it alive.  Docstrings, comments and imports do not count, so a
+helper that the package imports but never calls fails.  Names are matched
+by their last component, so the guard finds dead code, not every
+unreachable path.
 """
 
 import ast
@@ -25,7 +27,8 @@ ALLOWED = {
 
 
 def _definitions():
-    """(qualified name, short name, path, node) of each guarded definition."""
+    """(qualified name, short name, is a method, path, node) of each guarded
+    definition."""
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -33,17 +36,18 @@ def _definitions():
             if not isinstance(node, funcs + (ast.ClassDef,)):
                 continue
             qual = f"{path.stem}.{node.name}"
-            yield qual, node.name, path, node
+            yield qual, node.name, False, path, node
             if isinstance(node, ast.ClassDef):
                 for m in node.body:
                     if isinstance(m, funcs) and not (m.name.startswith("__")
                                                      and m.name.endswith("__")):
-                        yield f"{qual}.{m.name}", m.name, path, m
+                        yield f"{qual}.{m.name}", m.name, True, path, m
 
 
-def _references() -> dict[str, list[tuple[Path, int]]]:
-    """Every name used by a Name or Attribute node, with where it occurs."""
-    refs: dict[str, list[tuple[Path, int]]] = {}
+def _references() -> dict[str, list[tuple[Path, int, bool]]]:
+    """Every name used by a Name or Attribute node, with where it occurs
+    and whether the node is an Attribute."""
+    refs: dict[str, list[tuple[Path, int, bool]]] = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name):
@@ -52,16 +56,18 @@ def _references() -> dict[str, list[tuple[Path, int]]]:
                 name = node.attr
             else:
                 continue
-            refs.setdefault(name, []).append((path, node.lineno))
+            refs.setdefault(name, []).append(
+                (path, node.lineno, isinstance(node, ast.Attribute)))
     return refs
 
 
 def _unreferenced() -> list[str]:
     refs = _references()
     out = []
-    for qual, name, path, node in _definitions():
-        outside = [(p, ln) for p, ln in refs.get(name, ())
-                   if not (p == path and node.lineno <= ln <= node.end_lineno)]
+    for qual, name, method, path, node in _definitions():
+        outside = [(p, ln) for p, ln, attr in refs.get(name, ())
+                   if (attr or not method)
+                   and not (p == path and node.lineno <= ln <= node.end_lineno)]
         if not outside:
             out.append(qual)
     return out
