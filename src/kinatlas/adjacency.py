@@ -13,12 +13,11 @@ polynomials block.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratpoly import MPoly, UPoly
+from .ratpoly import MPoly
 from .realroots import (
     NEG_INF, POS_INF, IsolatingInterval, RealRootError, isolate, count_roots,
     _sign_at,
@@ -67,17 +66,12 @@ def components(g: AdjacencyGraph) -> list[set[int]]:
 # algebraic fiber bounds: IsolatingInterval values or +-inf sentinels
 
 
-# `_ranks` compares the roots of one pair of witness fibres at a time, so a
-# few entries catch every repeat; more would only keep old fibres alive
-@functools.lru_cache(maxsize=4)
-def _gcd_cached(p: UPoly, q: UPoly) -> UPoly:
-    return p.gcd(q)
-
-
-def _cmp_bounds(a: IsolatingInterval, b: IsolatingInterval, max_iter: int = 50) -> int:
+def _cmp_bounds(a: IsolatingInterval, b: IsolatingInterval, gcds: dict,
+                max_iter: int = 50) -> int:
     """Sign of (root a) - (root b).  Each round narrows both intervals below
     a sixteenth of their width in one `refine` call, so max_iter rounds go
-    past 2^-200 of the starting widths."""
+    past 2^-200 of the starting widths.  `gcds` holds the gcd of each pair
+    of interval polynomials taken so far, keyed by their identities."""
     x, y = a, b
     for it in range(max_iter):
         if x.high < y.low:
@@ -88,7 +82,10 @@ def _cmp_bounds(a: IsolatingInterval, b: IsolatingInterval, max_iter: int = 50) 
             return 0 if x.low == y.low else (-1 if x.low < y.low else 1)
         # refine a few rounds before paying for the shared-root check
         if it >= 2:
-            g = _gcd_cached(x.polynomial, y.polynomial)
+            key = (id(x.polynomial), id(y.polynomial))
+            g = gcds.get(key)
+            if g is None:
+                g = gcds[key] = x.polynomial.gcd(y.polynomial)
             if g.degree >= 1:
                 lo = max(x.low, y.low)
                 hi = min(x.high, y.high)
@@ -142,8 +139,11 @@ def _ranks(roots1: list[IsolatingInterval],
            roots2: list[IsolatingInterval]) -> tuple[list[int], list[int]]:
     """Ranks 1..m of two increasing root lists in their merged order; equal
     roots share a rank.  On failure the raised AdjacencyError carries the
-    indices of the two roots it could not order as `roots`."""
+    indices of the two roots it could not order as `roots`.  The intervals
+    of one list share at most two polynomials (`isolate` peels an exact zero
+    root), which the lists outlive, so each gcd of a pair is taken once."""
     rank1, rank2 = [0] * len(roots1), [0] * len(roots2)
+    gcds: dict = {}
     i = k = rank = 0
     while i < len(roots1) or k < len(roots2):
         if k == len(roots2):
@@ -152,7 +152,7 @@ def _ranks(roots1: list[IsolatingInterval],
             c = 1
         else:
             try:
-                c = _cmp_bounds(roots1[i], roots2[k])
+                c = _cmp_bounds(roots1[i], roots2[k], gcds)
             except AdjacencyError as e:
                 e.roots = (i, k)
                 raise

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratpoly import MPoly, UPoly, divides, exact_div, squarefree_total, mgcd
+from .ratpoly import MPoly, UPoly, RatPolyError, exact_div, squarefree_total, mgcd
 from .realroots import isolate
 from .cad2d import Decomposition, decompose, interval_eval, resultant_bivar
 from .adjacency import AdjacencyGraph, build_graph, build_graphs, components
@@ -110,10 +110,12 @@ def characteristic_surface(ws: WorkspaceSlice, prc: MPoly | None = None) -> Char
         raise DomainError("degenerate doubling: preimage vanished identically")
     sc = acc.canonical()
     pw = ws.parallel.with_vars(vs)
-    while divides(pw, sc):
-        sc = exact_div(sc, pw).canonical()
-    while divides(op, sc):
-        sc = exact_div(sc, op).canonical()
+    for factor in (pw, op):
+        while True:
+            try:
+                sc = exact_div(sc, factor).canonical()
+            except RatPolyError:     # factor no longer divides
+                break
     sc = squarefree_total(sc).canonical()
     return CharSurface((sc,), ws.excluded)
 
@@ -225,13 +227,13 @@ def q_aspects(ja: JointAnalysis, ws: WorkspaceSlice, mode: WorkingMode) -> list[
         r, c3 = cell.sample
         if r <= 0 or abs(c3) >= 1:
             continue
-        if dk_count_chart(r, c3, ws) == 0:
+        dk = dk_count_chart(r, c3, ws)
+        if dk == 0:
             continue
         sgn = ja.dec.sign_at_sample(ja.js.parallel_rc, rep)
         out.append(RegionSet(
             kind="Q-aspect", label=f"QA_{mode.label}_{idx}", mode=mode,
-            cells=frozenset(comp), sample=cell.sample, sign=sgn,
-            dk_count=dk_count_chart(r, c3, ws)))
+            cells=frozenset(comp), sample=cell.sample, sign=sgn, dk_count=dk))
         idx += 1
     return out
 
@@ -394,7 +396,7 @@ def cusp_points(js: JointSlice, width: Fraction = Fraction(1, 1 << 40)) -> list[
         return []
     rroots = isolate(UPoly.from_mpoly(gr.with_vars(("r",)), "r"))
     uroots = isolate(UPoly.from_mpoly(gu.with_vars(("u",)), "u"))
-    hess = P.diff("r").diff("r") * P.diff("u").diff("u") - P.diff("r").diff("u") ** 2
+    hess = Pr.diff("r") * Pu.diff("u") - Pr.diff("u") ** 2
     out = []
     for ri in rroots:
         for ui in uroots:

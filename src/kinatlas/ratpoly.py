@@ -408,14 +408,6 @@ def exact_div(num: MPoly, den: MPoly) -> MPoly:
     return MPoly(num.vars, q)
 
 
-def divides(den: MPoly, num: MPoly) -> bool:
-    try:
-        exact_div(num, den)
-        return True
-    except RatPolyError:
-        return False
-
-
 def mgcd(p: MPoly, q: MPoly) -> MPoly:
     """Multivariate gcd by primitive PRS recursion, canonical output."""
     if p.is_zero():

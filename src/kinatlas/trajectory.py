@@ -4,21 +4,23 @@ cusp-encirclement verdicts.
 Continuation runs in floating point (pseudo-arclength predictor, Newton
 corrector on the reduced distance equations); region membership of the
 endpoints is decided on the exact cell data.  A continuation step reads
-the mechanism's lengths from its one float view (`MechanismParams.floats`),
-takes each inverse kinematics once per path parameter (the corrector hands
-the joints of its converged point to the next Jacobian) and each
-conditioning determinant once per tangent candidate.
+the mechanism's lengths from its one float view (`MechanismParams.floats`)
+and takes each inverse kinematics once per path parameter: the corrector
+hands the joints of its converged point to the next Jacobian, and the
+chain keeps them, so its joint-space image takes no further IK.  The chain
+tangent is the vector of signed 3x3 minors of the 3x4 Jacobian.  A verdict
+takes one tracked chart of the trajectory, for the encirclement loop and
+for its joint path.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .mechanism import (
-    MechanismParams, WorkingMode, Pose, JointValues, PassiveAngles,
+    MechanismParams, WorkingMode, Pose, JointValues,
     inverse_kinematics, direct_kinematics,
 )
 
@@ -101,24 +103,25 @@ class Verdict:
 # numeric kinements
 
 
-def _distance_residuals(x: float, y: float, phi: float, q, params) -> tuple[float, float, float]:
+def _distance_residuals(x: float, y: float, phi: float, q: JointValues,
+                        params) -> tuple[float, float, float]:
     l2, l3, a, b = params.floats
     c, s = math.cos(phi), math.sin(phi)
     return (
-        (x - a * c) ** 2 + (y - a * s) ** 2 - q[0] * q[0],
-        (x - q[1]) ** 2 + y * y - l2 * l2,
-        (x + b * c) ** 2 + (y + b * s - q[2]) ** 2 - l3 * l3,
+        (x - a * c) ** 2 + (y - a * s) ** 2 - q.rho1 * q.rho1,
+        (x - q.rho2) ** 2 + y * y - l2 * l2,
+        (x + b * c) ** 2 + (y + b * s - q.rho3) ** 2 - l3 * l3,
     )
 
 
-def _distance_jacobian(x: float, y: float, phi: float, q, params):
+def _distance_jacobian(x: float, y: float, phi: float, q: JointValues, params):
     _, _, a, b = params.floats
     c, s = math.cos(phi), math.sin(phi)
     return [
         [2 * (x - a * c), 2 * (y - a * s), 2 * a * ((x) * s - (y) * c)],
-        [2 * (x - q[1]), 2 * y, 0.0],
-        [2 * (x + b * c), 2 * (y + b * s - q[2]),
-         2 * b * (-(x + b * c) * s + (y + b * s - q[2]) * c)],
+        [2 * (x - q.rho2), 2 * y, 0.0],
+        [2 * (x + b * c), 2 * (y + b * s - q.rho3),
+         2 * b * (-(x + b * c) * s + (y + b * s - q.rho3) * c)],
     ]
 
 
@@ -175,98 +178,80 @@ def _newton(x, y, phi, q, params, tol=1e-12, iters=40):
     return (x, y, phi, err) if err < 1e-9 else None
 
 
+def _det3(m, c0: int, c1: int, c2: int) -> float:
+    """Determinant of columns c0, c1, c2 of the 3-row matrix m, expanded
+    along its first row."""
+    r0, r1, r2 = m
+    return (r0[c0] * (r1[c1] * r2[c2] - r1[c2] * r2[c1])
+            - r0[c1] * (r1[c0] * r2[c2] - r1[c2] * r2[c0])
+            + r0[c2] * (r1[c0] * r2[c1] - r1[c1] * r2[c0]))
+
+
+def _row_norm_product(m) -> float:
+    """Product of the Euclidean norms of m's rows, a zero row counting as 1:
+    Hadamard's bound on the size of every maximal minor of m."""
+    norm = 1.0
+    for row in m:
+        norm *= math.hypot(*row) or 1.0
+    return norm
+
+
 def _det_a_normalized(x, y, phi, q, params) -> float:
     j = _distance_jacobian(x, y, phi, q, params)
-    det = (j[0][0] * (j[1][1] * j[2][2] - j[1][2] * j[2][1])
-           - j[0][1] * (j[1][0] * j[2][2] - j[1][2] * j[2][0])
-           + j[0][2] * (j[1][0] * j[2][1] - j[1][1] * j[2][0]))
-    norm = 1.0
-    for row in j:
-        norm *= math.hypot(*row) or 1.0
-    return det / norm
+    return _det3(j, 0, 1, 2) / _row_norm_product(j)
 
 
-def _passives_of(x, y, phi, q, params) -> PassiveAngles:
-    l2, l3, _, b = params.floats
-    alpha2 = math.atan2(y / l2, (x - q[1]) / l2)
-    alpha3 = math.atan2((y + b * math.sin(phi) - q[2]) / l3,
-                        (x + b * math.cos(phi)) / l3)
-    return PassiveAngles(alpha2, alpha3)
+def _alpha3_of(x, y, phi, q: JointValues, params) -> float:
+    """Passive angle of leg 3 at a pose solving the distance equations."""
+    _, l3, _, b = params.floats
+    return math.atan2((y + b * math.sin(phi) - q.rho3) / l3,
+                      (x + b * math.cos(phi)) / l3)
 
 
 def joint_values_at(traj: Trajectory, s: float, params: MechanismParams) -> JointValues:
-    pose = traj.pose_at(s)
-    jv, _ = inverse_kinematics(pose, traj.mode, params)
+    """The joints of the trajectory's own branch at path parameter s."""
+    jv, _ = inverse_kinematics(traj.pose_at(s), traj.mode, params)
     return jv
-
-
-def _rhos_at(traj: Trajectory, s: float, params: MechanismParams) -> tuple[float, float, float]:
-    jv = joint_values_at(traj, s, params)
-    return (jv.rho1, jv.rho2, jv.rho3)
 
 
 # ---------------------------------------------------------------------------
 # solution-manifold chains (pseudo-arclength, turns at folds)
 
 
-def _sys_jacobian4(x, y, phi, s, traj, params, q=None, ds=1e-7):
-    """3x4 Jacobian of F(X; q(s)) wrt (x, y, phi, s); dF/ds by central difference.
-
-    q is the joint triple (rho1, rho2, rho3) at s, when the caller has it."""
-    if q is None:
-        q = _rhos_at(traj, s, params)
+def _sys_jacobian4(x, y, phi, s, traj, params, q: JointValues, ds=1e-7):
+    """3x4 Jacobian of F(X; q(s)) wrt (x, y, phi, s), q the joints at s;
+    dF/ds by central difference."""
     j3 = _distance_jacobian(x, y, phi, q, params)
     sp = min(1.0, s + ds)
     sm = max(0.0, s - ds)
-    rp = _distance_residuals(x, y, phi, _rhos_at(traj, sp, params), params)
-    rm = _distance_residuals(x, y, phi, _rhos_at(traj, sm, params), params)
+    rp = _distance_residuals(x, y, phi, joint_values_at(traj, sp, params), params)
+    rm = _distance_residuals(x, y, phi, joint_values_at(traj, sm, params), params)
     dcol = [(a - b) / (sp - sm) for a, b in zip(rp, rm)]
     return [row + [d] for row, d in zip(j3, dcol)]
 
 
-def _tangent4(j4, prev=None):
-    """Unit null vector of a 3x4 Jacobian, oriented along prev."""
-    best = None
-    best_det = 0.0
-    # solve J t = 0 by fixing each coordinate to 1
-    for fixed in range(4):
-        cols = [c for c in range(4) if c != fixed]
-        m = [[j4[r][c] for c in cols] for r in range(3)]
-        rhs = [-j4[r][fixed] for r in range(3)]
-        try:
-            sol = _solve(m, rhs)
-        except ZeroDivisionError:
-            continue
-        t = [0.0] * 4
-        t[fixed] = 1.0
-        for c, v in zip(cols, sol):
-            t[c] = v
-        n = math.sqrt(sum(v * v for v in t))
-        cand = [v / n for v in t]
-        det = abs(_det44_proxy(j4, cand))
-        if best is None or det > best_det:
-            best, best_det = cand, det
-    if best is None:
+# minors below this share of the row-norm product count as zero
+_RANK_TOL = 1e-14
+# orients the first tangent of a chain toward increasing s
+_ALONG_S = (0.0, 0.0, 0.0, 1.0)
+
+
+def _tangent4(j4, prev) -> list[float]:
+    """Unit null vector of a 3x4 Jacobian J, oriented along prev.
+
+    Its entries are J's signed 3x3 minors, t_k = (-1)^k det(J without
+    column k), normalised: every row of J is orthogonal to it, by the
+    Laplace expansion of J's 4x4 extension by a repeated row.  J counts as
+    rank-deficient, and raises TrajectoryError, when the minors' norm is at
+    most _RANK_TOL times the product of J's row norms (the normalisation of
+    `_det_a_normalized`)."""
+    t = [_det3(j4, 1, 2, 3), -_det3(j4, 0, 2, 3), _det3(j4, 0, 1, 3), -_det3(j4, 0, 1, 2)]
+    n = math.hypot(*t)
+    if not n > _RANK_TOL * _row_norm_product(j4):
         raise TrajectoryError("rank-deficient system on the solution manifold")
-    if prev is not None and sum(a * b for a, b in zip(best, prev)) < 0:
-        best = [-v for v in best]
-    return best
-
-
-def _det44_proxy(j4, t):
-    """Conditioning proxy: the determinant of [J; t] as a Leibniz sum."""
-    r0, r1, r2 = j4
-    det = 0.0
-    for c0, c1, c2, c3, sgn in _PERMS4:
-        det += sgn * (r0[c0] * r1[c1] * r2[c2] * t[c3])
-    return det
-
-
-# the permutations of range(4) in lexicographic order, each with its sign
-_PERMS4 = tuple(
-    (*perm, -1.0 if sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4)) % 2
-     else 1.0)
-    for perm in itertools.permutations(range(4)))
+    if sum(a * b for a, b in zip(t, prev)) < 0:
+        n = -n
+    return [v / n for v in t]
 
 
 @dataclass
@@ -275,16 +260,13 @@ class Chain:
     walked from a boundary solution."""
 
     points: list[tuple[float, float, float, float]]   # (x, y, phi, s)
+    joints: list[JointValues]                          # the joints at each point's s
     end_s: float                                       # 0.0 or 1.0
 
-    def chart(self, traj, params) -> list[tuple[float, float]]:
+    def chart(self, params) -> list[tuple[float, float]]:
         """(rho1, alpha3) samples along the chain."""
-        out = []
-        for x, y, phi, s in self.points:
-            q = _rhos_at(traj, s, params)
-            pa = _passives_of(x, y, phi, q, params)
-            out.append((q[0], pa.alpha3))
-        return out
+        return [(q.rho1, _alpha3_of(x, y, phi, q, params))
+                for (x, y, phi, _), q in zip(self.points, self.joints)]
 
 
 def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
@@ -293,11 +275,10 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
     s = 0 (forward) until the walk exits at s = 0 or s = 1."""
     x, y, phi = start_state
     s = 0.0
+    q = joint_values_at(traj, s, params)
     pts = [(x, y, phi, s)]
-    j4 = _sys_jacobian4(x, y, phi, s, traj, params)
-    tangent = _tangent4(j4)
-    if tangent[3] < 0:
-        tangent = [-v for v in tangent]
+    qs = [q]
+    tangent = _tangent4(_sys_jacobian4(x, y, phi, s, traj, params, q), _ALONG_S)
     if abs(tangent[3]) < 1e-12:
         raise TrajectoryError("chain tangent parallel to the fiber at start")
     h = h0
@@ -315,10 +296,12 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
                 px = x + lam * h * tangent[0]
                 py = y + lam * h * tangent[1]
                 pphi = phi + lam * h * tangent[2]
-                res = _newton(px, py, pphi, _rhos_at(traj, target, params), params)
+                q = joint_values_at(traj, target, params)
+                res = _newton(px, py, pphi, q, params)
                 if res is not None:
                     pts.append((res[0], res[1], res[2], target))
-                    return Chain(points=pts, end_s=target)
+                    qs.append(q)
+                    return Chain(points=pts, joints=qs, end_s=target)
             h /= 2
             if h < 1e-10:
                 raise TrajectoryError("chain stalled at the boundary")
@@ -330,17 +313,16 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
             if h < 1e-10:
                 raise TrajectoryError("chain corrector stalled")
             continue
-        (nx, ny, nphi, ns), q = res
-        j4 = _sys_jacobian4(nx, ny, nphi, ns, traj, params, q)
-        tangent = _tangent4(j4, tangent)
-        x, y, phi, s = nx, ny, nphi, ns
+        (x, y, phi, s), q = res
+        tangent = _tangent4(_sys_jacobian4(x, y, phi, s, traj, params, q), tangent)
         pts.append((x, y, phi, s))
+        qs.append(q)
         if h < h0:
             h *= 1.5
         if s <= 0.0 + 1e-12 and tangent[3] < 0:
-            return Chain(points=pts, end_s=0.0)
+            return Chain(points=pts, joints=qs, end_s=0.0)
         if s >= 1.0 - 1e-12 and tangent[3] > 0:
-            return Chain(points=pts, end_s=1.0)
+            return Chain(points=pts, joints=qs, end_s=1.0)
     raise TrajectoryError("chain walk exceeded the step budget")
 
 
@@ -350,7 +332,7 @@ def _corrector4(x, y, phi, s, tangent, traj, params, iters=25):
     base = (x, y, phi, s)
     for _ in range(iters):
         s = min(1.0, max(0.0, s))
-        q = _rhos_at(traj, s, params)
+        q = joint_values_at(traj, s, params)
         r = list(_distance_residuals(x, y, phi, q, params))
         plane = sum(t * (z - b) for t, z, b in zip(tangent, (x, y, phi, s), base))
         r.append(plane)
@@ -412,22 +394,21 @@ def tracked_chart(traj: Trajectory, params: MechanismParams, n: int = 400
     return [(p[0], a) for p, a in zip(pts, a3)]
 
 
-def encirclement(traj: Trajectory, params: MechanismParams,
+def encirclement(fwd: list[tuple[float, float]], params: MechanismParams,
                  cusp_centers: list[tuple[float, float]],
                  chain: Chain | None = None,
                  close_tol: float = 1e-6) -> list[tuple[int, int]]:
     """Windings of the closed joint-space loop around each cusp.
 
-    The loop concatenates the forward image of the trajectory's own branch
-    with the reversed image of the partner chain; the junction segments at
-    each end run along the (shared) joint fiber.  A trivial permutation
-    (no partner chain reaching the far end) yields a degenerate loop and
-    all-zero windings.
+    The loop concatenates `fwd`, the trajectory's tracked chart, with the
+    reversed image of the partner chain; the junction segments at each end
+    run along the (shared) joint fiber.  A trivial permutation (no partner
+    chain reaching the far end) yields a degenerate loop and all-zero
+    windings.
     """
-    fwd = tracked_chart(traj, params)
     if chain is None or chain.end_s != 1.0:
         return [(i, 0) for i in range(len(cusp_centers))]
-    rev = list(reversed(chain.chart(traj, params)))
+    rev = list(reversed(chain.chart(params)))
     a3 = _unwrap([p[1] for p in rev])
     # bring the chain's angle branch next to the tracked end
     shift = round((fwd[-1][1] - a3[0]) / (2 * math.pi)) * 2 * math.pi
@@ -435,10 +416,7 @@ def encirclement(traj: Trajectory, params: MechanismParams,
     if abs(rev[0][0] - fwd[-1][0]) > close_tol or abs(rev[-1][0] - fwd[0][0]) > close_tol:
         raise TrajectoryError("open loop: partner chain does not share the endpoint fibers")
     loop = fwd + rev
-    out = []
-    for i, ctr in enumerate(cusp_centers):
-        out.append((i, winding_number(loop, ctr)))
-    return out
+    return [(i, winding_number(loop, ctr)) for i, ctr in enumerate(cusp_centers)]
 
 
 def track_branches(traj: Trajectory, params: MechanismParams, atlas) -> Verdict:
@@ -452,18 +430,19 @@ def track_branches(traj: Trajectory, params: MechanismParams, atlas) -> Verdict:
     e0 = (Fraction(p0.x), Fraction(math.tan(p0.phi / 2)))
     e1 = (Fraction(p1.x), Fraction(math.tan(p1.phi / 2)))
     b0, b1, same, changed, lab0, lab1 = atlas.classify_endpoints(e0, e1)
-    # the exact tracked branch: singularity monitoring
+    # the exact tracked branch: singularity monitoring; its first sample
+    # gives the start joints
     min_det = math.inf
     n = 600
     for i in range(n + 1):
         pose = traj.pose_at(i / n)
-        jv, pa = inverse_kinematics(pose, traj.mode, params)
-        det = abs(_det_a_normalized(pose.x, pose.y, pose.phi,
-                                    (jv.rho1, jv.rho2, jv.rho3), params))
+        jv, _ = inverse_kinematics(pose, traj.mode, params)
+        if i == 0:
+            q0 = jv
+        det = abs(_det_a_normalized(pose.x, pose.y, pose.phi, jv, params))
         min_det = min(min_det, det)
     singular = min_det < 1e-8
     # partner chains from the other start solutions
-    q0 = joint_values_at(traj, 0.0, params)
     sols = direct_kinematics(q0, params)
     chain = None
     for p, pa in sols:
@@ -483,11 +462,14 @@ def track_branches(traj: Trajectory, params: MechanismParams, atlas) -> Verdict:
         r = (float(c.r_box[0]) + float(c.r_box[1])) / 2
         u = (float(c.u_box[0]) + float(c.u_box[1])) / 2
         centers.append((math.sqrt(r), 2 * math.atan(u)))
-    encircled = encirclement(traj, params, centers, chain)
+    fwd = tracked_chart(traj, params)
+    encircled = encirclement(fwd, params, centers, chain)
     notes.append("loop construction: forward tracked image + reversed partner "
                  "chain image (interpretation; the source text does not define "
                  "the closure)")
-    jp = tracked_chart(traj, params, n=200)
+    # the joint path samples s = i / 200: in floats i / 200 == 2i / 400, and
+    # alpha3 of the IK stays in one sign's [0, pi], so `_unwrap` never shifts
+    jp = fwd[::2]
     return Verdict(
         start_domain=lab0, end_domain=lab1, same_domain=same,
         assembly_mode_changed=changed, singular_crossing=singular,

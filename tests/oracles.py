@@ -10,13 +10,14 @@ integer PRS alone against the one settling coprime pairs modulo a prime,
 bisection on Fractions against bisection on integers over a common
 denominator, plot columns by substitution against row-wise binding, and
 the Fraction routes of the interpolated resultant and of the fibre product
-against their integer ones, and the continuation step's float kernels as
-first written (pivot by `max`, determinant of copied rows, every tangent
-comparison recomputing both determinants) against the ones that do each
-piece of work once, the discriminant by the subresultant PRS on `MPoly`
-coefficients against the interpolated one, and uniqueness domains by
-testing every subset of basic regions against their exact enumeration.
-They are slow and meant for small inputs.
+against their integer ones, the Gauss-Jordan solve pivoting by `max`
+against the one that scans each column once, the chain tangent by four
+solves with one coordinate fixed, kept by the conditioning of [J; t],
+against the signed 3x3 minors of J, the discriminant by the subresultant
+PRS on `MPoly` coefficients against the interpolated one, and uniqueness
+domains by testing every subset of basic regions against their exact
+enumeration.  `divides` is the exact-division test the tests state
+factor claims with.  They are slow and meant for small inputs.
 """
 
 import itertools
@@ -413,6 +414,15 @@ def tangent4(j4, prev=None):
     if prev is not None and sum(a * b for a, b in zip(best, prev)) < 0:
         best = [-v for v in best]
     return best
+
+
+def divides(den: MPoly, num: MPoly) -> bool:
+    """Whether den divides num exactly."""
+    try:
+        exact_div(num, den)
+        return True
+    except RatPolyError:
+        return False
 
 
 def maximal_domains(adjacent, comps) -> set[frozenset[int]]:

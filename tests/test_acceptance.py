@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from kinatlas.ratpoly import (
-    MPoly, UPoly, parse_poly, resultant, divides,
+    MPoly, UPoly, parse_poly, resultant,
 )
 from kinatlas.realroots import isolate, count_roots
 from kinatlas.groebner import PolySystem, eliminate
@@ -27,6 +27,7 @@ from kinatlas.trajectory import (
 )
 
 from conftest import eq11_reference, sc_quartic_reference
+from oracles import divides
 
 PARAMS = MechanismParams()
 

@@ -65,7 +65,7 @@ class TestRanks:
             assert all(a < b for a, b in zip(ranks, ranks[1:]))
         for i, a in enumerate(roots1):
             for k, b in enumerate(roots2):
-                assert _sign(rank1[i] - rank2[k]) == _cmp_bounds(a, b), (i, k)
+                assert _sign(rank1[i] - rank2[k]) == _cmp_bounds(a, b, {}), (i, k)
         return roots1, roots2, rank1, rank2
 
     def test_shared_irrational_roots(self):
@@ -79,6 +79,22 @@ class TestRanks:
         _, _, rank1, rank2 = self._check(U([2, -2, -1, 1]), U([-3, 2, 1]))
         assert rank1 == [2, 3, 4]
         assert rank2 == [1, 3]
+
+    def test_gcd_once_per_polynomial_pair(self, monkeypatch):
+        # x(x^2 - 2)(x - 1) against (x^2 - 2)(x + 3): the peeled zero root of
+        # the first list carries another polynomial than its other roots
+        roots1, roots2 = isolate(U([0, 2, -2, -1, 1])), isolate(U([-6, -2, 3, 1]))
+        assert len({id(r.polynomial) for r in roots1}) == 2
+        taken = []
+        gcd = UPoly.gcd
+
+        def counted(p, q):
+            taken.append((id(p), id(q)))
+            return gcd(p, q)
+
+        monkeypatch.setattr(UPoly, "gcd", counted)
+        assert _ranks(roots1, roots2) == ([2, 3, 4, 5], [1, 2, 5])
+        assert taken and len(taken) == len(set(taken))
 
     def test_empty_side(self):
         assert _ranks(isolate(U([-2, 0, 1])), []) == ([1, 2], [])

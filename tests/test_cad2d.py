@@ -117,44 +117,6 @@ class TestAdjacency:
         comps = components(g)
         assert len(comps) == 2
 
-    def test_components_vs_floodfill_random_conics(self):
-        # compare inside a box added to both sides, so every region is
-        # bounded and the flood-fill count converges with resolution
-        span = 4
-        box = [P(f"u-{span}"), P(f"u+{span}"), P(f"v-{span}"), P(f"v+{span}")]
-        rng = random.Random(77)
-        done = 0
-        while done < 20:
-            polys = [_rand_conic(rng) for _ in range(rng.randint(1, 3))]
-            polys = [p for p in polys if not p.is_zero() and not p.is_constant()]
-            if not polys:
-                continue
-            try:
-                dec = decompose(polys + box, "u", "v")
-                g = build_graph(dec, polys + box)
-            except Exception:
-                continue  # degenerate arrangement (e.g. identical curves)
-            inside = set()
-            for comp in components(g):
-                c = dec.cells[min(comp)]
-                if abs(c.sample[0]) < span and abs(c.sample[1]) < span:
-                    inside.add(min(comp))
-            got = len(inside)
-            wants = []
-            for n in (320, 640, 1280):
-                want = _grid_regions(polys, n, span=float(span))
-                wants.append(want)
-                if got == want:
-                    break
-            # every edge carries an exact witness segment (endpoint cell
-            # membership and non-crossing are decided in exact arithmetic),
-            # so the graph never merges distinct components; the grid may
-            # still pinch passages thinner than its resolution.  A missed
-            # edge would show as got above every grid count.
-            assert got in wants or got < wants[-1], \
-                f"{[str(p) for p in polys]}: {got} vs {wants}"
-            done += 1
-
 
 class TestIntervalEval:
     def test_simple(self):

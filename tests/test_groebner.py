@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from kinatlas.ratpoly import MPoly, parse_poly, resultant, squarefree_part, divides, mgcd
+from kinatlas.ratpoly import MPoly, parse_poly, resultant, squarefree_part, mgcd
+
+from oracles import divides
 from kinatlas.groebner import (
     PolySystem, MonomialOrder, GREVLEX, LEX,
     groebner_basis, eliminate, GroebnerError,

@@ -6,10 +6,10 @@ import pytest
 from kinatlas.ratpoly import (
     MPoly, UPoly, RatPolyError, parse_poly, format_poly,
     resultant, squarefree_part, squarefree_total,
-    exact_div, mgcd, divides, _GCD_PRIME, _coprime_mod_prime,
+    exact_div, mgcd, _GCD_PRIME, _coprime_mod_prime,
 )
 
-from oracles import discriminant, gcd_prs, sylvester_resultant
+from oracles import discriminant, divides, gcd_prs, sylvester_resultant
 
 
 def P(text, vs=None):

@@ -12,7 +12,7 @@ from kinatlas.trajectory import (
     Trajectory, TrajectoryError,
     track_branches, follow_chain,
     tracked_chart, encirclement, winding_number, joint_values_at,
-    _solve, _det44_proxy, _tangent4, _sys_jacobian4,
+    _solve, _tangent4, _sys_jacobian4,
 )
 
 PARAMS = MechanismParams()
@@ -67,8 +67,7 @@ class TestTracking:
                         if max(abs(p.x + 1.0), abs(p.phi - 1.0)) > 1e-6))
         ch = follow_chain(t, PARAMS, (partner.x, partner.y, partner.phi))
         for x, y, phi, s in ch.points[1:]:
-            q = joint_values_at(t, s, PARAMS)
-            r = _distance_residuals(x, y, phi, (q.rho1, q.rho2, q.rho3), PARAMS)
+            r = _distance_residuals(x, y, phi, joint_values_at(t, s, PARAMS), PARAMS)
             assert max(abs(v) for v in r) < 1e-9
 
     def test_step_halving_stability(self):
@@ -142,16 +141,27 @@ class TestVerdicts:
         partner = next((p for p, _ in sols
                         if max(abs(p.x + 1.0), abs(p.phi - 1.0)) > 1e-6))
         ch = follow_chain(t, PARAMS, (partner.x, partner.y, partner.phi))
-        w1 = encirclement(t, PARAMS, centers, ch)
+        w1 = encirclement(tracked_chart(t, PARAMS), PARAMS, centers, ch)
+        assert any(w != 0 for _, w in w1)
         # refine the tracked polyline: windings must not move
-        from kinatlas import trajectory as tj
-        old = tj.tracked_chart
-        try:
-            tj_fwd = tracked_chart(t, PARAMS, n=800)
-            w2 = encirclement(t, PARAMS, centers, ch)
-        finally:
-            pass
+        w2 = encirclement(tracked_chart(t, PARAMS, n=800), PARAMS, centers, ch)
         assert w1 == w2
+
+    def test_one_tracked_chart_per_verdict(self, atlas_pp, monkeypatch):
+        from kinatlas import trajectory as tj
+        charts = []
+
+        def counted(traj, params, n=400):
+            charts.append(n)
+            return tracked_chart(traj, params, n)
+
+        monkeypatch.setattr(tj, "tracked_chart", counted)
+        t = _traj()
+        v = track_branches(t, PARAMS, atlas_pp)
+        assert charts == [400]
+        # the joint path is the n = 200 chart, bit for bit
+        want = tracked_chart(t, PARAMS, n=200)
+        assert [_bits(p) for p in v.joint_path] == [_bits(p) for p in want]
 
 
 class TestWinding:
@@ -177,13 +187,14 @@ def _outcome(fn, *args):
 
 
 def _kernel_systems(rng):
-    """Square systems for `_solve` and 3x4 Jacobians for `_tangent4`:
-    random ones, tied pivots, signed zeros, a zero column and near-singular
-    ones around the 1e-14 pivot threshold."""
+    """Square systems for `_solve`, 3x4 Jacobians of full rank for
+    `_tangent4`, and rank-deficient 3x4 ones: random ones, tied pivots,
+    signed zeros, a zero column and near-singular ones around the 1e-14
+    pivot threshold."""
     def rand(rows, cols):
         return [[rng.uniform(-3.0, 3.0) for _ in range(cols)] for _ in range(rows)]
 
-    squares, jacobians = [], []
+    squares, jacobians, deficient = [], [], []
     for n in (3, 4):
         for _ in range(150):
             squares.append(rand(n, n))
@@ -228,25 +239,38 @@ def _kernel_systems(rng):
     for eps in (1e-6, 1e-10, 1e-14, 1e-16, 0.0):
         j = rand(3, 4)
         j[2] = [a + b + eps * rng.uniform(-1, 1) for a, b in zip(j[0], j[1])]
-        jacobians.append(j)
-    jacobians.append([[0.0] * 4 for _ in range(3)])
+        (deficient if eps == 0.0 else jacobians).append(j)
+    deficient.append([[0.0] * 4 for _ in range(3)])
     # near-singular and signed-zero Jacobians as the walk forms them
     t = _traj()
     for s in (0.0, 0.25, 0.5, 1.0):
         p = t.pose_at(s)
-        j = _sys_jacobian4(p.x, p.y, p.phi, s, t, PARAMS)
+        j = _sys_jacobian4(p.x, p.y, p.phi, s, t, PARAMS, joint_values_at(t, s, PARAMS))
         jacobians.append(j)
         jacobians.append([[v * 1e-15 for v in row] for row in j])
-    return squares, jacobians
+    return squares, jacobians, deficient
+
+
+_EPS = 2.0 ** -52
+
+
+def _minor_ratio(j):
+    """Norm of the 3x3 minors of a 3x4 Jacobian over the product of its row
+    norms, the minors taken as the Leibniz determinants det [J; e_k]."""
+    from oracles import det44_proxy
+    units = ([1.0 if c == k else 0.0 for c in range(4)] for k in range(4))
+    minors = [det44_proxy(j, e) for e in units]
+    norm = 1.0
+    for row in j:
+        norm *= math.hypot(*row) or 1.0
+    return math.hypot(*minors) / norm
 
 
 class TestKernelOracles:
-    """The continuation kernels are bit-identical to their oracles."""
-
-    def test_solve_and_tangent_match_oracles_bitwise(self):
-        from oracles import solve, det44_proxy, tangent4
+    def test_solve_matches_oracle_bitwise(self):
+        from oracles import solve
         rng = random.Random(20261018)
-        squares, jacobians = _kernel_systems(rng)
+        squares, _, _ = _kernel_systems(rng)
         raised = 0
         for m in squares:
             r = [rng.uniform(-2.0, 2.0) for _ in m]
@@ -255,24 +279,62 @@ class TestKernelOracles:
             assert _outcome(_solve, m, r) == want, m
             raised += want[0] == "raise"
         assert raised >= 40
+
+    def test_tangent_is_the_oracle_null_vector(self):
+        """The signed minors give a unit null vector, equal after orientation
+        to the oracle's to rounding over the conditioning; a Jacobian whose
+        minors vanish against its row norms is rank-deficient."""
+        from oracles import tangent4
+        rng = random.Random(20261018)
+        _, jacobians, deficient = _kernel_systems(rng)
+        agreed = 0
         for j in jacobians:
             prev = [rng.uniform(-1.0, 1.0) for _ in range(4)]
-            assert _outcome(_tangent4, j) == _outcome(tangent4, j), j
-            assert _outcome(_tangent4, j, prev) == _outcome(tangent4, j, prev), j
-            for t in ([rng.uniform(-1.0, 1.0) for _ in range(4)], [0.0, -0.0, 1.0, -1.0]):
-                assert _bits([_det44_proxy(j, t)]) == _bits([det44_proxy(j, t)])
-        assert _outcome(tangent4, [[0.0] * 4 for _ in range(3)]) == ("raise", "TrajectoryError")
+            ratio = _minor_ratio(j)
+            try:
+                t = _tangent4(j, prev)
+            except TrajectoryError:
+                assert ratio < 2e-14, j
+                continue
+            assert ratio > 0.5e-14, j
+            assert abs(math.hypot(*t) - 1.0) <= 2 * _EPS
+            assert sum(a * b for a, b in zip(t, prev)) >= 0
+            for row in j:
+                dot = sum(a * b for a, b in zip(row, t))
+                assert abs(dot) <= 8 * _EPS * math.hypot(*row) / ratio, (j, t)
+            try:
+                want = tangent4(j, prev)
+            except TrajectoryError:
+                continue
+            assert max(abs(a - b) for a, b in zip(t, want)) <= 8 * _EPS / ratio, (j, t, want)
+            agreed += 1
+        assert agreed >= 195
+        for j in deficient:
+            for prev in ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]):
+                with pytest.raises(TrajectoryError):
+                    _tangent4(j, prev)
+            assert _outcome(tangent4, j) == ("raise", "TrajectoryError")
 
     def test_jacobian_with_passed_joints_matches_recomputed(self):
+        from kinatlas.mechanism import inverse_kinematics
+        from kinatlas.trajectory import _distance_jacobian, _distance_residuals
         t = _traj()
         rng = random.Random(7)
+        ds = 1e-7
         for s in [0.0, 1.0, 1e-8, 1 - 1e-8] + [rng.random() for _ in range(30)]:
             p = t.pose_at(s)
             x, y, phi = p.x + rng.uniform(-1e-3, 1e-3), p.y, p.phi + rng.uniform(-1e-3, 1e-3)
-            q = joint_values_at(t, s, PARAMS)
-            with_q = _sys_jacobian4(x, y, phi, s, t, PARAMS, (q.rho1, q.rho2, q.rho3))
-            without = _sys_jacobian4(x, y, phi, s, t, PARAMS)
-            assert [_bits(row) for row in with_q] == [_bits(row) for row in without]
+            got = _sys_jacobian4(x, y, phi, s, t, PARAMS, joint_values_at(t, s, PARAMS))
+            # from the definition: dF/dX, then the central difference in s
+            # (one-sided at the ends) of F at the IK joints
+            sp, sm = min(1.0, s + ds), max(0.0, s - ds)
+            rp, rm = (_distance_residuals(
+                x, y, phi, inverse_kinematics(t.pose_at(v), t.mode, PARAMS)[0], PARAMS)
+                for v in (sp, sm))
+            q = inverse_kinematics(p, t.mode, PARAMS)[0]
+            want = [row + [(a - b) / (sp - sm)] for row, a, b in zip(
+                _distance_jacobian(x, y, phi, q, PARAMS), rp, rm)]
+            assert [_bits(row) for row in got] == [_bits(row) for row in want]
 
 
 def _partner_starts(t):
@@ -293,32 +355,61 @@ class TestWalkIdentity:
         jacobian = tj._sys_jacobian4
         passed = []
 
-        def checked_jacobian(x, y, phi, s, traj, params, q=None):
+        def checked_jacobian(x, y, phi, s, traj, params, q):
             # joints handed over by the walk are those of the same s
-            if q is not None:
-                jv = joint_values_at(traj, s, params)
-                assert _bits(q) == _bits((jv.rho1, jv.rho2, jv.rho3)), s
-                passed.append(s)
+            jv = joint_values_at(traj, s, params)
+            assert _bits((q.rho1, q.rho2, q.rho3)) == _bits((jv.rho1, jv.rho2, jv.rho3)), s
+            passed.append(s)
             return jacobian(x, y, phi, s, traj, params, q)
 
-        walks = []
-        for patch in (False, True):
-            with monkeypatch.context() as mp:
-                if not patch:
-                    mp.setattr(tj, "_sys_jacobian4", checked_jacobian)
-                else:
-                    mp.setattr(tj, "_solve", oracles.solve)
-                    mp.setattr(tj, "_det44_proxy", oracles.det44_proxy)
-                    mp.setattr(tj, "_tangent4", oracles.tangent4)
-                chains = []
-                for st in starts:
-                    try:
-                        ch = follow_chain(t, PARAMS, st)
-                    except TrajectoryError as e:
-                        chains.append(("raise", str(e)))
-                        continue
-                    chains.append((repr(ch.points), ch.end_s))
-                walks.append(chains)
-        assert walks[0] == walks[1]
-        assert any(c[1] == 1.0 for c in walks[0])
+        def walk():
+            chains = []
+            for st in starts:
+                try:
+                    chains.append(follow_chain(t, PARAMS, st))
+                except TrajectoryError as e:
+                    chains.append(str(e))
+            return chains
+
+        with monkeypatch.context() as mp:
+            mp.setattr(tj, "_sys_jacobian4", checked_jacobian)
+            chains = walk()
+        assert any(isinstance(c, tj.Chain) and c.end_s == 1.0 for c in chains)
         assert len(passed) > 100
+        for c in chains:
+            if isinstance(c, tj.Chain):
+                # the chain keeps the joints of every point: those of its s
+                assert len(c.joints) == len(c.points)
+                for p, q in zip(c.points, c.joints):
+                    jv = joint_values_at(t, p[3], PARAMS)
+                    assert _bits((q.rho1, q.rho2, q.rho3)) == _bits((jv.rho1, jv.rho2, jv.rho3))
+
+        def summary(cs):
+            return [(repr(c.points), c.end_s) if isinstance(c, tj.Chain) else c for c in cs]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(tj, "_solve", oracles.solve)
+            assert summary(walk()) == summary(chains)
+        with monkeypatch.context() as mp:
+            mp.setattr(tj, "_tangent4", oracles.tangent4)
+            other = walk()
+        for a, b in zip(chains, other):
+            assert isinstance(a, tj.Chain) == isinstance(b, tj.Chain)
+            if isinstance(a, tj.Chain):
+                assert a.end_s == b.end_s
+                assert max(abs(u - v) for u, v in zip(a.points[-1], b.points[-1])) < 1e-12
+            else:
+                assert a == b
+
+    def test_chain_chart_takes_no_ik(self, monkeypatch):
+        from kinatlas import trajectory as tj
+        t = _traj()
+        ch = follow_chain(t, PARAMS, _partner_starts(t)[0])
+        want = ch.chart(PARAMS)
+
+        def no_ik(*args):
+            raise AssertionError("inverse kinematics in Chain.chart")
+
+        monkeypatch.setattr(tj, "inverse_kinematics", no_ik)
+        assert ch.chart(PARAMS) == want
+        assert len(want) == len(ch.points)
