@@ -7,10 +7,15 @@ endpoints is decided on the exact cell data.  A continuation step reads
 the mechanism's lengths from its one float view (`MechanismParams.floats`)
 and takes each inverse kinematics once per path parameter: the corrector
 hands the joints of its converged point to the next Jacobian, and the
-chain keeps them, so its joint-space image takes no further IK.  The chain
-tangent is the vector of signed 3x3 minors of the 3x4 Jacobian.  A verdict
-takes one tracked chart of the trajectory, for the encirclement loop and
-for its joint path.
+chain keeps them, so its joint-space image takes no further IK.  The
+Jacobian's path column dF/ds = (dF/dq)(dq/ds) is analytic: dq/ds is the
+derivative of the closed-form inverse kinematics along the trajectory's
+segment velocity, and within `_KINK_WINDOW` of a waypoint, where q(s) has
+a kink, the two one-sided rates are weighted by the window's share on
+each side, as a central difference of that half-width weighs them.  The
+chain tangent is the vector of signed 3x3 minors of the 3x4 Jacobian.  A
+verdict takes one tracked chart of the trajectory, for the encirclement
+loop and for its joint path.
 """
 
 from __future__ import annotations
@@ -56,20 +61,23 @@ class Trajectory:
                     for w in d["waypoints"])
         return Trajectory(y0=y0, mode=mode, waypoints=wps)
 
-    def pose_at(self, s: float) -> Pose:
-        """Piecewise-linear interpolation, s in [0, 1] uniform per segment."""
+    def segment_point(self, s: float) -> tuple[int, float, float]:
+        """(k, x, phi): piecewise-linear interpolation, s in [0, 1] uniform
+        per segment, and the segment k that s lies on."""
         n = len(self.waypoints) - 1
         if s <= 0:
-            x, phi = self.waypoints[0]
-        elif s >= 1:
-            x, phi = self.waypoints[-1]
-        else:
-            u = s * n
-            k = min(int(u), n - 1)
-            f = u - k
-            x0, p0 = self.waypoints[k]
-            x1, p1 = self.waypoints[k + 1]
-            x, phi = x0 + f * (x1 - x0), p0 + f * (p1 - p0)
+            return (0, *self.waypoints[0])
+        if s >= 1:
+            return (n - 1, *self.waypoints[-1])
+        u = s * n
+        k = min(int(u), n - 1)
+        f = u - k
+        (x0, p0), (x1, p1) = self.waypoints[k], self.waypoints[k + 1]
+        return k, x0 + f * (x1 - x0), p0 + f * (p1 - p0)
+
+    def pose_at(self, s: float) -> Pose:
+        """The pose at path parameter s on the slice y = y0."""
+        _, x, phi = self.segment_point(s)
         return Pose(x, self.y0_float, phi)
 
 
@@ -218,16 +226,58 @@ def joint_values_at(traj: Trajectory, s: float, params: MechanismParams) -> Join
 # solution-manifold chains (pseudo-arclength, turns at folds)
 
 
-def _sys_jacobian4(x, y, phi, s, traj, params, q: JointValues, ds=1e-7):
-    """3x4 Jacobian of F(X; q(s)) wrt (x, y, phi, s), q the joints at s;
-    dF/ds by central difference."""
-    j3 = _distance_jacobian(x, y, phi, q, params)
-    sp = min(1.0, s + ds)
-    sm = max(0.0, s - ds)
-    rp = _distance_residuals(x, y, phi, joint_values_at(traj, sp, params), params)
-    rm = _distance_residuals(x, y, phi, joint_values_at(traj, sm, params), params)
-    dcol = [(a - b) / (sp - sm) for a, b in zip(rp, rm)]
-    return [row + [d] for row, d in zip(j3, dcol)]
+# half-width of the window in which a waypoint's kink of q(s) enters dq/ds
+# (`_path_joint_rates`); without it some partner chains stall at a waypoint
+_KINK_WINDOW = 1e-7
+
+
+def _joint_rates(traj: Trajectory, x: float, phi: float, k: int,
+                 params) -> tuple[float, float, float]:
+    """d(rho1, rho2, rho3)/ds of the trajectory's branch at its pose
+    (x, y0, phi), moving along segment k at the velocity (n dx, n dphi):
+    the derivative of the closed-form inverse kinematics."""
+    _, l3, a, b = params.floats
+    n = len(traj.waypoints) - 1
+    (x0, p0), (x1, p1) = traj.waypoints[k], traj.waypoints[k + 1]
+    vx, vphi = n * (x1 - x0), n * (p1 - p0)
+    c, sn = math.cos(phi), math.sin(phi)
+    dx, dy = x - a * c, traj.y0_float - a * sn
+    c3 = (b * c + x) / l3
+    dc3 = (vx - b * sn * vphi) / l3
+    return ((dx * (vx + a * sn * vphi) - dy * a * c * vphi) / math.hypot(dx, dy),
+            vx,
+            b * c * vphi + traj.mode.s3 * l3 * c3 * dc3 / math.sqrt(1.0 - c3 * c3))
+
+
+def _path_joint_rates(traj: Trajectory, s: float, params) -> tuple[float, float, float]:
+    """dq/ds of the trajectory's branch at s, on the segment `pose_at`
+    interpolates.  When [s - _KINK_WINDOW, s + _KINK_WINDOW], clipped to
+    [0, 1], holds an inner waypoint s_k = k/n, the rates are the two
+    one-sided rates at s_k weighted by the window's share on each side of
+    s_k: the central difference of that half-width, to first order."""
+    n = len(traj.waypoints) - 1
+    k = round(s * n)
+    if 0 < k < n and abs(s - k / n) <= _KINK_WINDOW:
+        lo, hi = max(0.0, s - _KINK_WINDOW), min(1.0, s + _KINK_WINDOW)
+        x, phi = traj.waypoints[k]
+        w = (k / n - lo) / (hi - lo)
+        left = _joint_rates(traj, x, phi, k - 1, params)
+        right = _joint_rates(traj, x, phi, k, params)
+        return tuple(w * u + (1.0 - w) * v for u, v in zip(left, right))
+    k, x, phi = traj.segment_point(s)
+    return _joint_rates(traj, x, phi, k, params)
+
+
+def _sys_jacobian4(x, y, phi, s, traj, params, q: JointValues):
+    """3x4 Jacobian of F(X; q(s)) wrt (x, y, phi, s), q the joints at s.
+
+    dF/ds = (dF/dq)(dq/ds), with no inverse kinematics: dF/dq is diagonal,
+    (-2 rho1, -2(x - rho2), -2(y + b sin phi - rho3)) at the point and q,
+    and dq/ds is `_path_joint_rates`."""
+    j1, j2, j3 = _distance_jacobian(x, y, phi, q, params)
+    r1, r2, r3 = _path_joint_rates(traj, s, params)
+    # dF2/drho2 and dF3/drho3 are the negated dF2/dx and dF3/dy
+    return [j1 + [-2.0 * q.rho1 * r1], j2 + [-j2[0] * r2], j3 + [-j3[1] * r3]]
 
 
 # minors below this share of the row-norm product count as zero
@@ -384,14 +434,14 @@ def _unwrap(angles: list[float]) -> list[float]:
 
 def tracked_chart(traj: Trajectory, params: MechanismParams, n: int = 400
                   ) -> list[tuple[float, float]]:
-    """(rho1, alpha3) image of the trajectory itself (the exact branch)."""
+    """(rho1, alpha3) image of the trajectory itself (the exact branch);
+    the IK's alpha3 = s3 acos(c3) stays in s3 [0, pi], so it needs no
+    unwrapping."""
     pts = []
     for i in range(n + 1):
-        pose = traj.pose_at(i / n)
-        jv, pa = inverse_kinematics(pose, traj.mode, params)
+        jv, pa = inverse_kinematics(traj.pose_at(i / n), traj.mode, params)
         pts.append((jv.rho1, pa.alpha3))
-    a3 = _unwrap([p[1] for p in pts])
-    return [(p[0], a) for p, a in zip(pts, a3)]
+    return pts
 
 
 def encirclement(fwd: list[tuple[float, float]], params: MechanismParams,
@@ -467,8 +517,7 @@ def track_branches(traj: Trajectory, params: MechanismParams, atlas) -> Verdict:
     notes.append("loop construction: forward tracked image + reversed partner "
                  "chain image (interpretation; the source text does not define "
                  "the closure)")
-    # the joint path samples s = i / 200: in floats i / 200 == 2i / 400, and
-    # alpha3 of the IK stays in one sign's [0, pi], so `_unwrap` never shifts
+    # the joint path samples s = i / 200: in floats i / 200 == 2i / 400
     jp = fwd[::2]
     return Verdict(
         start_domain=lab0, end_domain=lab1, same_domain=same,

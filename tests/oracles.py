@@ -13,7 +13,9 @@ the Fraction routes of the interpolated resultant and of the fibre product
 against their integer ones, the Gauss-Jordan solve pivoting by `max`
 against the one that scans each column once, the chain tangent by four
 solves with one coordinate fixed, kept by the conditioning of [J; t],
-against the signed 3x3 minors of J, the discriminant by the subresultant
+against the signed 3x3 minors of J, the Jacobian's path column dF/ds by
+a central difference at the IK joints of s +- 1e-7 against the analytic
+joint rates, the discriminant by the subresultant
 PRS on `MPoly` coefficients against the interpolated one, and uniqueness
 domains by testing every subset of basic regions against their exact
 enumeration.  `divides` is the exact-division test the tests state
@@ -31,7 +33,9 @@ from kinatlas.realroots import (
     IsolatingInterval, RealRootError, count_roots, isolate,
     _root_bound, _scale_shift, _sign_at, _sign_variations, _taylor_shift_1,
 )
-from kinatlas.trajectory import TrajectoryError
+from kinatlas.trajectory import (
+    TrajectoryError, _distance_jacobian, _distance_residuals, joint_values_at,
+)
 
 
 def sylvester_resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
@@ -414,6 +418,19 @@ def tangent4(j4, prev=None):
     if prev is not None and sum(a * b for a, b in zip(best, prev)) < 0:
         best = [-v for v in best]
     return best
+
+
+def sys_jacobian4_central(x, y, phi, s, traj, params, q, ds=1e-7):
+    """3x4 Jacobian of F(X; q(s)) wrt (x, y, phi, s), q the joints at s;
+    dF/ds by the central difference of F at the IK joints of s +- ds,
+    clipped to [0, 1]."""
+    j3 = _distance_jacobian(x, y, phi, q, params)
+    sp = min(1.0, s + ds)
+    sm = max(0.0, s - ds)
+    rp = _distance_residuals(x, y, phi, joint_values_at(traj, sp, params), params)
+    rm = _distance_residuals(x, y, phi, joint_values_at(traj, sm, params), params)
+    dcol = [(a - b) / (sp - sm) for a, b in zip(rp, rm)]
+    return [row + [d] for row, d in zip(j3, dcol)]
 
 
 def divides(den: MPoly, num: MPoly) -> bool:

@@ -70,6 +70,27 @@ class TestTracking:
             r = _distance_residuals(x, y, phi, joint_values_at(t, s, PARAMS), PARAMS)
             assert max(abs(v) for v in r) < 1e-9
 
+    def test_partner_chain_crosses_a_waypoint(self):
+        """A partner chain whose corrector stalls at the kink s = 1/2 when
+        dq/ds is the one-sided rate at s (generated trajectory 41 of the
+        benchmark pool) reaches the far end."""
+        t = _traj(((85 / 128, -83 / 128), (-85 / 128, 75 / 128), (35 / 128, 247 / 128)))
+        starts = _partner_starts(t)
+        assert len(starts) == 1
+        ch = follow_chain(t, PARAMS, starts[0])
+        assert ch.end_s == 1.0
+        assert any(abs(p[3] - 0.5) < 1e-6 for p in ch.points)
+
+    def test_tracked_chart_alpha3_is_the_ik_angle(self):
+        from kinatlas.mechanism import inverse_kinematics
+        for mode in WorkingMode.all_modes():
+            t = _traj(mode=mode)
+            chart = tracked_chart(t, PARAMS, n=100)
+            for i, (rho1, a3) in enumerate(chart):
+                jv, pa = inverse_kinematics(t.pose_at(i / 100), mode, PARAMS)
+                assert _bits((rho1, a3)) == _bits((jv.rho1, pa.alpha3))
+                assert 0.0 <= mode.s3 * a3 <= math.pi
+
     def test_step_halving_stability(self):
         t = _traj()
         q0 = joint_values_at(t, 0.0, PARAMS)
@@ -315,26 +336,45 @@ class TestKernelOracles:
                     _tangent4(j, prev)
             assert _outcome(tangent4, j) == ("raise", "TrajectoryError")
 
-    def test_jacobian_with_passed_joints_matches_recomputed(self):
-        from kinatlas.mechanism import inverse_kinematics
-        from kinatlas.trajectory import _distance_jacobian, _distance_residuals
-        t = _traj()
+    def test_jacobian_matches_central_difference_oracle(self):
+        """dF/dX bitwise; the analytic dF/ds within 1e-6 of the column's
+        norm of the central difference at s +- 1e-7, which is one-sided
+        (error O(ds)) at the ends and straddles the kink at a waypoint."""
+        from oracles import sys_jacobian4_central
         rng = random.Random(7)
-        ds = 1e-7
-        for s in [0.0, 1.0, 1e-8, 1 - 1e-8] + [rng.random() for _ in range(30)]:
+        for wps in (FIG10, tuple(reversed(FIG10))):
+            t = _traj(wps)
+            kinks = []
+            for k in (1, 2):
+                kinks += [k / 3 + d for d in (0.0, 5e-8, -5e-8, 9e-8, -9e-8, 1e-7, -1e-7)]
+            for s in [0.0, 1.0, 1e-8, 1 - 1e-8] + kinks + [rng.random() for _ in range(30)]:
+                p = t.pose_at(s)
+                x, y, phi = p.x + rng.uniform(-1e-3, 1e-3), p.y, p.phi + rng.uniform(-1e-3, 1e-3)
+                q = joint_values_at(t, s, PARAMS)
+                got = _sys_jacobian4(x, y, phi, s, t, PARAMS, q)
+                want = sys_jacobian4_central(x, y, phi, s, t, PARAMS, q)
+                assert [_bits(row[:3]) for row in got] == [_bits(row[:3]) for row in want]
+                col = [row[3] for row in want]
+                err = max(abs(g[3] - w) for g, w in zip(got, col))
+                assert err <= 1e-6 * math.hypot(*col), (wps, s, got, want)
+
+    def test_jacobian_takes_no_ik(self, monkeypatch):
+        import inspect
+        from kinatlas import trajectory as tj
+        assert list(inspect.signature(_sys_jacobian4).parameters) == [
+            "x", "y", "phi", "s", "traj", "params", "q"]
+        t = _traj()
+        cases = []
+        for s in (0.0, 1e-8, 0.25, 1 / 3, 1 / 3 + 5e-8, 0.5, 2 / 3 - 5e-8, 1.0):
             p = t.pose_at(s)
-            x, y, phi = p.x + rng.uniform(-1e-3, 1e-3), p.y, p.phi + rng.uniform(-1e-3, 1e-3)
-            got = _sys_jacobian4(x, y, phi, s, t, PARAMS, joint_values_at(t, s, PARAMS))
-            # from the definition: dF/dX, then the central difference in s
-            # (one-sided at the ends) of F at the IK joints
-            sp, sm = min(1.0, s + ds), max(0.0, s - ds)
-            rp, rm = (_distance_residuals(
-                x, y, phi, inverse_kinematics(t.pose_at(v), t.mode, PARAMS)[0], PARAMS)
-                for v in (sp, sm))
-            q = inverse_kinematics(p, t.mode, PARAMS)[0]
-            want = [row + [(a - b) / (sp - sm)] for row, a, b in zip(
-                _distance_jacobian(x, y, phi, q, PARAMS), rp, rm)]
-            assert [_bits(row) for row in got] == [_bits(row) for row in want]
+            cases.append((p.x, p.y, p.phi, s, t, PARAMS, joint_values_at(t, s, PARAMS)))
+        want = [_sys_jacobian4(*c) for c in cases]
+
+        def no_ik(*args):
+            raise AssertionError("inverse kinematics in _sys_jacobian4")
+
+        monkeypatch.setattr(tj, "inverse_kinematics", no_ik)
+        assert [_sys_jacobian4(*c) for c in cases] == want
 
 
 def _partner_starts(t):
