@@ -676,15 +676,17 @@ class UPoly:
         return UPoly([Fraction(c) for c in g], self.var).monic()
 
     def squarefree(self) -> "UPoly":
+        """Monic p / gcd(p, p'), the gcd taken on the cleared integers."""
         if self.degree <= 1:
             return self.monic()
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
+        ints = self.int_cleared()
+        g = int_poly_gcd(ints, [i * c for i, c in enumerate(ints)][1:])
+        if len(g) == 1:
             return self.monic()
-        return self.divmod(g)[0].monic()
+        return self.divmod(UPoly(g, self.var))[0].monic()
 
     def monic(self) -> "UPoly":
-        if self.is_zero():
+        if self.is_zero() or self.coeffs[-1] == 1:
             return self
         lc = self.coeffs[-1]
         return UPoly([c / lc for c in self.coeffs], self.var)

@@ -1,11 +1,13 @@
 """Exact real-root isolation and counting for univariate polynomials.
 
 Two independent routes are provided on purpose: Descartes-rule bisection
-drives isolation, Sturm sequences drive counting.  Both work on integer
-coefficients only.  Isolation is incremental (Rouillier-Zimmermann): p is
-rescaled to the root interval once, and each half interval's polynomial
-comes from its parent's by a halving and a Taylor shift by 1.  Refinement
-bisects on integers: the interval is A/d, B/d over one common denominator,
+drives isolation, Sturm sequences drive counting; both work on integer
+coefficients only.  Isolation runs in the Bernstein basis (Mourrain-
+Rouillier-Roy; Eigenwillig): the Descartes test on (a, b) counts the sign
+variations of p's Bernstein coefficients b_i there, and one de Casteljau
+pass gives those of both halves.  p is converted once per top interval:
+with q(x) = p(a + (b - a) x), (1 + x)^n q(1 / (1 + x)) = sum C(n, i) b_i
+x^(n - i).  Refinement bisects on integers over one common denominator,
 and the one Horner sign routine takes an integer numerator and
 denominator.  The root bound is found on integers too.  Sturm sequences
 are kept as integer tuples, keyed by the integer coefficients.  Sample
@@ -19,6 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, ne
 
 from .ratpoly import UPoly, _int_prem, _int_primitive
 
@@ -35,8 +38,8 @@ class RealRootError(Exception):
 
 
 def _sign_variations(seq) -> int:
-    signs = [1 if s > 0 else -1 for s in seq if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    signs = [s > 0 for s in seq if s]
+    return sum(map(ne, signs, signs[1:]))
 
 
 def _sign_at(ints: list[int], a: int, b: int) -> int:
@@ -238,24 +241,39 @@ def _root_bound(ints: list[int]) -> Fraction:
     return Fraction(1 << (q - 1).bit_length())
 
 
-def _halve(q: list[int]) -> list[int]:
-    """2^n q(x/2) without its common power of two: q on the left half of (0, 1)."""
-    n = len(q) - 1
-    out = [c << (n - i) for i, c in enumerate(q)]
+def _strip_twos(cs: list[int]) -> list[int]:
+    """cs without the power of two common to all its entries."""
     bits = 0
-    for c in out:
+    for c in cs:
         bits |= c
     tz = (bits & -bits).bit_length() - 1
-    return [c >> tz for c in out] if tz > 0 else out
+    return [c >> tz for c in cs] if tz > 0 else cs
+
+
+def _split(b: list[int]) -> tuple[list[int], list[int]]:
+    """Bernstein coefficients of both halves of an interval, each up to a
+    positive factor, from those of the whole by one de Casteljau pass:
+    row_k[i] = row_(k-1)[i] + row_(k-1)[i+1], left_k = row_k[0] 2^(n-k) and
+    right_(n-k) = row_k[n-k] 2^(n-k).  The apex left[n] = right[0] is
+    2^n p(midpoint), up to the same factor."""
+    left, right = [], []
+    row = b
+    for shift in range(len(b) - 1, -1, -1):     # n - k for row k
+        left.append(row[0] << shift)
+        right.append(row[-1] << shift)
+        row = list(map(add, row, row[1:]))
+    right.reverse()
+    return _strip_twos(left), _strip_twos(right)
 
 
 def isolate(p: UPoly) -> list[IsolatingInterval]:
     """Disjoint dyadic isolating intervals, one per distinct real root.
 
-    Descartes bisection with incremental transforms: each node (a, b)
-    carries q(x), a positive multiple of p(a + (b - a) x), so the signs of
-    p at a and b are those of q(0) and q(1).  Its halves are 2^n q(x/2) and
-    that polynomial shifted by 1; only the root intervals are rescaled.
+    Descartes bisection in the Bernstein basis: node (k, e) of a top
+    interval (a, a + w) is a + w [k, k + 1] / 2^e and carries p's integer
+    Bernstein coefficients there up to a positive factor, the first and
+    last with the signs of p at its ends.  One variation with opposite end
+    signs accepts a node, none drops it; a zero `_split` apex is a root.
     """
     if p.is_zero():
         raise RealRootError("zero polynomial")
@@ -274,31 +292,36 @@ def isolate(p: UPoly) -> list[IsolatingInterval]:
             k += 1
         ints_nz = ints[k:]
         fiso = UPoly([Fraction(c) for c in ints_nz], f.var)
-        tops = [(-B, Fraction(0)), (Fraction(0), B)]
+        tops = [(-B, B), (Fraction(0), B)]
     else:
         ints_nz = ints
         fiso = f
-        tops = [(-B, B)]
-    if len(ints_nz) <= 1:
+        tops = [(-B, 2 * B)]
+    n = len(ints_nz) - 1
+    if n == 0:
         return out
-    stack = [(a, b, _scale_shift(ints_nz, a, b - a)) for a, b in tops]
+    # b_i = T[n - i] / C(n, i); the lcm of the C(n, i) keeps b integer
+    L = math.lcm(*(math.comb(n, i) for i in range(n + 1)))
+    stack = []
+    for a, w in tops:
+        T = _taylor_shift_1(_scale_shift(ints_nz, a, w)[::-1])
+        stack.append((a, w, 0, 0, [T[n - i] * (L // math.comb(n, i)) for i in range(n + 1)]))
     while stack:
-        a, b, q = stack.pop()
-        v = _sign_variations(_taylor_shift_1(q[::-1]))
+        a, w, k, e, bern = stack.pop()
+        v = _sign_variations(bern)
         if v == 0:
             continue
-        if v == 1:
-            sa, sb = q[0], sum(q)
-            if (sa < 0 < sb) or (sb < 0 < sa):
-                out.append(IsolatingInterval(a, b, fiso))
-                continue
-            # an endpoint sits exactly on some other root: keep bisecting
-        m = (a + b) / 2
-        left = _halve(q)
-        if sum(left) == 0:
+        if v == 1 and (bern[0] < 0 < bern[-1] or bern[-1] < 0 < bern[0]):
+            out.append(IsolatingInterval(a + w * Fraction(k, 1 << e),
+                                         a + w * Fraction(k + 1, 1 << e), fiso))
+            continue
+        # two or more variations, or an end exactly on another root
+        left, right = _split(bern)
+        if left[-1] == 0:
+            m = a + w * Fraction(2 * k + 1, 2 << e)
             out.append(IsolatingInterval(m, m, fiso))
-        stack.append((a, m, left))
-        stack.append((m, b, _taylor_shift_1(left)))
+        stack.append((a, w, 2 * k, e + 1, left))
+        stack.append((a, w, 2 * k + 1, e + 1, right))
     out.sort(key=lambda iv: (iv.low, iv.high))
     # make neighbours strictly disjoint
     for i in range(len(out) - 1):

@@ -4,7 +4,11 @@ Each computes something the package computes by another route: the
 Sylvester-determinant resultant against the subresultant PRS, the
 substituted segment restriction against the adjacency pass's specialised
 horizontal segment test, Descartes bisection that rescales p for every
-interval against the incremental one, the squarefree part of the whole
+interval against the one that carries Bernstein coefficients down the tree
+and splits them by de Casteljau, Bernstein coefficients computed afresh on
+an interval against those `_split` produces, the squarefree part by a
+Fraction derivative, gcd and division against the one taken on the cleared
+integers, the squarefree part of the whole
 fibre product against the lcm of the factors' squarefree parts, the gcd by
 integer PRS alone against the one settling coprime pairs modulo a prime,
 bisection on Fractions against bisection on integers over a common
@@ -19,13 +23,15 @@ joint rates, the discriminant by the subresultant
 PRS on `MPoly` coefficients against the interpolated one, and uniqueness
 domains by testing every subset of basic regions against their exact
 enumeration.  `divides` is the exact-division test the tests state
-factor claims with.  They are slow and meant for small inputs.
+factor claims with, and `det_a_sign` decides the sign of a working mode's
+det A at a rational slice pose exactly.  They are slow and meant for small inputs.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+from kinatlas.mechanism import jacobians, det3
 from kinatlas.ratpoly import (
     MPoly, UPoly, RatPolyError, _int_prem, _int_primitive, exact_div, resultant,
 )
@@ -201,6 +207,78 @@ def isolate_by_scaling(p: UPoly) -> list[IsolatingInterval]:
                 break
         out[i], out[i + 1] = a, b
     return out
+
+
+def bernstein_by_fractions(ints, a: Fraction, w: Fraction) -> list[Fraction]:
+    """Bernstein coefficients b_0..b_n on (a, a + w) of a positive multiple
+    of the integer polynomial `ints`, from scratch: q(x) = p(a + w x) by
+    `_scale_shift`, then T = q(x + 1) reversed and b_i = T[n - i] / C(n, i),
+    because (1 + x)^n q(1 / (1 + x)) = sum_i C(n, i) b_i x^(n - i)."""
+    q = _scale_shift(list(ints), a, w)
+    n = len(q) - 1
+    T = _taylor_shift_1(q[::-1])
+    return [Fraction(T[n - i], math.comb(n, i)) for i in range(n + 1)]
+
+
+def squarefree_by_fractions(p: UPoly) -> UPoly:
+    """Monic squarefree part by the Fraction derivative, `UPoly.gcd` and
+    `divmod` (the route `UPoly.squarefree` replaces)."""
+    if p.degree <= 1:
+        return p.monic()
+    g = p.gcd(p.derivative())
+    if g.degree <= 0:
+        return p.monic()
+    return p.divmod(g)[0].monic()
+
+
+def _sign_sqrt(u: Fraction, v: Fraction, r: Fraction) -> int:
+    """Sign of u + v sqrt(r) for rationals u, v and r >= 0."""
+    su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
+    if su == sv or sv == 0:
+        return su
+    if su == 0:
+        return sv
+    d = u * u - v * v * r
+    return su * ((d > 0) - (d < 0))
+
+
+def det_a_sign(params, mode, y0: Fraction, x: Fraction, t: Fraction) -> int:
+    """Exact sign of det A of working mode `mode` at the slice pose
+    (x, y0, phi) with tan(phi / 2) = t.
+
+    With the pose rational, det A = E + c2 F + s3 G + c2 s3 H for rationals
+    E, F, G, H, where c2 = mode.s2 sqrt(1 - (y0 / l2)^2) and
+    s3 = mode.s3 sqrt(1 - c3^2).  Its sign is that of u + v sqrt(s3^2) with
+    u, v in Q(c2), decided by squaring where the two parts disagree.
+    """
+    cph, sph = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    c3 = (x + params.b * cph) / params.l3
+    c2_sq, s3_sq = 1 - (y0 / params.l2) ** 2, 1 - c3 * c3
+    if not (c2_sq > 0 and s3_sq > 0):
+        raise ValueError("pose on a serial singularity or out of reach")
+    d = det3(jacobians(params)[0])
+    part = {(i, j): Fraction(0) for i in (0, 1) for j in (0, 1)}   # (c2, s3) powers
+    vals = {"x": x, "y": y0, "cphi": cph, "sphi": sph, "s2": y0 / params.l2, "c3": c3}
+    for e, c in d.terms.items():
+        k = {v: n for v, n in zip(d.vars, e) if n}
+        if not set(k) <= set(vals) | {"c2", "s3"}:
+            raise ValueError(f"det A term in {sorted(k)}")
+        i, j = k.get("c2", 0), k.get("s3", 0)
+        c = c * c2_sq ** (i // 2) * s3_sq ** (j // 2) * mode.s2 ** i * mode.s3 ** j
+        for v, val in vals.items():
+            c *= val ** k.get(v, 0)
+        part[i % 2, j % 2] += c
+    E, F, G, H = part[0, 0], part[1, 0], part[0, 1], part[1, 1]
+    su = _sign_sqrt(E, F, c2_sq)
+    sv = _sign_sqrt(G, H, c2_sq)
+    if su == sv or sv == 0:
+        return su
+    if su == 0:
+        return sv
+    # sign(u^2 - v^2 s3^2), both squares taken in Q(c2)
+    w0 = E * E + c2_sq * F * F - s3_sq * (G * G + c2_sq * H * H)
+    w1 = 2 * (E * F - s3_sq * G * H)
+    return su * _sign_sqrt(w0, w1, c2_sq)
 
 
 def specialize_product_whole(polys, base_var: str, fiber_var: str, x0) -> UPoly:

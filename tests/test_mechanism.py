@@ -13,6 +13,9 @@ from kinatlas.mechanism import (
     inverse_kinematics, direct_kinematics, residuals,
     slice_workspace, slice_jointspace, project_parallel_to_joint, dk_count_chart,
 )
+from kinatlas.trajectory import _det_a_normalized
+
+from oracles import det_a_sign
 
 PARAMS = MechanismParams()
 
@@ -259,6 +262,56 @@ class TestJointProjection:
         recomputed = slice_jointspace(ws)
         assert given.parallel_rc == recomputed.parallel_rc == prc
         assert given.parallel_ru == recomputed.parallel_ru
+
+
+# Rational slice poses (x, tan(phi / 2)) at y0 = 1/2, mode ++, next to two
+# trajectories: pool trajectory 0 of perfbench/reference.json (waypoints
+# (175, -279), (9, 203), (241, 95) over 128) at s = 0.472 and 0.475, and the
+# last segment of Fig. 10 at s = 0.969 and 0.971.
+SLICE_Y0 = Fraction(1, 2)
+MODE_PP = WorkingMode(1, 1)
+POOL0_PAIR = ((Fraction(143, 1000), Fraction(821, 1000)), (Fraction(27, 200), Fraction(21, 25)))
+FIG10_PAIR = ((Fraction(273, 500), Fraction(-1409, 1000)), (Fraction(68, 125), Fraction(-709, 500)))
+
+
+def _nearest_other_dk(x: Fraction, t: Fraction) -> float:
+    """Distance in (x, y, phi) from the pose to the nearest other direct
+    kinematic solution of its mode-++ joints."""
+    pose = Pose(float(x), float(SLICE_Y0), 2 * math.atan(float(t)))
+    q, _ = inverse_kinematics(pose, MODE_PP, PARAMS)
+    d = sorted(math.dist((pose.x, pose.y, pose.phi), (p.x, p.y, p.phi))
+               for p, _ in direct_kinematics(q, PARAMS))
+    assert d[0] < 1e-9
+    return d[1]
+
+
+class TestSingularLocus:
+    """The atlas's parallel curve (`ws.parallel`) keeps the part of det A
+    that is even in (c2, s3), which is not det A of any working mode."""
+
+    def test_det_a_and_dk_solutions_at_the_pairs(self):
+        for x, t in POOL0_PAIR + FIG10_PAIR:
+            phi = 2 * math.atan(float(t))
+            q, _ = inverse_kinematics(Pose(float(x), float(SLICE_Y0), phi), MODE_PP, PARAMS)
+            d = _det_a_normalized(float(x), float(SLICE_Y0), phi, q, PARAMS)
+            assert abs(d) > 1e-3
+            assert (d > 0) == (det_a_sign(PARAMS, MODE_PP, SLICE_Y0, x, t) > 0)
+        # pool 0: det A stays positive, the other solution stays far
+        assert [det_a_sign(PARAMS, MODE_PP, SLICE_Y0, x, t) for x, t in POOL0_PAIR] == [1, 1]
+        assert min(_nearest_other_dk(x, t) for x, t in POOL0_PAIR) > 0.3
+        # Fig. 10: det A changes sign while a second solution passes close by
+        assert [det_a_sign(PARAMS, MODE_PP, SLICE_Y0, x, t) for x, t in FIG10_PAIR] == [-1, 1]
+        assert max(_nearest_other_dk(x, t) for x, t in FIG10_PAIR) < 0.02
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ws.parallel is not det A of the working mode: at pool 0 it "
+                              "changes sign where det A does not, at Fig. 10 the reverse")
+    @pytest.mark.parametrize("pair", [POOL0_PAIR, FIG10_PAIR], ids=["pool0", "fig10"])
+    def test_atlas_curve_changes_sign_with_det_a(self, pair):
+        ws = slice_workspace(SLICE_Y0, 1, PARAMS)
+        par = [ws.parallel.eval({"x": x, "tphi": t}) for x, t in pair]
+        det = [det_a_sign(PARAMS, MODE_PP, SLICE_Y0, x, t) for x, t in pair]
+        assert (par[0] * par[1] < 0) == (det[0] * det[1] < 0), (par, det)
 
 
 def _random_reachable(rng) -> Pose:

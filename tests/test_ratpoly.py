@@ -9,7 +9,7 @@ from kinatlas.ratpoly import (
     exact_div, mgcd, _GCD_PRIME, _coprime_mod_prime,
 )
 
-from oracles import discriminant, divides, gcd_prs, sylvester_resultant
+from oracles import discriminant, divides, gcd_prs, squarefree_by_fractions, sylvester_resultant
 
 
 def P(text, vs=None):
@@ -160,6 +160,33 @@ class TestSquarefree:
     def test_zero_rejected(self):
         with pytest.raises(RatPolyError):
             squarefree_part(MPoly.const(0, ("x",)), "x")
+
+    def test_upoly_matches_fraction_route(self):
+        rng = random.Random(17)
+
+        def rand(d):
+            return UPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
+                         + [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))])
+
+        reduced = 0
+        for i in range(320):
+            p = rand(rng.randint(0, 4))
+            kind = i % 4
+            if kind == 0:    # a repeated factor
+                f = rand(rng.randint(1, 3))
+                for _ in range(rng.randint(1, 2)):
+                    p = p * f * f
+            elif kind == 1:  # linear factors, one maybe squared
+                r = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                p = p * UPoly([-r, 1]) * (UPoly([-r, 1]) if rng.random() < 0.5 else rand(1))
+            elif kind == 2:  # constant
+                p = UPoly([Fraction(rng.choice([-7, -1, 2, 9]), rng.randint(1, 5))])
+            else:            # roots at zero
+                p = p * UPoly([0] * rng.randint(1, 3) + [1])
+            got = p.squarefree()
+            assert got == squarefree_by_fractions(p), p
+            reduced += got.degree < p.degree
+        assert reduced >= 100
 
     # the second is the parallel curve of the slice y0 = 0: the x-pass divides
     # by gcd(p, dp/dx) = tphi and so drops the line tphi = 0

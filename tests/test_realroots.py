@@ -10,9 +10,14 @@ from kinatlas.realroots import (
     NEG_INF, POS_INF,
     IsolatingInterval,
     sturm_sequence, count_roots, isolate, sample_between, _root_bound, _sturm_cached,
+    _scale_shift, _sign_at, _sign_variations, _split, _taylor_shift_1,
 )
+import kinatlas.realroots as realroots
 
-from oracles import isolate_by_scaling, refine_by_fractions, segment_crosses, restrict_to_segment
+from oracles import (
+    bernstein_by_fractions, isolate_by_scaling, refine_by_fractions, segment_crosses,
+    restrict_to_segment,
+)
 
 
 def U(*coeffs):
@@ -207,6 +212,95 @@ class TestIncrementalIsolation:
         for f, roots in zip(dec.fiber_products, dec.fiber_roots):
             if f.degree >= 1:
                 assert _bounds(isolate(f)) == _bounds(isolate_by_scaling(f)) == _bounds(roots)
+
+    def test_reference_witness_fibres(self, atlas_pp):
+        """Every witness fibre of the fine adjacency pass, at every rung: the
+        2^-40 rung holds root clusters some 40 bisection levels deep."""
+        from kinatlas.adjacency import _RUNGS, _witnesses
+        from kinatlas.cad2d import _specialize_product
+        dec = atlas_pp.wa.dec_fine
+        n, finest = 0, Fraction(1)
+        for j in range(len(dec.base_roots)):
+            for shrink in _RUNGS:
+                for w in _witnesses(dec, j, shrink):
+                    f = _specialize_product(dec.polys, dec.base_var, dec.fiber_var, w)
+                    got = _bounds(isolate(f))
+                    assert got == _bounds(isolate_by_scaling(f)), (j, shrink)
+                    finest = min([finest] + [hi - lo for lo, hi in got if lo < hi])
+                    n += 1
+        assert n == 6 * len(dec.base_roots) > 0
+        assert finest < Fraction(1, 1 << 30)
+
+
+def _bernstein_cases(n: int = 240):
+    """Seeded integer polynomials and dyadic intervals (a, a + w); every
+    fourth polynomial has a root at the midpoint."""
+    rng = random.Random(4242)
+    for i in range(n):
+        deg = rng.randint(1, 9)
+        ints = [rng.randint(-40, 40) for _ in range(deg)] + [rng.choice([-7, -2, 1, 3, 11])]
+        e = rng.randint(0, 12)
+        a = Fraction(rng.randint(-4 << e, 4 << e), 1 << e)
+        w = Fraction(rng.randint(1, 8), 1 << rng.randint(0, 12))
+        if i % 4 == 0:
+            m = a + w / 2
+            ints = (UPoly(ints) * UPoly([-m.numerator, m.denominator])).int_cleared()
+        yield list(ints), a, w
+
+
+def _integer_multiple(b):
+    den = math.lcm(*(c.denominator for c in b))
+    return [int(c * den) for c in b]
+
+
+def _positive_multiple(got, want) -> bool:
+    """Whether got = c * want for some c > 0 (integers against Fractions)."""
+    k = next(i for i, c in enumerate(want) if c)
+    c = Fraction(got[k]) / want[k]
+    return c > 0 and all(g == c * x for g, x in zip(got, want))
+
+
+class TestBernsteinSplit:
+    """`isolate` carries integer Bernstein coefficients and gets both halves
+    of a node from one de Casteljau pass; the oracle computes them afresh."""
+
+    def test_conversion_identity(self):
+        # q(x) = sum_i b_i C(n, i) x^i (1 - x)^(n - i), q a multiple of p(a + w x)
+        for ints, a, w in _bernstein_cases(60):
+            q = _scale_shift(ints, a, w)
+            b = bernstein_by_fractions(ints, a, w)
+            n = len(b) - 1
+            for x in (Fraction(0), Fraction(1, 3), Fraction(5, 7), Fraction(1)):
+                assert (sum(c * math.comb(n, i) * x ** i * (1 - x) ** (n - i) for i, c in enumerate(b))
+                        == sum(c * x ** k for k, c in enumerate(q)))
+
+    def test_halves_match_fresh_coefficients(self):
+        midpoint_roots = 0
+        for ints, a, w in _bernstein_cases():
+            left, right = _split(_integer_multiple(bernstein_by_fractions(ints, a, w)))
+            halves = ((left, a), (right, a + w / 2))
+            for half, lo in halves:
+                fresh = bernstein_by_fractions(ints, lo, w / 2)
+                assert _positive_multiple(half, fresh), (ints, lo, w)
+                q = _scale_shift(ints, lo, w / 2)
+                assert _sign_variations(half) == _sign_variations(_taylor_shift_1(q[::-1]))
+            m = a + w / 2
+            assert (left[-1] == 0) == (_sign_at(ints, m.numerator, m.denominator) == 0)
+            assert left[-1] == right[0]
+            midpoint_roots += left[-1] == 0
+        assert midpoint_roots >= 60
+
+    def test_one_taylor_shift_per_top_interval(self, monkeypatch):
+        shifts, splits = [], []
+        shift, split = realroots._taylor_shift_1, realroots._split
+        monkeypatch.setattr(realroots, "_taylor_shift_1", lambda cs: shifts.append(1) or shift(cs))
+        monkeypatch.setattr(realroots, "_split", lambda b: splits.append(1) or split(b))
+        for p, _, _ in _oracle_polys():
+            shifts.clear()
+            isolate(p)
+            # a root at 0 is peeled and (-B, 0), (0, B) are the top intervals
+            assert len(shifts) <= (2 if p.coeffs[0] == 0 else 1), p
+        assert len(splits) > 2000
 
 
 class TestIntegerRefine:
