@@ -15,8 +15,8 @@ from math import lcm
 
 from .ratpoly import (
     MPoly, UPoly,
-    squarefree_total, exact_div,
-    int_poly_gcd, _int_prem, _int_primitive,
+    squarefree_total, exact_div, resultant,
+    int_poly_gcd, _int_primitive,
 )
 from .realroots import (
     NEG_INF, POS_INF, IsolatingInterval, IndexedRoot,
@@ -167,97 +167,11 @@ def projection_set(p2, base_var: str, fiber_var: str) -> ProjectionSet:
 
 
 def resultant_bivar(p: MPoly, q: MPoly, elim: str, keep: str) -> MPoly:
-    """Bivariate resultant by evaluation and interpolation on integers.
-
-    Each operand is cleared once to integer rows over one denominator,
-    p = P / D_p and q = Q / D_q.  `keep` is bound at the integer nodes 0,
-    -1, 2, -2, 4, ..., skipping every node where a leading coefficient in
-    `elim` vanishes.  At each node Res(P, Q) is taken by the integer
-    subresultant PRS, and the values are interpolated by Newton divided
-    differences, which are integers too (Collins, JACM 1971).  As
-    Res(P, Q) = D_p^deg_q D_q^deg_p Res(p, q) in `elim`, one division at
-    the end gives the result; it equals `ratpoly.resultant` (pinned by
-    tests).
-    """
-    dpe, dqe = p.degree(elim), q.degree(elim)
-    if dpe <= 0 or dqe <= 0:
+    """Resultant of two curves in `elim`, as a polynomial in `keep`:
+    `ratpoly.resultant`, the integer interpolated kernel."""
+    if p.degree(elim) <= 0 or q.degree(elim) <= 0:
         raise CadError("resultant needs positive degree in the eliminated variable")
-    dpk, dqk = p.degree(keep), q.degree(keep)
-    bound = dpk * dqe + dqk * dpe
-    (prows, dp), (qrows, dq) = _rows(p, elim, keep), _rows(q, elim, keep)
-    xs: list[int] = []
-    ys: list[int] = []
-    k = 0
-    while len(xs) <= bound:
-        x0 = k if k % 2 == 0 else -(k + 1) // 2
-        k += 1
-        a, b = _bind_int(prows, x0, 1), _bind_int(qrows, x0, 1)
-        if not a[-1] or not b[-1]:
-            continue  # a leading coefficient vanishes at x0
-        ys.append(_resultant_int(a, b))
-        xs.append(x0)
-    scale = dp ** dqe * dq ** dpe
-    return UPoly([Fraction(c, scale) for c in _newton_int(xs, ys)], keep).to_mpoly()
-
-
-def _resultant_int(a: list[int], b: list[int]) -> int:
-    """Resultant of two nonconstant integer polynomials given by coefficient
-    lists (constant term first, nonzero leading coefficients), by the
-    subresultant PRS with Collins' divisors; every division is exact."""
-    m, n = len(a) - 1, len(b) - 1
-    sign = 1
-    if m < n:
-        a, b = b, a
-        if m * n % 2:
-            sign = -1
-    g = h = 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        d = da - db
-        if da % 2 and db % 2:
-            sign = -sign
-        r = _int_prem(a, b)
-        if not r:
-            return 0
-        den = g * h ** d
-        r = [_exact_quo(c, den, "subresultant coefficient") for c in r]
-        a, b = b, r
-        g = a[-1]
-        if d >= 1:
-            h = _exact_quo(g ** d, h ** (d - 1), "subresultant scale")
-        if len(b) == 1:
-            da = len(a) - 1
-            res = _exact_quo(b[0] ** da, h ** (da - 1), "resultant") if da > 1 else b[0] ** da
-            return sign * res
-
-
-def _exact_quo(n: int, d: int, what: str) -> int:
-    q, r = divmod(n, d)
-    if r:
-        raise CadError(f"inexact integer division in the {what}")
-    return q
-
-
-def _newton_int(xs: list[int], ys: list[int]) -> list[int]:
-    """Coefficients (constant term first) of the polynomial of degree below
-    len(xs) through the points (xs[i], ys[i]), by Newton divided
-    differences on integers.  They are integers whenever an integer
-    polynomial takes the values at distinct integer nodes; any other
-    input raises CadError naming the node."""
-    n = len(xs)
-    c = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            c[i], r = divmod(c[i] - c[i - 1], xs[i] - xs[i - j])
-            if r:
-                raise CadError(f"divided difference of order {j} at node {xs[i]} "
-                               "is not an integer")
-    poly = [c[-1]]  # Horner in the Newton basis: poly * (var - x_i) + c_i
-    for i in range(n - 2, -1, -1):
-        x = xs[i]
-        poly = ([c[i] - x * poly[0]]
-                + [poly[k - 1] - x * poly[k] for k in range(1, len(poly))] + [poly[-1]])
-    return poly
+    return resultant(p, q, elim).with_vars((keep,))
 
 
 def discriminant_bivar(p: MPoly, var: str, keep: str) -> MPoly:

@@ -1,14 +1,22 @@
 """Exact rational polynomial arithmetic.
 
 Sparse multivariate polynomials (MPoly) and dense univariate polynomials
-(UPoly) over arbitrary-precision rationals, with subresultant-PRS
-resultants, multivariate gcd and squarefree parts.  All
-values are immutable and every operation is a pure function.
+(UPoly) over arbitrary-precision rationals.  All values are immutable and
+every operation is a pure function.
+
+Elimination runs on integers: `mgcd`, `resultant` and `exact_div` clear
+each operand once to coprime integer coefficients and call the integer
+kernels, and only the result is Fraction-valued again.  The multivariate
+gcd is GCDHEU (Char, Geddes and Gonnet 1989), proven by exact division and
+backed by the primitive PRS; the resultant is taken by evaluation at
+integer nodes and Newton interpolation (Collins 1971); squarefree parts
+are p / gcd(p, dp/dv).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd, lcm as _int_lcm
 
 Rational = Fraction
@@ -380,52 +388,47 @@ class MPoly:
 
 
 def exact_div(num: MPoly, den: MPoly) -> MPoly:
-    """Exact multivariate division; raises if den does not divide num."""
+    """Exact multivariate division on the cleared integers; raises if den
+    does not divide num."""
     if den.is_zero():
         raise RatPolyError("division by zero polynomial")
     if den.is_constant():
         c = den.constant_value()
         return MPoly(num.vars, {e: k / c for e, k in num.terms.items()})
     num, den = num._aligned(den)
-    dl = max(den.terms, key=_grlex_key)
-    dc = den.terms[dl]
-    rem = dict(num.terms)
-    q: dict[tuple[int, ...], Fraction] = {}
-    while rem:
-        nl = max(rem, key=_grlex_key)
-        e = tuple(a - b for a, b in zip(nl, dl))
-        if any(x < 0 for x in e):
-            raise RatPolyError("inexact polynomial division")
-        c = rem[nl] / dc
-        q[e] = c
-        for de, dk in den.terms.items():
-            ne = tuple(a + b for a, b in zip(e, de))
-            s = rem.get(ne, Fraction(0)) - c * dk
-            if s:
-                rem[ne] = s
-            else:
-                rem.pop(ne, None)
-    return MPoly(num.vars, q)
+    if num.is_zero():
+        return num
+    (n, cn), (d, cd) = _cleared(num), _cleared(den)
+    q = _int_quo(n, d)
+    if q is None:
+        raise RatPolyError("inexact polynomial division")
+    c = cn / cd
+    return MPoly(num.vars, {e: c * k for e, k in q.items()})
 
 
 def mgcd(p: MPoly, q: MPoly) -> MPoly:
-    """Multivariate gcd by primitive PRS recursion, canonical output."""
+    """Multivariate gcd, canonical: the heuristic gcd of the cleared
+    integers (`_heu_gcd`), or the primitive PRS when the heuristic gives up."""
     if p.is_zero():
         return q.canonical()
     if q.is_zero():
         return p.canonical()
     if p.is_constant() or q.is_constant():
         return MPoly.const(1, p.vars)
-    pv = set(p.live_vars())
-    qv = set(q.live_vars())
-    common = [v for v in p.vars if v in pv and v in qv]
-    if not common:
+    if not set(p.live_vars()) & set(q.live_vars()):
         return MPoly.const(1, p.vars)
-    var = common[0]
     p, q = p._aligned(q)
-    if len(p.live_vars()) == 1 and len(q.live_vars()) == 1:
-        g = UPoly.from_mpoly(p, var).gcd(UPoly.from_mpoly(q, var))
-        return g.to_mpoly().with_vars(p.vars).canonical()
+    g = _heu_gcd(_cleared(p)[0], _cleared(q)[0])
+    if g is None:
+        return _mgcd_prs(p, q)
+    return MPoly(p.vars, {e: Fraction(k) for e, k in g.items()}).canonical()
+
+
+def _mgcd_prs(p: MPoly, q: MPoly) -> MPoly:
+    """gcd of two aligned nonconstant polynomials by primitive PRS recursion
+    in their first common live variable, canonical output."""
+    qv = set(q.live_vars())
+    var = next(v for v in p.live_vars() if v in qv)
     pp, pc = p.primitive_and_content_in(var)
     qp, qc = q.primitive_and_content_in(var)
     cont = mgcd(pc, qc)
@@ -489,53 +492,28 @@ def _pseudo_rem(a: MPoly, b: MPoly, var: str) -> MPoly:
 
 
 def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
-    """Resultant wrt `var` by the subresultant PRS (Collins divisors); exact.
+    """Resultant wrt `var` by evaluation and interpolation on integers
+    (Collins, JACM 1971); exact.
 
-    Intermediate divisions are coefficient-wise and always exact, so the
-    bit growth stays polynomial even over multivariate coefficient rings.
+    Each operand is cleared once, p = c_p P and q = c_q Q with P and Q
+    integer.  The other variables that either operand holds are bound one
+    at a time at the integer nodes 0, -1, 2, -2, 4, -3, ..., skipping every
+    node where an operand loses degree in `var`; for a bound variable k,
+    deg_var P deg_k Q + deg_var Q deg_k P + 1 nodes fix the result's degree
+    in k.  With every variable bound, Res(P, Q) is the integer subresultant
+    PRS (`_resultant_int`), and each coefficient is interpolated by integer
+    Newton differences (`_newton_int`).  Res(p, q) = c_p^deg_var q
+    c_q^deg_var p Res(P, Q) gives the result with one scaling at the end.
     """
     p, q = p._aligned(q)
     dp, dq = p.degree(var), q.degree(var)
     if dp <= 0 or dq <= 0:
         raise RatPolyError("resultant needs positive degree in the variable")
-    rest = tuple(v for v in p.vars if v != var)
-
-    swapped = dp < dq
-    a, b = (q, p) if swapped else (p, q)
-    sign = -1 if (swapped and (dp * dq) % 2 == 1) else 1
-
-    one = MPoly.const(1, rest)
-    ac = _coeffs_wrt(a, var, rest)
-    bc = _coeffs_wrt(b, var, rest)
-    g, h = one, one
-    s = 1
-    while True:
-        da, db = len(ac) - 1, len(bc) - 1
-        d = da - db
-        if (da % 2 == 1) and (db % 2 == 1):
-            s = -s
-        rc = _pseudo_rem_coeffs(ac, bc)
-        if not rc:
-            return MPoly.const(0, rest)
-        denom = g * (h ** d)
-        rc = [exact_div(c, denom) for c in rc]
-        ac = bc
-        g = ac[-1]
-        if d == 1:
-            h = g
-        elif d > 1:
-            h = exact_div(g ** d, h ** (d - 1))
-        bc = rc
-        if len(bc) - 1 == 0:
-            da = len(ac) - 1
-            res = bc[0] ** da
-            if da > 1:
-                res = exact_div(res, h ** (da - 1))
-            if s < 0:
-                res = -res
-            if sign < 0:
-                res = -res
-            return res
+    v = p.vars.index(var)
+    (P, cp), (Q, cq) = _cleared(p), _cleared(q)
+    scale = cp ** dq * cq ** dp
+    return MPoly(p.vars[:v] + p.vars[v + 1:],
+                 {e[:v] + e[v + 1:]: scale * k for e, k in _resultant_interp(P, Q, v).items()})
 
 
 def squarefree_part(p: MPoly, var: str) -> MPoly:
@@ -556,6 +534,250 @@ def squarefree_total(p: MPoly) -> MPoly:
     for v in out.live_vars():
         out = squarefree_part(out, v)
     return out
+
+
+# ---------------------------------------------------------------------------
+# integer multivariate kernels: a polynomial is a dict from exponent tuples,
+# one entry per variable of a tuple fixed by the caller, to nonzero ints
+
+
+def _cleared(p: MPoly) -> tuple[dict, Fraction]:
+    """(P, c): p = c * P with P integer terms of coprime coefficients and
+    c a positive rational; p nonzero."""
+    den = _int_lcm(*(c.denominator for c in p.terms.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    g = _int_gcd(*ints.values())
+    if g > 1:
+        ints = {e: k // g for e, k in ints.items()}
+    return ints, Fraction(g, den)
+
+
+def _int_quo(num: dict, den: dict) -> dict | None:
+    """Exact quotient num / den of integer polynomials, or None when den
+    does not divide num over the integers.  The graded-lex leading term of
+    the remainder is cancelled until none is left; when den is primitive, as
+    `_cleared` makes it, that is division over the rationals too (Gauss)."""
+    dl = max(den, key=_grlex_key)
+    dc = den[dl]
+    tail = [(e, k) for e, k in den.items() if e != dl]
+    rem = dict(num)
+    heap = [(-sum(e), tuple(-x for x in e), e) for e in rem]
+    heapify(heap)
+    q = {}
+    while heap:
+        e = heappop(heap)[2]
+        c = rem.pop(e, 0)
+        if not c:
+            continue
+        m = tuple(a - b for a, b in zip(e, dl))
+        if min(m) < 0:
+            return None
+        k, r = divmod(c, dc)
+        if r:
+            return None
+        q[m] = k
+        for de, dk in tail:
+            ne = tuple(a + b for a, b in zip(m, de))
+            s = rem.get(ne)
+            if s is None:
+                rem[ne] = -k * dk
+                heappush(heap, (-sum(ne), tuple(-x for x in ne), ne))
+            elif s == k * dk:
+                del rem[ne]
+            else:
+                rem[ne] = s - k * dk
+    return q
+
+
+_HEU_TRIES = 6
+
+
+def _heu_gcd(a: dict, b: dict) -> dict | None:
+    """gcd over the integers of two nonzero integer polynomials by GCDHEU
+    (Char, Geddes and Gonnet, J. Symbolic Comput. 1989), or None when the
+    heuristic gives up.
+
+    The gcd c of the two integer contents is split off and carried into the
+    result.  The last live variable is bound at xi = 2 min(|A|, |B|) + 29
+    (max norms of the primitive parts A, B), the gcd of the images is taken
+    recursively down to integer gcds, and its symmetric xi-adic expansion
+    rebuilds a candidate whose primitive part is accepted only when it
+    divides A and B exactly; then it is gcd(A, B), because the images' gcd
+    is the true gcd with its integer content.  Otherwise xi grows by
+    73794/27011, at most `_HEU_TRIES` times.
+    """
+    ca, cb = _int_gcd(*a.values()), _int_gcd(*b.values())
+    c = _int_gcd(ca, cb)
+    zero = (0,) * len(next(iter(a)))
+    live = [i for i, d in enumerate(map(max, zip(*a, *b))) if d]
+    if not live or (zero in a and len(a) == 1) or (zero in b and len(b) == 1):
+        return {zero: c}
+    i = live[-1]
+    if ca > 1:
+        a = {e: k // ca for e, k in a.items()}
+    if cb > 1:
+        b = {e: k // cb for e, k in b.items()}
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    rows_a, rows_b = _rows_in(a, i), _rows_in(b, i)
+    for _ in range(_HEU_TRIES):
+        ai, bi = _bind_rows(rows_a, xi), _bind_rows(rows_b, xi)
+        g = _heu_gcd(ai, bi) if ai and bi else None
+        if g is not None:
+            h = _xi_adic(g, i, xi)
+            ch = _int_gcd(*h.values())
+            if ch > 1:
+                h = {e: k // ch for e, k in h.items()}
+            if _int_quo(a, h) is not None and _int_quo(b, h) is not None:
+                return {e: c * k for e, k in h.items()} if c > 1 else h
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _rows_in(a: dict, i: int) -> dict:
+    """a as a polynomial in variable i: the exponent tuple with entry i set
+    to 0 -> dense coefficient list in variable i, constant term first."""
+    rows: dict = {}
+    for e, c in a.items():
+        key = e[:i] + (0,) + e[i + 1:]
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = []
+        if len(row) <= e[i]:
+            row.extend([0] * (e[i] + 1 - len(row)))
+        row[e[i]] = c
+    return rows
+
+
+def _bind_rows(rows: dict, x: int) -> dict:
+    """Integer terms of the polynomial `_rows_in(a, i)` describes, with
+    variable i bound to x (its exponent 0): one Horner pass per row."""
+    out = {}
+    for key, row in rows.items():
+        acc = 0
+        for c in reversed(row):
+            acc = acc * x + c
+        if acc:
+            out[key] = acc
+    return out
+
+
+def _xi_adic(g: dict, i: int, xi: int) -> dict:
+    """Inverse of binding variable i to xi for coefficients below xi / 2 in
+    magnitude: each integer expanded in symmetric base-xi digits, digit j
+    becoming the coefficient of variable i to the power j."""
+    half = xi // 2
+    out = {}
+    for e, k in g.items():
+        j = 0
+        while k:
+            d = k % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[e[:i] + (j,) + e[i + 1:]] = d
+            k = (k - d) // xi
+            j += 1
+    return out
+
+
+def _resultant_interp(a: dict, b: dict, v: int) -> dict:
+    """Res(a, b) in variable v of two integer polynomials of positive degree
+    in v, as integer terms with exponent 0 for v: the last other live
+    variable is bound at the nodes, the rest recursively."""
+    da, db = max(e[v] for e in a), max(e[v] for e in b)
+    live = [i for i, d in enumerate(map(max, zip(*a, *b))) if d and i != v]
+    if not live:
+        r = _resultant_int(_dense(a, v, da), _dense(b, v, db))
+        return {(0,) * len(next(iter(a))): r} if r else {}
+    i = live[-1]
+    bound = da * max(e[i] for e in b) + db * max(e[i] for e in a)
+    rows_a, rows_b = _rows_in(a, i), _rows_in(b, i)
+    xs: list[int] = []
+    values: list[dict] = []
+    k = 0
+    while len(xs) <= bound:
+        x0 = k if k % 2 == 0 else -(k + 1) // 2
+        k += 1
+        a0, b0 = _bind_rows(rows_a, x0), _bind_rows(rows_b, x0)
+        if all(e[v] < da for e in a0) or all(e[v] < db for e in b0):
+            continue  # a leading coefficient in v vanishes at x0
+        values.append(_resultant_interp(a0, b0, v))
+        xs.append(x0)
+    out = {}
+    for mono in set().union(*values):
+        for j, c in enumerate(_newton_int(xs, [w.get(mono, 0) for w in values])):
+            if c:
+                out[mono[:i] + (j,) + mono[i + 1:]] = c
+    return out
+
+
+def _dense(a: dict, v: int, d: int) -> list[int]:
+    """Coefficient list (constant term first) of an integer polynomial of
+    degree d in variable v, the only live one."""
+    out = [0] * (d + 1)
+    for e, c in a.items():
+        out[e[v]] = c
+    return out
+
+
+def _resultant_int(a: list[int], b: list[int]) -> int:
+    """Resultant of two nonconstant integer polynomials given by coefficient
+    lists (constant term first, nonzero leading coefficients), by the
+    subresultant PRS with Collins' divisors; every division is exact."""
+    m, n = len(a) - 1, len(b) - 1
+    sign = 1
+    if m < n:
+        a, b = b, a
+        if m * n % 2:
+            sign = -1
+    g = h = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        d = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        r = _int_prem(a, b)
+        if not r:
+            return 0
+        den = g * h ** d
+        r = [_exact_quo(c, den, "subresultant coefficient") for c in r]
+        a, b = b, r
+        g = a[-1]
+        if d >= 1:
+            h = _exact_quo(g ** d, h ** (d - 1), "subresultant scale")
+        if len(b) == 1:
+            da = len(a) - 1
+            res = _exact_quo(b[0] ** da, h ** (da - 1), "resultant") if da > 1 else b[0] ** da
+            return sign * res
+
+
+def _exact_quo(n: int, d: int, what: str) -> int:
+    q, r = divmod(n, d)
+    if r:
+        raise RatPolyError(f"inexact integer division in the {what}")
+    return q
+
+
+def _newton_int(xs: list[int], ys: list[int]) -> list[int]:
+    """Coefficients (constant term first) of the polynomial of degree below
+    len(xs) through the points (xs[i], ys[i]), by Newton divided
+    differences on integers.  They are integers whenever an integer
+    polynomial takes the values at distinct integer nodes; any other
+    input raises RatPolyError naming the node."""
+    n = len(xs)
+    c = list(ys)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i], r = divmod(c[i] - c[i - 1], xs[i] - xs[i - j])
+            if r:
+                raise RatPolyError(f"divided difference of order {j} at node {xs[i]} "
+                                   "is not an integer")
+    poly = [c[-1]]  # Horner in the Newton basis: poly * (var - x_i) + c_i
+    for i in range(n - 2, -1, -1):
+        x = xs[i]
+        poly = ([c[i] - x * poly[0]]
+                + [poly[k - 1] - x * poly[k] for k in range(1, len(poly))] + [poly[-1]])
+    return poly
 
 
 # ---------------------------------------------------------------------------

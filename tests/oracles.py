@@ -19,8 +19,9 @@ against the one that scans each column once, the chain tangent by four
 solves with one coordinate fixed, kept by the conditioning of [J; t],
 against the signed 3x3 minors of J, the Jacobian's path column dF/ds by
 a central difference at the IK joints of s +- 1e-7 against the analytic
-joint rates, the discriminant by the subresultant
-PRS on `MPoly` coefficients against the interpolated one, and uniqueness
+joint rates, the resultant and the discriminant by the subresultant
+PRS on `MPoly` coefficients against the interpolated integer ones, exact
+division on Fractions against the one on cleared integers, and uniqueness
 domains by testing every subset of basic regions against their exact
 enumeration.  `divides` is the exact-division test the tests state
 factor claims with, and `det_a_sign` decides the sign of a working mode's
@@ -33,7 +34,8 @@ from fractions import Fraction
 
 from kinatlas.mechanism import jacobians, det3
 from kinatlas.ratpoly import (
-    MPoly, UPoly, RatPolyError, _int_prem, _int_primitive, exact_div, resultant,
+    MPoly, UPoly, RatPolyError, _coeffs_wrt, _grlex_key, _int_prem, _int_primitive,
+    _pseudo_rem_coeffs, exact_div,
 )
 from kinatlas.realroots import (
     IsolatingInterval, RealRootError, count_roots, isolate,
@@ -70,16 +72,86 @@ def sylvester_resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
 
 
 def discriminant(p: MPoly, var: str) -> MPoly:
-    """(-1)^(d(d-1)/2) resultant(p, p', var) / lc(p, var), exact."""
+    """(-1)^(d(d-1)/2) resultant_prs(p, p', var) / lc(p, var), exact."""
     d = p.degree(var)
     if d < 2:
         raise RatPolyError("discriminant needs degree >= 2")
-    r = resultant(p, p.diff(var), var)
+    r = resultant_prs(p, p.diff(var), var)
     lc = p.leading_coefficient(var)
-    r = exact_div(r, lc.with_vars(r.vars))
+    r = exact_div_by_fractions(r, lc.with_vars(r.vars))
     if (d * (d - 1) // 2) % 2 == 1:
         r = -r
     return r
+
+
+def resultant_prs(p: MPoly, q: MPoly, var: str) -> MPoly:
+    """Resultant wrt `var` by the subresultant PRS (Collins divisors) on
+    `MPoly` coefficients, every division a Fraction `exact_div_by_fractions`."""
+    p, q = p._aligned(q)
+    dp, dq = p.degree(var), q.degree(var)
+    if dp <= 0 or dq <= 0:
+        raise RatPolyError("resultant needs positive degree in the variable")
+    rest = tuple(v for v in p.vars if v != var)
+
+    swapped = dp < dq
+    a, b = (q, p) if swapped else (p, q)
+    sign = -1 if (swapped and (dp * dq) % 2 == 1) else 1
+
+    one = MPoly.const(1, rest)
+    ac = _coeffs_wrt(a, var, rest)
+    bc = _coeffs_wrt(b, var, rest)
+    g, h = one, one
+    s = 1
+    while True:
+        da, db = len(ac) - 1, len(bc) - 1
+        d = da - db
+        if (da % 2 == 1) and (db % 2 == 1):
+            s = -s
+        rc = _pseudo_rem_coeffs(ac, bc)
+        if not rc:
+            return MPoly.const(0, rest)
+        denom = g * (h ** d)
+        rc = [exact_div_by_fractions(c, denom) for c in rc]
+        ac = bc
+        g = ac[-1]
+        if d == 1:
+            h = g
+        elif d > 1:
+            h = exact_div_by_fractions(g ** d, h ** (d - 1))
+        bc = rc
+        if len(bc) - 1 == 0:
+            da = len(ac) - 1
+            res = bc[0] ** da
+            if da > 1:
+                res = exact_div_by_fractions(res, h ** (da - 1))
+            return -res if (s < 0) != (sign < 0) else res
+
+
+def exact_div_by_fractions(num: MPoly, den: MPoly) -> MPoly:
+    """Exact multivariate division on Fractions, cancelling the graded-lex
+    leading term of the remainder; raises if den does not divide num."""
+    if den.is_zero():
+        raise RatPolyError("division by zero polynomial")
+    num, den = num._aligned(den)
+    dl = max(den.terms, key=_grlex_key)
+    dc = den.terms[dl]
+    rem = dict(num.terms)
+    q = {}
+    while rem:
+        nl = max(rem, key=_grlex_key)
+        e = tuple(a - b for a, b in zip(nl, dl))
+        if any(x < 0 for x in e):
+            raise RatPolyError("inexact polynomial division")
+        c = rem[nl] / dc
+        q[e] = c
+        for de, dk in den.terms.items():
+            ne = tuple(a + b for a, b in zip(e, de))
+            s = rem.get(ne, Fraction(0)) - c * dk
+            if s:
+                rem[ne] = s
+            else:
+                rem.pop(ne, None)
+    return MPoly(num.vars, q)
 
 
 def _det_expand(rows: list[list[MPoly]]) -> MPoly:

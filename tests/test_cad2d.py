@@ -263,8 +263,7 @@ class TestFibreProduct:
 
 class TestScalarResultant:
     def test_matches_prs_on_univariate_pairs(self):
-        from kinatlas.cad2d import _resultant_int
-        from kinatlas.ratpoly import resultant
+        from kinatlas.ratpoly import _resultant_int, resultant
         from oracles import resultant_scalar
         rng = random.Random(43)
         zero = linear = swapped = 0
@@ -396,8 +395,8 @@ class TestResultantRoutes:
 
 class TestExactnessGuards:
     def test_non_integer_divided_difference_raises(self):
-        from kinatlas.cad2d import CadError, _newton_int
-        with pytest.raises(CadError, match="node 1"):
+        from kinatlas.ratpoly import RatPolyError, _newton_int
+        with pytest.raises(RatPolyError, match="node 1"):
             _newton_int([0, -1, 1], [0, 1, 0])
         assert _newton_int([0, -1, 1], [1, 0, 4]) == [1, 2, 1]   # (u + 1)^2
 

@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from kinatlas import ratpoly
 from kinatlas.ratpoly import (
     MPoly, UPoly, RatPolyError, parse_poly, format_poly,
     resultant, squarefree_part, squarefree_total,
     exact_div, mgcd, _GCD_PRIME, _coprime_mod_prime,
 )
 
-from oracles import discriminant, divides, gcd_prs, squarefree_by_fractions, sylvester_resultant
+from oracles import (
+    discriminant, divides, exact_div_by_fractions, gcd_prs, resultant_prs,
+    squarefree_by_fractions, sylvester_resultant,
+)
 
 
 def P(text, vs=None):
@@ -223,6 +227,146 @@ class TestGcdDivision:
             assert divides(g.canonical(), got)
 
 
+class TestHeuristicGcd:
+    """`mgcd` runs GCDHEU on the cleared integers and falls back to the
+    primitive PRS; both routes must give the same canonical gcd, and so the
+    same squarefree parts."""
+
+    @staticmethod
+    def _routes(a, b, v):
+        return (mgcd(a, b), mgcd(b, a), squarefree_part(a, v), squarefree_total(a),
+                squarefree_total(b))
+
+    def test_matches_prs_route(self, monkeypatch):
+        rng = random.Random(67)
+        cases, seen = [], {}
+        for i in range(320):
+            kind = ("shared", "repeated", "free", "content", "constant")[i % 5]
+            vs = ("x", "y", "z")[:rng.randint(1, 3)]
+            a, b = _rand_factor(rng, vs), _rand_factor(rng, vs)
+            if kind == "shared":
+                g = _rand_factor(rng, vs)
+                a, b = a * g, b * g
+            elif kind == "repeated":
+                f = _rand_factor(rng, vs)
+                a, b = a * f ** rng.randint(2, 3), b * f
+            elif kind == "free":    # a factor free of the last variable
+                f = _rand_factor(rng, vs[:-1] or vs, vs)
+                a, b = a * f * f, b * f
+            elif kind == "content":
+                a = a * rng.choice((6, 10, -15, Fraction(4, 9)))
+                b = b * rng.choice((4, 25, 9, Fraction(-2, 3)))
+            else:
+                a = MPoly.const(rng.choice((3, Fraction(-5, 2))), vs)
+            v = rng.choice(a.live_vars() or vs)
+            cases.append((a, b, v))
+            seen[kind] = seen.get(kind, 0) + 1
+        calls = []
+        monkeypatch.setattr(ratpoly, "_mgcd_prs", _counting(ratpoly._mgcd_prs, calls))
+        heuristic = [self._routes(a, b, v) for a, b, v in cases]
+        assert not calls, "the heuristic gave up on a random case"
+        with monkeypatch.context() as m:
+            m.setattr(ratpoly, "_heu_gcd", lambda a, b: None)
+            for (a, b, v), got in zip(cases, heuristic):
+                assert got == self._routes(a, b, v), (a, b, v)
+        assert calls, "the patched heuristic did not reach the PRS"
+        assert min(seen.values()) == 64, seen
+        reduced = sum(sf.total_degree() < a.canonical().total_degree()
+                      for (a, _, _), (_, _, _, sf, _) in zip(cases, heuristic))
+        assert reduced >= 100, reduced
+
+    def test_integer_content_is_carried_through_each_level(self, monkeypatch):
+        # the parallel curve of the slice y0 = 0 and its x-derivative
+        # 2 tphi (tphi^2 + 1): with tphi bound, the x-derivative is a
+        # constant whose gcd with the other image is an integer content, so
+        # a recursion that dropped contents would return 1, which divides
+        # both operands
+        monkeypatch.setattr(ratpoly, "_mgcd_prs", None)   # no fallback
+        p = P("tphi*((2*x+1)*tphi^2+2*x-1)", ("x", "tphi"))
+        assert mgcd(p, p.diff("x")) == P("tphi", ("x", "tphi"))
+        assert squarefree_part(p, "x") == P("(2*x+1)*tphi^2+2*x-1", ("x", "tphi"))
+        assert mgcd(6 * p, 4 * p.diff("x")) == P("tphi", ("x", "tphi"))
+
+    def test_forced_fallback_reaches_prs(self, monkeypatch):
+        rng = random.Random(71)
+        cases = []
+        for _ in range(30):
+            g = _rand_factor(rng, ("x", "y"))
+            cases.append((g * _rand_factor(rng, ("x", "y")), g * _rand_factor(rng, ("x", "y"))))
+        want = [mgcd(a, b) for a, b in cases]
+        calls = []
+        monkeypatch.setattr(ratpoly, "_heu_gcd", lambda a, b: None)
+        monkeypatch.setattr(ratpoly, "_mgcd_prs", _counting(ratpoly._mgcd_prs, calls))
+        assert [mgcd(a, b) for a, b in cases] == want
+        assert len(calls) >= 30
+
+
+class TestIntegerExactDivision:
+    def test_matches_fraction_division(self):
+        rng = random.Random(73)
+        exact = inexact = 0
+        for i in range(200):
+            vs = ("x", "y", "z")[:rng.randint(1, 3)]
+            d = _rand_factor(rng, vs) * rng.choice((1, 3, Fraction(-2, 7)))
+            n = d * _rand_factor(rng, vs)
+            if i % 2:
+                n = n + _rand_factor(rng, vs)
+            try:
+                want = exact_div_by_fractions(n, d)
+            except RatPolyError:
+                with pytest.raises(RatPolyError):
+                    exact_div(n, d)
+                inexact += 1
+                continue
+            assert exact_div(n, d) == want
+            exact += 1
+        assert exact >= 100 and inexact >= 50, (exact, inexact)
+
+    def test_content_in_the_divisor(self):
+        # 2x + 2 divides x^2 - 1 over the rationals, not over the integers
+        assert exact_div(P("x^2-1"), P("2*x+2")) == P("1/2*x-1/2")
+        with pytest.raises(RatPolyError):
+            exact_div(P("x^2+x*y", ("x", "y")), P("x-y", ("x", "y")))
+
+
+class TestInterpolatedResultant:
+    """`resultant` (evaluation and interpolation on integers) against the
+    subresultant PRS on `MPoly` coefficients."""
+
+    def test_matches_prs_on_trivariate(self):
+        rng = random.Random(79)
+        vs = ("x", "y", "z", "w")
+        lcs = ("y", "y + 1", "z - 2", "y*z + z", "1/3*y^2 - 2", "5/2")   # 0, -1, 2 are nodes
+        seen = {"zero": 0, "odd swap": 0, "dead": 0}
+        for i in range(60):
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            p = _rand_in_x(rng, m, lcs[i % len(lcs)])
+            q = _rand_in_x(rng, n, lcs[(5 * i + 2) % len(lcs)])
+            if i % 4 == 1:
+                g = _rand_in_x(rng, 1, "1")
+                p, q = p * g, q * g
+            if i % 4 == 2:
+                p = p.eval({"z": rng.randint(-2, 2)}).with_vars(vs)
+            got = resultant(p, q, "x")
+            assert got == resultant_prs(p, q, "x"), (p, q)
+            assert got.vars == ("y", "z", "w")
+            assert resultant(q, p, "x") == (-got if m * n % 2 else got)
+            seen["zero"] += got.is_zero()
+            seen["odd swap"] += m * n % 2 == 1 and m != n
+            seen["dead"] += p.degree("z") <= 0 or q.degree("z") <= 0
+        assert seen["zero"] >= 15 and seen["odd swap"] >= 5 and seen["dead"] >= 15, seen
+
+    def test_reference_joint_projection(self, monkeypatch):
+        from kinatlas import mechanism
+        from kinatlas.mechanism import MechanismParams, project_parallel_to_joint, slice_workspace
+        calls = []
+        monkeypatch.setattr(mechanism, "resultant", _counting(resultant, calls))
+        project_parallel_to_joint(slice_workspace(Fraction(1, 2), 1, MechanismParams()))
+        (p, q, var), = calls
+        assert set(p.live_vars()) | set(q.live_vars()) == {"tphi", "r", "c3"}
+        assert resultant(p, q, var) == resultant_prs(p, q, var)
+
+
 class TestGcdCertificate:
     """`UPoly.gcd` settles coprime pairs by one gcd modulo a prime; it must
     equal the PRS-only gcd, including where the modular test cannot decide."""
@@ -341,3 +485,33 @@ def _rand_upoly(rng, lo, hi, mag=9):
     d = rng.randint(lo, hi)
     cs = [Fraction(rng.randint(-mag, mag), rng.choice((1, 1, 2, 3, 5))) for _ in range(d)]
     return UPoly(cs + [Fraction(rng.choice((-1, 1)) * rng.randint(1, mag), rng.choice((1, 4)))])
+
+
+def _rand_factor(rng, vs, embed=None):
+    """Random nonconstant polynomial of total degree 1-2 in `vs` with
+    integer coefficients, over the variables `embed` (default `vs`)."""
+    while True:
+        p = _rand_poly(rng, vs, deg=rng.randint(1, 2), nz=3)
+        if not p.is_constant():
+            return p.with_vars(embed or vs)
+
+
+def _rand_in_x(rng, d, lc):
+    """x^d * lc + random lower terms in x over (x, y, z, w), w unused."""
+    vs = ("x", "y", "z", "w")
+    terms = {}
+    for k in range(d):
+        for _ in range(3):
+            e = (k, rng.randint(0, 1), rng.randint(0, 1), 0)
+            c = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+            if c:
+                terms[e] = c
+    return MPoly(vs, terms) + P(lc, ("y", "z")).with_vars(vs) * MPoly.var("x", vs) ** d
+
+
+def _counting(f, calls):
+    """f, recording each call's arguments in `calls`."""
+    def wrapped(*args):
+        calls.append(args)
+        return f(*args)
+    return wrapped
