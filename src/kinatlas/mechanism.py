@@ -271,27 +271,31 @@ def parallel_singularity(params: MechanismParams) -> MPoly:
 # closed-form kinematics
 
 
-def inverse_kinematics(pose: Pose, mode: WorkingMode,
-                       params: MechanismParams) -> tuple[JointValues, PassiveAngles]:
+def ik_core(x: float, y: float, c: float, sn: float, mode: WorkingMode,
+            params: MechanismParams):
+    """Closed-form inverse kinematics of the pose (x, y, phi) given by
+    c = cos phi and sn = sin phi: ((rho1, rho2, rho3), (alpha2, alpha3))."""
     l2, l3, a, b = params.floats
-    x, y, phi = pose.x, pose.y, pose.phi
     if abs(y) >= l2:
         raise KinematicsError(f"leg 2 serial singularity / out of reach: |y|={abs(y)} >= l2", leg=2)
-    c3 = (b * math.cos(phi) + x) / l3
+    c3 = (b * c + x) / l3
     if abs(c3) >= 1.0:
         raise KinematicsError(f"leg 3 serial singularity / out of reach: |cos(alpha3)|={abs(c3)} >= 1", leg=3)
-    dx = x - a * math.cos(phi)
-    dy = y - a * math.sin(phi)
+    dx, dy = x - a * c, y - a * sn
     if dx == 0.0 and dy == 0.0:
         raise KinematicsError("leg 1 serial singularity: rho1 = 0", leg=1)
     alpha2 = math.asin(y / l2)
     if mode.s2 < 0:
         alpha2 = math.pi - alpha2
-    rho2 = x - l2 * math.cos(alpha2)
-    rho1 = math.hypot(dx, dy)
     alpha3 = mode.s3 * math.acos(c3)
-    rho3 = b * math.sin(phi) + y - l3 * math.sin(alpha3)
-    return JointValues(rho1, rho2, rho3), PassiveAngles(alpha2, alpha3)
+    return ((math.hypot(dx, dy), x - l2 * math.cos(alpha2), b * sn + y - l3 * math.sin(alpha3)),
+            (alpha2, alpha3))
+
+
+def inverse_kinematics(pose: Pose, mode: WorkingMode,
+                       params: MechanismParams) -> tuple[JointValues, PassiveAngles]:
+    q, pa = ik_core(pose.x, pose.y, math.cos(pose.phi), math.sin(pose.phi), mode, params)
+    return JointValues(*q), PassiveAngles(*pa)
 
 
 def direct_kinematics(q: JointValues, params: MechanismParams,
@@ -320,27 +324,18 @@ def direct_kinematics(q: JointValues, params: MechanismParams,
         yf = ynum.eval_float({"t": tf}) / d
         phi = 2.0 * math.atan(tf)
         l2, l3, _, b = params.floats
-        s2v = yf / l2
-        c2v = (xf - float(r2)) / l2
-        c3v = (xf + b * math.cos(phi)) / l3
-        s3v = (yf + b * math.sin(phi) - float(r3)) / l3
-        alpha2 = math.atan2(s2v, c2v)
-        alpha3 = math.atan2(s3v, c3v)
         pose = Pose(xf, yf, phi)
-        pa = PassiveAngles(alpha2, alpha3)
+        pa = PassiveAngles(math.atan2(yf / l2, (xf - float(r2)) / l2),
+                           math.atan2((yf + b * math.sin(phi) - float(r3)) / l3,
+                                      (xf + b * math.cos(phi)) / l3))
         res = residuals(pose, JointValues(float(r1), float(r2), float(r3)), pa, params)
         if max(abs(v) for v in res) < tol:
             sols.append((pose, pa))
     # merge near-duplicates, sort canonically
     merged: list[tuple[Pose, PassiveAngles]] = []
     for s in sols:
-        dup = False
-        for m in merged:
-            if (abs(s[0].x - m[0].x) < 1e-7 and abs(s[0].y - m[0].y) < 1e-7
-                    and abs(s[0].phi - m[0].phi) < 1e-7):
-                dup = True
-                break
-        if not dup:
+        if not any(abs(s[0].x - m[0].x) < 1e-7 and abs(s[0].y - m[0].y) < 1e-7
+                   and abs(s[0].phi - m[0].phi) < 1e-7 for m in merged):
             merged.append(s)
     merged.sort(key=lambda s: (s[0].x, s[0].y, s[0].phi))
     return merged
@@ -418,9 +413,7 @@ class WorkspaceSlice:
 
     def ik_count(self, x: Fraction, t: Fraction) -> int:
         r, c3 = self.chart_image(x, t)
-        if r == 0 or abs(c3) >= 1:
-            return 0
-        return 4
+        return 0 if r == 0 or abs(c3) >= 1 else 4
 
 
 def slice_workspace(y0: Fraction, s2sign: int, params: MechanismParams) -> WorkspaceSlice:
@@ -507,9 +500,7 @@ def project_parallel_to_joint(ws: WorkspaceSlice) -> MPoly:
     spurious factors (chart denominators, leading-coefficient artifacts)
     are stripped afterwards.
     """
-    params = ws.params
-    y0 = ws.y0
-    l3, a, b = params.l3, params.a, params.b
+    y0, l3, a, b = ws.y0, ws.params.l3, ws.params.a, ws.params.b
     vs = ("tphi", "r", "c3")
     t = MPoly.var("tphi", vs)
     r = MPoly.var("r", vs)
@@ -527,9 +518,7 @@ def project_parallel_to_joint(ws: WorkspaceSlice) -> MPoly:
         if coef.is_zero():
             continue
         acc = acc + coef.with_vars(vs) * (xn ** k) * (op ** (dx - k))
-    e2 = acc
-    res = resultant(e1.with_vars(("x",) + vs), e2, "tphi")
-    res = res.with_vars(("r", "c3"))
+    res = resultant(e1.with_vars(("x",) + vs), acc, "tphi").with_vars(("r", "c3"))
     res = _strip_known_factors(res, ["r", "c3"])
     return squarefree_total(res).with_vars(("r", "c3")).canonical()
 
@@ -539,16 +528,13 @@ def _strip_known_factors(p: MPoly, keep_vars: list[str]) -> MPoly:
     projection (powers of chart denominators and constants)."""
     out = p.canonical()
     for v in keep_vars:
-        prim, _cont = out.primitive_and_content_in(v)
-        out = prim
+        out = out.primitive_and_content_in(v)[0]
     return out.canonical()
 
 
 def dk_count_chart(r: Fraction, c3: Fraction, ws: WorkspaceSlice) -> int:
     """Exact number of slice poses with the given (rho1^2, cos alpha3)."""
-    params = ws.params
-    l3, a, b = params.l3, params.a, params.b
-    y0 = ws.y0
+    y0, l3, a, b = ws.y0, ws.params.l3, ws.params.a, ws.params.b
     t = MPoly.var("t")
     one = MPoly.const(1, ("t",))
     op = one + t * t

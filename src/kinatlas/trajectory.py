@@ -3,19 +3,16 @@ cusp-encirclement verdicts.
 
 Continuation runs in floating point (pseudo-arclength predictor, Newton
 corrector on the reduced distance equations); region membership of the
-endpoints is decided on the exact cell data.  A continuation step reads
-the mechanism's lengths from its one float view (`MechanismParams.floats`)
-and takes each inverse kinematics once per path parameter: the corrector
-hands the joints of its converged point to the next Jacobian, and the
-chain keeps them, so its joint-space image takes no further IK.  The
-Jacobian's path column dF/ds = (dF/dq)(dq/ds) is analytic: dq/ds is the
-derivative of the closed-form inverse kinematics along the trajectory's
-segment velocity, and within `_KINK_WINDOW` of a waypoint, where q(s) has
-a kink, the two one-sided rates are weighted by the window's share on
-each side, as a central difference of that half-width weighs them.  The
-chain tangent is the vector of signed 3x3 minors of the 3x4 Jacobian.  A
-verdict takes one tracked chart of the trajectory, for the encirclement
-loop and for its joint path.
+endpoints is decided on the exact cell data.  A corrector iterate is one
+pass of `_chain_system`: one `segment_point`, one tuple IK
+(`mechanism.ik_core`) and one cos/sin of the path point give q(s) and the
+analytic dq/ds, and one cos/sin of the iterate gives F(X; q) and dF/dX.
+Within `_KINK_WINDOW` of a waypoint, where q(s) has a kink, the two
+one-sided rates are weighted as a central difference of that half-width
+weighs them.  The converged iterate's Jacobian gives the chain tangent,
+its signed 3x3 minors; the chain keeps its joints for its joint-space
+image.  A verdict scans det A on its branch at s = i/600 and takes one
+tracked chart at s = i/400, whose samples at s = k/200 come from the scan.
 """
 
 from __future__ import annotations
@@ -25,8 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .mechanism import (
-    MechanismParams, WorkingMode, Pose, JointValues,
-    inverse_kinematics, direct_kinematics,
+    MechanismParams, WorkingMode, Pose, JointValues, ik_core, direct_kinematics,
 )
 
 
@@ -108,29 +104,23 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# numeric kinements
+# numeric kinematics
 
 
-def _distance_residuals(x: float, y: float, phi: float, q: JointValues,
-                        params) -> tuple[float, float, float]:
+def _distance_system(x, y, phi, q, params):
+    """F(X; q) and dF/dX of the distance equations at X = (x, y, phi),
+    q = (rho1, rho2, rho3), from one cos/sin of phi."""
     l2, l3, a, b = params.floats
-    c, s = math.cos(phi), math.sin(phi)
-    return (
-        (x - a * c) ** 2 + (y - a * s) ** 2 - q.rho1 * q.rho1,
-        (x - q.rho2) ** 2 + y * y - l2 * l2,
-        (x + b * c) ** 2 + (y + b * s - q.rho3) ** 2 - l3 * l3,
-    )
-
-
-def _distance_jacobian(x: float, y: float, phi: float, q: JointValues, params):
-    _, _, a, b = params.floats
-    c, s = math.cos(phi), math.sin(phi)
-    return [
-        [2 * (x - a * c), 2 * (y - a * s), 2 * a * ((x) * s - (y) * c)],
-        [2 * (x - q.rho2), 2 * y, 0.0],
-        [2 * (x + b * c), 2 * (y + b * s - q.rho3),
-         2 * b * (-(x + b * c) * s + (y + b * s - q.rho3) * c)],
-    ]
+    rho1, rho2, rho3 = q
+    c, sn = math.cos(phi), math.sin(phi)
+    u1, v1 = x - a * c, y - a * sn
+    u2 = x - rho2
+    u3, v3 = x + b * c, y + b * sn - rho3
+    return ((u1 ** 2 + v1 ** 2 - rho1 * rho1, u2 ** 2 + y * y - l2 * l2,
+             u3 ** 2 + v3 ** 2 - l3 * l3),
+            [[2 * u1, 2 * v1, 2 * a * (x * sn - y * c)],
+             [2 * u2, 2 * y, 0.0],
+             [2 * u3, 2 * v3, 2 * b * (-u3 * sn + v3 * c)]])
 
 
 def _solve(m, r):
@@ -162,11 +152,10 @@ def _solve(m, r):
 
 def _newton(x, y, phi, q, params, tol=1e-12, iters=40):
     for _ in range(iters):
-        r = _distance_residuals(x, y, phi, q, params)
-        err = max(abs(v) for v in r)
+        r, j = _distance_system(x, y, phi, q, params)
+        err = max(map(abs, r))
         if err < tol:
             return (x, y, phi, err)
-        j = _distance_jacobian(x, y, phi, q, params)
         try:
             d = _solve(j, r)
         except ZeroDivisionError:
@@ -174,15 +163,13 @@ def _newton(x, y, phi, q, params, tol=1e-12, iters=40):
         lam = 1.0
         while lam > 1e-4:
             nx, ny, nphi = x - lam * d[0], y - lam * d[1], phi - lam * d[2]
-            nr = _distance_residuals(nx, ny, nphi, q, params)
-            if max(abs(v) for v in nr) < err:
+            if max(map(abs, _distance_system(nx, ny, nphi, q, params)[0])) < err:
                 x, y, phi = nx, ny, nphi
                 break
             lam /= 2
         else:
             return None
-    r = _distance_residuals(x, y, phi, q, params)
-    err = max(abs(v) for v in r)
+    err = max(map(abs, _distance_system(x, y, phi, q, params)[0]))
     return (x, y, phi, err) if err < 1e-9 else None
 
 
@@ -205,7 +192,7 @@ def _row_norm_product(m) -> float:
 
 
 def _det_a_normalized(x, y, phi, q, params) -> float:
-    j = _distance_jacobian(x, y, phi, q, params)
+    j = _distance_system(x, y, phi, q, params)[1]
     return _det3(j, 0, 1, 2) / _row_norm_product(j)
 
 
@@ -216,10 +203,17 @@ def _alpha3_of(x, y, phi, q: JointValues, params) -> float:
                       (x + b * math.cos(phi)) / l3)
 
 
+def _branch_ik(traj: Trajectory, s: float, params):
+    """The path's (x, phi) at s and its branch's q = (rho1, rho2, rho3)
+    and alpha3 there."""
+    _, x, phi = traj.segment_point(s)
+    q, (_, alpha3) = ik_core(x, traj.y0_float, math.cos(phi), math.sin(phi), traj.mode, params)
+    return x, phi, q, alpha3
+
+
 def joint_values_at(traj: Trajectory, s: float, params: MechanismParams) -> JointValues:
     """The joints of the trajectory's own branch at path parameter s."""
-    jv, _ = inverse_kinematics(traj.pose_at(s), traj.mode, params)
-    return jv
+    return JointValues(*_branch_ik(traj, s, params)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +221,19 @@ def joint_values_at(traj: Trajectory, s: float, params: MechanismParams) -> Join
 
 
 # half-width of the window in which a waypoint's kink of q(s) enters dq/ds
-# (`_path_joint_rates`); without it some partner chains stall at a waypoint
+# (`_chain_system`); without it some partner chains stall at a waypoint
 _KINK_WINDOW = 1e-7
 
 
-def _joint_rates(traj: Trajectory, x: float, phi: float, k: int,
+def _joint_rates(traj: Trajectory, k: int, x: float, c: float, sn: float,
                  params) -> tuple[float, float, float]:
     """d(rho1, rho2, rho3)/ds of the trajectory's branch at its pose
-    (x, y0, phi), moving along segment k at the velocity (n dx, n dphi):
-    the derivative of the closed-form inverse kinematics."""
+    (x, y0, phi), c = cos phi and sn = sin phi, moving along segment k at
+    the velocity (n dx, n dphi): the derivative of the closed-form IK."""
     _, l3, a, b = params.floats
     n = len(traj.waypoints) - 1
     (x0, p0), (x1, p1) = traj.waypoints[k], traj.waypoints[k + 1]
     vx, vphi = n * (x1 - x0), n * (p1 - p0)
-    c, sn = math.cos(phi), math.sin(phi)
     dx, dy = x - a * c, traj.y0_float - a * sn
     c3 = (b * c + x) / l3
     dc3 = (vx - b * sn * vphi) / l3
@@ -249,35 +242,35 @@ def _joint_rates(traj: Trajectory, x: float, phi: float, k: int,
             b * c * vphi + traj.mode.s3 * l3 * c3 * dc3 / math.sqrt(1.0 - c3 * c3))
 
 
-def _path_joint_rates(traj: Trajectory, s: float, params) -> tuple[float, float, float]:
-    """dq/ds of the trajectory's branch at s, on the segment `pose_at`
-    interpolates.  When [s - _KINK_WINDOW, s + _KINK_WINDOW], clipped to
-    [0, 1], holds an inner waypoint s_k = k/n, the rates are the two
-    one-sided rates at s_k weighted by the window's share on each side of
-    s_k: the central difference of that half-width, to first order."""
+def _chain_system(x, y, phi, s, traj, params):
+    """The chain system at (x, y, phi; s) in one pass: the joints
+    q = (rho1, rho2, rho3) of the trajectory's branch at s, F(X; q) and the
+    3x4 Jacobian [dF/dX | dF/ds].  dF/dq is diagonal, (-2 rho1,
+    -2(x - rho2), -2(y + b sin phi - rho3)), so dF/ds = (dF/dq)(dq/ds)
+    takes no further IK."""
+    k, xs, ps = traj.segment_point(s)
+    c, sn = math.cos(ps), math.sin(ps)
+    q, _ = ik_core(xs, traj.y0_float, c, sn, traj.mode, params)
     n = len(traj.waypoints) - 1
-    k = round(s * n)
-    if 0 < k < n and abs(s - k / n) <= _KINK_WINDOW:
+    w = round(s * n)
+    if 0 < w < n and abs(s - w / n) <= _KINK_WINDOW:
+        # the one-sided rates at the waypoint s_w = w/n, weighted by the
+        # window's share on each side of s_w, [0, 1] clipping it
         lo, hi = max(0.0, s - _KINK_WINDOW), min(1.0, s + _KINK_WINDOW)
-        x, phi = traj.waypoints[k]
-        w = (k / n - lo) / (hi - lo)
-        left = _joint_rates(traj, x, phi, k - 1, params)
-        right = _joint_rates(traj, x, phi, k, params)
-        return tuple(w * u + (1.0 - w) * v for u, v in zip(left, right))
-    k, x, phi = traj.segment_point(s)
-    return _joint_rates(traj, x, phi, k, params)
-
-
-def _sys_jacobian4(x, y, phi, s, traj, params, q: JointValues):
-    """3x4 Jacobian of F(X; q(s)) wrt (x, y, phi, s), q the joints at s.
-
-    dF/ds = (dF/dq)(dq/ds), with no inverse kinematics: dF/dq is diagonal,
-    (-2 rho1, -2(x - rho2), -2(y + b sin phi - rho3)) at the point and q,
-    and dq/ds is `_path_joint_rates`."""
-    j1, j2, j3 = _distance_jacobian(x, y, phi, q, params)
-    r1, r2, r3 = _path_joint_rates(traj, s, params)
+        xw, pw = traj.waypoints[w]
+        cw, sw = math.cos(pw), math.sin(pw)
+        share = (w / n - lo) / (hi - lo)
+        left = _joint_rates(traj, w - 1, xw, cw, sw, params)
+        right = _joint_rates(traj, w, xw, cw, sw, params)
+        r1, r2, r3 = (share * u + (1.0 - share) * v for u, v in zip(left, right))
+    else:
+        r1, r2, r3 = _joint_rates(traj, k, xs, c, sn, params)
+    f, (j1, j2, j3) = _distance_system(x, y, phi, q, params)
     # dF2/drho2 and dF3/drho3 are the negated dF2/dx and dF3/dy
-    return [j1 + [-2.0 * q.rho1 * r1], j2 + [-j2[0] * r2], j3 + [-j3[1] * r3]]
+    j1.append(-2.0 * q[0] * r1)
+    j2.append(-j2[0] * r2)
+    j3.append(-j3[1] * r3)
+    return q, f, [j1, j2, j3]
 
 
 # minors below this share of the row-norm product count as zero
@@ -325,10 +318,10 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
     s = 0 (forward) until the walk exits at s = 0 or s = 1."""
     x, y, phi = start_state
     s = 0.0
-    q = joint_values_at(traj, s, params)
+    q, _, j = _chain_system(x, y, phi, s, traj, params)
     pts = [(x, y, phi, s)]
-    qs = [q]
-    tangent = _tangent4(_sys_jacobian4(x, y, phi, s, traj, params, q), _ALONG_S)
+    qs = [JointValues(*q)]
+    tangent = _tangent4(j, _ALONG_S)
     if abs(tangent[3]) < 1e-12:
         raise TrajectoryError("chain tangent parallel to the fiber at start")
     h = h0
@@ -346,11 +339,11 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
                 px = x + lam * h * tangent[0]
                 py = y + lam * h * tangent[1]
                 pphi = phi + lam * h * tangent[2]
-                q = joint_values_at(traj, target, params)
-                res = _newton(px, py, pphi, q, params)
+                jv = joint_values_at(traj, target, params)
+                res = _newton(px, py, pphi, (jv.rho1, jv.rho2, jv.rho3), params)
                 if res is not None:
                     pts.append((res[0], res[1], res[2], target))
-                    qs.append(q)
+                    qs.append(jv)
                     return Chain(points=pts, joints=qs, end_s=target)
             h /= 2
             if h < 1e-10:
@@ -363,10 +356,10 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
             if h < 1e-10:
                 raise TrajectoryError("chain corrector stalled")
             continue
-        (x, y, phi, s), q = res
-        tangent = _tangent4(_sys_jacobian4(x, y, phi, s, traj, params, q), tangent)
+        (x, y, phi, s), q, j = res
+        tangent = _tangent4(j, tangent)
         pts.append((x, y, phi, s))
-        qs.append(q)
+        qs.append(JointValues(*q))
         if h < h0:
             h *= 1.5
         if s <= 0.0 + 1e-12 and tangent[3] < 0:
@@ -377,28 +370,27 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
 
 
 def _corrector4(x, y, phi, s, tangent, traj, params, iters=25):
-    """Newton on {F = 0, tangent . (Z - start) = 0}: the converged point
-    (x, y, phi, s) and its joint triple, or None."""
-    base = (x, y, phi, s)
+    """Newton on {F = 0, tangent . (Z - start) = 0}, one `_chain_system`
+    per iterate: the converged point (x, y, phi, s), its joints and its
+    3x4 Jacobian, or None."""
+    t0, t1, t2, t3 = tangent
+    bx, by, bphi, bs = x, y, phi, s
     for _ in range(iters):
         s = min(1.0, max(0.0, s))
-        q = joint_values_at(traj, s, params)
-        r = list(_distance_residuals(x, y, phi, q, params))
-        plane = sum(t * (z - b) for t, z, b in zip(tangent, (x, y, phi, s), base))
-        r.append(plane)
-        err = max(abs(v) for v in r)
-        if err < 1e-11:
-            return (x, y, phi, s), q
-        m = _sys_jacobian4(x, y, phi, s, traj, params, q) + [tangent]
+        q, (f1, f2, f3), j = _chain_system(x, y, phi, s, traj, params)
+        # left to right from 0.0, so that a zero sum is +0.0
+        plane = 0.0 + t0 * (x - bx) + t1 * (y - by) + t2 * (phi - bphi) + t3 * (s - bs)
+        if max(abs(f1), abs(f2), abs(f3), abs(plane)) < 1e-11:
+            return (x, y, phi, s), q, j
+        j.append(tangent)
         try:
-            d = _solve(m, r)
+            d = _solve(j, (f1, f2, f3, plane))
         except ZeroDivisionError:
             return None
         x, y, phi, s = x - d[0], y - d[1], phi - d[2], s - d[3]
         if not (-0.05 <= s <= 1.05):
             return None
     return None
-
 
 
 def winding_number(path: list[tuple[float, float]], center: tuple[float, float]) -> int:
@@ -432,15 +424,19 @@ def _unwrap(angles: list[float]) -> list[float]:
     return out
 
 
-def tracked_chart(traj: Trajectory, params: MechanismParams, n: int = 400
-                  ) -> list[tuple[float, float]]:
-    """(rho1, alpha3) image of the trajectory itself (the exact branch);
-    the IK's alpha3 = s3 acos(c3) stays in s3 [0, pi], so it needs no
-    unwrapping."""
+def tracked_chart(traj: Trajectory, params: MechanismParams, n: int = 400,
+                  evens=None) -> list[tuple[float, float]]:
+    """(rho1, alpha3) image of the trajectory itself (the exact branch) at
+    s = i/n; `evens`, when given, holds the samples at even i, taken at
+    s = (i/2)/(n/2), the same float.  alpha3 = s3 acos(c3) stays in
+    s3 [0, pi], so it needs no unwrapping."""
     pts = []
     for i in range(n + 1):
-        jv, pa = inverse_kinematics(traj.pose_at(i / n), traj.mode, params)
-        pts.append((jv.rho1, pa.alpha3))
+        if evens is not None and i % 2 == 0:
+            pts.append(evens[i // 2])
+            continue
+        _, _, q, alpha3 = _branch_ik(traj, i / n, params)
+        pts.append((q[0], alpha3))
     return pts
 
 
@@ -480,17 +476,18 @@ def track_branches(traj: Trajectory, params: MechanismParams, atlas) -> Verdict:
     e0 = (Fraction(p0.x), Fraction(math.tan(p0.phi / 2)))
     e1 = (Fraction(p1.x), Fraction(math.tan(p1.phi / 2)))
     b0, b1, same, changed, lab0, lab1 = atlas.classify_endpoints(e0, e1)
-    # the exact tracked branch: singularity monitoring; its first sample
-    # gives the start joints
+    # the exact tracked branch: singularity monitoring at s = i/600; its
+    # first sample gives the start joints, and every third one the joint
+    # path, s = k/200 (in floats 3k/600 == k/200 == 2k/400)
     min_det = math.inf
-    n = 600
-    for i in range(n + 1):
-        pose = traj.pose_at(i / n)
-        jv, _ = inverse_kinematics(pose, traj.mode, params)
+    jp = []
+    for i in range(601):
+        x, phi, q, alpha3 = _branch_ik(traj, i / 600, params)
         if i == 0:
-            q0 = jv
-        det = abs(_det_a_normalized(pose.x, pose.y, pose.phi, jv, params))
-        min_det = min(min_det, det)
+            q0 = JointValues(*q)
+        if i % 3 == 0:
+            jp.append((q[0], alpha3))
+        min_det = min(min_det, abs(_det_a_normalized(x, traj.y0_float, phi, q, params)))
     singular = min_det < 1e-8
     # partner chains from the other start solutions
     sols = direct_kinematics(q0, params)
@@ -512,13 +509,11 @@ def track_branches(traj: Trajectory, params: MechanismParams, atlas) -> Verdict:
         r = (float(c.r_box[0]) + float(c.r_box[1])) / 2
         u = (float(c.u_box[0]) + float(c.u_box[1])) / 2
         centers.append((math.sqrt(r), 2 * math.atan(u)))
-    fwd = tracked_chart(traj, params)
+    fwd = tracked_chart(traj, params, evens=jp)
     encircled = encirclement(fwd, params, centers, chain)
     notes.append("loop construction: forward tracked image + reversed partner "
                  "chain image (interpretation; the source text does not define "
                  "the closure)")
-    # the joint path samples s = i / 200: in floats i / 200 == 2i / 400
-    jp = fwd[::2]
     return Verdict(
         start_domain=lab0, end_domain=lab1, same_domain=same,
         assembly_mode_changed=changed, singular_crossing=singular,

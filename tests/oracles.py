@@ -19,11 +19,14 @@ against the one that scans each column once, the chain tangent by four
 solves with one coordinate fixed, kept by the conditioning of [J; t],
 against the signed 3x3 minors of J, the Jacobian's path column dF/ds by
 a central difference at the IK joints of s +- 1e-7 against the analytic
-joint rates, the resultant and the discriminant by the subresultant
-PRS on `MPoly` coefficients against the interpolated integer ones, exact
-division on Fractions against the one on cleared integers, and uniqueness
-domains by testing every subset of basic regions against their exact
-enumeration.  `divides` is the exact-division test the tests state
+joint rates, the joints, residuals and 3x4 Jacobian of the chain system
+by per-quantity routes (each with its own IK through `pose_at` and its own
+cos and sin), and the pseudo-arclength walk on them, against the one-pass
+`_chain_system` and the walk on it, the resultant and the discriminant
+by the subresultant PRS on `MPoly` coefficients against the interpolated
+integer ones, exact division on Fractions against the one on cleared
+integers, and uniqueness domains by testing every subset of basic regions
+against their exact enumeration.  `divides` is the exact-division test the tests state
 factor claims with, and `det_a_sign` decides the sign of a working mode's
 det A at a rational slice pose exactly.  They are slow and meant for small inputs.
 """
@@ -41,9 +44,8 @@ from kinatlas.realroots import (
     IsolatingInterval, RealRootError, count_roots, isolate,
     _root_bound, _scale_shift, _sign_at, _sign_variations, _taylor_shift_1,
 )
-from kinatlas.trajectory import (
-    TrajectoryError, _distance_jacobian, _distance_residuals, joint_values_at,
-)
+from kinatlas.mechanism import JointValues, KinematicsError
+from kinatlas.trajectory import Chain, TrajectoryError, _KINK_WINDOW, _solve, _tangent4
 
 
 def sylvester_resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
@@ -570,17 +572,202 @@ def tangent4(j4, prev=None):
     return best
 
 
+def joints_by_pose(x, y, phi, mode, params):
+    """Closed-form inverse kinematics as `mechanism.inverse_kinematics` took
+    it from a pose: (rho1, rho2, rho3), each cos and sin of phi taken where
+    it is used."""
+    l2, l3, a, b = params.floats
+    if abs(y) >= l2 or abs((b * math.cos(phi) + x) / l3) >= 1.0:
+        raise KinematicsError("pose on a serial singularity or out of reach")
+    c3 = (b * math.cos(phi) + x) / l3
+    dx = x - a * math.cos(phi)
+    dy = y - a * math.sin(phi)
+    alpha2 = math.asin(y / l2)
+    if mode.s2 < 0:
+        alpha2 = math.pi - alpha2
+    rho2 = x - l2 * math.cos(alpha2)
+    rho1 = math.hypot(dx, dy)
+    alpha3 = mode.s3 * math.acos(c3)
+    rho3 = b * math.sin(phi) + y - l3 * math.sin(alpha3)
+    return rho1, rho2, rho3
+
+
+def joints_at(traj, s, params) -> JointValues:
+    """The joints of the trajectory's branch at s, through `pose_at`."""
+    p = traj.pose_at(s)
+    return JointValues(*joints_by_pose(p.x, p.y, p.phi, traj.mode, params))
+
+
+def distance_residuals(x, y, phi, q: JointValues, params):
+    """F(X; q), the three distance equations, on their own."""
+    l2, l3, a, b = params.floats
+    c, s = math.cos(phi), math.sin(phi)
+    return (
+        (x - a * c) ** 2 + (y - a * s) ** 2 - q.rho1 * q.rho1,
+        (x - q.rho2) ** 2 + y * y - l2 * l2,
+        (x + b * c) ** 2 + (y + b * s - q.rho3) ** 2 - l3 * l3,
+    )
+
+
+def distance_jacobian(x, y, phi, q: JointValues, params):
+    """dF/dX of the distance equations, with its own cos and sin of phi."""
+    _, _, a, b = params.floats
+    c, s = math.cos(phi), math.sin(phi)
+    return [
+        [2 * (x - a * c), 2 * (y - a * s), 2 * a * ((x) * s - (y) * c)],
+        [2 * (x - q.rho2), 2 * y, 0.0],
+        [2 * (x + b * c), 2 * (y + b * s - q.rho3),
+         2 * b * (-(x + b * c) * s + (y + b * s - q.rho3) * c)],
+    ]
+
+
+def joint_rates(traj, x, phi, k, params):
+    """d(rho1, rho2, rho3)/ds along segment k at the path pose (x, phi),
+    with its own cos and sin of phi."""
+    _, l3, a, b = params.floats
+    n = len(traj.waypoints) - 1
+    (x0, p0), (x1, p1) = traj.waypoints[k], traj.waypoints[k + 1]
+    vx, vphi = n * (x1 - x0), n * (p1 - p0)
+    c, sn = math.cos(phi), math.sin(phi)
+    dx, dy = x - a * c, traj.y0_float - a * sn
+    c3 = (b * c + x) / l3
+    dc3 = (vx - b * sn * vphi) / l3
+    return ((dx * (vx + a * sn * vphi) - dy * a * c * vphi) / math.hypot(dx, dy),
+            vx,
+            b * c * vphi + traj.mode.s3 * l3 * c3 * dc3 / math.sqrt(1.0 - c3 * c3))
+
+
+def path_joint_rates(traj, s, params):
+    """dq/ds at s, from a `segment_point` of its own; within _KINK_WINDOW
+    of an inner waypoint the window-weighted one-sided rates."""
+    n = len(traj.waypoints) - 1
+    k = round(s * n)
+    if 0 < k < n and abs(s - k / n) <= _KINK_WINDOW:
+        lo, hi = max(0.0, s - _KINK_WINDOW), min(1.0, s + _KINK_WINDOW)
+        x, phi = traj.waypoints[k]
+        w = (k / n - lo) / (hi - lo)
+        left = joint_rates(traj, x, phi, k - 1, params)
+        right = joint_rates(traj, x, phi, k, params)
+        return tuple(w * u + (1.0 - w) * v for u, v in zip(left, right))
+    k, x, phi = traj.segment_point(s)
+    return joint_rates(traj, x, phi, k, params)
+
+
+def sys_jacobian4(x, y, phi, s, traj, params, q: JointValues):
+    """3x4 Jacobian of F(X; q(s)), q the joints at s, from per-quantity
+    routes: dF/dX by `distance_jacobian`, dF/ds = (dF/dq)(dq/ds) by
+    `path_joint_rates`."""
+    j1, j2, j3 = distance_jacobian(x, y, phi, q, params)
+    r1, r2, r3 = path_joint_rates(traj, s, params)
+    return [j1 + [-2.0 * q.rho1 * r1], j2 + [-j2[0] * r2], j3 + [-j3[1] * r3]]
+
+
 def sys_jacobian4_central(x, y, phi, s, traj, params, q, ds=1e-7):
     """3x4 Jacobian of F(X; q(s)) wrt (x, y, phi, s), q the joints at s;
     dF/ds by the central difference of F at the IK joints of s +- ds,
     clipped to [0, 1]."""
-    j3 = _distance_jacobian(x, y, phi, q, params)
+    j3 = distance_jacobian(x, y, phi, q, params)
     sp = min(1.0, s + ds)
     sm = max(0.0, s - ds)
-    rp = _distance_residuals(x, y, phi, joint_values_at(traj, sp, params), params)
-    rm = _distance_residuals(x, y, phi, joint_values_at(traj, sm, params), params)
+    rp = distance_residuals(x, y, phi, joints_at(traj, sp, params), params)
+    rm = distance_residuals(x, y, phi, joints_at(traj, sm, params), params)
     dcol = [(a - b) / (sp - sm) for a, b in zip(rp, rm)]
     return [row + [d] for row, d in zip(j3, dcol)]
+
+
+def _newton(x, y, phi, q, params, tol=1e-12, iters=40):
+    for _ in range(iters):
+        r = distance_residuals(x, y, phi, q, params)
+        err = max(abs(v) for v in r)
+        if err < tol:
+            return (x, y, phi, err)
+        try:
+            d = _solve(distance_jacobian(x, y, phi, q, params), r)
+        except ZeroDivisionError:
+            return None
+        lam = 1.0
+        while lam > 1e-4:
+            nx, ny, nphi = x - lam * d[0], y - lam * d[1], phi - lam * d[2]
+            nr = distance_residuals(nx, ny, nphi, q, params)
+            if max(abs(v) for v in nr) < err:
+                x, y, phi = nx, ny, nphi
+                break
+            lam /= 2
+        else:
+            return None
+    r = distance_residuals(x, y, phi, q, params)
+    err = max(abs(v) for v in r)
+    return (x, y, phi, err) if err < 1e-9 else None
+
+
+def _corrector4(x, y, phi, s, tangent, traj, params, iters=25):
+    base = (x, y, phi, s)
+    for _ in range(iters):
+        s = min(1.0, max(0.0, s))
+        q = joints_at(traj, s, params)
+        r = list(distance_residuals(x, y, phi, q, params))
+        r.append(sum(t * (z - b) for t, z, b in zip(tangent, (x, y, phi, s), base)))
+        if max(abs(v) for v in r) < 1e-11:
+            return (x, y, phi, s), q
+        try:
+            d = _solve(sys_jacobian4(x, y, phi, s, traj, params, q) + [tangent], r)
+        except ZeroDivisionError:
+            return None
+        x, y, phi, s = x - d[0], y - d[1], phi - d[2], s - d[3]
+        if not (-0.05 <= s <= 1.05):
+            return None
+    return None
+
+
+def follow_chain(traj, params, start_state, h0=1.0 / 256, max_steps=40000) -> Chain:
+    """The pseudo-arclength walk on per-quantity routes: the joints by
+    `joints_at` at every corrector iterate, F and dF/dX by separate
+    routines, the Jacobian again at each converged point for its tangent."""
+    x, y, phi = start_state
+    s = 0.0
+    q = joints_at(traj, s, params)
+    pts, qs = [(x, y, phi, s)], [q]
+    tangent = _tangent4(sys_jacobian4(x, y, phi, s, traj, params, q), (0.0, 0.0, 0.0, 1.0))
+    if abs(tangent[3]) < 1e-12:
+        raise TrajectoryError("chain tangent parallel to the fiber at start")
+    h = h0
+    for _ in range(max_steps):
+        px, py = x + h * tangent[0], y + h * tangent[1]
+        pphi, ps = phi + h * tangent[2], s + h * tangent[3]
+        if ps < 0.0 or ps > 1.0:
+            target = 0.0 if ps < 0.0 else 1.0
+            if abs(tangent[3]) > 1e-9:
+                lam = (target - s) / (h * tangent[3])
+                px = x + lam * h * tangent[0]
+                py = y + lam * h * tangent[1]
+                pphi = phi + lam * h * tangent[2]
+                q = joints_at(traj, target, params)
+                res = _newton(px, py, pphi, q, params)
+                if res is not None:
+                    pts.append((res[0], res[1], res[2], target))
+                    qs.append(q)
+                    return Chain(points=pts, joints=qs, end_s=target)
+            h /= 2
+            if h < 1e-10:
+                raise TrajectoryError("chain stalled at the boundary")
+            continue
+        res = _corrector4(px, py, pphi, ps, tangent, traj, params)
+        if res is None:
+            h /= 2
+            if h < 1e-10:
+                raise TrajectoryError("chain corrector stalled")
+            continue
+        (x, y, phi, s), q = res
+        tangent = _tangent4(sys_jacobian4(x, y, phi, s, traj, params, q), tangent)
+        pts.append((x, y, phi, s))
+        qs.append(q)
+        if h < h0:
+            h *= 1.5
+        if s <= 0.0 + 1e-12 and tangent[3] < 0:
+            return Chain(points=pts, joints=qs, end_s=0.0)
+        if s >= 1.0 - 1e-12 and tangent[3] > 0:
+            return Chain(points=pts, joints=qs, end_s=1.0)
+    raise TrajectoryError("chain walk exceeded the step budget")
 
 
 def divides(den: MPoly, num: MPoly) -> bool:

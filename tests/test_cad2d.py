@@ -294,7 +294,7 @@ class TestScalarResultant:
 class TestResultantRoutes:
     def test_interpolated_matches_prs(self):
         from kinatlas.cad2d import resultant_bivar
-        from kinatlas.ratpoly import resultant
+        from oracles import resultant_prs
         rng = random.Random(13)
         done = 0
         while done < 30:
@@ -303,7 +303,7 @@ class TestResultantRoutes:
             if p.degree("v") <= 0 or q.degree("v") <= 0:
                 continue
             a = resultant_bivar(p, q, "v", "u")
-            b = resultant(p, q, "v").with_vars(a.vars)
+            b = resultant_prs(p, q, "v").with_vars(a.vars)
             assert a == b  # sign-exact agreement between the two routes
             done += 1
 
@@ -325,12 +325,11 @@ class TestResultantRoutes:
         # the joint chart's lines 1 - c3 and 1 + c3 have degree 0 in r; the
         # interpolation bound is then 0 and one node gives the resultant
         from kinatlas.cad2d import resultant_bivar, discriminant_bivar
-        from kinatlas.ratpoly import resultant
-        from oracles import discriminant
+        from oracles import discriminant, resultant_prs
         for p, q in [(P("1-v"), P("1+v")), (P("2*v^2-3"), P("3*v+1/2")),
                      (P("v^2-2"), P("u+v")), (P("v^3-v"), P("v^2-1"))]:
             a = resultant_bivar(p, q, "v", "u")
-            assert a == resultant(p, q, "v").with_vars(a.vars)
+            assert a == resultant_prs(p, q, "v").with_vars(a.vars)
         for p in (P("v^2-2"), P("2*v^3-v+1/3"), P("v^2-2*v+1")):
             a = discriminant_bivar(p, "v", "u")
             assert a == discriminant(p, "v").with_vars(a.vars)
@@ -339,7 +338,7 @@ class TestResultantRoutes:
         # leading coefficients in v vanish at interpolation nodes (u = 0,
         # -1, 2, ...), so those nodes are skipped
         from kinatlas.cad2d import resultant_bivar
-        from kinatlas.ratpoly import resultant
+        from oracles import resultant_prs
         rng = random.Random(47)
         for i in range(12):
             lcp = P(("u", "u + 1", "u - 2", "u^2 + u")[i % 4])
@@ -349,10 +348,10 @@ class TestResultantRoutes:
             if p.degree("v") < 3 or q.degree("v") < 4:
                 continue
             a = resultant_bivar(p, q, "v", "u")
-            b = resultant(p, q, "v").with_vars(a.vars)
+            b = resultant_prs(p, q, "v").with_vars(a.vars)
             assert a == b
             a = resultant_bivar(q, p, "v", "u")
-            b = resultant(q, p, "v").with_vars(a.vars)
+            b = resultant_prs(q, p, "v").with_vars(a.vars)
             assert a == b
 
     def test_integer_route_matches_prs_and_fraction_oracle(self):
@@ -361,8 +360,7 @@ class TestResultantRoutes:
         # is not a node); degrees are swapped, including odd-by-odd pairs
         # where the swap flips the sign
         from kinatlas.cad2d import resultant_bivar
-        from kinatlas.ratpoly import resultant
-        from oracles import resultant_bivar_by_fractions
+        from oracles import resultant_bivar_by_fractions, resultant_prs
         rng = random.Random(53)
         lcs = ("u", "u + 1", "u - 1", "u - 2", "u^2 - 1", "1/3*u^2 + 1/5", "7/2")
         at_node = {"u", "u + 1", "u - 2", "u^2 - 1"}   # zero at 0, -1, 2, -1
@@ -384,7 +382,7 @@ class TestResultantRoutes:
             if p.degree("u") == 0 and q.degree("u") == 0:
                 continue
             got = resultant_bivar(p, q, "v", "u")
-            assert got == resultant(p, q, "v").with_vars(got.vars)
+            assert got == resultant_prs(p, q, "v").with_vars(got.vars)
             assert got == resultant_bivar_by_fractions(p, q, "v", "u").with_vars(got.vars)
             assert resultant_bivar(q, p, "v", "u") == (-got if m * n % 2 else got)
             mixed += len({c.denominator for c in p.terms.values()}) > 1

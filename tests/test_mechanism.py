@@ -293,7 +293,7 @@ class TestSingularLocus:
         for x, t in POOL0_PAIR + FIG10_PAIR:
             phi = 2 * math.atan(float(t))
             q, _ = inverse_kinematics(Pose(float(x), float(SLICE_Y0), phi), MODE_PP, PARAMS)
-            d = _det_a_normalized(float(x), float(SLICE_Y0), phi, q, PARAMS)
+            d = _det_a_normalized(float(x), float(SLICE_Y0), phi, (q.rho1, q.rho2, q.rho3), PARAMS)
             assert abs(d) > 1e-3
             assert (d > 0) == (det_a_sign(PARAMS, MODE_PP, SLICE_Y0, x, t) > 0)
         # pool 0: det A stays positive, the other solution stays far

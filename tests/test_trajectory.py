@@ -12,7 +12,7 @@ from kinatlas.trajectory import (
     Trajectory, TrajectoryError,
     track_branches, follow_chain,
     tracked_chart, encirclement, winding_number, joint_values_at,
-    _solve, _tangent4, _sys_jacobian4,
+    _solve, _tangent4, _chain_system,
 )
 
 PARAMS = MechanismParams()
@@ -59,7 +59,7 @@ class TestTracking:
         assert ch.end_s == 1.0
 
     def test_chain_residuals_stay_small(self):
-        from kinatlas.trajectory import _distance_residuals
+        from oracles import distance_residuals
         t = _traj()
         q0 = joint_values_at(t, 0.0, PARAMS)
         sols = direct_kinematics(q0, PARAMS)
@@ -67,7 +67,7 @@ class TestTracking:
                         if max(abs(p.x + 1.0), abs(p.phi - 1.0)) > 1e-6))
         ch = follow_chain(t, PARAMS, (partner.x, partner.y, partner.phi))
         for x, y, phi, s in ch.points[1:]:
-            r = _distance_residuals(x, y, phi, joint_values_at(t, s, PARAMS), PARAMS)
+            r = distance_residuals(x, y, phi, joint_values_at(t, s, PARAMS), PARAMS)
             assert max(abs(v) for v in r) < 1e-9
 
     def test_partner_chain_crosses_a_waypoint(self):
@@ -172,9 +172,9 @@ class TestVerdicts:
         from kinatlas import trajectory as tj
         charts = []
 
-        def counted(traj, params, n=400):
+        def counted(traj, params, n=400, evens=None):
             charts.append(n)
-            return tracked_chart(traj, params, n)
+            return tracked_chart(traj, params, n, evens)
 
         monkeypatch.setattr(tj, "tracked_chart", counted)
         t = _traj()
@@ -266,7 +266,7 @@ def _kernel_systems(rng):
     t = _traj()
     for s in (0.0, 0.25, 0.5, 1.0):
         p = t.pose_at(s)
-        j = _sys_jacobian4(p.x, p.y, p.phi, s, t, PARAMS, joint_values_at(t, s, PARAMS))
+        j = _chain_system(p.x, p.y, p.phi, s, t, PARAMS)[2]
         jacobians.append(j)
         jacobians.append([[v * 1e-15 for v in row] for row in j])
     return squares, jacobians, deficient
@@ -344,37 +344,73 @@ class TestKernelOracles:
         rng = random.Random(7)
         for wps in (FIG10, tuple(reversed(FIG10))):
             t = _traj(wps)
-            kinks = []
-            for k in (1, 2):
-                kinks += [k / 3 + d for d in (0.0, 5e-8, -5e-8, 9e-8, -9e-8, 1e-7, -1e-7)]
-            for s in [0.0, 1.0, 1e-8, 1 - 1e-8] + kinks + [rng.random() for _ in range(30)]:
-                p = t.pose_at(s)
-                x, y, phi = p.x + rng.uniform(-1e-3, 1e-3), p.y, p.phi + rng.uniform(-1e-3, 1e-3)
-                q = joint_values_at(t, s, PARAMS)
-                got = _sys_jacobian4(x, y, phi, s, t, PARAMS, q)
-                want = sys_jacobian4_central(x, y, phi, s, t, PARAMS, q)
+            for s, (x, y, phi) in _system_points(t, rng):
+                got = _chain_system(x, y, phi, s, t, PARAMS)[2]
+                want = sys_jacobian4_central(x, y, phi, s, t, PARAMS, joint_values_at(t, s, PARAMS))
                 assert [_bits(row[:3]) for row in got] == [_bits(row[:3]) for row in want]
                 col = [row[3] for row in want]
                 err = max(abs(g[3] - w) for g, w in zip(got, col))
                 assert err <= 1e-6 * math.hypot(*col), (wps, s, got, want)
 
-    def test_jacobian_takes_no_ik(self, monkeypatch):
+    def test_system_matches_per_quantity_oracles(self):
+        """The one-pass joints, F and 3x4 Jacobian equal, bit for bit, the
+        joints through `pose_at`, the residuals and the Jacobian that the
+        per-quantity routes take, each with its own IK and trigonometry."""
+        import oracles
+        rng = random.Random(11)
+        for mode in WorkingMode.all_modes():
+            for wps in (FIG10, tuple(reversed(FIG10)), FIG10[1:]):
+                t = _traj(wps, mode=mode)
+                for s, (x, y, phi) in _system_points(t, rng):
+                    q, f, j = _chain_system(x, y, phi, s, t, PARAMS)
+                    jv = oracles.joints_at(t, s, PARAMS)
+                    assert _bits(q) == _bits((jv.rho1, jv.rho2, jv.rho3)), (wps, s)
+                    assert _bits(f) == _bits(oracles.distance_residuals(x, y, phi, jv, PARAMS))
+                    want = oracles.sys_jacobian4(x, y, phi, s, t, PARAMS, jv)
+                    assert [_bits(row) for row in j] == [_bits(row) for row in want], (wps, s)
+
+    def test_system_takes_one_ik(self, monkeypatch):
+        """One evaluation of the IK core per call, and no other IK route."""
         import inspect
         from kinatlas import trajectory as tj
-        assert list(inspect.signature(_sys_jacobian4).parameters) == [
-            "x", "y", "phi", "s", "traj", "params", "q"]
+        assert list(inspect.signature(_chain_system).parameters) == [
+            "x", "y", "phi", "s", "traj", "params"]
         t = _traj()
         cases = []
         for s in (0.0, 1e-8, 0.25, 1 / 3, 1 / 3 + 5e-8, 0.5, 2 / 3 - 5e-8, 1.0):
             p = t.pose_at(s)
-            cases.append((p.x, p.y, p.phi, s, t, PARAMS, joint_values_at(t, s, PARAMS)))
-        want = [_sys_jacobian4(*c) for c in cases]
+            cases.append((p.x, p.y, p.phi, s, t, PARAMS))
+        want = [_chain_system(*c) for c in cases]
+        core = tj.ik_core
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return core(*args)
 
         def no_ik(*args):
-            raise AssertionError("inverse kinematics in _sys_jacobian4")
+            raise AssertionError("a second IK route in _chain_system")
 
-        monkeypatch.setattr(tj, "inverse_kinematics", no_ik)
-        assert [_sys_jacobian4(*c) for c in cases] == want
+        monkeypatch.setattr(tj, "ik_core", counted)
+        monkeypatch.setattr(tj, "joint_values_at", no_ik)
+        for c, w in zip(cases, want):
+            calls.clear()
+            assert _chain_system(*c) == w
+            assert len(calls) == 1
+
+
+def _system_points(t, rng):
+    """(s, pose) pairs for the chain system: the ends, next to them, the
+    kink windows of the inner waypoints, and random s, each pose the
+    path's one moved by up to 1e-3 in x and phi."""
+    n = len(t.waypoints) - 1
+    kinks = [k / n + d for k in range(1, n)
+             for d in (0.0, 5e-8, -5e-8, 9e-8, -9e-8, 1e-7, -1e-7)]
+    out = []
+    for s in [0.0, 1.0, 1e-8, 1 - 1e-8] + kinks + [rng.random() for _ in range(30)]:
+        p = t.pose_at(s)
+        out.append((s, (p.x + rng.uniform(-1e-3, 1e-3), p.y, p.phi + rng.uniform(-1e-3, 1e-3))))
+    return out
 
 
 def _partner_starts(t):
@@ -392,15 +428,16 @@ class TestWalkIdentity:
         t = _traj(wps)
         starts = _partner_starts(t)
         assert starts
-        jacobian = tj._sys_jacobian4
+        system = tj._chain_system
         passed = []
 
-        def checked_jacobian(x, y, phi, s, traj, params, q):
-            # joints handed over by the walk are those of the same s
+        def checked_system(x, y, phi, s, traj, params):
+            # the joints of each evaluation are those of the same s
+            q, f, j = system(x, y, phi, s, traj, params)
             jv = joint_values_at(traj, s, params)
-            assert _bits((q.rho1, q.rho2, q.rho3)) == _bits((jv.rho1, jv.rho2, jv.rho3)), s
+            assert _bits(q) == _bits((jv.rho1, jv.rho2, jv.rho3)), s
             passed.append(s)
-            return jacobian(x, y, phi, s, traj, params, q)
+            return q, f, j
 
         def walk():
             chains = []
@@ -412,7 +449,7 @@ class TestWalkIdentity:
             return chains
 
         with monkeypatch.context() as mp:
-            mp.setattr(tj, "_sys_jacobian4", checked_jacobian)
+            mp.setattr(tj, "_chain_system", checked_system)
             chains = walk()
         assert any(isinstance(c, tj.Chain) and c.end_s == 1.0 for c in chains)
         assert len(passed) > 100
@@ -450,6 +487,58 @@ class TestWalkIdentity:
         def no_ik(*args):
             raise AssertionError("inverse kinematics in Chain.chart")
 
-        monkeypatch.setattr(tj, "inverse_kinematics", no_ik)
+        monkeypatch.setattr(tj, "ik_core", no_ik)
+        monkeypatch.setattr(tj, "joint_values_at", no_ik)
         assert ch.chart(PARAMS) == want
         assert len(want) == len(ch.points)
+
+
+def _pool_trajectories(count):
+    """Waypoints of the first `count` generated trajectories recorded in
+    perfbench/reference.json."""
+    import json
+    from pathlib import Path
+    ref = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    pool = sorted(json.loads(ref.read_text())["pool"], key=lambda e: e["index"])
+    return [tuple((float(Fraction(x)), float(Fraction(p))) for x, p in e["waypoints"])
+            for e in pool[:count]]
+
+
+def _walks(t, walk):
+    """Each partner start's walk: (points, joints, end) as IEEE bytes, or
+    the error it stopped with."""
+    out = []
+    for st in _partner_starts(t):
+        try:
+            c = walk(t, PARAMS, st)
+        except TrajectoryError as e:
+            out.append(("raise", str(e)))
+            continue
+        out.append((tuple(tuple(_bits(p)) for p in c.points),
+                    tuple(tuple(_bits((q.rho1, q.rho2, q.rho3))) for q in c.joints),
+                    c.end_s))
+    return out
+
+
+class TestWalkOracle:
+    """The walk on the one-pass chain system against the walk on the
+    per-quantity routes (`oracles.follow_chain`): the same chains, bit for
+    bit, or the same error."""
+
+    @pytest.mark.parametrize("wps", [FIG10, tuple(reversed(FIG10))], ids=["fig10", "reversed"])
+    def test_fig10_walks_are_bitwise_the_oracle_walks(self, wps):
+        import oracles
+        t = _traj(wps)
+        got = _walks(t, follow_chain)
+        assert any(w[0] != "raise" and w[2] == 1.0 for w in got)
+        assert got == _walks(t, oracles.follow_chain)
+
+    def test_pool_walks_are_bitwise_the_oracle_walks(self):
+        import oracles
+        walks = 0
+        for wps in _pool_trajectories(24):
+            t = _traj(wps)
+            got = _walks(t, follow_chain)
+            assert got == _walks(t, oracles.follow_chain), wps
+            walks += len(got)
+        assert walks >= 24
