@@ -3,8 +3,9 @@
 Given a set of curves, the base line is cut at the roots of the projection
 polynomials (discriminants, leading coefficients, pairwise resultants,
 vertical-line contents) and each resulting open interval is lifted through
-the real roots of the specialized curve product.  Only full-dimensional
-cells are produced; their boundaries are carried as indexed-root data.
+the real roots of the specialized curve product.  The base product and
+every fibre product are one integer squarefree lcm (`_squarefree_lcm`).
+Only full-dimensional cells are produced.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from math import lcm
 from .ratpoly import (
     MPoly, UPoly,
     squarefree_total, exact_div, resultant,
-    int_poly_gcd, _int_primitive,
+    int_poly_gcd, _int_primitive, _poly_mul, _poly_quo,
 )
 from .realroots import (
-    NEG_INF, POS_INF, IsolatingInterval, IndexedRoot,
+    NEG_INF, IsolatingInterval,
     isolate, count_roots, sample_between,
 )
 
@@ -40,33 +41,27 @@ class ProjectionSet:
 class Cell2D:
     """Open cylindrical cell: base interval k1 lifted to fiber interval k2.
 
-    Base bounds are indexed roots of the base product polynomial; fiber
-    bounds are indexed roots of the curve product specialized at the base
-    sample.  Index l means the region between Root(p, l) and Root(p, l+1).
+    The cell lies between the k1-th and (k1+1)-th real roots of the base
+    product (`Decomposition.base_poly`) and, over them, between the k2-th
+    and (k2+1)-th real roots of the curve product specialized at the base
+    sample (`Decomposition.fiber_products[k1]`); index 0 is unbounded below.
     """
 
     id: int
     base_index: int
     fiber_index: int
-    base_lo: IndexedRoot
-    base_hi: IndexedRoot
-    fiber_lo: IndexedRoot
-    fiber_hi: IndexedRoot
     sample: tuple[Fraction, Fraction]
 
-    def to_json(self, base_var: str, fiber_var: str) -> dict:
+    def to_json(self, base_poly: str, fiber_poly: str) -> dict:
+        """The cell with the texts of its base and fiber products."""
         def frac(q: Fraction) -> str:
             return f"{q.numerator}/{q.denominator}"
 
-        def poly_str(ir: IndexedRoot) -> str:
-            from .ratpoly import format_poly
-            return format_poly(ir.polynomial.to_mpoly())
-
         return {
             "id": self.id,
-            "base": {"poly": poly_str(self.base_lo), "left_index": self.base_index,
+            "base": {"poly": base_poly, "left_index": self.base_index,
                      "right_index": self.base_index + 1},
-            "fiber": {"poly": poly_str(self.fiber_lo), "left_index": self.fiber_index,
+            "fiber": {"poly": fiber_poly, "left_index": self.fiber_index,
                       "right_index": self.fiber_index + 1},
             "sample": [frac(self.sample[0]), frac(self.sample[1])],
         }
@@ -230,16 +225,23 @@ def _bind(rows: tuple[list[list[int]], int], value: Fraction, var: str) -> UPoly
 
 
 def _specialize_product(polys, base_var: str, fiber_var: str, x0: Fraction) -> UPoly:
-    """Monic lcm of the squarefree parts of the curves bound at base_var =
-    x0 (the squarefree part of their product), on integers: each curve is
-    bound through its integer rows, its primitive squarefree part is taken
-    with the integer gcd, and the lcm is built by exact integer quotients."""
+    """Monic squarefree part of the product of the curves bound at
+    base_var = x0: each curve is bound through its integer rows and the
+    results go to `_squarefree_lcm`."""
     a, b = Fraction(x0).as_integer_ratio()
+    return _squarefree_lcm(
+        [_bind_int(_rows(p, fiber_var, base_var)[0], a, b) if p.degree(fiber_var) > 0 else []
+         for p in polys], fiber_var, f" at {x0}")
+
+
+def _squarefree_lcm(curves: list[list[int]], var: str, where: str = "") -> UPoly:
+    """Monic lcm of the squarefree parts of integer polynomials given by
+    coefficient lists (constant term first; constants are skipped), on
+    integers: each primitive squarefree part is taken with the integer gcd
+    and the lcm is built by exact integer quotients.  An inexact quotient
+    names the curve's index and `where`."""
     acc = [1]
-    for n, p in enumerate(polys):
-        if p.degree(fiber_var) <= 0:
-            continue
-        f = _bind_int(_rows(p, fiber_var, base_var)[0], a, b)
+    for n, f in enumerate(curves):
         while f and f[-1] == 0:
             f.pop()
         if len(f) < 2:
@@ -248,54 +250,20 @@ def _specialize_product(polys, base_var: str, fiber_var: str, x0: Fraction) -> U
         if len(f) > 2:
             g = int_poly_gcd(f, [i * c for i, c in enumerate(f)][1:])
             if len(g) > 1:
-                f = _poly_quo(f, g, f"squarefree part of curve {n} at {x0}")
+                f = _poly_quo(f, g, f"squarefree part of curve {n}{where}")
         g = int_poly_gcd(acc, f)
         if len(g) > 1:
-            f = _poly_quo(f, g, f"lcm factor of curve {n} at {x0}")
+            f = _poly_quo(f, g, f"lcm factor of curve {n}{where}")
         acc = _poly_mul(acc, f)
     lc = acc[-1]
-    return UPoly([Fraction(c, lc) for c in acc], fiber_var)
-
-
-def _poly_quo(a: list[int], b: list[int], what: str) -> list[int]:
-    """Exact quotient a / b of integer polynomials (constant term first);
-    CadError naming `what` if b does not divide a over the integers."""
-    r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [0] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c, m = divmod(r[k + db], lb)
-        if m:
-            raise CadError(f"inexact integer quotient: {what}")
-        q[k] = c
-        if c:
-            for i in range(db):
-                r[k + i] -= c * b[i]
-    if any(r[:db]):
-        raise CadError(f"inexact integer quotient: {what}")
-    return q
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+    return UPoly([Fraction(c, lc) for c in acc], var)
 
 
 def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:
     """Full-dimensional cells of the open CAD adapted to the curve set."""
     proj = projection_set(p2, base_var, fiber_var)
     polys = list(proj.p2)
-    base = UPoly([Fraction(1)], base_var)
-    for q in proj.p1:
-        g = base.gcd(q)
-        extra = q.divmod(g)[0] if g.degree >= 1 else q
-        if extra.degree >= 1:
-            base = base * extra
-    base = base.squarefree() if base.degree >= 1 else base
+    base = _squarefree_lcm([list(q.int_cleared()) for q in proj.p1], base_var)
     base_roots = isolate(base) if base.degree >= 1 else []
     n = len(base_roots)
     base_samples = [sample_between(base, l, base_roots) for l in range(n + 1)] \
@@ -314,14 +282,7 @@ def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:
         col = []
         for k2 in range(len(fr) + 1):
             fy = sample_between(f, k2, fr)
-            cell = Cell2D(
-                id=cid, base_index=k1, fiber_index=k2,
-                base_lo=_indexed(base, k1, base_roots),
-                base_hi=_indexed(base, k1 + 1, base_roots),
-                fiber_lo=_indexed(f, k2, fr),
-                fiber_hi=_indexed(f, k2 + 1, fr),
-                sample=(s, fy),
-            )
+            cell = Cell2D(id=cid, base_index=k1, fiber_index=k2, sample=(s, fy))
             col.append(cell)
             cells.append(cell)
             cid += 1
@@ -332,14 +293,6 @@ def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:
         fiber_products=fiber_products, fiber_roots=fiber_roots_all,
         cells=cells, columns=columns,
     )
-
-
-def _indexed(p: UPoly, l: int, roots: list[IsolatingInterval]) -> IndexedRoot:
-    if l <= 0:
-        return IndexedRoot(p, l, NEG_INF)
-    if l > len(roots):
-        return IndexedRoot(p, l, POS_INF)
-    return IndexedRoot(p, l, roots[l - 1])
 
 
 def interval_eval(p: MPoly, boxes: dict[str, tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:

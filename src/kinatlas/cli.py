@@ -126,9 +126,11 @@ def cmd_analyze(args) -> int:
         print(f"degeneracy: {e}", file=sys.stderr)
         return 3
     dec = atlas.wa.dec_fine
+    base = format_poly(dec.base_poly.to_mpoly())
+    fibers = [format_poly(f.to_mpoly()) for f in dec.fiber_products]
     _write_json(out / "cells.json", {
         "base_var": "x", "fiber_var": "tphi",
-        "cells": [c.to_json("x", "tphi") for c in dec.cells],
+        "cells": [c.to_json(base, fibers[c.base_index]) for c in dec.cells],
         "projection": [format_poly(q.to_mpoly()) for q in dec.proj.p1],
         "curves": [format_poly(p) for p in dec.polys],
     })

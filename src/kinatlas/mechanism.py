@@ -182,9 +182,6 @@ def rationalize(p: MPoly, angles: dict[str, tuple[str, str, str]]) -> tuple[MPol
 
 
 PHI_ANGLE = {"phi": ("cphi", "sphi", "tphi")}
-ALL_ANGLES = {"phi": ("cphi", "sphi", "tphi"),
-              "alpha2": ("c2", "s2", "t2"),
-              "alpha3": ("c3", "s3", "t3")}
 
 
 def residuals(pose: Pose, joints: JointValues, passives: PassiveAngles,
@@ -232,12 +229,6 @@ def det3(m: list[list[MPoly]]) -> MPoly:
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def serial_singularity(params: MechanismParams) -> MPoly:
-    """det B: the product rho1 * l2 cos(a2) * l3 sin(a3) up to sign."""
-    _, B = jacobians(params)
-    return det3(B)
 
 
 def parallel_singularity(params: MechanismParams) -> MPoly:
@@ -378,7 +369,7 @@ def _dk_univariate(r1: Fraction, r2: Fraction, r3: Fraction, params: MechanismPa
     u = expr.with_vars(("t",))
     if u.is_zero():
         return None
-    poly = UPoly.from_mpoly(u, "t").squarefree()
+    poly = UPoly.from_mpoly(u, "t")
     dent = den.with_vars(("t",)) if den.degree("x") <= 0 and den.degree("y") <= 0 else None
     return (poly,
             xnum.with_vars(("t",)) if not xnum.is_zero() else MPoly.const(0, ("t",)),

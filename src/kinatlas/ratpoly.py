@@ -1,8 +1,10 @@
 """Exact rational polynomial arithmetic.
 
-Sparse multivariate polynomials (MPoly) and dense univariate polynomials
-(UPoly) over arbitrary-precision rationals.  All values are immutable and
-every operation is a pure function.
+Sparse multivariate polynomials (MPoly) over arbitrary-precision rationals,
+and dense univariate polynomials (UPoly) that carry what the root and cell
+layers use: evaluation, the derivative, the gcd, the squarefree part, the
+monic form and the cleared integer coefficients.  All values are immutable
+and every operation is a pure function.
 
 Elimination runs on integers: `mgcd`, `resultant` and `exact_div` clear
 each operand once to coprime integer coefficients and call the integer
@@ -10,7 +12,8 @@ kernels, and only the result is Fraction-valued again.  The multivariate
 gcd is GCDHEU (Char, Geddes and Gonnet 1989), proven by exact division and
 backed by the primitive PRS; the resultant is taken by evaluation at
 integer nodes and Newton interpolation (Collins 1971); squarefree parts
-are p / gcd(p, dp/dv).
+are p / gcd(p, dp/dv).  Univariate gcds, exact quotients and products run
+on integer coefficient lists (`int_poly_gcd`, `_poly_quo`, `_poly_mul`).
 """
 
 from __future__ import annotations
@@ -18,9 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd, lcm as _int_lcm
-
-Rational = Fraction
-
 
 class RatPolyError(Exception):
     pass
@@ -106,9 +106,6 @@ class MPoly:
         if not self.is_constant():
             raise RatPolyError("not a constant")
         return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
 
     def degree(self, var: str) -> int:
         """Degree in one variable (-1 for the zero polynomial)."""
@@ -436,7 +433,7 @@ def _mgcd_prs(p: MPoly, q: MPoly) -> MPoly:
     if a.degree(var) < b.degree(var):
         a, b = b, a
     while not b.is_zero() and b.degree(var) > 0:
-        r = _pseudo_rem(a, b, var)
+        r = _prem(a, b, var)
         if r.is_zero():
             a, b = b, r
             break
@@ -453,39 +450,11 @@ def _coeffs_wrt(p: MPoly, var: str, rest: tuple[str, ...]) -> list[MPoly]:
     return [c.with_vars(rest) for c in p.coeffs_in(var)]
 
 
-def _strip(cs: list[MPoly]) -> list[MPoly]:
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
-def _pseudo_rem_coeffs(ac: list[MPoly], bc: list[MPoly]) -> list[MPoly]:
-    """prem(a, b) = lc(b)^(da-db+1) * a mod b, on dense coefficient lists."""
-    da, db = len(ac) - 1, len(bc) - 1
-    if db < 0:
-        raise RatPolyError("pseudo-division by zero")
-    if da < db:
-        return list(ac)
-    lb = bc[-1]
-    r = list(ac)
-    e = da - db + 1
-    while len(r) - 1 >= db and r:
-        top = r[-1]
-        k = len(r) - 1 - db
-        r = [c * lb for c in r[:-1]]
-        for i in range(db):
-            r[k + i] = r[k + i] - top * bc[i]
-        _strip(r)
-        e -= 1
-    if e > 0:
-        f = lb ** e
-        r = [c * f for c in r]
-    return r
-
-
-def _pseudo_rem(a: MPoly, b: MPoly, var: str) -> MPoly:
+def _prem(a: MPoly, b: MPoly, var: str) -> MPoly:
+    """Pseudo-remainder of a by b (b nonzero) in `var`: `_int_prem` run on
+    their `MPoly` coefficient lists."""
     rest = tuple(v for v in a.vars if v != var)
-    r = _pseudo_rem_coeffs(_coeffs_wrt(a, var, rest), _coeffs_wrt(b, var, rest))
+    r = _int_prem(_coeffs_wrt(a, var, rest), _coeffs_wrt(b, var, rest))
     if not r:
         return MPoly.const(0, a.vars)
     return MPoly.from_coeffs(r, var).with_vars(_merge_vars(a.vars, (var,)))
@@ -824,40 +793,6 @@ class UPoly:
             acc = acc * x + c
         return acc
 
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
-
-    def __add__(self, other):
-        o = other.coeffs if isinstance(other, UPoly) else (Fraction(other),)
-        n = max(len(self.coeffs), len(o))
-        return UPoly([ (self.coeffs[i] if i < len(self.coeffs) else 0)
-                     + (o[i] if i < len(o) else 0) for i in range(n)], self.var)
-
-    def __neg__(self):
-        return UPoly([-c for c in self.coeffs], self.var)
-
-    def __sub__(self, other):
-        o = other if isinstance(other, UPoly) else UPoly([Fraction(other)], self.var)
-        return self + (-o)
-
-    def __mul__(self, other):
-        if not isinstance(other, UPoly):
-            c = Fraction(other)
-            return UPoly([k * c for k in self.coeffs], self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return UPoly(out, self.var)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         return isinstance(other, UPoly) and self.coeffs == other.coeffs
 
@@ -866,27 +801,6 @@ class UPoly:
 
     def derivative(self) -> "UPoly":
         return UPoly([c * i for i, c in enumerate(self.coeffs)][1:], self.var)
-
-    def divmod(self, other: "UPoly") -> tuple["UPoly", "UPoly"]:
-        if other.is_zero():
-            raise RatPolyError("division by zero")
-        q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        r = list(self.coeffs)
-        d = other.degree
-        lc = other.coeffs[-1]
-        while len(r) - 1 >= d and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            c = r[-1] / lc
-            q[k] = c
-            for i, bc in enumerate(other.coeffs):
-                r[k + i] -= c * bc
-            while r and r[-1] == 0:
-                r.pop()
-        return UPoly(q, self.var), UPoly(r, self.var)
 
     def gcd(self, other: "UPoly") -> "UPoly":
         """Monic gcd by `int_poly_gcd` on the cleared coefficients."""
@@ -898,14 +812,15 @@ class UPoly:
         return UPoly([Fraction(c) for c in g], self.var).monic()
 
     def squarefree(self) -> "UPoly":
-        """Monic p / gcd(p, p'), the gcd taken on the cleared integers."""
+        """Monic p / gcd(p, p'), gcd and quotient taken on the cleared
+        integers."""
         if self.degree <= 1:
             return self.monic()
         ints = self.int_cleared()
         g = int_poly_gcd(ints, [i * c for i, c in enumerate(ints)][1:])
         if len(g) == 1:
             return self.monic()
-        return self.divmod(UPoly(g, self.var))[0].monic()
+        return UPoly(_poly_quo(ints, g, "squarefree part"), self.var).monic()
 
     def monic(self) -> "UPoly":
         if self.is_zero() or self.coeffs[-1] == 1:
@@ -952,8 +867,9 @@ def int_poly_gcd(a, b) -> list[int]:
     return _int_primitive(list(a))
 
 
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Integer pseudo-remainder lc(b)^(da-db+1) * a mod b on dense lists."""
+def _int_prem(a: list, b: list) -> list:
+    """Pseudo-remainder lc(b)^(da-db+1) * a mod b on dense coefficient
+    lists (constant term first) of integers, or of `MPoly`s."""
     da, db = len(a) - 1, len(b) - 1
     if da < db:
         return list(a)
@@ -1014,6 +930,34 @@ def _int_primitive(r: list[int]) -> list[int]:
     return r
 
 
+def _poly_quo(a, b: list[int], what: str) -> list[int]:
+    """Exact quotient a / b of integer polynomials (constant term first);
+    RatPolyError naming `what` if b does not divide a over the integers."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[k + db], lb)
+        if m:
+            raise RatPolyError(f"inexact integer quotient: {what}")
+        q[k] = c
+        if c:
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    if any(r[:db]):
+        raise RatPolyError(f"inexact integer quotient: {what}")
+    return q
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 # ---------------------------------------------------------------------------
 # textual format
 
@@ -1047,114 +991,3 @@ def format_poly(p: MPoly) -> str:
 
 def _fmt_frac(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-class _Parser:
-    def __init__(self, text: str, variables: tuple[str, ...] | None):
-        self.text = text
-        self.pos = 0
-        self.vars = variables
-
-    def error(self, msg):
-        raise RatPolyError(f"parse error at {self.pos}: {msg} in {self.text!r}")
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self) -> MPoly:
-        p = self.expr()
-        if self.peek():
-            self.error("trailing input")
-        return p
-
-    def expr(self) -> MPoly:
-        ch = self.peek()
-        neg = False
-        if ch in "+-":
-            neg = ch == "-"
-            self.pos += 1
-        acc = self.term()
-        if neg:
-            acc = -acc
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                acc = acc + self.term()
-            elif ch == "-":
-                self.pos += 1
-                acc = acc - self.term()
-            else:
-                return acc
-
-    def term(self) -> MPoly:
-        acc = self.power()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                acc = acc * self.power()
-            elif ch == "(" or ch.isalpha() or ch == "_":
-                acc = acc * self.power()
-            else:
-                return acc
-
-    def power(self) -> MPoly:
-        base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            n = self.integer()
-            return base ** n
-        return base
-
-    def atom(self) -> MPoly:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            p = self.expr()
-            if self.peek() != ")":
-                self.error("expected )")
-            self.pos += 1
-            return p
-        if ch.isdigit():
-            n = self.integer()
-            if self.peek() == "/":
-                save = self.pos
-                self.pos += 1
-                if self.peek().isdigit():
-                    d = self.integer()
-                    return MPoly.const(Fraction(n, d), self.vars or ())
-                self.pos = save
-            return MPoly.const(n, self.vars or ())
-        if ch.isalpha() or ch == "_":
-            name = self.ident()
-            if self.vars is not None:
-                if name not in self.vars:
-                    self.error(f"unknown variable {name!r}")
-                return MPoly.var(name, self.vars)
-            return MPoly.var(name)
-        self.error("unexpected character")
-
-    def integer(self) -> int:
-        start = self.pos
-        if not self.peek().isdigit():
-            self.error("expected integer")
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return int(self.text[start:self.pos])
-
-    def ident(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-
-def parse_poly(text: str, variables: tuple[str, ...] | None = None) -> MPoly:
-    """Parse the textual polynomial format (e.g. 'rho1^8 - 52*rho1^6')."""
-    p = _Parser(text, variables).parse()
-    if variables is not None:
-        return p.with_vars(variables)
-    return p

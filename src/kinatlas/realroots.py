@@ -2,10 +2,11 @@
 
 Two independent routes are provided on purpose: Descartes-rule bisection
 drives isolation, Sturm sequences drive counting; both work on integer
-coefficients only.  Isolation runs in the Bernstein basis (Mourrain-
-Rouillier-Roy; Eigenwillig): the Descartes test on (a, b) counts the sign
-variations of p's Bernstein coefficients b_i there, and one de Casteljau
-pass gives those of both halves.  p is converted once per top interval:
+coefficients only, and both take the squarefree part of their input
+themselves, so callers pass any nonzero polynomial.  Isolation runs in the
+Bernstein basis (Mourrain-Rouillier-Roy; Eigenwillig): the Descartes test
+on (a, b) counts the sign variations of p's Bernstein coefficients b_i
+there, and one de Casteljau pass gives those of both halves.  p is converted once per top interval:
 with q(x) = p(a + (b - a) x), (1 + x)^n q(1 / (1 + x)) = sum C(n, i) b_i
 x^(n - i).  Refinement bisects on integers over one common denominator,
 and the one Horner sign routine takes an integer numerator and
@@ -103,13 +104,12 @@ class IsolatingInterval:
     """Rational interval containing exactly one real root of `polynomial`.
 
     low == high encodes an exact rational root.  `polynomial` is the
-    squarefree part used for isolation (multiplicity_free records that).
+    squarefree polynomial that isolation ran on.
     """
 
     low: Fraction
     high: Fraction
     polynomial: UPoly
-    multiplicity_free: bool = True
 
     def is_exact(self) -> bool:
         return self.low == self.high
@@ -155,15 +155,6 @@ class IsolatingInterval:
     def float(self) -> float:
         iv = self.refine(Fraction(1, 1 << 60))
         return float(iv.midpoint())
-
-
-@dataclass(frozen=True)
-class IndexedRoot:
-    """Root(p, l): the l-th real root, with infinite sentinels out of range."""
-
-    polynomial: UPoly
-    index: int
-    value: "IsolatingInterval | float"
 
 
 # ---------------------------------------------------------------------------

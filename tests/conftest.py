@@ -27,7 +27,7 @@ def eq11_reference(c2_sq: Fraction) -> MPoly:
 
 def sc_quartic_reference() -> MPoly:
     """Reference characteristic-surface quartic in (x, y, cphi, sphi)."""
-    from kinatlas.ratpoly import parse_poly
+    from oracles import parse_poly
     return parse_poly(
         "4*y^4 + 36*sphi*y^3 + (32*x^2 + 35*cphi^2 + 108 + 184*x*cphi)*y^2 "
         "- 6*sphi*(cphi^2 - 18 + 14*x*cphi + 40*x^2)*y "

@@ -25,20 +25,28 @@ cos and sin), and the pseudo-arclength walk on them, against the one-pass
 `_chain_system` and the walk on it, the resultant and the discriminant
 by the subresultant PRS on `MPoly` coefficients against the interpolated
 integer ones, exact division on Fractions against the one on cleared
-integers, and uniqueness domains by testing every subset of basic regions
-against their exact enumeration.  `divides` is the exact-division test the tests state
-factor claims with, and `det_a_sign` decides the sign of a working mode's
-det A at a rational slice pose exactly.  They are slow and meant for small inputs.
+integers, the base product of a decomposition by a Fraction gcd, divide
+and multiply loop against the integer squarefree lcm, and uniqueness
+domains by testing every subset of basic regions against their exact
+enumeration.  `divides` is the exact-division test the tests state factor
+claims with, and `det_a_sign` decides the sign of a working mode's det A
+at a rational slice pose exactly.  They are slow and meant for small inputs.
+
+The tests also take from here what the package itself never needs: the
+Fraction arithmetic on `UPoly` (`upoly_mul`, `upoly_divmod`,
+`upoly_eval_float`), the polynomial parser (`parse_poly`), det B
+(`serial_singularity`) and the half-tangent table of every angle
+(`ALL_ANGLES`).
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from kinatlas.mechanism import jacobians, det3
+from kinatlas.mechanism import MechanismParams, jacobians, det3
 from kinatlas.ratpoly import (
     MPoly, UPoly, RatPolyError, _coeffs_wrt, _grlex_key, _int_prem, _int_primitive,
-    _pseudo_rem_coeffs, exact_div,
+    exact_div,
 )
 from kinatlas.realroots import (
     IsolatingInterval, RealRootError, count_roots, isolate,
@@ -46,6 +54,56 @@ from kinatlas.realroots import (
 )
 from kinatlas.mechanism import JointValues, KinematicsError
 from kinatlas.trajectory import Chain, TrajectoryError, _KINK_WINDOW, _solve, _tangent4
+
+
+ALL_ANGLES = {"phi": ("cphi", "sphi", "tphi"),
+              "alpha2": ("c2", "s2", "t2"),
+              "alpha3": ("c3", "s3", "t3")}
+
+
+def serial_singularity(params: MechanismParams) -> MPoly:
+    """det B: the product rho1 * l2 cos(a2) * l3 sin(a3) up to sign."""
+    _, B = jacobians(params)
+    return det3(B)
+
+
+def upoly_mul(a: UPoly, b: UPoly) -> UPoly:
+    """Product of two univariate polynomials on Fractions."""
+    if a.is_zero() or b.is_zero():
+        return UPoly([], a.var)
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                if y:
+                    out[i + j] += x * y
+    return UPoly(out, a.var)
+
+
+def upoly_divmod(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly]:
+    """Quotient and remainder of a by b on Fractions."""
+    if b.is_zero():
+        raise RatPolyError("division by zero")
+    q = [Fraction(0)] * max(0, len(a.coeffs) - len(b.coeffs) + 1)
+    r = list(a.coeffs)
+    d, lc = b.degree, b.coeffs[-1]
+    while len(r) - 1 >= d and r:
+        k = len(r) - 1 - d
+        c = r[-1] / lc
+        q[k] = c
+        for i, bc in enumerate(b.coeffs):
+            r[k + i] -= c * bc
+        while r and r[-1] == 0:
+            r.pop()
+    return UPoly(q, a.var), UPoly(r, a.var)
+
+
+def upoly_eval_float(p: UPoly, x: float) -> float:
+    """p(x) by Horner's rule in floats."""
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * x + float(c)
+    return acc
 
 
 def sylvester_resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
@@ -109,7 +167,7 @@ def resultant_prs(p: MPoly, q: MPoly, var: str) -> MPoly:
         d = da - db
         if (da % 2 == 1) and (db % 2 == 1):
             s = -s
-        rc = _pseudo_rem_coeffs(ac, bc)
+        rc = _prem_coeffs(ac, bc)
         if not rc:
             return MPoly.const(0, rest)
         denom = g * (h ** d)
@@ -127,6 +185,32 @@ def resultant_prs(p: MPoly, q: MPoly, var: str) -> MPoly:
             if da > 1:
                 res = exact_div_by_fractions(res, h ** (da - 1))
             return -res if (s < 0) != (sign < 0) else res
+
+
+def _prem_coeffs(ac: list[MPoly], bc: list[MPoly]) -> list[MPoly]:
+    """prem(a, b) = lc(b)^(da-db+1) * a mod b, on dense `MPoly` coefficient
+    lists; the PRS's own copy, apart from the package's `_int_prem`."""
+    da, db = len(ac) - 1, len(bc) - 1
+    if db < 0:
+        raise RatPolyError("pseudo-division by zero")
+    if da < db:
+        return list(ac)
+    lb = bc[-1]
+    r = list(ac)
+    e = da - db + 1
+    while len(r) - 1 >= db and r:
+        top = r[-1]
+        k = len(r) - 1 - db
+        r = [c * lb for c in r[:-1]]
+        for i in range(db):
+            r[k + i] = r[k + i] - top * bc[i]
+        while r and r[-1].is_zero():
+            r.pop()
+        e -= 1
+    if e > 0:
+        f = lb ** e
+        r = [c * f for c in r]
+    return r
 
 
 def exact_div_by_fractions(num: MPoly, den: MPoly) -> MPoly:
@@ -296,13 +380,27 @@ def bernstein_by_fractions(ints, a: Fraction, w: Fraction) -> list[Fraction]:
 
 def squarefree_by_fractions(p: UPoly) -> UPoly:
     """Monic squarefree part by the Fraction derivative, `UPoly.gcd` and
-    `divmod` (the route `UPoly.squarefree` replaces)."""
+    `upoly_divmod` (the route `UPoly.squarefree` replaces)."""
     if p.degree <= 1:
         return p.monic()
     g = p.gcd(p.derivative())
     if g.degree <= 0:
         return p.monic()
-    return p.divmod(g)[0].monic()
+    return upoly_divmod(p, g)[0].monic()
+
+
+def base_product_by_fractions(p1, var: str) -> UPoly:
+    """Monic squarefree part of the product of the projection polynomials
+    p1, by the Fraction loop of `UPoly.gcd`, `upoly_divmod` and `upoly_mul`
+    and a final `squarefree_by_fractions` (the route `cad2d.decompose` took
+    before its base product became `_squarefree_lcm`)."""
+    base = UPoly([Fraction(1)], var)
+    for q in p1:
+        g = base.gcd(q)
+        extra = upoly_divmod(q, g)[0] if g.degree >= 1 else q
+        if extra.degree >= 1:
+            base = upoly_mul(base, extra)
+    return squarefree_by_fractions(base) if base.degree >= 1 else base
 
 
 def _sign_sqrt(u: Fraction, v: Fraction, r: Fraction) -> int:
@@ -367,7 +465,7 @@ def specialize_product_whole(polys, base_var: str, fiber_var: str, x0) -> UPoly:
             continue
         u = UPoly.from_mpoly(s.with_vars((fiber_var,)), fiber_var)
         if u.degree >= 1:
-            acc = acc * u.squarefree()
+            acc = upoly_mul(acc, u.squarefree())
     return acc.squarefree() if acc.degree >= 1 else acc
 
 
@@ -499,7 +597,7 @@ def specialize_product_by_fractions(polys, base_var: str, fiber_var: str, x0) ->
         u = UPoly.from_mpoly(s.with_vars((fiber_var,)), fiber_var)
         if u.degree >= 1:
             u = u.squarefree()
-            acc = acc * u.divmod(acc.gcd(u))[0]
+            acc = upoly_mul(acc, upoly_divmod(u, acc.gcd(u))[0])
     return acc
 
 
@@ -804,3 +902,115 @@ def maximal_domains(adjacent, comps) -> set[frozenset[int]]:
                                     for i, j in itertools.combinations(sub, 2)):
                 ok.append(s)
     return {s for s in ok if not any(s < t for t in ok)}
+
+
+class _Parser:
+    def __init__(self, text: str, variables: tuple[str, ...] | None):
+        self.text = text
+        self.pos = 0
+        self.vars = variables
+
+    def error(self, msg):
+        raise RatPolyError(f"parse error at {self.pos}: {msg} in {self.text!r}")
+
+    def peek(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def parse(self) -> MPoly:
+        p = self.expr()
+        if self.peek():
+            self.error("trailing input")
+        return p
+
+    def expr(self) -> MPoly:
+        ch = self.peek()
+        neg = False
+        if ch in "+-":
+            neg = ch == "-"
+            self.pos += 1
+        acc = self.term()
+        if neg:
+            acc = -acc
+        while True:
+            ch = self.peek()
+            if ch == "+":
+                self.pos += 1
+                acc = acc + self.term()
+            elif ch == "-":
+                self.pos += 1
+                acc = acc - self.term()
+            else:
+                return acc
+
+    def term(self) -> MPoly:
+        acc = self.power()
+        while True:
+            ch = self.peek()
+            if ch == "*":
+                self.pos += 1
+                acc = acc * self.power()
+            elif ch == "(" or ch.isalpha() or ch == "_":
+                acc = acc * self.power()
+            else:
+                return acc
+
+    def power(self) -> MPoly:
+        base = self.atom()
+        if self.peek() == "^":
+            self.pos += 1
+            n = self.integer()
+            return base ** n
+        return base
+
+    def atom(self) -> MPoly:
+        ch = self.peek()
+        if ch == "(":
+            self.pos += 1
+            p = self.expr()
+            if self.peek() != ")":
+                self.error("expected )")
+            self.pos += 1
+            return p
+        if ch.isdigit():
+            n = self.integer()
+            if self.peek() == "/":
+                save = self.pos
+                self.pos += 1
+                if self.peek().isdigit():
+                    d = self.integer()
+                    return MPoly.const(Fraction(n, d), self.vars or ())
+                self.pos = save
+            return MPoly.const(n, self.vars or ())
+        if ch.isalpha() or ch == "_":
+            name = self.ident()
+            if self.vars is not None:
+                if name not in self.vars:
+                    self.error(f"unknown variable {name!r}")
+                return MPoly.var(name, self.vars)
+            return MPoly.var(name)
+        self.error("unexpected character")
+
+    def integer(self) -> int:
+        start = self.pos
+        if not self.peek().isdigit():
+            self.error("expected integer")
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        return int(self.text[start:self.pos])
+
+    def ident(self) -> str:
+        start = self.pos
+        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
+            self.pos += 1
+        return self.text[start:self.pos]
+
+
+def parse_poly(text: str, variables: tuple[str, ...] | None = None) -> MPoly:
+    """Parse the textual polynomial format (e.g. 'rho1^8 - 52*rho1^6'),
+    the inverse of `ratpoly.format_poly`."""
+    p = _Parser(text, variables).parse()
+    if variables is not None:
+        return p.with_vars(variables)
+    return p

@@ -9,15 +9,14 @@ import time
 from fractions import Fraction
 
 from kinatlas.ratpoly import (
-    MPoly, UPoly, parse_poly, resultant,
+    MPoly, UPoly, resultant,
 )
 from kinatlas.realroots import isolate, count_roots
-from kinatlas.groebner import PolySystem, eliminate
 from kinatlas.cad2d import decompose, _specialize_product
 from kinatlas.adjacency import build_graph, components
 from kinatlas.mechanism import (
     MechanismParams, WorkingMode, Pose,
-    serial_singularity, parallel_singularity, rationalize, ALL_ANGLES, PHI_ANGLE,
+    parallel_singularity, rationalize, PHI_ANGLE,
     inverse_kinematics, direct_kinematics, slice_workspace,
     project_parallel_to_joint,
 )
@@ -27,7 +26,8 @@ from kinatlas.trajectory import (
 )
 
 from conftest import eq11_reference, sc_quartic_reference
-from oracles import divides
+from groebner import PolySystem, eliminate
+from oracles import ALL_ANGLES, divides, parse_poly, serial_singularity, upoly_eval_float
 
 PARAMS = MechanismParams()
 
@@ -423,7 +423,7 @@ def _scan_roots(p: UPoly, n: int = 30000) -> int:
     hits = 0
     for i in range(n + 1):
         x = lo + (hi - lo) * i / n
-        v = f.eval_float(x)
+        v = upoly_eval_float(f, x)
         if v == 0.0:
             hits += 1
             prev = None

@@ -4,14 +4,14 @@ a single candidate-edge pass, and every edge is exact."""
 import random
 from fractions import Fraction
 
-from kinatlas.ratpoly import MPoly, UPoly, parse_poly
+from kinatlas.ratpoly import MPoly, UPoly
 from kinatlas.realroots import isolate
 from kinatlas.cad2d import decompose
 from kinatlas.adjacency import (
     build_graph, build_graphs, _cmp_bounds, _ranks, _rows, _crosses_horizontal,
 )
 
-from oracles import segment_crosses, restrict_to_segment
+from oracles import parse_poly, segment_crosses, restrict_to_segment
 from test_cad2d import _rand_conic
 
 

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from kinatlas.ratpoly import MPoly, UPoly, parse_poly
+from kinatlas.ratpoly import MPoly, UPoly, format_poly
 from kinatlas.cad2d import projection_set, decompose, interval_eval
 from kinatlas.adjacency import build_graph, components
+
+from oracles import parse_poly, upoly_mul
 
 
 def P(text):
@@ -84,9 +86,13 @@ class TestDecompose:
 
     def test_cell_json_schema(self):
         dec = decompose([CIRCLE], "u", "v")
-        j = dec.cells[0].to_json("u", "v")
+        c = dec.cells[0]
+        base = format_poly(dec.base_poly.to_mpoly())
+        fiber = format_poly(dec.fiber_products[c.base_index].to_mpoly())
+        j = c.to_json(base, fiber)
         assert set(j) == {"id", "base", "fiber", "sample"}
         assert "/" in j["sample"][0]
+        assert j["base"]["poly"] == base and j["fiber"]["poly"] == fiber
 
 
 class TestAdjacency:
@@ -261,6 +267,48 @@ class TestFibreProduct:
         assert n == 6 * len(dec.base_roots) > 0
 
 
+class TestBaseProduct:
+    """`decompose`'s base product is the integer squarefree lcm of the
+    projection polynomials; it must equal the Fraction gcd, divide and
+    multiply loop it replaced."""
+
+    def test_matches_fraction_loop_on_random_arrangements(self):
+        from oracles import base_product_by_fractions
+        rng = random.Random(71)
+        shared = 0
+        for _ in range(40):
+            x0 = Fraction(rng.randint(-4, 4), rng.choice([1, 2]))
+            y0 = Fraction(rng.randint(-4, 4), rng.choice([1, 2]))
+            polys = [_through(rng, x0, y0) for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.5:
+                # tangent to v = y0 at x0: its discriminant and its
+                # resultants with the other curves all vanish at u = x0
+                polys.append((P("v") - y0) ** 2 + (P("u") - x0) * P("u + v"))
+            polys.append(_rand_conic(rng))
+            dec = decompose(polys, "u", "v")
+            want = base_product_by_fractions(dec.proj.p1, "u")
+            assert dec.base_poly == want and dec.base_poly.var == "u"
+            assert dec.base_poly.coeffs[-1] == 1
+            p1 = dec.proj.p1
+            shared += any(p1[i].gcd(p1[j]).degree >= 1
+                          for i in range(len(p1)) for j in range(i + 1, len(p1)))
+        assert shared >= 15, shared
+
+    def test_shared_factor_between_projection_polynomials(self):
+        # disc(v^2 - u) = 4u and res(v^2 - u, v - u) = u^2 - u share u
+        from oracles import base_product_by_fractions
+        dec = decompose([P("v^2 - u"), P("v - u")], "u", "v")
+        p1 = dec.proj.p1
+        assert len(p1) == 2 and p1[0].gcd(p1[1]) == UPoly([0, 1], "u")
+        assert dec.base_poly == base_product_by_fractions(p1, "u") == UPoly([0, -1, 1], "u")
+
+    def test_matches_fraction_loop_on_reference_build(self, atlas_pp):
+        from oracles import base_product_by_fractions
+        for dec in (atlas_pp.wa.dec_sing, atlas_pp.wa.dec_fine, atlas_pp.ja.dec):
+            assert dec.base_poly.degree >= 1
+            assert dec.base_poly == base_product_by_fractions(dec.proj.p1, dec.base_var)
+
+
 class TestScalarResultant:
     def test_matches_prs_on_univariate_pairs(self):
         from kinatlas.ratpoly import _resultant_int, resultant
@@ -274,7 +322,7 @@ class TestScalarResultant:
             a, b = rand_upoly(rng.randint(1, 6)), rand_upoly(rng.randint(1, 6))
             if rng.random() < 0.25:
                 common = rand_upoly(rng.randint(1, 2))
-                a, b = a * common, b * common
+                a, b = upoly_mul(a, common), upoly_mul(b, common)
             want = resultant(a.to_mpoly(), b.to_mpoly(), "v").constant_value()
             assert resultant_scalar(a.coeffs, b.coeffs) == want
             # a = A / da, b = B / db: res(A, B) = da^deg b * db^deg a * res(a, b)
@@ -399,9 +447,9 @@ class TestExactnessGuards:
         assert _newton_int([0, -1, 1], [1, 0, 4]) == [1, 2, 1]   # (u + 1)^2
 
     def test_inexact_polynomial_quotient_raises(self):
-        from kinatlas.cad2d import CadError, _poly_quo
-        with pytest.raises(CadError, match="curve 3"):
+        from kinatlas.ratpoly import RatPolyError, _poly_quo
+        with pytest.raises(RatPolyError, match="curve 3"):
             _poly_quo([1, 0, 1], [1, 1], "curve 3")        # v^2 + 1 by v + 1
-        with pytest.raises(CadError, match="curve 4"):
+        with pytest.raises(RatPolyError, match="curve 4"):
             _poly_quo([2, 2], [1, 2], "curve 4")           # 2v + 2 by 2v + 1
         assert _poly_quo([-1, 0, 1], [1, 1], "") == [-1, 1]

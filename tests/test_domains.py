@@ -18,7 +18,7 @@ from kinatlas.domains import (
 from kinatlas.adjacency import AdjacencyGraph, build_graph, components
 from kinatlas.cad2d import decompose
 
-from oracles import maximal_domains
+from oracles import maximal_domains, upoly_eval_float
 
 PARAMS = MechanismParams()
 MODE = WorkingMode(1, 1)
@@ -407,8 +407,8 @@ class TestSingularImages:
                 r, c3 = ws.chart_image(x0, tm)
                 uu = fiber_eliminant(r, c3)
                 scale = max(abs(float(c)) for c in uu.coeffs)
-                v = abs(uu.eval_float(float(tm))) / scale
-                dv = abs(uu.derivative().eval_float(float(tm))) / scale
+                v = abs(upoly_eval_float(uu, float(tm))) / scale
+                dv = abs(upoly_eval_float(uu.derivative(), float(tm))) / scale
                 assert v < 1e-6 and dv < 1e-6, f"x={float(x0)}: U={v:.2e} U'={dv:.2e}"
                 hits += 1
         assert hits >= 20

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from kinatlas.ratpoly import MPoly, parse_poly, resultant, squarefree_part, mgcd
+from kinatlas.ratpoly import MPoly, resultant, squarefree_part, mgcd
 
-from oracles import divides
-from kinatlas.groebner import (
+from oracles import divides, parse_poly
+from groebner import (
     PolySystem, MonomialOrder, GREVLEX, LEX,
     groebner_basis, eliminate, GroebnerError,
 )

@@ -4,18 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from kinatlas.ratpoly import MPoly, parse_poly, exact_div
+from kinatlas.ratpoly import MPoly, exact_div
 from kinatlas.mechanism import (
     MechanismParams, WorkingMode, Pose, JointValues, PassiveAngles,
     KinematicsError, CS_VARS,
-    constraints_trig, rationalize, ALL_ANGLES, PHI_ANGLE,
-    jacobians, det3, serial_singularity, parallel_singularity,
+    constraints_trig, rationalize, PHI_ANGLE,
+    jacobians, det3, parallel_singularity,
     inverse_kinematics, direct_kinematics, residuals,
     slice_workspace, slice_jointspace, project_parallel_to_joint, dk_count_chart,
 )
 from kinatlas.trajectory import _det_a_normalized
 
-from oracles import det_a_sign
+from oracles import ALL_ANGLES, det_a_sign, parse_poly, serial_singularity
 
 PARAMS = MechanismParams()
 

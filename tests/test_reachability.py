@@ -1,13 +1,15 @@
 """Reachability guard: the package carries no code that only tests call.
 
-Every top-level function or class of `src/kinatlas` must be named (by a
-`Name` or `Attribute` node) somewhere in the package outside its own body,
-and every method that is not a dunder by an `Attribute` node: a method is
-only reached through an object, so a local variable of the same name does
-not keep it alive.  Docstrings, comments and imports do not count, so a
-helper that the package imports but never calls fails.  Names are matched
-by their last component, so the guard finds dead code, not every
-unreachable path.
+Every top-level function or class of `src/kinatlas`, and every name a
+module assigns at top level (dunders such as `__version__` exempt), must be
+named (by a `Name` or `Attribute` node) somewhere in the package outside
+its own definition, and every method that is not a dunder by an
+`Attribute` node: a method is only reached through an object, so a local
+variable of the same name does not keep it alive.  Docstrings, comments
+and imports do not count, so a helper that the package imports but never
+calls fails.  Names are matched by their last component, so the guard
+finds dead code, not every unreachable path: a method stays alive while
+any method of the same name is called on any object.
 """
 
 import ast
@@ -17,13 +19,21 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "kinatlas"
 
 # definitions kept without a caller in the package, each with its reason
 ALLOWED = {
-    "groebner.eliminate": "acceptance criterion 4 projects the constraint ideal with it",
-    "groebner.PolySystem.of": "acceptance criterion 4 builds the systems it eliminates",
-    "mechanism.serial_singularity": "acceptance criterion 1 checks det B through it",
-    "ratpoly.parse_poly": "textual polynomial input for library users and tests",
     "mechanism.WorkingMode.all_modes": "public enumeration of the four working modes",
     "mechanism.WorkingMode.from_label": "inverse of WorkingMode.label for library users",
 }
+
+
+def _assigned(node) -> list[str]:
+    """Names a top-level assignment binds, dunders left out."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
 def _definitions():
@@ -33,6 +43,8 @@ def _definitions():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
+            for name in _assigned(node):
+                yield f"{path.stem}.{name}", name, False, path, node
             if not isinstance(node, funcs + (ast.ClassDef,)):
                 continue
             qual = f"{path.stem}.{node.name}"

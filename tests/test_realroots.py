@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kinatlas.ratpoly import MPoly, UPoly, parse_poly
+from kinatlas.ratpoly import MPoly, UPoly
 from kinatlas.realroots import (
     RealRootError,
     NEG_INF, POS_INF,
@@ -15,8 +15,8 @@ from kinatlas.realroots import (
 import kinatlas.realroots as realroots
 
 from oracles import (
-    bernstein_by_fractions, isolate_by_scaling, refine_by_fractions, segment_crosses,
-    restrict_to_segment,
+    bernstein_by_fractions, isolate_by_scaling, parse_poly, refine_by_fractions,
+    segment_crosses, restrict_to_segment, upoly_eval_float, upoly_mul,
 )
 
 
@@ -31,7 +31,7 @@ def _scan_count(p: UPoly, lo: float, hi: float, n: int = 20000) -> int:
     hits = 0
     for i in range(n + 1):
         x = lo + (hi - lo) * i / n
-        v = f.eval_float(x)
+        v = upoly_eval_float(f, x)
         if prev is not None and prev * v < 0:
             hits += 1
         if v == 0.0:
@@ -156,25 +156,25 @@ def _oracle_polys(n: int = 320):
         if kind == 0:   # exact dyadic roots c / 2^k, maybe two of them
             for _ in range(rng.randint(1, 2)):
                 r = Fraction(rng.randint(-40, 40) | 1, 1 << rng.randint(0, 6))
-                p = p * UPoly([-r.numerator, r.denominator])
+                p = upoly_mul(p, UPoly([-r.numerator, r.denominator]))
                 known.append(r)
             feats.add("dyadic")
         elif kind == 1:  # a root at 0
-            p = p * UPoly([0] * rng.randint(1, 2) + [1])
+            p = upoly_mul(p, UPoly([0] * rng.randint(1, 2) + [1]))
             known.append(Fraction(0))
             feats.add("zero")
         elif kind == 2:  # repeated factors
             f = UPoly([rng.randint(-9, 9), rng.randint(-4, 4), rng.randint(1, 3)])
-            p = p * f * f
+            p = upoly_mul(upoly_mul(p, f), f)
             if rng.random() < 0.5:  # a repeated dyadic root
-                p = p * UPoly([-1, 2]) * UPoly([-1, 2])
+                p = upoly_mul(upoly_mul(p, UPoly([-1, 2])), UPoly([-1, 2]))
                 known.append(Fraction(1, 2))
             feats.add("repeated")
         else:            # close roots: a cluster around a rational point
             c = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
             for k in range(rng.randint(2, 3)):
                 r = c + Fraction(k + 1, 10 ** rng.randint(2, 5))
-                p = p * UPoly([-r.numerator, r.denominator])
+                p = upoly_mul(p, UPoly([-r.numerator, r.denominator]))
                 known.append(r)
             feats.add("cluster")
         if p.degree >= 8:
@@ -244,7 +244,7 @@ def _bernstein_cases(n: int = 240):
         w = Fraction(rng.randint(1, 8), 1 << rng.randint(0, 12))
         if i % 4 == 0:
             m = a + w / 2
-            ints = (UPoly(ints) * UPoly([-m.numerator, m.denominator])).int_cleared()
+            ints = upoly_mul(UPoly(ints), UPoly([-m.numerator, m.denominator])).int_cleared()
         yield list(ints), a, w
 
 
@@ -320,8 +320,8 @@ class TestIntegerRefine:
             roots = [Fraction(rng.randint(-40, 40), rng.choice((3, 5, 7, 9, 10))) for _ in range(3)]
             p = UPoly([1])
             for r in roots:
-                p = p * UPoly([-r, 1])
-            p = p * UPoly([-rng.randint(2, 30), 0, 1])
+                p = upoly_mul(p, UPoly([-r, 1]))
+            p = upoly_mul(p, UPoly([-rng.randint(2, 30), 0, 1]))
             r = rng.choice(roots)
             lo = r - Fraction(rng.randint(1, 50), rng.choice((3, 7, 11, 100)))
             hi = r + Fraction(rng.randint(1, 50), rng.choice((3, 7, 11, 100)))
@@ -401,7 +401,7 @@ class TestKernelCaches:
         cold = [count_roots(p, lo, hi) for p, lo, hi in cases]
         warm = [count_roots(p, lo, hi) for p, lo, hi in cases]
         # a positive rational multiple has the same integer coefficients: same entry
-        scaled = [count_roots(p * Fraction(3, 7), lo, hi) for p, lo, hi in cases]
+        scaled = [count_roots(upoly_mul(p, UPoly([Fraction(3, 7)])), lo, hi) for p, lo, hi in cases]
         assert _sturm_cached.cache_info().hits >= 2 * len(cases) - 10
         direct = []
         for p, lo, hi in cases:
@@ -492,7 +492,7 @@ class TestSegment:
                 continue
             got = segment_crosses([conic], p1, p2)
             # dense scan oracle with endpoint checks
-            vals = [u.eval_float(i / 1000) for i in range(1001)]
+            vals = [upoly_eval_float(u, i / 1000) for i in range(1001)]
             scan = any(a * b <= 0 for a, b in zip(vals, vals[1:]))
             if not scan and got:
                 # scan can miss tangencies; verify exactly and skip
