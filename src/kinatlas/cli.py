@@ -24,7 +24,7 @@ from .realroots import RealRootError
 from .cad2d import CadError
 from .adjacency import AdjacencyError
 from .mechanism import (
-    MechanismParams, WorkingMode, Pose, JointValues,
+    MechanismParams, WorkingMode, Pose, JointValues, as_float,
     inverse_kinematics, direct_kinematics, residuals, KinematicsError,
 )
 from .domains import SliceAtlas, DomainError
@@ -47,6 +47,13 @@ def _frac(s) -> Fraction:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"bad rational {s!r}: {e}") from e
+
+
+def _float(s) -> float:
+    try:
+        return as_float(_frac(s), f"rational {s!r}")
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _write_atomic(path: Path, chunks):
@@ -113,7 +120,7 @@ def cmd_analyze(args) -> int:
     if args.density < 2:
         raise ConfigError("--density must be at least 2")
     if args.window:
-        w = [float(_frac(v)) for v in args.window.split(",")]
+        w = [_float(v) for v in args.window.split(",")]
         if len(w) != 4 or w[0] >= w[1] or w[2] >= w[3]:
             raise ConfigError("--window must be x0,x1,y0,y1 with x0 < x1, y0 < y1")
     space, val, branch = _parse_slice(args.slice)
@@ -157,7 +164,7 @@ def _plot_slice(atlas: SliceAtlas, space: str, window: str | None, density: int)
     if space == "W":
         win = (-5.0, 5.0, -math.pi, math.pi)
         if window:
-            win = tuple(float(_frac(w)) for w in window.split(","))
+            win = tuple(_float(w) for w in window.split(","))
         canvas = svg.SvgCanvas(win)
         xlo, xhi = Fraction(win[0]).limit_denominator(10 ** 6), Fraction(win[1]).limit_denominator(10 ** 6)
         phi_of_t = lambda t: 2.0 * math.atan(t)
@@ -175,7 +182,7 @@ def _plot_slice(atlas: SliceAtlas, space: str, window: str | None, density: int)
         return canvas.render()
     win = (0.0, 5.0, -math.pi, math.pi)
     if window:
-        win = tuple(float(_frac(w)) for w in window.split(","))
+        win = tuple(_float(w) for w in window.split(","))
     canvas = svg.SvgCanvas(win)
     rlo = Fraction(max(0, Fraction(win[0]).limit_denominator(10 ** 6))) ** 2
     rhi = Fraction(win[1]).limit_denominator(10 ** 6) ** 2
@@ -256,7 +263,7 @@ def cmd_solve(args) -> int:
     params = _load_config(args.config)
     out = []
     if args.dk:
-        vals = [float(_frac(v)) for v in args.dk.split(",")]
+        vals = [_float(v) for v in args.dk.split(",")]
         if len(vals) != 3:
             raise ConfigError("--dk needs rho1,rho2,rho3")
         sols = direct_kinematics(JointValues(*vals), params)
@@ -267,7 +274,7 @@ def cmd_solve(args) -> int:
                         "alpha2": pa.alpha2, "alpha3": pa.alpha3,
                         "residual": max(abs(v) for v in res)})
     else:
-        vals = [float(_frac(v)) for v in args.ik.split(",")]
+        vals = [_float(v) for v in args.ik.split(",")]
         if len(vals) != 3:
             raise ConfigError("--ik needs x,y,phi")
         try:

@@ -34,6 +34,15 @@ class KinematicsError(Exception):
         self.leg = leg
 
 
+def as_float(v: Fraction, name: str) -> float:
+    """float(v); a ValueError saying that `name` is too large for a float
+    when the rational v is."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
 @dataclass(frozen=True)
 class MechanismParams:
     l2: Fraction = Fraction(3)
@@ -48,6 +57,7 @@ class MechanismParams:
                 object.__setattr__(self, name, Fraction(v))
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+            as_float(getattr(self, name), name)
 
     @cached_property
     def floats(self) -> tuple[float, float, float, float]:

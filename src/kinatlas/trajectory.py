@@ -9,10 +9,13 @@ pass of `_chain_system`: one `segment_point`, one tuple IK
 analytic dq/ds, and one cos/sin of the iterate gives F(X; q) and dF/dX.
 Within `_KINK_WINDOW` of a waypoint, where q(s) has a kink, the two
 one-sided rates are weighted as a central difference of that half-width
-weighs them.  The converged iterate's Jacobian gives the chain tangent,
-its signed 3x3 minors; the chain keeps its joints for its joint-space
-image.  A verdict scans det A on its branch at s = i/600 and takes one
-tracked chart at s = i/400, whose samples at s = k/200 come from the scan.
+weighs them.  Every Newton step, the corrector's and the boundary clamp's,
+is one solve of the straight-line 4x4 kernel `_solve`; the clamp's 3x3
+system at fixed s is padded to 4x4 (`_newton`).  The converged
+iterate's Jacobian gives the chain tangent, its signed 3x3 minors; the
+chain keeps its joints for its joint-space image.  A verdict scans det A
+on its branch at s = i/600 and takes one tracked chart at s = i/400,
+whose samples at s = k/200 come from the scan.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .mechanism import (
-    MechanismParams, WorkingMode, Pose, JointValues, ik_core, direct_kinematics,
+    MechanismParams, WorkingMode, Pose, JointValues, as_float, ik_core, direct_kinematics,
 )
 
 
@@ -43,7 +46,7 @@ class Trajectory:
     def __post_init__(self):
         if len(self.waypoints) < 2:
             raise TrajectoryError("need at least 2 waypoints")
-        object.__setattr__(self, "y0_float", float(self.y0))
+        object.__setattr__(self, "y0_float", as_float(self.y0, "y"))
 
     @staticmethod
     def from_json(d: dict) -> "Trajectory":
@@ -53,7 +56,7 @@ class Trajectory:
         mode = WorkingMode(int(d["mode"][0]), int(d["mode"][1]))
         if any(len(w) != 2 for w in d["waypoints"]):
             raise ValueError("each waypoint needs 2 coordinates (x, phi)")
-        wps = tuple((float(Fraction(str(w[0]))), float(Fraction(str(w[1]))))
+        wps = tuple(tuple(as_float(Fraction(str(v)), f"waypoint coordinate {v!r}") for v in w)
                     for w in d["waypoints"])
         return Trajectory(y0=y0, mode=mode, waypoints=wps)
 
@@ -124,40 +127,115 @@ def _distance_system(x, y, phi, q, params):
 
 
 def _solve(m, r):
-    """Gauss-Jordan solve of the square system m z = r, partial pivoting."""
-    a = [row[:] + [v] for row, v in zip(m, r)]
-    n = len(m)
-    for col in range(n):
-        # the first row of largest |entry|, as max() would pick it
-        piv, big = col, abs(a[col][col])
-        for i in range(col + 1, n):
-            v = abs(a[i][col])
-            if v > big:
-                piv, big = i, v
-        if big < 1e-14:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        prow = a[col]
-        pv = prow[col]
-        # column col of the other rows is never read again: start right of it
-        for i in range(n):
-            if i == col:
-                continue
-            row = a[i]
-            f = row[col] / pv
-            for j in range(col + 1, n + 1):
-                row[j] -= f * prow[j]
-    return [a[i][n] / a[i][i] for i in range(n)]
+    """Solve the 4x4 system m z = r by Gauss-Jordan elimination with partial
+    pivoting, unrolled over the columns.
+
+    Column k pivots on the first row (from row k on) of largest |entry|, and
+    raises ZeroDivisionError when that entry is below 1e-14; the pivot row
+    swaps places with row k.  Every other row w becomes w[j] - f * p[j]
+    for j > k, with f = w[k] / p[k]; a row drops column k once it is
+    eliminated, since nothing reads it again.  The answer is each row's
+    right-hand side over its pivot.  These are the IEEE operations, in
+    order, of the textbook loop (`tests/oracles.solve`), so the result is
+    bit for bit that loop's."""
+    a, b, c, d = [(*row, v) for row, v in zip(m, r)]
+    # column 0
+    piv, big = 0, abs(a[0])
+    v = abs(b[0])
+    if v > big:
+        piv, big = 1, v
+    v = abs(c[0])
+    if v > big:
+        piv, big = 2, v
+    v = abs(d[0])
+    if v > big:
+        piv, big = 3, v
+    if big < 1e-14:
+        raise ZeroDivisionError("singular matrix")
+    if piv == 1:
+        a, b = b, a
+    elif piv == 2:
+        a, c = c, a
+    elif piv == 3:
+        a, d = d, a
+    pv0, p1, p2, p3, p4 = a
+    a = (p1, p2, p3, p4)
+    f = b[0] / pv0
+    b = (b[1] - f * p1, b[2] - f * p2, b[3] - f * p3, b[4] - f * p4)
+    f = c[0] / pv0
+    c = (c[1] - f * p1, c[2] - f * p2, c[3] - f * p3, c[4] - f * p4)
+    f = d[0] / pv0
+    d = (d[1] - f * p1, d[2] - f * p2, d[3] - f * p3, d[4] - f * p4)
+    # column 1
+    piv, big = 1, abs(b[0])
+    v = abs(c[0])
+    if v > big:
+        piv, big = 2, v
+    v = abs(d[0])
+    if v > big:
+        piv, big = 3, v
+    if big < 1e-14:
+        raise ZeroDivisionError("singular matrix")
+    if piv == 2:
+        b, c = c, b
+    elif piv == 3:
+        b, d = d, b
+    pv1, p2, p3, p4 = b
+    b = (p2, p3, p4)
+    f = a[0] / pv1
+    a = (a[1] - f * p2, a[2] - f * p3, a[3] - f * p4)
+    f = c[0] / pv1
+    c = (c[1] - f * p2, c[2] - f * p3, c[3] - f * p4)
+    f = d[0] / pv1
+    d = (d[1] - f * p2, d[2] - f * p3, d[3] - f * p4)
+    # column 2
+    big = abs(c[0])
+    v = abs(d[0])
+    if v > big:
+        c, d, big = d, c, v
+    if big < 1e-14:
+        raise ZeroDivisionError("singular matrix")
+    pv2, p3, p4 = c
+    f = a[0] / pv2
+    a = (a[1] - f * p3, a[2] - f * p4)
+    f = b[0] / pv2
+    b = (b[1] - f * p3, b[2] - f * p4)
+    f = d[0] / pv2
+    pv3, d4 = d[1] - f * p3, d[2] - f * p4
+    # column 3
+    if abs(pv3) < 1e-14:
+        raise ZeroDivisionError("singular matrix")
+    f = a[0] / pv3
+    a4 = a[1] - f * d4
+    f = b[0] / pv3
+    b4 = b[1] - f * d4
+    f = p3 / pv3
+    c4 = p4 - f * d4
+    return [a4 / pv0, b4 / pv1, c4 / pv2, d4 / pv3]
+
+
+# the row that pads the 3x3 Newton system of the distance equations to the
+# kernel's 4x4: it holds the fourth unknown, s, at 0
+_HOLD_S = (0.0, 0.0, 0.0, 1.0)
 
 
 def _newton(x, y, phi, q, params, tol=1e-12, iters=40):
+    """Damped Newton on F(X; q) = 0 at fixed joints q: the point (x, y, phi)
+    and its residual, or None.  Each step solves dF/dX d = F through the
+    4x4 kernel, padded by a zero fourth column and the row _HOLD_S with
+    right-hand side 0: the padding row never pivots before column 3 and its
+    zeros leave every other operation's result unchanged, so on finite
+    systems d is bit for bit the 3x3 elimination's."""
     for _ in range(iters):
         r, j = _distance_system(x, y, phi, q, params)
         err = max(map(abs, r))
         if err < tol:
             return (x, y, phi, err)
+        for row in j:
+            row.append(0.0)
+        j.append(_HOLD_S)
         try:
-            d = _solve(j, r)
+            d = _solve(j, (*r, 0.0))
         except ZeroDivisionError:
             return None
         lam = 1.0
@@ -292,7 +370,7 @@ def _tangent4(j4, prev) -> list[float]:
     n = math.hypot(*t)
     if not n > _RANK_TOL * _row_norm_product(j4):
         raise TrajectoryError("rank-deficient system on the solution manifold")
-    if sum(a * b for a, b in zip(t, prev)) < 0:
+    if t[0] * prev[0] + t[1] * prev[1] + t[2] * prev[2] + t[3] * prev[3] < 0:
         n = -n
     return [v / n for v in t]
 

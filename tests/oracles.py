@@ -14,8 +14,9 @@ integer PRS alone against the one settling coprime pairs modulo a prime,
 bisection on Fractions against bisection on integers over a common
 denominator, plot columns by substitution against row-wise binding, and
 the Fraction routes of the interpolated resultant and of the fibre product
-against their integer ones, the Gauss-Jordan solve pivoting by `max`
-against the one that scans each column once, the chain tangent by four
+against their integer ones, the Gauss-Jordan loop pivoting by `max`
+against the unrolled 4x4 kernel (3x3 systems padded to 4x4 as `_newton`
+pads them), the chain tangent by four
 solves with one coordinate fixed, kept by the conditioning of [J; t],
 against the signed 3x3 minors of J, the Jacobian's path column dF/ds by
 a central difference at the IK joints of s +- 1e-7 against the analytic
@@ -53,7 +54,7 @@ from kinatlas.realroots import (
     _root_bound, _scale_shift, _sign_at, _sign_variations, _taylor_shift_1,
 )
 from kinatlas.mechanism import JointValues, KinematicsError
-from kinatlas.trajectory import Chain, TrajectoryError, _KINK_WINDOW, _solve, _tangent4
+from kinatlas.trajectory import Chain, TrajectoryError, _KINK_WINDOW, _tangent4
 
 
 ALL_ANGLES = {"phi": ("cphi", "sphi", "tphi"),
@@ -604,7 +605,7 @@ def specialize_product_by_fractions(polys, base_var: str, fiber_var: str, x0) ->
 def solve(m, r):
     """Gauss-Jordan solve of the square system m z = r, partial pivoting
     by `max` over the column."""
-    a = [row[:] + [v] for row, v in zip(m, r)]
+    a = [[*row, v] for row, v in zip(m, r)]
     n = len(m)
     for col in range(n):
         piv = max(range(col, n), key=lambda i: abs(a[i][col]))
@@ -780,7 +781,7 @@ def _newton(x, y, phi, q, params, tol=1e-12, iters=40):
         if err < tol:
             return (x, y, phi, err)
         try:
-            d = _solve(distance_jacobian(x, y, phi, q, params), r)
+            d = solve(distance_jacobian(x, y, phi, q, params), r)
         except ZeroDivisionError:
             return None
         lam = 1.0
@@ -808,7 +809,7 @@ def _corrector4(x, y, phi, s, tangent, traj, params, iters=25):
         if max(abs(v) for v in r) < 1e-11:
             return (x, y, phi, s), q
         try:
-            d = _solve(sys_jacobian4(x, y, phi, s, traj, params, q) + [tangent], r)
+            d = solve(sys_jacobian4(x, y, phi, s, traj, params, q) + [tangent], r)
         except ZeroDivisionError:
             return None
         x, y, phi, s = x - d[0], y - d[1], phi - d[2], s - d[3]

@@ -78,11 +78,12 @@ class TestSolve:
         ('{"l2": [3], "l3": "3", "a": "1", "b": "1"}', ["--dk", "1,1,1"]),
         ('{"l2": "1/0"}', ["--dk", "1,1,1"]),
         ('["RPR-2PRR", "3", "3", "1", "1"]', ["--dk", "1,1,1"]),
+        ('{"l2": "1e400"}', ["--ik", "1,1/2,0"]),
         (None, ["--ik", "1,1/2,0", "--mode", "1,2"]),
         (None, ["--ik", "1,1/2,0", "--mode", "1"]),
         (None, ["--ik", "1,1/2,0", "--mode", "a,b"]),
     ], ids=["malformed-json", "list-length", "zero-denominator", "array-config",
-            "mode-sign", "mode-arity", "mode-not-int"])
+            "length-too-large-for-a-float", "mode-sign", "mode-arity", "mode-not-int"])
     def test_bad_config_exit_2(self, config, args, config_file, tmp_path, capsys):
         if config is not None:
             bad = tmp_path / "bad.json"
@@ -91,6 +92,14 @@ class TestSolve:
         rc = main(["solve", "--config", config_file] + args)
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--ik", "1e400,0.5,0"], ["--dk", "1e400,1,1"]],
+                             ids=["ik", "dk"])
+    def test_rational_too_large_for_a_float_exit_2(self, args, config_file, capsys):
+        rc = main(["solve", "--config", config_file] + args)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'1e400'" in err
 
 
 class TestAnalyze:
@@ -195,6 +204,22 @@ class TestCheckTrajectory:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
 
+    @pytest.mark.parametrize("traj,named", [
+        ({"y": "1/2", "mode": [1, 1], "waypoints": [["-1", "1"], ["1e400", "1/2"]]}, "'1e400'"),
+        ({"y": "1/2", "mode": [1, 1], "waypoints": [["-1", "-1e400"], ["0", "1/2"]]}, "'-1e400'"),
+        ({"y": "1e400", "mode": [1, 1], "waypoints": [["-1", "1"], ["0", "1/2"]]}, "y is"),
+    ], ids=["waypoint-x", "waypoint-phi", "y"])
+    def test_rational_too_large_for_a_float_exit_2(self, traj, named, config_file, tmp_path,
+                                                   capsys):
+        tf = tmp_path / "big_traj.json"
+        tf.write_text(json.dumps(traj))
+        rc = main(["check-trajectory", "--config", config_file,
+                   "--traj", str(tf), "--out", str(tmp_path / "v")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err and "too large for a float" in err
+        assert not (tmp_path / "v").exists()
+
 
 class TestCurvePoints:
     def test_columns_match_substitution_oracle(self, atlas_pp):
@@ -244,6 +269,12 @@ class TestConfigValidation:
         rc = main(["analyze", "--config", config_file, "--slice", "W:y=1/2",
                    "--out", "/tmp/kinatlas-bad-window", "--window", "1,0,0,1"])
         assert rc == 2
+
+    def test_window_too_large_for_a_float(self, config_file, tmp_path, capsys):
+        rc = main(["analyze", "--config", config_file, "--slice", "W:y=1/2",
+                   "--out", str(tmp_path / "out"), "--window", "0,1e400,0,1"])
+        assert rc == 2
+        assert "'1e400'" in capsys.readouterr().err
 
 
 # every exception class the exact layers raise on an undecidable input

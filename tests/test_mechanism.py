@@ -28,6 +28,12 @@ class TestParams:
         with pytest.raises(ValueError):
             MechanismParams(l2=Fraction(-1))
 
+    def test_too_large_for_a_float(self):
+        with pytest.raises(ValueError, match="l3 is too large for a float"):
+            MechanismParams(l3=Fraction(10) ** 400)
+        with pytest.raises(ValueError, match="b is too large for a float"):
+            MechanismParams.from_json({"b": "1e400"})
+
     def test_json_round_trip(self):
         d = PARAMS.to_json()
         assert d == {"type": "RPR-2PRR", "l2": "3", "l3": "3", "a": "1", "b": "1"}

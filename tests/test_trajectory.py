@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from kinatlas.mechanism import (
-    MechanismParams, WorkingMode, direct_kinematics,
+    JointValues, MechanismParams, WorkingMode, direct_kinematics,
 )
 from kinatlas.trajectory import (
     Trajectory, TrajectoryError,
@@ -287,6 +287,15 @@ def _minor_ratio(j):
     return math.hypot(*minors) / norm
 
 
+def _kernel(m, r):
+    """`_solve` on a 4x4 system, or on a 3x3 one padded as `_newton` pads
+    it: a zero fourth column, the row (0, 0, 0, 1) and right-hand side 0,
+    the first three entries kept."""
+    if len(m) == 4:
+        return _solve(m, r)
+    return _solve([[*row, 0.0] for row in m] + [[0.0, 0.0, 0.0, 1.0]], [*r, 0.0])[:3]
+
+
 class TestKernelOracles:
     def test_solve_matches_oracle_bitwise(self):
         from oracles import solve
@@ -297,9 +306,82 @@ class TestKernelOracles:
             r = [rng.uniform(-2.0, 2.0) for _ in m]
             r[rng.randrange(len(r))] = rng.choice((0.0, -0.0))
             want = _outcome(solve, m, r)
-            assert _outcome(_solve, m, r) == want, m
+            assert _outcome(_kernel, m, r) == want, m
             raised += want[0] == "raise"
         assert raised >= 40
+
+    def test_solve_matches_oracle_on_walk_systems(self, monkeypatch):
+        """The corrector's own systems, bit for bit: every system the Fig. 10
+        partner walks solve, both ways, and the 3x4 Jacobian of
+        `_chain_system` with a tangent row at Fig. 10 points and in the kink
+        windows of its waypoints, in every mode and in both directions."""
+        from oracles import solve
+        from kinatlas import trajectory as tj
+        kernel = tj._solve
+        walked = []
+
+        def recorded(m, r):
+            walked.append(([list(row) for row in m], tuple(r)))
+            return kernel(m, r)
+
+        monkeypatch.setattr(tj, "_solve", recorded)
+        for wps in (FIG10, tuple(reversed(FIG10))):
+            t = _traj(wps)
+            for st in _partner_starts(t):
+                try:
+                    follow_chain(t, PARAMS, st)
+                except TrajectoryError:
+                    pass
+        monkeypatch.undo()
+        assert len(walked) > 1000
+        for m, r in walked:
+            assert _outcome(_solve, m, r) == _outcome(solve, m, r), (m, r)
+        rng = random.Random(15)
+        systems = 0
+        for mode in WorkingMode.all_modes():
+            for wps in (FIG10, tuple(reversed(FIG10))):
+                t = _traj(wps, mode=mode)
+                for s, (x, y, phi) in _system_points(t, rng):
+                    _, f, j = _chain_system(x, y, phi, s, t, PARAMS)
+                    prev = [rng.uniform(-1.0, 1.0) for _ in range(4)]
+                    for row in (_tangent4(j, prev), prev):
+                        m = j + [row]
+                        r = (*f, rng.choice((0.0, -0.0, rng.uniform(-1e-3, 1e-3))))
+                        assert _outcome(_solve, m, r) == _outcome(solve, m, r), (wps, s)
+                        systems += 1
+        assert systems >= 600
+
+    def test_newton_matches_oracle_at_the_fig10_clamp(self, monkeypatch):
+        """`_newton`, on the padded 4x4 kernel, returns bit for bit what the
+        oracle Newton on the 3x3 loop returns at the boundary clamp of the
+        Fig. 10 partner chain, and from starts moved off it."""
+        import oracles
+        from kinatlas import trajectory as tj
+        t = _traj()
+        newton = tj._newton
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return newton(*args)
+
+        monkeypatch.setattr(tj, "_newton", recorded)
+        ends = [follow_chain(t, PARAMS, st).end_s for st in _partner_starts(t)]
+        assert 1.0 in ends
+        monkeypatch.undo()
+        jv = joint_values_at(t, 1.0, PARAMS)
+        clamps = [c for c in calls if c[3] == (jv.rho1, jv.rho2, jv.rho3)]
+        assert clamps
+        checked = 0
+        for x, y, phi, q, params in clamps:
+            for dx, dphi in ((0.0, 0.0), (1e-6, -1e-6), (1e-3, 2e-3), (-0.05, 0.03), (0.4, -0.3)):
+                got = newton(x + dx, y, phi + dphi, q, params)
+                want = oracles._newton(x + dx, y, phi + dphi, JointValues(*q), params)
+                assert (got is None) == (want is None), (dx, dphi)
+                if got is not None:
+                    assert _bits(got) == _bits(want), (dx, dphi)
+                    checked += 1
+        assert checked >= 3
 
     def test_tangent_is_the_oracle_null_vector(self):
         """The signed minors give a unit null vector, equal after orientation
