@@ -1,26 +1,27 @@
 """Connectivity of open CAD cells in the complement of a curve set.
 
 One pass per decomposition serves every variety asked of it.  The pass
-enumerates the candidate edges once: vertically stacked cells, and
-horizontally adjacent cells whose fiber intervals overlap near the shared
-base root at the first witness rung where they overlap (each with a
-horizontal witness segment).  For each candidate it records which variety
-polynomials block it: in a stacked pair, a root between the two samples;
-across a base root, a zero on the witness segment.  The graph of each
-variety is then a filter that keeps the candidates none of its own
-polynomials block.
+enumerates the candidate edges once: vertically stacked cells, horizontally
+adjacent cells whose fiber intervals overlap near the shared base root at
+the first witness rung where they overlap (each with a horizontal witness
+segment), and, when the fiber is the half-tangent chart of an angle, the
+bottom and top cell of each column, which meet across the cut at fiber
+infinity.  For each candidate it records which variety polynomials block
+it: in a stacked pair, a root between the two samples; across a base root,
+a zero on the witness segment; across the cut, an odd fiber degree.  The
+graph of each variety is then a filter that keeps the candidates none of
+its own polynomials block.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratpoly import MPoly
 from .realroots import (
     NEG_INF, POS_INF, IsolatingInterval, RealRootError, isolate, count_roots,
-    _sign_at,
+    sample_between, _sign_at,
 )
 from .cad2d import Decomposition, _bind, _rows, _specialize_product
 
@@ -100,29 +101,6 @@ def _cmp_bounds(a: IsolatingInterval, b: IsolatingInterval, gcds: dict,
         if not y.is_exact():
             y = y.refine(y.width() / 16)
     raise AdjacencyError("could not order algebraic bounds")
-
-
-def _rational_between(lo, hi) -> Fraction:
-    """A rational strictly between two bounds (intervals or sentinels)."""
-    if lo == NEG_INF and hi == POS_INF:
-        return Fraction(0)
-    if lo == NEG_INF:
-        return Fraction(math.floor(hi.low) - 1)
-    if hi == POS_INF:
-        return Fraction(math.floor(lo.high) + 1)
-    a, b = lo, hi
-    for _ in range(200):
-        if a.high < b.low:
-            return (a.high + b.low) / 2
-        if not a.is_exact():
-            a = a.refine(a.width() / 2)
-        if not b.is_exact():
-            b = b.refine(b.width() / 2)
-        if a.is_exact() and b.is_exact():
-            if a.low < b.low:
-                return (a.low + b.low) / 2
-            raise AdjacencyError("empty gap between bounds")
-    raise AdjacencyError("could not separate bounds")
 
 
 def _roots_at(dec: Decomposition, w: Fraction, col: list, where: str) -> list[IsolatingInterval]:
@@ -214,9 +192,20 @@ def _witnesses(dec: Decomposition, j: int, shrink: int = 1 << 10) -> tuple[Fract
 _RUNGS = (1 << 10, 1 << 22, 1 << 40)   # witness shrink factors, tried in turn
 
 
-def build_graphs(dec: Decomposition, varieties: list[list[MPoly]]) -> list[AdjacencyGraph]:
+def build_graphs(dec: Decomposition, varieties: list[list[MPoly]],
+                 wrap: bool = False) -> list[AdjacencyGraph]:
     """One graph per variety, joining cells in one connected component of
-    its complement, from a single adjacency pass over `dec`."""
+    its complement, from a single adjacency pass over `dec`.
+
+    With `wrap` the fiber variable is t = tan(phi / 2), whose two ends
+    t -> -inf and t -> +inf are the one line phi = pi, so the bottom and
+    top cell of each column are a candidate pair too.  A polynomial p of
+    degree d in t is p / (1 + t^2)^ceil(d / 2) on the cylinder.  For odd d
+    that vanishes on the whole cut and changes sign across it, so p blocks
+    the pair.  For even d it tends to the leading coefficient of p in t,
+    which has no root inside a column provided the variety's curves are
+    curves of `dec` (its projection holds every leading coefficient), so p
+    does not block it."""
     bv, fv = dec.base_var, dec.fiber_var
     polys: list[MPoly] = []          # distinct polynomials of all varieties
     users: list[set[int]] = []       # the varieties each one belongs to
@@ -255,6 +244,13 @@ def build_graphs(dec: Decomposition, varieties: list[list[MPoly]]) -> list[Adjac
             except RealRootError as e:
                 raise AdjacencyError(f"column {k}, cells ({low.id}, {high.id}): {e}") from e
 
+    # across the cut: bottom and top of a column, blocked by odd t-degree
+    if wrap:
+        odd = [p.degree(fv) % 2 == 1 for p in polys]
+        for col in dec.columns:
+            if len(col) >= 2:
+                add(col[0].id, col[-1].id, lambda t: odd[t])
+
     # horizontal: cells across each base root; witnesses escalate toward the
     # boundary because fiber overlap is a limit criterion in e
     hrows = [_rows(p, bv, fv) for p in polys]
@@ -288,7 +284,7 @@ def build_graphs(dec: Decomposition, varieties: list[list[MPoly]]) -> list[Adjac
                     lo = lo1 if rl1 >= rl2 else lo2
                     hi = hi1 if rh1 <= rh2 else hi2
                     try:
-                        c = _rational_between(lo, hi)
+                        c = sample_between(lo, hi)
                         add(c1.id, c2.id,
                             lambda t: _crosses_horizontal(hrows[t], c, w1, w2, bv))
                     except (AdjacencyError, RealRootError) as e:
@@ -298,7 +294,7 @@ def build_graphs(dec: Decomposition, varieties: list[list[MPoly]]) -> list[Adjac
     return [AdjacencyGraph(nodes, tuple(sorted(es))) for es in edges]
 
 
-def build_graph(dec: Decomposition, variety: list[MPoly]) -> AdjacencyGraph:
+def build_graph(dec: Decomposition, variety: list[MPoly], wrap: bool = False) -> AdjacencyGraph:
     """Undirected graph joining cells in one connected component of the
-    complement of the variety."""
-    return build_graphs(dec, [variety])[0]
+    complement of the variety; `wrap` as in `build_graphs`."""
+    return build_graphs(dec, [variety], wrap)[0]

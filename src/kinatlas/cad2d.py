@@ -20,7 +20,7 @@ from .ratpoly import (
     int_poly_gcd, _int_primitive, _poly_mul, _poly_quo,
 )
 from .realroots import (
-    NEG_INF, IsolatingInterval,
+    NEG_INF, POS_INF, IsolatingInterval,
     isolate, count_roots, sample_between,
 )
 
@@ -264,10 +264,9 @@ def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:
     proj = projection_set(p2, base_var, fiber_var)
     polys = list(proj.p2)
     base = _squarefree_lcm([list(q.int_cleared()) for q in proj.p1], base_var)
-    base_roots = isolate(base) if base.degree >= 1 else []
-    n = len(base_roots)
-    base_samples = [sample_between(base, l, base_roots) for l in range(n + 1)] \
-        if base.degree >= 1 else [Fraction(0)]
+    base_roots = isolate(base)
+    bounds = [NEG_INF, *base_roots, POS_INF]
+    base_samples = [sample_between(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
     cells: list[Cell2D] = []
     columns: list[list[Cell2D]] = []
@@ -280,9 +279,10 @@ def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:
         fiber_products.append(f)
         fiber_roots_all.append(fr)
         col = []
-        for k2 in range(len(fr) + 1):
-            fy = sample_between(f, k2, fr)
-            cell = Cell2D(id=cid, base_index=k1, fiber_index=k2, sample=(s, fy))
+        fbounds = [NEG_INF, *fr, POS_INF]
+        for k2, (lo, hi) in enumerate(zip(fbounds, fbounds[1:])):
+            cell = Cell2D(id=cid, base_index=k1, fiber_index=k2,
+                          sample=(s, sample_between(lo, hi)))
             col.append(cell)
             cells.append(cell)
             cid += 1

@@ -126,54 +126,12 @@ def analyze_workspace(ws: WorkspaceSlice, prc: MPoly | None = None) -> Workspace
     sc = characteristic_surface(ws, prc)
     sing = [ws.serial[0], ws.serial[1], ws.parallel]
     dec_s = decompose(sing, "x", "tphi")
-    g_s = build_graph(dec_s, sing)
+    g_s = build_graph(dec_s, sing, wrap=True)
     fine = sing + list(sc.polynomials)
     dec_f = decompose(fine, "x", "tphi")
-    g_f, g_fs = build_graphs(dec_f, [fine, sing])
-    # the half-tangent chart cuts the workspace cylinder at phi = pi; glue
-    # columns back together where the cut line is off the variety
-    bl_sing = _cut_blockers(ws, None)
-    bl_fine = _cut_blockers(ws, sc)
-    g_s = _with_wrap_edges(g_s, dec_s, bl_sing)
-    g_f = _with_wrap_edges(g_f, dec_f, bl_fine)
-    g_fs = _with_wrap_edges(g_fs, dec_f, bl_sing)
+    g_f, g_fs = build_graphs(dec_f, [fine, sing], wrap=True)
     return WorkspaceAnalysis(ws=ws, sc=sc, dec_sing=dec_s, graph_sing=g_s,
                              dec_fine=dec_f, graph_fine=g_f, graph_fine_sing=g_fs)
-
-
-def _cut_blockers(ws: WorkspaceSlice, sc: CharSurface | None):
-    """Restrictions of the variety to the cut line phi = pi, as polynomials
-    in x; None means the whole cut lies on the variety closure."""
-    if ws.y0 == 0:
-        return None  # parallel polynomial vanishes identically on the cut
-    b, l3 = ws.params.b, ws.params.l3
-    x = MPoly.var("x", ("x",))
-    out = [x - (b + l3), x - (b - l3)]
-    if sc is not None:
-        for p in sc.polynomials:
-            d = p.degree("tphi")
-            if d % 2 != 0:
-                return None  # cut on the closure of this curve
-            lc = p.leading_coefficient("tphi").with_vars(("x",))
-            if lc.is_zero():
-                return None
-            if not lc.is_constant():
-                out.append(lc)
-    return out
-
-
-def _with_wrap_edges(g: AdjacencyGraph, dec: Decomposition, blockers) -> AdjacencyGraph:
-    if blockers is None:
-        return g
-    edges = set(g.edges)
-    for j, col in enumerate(dec.columns):
-        bot, top = col[0], col[-1]
-        if bot.id == top.id:
-            continue
-        s = dec.base_samples[j]
-        if all(q.eval({"x": s}) != 0 for q in blockers):
-            edges.add((min(bot.id, top.id), max(bot.id, top.id)))
-    return AdjacencyGraph(g.nodes, tuple(sorted(edges)))
 
 
 def w_aspects(wa: WorkspaceAnalysis, mode: WorkingMode) -> list[RegionSet]:

@@ -210,8 +210,8 @@ def residuals(pose: Pose, joints: JointValues, passives: PassiveAngles,
 # Jacobians and singularity polynomials
 
 
-def jacobians(params: MechanismParams) -> tuple[list[list[MPoly]], list[list[MPoly]]]:
-    """Reduced 3x3 (A, B): A wrt the pose, B wrt the actuated joints.
+def jacobian_a(params: MechanismParams) -> list[list[MPoly]]:
+    """Reduced 3x3 Jacobian A of the constraints wrt the pose.
 
     Rows: leg 1 distance equation, leg 2 and leg 3 chains with the passive
     angle rates eliminated and rows scaled by l2, l3 to clear denominators.
@@ -219,20 +219,12 @@ def jacobians(params: MechanismParams) -> tuple[list[list[MPoly]], list[list[MPo
     x, y = _v("x"), _v("y")
     cph, sph = _v("cphi"), _v("sphi")
     c2, s2, c3, s3 = _v("c2"), _v("s2"), _v("c3"), _v("s3")
-    r1 = _v("rho1")
     l2, l3, a, b = params.l2, params.l3, params.a, params.b
-    zero = _c(0)
-    A = [
+    return [
         [x - a * cph, y - a * sph, a * (x * sph - y * cph)],
-        [-l2 * c2, -l2 * s2, zero],
+        [-l2 * c2, -l2 * s2, _c(0)],
         [-l3 * c3, -l3 * s3, b * l3 * (sph * c3 - cph * s3)],
     ]
-    B = [
-        [-r1, zero, zero],
-        [zero, l2 * c2, zero],
-        [zero, zero, l3 * s3],
-    ]
-    return A, B
 
 
 def det3(m: list[list[MPoly]]) -> MPoly:
@@ -250,8 +242,7 @@ def parallel_singularity(params: MechanismParams) -> MPoly:
     whose zero set the downstream atlas uses.  The spurious cofactor is
     divided out exactly.
     """
-    A, _ = jacobians(params)
-    d = det3(A)
+    d = det3(jacobian_a(params))
     ic2 = d.vars.index("c2")
     is3 = d.vars.index("s3")
     even = MPoly(d.vars, {e: c for e, c in d.terms.items() if e[ic2] == 0 and e[is3] == 0})

@@ -330,30 +330,22 @@ def isolate(p: UPoly) -> list[IsolatingInterval]:
     return out
 
 
-def sample_between(p: UPoly, l: int, roots: list[IsolatingInterval] | None = None) -> Fraction:
-    """Deterministic dyadic rational strictly between Root(p, l) and Root(p, l+1)."""
-    if roots is None:
-        roots = isolate(p)
-    n = len(roots)
-    if n == 0:
-        return Fraction(0)
-    if l <= 0:
-        lo = roots[0].low
-        return Fraction(math.floor(lo) - 1)
-    if l >= n:
-        hi = roots[-1].high
-        return Fraction(math.floor(hi) + 1)
-    a, b = roots[l - 1], roots[l]
-    while True:
-        if a.high < b.low:
-            return (a.high + b.low) / 2
-        if a.high == b.low and a.is_exact() and b.is_exact():
-            raise RealRootError("adjacent equal roots")  # impossible after squarefree
-        if a.high == b.low:
-            # shared dyadic endpoint which is not a root of either side
-            ints = a.polynomial.int_cleared()
-            if _sign_at(ints, *a.high.as_integer_ratio()) != 0:
-                return a.high
-        a = a.refine(a.width() / 2) if not a.is_exact() else a
-        b = b.refine(b.width() / 2) if not b.is_exact() else b
-
+def sample_between(lo, hi) -> Fraction:
+    """Dyadic rational strictly between two bounds, each an
+    `IsolatingInterval` or NEG_INF / POS_INF: 0 between the infinities, the
+    integer below (above) a lone finite upper (lower) bound, else the
+    midpoint of the gap that halving both intervals opens."""
+    if lo == NEG_INF:
+        return Fraction(0) if hi == POS_INF else Fraction(math.floor(hi.low) - 1)
+    if hi == POS_INF:
+        return Fraction(math.floor(lo.high) + 1)
+    for _ in range(200):
+        if lo.high < hi.low:
+            return (lo.high + hi.low) / 2
+        if lo.is_exact() and hi.is_exact():
+            raise RealRootError("empty gap between bounds")
+        if not lo.is_exact():
+            lo = lo.refine(lo.width() / 2)
+        if not hi.is_exact():
+            hi = hi.refine(hi.width() / 2)
+    raise RealRootError("could not separate bounds")

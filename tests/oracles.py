@@ -29,9 +29,13 @@ integer ones, exact division on Fractions against the one on cleared
 integers, the base product of a decomposition by a Fraction gcd, divide
 and multiply loop against the integer squarefree lcm, and uniqueness
 domains by testing every subset of basic regions against their exact
-enumeration.  `divides` is the exact-division test the tests state factor
-claims with, and `det_a_sign` decides the sign of a working mode's det A
-at a rational slice pose exactly.  They are slow and meant for small inputs.
+enumeration, and the workspace graphs glued across the cut phi = pi by a
+post-pass over the cut line's blockers (the serial lines x = b +- l3, the
+characteristic surface's leading coefficients, all of it at y0 = 0)
+against the fibre-degree parity rule inside the adjacency pass.
+`divides` is the exact-division test the tests state factor claims with,
+and `det_a_sign` decides the sign of a working mode's det A at a rational
+slice pose exactly.  They are slow and meant for small inputs.
 
 The tests also take from here what the package itself never needs: the
 Fraction arithmetic on `UPoly` (`upoly_mul`, `upoly_divmod`,
@@ -44,7 +48,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from kinatlas.mechanism import MechanismParams, jacobians, det3
+from kinatlas.adjacency import AdjacencyGraph, build_graph, build_graphs
+from kinatlas.mechanism import CS_VARS, MechanismParams, jacobian_a, det3
 from kinatlas.ratpoly import (
     MPoly, UPoly, RatPolyError, _coeffs_wrt, _grlex_key, _int_prem, _int_primitive,
     exact_div,
@@ -63,9 +68,62 @@ ALL_ANGLES = {"phi": ("cphi", "sphi", "tphi"),
 
 
 def serial_singularity(params: MechanismParams) -> MPoly:
-    """det B: the product rho1 * l2 cos(a2) * l3 sin(a3) up to sign."""
-    _, B = jacobians(params)
-    return det3(B)
+    """det B, B the reduced Jacobian wrt the actuated joints (rows scaled
+    as in `jacobian_a`): the product rho1 * l2 cos(a2) * l3 sin(a3) up to
+    sign."""
+    rho1, c2, s3 = (MPoly.var(v, CS_VARS) for v in ("rho1", "c2", "s3"))
+    zero = MPoly.const(0, CS_VARS)
+    return det3([[-rho1, zero, zero],
+                 [zero, params.l2 * c2, zero],
+                 [zero, zero, params.l3 * s3]])
+
+
+def cut_blockers(ws, sc):
+    """Restrictions of the variety to the cut line phi = pi, as polynomials
+    in x; None means the whole cut lies on the variety closure."""
+    if ws.y0 == 0:
+        return None  # parallel polynomial vanishes identically on the cut
+    b, l3 = ws.params.b, ws.params.l3
+    x = MPoly.var("x", ("x",))
+    out = [x - (b + l3), x - (b - l3)]
+    if sc is not None:
+        for p in sc.polynomials:
+            if p.degree("tphi") % 2 != 0:
+                return None  # cut on the closure of this curve
+            lc = p.leading_coefficient("tphi").with_vars(("x",))
+            if not lc.is_constant():
+                out.append(lc)
+    return out
+
+
+def with_wrap_edges(g: AdjacencyGraph, dec, blockers) -> AdjacencyGraph:
+    """g plus each column's bottom-top edge where no blocker vanishes at
+    the column's base sample."""
+    if blockers is None:
+        return g
+    edges = set(g.edges)
+    for j, col in enumerate(dec.columns):
+        bot, top = col[0], col[-1]
+        if bot.id == top.id:
+            continue
+        s = dec.base_samples[j]
+        if all(q.eval({"x": s}) != 0 for q in blockers):
+            edges.add((min(bot.id, top.id), max(bot.id, top.id)))
+    return AdjacencyGraph(g.nodes, tuple(sorted(edges)))
+
+
+def workspace_graphs_by_post_pass(wa) -> tuple[AdjacencyGraph, ...]:
+    """`wa`'s graph_sing, graph_fine and graph_fine_sing, built on its
+    decompositions without the cut and then glued by `with_wrap_edges`."""
+    ws = wa.ws
+    sing = [ws.serial[0], ws.serial[1], ws.parallel]
+    fine = sing + list(wa.sc.polynomials)
+    g_s = build_graph(wa.dec_sing, sing)
+    g_f, g_fs = build_graphs(wa.dec_fine, [fine, sing])
+    bl_sing, bl_fine = cut_blockers(ws, None), cut_blockers(ws, wa.sc)
+    return (with_wrap_edges(g_s, wa.dec_sing, bl_sing),
+            with_wrap_edges(g_f, wa.dec_fine, bl_fine),
+            with_wrap_edges(g_fs, wa.dec_fine, bl_sing))
 
 
 def upoly_mul(a: UPoly, b: UPoly) -> UPoly:
@@ -429,7 +487,7 @@ def det_a_sign(params, mode, y0: Fraction, x: Fraction, t: Fraction) -> int:
     c2_sq, s3_sq = 1 - (y0 / params.l2) ** 2, 1 - c3 * c3
     if not (c2_sq > 0 and s3_sq > 0):
         raise ValueError("pose on a serial singularity or out of reach")
-    d = det3(jacobians(params)[0])
+    d = det3(jacobian_a(params))
     part = {(i, j): Fraction(0) for i in (0, 1) for j in (0, 1)}   # (c2, s3) powers
     vals = {"x": x, "y": y0, "cphi": cph, "sphi": sph, "s2": y0 / params.l2, "c3": c3}
     for e, c in d.terms.items():

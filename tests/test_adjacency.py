@@ -1,17 +1,24 @@
 """One adjacency pass per decomposition: per-variety graphs are filters of
-a single candidate-edge pass, and every edge is exact."""
+a single candidate-edge pass, and every edge is exact; the cut phi = pi of
+the half-tangent chart is one more candidate per column inside that pass."""
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from kinatlas.ratpoly import MPoly, UPoly
 from kinatlas.realroots import isolate
 from kinatlas.cad2d import decompose
+from kinatlas.domains import analyze_workspace
+from kinatlas.mechanism import MechanismParams, slice_workspace
 from kinatlas.adjacency import (
     build_graph, build_graphs, _cmp_bounds, _ranks, _rows, _crosses_horizontal,
 )
 
-from oracles import parse_poly, segment_crosses, restrict_to_segment
+from oracles import (
+    parse_poly, segment_crosses, restrict_to_segment, workspace_graphs_by_post_pass,
+)
 from test_cad2d import _rand_conic
 
 
@@ -55,6 +62,46 @@ class TestBuildGraphs:
         varieties = [[circle, line], [line], [], [circle]]
         assert build_graphs(dec, varieties) == [build_graph(dec, v) for v in varieties]
         assert build_graphs(dec, []) == []
+
+
+class TestCut:
+    def test_parity_rule_on_toy_arrangement(self):
+        # v - u has odd fibre degree and blocks every bottom-top pair;
+        # v^2 - u has even degree and its leading coefficient no root, so
+        # each column of two or more cells gets its bottom-top edge
+        odd, even = P("v-u"), P("v^2-u")
+        dec = decompose([odd, even], "u", "v")
+        cut = {(col[0].id, col[-1].id) for col in dec.columns if len(col) >= 2}
+        assert cut and max(len(col) for col in dec.columns) >= 3
+        g_odd, g_even = build_graphs(dec, [[odd], [even]], wrap=True)
+        f_odd, f_even = build_graphs(dec, [[odd], [even]])
+        assert g_odd == f_odd
+        assert set(g_even.edges) == set(f_even.edges) | cut
+        # without the cut, only a column of two cells joins its ends
+        assert {(col[0].id, col[-1].id) for col in dec.columns
+                if len(col) >= 3}.isdisjoint(f_even.edges)
+        assert build_graphs(dec, [[odd, even]], wrap=True) == build_graphs(dec, [[odd, even]])
+
+    def test_leading_coefficients_clear_of_base_samples(self, atlas_pp):
+        # the parity rule's premise: an even curve meets phi = pi only where
+        # its tphi-leading coefficient vanishes, never at a base sample
+        wa = atlas_pp.wa
+        variety = [wa.ws.serial[0], wa.ws.serial[1], wa.ws.parallel, *wa.sc.polynomials]
+        lcs = [p.leading_coefficient("tphi").with_vars(("x",)) for p in variety]
+        for dec in (wa.dec_sing, wa.dec_fine):
+            for s in dec.base_samples:
+                assert all(lc.eval({"x": s}) != 0 for lc in lcs), s
+
+    def test_matches_post_pass_oracle_reference_slice(self, atlas_pp):
+        wa = atlas_pp.wa
+        assert (wa.graph_sing, wa.graph_fine, wa.graph_fine_sing) == \
+            workspace_graphs_by_post_pass(wa)
+
+    @pytest.mark.parametrize("y0", [Fraction(0), Fraction(2)], ids=["y0=0", "y0=2"])
+    def test_matches_post_pass_oracle(self, y0):
+        wa = analyze_workspace(slice_workspace(y0, 1, MechanismParams()))
+        assert (wa.graph_sing, wa.graph_fine, wa.graph_fine_sing) == \
+            workspace_graphs_by_post_pass(wa)
 
 
 class TestRanks:
@@ -136,8 +183,8 @@ class TestHorizontalCrossing:
 
 class TestEdgeInvariance:
     def test_reference_slice_edges_keep_sign_vectors(self, atlas_pp):
-        # every edge the pass returns (before the half-tangent wrap edges are
-        # added) joins two cells with the same sign vector over its variety
+        # every edge the pass returns without the cut phi = pi joins two
+        # cells with the same sign vector over its variety
         ws, wa = atlas_pp.ws, atlas_pp.wa
         sing = [ws.serial[0], ws.serial[1], ws.parallel]
         fine = sing + list(wa.sc.polynomials)
@@ -153,7 +200,7 @@ class TestEdgeInvariance:
                 sb = [dec.sign_at_sample(p, b) for p in variety]
                 assert 0 not in sa and sa == sb, (a, b)
                 checked += 1
-            # the analysis adds only wrap edges, bottom to top of a column
+            # the cut adds only edges from bottom to top of a column
             wrap = {(col[0].id, col[-1].id) for col in dec.columns}
             assert set(g.edges) <= set(final.edges)
             assert set(final.edges) - set(g.edges) <= wrap

@@ -10,6 +10,9 @@ and imports do not count, so a helper that the package imports but never
 calls fails.  Names are matched by their last component, so the guard
 finds dead code, not every unreachable path: a method stays alive while
 any method of the same name is called on any object.
+
+Each module also reads every name it imports, standard library included:
+an import no `Name` node of its module reads fails.
 """
 
 import ast
@@ -95,3 +98,32 @@ def test_allowlist_is_current():
     unreferenced = set(_unreferenced())
     stale = [q for q in ALLOWED if q not in defined or q not in unreferenced]
     assert not stale, f"allowlist entries that are gone or now referenced: {stale}"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import in `tree` (`__future__` left out) that no
+    Name node of `tree` reads."""
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    out.append(name)
+    return out
+
+
+def test_every_import_is_used():
+    unused = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+              for name in _unused_imports(ast.parse(path.read_text(), str(path)))]
+    assert not unused, f"imported in src/kinatlas but never used there: {unused}"
+
+
+def test_unused_import_guard_flags_stdlib_and_package_names():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import math\nimport os.path\nfrom .realroots import isolate as iso, NEG_INF\n"
+                     "def f():\n    import json\n    return NEG_INF, os.path\n")
+    assert _unused_imports(tree) == ["math", "iso", "json"]

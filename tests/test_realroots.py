@@ -439,21 +439,33 @@ def _eq11_rho1_coeffs(c2s: Fraction, c3s: Fraction) -> list[Fraction]:
 
 class TestSampleBetween:
     def test_inside_unit(self):
-        s = sample_between(U(-1, 0, 1), 1)
-        assert Fraction(-1) < s < Fraction(1)
+        lo, hi = isolate(U(-1, 0, 1))
+        assert Fraction(-1) < sample_between(lo, hi) < Fraction(1)
 
     def test_below_all(self):
-        s = sample_between(U(0, 1), 0)
-        assert s < 0
+        assert sample_between(NEG_INF, isolate(U(0, 1))[0]) < 0
 
     def test_above_sqrt2(self):
-        s = sample_between(U(-2, 0, 1), 2)
-        assert float(s) > 1.4142
+        assert float(sample_between(isolate(U(-2, 0, 1))[1], POS_INF)) > 1.4142
+
+    def test_between_infinities(self):
+        assert sample_between(NEG_INF, POS_INF) == 0
 
     def test_dyadic(self):
-        s = sample_between(U(-2, 0, 1), 1)
-        d = s.denominator
+        d = sample_between(*isolate(U(-2, 0, 1))).denominator
         assert d & (d - 1) == 0  # power of two
+
+    def test_overlapping_bounds_of_two_polynomials(self):
+        # sqrt2 < sqrt3 with both isolated by [1, 2]: halving opens the gap
+        lo = IsolatingInterval(Fraction(1), Fraction(2), U(-2, 0, 1))
+        hi = IsolatingInterval(Fraction(1), Fraction(2), U(-3, 0, 1))
+        s = sample_between(lo, hi)
+        assert 2 < s * s < 3
+
+    def test_equal_exact_bounds_raise(self):
+        one = IsolatingInterval(Fraction(1), Fraction(1), U(-1, 1))
+        with pytest.raises(RealRootError):
+            sample_between(one, one)
 
 
 class TestSegment:
