@@ -21,7 +21,7 @@ from .ratpoly import (
 )
 from .realroots import (
     NEG_INF, POS_INF, IsolatingInterval,
-    isolate, count_roots, sample_between,
+    isolate, count_roots, roots_below, sample_between, _sign_at,
 )
 
 
@@ -83,12 +83,15 @@ class Decomposition:
 
     def locate(self, px: Fraction, py: Fraction) -> int | None:
         """Cell id containing the rational point; None on the variety or a
-        projection boundary."""
+        projection boundary.  The base index counts the isolated base roots
+        below px (`roots_below`, px being no base root, as an exact integer
+        sign test says first); the fibre index counts the roots of the fibre
+        product at px below py with its Sturm sequence."""
         px, py = Fraction(px), Fraction(py)
-        if not self.base_poly.is_zero() and self.base_poly.degree > 0:
-            if self.base_poly(px) == 0:
+        if self.base_poly.degree > 0:
+            if _sign_at(self.base_poly.int_cleared(), *px.as_integer_ratio()) == 0:
                 return None
-            k1 = count_roots(self.base_poly, NEG_INF, px)
+            k1 = roots_below(self.base_roots, px)
         else:
             k1 = 0
         f = _specialize_product(self.polys, self.base_var, self.fiber_var, px)

@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .ratpoly import (
     MPoly, UPoly,
-    exact_div, resultant, squarefree_total,
+    exact_div, resultant, squarefree_total, _poly_quo,
 )
 from . import realroots
 
@@ -263,31 +263,42 @@ def parallel_singularity(params: MechanismParams) -> MPoly:
 # closed-form kinematics
 
 
-def ik_core(x: float, y: float, c: float, sn: float, mode: WorkingMode,
-            params: MechanismParams):
-    """Closed-form inverse kinematics of the pose (x, y, phi) given by
-    c = cos phi and sn = sin phi: ((rho1, rho2, rho3), (alpha2, alpha3))."""
+def slice_ik(y: float, mode: WorkingMode, params: MechanismParams):
+    """Closed-form inverse kinematics on the slice y: (alpha2, ik).
+
+    Leg 2's passive angle alpha2 and its term l2 cos(alpha2) of rho2 are
+    constant on the slice and taken once; ik(x, c, sn) gives
+    ((rho1, rho2, rho3), alpha3) at the pose (x, y, phi) with c = cos phi
+    and sn = sin phi.  Leg 2's reach is checked here, legs 3 and 1 in ik,
+    in that order."""
     l2, l3, a, b = params.floats
     if abs(y) >= l2:
         raise KinematicsError(f"leg 2 serial singularity / out of reach: |y|={abs(y)} >= l2", leg=2)
-    c3 = (b * c + x) / l3
-    if abs(c3) >= 1.0:
-        raise KinematicsError(f"leg 3 serial singularity / out of reach: |cos(alpha3)|={abs(c3)} >= 1", leg=3)
-    dx, dy = x - a * c, y - a * sn
-    if dx == 0.0 and dy == 0.0:
-        raise KinematicsError("leg 1 serial singularity: rho1 = 0", leg=1)
     alpha2 = math.asin(y / l2)
     if mode.s2 < 0:
         alpha2 = math.pi - alpha2
-    alpha3 = mode.s3 * math.acos(c3)
-    return ((math.hypot(dx, dy), x - l2 * math.cos(alpha2), b * sn + y - l3 * math.sin(alpha3)),
-            (alpha2, alpha3))
+    l2c2 = l2 * math.cos(alpha2)
+    s3 = mode.s3
+
+    def ik(x: float, c: float, sn: float):
+        c3 = (b * c + x) / l3
+        if abs(c3) >= 1.0:
+            raise KinematicsError(f"leg 3 serial singularity / out of reach: |cos(alpha3)|={abs(c3)} >= 1", leg=3)
+        dx, dy = x - a * c, y - a * sn
+        if dx == 0.0 and dy == 0.0:
+            raise KinematicsError("leg 1 serial singularity: rho1 = 0", leg=1)
+        alpha3 = s3 * math.acos(c3)
+        return (math.hypot(dx, dy), x - l2c2, b * sn + y - l3 * math.sin(alpha3)), alpha3
+
+    return alpha2, ik
 
 
 def inverse_kinematics(pose: Pose, mode: WorkingMode,
                        params: MechanismParams) -> tuple[JointValues, PassiveAngles]:
-    q, pa = ik_core(pose.x, pose.y, math.cos(pose.phi), math.sin(pose.phi), mode, params)
-    return JointValues(*q), PassiveAngles(*pa)
+    c, sn = math.cos(pose.phi), math.sin(pose.phi)
+    alpha2, ik = slice_ik(pose.y, mode, params)
+    q, alpha3 = ik(pose.x, c, sn)
+    return JointValues(*q), PassiveAngles(alpha2, alpha3)
 
 
 def direct_kinematics(q: JointValues, params: MechanismParams,
@@ -295,7 +306,8 @@ def direct_kinematics(q: JointValues, params: MechanismParams,
     """All real solutions of the constraint system for fixed joints.
 
     Eliminates (x, y) linearly between the three distance equations,
-    isolates the half-tangent roots exactly, and back-substitutes.
+    isolates the half-tangent roots of the eliminant exactly (without its
+    factor (1 + t^2)^4, see `_dk_univariate`), and back-substitutes.
     Poses with phi = pi are outside the half-tangent chart.
     """
     r1, r2, r3 = Fraction(q.rho1), Fraction(q.rho2), Fraction(q.rho3)
@@ -333,11 +345,29 @@ def direct_kinematics(q: JointValues, params: MechanismParams,
     return merged
 
 
+# (1 + t^2)^4, constant term first
+_OP4 = [1, 0, 4, 0, 6, 0, 4, 0, 1]
+
+
 def _dk_univariate(r1: Fraction, r2: Fraction, r3: Fraction, params: MechanismParams):
     """Half-tangent eliminant for the direct kinematics.
 
-    Returns (P(t), xnum, ynum, den) with x = xnum/den, y = ynum/den on
-    solutions, or None when the eliminant vanishes identically.
+    Returns (P(t) / (1 + t^2)^4, xnum, ynum, den) with x = xnum/den,
+    y = ynum/den on solutions, or None when the eliminant
+    P = (xnum - r2 den)^2 + ynum^2 - l2^2 den^2 vanishes identically.
+
+    P has the factor (1 + t^2)^5, which has no real root.  Since
+    (1 - t^2)^2 + (2t)^2 = (1 + t^2)^2, the x^2 and y^2 terms cancel in
+    lin1 and lin2 and (1 + t^2) divides both: lin_k = (1 + t^2) L_k.  So
+    (1 + t^2)^2 divides den, xnum and ynum, 2x2 determinants of the
+    coefficients of lin1 and lin2, and (1 + t^2)^4 divides P, with quotient
+    Q = (X - r2 D)^2 + Y^2 - l2^2 D^2 for the same determinants D, X, Y of
+    L1 and L2.  At t = +-i (1 - t^2 = 2, 2t = +-2i), L1 = -4a x -+ 4a i y
+    and L2 = 4b x +- 4b i y -+ 4b r3 i, so D = 0, X = -16 a b r3,
+    Y = -+16 a b r3 i and Q = X^2 + Y^2 = 0: (1 + t^2) divides Q as well.
+    Hence P and Q have the same monic squarefree part, and
+    `realroots.isolate` returns the same intervals for both; Q is the exact
+    quotient on the cleared integers.
     """
     vs = ("x", "y", "t")
     x = MPoly.var("x", vs)
@@ -370,7 +400,8 @@ def _dk_univariate(r1: Fraction, r2: Fraction, r3: Fraction, params: MechanismPa
     u = expr.with_vars(("t",))
     if u.is_zero():
         return None
-    poly = UPoly.from_mpoly(u, "t")
+    poly = UPoly(_poly_quo(UPoly.from_mpoly(u, "t").int_cleared(), _OP4,
+                           "direct kinematics eliminant by (1 + t^2)^4"), "t")
     dent = den.with_vars(("t",)) if den.degree("x") <= 0 and den.degree("y") <= 0 else None
     return (poly,
             xnum.with_vars(("t",)) if not xnum.is_zero() else MPoly.const(0, ("t",)),

@@ -1,7 +1,8 @@
 """Exact real-root isolation and counting for univariate polynomials.
 
 Two independent routes are provided on purpose: Descartes-rule bisection
-drives isolation, Sturm sequences drive counting; both work on integer
+drives isolation, Sturm sequences drive counting (`roots_below` counts on
+intervals isolation already found, with one sign test); both work on integer
 coefficients only, and both take the squarefree part of their input
 themselves, so callers pass any nonzero polynomial.  Isolation runs in the
 Bernstein basis (Mourrain-Rouillier-Roy; Eigenwillig): the Descartes test
@@ -18,6 +19,7 @@ plane decomposition.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -217,6 +219,24 @@ def count_roots(p: UPoly, low=NEG_INF, high=POS_INF) -> int:
             raise RealRootError("empty interval")
     seq = _sturm_cached(p.int_cleared())
     return _variations_at(seq, low) - _variations_at(seq, high)
+
+
+def roots_below(roots: list[IsolatingInterval], x: Fraction) -> int:
+    """Number of the roots that `roots`, sorted disjoint intervals from
+    `isolate`, isolate below x, x being no root of their polynomial.
+
+    A bisection over the intervals' upper ends counts those below x; of the
+    rest, only the first can straddle x, low < x <= high, and it is not
+    exact.  Its root is simple and lies strictly inside, where the
+    polynomial changes sign, so it is below x exactly when the signs at low
+    and at x differ: one exact integer sign test, no refinement."""
+    k = bisect.bisect_left(roots, x, key=lambda iv: iv.high)
+    if k < len(roots) and roots[k].low < x:
+        iv = roots[k]
+        ints = iv.polynomial.int_cleared()
+        if _sign_at(ints, *iv.low.as_integer_ratio()) != _sign_at(ints, *x.as_integer_ratio()):
+            k += 1
+    return k
 
 
 # ---------------------------------------------------------------------------

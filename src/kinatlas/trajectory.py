@@ -3,19 +3,25 @@ cusp-encirclement verdicts.
 
 Continuation runs in floating point (pseudo-arclength predictor, Newton
 corrector on the reduced distance equations); region membership of the
-endpoints is decided on the exact cell data.  A corrector iterate is one
-pass of `_chain_system`: one `segment_point`, one tuple IK
-(`mechanism.ik_core`) and one cos/sin of the path point give q(s) and the
-analytic dq/ds, and one cos/sin of the iterate gives F(X; q) and dF/dX.
-Within `_KINK_WINDOW` of a waypoint, where q(s) has a kink, the two
-one-sided rates are weighted as a central difference of that half-width
-weighs them.  Every Newton step, the corrector's and the boundary clamp's,
-is one solve of the straight-line 4x4 kernel `_solve`; the clamp's 3x3
-system at fixed s is padded to 4x4 (`_newton`).  The converged
-iterate's Jacobian gives the chain tangent, its signed 3x3 minors; the
-chain keeps its joints for its joint-space image.  A verdict scans det A
-on its branch at s = i/600 and takes one tracked chart at s = i/400,
-whose samples at s = k/200 come from the scan.
+endpoints is decided on the exact cell data.  A walk, the det A scan and
+the tracked chart each build the trajectory's chain kernel
+(`_chain_kernel`) once: the slice's IK (`mechanism.slice_ik`, leg 2's term
+l2 cos(alpha2) taken once) and the segments' velocities.  Its `path` gives
+the branch's q(s) and alpha3 from `Trajectory.segment_point` and one
+cos/sin of the path point; its `system` takes q(s) the same way, dq/ds
+from that cos/sin, and the distance equations at the iterate
+(`_distance_rows`, one cos/sin of the iterate) as augmented rows of
+F(X; q) and its 3x4 Jacobian.  Within `_KINK_WINDOW` of a waypoint, where q(s)
+has a kink, the two one-sided rates are weighted as a central difference
+of that half-width weighs them.  Every Newton step, the corrector's and
+the boundary clamp's, is one solve of the straight-line 4x4 kernel
+`_solve` on four augmented rows; the clamp's 3x3 system at fixed s is
+padded to 4x4 (`_newton`).  The converged iterate's Jacobian gives the
+chain tangent, its signed 3x3 minors; the chain keeps its joints for its
+joint-space image.  A verdict scans det A on its branch at s = i/600 and
+takes one tracked chart at s = i/400, whose samples at s = k/200 come from
+the scan; the scan, the chart and the chains all read q(s) from the
+kernel's `path`.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .mechanism import (
-    MechanismParams, WorkingMode, Pose, JointValues, as_float, ik_core, direct_kinematics,
+    MechanismParams, WorkingMode, Pose, JointValues, as_float,
+    direct_kinematics, slice_ik,
 )
 
 
@@ -53,7 +60,9 @@ class Trajectory:
         y0 = Fraction(d["y"])
         if len(d["mode"]) != 2:
             raise ValueError(f"mode needs 2 entries, got {len(d['mode'])}")
-        mode = WorkingMode(int(d["mode"][0]), int(d["mode"][1]))
+        if any(type(v) is not int for v in d["mode"]):
+            raise ValueError(f"mode entries must be the integers 1 or -1, got {d['mode']!r}")
+        mode = WorkingMode(*d["mode"])
         if any(len(w) != 2 for w in d["waypoints"]):
             raise ValueError("each waypoint needs 2 coordinates (x, phi)")
         wps = tuple(tuple(as_float(Fraction(str(v)), f"waypoint coordinate {v!r}") for v in w)
@@ -110,25 +119,36 @@ class Verdict:
 # numeric kinematics
 
 
-def _distance_system(x, y, phi, q, params):
-    """F(X; q) and dF/dX of the distance equations at X = (x, y, phi),
-    q = (rho1, rho2, rho3), from one cos/sin of phi."""
+def _distance_rows(x, y, phi, q, dq, params):
+    """The distance equations F(X; q) at X = (x, y, phi), q = (rho1, rho2,
+    rho3), as three augmented rows (dF/dx, dF/dy, dF/dphi, dF/ds, F), from
+    one cos/sin of phi.  dF/dq is diagonal, (-2 rho1, -2(x - rho2),
+    -2(y + b sin phi - rho3)), so dF/ds = (dF/dq)(dq/ds) for the rates
+    dq = dq/ds takes no IK; at fixed joints dq is _FIXED_Q."""
     l2, l3, a, b = params.floats
     rho1, rho2, rho3 = q
+    r1, r2, r3 = dq
     c, sn = math.cos(phi), math.sin(phi)
     u1, v1 = x - a * c, y - a * sn
     u2 = x - rho2
     u3, v3 = x + b * c, y + b * sn - rho3
-    return ((u1 ** 2 + v1 ** 2 - rho1 * rho1, u2 ** 2 + y * y - l2 * l2,
-             u3 ** 2 + v3 ** 2 - l3 * l3),
-            [[2 * u1, 2 * v1, 2 * a * (x * sn - y * c)],
-             [2 * u2, 2 * y, 0.0],
-             [2 * u3, 2 * v3, 2 * b * (-u3 * sn + v3 * c)]])
+    du2, dv3 = 2 * u2, 2 * v3
+    # dF2/drho2 and dF3/drho3 are the negated dF2/dx and dF3/dy
+    return ((2 * u1, 2 * v1, 2 * a * (x * sn - y * c), -2.0 * rho1 * r1,
+             u1 ** 2 + v1 ** 2 - rho1 * rho1),
+            (du2, 2 * y, 0.0, -du2 * r2, u2 ** 2 + y * y - l2 * l2),
+            (2 * u3, dv3, 2 * b * (-u3 * sn + v3 * c), -dv3 * r3,
+             u3 ** 2 + v3 ** 2 - l3 * l3))
 
 
-def _solve(m, r):
-    """Solve the 4x4 system m z = r by Gauss-Jordan elimination with partial
-    pivoting, unrolled over the columns.
+# the rates of joints held fixed: dF/ds = 0 up to the sign of zero
+_FIXED_Q = (0.0, 0.0, 0.0)
+
+
+def _solve(a, b, c, d):
+    """Solve the 4x4 system whose augmented rows [m_i | r_i] are a, b, c and
+    d by Gauss-Jordan elimination with partial pivoting, unrolled over the
+    columns.
 
     Column k pivots on the first row (from row k on) of largest |entry|, and
     raises ZeroDivisionError when that entry is below 1e-14; the pivot row
@@ -138,7 +158,6 @@ def _solve(m, r):
     right-hand side over its pivot.  These are the IEEE operations, in
     order, of the textbook loop (`tests/oracles.solve`), so the result is
     bit for bit that loop's."""
-    a, b, c, d = [(*row, v) for row, v in zip(m, r)]
     # column 0
     piv, big = 0, abs(a[0])
     v = abs(b[0])
@@ -214,9 +233,15 @@ def _solve(m, r):
     return [a4 / pv0, b4 / pv1, c4 / pv2, d4 / pv3]
 
 
-# the row that pads the 3x3 Newton system of the distance equations to the
-# kernel's 4x4: it holds the fourth unknown, s, at 0
-_HOLD_S = (0.0, 0.0, 0.0, 1.0)
+# the augmented row that pads the 3x3 Newton system of the distance
+# equations to the kernel's 4x4: it holds the fourth unknown, s, at 0
+_HOLD_S = (0.0, 0.0, 0.0, 1.0, 0.0)
+
+
+def _residual(x, y, phi, q, params) -> float:
+    """max |F(X; q)| of the distance equations."""
+    r1, r2, r3 = _distance_rows(x, y, phi, q, _FIXED_Q, params)
+    return max(abs(r1[4]), abs(r2[4]), abs(r3[4]))
 
 
 def _newton(x, y, phi, q, params, tol=1e-12, iters=40):
@@ -227,27 +252,25 @@ def _newton(x, y, phi, q, params, tol=1e-12, iters=40):
     zeros leave every other operation's result unchanged, so on finite
     systems d is bit for bit the 3x3 elimination's."""
     for _ in range(iters):
-        r, j = _distance_system(x, y, phi, q, params)
-        err = max(map(abs, r))
+        r1, r2, r3 = _distance_rows(x, y, phi, q, _FIXED_Q, params)
+        err = max(abs(r1[4]), abs(r2[4]), abs(r3[4]))
         if err < tol:
             return (x, y, phi, err)
-        for row in j:
-            row.append(0.0)
-        j.append(_HOLD_S)
         try:
-            d = _solve(j, (*r, 0.0))
+            d = _solve((*r1[:3], 0.0, r1[4]), (*r2[:3], 0.0, r2[4]), (*r3[:3], 0.0, r3[4]),
+                       _HOLD_S)
         except ZeroDivisionError:
             return None
         lam = 1.0
         while lam > 1e-4:
             nx, ny, nphi = x - lam * d[0], y - lam * d[1], phi - lam * d[2]
-            if max(map(abs, _distance_system(nx, ny, nphi, q, params)[0])) < err:
+            if _residual(nx, ny, nphi, q, params) < err:
                 x, y, phi = nx, ny, nphi
                 break
             lam /= 2
         else:
             return None
-    err = max(map(abs, _distance_system(x, y, phi, q, params)[0]))
+    err = _residual(x, y, phi, q, params)
     return (x, y, phi, err) if err < 1e-9 else None
 
 
@@ -261,17 +284,21 @@ def _det3(m, c0: int, c1: int, c2: int) -> float:
 
 
 def _row_norm_product(m) -> float:
-    """Product of the Euclidean norms of m's rows, a zero row counting as 1:
-    Hadamard's bound on the size of every maximal minor of m."""
+    """Product of the Euclidean norms of m's rows, each over its first four
+    entries (an augmented row's right-hand side left out), a zero row
+    counting as 1: Hadamard's bound on the size of every maximal minor of m."""
     norm = 1.0
     for row in m:
-        norm *= math.hypot(*row) or 1.0
+        norm *= math.hypot(*row[:4]) or 1.0
     return norm
 
 
 def _det_a_normalized(x, y, phi, q, params) -> float:
-    j = _distance_system(x, y, phi, q, params)[1]
-    return _det3(j, 0, 1, 2) / _row_norm_product(j)
+    """det dF/dX over the product of its row norms at fixed joints q.  The
+    rows' fourth entries are zeros, which leave each row's hypot as that of
+    its first three entries, bit for bit."""
+    rows = _distance_rows(x, y, phi, q, _FIXED_Q, params)
+    return _det3(rows, 0, 1, 2) / _row_norm_product(rows)
 
 
 def _alpha3_of(x, y, phi, q: JointValues, params) -> float:
@@ -281,74 +308,74 @@ def _alpha3_of(x, y, phi, q: JointValues, params) -> float:
                       (x + b * math.cos(phi)) / l3)
 
 
-def _branch_ik(traj: Trajectory, s: float, params):
-    """The path's (x, phi) at s and its branch's q = (rho1, rho2, rho3)
-    and alpha3 there."""
-    _, x, phi = traj.segment_point(s)
-    q, (_, alpha3) = ik_core(x, traj.y0_float, math.cos(phi), math.sin(phi), traj.mode, params)
-    return x, phi, q, alpha3
-
-
-def joint_values_at(traj: Trajectory, s: float, params: MechanismParams) -> JointValues:
-    """The joints of the trajectory's own branch at path parameter s."""
-    return JointValues(*_branch_ik(traj, s, params)[2])
-
-
 # ---------------------------------------------------------------------------
 # solution-manifold chains (pseudo-arclength, turns at folds)
 
 
 # half-width of the window in which a waypoint's kink of q(s) enters dq/ds
-# (`_chain_system`); without it some partner chains stall at a waypoint
+# (`_chain_kernel`); without it some partner chains stall at a waypoint
 _KINK_WINDOW = 1e-7
 
 
-def _joint_rates(traj: Trajectory, k: int, x: float, c: float, sn: float,
-                 params) -> tuple[float, float, float]:
-    """d(rho1, rho2, rho3)/ds of the trajectory's branch at its pose
-    (x, y0, phi), c = cos phi and sn = sin phi, moving along segment k at
-    the velocity (n dx, n dphi): the derivative of the closed-form IK."""
+def _chain_kernel(traj: Trajectory, params: MechanismParams):
+    """The trajectory's chain kernel (path, system).
+
+    It holds the slice's IK (`mechanism.slice_ik`, whose leg-2 term is
+    constant along the path, y being y0 on it), each segment's velocity
+    (n dx, n dphi) and the inner waypoints' one-sided rates, taken on first
+    use.  path(s) gives the path's (x, phi) at s (`Trajectory.segment_point`)
+    and its branch's q = (rho1, rho2, rho3) and alpha3 there.
+    system(x, y, phi, s) gives path(s)'s q and the chain system at
+    (x, y, phi; s) as `_distance_rows` with dq/ds: the derivative of the
+    closed-form IK moving along the segment at its velocity, or, within
+    _KINK_WINDOW of an inner waypoint s_w, where q(s) has a kink, the two
+    one-sided rates at s_w weighted by the window's share on each side of
+    s_w, [0, 1] clipping it."""
     _, l3, a, b = params.floats
-    n = len(traj.waypoints) - 1
-    (x0, p0), (x1, p1) = traj.waypoints[k], traj.waypoints[k + 1]
-    vx, vphi = n * (x1 - x0), n * (p1 - p0)
-    dx, dy = x - a * c, traj.y0_float - a * sn
-    c3 = (b * c + x) / l3
-    dc3 = (vx - b * sn * vphi) / l3
-    return ((dx * (vx + a * sn * vphi) - dy * a * c * vphi) / math.hypot(dx, dy),
-            vx,
-            b * c * vphi + traj.mode.s3 * l3 * c3 * dc3 / math.sqrt(1.0 - c3 * c3))
+    y0 = traj.y0_float
+    _, ik = slice_ik(y0, traj.mode, params)
+    s3l3 = traj.mode.s3 * l3
+    wps = traj.waypoints
+    n = len(wps) - 1
+    point = traj.segment_point
+    vels = [(n * (x1 - x0), n * (p1 - p0)) for (x0, p0), (x1, p1) in zip(wps, wps[1:])]
+    # an inner waypoint's one-sided rates (left, right), on first use
+    kinks = {}
 
+    def rates(x, c, sn, vx, vphi):
+        """dq/ds at the path pose (x, y0, phi), c = cos phi and sn = sin phi,
+        moving at the velocity (vx, vphi)."""
+        dx, dy = x - a * c, y0 - a * sn
+        c3 = (b * c + x) / l3
+        dc3 = (vx - b * sn * vphi) / l3
+        return ((dx * (vx + a * sn * vphi) - dy * a * c * vphi) / math.hypot(dx, dy),
+                vx,
+                b * c * vphi + s3l3 * c3 * dc3 / math.sqrt(1.0 - c3 * c3))
 
-def _chain_system(x, y, phi, s, traj, params):
-    """The chain system at (x, y, phi; s) in one pass: the joints
-    q = (rho1, rho2, rho3) of the trajectory's branch at s, F(X; q) and the
-    3x4 Jacobian [dF/dX | dF/ds].  dF/dq is diagonal, (-2 rho1,
-    -2(x - rho2), -2(y + b sin phi - rho3)), so dF/ds = (dF/dq)(dq/ds)
-    takes no further IK."""
-    k, xs, ps = traj.segment_point(s)
-    c, sn = math.cos(ps), math.sin(ps)
-    q, _ = ik_core(xs, traj.y0_float, c, sn, traj.mode, params)
-    n = len(traj.waypoints) - 1
-    w = round(s * n)
-    if 0 < w < n and abs(s - w / n) <= _KINK_WINDOW:
-        # the one-sided rates at the waypoint s_w = w/n, weighted by the
-        # window's share on each side of s_w, [0, 1] clipping it
-        lo, hi = max(0.0, s - _KINK_WINDOW), min(1.0, s + _KINK_WINDOW)
-        xw, pw = traj.waypoints[w]
-        cw, sw = math.cos(pw), math.sin(pw)
-        share = (w / n - lo) / (hi - lo)
-        left = _joint_rates(traj, w - 1, xw, cw, sw, params)
-        right = _joint_rates(traj, w, xw, cw, sw, params)
-        r1, r2, r3 = (share * u + (1.0 - share) * v for u, v in zip(left, right))
-    else:
-        r1, r2, r3 = _joint_rates(traj, k, xs, c, sn, params)
-    f, (j1, j2, j3) = _distance_system(x, y, phi, q, params)
-    # dF2/drho2 and dF3/drho3 are the negated dF2/dx and dF3/dy
-    j1.append(-2.0 * q[0] * r1)
-    j2.append(-j2[0] * r2)
-    j3.append(-j3[1] * r3)
-    return q, f, [j1, j2, j3]
+    def path(s):
+        _, x, phi = point(s)
+        q, alpha3 = ik(x, math.cos(phi), math.sin(phi))
+        return x, phi, q, alpha3
+
+    def system(x, y, phi, s):
+        k, xs, ps = point(s)
+        c, sn = math.cos(ps), math.sin(ps)
+        q, _ = ik(xs, c, sn)
+        w = round(s * n)
+        if 0 < w < n and abs(s - w / n) <= _KINK_WINDOW:
+            if w not in kinks:
+                xw, pw = wps[w]
+                cw, sw = math.cos(pw), math.sin(pw)
+                kinks[w] = (rates(xw, cw, sw, *vels[w - 1]), rates(xw, cw, sw, *vels[w]))
+            left, right = kinks[w]
+            lo, hi = max(0.0, s - _KINK_WINDOW), min(1.0, s + _KINK_WINDOW)
+            share = (w / n - lo) / (hi - lo)
+            dq = tuple(share * lv + (1.0 - share) * rv for lv, rv in zip(left, right))
+        else:
+            dq = rates(xs, c, sn, *vels[k])
+        return q, _distance_rows(x, y, phi, q, dq, params)
+
+    return path, system
 
 
 # minors below this share of the row-norm product count as zero
@@ -394,12 +421,13 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
                  h0: float = 1.0 / 256, max_steps: int = 40000) -> Chain:
     """Pseudo-arclength walk of F(X; q(s)) = 0 from a boundary solution at
     s = 0 (forward) until the walk exits at s = 0 or s = 1."""
+    path, system = _chain_kernel(traj, params)
     x, y, phi = start_state
     s = 0.0
-    q, _, j = _chain_system(x, y, phi, s, traj, params)
+    q, rows = system(x, y, phi, s)
     pts = [(x, y, phi, s)]
     qs = [JointValues(*q)]
-    tangent = _tangent4(j, _ALONG_S)
+    tangent = _tangent4(rows, _ALONG_S)
     if abs(tangent[3]) < 1e-12:
         raise TrajectoryError("chain tangent parallel to the fiber at start")
     h = h0
@@ -417,25 +445,25 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
                 px = x + lam * h * tangent[0]
                 py = y + lam * h * tangent[1]
                 pphi = phi + lam * h * tangent[2]
-                jv = joint_values_at(traj, target, params)
-                res = _newton(px, py, pphi, (jv.rho1, jv.rho2, jv.rho3), params)
+                q = path(target)[2]
+                res = _newton(px, py, pphi, q, params)
                 if res is not None:
                     pts.append((res[0], res[1], res[2], target))
-                    qs.append(jv)
+                    qs.append(JointValues(*q))
                     return Chain(points=pts, joints=qs, end_s=target)
             h /= 2
             if h < 1e-10:
                 raise TrajectoryError("chain stalled at the boundary")
             continue
         # corrector: Newton on {F = 0, tangent . (Z - P) = 0}
-        res = _corrector4(px, py, pphi, ps, tangent, traj, params)
+        res = _corrector4(px, py, pphi, ps, tangent, system)
         if res is None:
             h /= 2
             if h < 1e-10:
                 raise TrajectoryError("chain corrector stalled")
             continue
-        (x, y, phi, s), q, j = res
-        tangent = _tangent4(j, tangent)
+        (x, y, phi, s), q, rows = res
+        tangent = _tangent4(rows, tangent)
         pts.append((x, y, phi, s))
         qs.append(JointValues(*q))
         if h < h0:
@@ -447,22 +475,23 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
     raise TrajectoryError("chain walk exceeded the step budget")
 
 
-def _corrector4(x, y, phi, s, tangent, traj, params, iters=25):
-    """Newton on {F = 0, tangent . (Z - start) = 0}, one `_chain_system`
-    per iterate: the converged point (x, y, phi, s), its joints and its
-    3x4 Jacobian, or None."""
+def _corrector4(x, y, phi, s, tangent, system, iters=25):
+    """Newton on {F = 0, tangent . (Z - start) = 0}, one evaluation of the
+    chain kernel's `system` per iterate, whose three augmented rows and the
+    tangent's go to `_solve` as they are: the converged point
+    (x, y, phi, s), its joints and its rows, or None."""
     t0, t1, t2, t3 = tangent
     bx, by, bphi, bs = x, y, phi, s
     for _ in range(iters):
         s = min(1.0, max(0.0, s))
-        q, (f1, f2, f3), j = _chain_system(x, y, phi, s, traj, params)
+        q, rows = system(x, y, phi, s)
+        r1, r2, r3 = rows
         # left to right from 0.0, so that a zero sum is +0.0
         plane = 0.0 + t0 * (x - bx) + t1 * (y - by) + t2 * (phi - bphi) + t3 * (s - bs)
-        if max(abs(f1), abs(f2), abs(f3), abs(plane)) < 1e-11:
-            return (x, y, phi, s), q, j
-        j.append(tangent)
+        if max(abs(r1[4]), abs(r2[4]), abs(r3[4]), abs(plane)) < 1e-11:
+            return (x, y, phi, s), q, rows
         try:
-            d = _solve(j, (f1, f2, f3, plane))
+            d = _solve(r1, r2, r3, (t0, t1, t2, t3, plane))
         except ZeroDivisionError:
             return None
         x, y, phi, s = x - d[0], y - d[1], phi - d[2], s - d[3]
@@ -508,12 +537,13 @@ def tracked_chart(traj: Trajectory, params: MechanismParams, n: int = 400,
     s = i/n; `evens`, when given, holds the samples at even i, taken at
     s = (i/2)/(n/2), the same float.  alpha3 = s3 acos(c3) stays in
     s3 [0, pi], so it needs no unwrapping."""
+    path = _chain_kernel(traj, params)[0]
     pts = []
     for i in range(n + 1):
         if evens is not None and i % 2 == 0:
             pts.append(evens[i // 2])
             continue
-        _, _, q, alpha3 = _branch_ik(traj, i / n, params)
+        _, _, q, alpha3 = path(i / n)
         pts.append((q[0], alpha3))
     return pts
 
@@ -544,9 +574,17 @@ def encirclement(fwd: list[tuple[float, float]], params: MechanismParams,
 
 
 def track_branches(traj: Trajectory, params: MechanismParams, atlas) -> Verdict:
-    """Full verdict for one trajectory against a prepared slice atlas."""
+    """Full verdict for one trajectory against a prepared slice atlas: its
+    slice, working mode and mechanism must be the atlas's."""
     if Fraction(traj.y0) != atlas.y0:
-        raise TrajectoryError("trajectory slice does not match the atlas")
+        raise TrajectoryError(f"trajectory slice y = {traj.y0} does not match "
+                              f"the atlas slice y = {atlas.y0}")
+    if traj.mode != atlas.mode:
+        raise TrajectoryError(f"trajectory working mode {traj.mode.label} does not match "
+                              f"the atlas working mode {atlas.mode.label}")
+    if params != atlas.params:
+        raise TrajectoryError(f"mechanism {params.to_json()} does not match "
+                              f"the atlas mechanism {atlas.params.to_json()}")
     notes = []
     # endpoint membership (exact cell location on binary-float coordinates)
     p0 = traj.pose_at(0.0)
@@ -554,13 +592,14 @@ def track_branches(traj: Trajectory, params: MechanismParams, atlas) -> Verdict:
     e0 = (Fraction(p0.x), Fraction(math.tan(p0.phi / 2)))
     e1 = (Fraction(p1.x), Fraction(math.tan(p1.phi / 2)))
     b0, b1, same, changed, lab0, lab1 = atlas.classify_endpoints(e0, e1)
-    # the exact tracked branch: singularity monitoring at s = i/600; its
-    # first sample gives the start joints, and every third one the joint
-    # path, s = k/200 (in floats 3k/600 == k/200 == 2k/400)
+    # the exact tracked branch: singularity monitoring at s = i/600; every
+    # third sample gives the joint path, s = k/200 (in floats
+    # 3k/600 == k/200 == 2k/400)
+    path = _chain_kernel(traj, params)[0]
     min_det = math.inf
     jp = []
     for i in range(601):
-        x, phi, q, alpha3 = _branch_ik(traj, i / 600, params)
+        x, phi, q, alpha3 = path(i / 600)
         if i == 0:
             q0 = JointValues(*q)
         if i % 3 == 0:

@@ -64,3 +64,19 @@ def atlas_pp():
 @pytest.fixture(scope="session")
 def atlas_build_seconds(atlas_pp) -> float:
     return _atlas_cache["seconds"]
+
+
+@pytest.fixture(scope="session")
+def atlas_of_mode(atlas_pp):
+    """The slice atlas at y = 1/2 of a given working mode, each built once;
+    (+,+) is `atlas_pp`."""
+    from kinatlas.domains import SliceAtlas
+
+    def build(mode: WorkingMode):
+        if mode == atlas_pp.mode:
+            return atlas_pp
+        if mode not in _atlas_cache:
+            _atlas_cache[mode] = SliceAtlas.build(MechanismParams(), Fraction(1, 2), mode)
+        return _atlas_cache[mode]
+
+    return build

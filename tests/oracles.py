@@ -22,8 +22,8 @@ against the signed 3x3 minors of J, the Jacobian's path column dF/ds by
 a central difference at the IK joints of s +- 1e-7 against the analytic
 joint rates, the joints, residuals and 3x4 Jacobian of the chain system
 by per-quantity routes (each with its own IK through `pose_at` and its own
-cos and sin), and the pseudo-arclength walk on them, against the one-pass
-`_chain_system` and the walk on it, the resultant and the discriminant
+cos and sin), and the pseudo-arclength walk on them, against the chain
+kernel's one-pass `system` and the walk on it, the resultant and the discriminant
 by the subresultant PRS on `MPoly` coefficients against the interpolated
 integer ones, exact division on Fractions against the one on cleared
 integers, the base product of a decomposition by a Fraction gcd, divide
@@ -32,7 +32,11 @@ domains by testing every subset of basic regions against their exact
 enumeration, and the workspace graphs glued across the cut phi = pi by a
 post-pass over the cut line's blockers (the serial lines x = b +- l3, the
 characteristic surface's leading coefficients, all of it at y0 = 0)
-against the fibre-degree parity rule inside the adjacency pass.
+against the fibre-degree parity rule inside the adjacency pass, the
+direct kinematics isolating the undivided eliminant against the one that
+isolates it without its factor (1 + t^2)^4, and point location counting
+the base roots below a point by the base product's Sturm sequence against
+the bisection over the isolated base roots.
 `divides` is the exact-division test the tests state factor claims with,
 and `det_a_sign` decides the sign of a working mode's det A at a rational
 slice pose exactly.  They are slow and meant for small inputs.
@@ -40,8 +44,9 @@ slice pose exactly.  They are slow and meant for small inputs.
 The tests also take from here what the package itself never needs: the
 Fraction arithmetic on `UPoly` (`upoly_mul`, `upoly_divmod`,
 `upoly_eval_float`), the polynomial parser (`parse_poly`), det B
-(`serial_singularity`) and the half-tangent table of every angle
-(`ALL_ANGLES`).
+(`serial_singularity`), the half-tangent table of every angle
+(`ALL_ANGLES`) and the benchmark's recorded trajectories
+(`pool_waypoints`).
 """
 
 import itertools
@@ -49,13 +54,16 @@ import math
 from fractions import Fraction
 
 from kinatlas.adjacency import AdjacencyGraph, build_graph, build_graphs
-from kinatlas.mechanism import CS_VARS, MechanismParams, jacobian_a, det3
+from kinatlas.cad2d import _specialize_product
+from kinatlas.mechanism import (
+    CS_VARS, MechanismParams, PassiveAngles, Pose, jacobian_a, det3, residuals, _dk_univariate,
+)
 from kinatlas.ratpoly import (
     MPoly, UPoly, RatPolyError, _coeffs_wrt, _grlex_key, _int_prem, _int_primitive,
     exact_div,
 )
 from kinatlas.realroots import (
-    IsolatingInterval, RealRootError, count_roots, isolate,
+    NEG_INF, IsolatingInterval, RealRootError, count_roots, isolate,
     _root_bound, _scale_shift, _sign_at, _sign_variations, _taylor_shift_1,
 )
 from kinatlas.mechanism import JointValues, KinematicsError
@@ -925,6 +933,87 @@ def follow_chain(traj, params, start_state, h0=1.0 / 256, max_steps=40000) -> Ch
         if s >= 1.0 - 1e-12 and tangent[3] > 0:
             return Chain(points=pts, joints=qs, end_s=1.0)
     raise TrajectoryError("chain walk exceeded the step budget")
+
+
+def dk_eliminant(r1: Fraction, r2: Fraction, r3: Fraction, params) -> UPoly | None:
+    """The direct-kinematics eliminant P(t) = (xnum - r2 den)^2 + ynum^2
+    - l2^2 den^2, undivided, from the numerators and the denominator that
+    `mechanism._dk_univariate` back-substitutes with; None when P is 0."""
+    out = _dk_univariate(r1, r2, r3, params)
+    if out is None:
+        return None
+    _, xnum, ynum, den = out
+    p = (xnum - r2 * den) ** 2 + ynum * ynum - params.l2 * params.l2 * den * den
+    return None if p.is_zero() else UPoly.from_mpoly(p, "t")
+
+
+def direct_kinematics(q: JointValues, params, tol: float = 1e-9):
+    """The direct kinematics isolating the undivided eliminant
+    (`dk_eliminant`), with the package's back-substitution, residual filter,
+    merge and sort."""
+    r1, r2, r3 = Fraction(q.rho1), Fraction(q.rho2), Fraction(q.rho3)
+    poly = dk_eliminant(r1, r2, r3, params)
+    if poly is None:
+        raise KinematicsError("degenerate input: direct kinematics eliminant vanishes")
+    _, xnum, ynum, den = _dk_univariate(r1, r2, r3, params)
+    if poly.degree < 1:
+        return []
+    sols = []
+    for iv in isolate(poly):
+        t = iv.refine(Fraction(1, 1 << 80)).midpoint()
+        tf = float(t)
+        d = den.eval_float({"t": tf})
+        if abs(d) < 1e-14:
+            continue
+        xf = xnum.eval_float({"t": tf}) / d
+        yf = ynum.eval_float({"t": tf}) / d
+        phi = 2.0 * math.atan(tf)
+        l2, l3, _, b = params.floats
+        pose = Pose(xf, yf, phi)
+        pa = PassiveAngles(math.atan2(yf / l2, (xf - float(r2)) / l2),
+                           math.atan2((yf + b * math.sin(phi) - float(r3)) / l3,
+                                      (xf + b * math.cos(phi)) / l3))
+        res = residuals(pose, JointValues(float(r1), float(r2), float(r3)), pa, params)
+        if max(abs(v) for v in res) < tol:
+            sols.append((pose, pa))
+    merged = []
+    for s in sols:
+        if not any(abs(s[0].x - m[0].x) < 1e-7 and abs(s[0].y - m[0].y) < 1e-7
+                   and abs(s[0].phi - m[0].phi) < 1e-7 for m in merged):
+            merged.append(s)
+    merged.sort(key=lambda s: (s[0].x, s[0].y, s[0].phi))
+    return merged
+
+
+def locate_by_sturm(dec, px, py) -> int | None:
+    """`Decomposition.locate` with the base index counted by the Sturm
+    sequence of the whole base product, count_roots(base, -inf, px)."""
+    px, py = Fraction(px), Fraction(py)
+    if not dec.base_poly.is_zero() and dec.base_poly.degree > 0:
+        if dec.base_poly(px) == 0:
+            return None
+        k1 = count_roots(dec.base_poly, NEG_INF, px)
+    else:
+        k1 = 0
+    f = _specialize_product(dec.polys, dec.base_var, dec.fiber_var, px)
+    if f.degree > 0 and f(py) == 0:
+        return None
+    k2 = count_roots(f, NEG_INF, py) if f.degree > 0 else 0
+    for c in dec.columns[k1]:
+        if c.fiber_index == k2:
+            return c.id
+    return None
+
+
+def pool_waypoints(count: int | None = None):
+    """Waypoints of the first `count` (default all) generated trajectories
+    recorded in perfbench/reference.json, as floats."""
+    import json
+    from pathlib import Path
+    ref = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    pool = sorted(json.loads(ref.read_text())["pool"], key=lambda e: e["index"])
+    return [tuple((float(Fraction(x)), float(Fraction(p))) for x, p in e["waypoints"])
+            for e in pool[:count]]
 
 
 def divides(den: MPoly, num: MPoly) -> bool:

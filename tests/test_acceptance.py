@@ -22,7 +22,7 @@ from kinatlas.mechanism import (
 )
 from kinatlas.domains import w_aspects, basic_regions, uniqueness_domains
 from kinatlas.trajectory import (
-    Trajectory, track_branches, follow_chain, joint_values_at,
+    Trajectory, track_branches, follow_chain,
 )
 
 from conftest import eq11_reference, sc_quartic_reference
@@ -249,13 +249,14 @@ class TestAcceptance:
                 f"{generalized} (2x4), count-regions={n_regions}, cusps={n_cusps}, "
                 f"uniqueness domains/mode={ud_all_modes} (pipeline {dt:.0f}s < 600s)")
 
-    def test_criterion_7_fig10_trajectory(self, atlas_pp):
+    def test_criterion_7_fig10_trajectory(self, atlas_of_mode):
+        atlases = {mode: atlas_of_mode(mode) for mode in WorkingMode.all_modes()}
         t0 = time.time()
         wps = ((-1.0, 1.0), (0.0, 0.5), (1.0, -1.0), (0.5, -2.0))
         winners = []
         for mode in WorkingMode.all_modes():
             traj = Trajectory(y0=Fraction(1, 2), mode=mode, waypoints=wps)
-            v = track_branches(traj, PARAMS, atlas_pp)
+            v = track_branches(traj, PARAMS, atlases[mode])
             if (not v.same_domain and v.assembly_mode_changed
                     and not v.singular_crossing
                     and any(w != 0 for _, w in v.encircled_cusps)):
@@ -376,7 +377,7 @@ class TestAcceptance:
         for wp in cases:
             traj = Trajectory(y0=Fraction(1, 2), mode=WorkingMode(1, 1), waypoints=tuple(wp))
             try:
-                q0 = joint_values_at(traj, 0.0, PARAMS)
+                q0, _ = inverse_kinematics(traj.pose_at(0.0), traj.mode, PARAMS)
                 sols = direct_kinematics(q0, PARAMS)
                 p0 = traj.pose_at(0.0)
                 partners = [(p.x, p.y, p.phi) for p, _ in sols

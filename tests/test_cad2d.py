@@ -453,3 +453,76 @@ class TestExactnessGuards:
         with pytest.raises(RatPolyError, match="curve 4"):
             _poly_quo([2, 2], [1, 2], "curve 4")           # 2v + 2 by 2v + 1
         assert _poly_quo([-1, 0, 1], [1, 1], "") == [-1, 1]
+
+
+def _endpoints():
+    """(x, tan(phi/2)) of both ends of the Fig. 10 trajectory and of every
+    pool trajectory, as exact rationals of their floats."""
+    import math
+    from oracles import pool_waypoints
+    fig10 = ((-1.0, 1.0), (0.0, 0.5), (1.0, -1.0), (0.5, -2.0))
+    return [(Fraction(x), Fraction(math.tan(phi / 2)))
+            for wps in [fig10, *pool_waypoints()] for x, phi in (wps[0], wps[-1])]
+
+
+class TestLocateOracle:
+    """`Decomposition.locate` counts the base roots below px on the isolated
+    base roots; `oracles.locate_by_sturm` counts them with the Sturm
+    sequence of the whole base product."""
+
+    def test_cell_samples_of_the_reference_decompositions(self, atlas_pp):
+        from oracles import locate_by_sturm
+        wa, ja = atlas_pp.wa, atlas_pp.ja
+        decs = (wa.dec_sing, wa.dec_fine, ja.dec)
+        points = 0
+        for dec in decs:
+            for c in dec.cells:
+                assert dec.locate(*c.sample) == locate_by_sturm(dec, *c.sample) == c.id
+                points += 1
+        # the atlas build's own locate calls: fine samples in the singular
+        # decomposition, their chart images in the joint one
+        for c in wa.dec_fine.cells:
+            for dec, p in ((wa.dec_sing, c.sample), (ja.dec, wa.ws.chart_image(*c.sample))):
+                assert dec.locate(*p) == locate_by_sturm(dec, *p)
+                points += 1
+        assert points == sum(len(d.cells) for d in decs) + 2 * len(wa.dec_fine.cells)
+
+    def test_trajectory_endpoints(self, atlas_pp):
+        from oracles import locate_by_sturm
+        ends = _endpoints()
+        assert len(ends) == 2 + 2 * 160
+        for dec in (atlas_pp.wa.dec_sing, atlas_pp.wa.dec_fine):
+            got = [dec.locate(*p) for p in ends]
+            assert got == [locate_by_sturm(dec, *p) for p in ends]
+            assert got.count(None) <= 2
+
+    def test_points_inside_base_root_intervals(self, atlas_pp):
+        """Points inside the isolating intervals, so that an interval
+        straddles px; and exact rational base roots, where both give None."""
+        from oracles import locate_by_sturm
+        straddled = exact = 0
+        for dec in (atlas_pp.wa.dec_sing, atlas_pp.wa.dec_fine, atlas_pp.ja.dec):
+            for iv in dec.base_roots:
+                if iv.is_exact():
+                    for py in (Fraction(0), Fraction(1, 3)):
+                        assert dec.locate(iv.low, py) is None
+                        assert locate_by_sturm(dec, iv.low, py) is None
+                    exact += 1
+                    continue
+                for k in range(1, 8):
+                    px = iv.low + (iv.high - iv.low) * Fraction(k, 8)
+                    for py in (Fraction(-1, 7), Fraction(2, 3)):
+                        assert dec.locate(px, py) == locate_by_sturm(dec, px, py), (px, py)
+                    straddled += 1
+        assert exact >= 4 and straddled >= 7 * 25
+
+    def test_rational_base_roots_of_a_circle(self):
+        from oracles import locate_by_sturm
+        dec = decompose([CIRCLE, P("2*v-u")], "u", "v")
+        assert any(iv.is_exact() for iv in dec.base_roots)
+        for iv in dec.base_roots:
+            px = iv.low if iv.is_exact() else iv.midpoint()
+            for py in (Fraction(-2), Fraction(0), Fraction(1, 5)):
+                assert dec.locate(px, py) == locate_by_sturm(dec, px, py)
+                if iv.is_exact():
+                    assert dec.locate(px, py) is None

@@ -172,6 +172,32 @@ class TestCheckTrajectory:
         assert "error" in v
         assert "end point (x, tphi) = (7/2, 0)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mech, mode, named", [
+        ({"l2": "3"}, [-1, 1], "trajectory working mode mp does not match the atlas working "
+                               "mode pp"),
+        ({"l2": "5/2"}, [1, 1], "'l2': '5/2'"),
+    ], ids=["mode", "mechanism"])
+    def test_atlas_of_another_mode_or_mechanism_exit_4(self, mech, mode, named, atlas_pp,
+                                                       tmp_path, monkeypatch, capsys):
+        """A verdict against an atlas of another working mode or mechanism
+        (here the y = 1/2, ++ atlas of the default geometry, whatever the
+        build is asked for) exits 4 and names both values."""
+        from kinatlas import cli
+        monkeypatch.setattr(cli.SliceAtlas, "build", staticmethod(lambda *a, **k: atlas_pp))
+        cf = tmp_path / "mech.json"
+        cf.write_text(json.dumps({"type": "RPR-2PRR", "l3": "3", "a": "1", "b": "1", **mech}))
+        tf = tmp_path / "traj.json"
+        tf.write_text(json.dumps({"y": "1/2", "mode": mode,
+                                  "waypoints": [["-1", "1"], ["0", "1/2"]]}))
+        out = tmp_path / "v"
+        rc = main(["check-trajectory", "--config", str(cf), "--traj", str(tf), "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("indeterminate: ") and named in err
+        if mech["l2"] != "3":
+            assert "'l2': '3'" in err
+        assert "error" in json.loads((out / "verdict.json").read_text())
+
     def test_start_outside_atlas_named(self, config_file, tmp_path, capsys):
         tf = tmp_path / "bad_traj.json"
         tf.write_text(json.dumps({
@@ -193,8 +219,13 @@ class TestCheckTrajectory:
         {"y": "1/0", "mode": [1, 1], "waypoints": [["-1", "1"], ["0", "1/2"]]},
         {"y": "1/2", "mode": [1, 1, 9], "waypoints": [["-1", "1"], ["0", "1/2"]]},
         {"y": "1/2", "mode": [1, 1], "waypoints": [["-1", "1"], ["1", "0", "4"]]},
+        {"y": "1/2", "mode": [1.5, 1], "waypoints": [["-1", "1"], ["0", "1/2"]]},
+        {"y": "1/2", "mode": [True, 1], "waypoints": [["-1", "1"], ["0", "1/2"]]},
+        {"y": "1/2", "mode": ["1", -1], "waypoints": [["-1", "1"], ["0", "1/2"]]},
+        {"y": "1/2", "mode": [1, 1.0], "waypoints": [["-1", "1"], ["0", "1/2"]]},
     ], ids=["array", "y-list", "waypoints-int", "waypoint-arity", "zero-denominator",
-            "mode-three-entries", "waypoint-three-coordinates"])
+            "mode-three-entries", "waypoint-three-coordinates", "mode-float", "mode-bool",
+            "mode-string", "mode-integral-float"])
     def test_bad_trajectory_exit_2(self, traj, config_file, tmp_path, capsys):
         tf = tmp_path / "bad_traj.json"
         tf.write_text(json.dumps(traj))

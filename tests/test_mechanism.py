@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,83 @@ class TestDirectKinematics:
                 assert abs(jv2.rho1 - jv.rho1) < 1e-7
                 assert abs(jv2.rho2 - jv.rho2) < 1e-7
                 assert abs(jv2.rho3 - jv.rho3) < 1e-7
+
+
+# geom2 of the benchmark's slice sweep
+GEOM2 = MechanismParams(Fraction(2), Fraction(5, 2), Fraction(1, 2), Fraction(3, 2))
+
+
+def _dk_inputs():
+    """(params, joints) for the eliminant checks: the default geometry and
+    geom2, then 40 seeded random geometries, each with the joints of two
+    random poses in random modes and one random joint triple."""
+    rng = random.Random(1717)
+    out = []
+    geometries = [PARAMS, GEOM2]
+    for _ in range(40):
+        geometries.append(MechanismParams(*(Fraction(rng.randint(2, 16), rng.randint(2, 6))
+                                            for _ in range(4))))
+    for params in geometries:
+        l2, l3, a, b = params.floats
+        poses = 0
+        while poses < 2:
+            pose = Pose(rng.uniform(-l3, l3), rng.uniform(-0.9 * l2, 0.9 * l2),
+                        rng.uniform(-3.0, 3.0))
+            mode = rng.choice(WorkingMode.all_modes())
+            try:
+                out.append((params, inverse_kinematics(pose, mode, params)[0]))
+            except KinematicsError:
+                continue
+            poses += 1
+        out.append((params, JointValues(rng.uniform(0.1, 4.0), rng.uniform(-4.0, 4.0),
+                                        rng.uniform(-4.0, 4.0))))
+    return out
+
+
+def _trajectory_starts():
+    """The start joints of the Fig. 10 trajectory and of every pool
+    trajectory, mode ++, y = 1/2, default geometry."""
+    from kinatlas.trajectory import Trajectory
+    from oracles import pool_waypoints
+    fig10 = ((-1.0, 1.0), (0.0, 0.5), (1.0, -1.0), (0.5, -2.0))
+    mode = WorkingMode(1, 1)
+    return [inverse_kinematics(Trajectory(Fraction(1, 2), mode, wps).pose_at(0.0), mode, PARAMS)[0]
+            for wps in [fig10, *pool_waypoints()]]
+
+
+def _dk_bits(sols):
+    return [struct.pack("5d", p.x, p.y, p.phi, pa.alpha2, pa.alpha3) for p, pa in sols]
+
+
+class TestDirectKinematicsEliminant:
+    def test_one_plus_t_squared_to_the_fifth_divides_it_exactly(self):
+        """(1 + t^2)^5 divides the eliminant and (1 + t^2)^6 does not."""
+        from oracles import dk_eliminant, upoly_divmod
+        from kinatlas.ratpoly import UPoly
+        op = UPoly([1, 0, 1], "t")
+        inputs = _dk_inputs()
+        for params, q in inputs:
+            p = dk_eliminant(Fraction(q.rho1), Fraction(q.rho2), Fraction(q.rho3), params)
+            power = 0
+            while True:
+                quo, rem = upoly_divmod(p, op)
+                if not rem.is_zero():
+                    break
+                p, power = quo, power + 1
+            assert power == 5, (params, q, power)
+        assert len(inputs) == 126
+
+    def test_poses_are_bitwise_the_undivided_route(self):
+        """`direct_kinematics` isolates P / (1 + t^2)^4 and returns, bit for
+        bit, the poses of the route that isolates P."""
+        import oracles
+        inputs = _dk_inputs() + [(PARAMS, q) for q in _trajectory_starts()]
+        found = 0
+        for params, q in inputs:
+            got = direct_kinematics(q, params)
+            assert _dk_bits(got) == _dk_bits(oracles.direct_kinematics(q, params)), (params, q)
+            found += len(got)
+        assert len(inputs) == 126 + 161 and found >= 700
 
 
 class TestSlices:

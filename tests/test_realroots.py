@@ -524,3 +524,30 @@ def _rand_conic(rng):
     if not terms:
         terms[(1, 0)] = Fraction(1)
     return MPoly(("u", "v"), terms)
+
+
+class TestRootsBelow:
+    def test_matches_sturm_count_random(self):
+        """roots_below over the isolated roots equals the Sturm count on
+        (-inf, x] at non-roots x: random points, interval ends and points
+        inside the intervals."""
+        from kinatlas.realroots import roots_below
+        rng = random.Random(17)
+        checked = inside = 0
+        for _ in range(80):
+            deg = rng.randint(1, 9)
+            p = UPoly([Fraction(rng.randint(-9, 9)) for _ in range(deg)]
+                      + [Fraction(rng.randint(1, 9))])
+            roots = isolate(p)
+            xs = [Fraction(rng.randint(-90, 90), rng.randint(1, 12)) for _ in range(10)]
+            for iv in roots:
+                xs += [iv.low, iv.high, iv.low - 1, iv.high + 1]
+                if not iv.is_exact():
+                    xs += [iv.low + (iv.high - iv.low) * Fraction(k, 5) for k in range(1, 5)]
+                    inside += 4
+            for x in xs:
+                if p(x) == 0:
+                    continue
+                assert roots_below(roots, x) == count_roots(p, NEG_INF, x), (p, x)
+                checked += 1
+        assert checked >= 1000 and inside >= 100

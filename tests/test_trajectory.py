@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from kinatlas.mechanism import (
-    JointValues, MechanismParams, WorkingMode, direct_kinematics,
+    JointValues, MechanismParams, WorkingMode, direct_kinematics, inverse_kinematics,
 )
 from kinatlas.trajectory import (
     Trajectory, TrajectoryError,
     track_branches, follow_chain,
-    tracked_chart, encirclement, winding_number, joint_values_at,
-    _solve, _tangent4, _chain_system,
+    tracked_chart, encirclement, winding_number,
+    _solve, _tangent4, _chain_kernel,
 )
 
 PARAMS = MechanismParams()
@@ -23,10 +23,22 @@ def _traj(wps=FIG10, mode=WorkingMode(1, 1), y0=Fraction(1, 2)):
     return Trajectory(y0=y0, mode=mode, waypoints=tuple(wps))
 
 
+def _joints_at(t, s, params=PARAMS):
+    """The joints of the trajectory's own branch at s: the IK of its pose."""
+    return inverse_kinematics(t.pose_at(s), t.mode, params)[0]
+
+
 class TestTrajectoryBasics:
     def test_needs_two_waypoints(self):
         with pytest.raises(TrajectoryError):
             _traj(((0.0, 0.0),))
+
+    @pytest.mark.parametrize("mode", [[1.5, 1], [True, 1], ["1", -1], [1, 1.0], [None, 1]],
+                             ids=["float", "bool", "string", "integral-float", "null"])
+    def test_json_mode_takes_integers_only(self, mode):
+        with pytest.raises(ValueError, match="mode entries must be the integers 1 or -1"):
+            Trajectory.from_json({"y": "1/2", "mode": mode,
+                                  "waypoints": [["-1", "1"], ["0", "1/2"]]})
 
     def test_json_parsing(self):
         t = Trajectory.from_json({
@@ -51,7 +63,7 @@ class TestTrajectoryBasics:
 class TestTracking:
     def test_fig10_chain_reaches_far_end(self):
         t = _traj()
-        q0 = joint_values_at(t, 0.0, PARAMS)
+        q0 = _joints_at(t, 0.0, PARAMS)
         sols = direct_kinematics(q0, PARAMS)
         partner = next((p for p, _ in sols
                         if max(abs(p.x + 1.0), abs(p.phi - 1.0)) > 1e-6))
@@ -61,13 +73,13 @@ class TestTracking:
     def test_chain_residuals_stay_small(self):
         from oracles import distance_residuals
         t = _traj()
-        q0 = joint_values_at(t, 0.0, PARAMS)
+        q0 = _joints_at(t, 0.0, PARAMS)
         sols = direct_kinematics(q0, PARAMS)
         partner = next((p for p, _ in sols
                         if max(abs(p.x + 1.0), abs(p.phi - 1.0)) > 1e-6))
         ch = follow_chain(t, PARAMS, (partner.x, partner.y, partner.phi))
         for x, y, phi, s in ch.points[1:]:
-            r = distance_residuals(x, y, phi, joint_values_at(t, s, PARAMS), PARAMS)
+            r = distance_residuals(x, y, phi, _joints_at(t, s, PARAMS), PARAMS)
             assert max(abs(v) for v in r) < 1e-9
 
     def test_partner_chain_crosses_a_waypoint(self):
@@ -93,7 +105,7 @@ class TestTracking:
 
     def test_step_halving_stability(self):
         t = _traj()
-        q0 = joint_values_at(t, 0.0, PARAMS)
+        q0 = _joints_at(t, 0.0, PARAMS)
         sols = direct_kinematics(q0, PARAMS)
         partner = next((p for p, _ in sols
                         if max(abs(p.x + 1.0), abs(p.phi - 1.0)) > 1e-6))
@@ -115,11 +127,11 @@ class TestVerdicts:
         assert len(v.encircled_cusps) >= 1
         assert all(isinstance(w, int) and w != 0 for _, w in v.encircled_cusps)
 
-    def test_fig10_some_mode_reproduces(self, atlas_pp):
+    def test_fig10_some_mode_reproduces(self, atlas_of_mode):
         hits = []
         for mode in WorkingMode.all_modes():
             t = _traj(mode=mode)
-            v = track_branches(t, PARAMS, atlas_pp)
+            v = track_branches(t, PARAMS, atlas_of_mode(mode))
             if (not v.same_domain and v.assembly_mode_changed
                     and not v.singular_crossing and v.encircled_cusps):
                 hits.append(mode.label)
@@ -136,6 +148,24 @@ class TestVerdicts:
         assert set(wf) == set(wr)
         for k in wf:
             assert wf[k] == -wr[k]
+
+    @pytest.mark.parametrize("mode", [WorkingMode(1, -1), WorkingMode(-1, 1), WorkingMode(-1, -1)],
+                             ids=lambda m: m.label)
+    def test_other_mode_than_the_atlas_raises(self, mode, atlas_pp):
+        with pytest.raises(TrajectoryError, match=f"working mode {mode.label} does not "
+                                                  "match the atlas working mode pp"):
+            track_branches(_traj(mode=mode), PARAMS, atlas_pp)
+
+    def test_other_mechanism_than_the_atlas_raises(self, atlas_pp):
+        other = MechanismParams(l2=Fraction(5, 2))
+        with pytest.raises(TrajectoryError) as e:
+            track_branches(_traj(), other, atlas_pp)
+        assert "'l2': '5/2'" in str(e.value) and "'l2': '3'" in str(e.value)
+
+    def test_other_slice_than_the_atlas_raises(self, atlas_pp):
+        with pytest.raises(TrajectoryError, match="slice y = 1/3 does not match the atlas "
+                                                  "slice y = 1/2"):
+            track_branches(_traj(y0=Fraction(1, 3)), PARAMS, atlas_pp)
 
     def test_in_domain_path_no_change(self, atlas_pp):
         t = _traj(((-1.0, 1.0), (-1.1, 1.2)))
@@ -157,7 +187,7 @@ class TestVerdicts:
             r = (float(c.r_box[0]) + float(c.r_box[1])) / 2
             u = (float(c.u_box[0]) + float(c.u_box[1])) / 2
             centers.append((math.sqrt(r), 2 * math.atan(u)))
-        q0 = joint_values_at(t, 0.0, PARAMS)
+        q0 = _joints_at(t, 0.0, PARAMS)
         sols = direct_kinematics(q0, PARAMS)
         partner = next((p for p, _ in sols
                         if max(abs(p.x + 1.0), abs(p.phi - 1.0)) > 1e-6))
@@ -266,7 +296,7 @@ def _kernel_systems(rng):
     t = _traj()
     for s in (0.0, 0.25, 0.5, 1.0):
         p = t.pose_at(s)
-        j = _chain_system(p.x, p.y, p.phi, s, t, PARAMS)[2]
+        j = _system(t, p.x, p.y, p.phi, s)[2]
         jacobians.append(j)
         jacobians.append([[v * 1e-15 for v in row] for row in j])
     return squares, jacobians, deficient
@@ -288,12 +318,19 @@ def _minor_ratio(j):
 
 
 def _kernel(m, r):
-    """`_solve` on a 4x4 system, or on a 3x3 one padded as `_newton` pads
-    it: a zero fourth column, the row (0, 0, 0, 1) and right-hand side 0,
-    the first three entries kept."""
+    """`_solve` on the augmented rows of a 4x4 system, or of a 3x3 one
+    padded as `_newton` pads it: a zero fourth column, the row (0, 0, 0, 1)
+    and right-hand side 0, the first three entries kept."""
     if len(m) == 4:
-        return _solve(m, r)
-    return _solve([[*row, 0.0] for row in m] + [[0.0, 0.0, 0.0, 1.0]], [*r, 0.0])[:3]
+        return _solve(*[(*row, v) for row, v in zip(m, r)])
+    return _solve(*[(*row, 0.0, v) for row, v in zip(m, r)], (0.0, 0.0, 0.0, 1.0, 0.0))[:3]
+
+
+def _system(t, x, y, phi, s, params=PARAMS):
+    """The chain kernel's system at (x, y, phi; s) as (q, F, 3x4 Jacobian),
+    the Jacobian's rows as lists."""
+    q, rows = _chain_kernel(t, params)[1](x, y, phi, s)
+    return q, tuple(row[4] for row in rows), [list(row[:4]) for row in rows]
 
 
 class TestKernelOracles:
@@ -312,17 +349,17 @@ class TestKernelOracles:
 
     def test_solve_matches_oracle_on_walk_systems(self, monkeypatch):
         """The corrector's own systems, bit for bit: every system the Fig. 10
-        partner walks solve, both ways, and the 3x4 Jacobian of
-        `_chain_system` with a tangent row at Fig. 10 points and in the kink
+        partner walks solve, both ways, and the 3x4 Jacobian of the chain
+        kernel's system with a tangent row at Fig. 10 points and in the kink
         windows of its waypoints, in every mode and in both directions."""
         from oracles import solve
         from kinatlas import trajectory as tj
         kernel = tj._solve
         walked = []
 
-        def recorded(m, r):
-            walked.append(([list(row) for row in m], tuple(r)))
-            return kernel(m, r)
+        def recorded(*rows):
+            walked.append(([list(row[:4]) for row in rows], tuple(row[4] for row in rows)))
+            return kernel(*rows)
 
         monkeypatch.setattr(tj, "_solve", recorded)
         for wps in (FIG10, tuple(reversed(FIG10))):
@@ -335,19 +372,19 @@ class TestKernelOracles:
         monkeypatch.undo()
         assert len(walked) > 1000
         for m, r in walked:
-            assert _outcome(_solve, m, r) == _outcome(solve, m, r), (m, r)
+            assert _outcome(_kernel, m, r) == _outcome(solve, m, r), (m, r)
         rng = random.Random(15)
         systems = 0
         for mode in WorkingMode.all_modes():
             for wps in (FIG10, tuple(reversed(FIG10))):
                 t = _traj(wps, mode=mode)
                 for s, (x, y, phi) in _system_points(t, rng):
-                    _, f, j = _chain_system(x, y, phi, s, t, PARAMS)
+                    _, f, j = _system(t, x, y, phi, s)
                     prev = [rng.uniform(-1.0, 1.0) for _ in range(4)]
                     for row in (_tangent4(j, prev), prev):
                         m = j + [row]
                         r = (*f, rng.choice((0.0, -0.0, rng.uniform(-1e-3, 1e-3))))
-                        assert _outcome(_solve, m, r) == _outcome(solve, m, r), (wps, s)
+                        assert _outcome(_kernel, m, r) == _outcome(solve, m, r), (wps, s)
                         systems += 1
         assert systems >= 600
 
@@ -369,7 +406,7 @@ class TestKernelOracles:
         ends = [follow_chain(t, PARAMS, st).end_s for st in _partner_starts(t)]
         assert 1.0 in ends
         monkeypatch.undo()
-        jv = joint_values_at(t, 1.0, PARAMS)
+        jv = _joints_at(t, 1.0, PARAMS)
         clamps = [c for c in calls if c[3] == (jv.rho1, jv.rho2, jv.rho3)]
         assert clamps
         checked = 0
@@ -427,57 +464,75 @@ class TestKernelOracles:
         for wps in (FIG10, tuple(reversed(FIG10))):
             t = _traj(wps)
             for s, (x, y, phi) in _system_points(t, rng):
-                got = _chain_system(x, y, phi, s, t, PARAMS)[2]
-                want = sys_jacobian4_central(x, y, phi, s, t, PARAMS, joint_values_at(t, s, PARAMS))
+                got = _system(t, x, y, phi, s)[2]
+                want = sys_jacobian4_central(x, y, phi, s, t, PARAMS, _joints_at(t, s, PARAMS))
                 assert [_bits(row[:3]) for row in got] == [_bits(row[:3]) for row in want]
                 col = [row[3] for row in want]
                 err = max(abs(g[3] - w) for g, w in zip(got, col))
                 assert err <= 1e-6 * math.hypot(*col), (wps, s, got, want)
 
     def test_system_matches_per_quantity_oracles(self):
-        """The one-pass joints, F and 3x4 Jacobian equal, bit for bit, the
-        joints through `pose_at`, the residuals and the Jacobian that the
-        per-quantity routes take, each with its own IK and trigonometry."""
+        """The chain kernel's joints, F and 3x4 Jacobian equal, bit for bit,
+        the joints through `pose_at`, the residuals and the Jacobian that
+        the per-quantity routes take, each with its own IK and
+        trigonometry; its path's joints and path point are those of
+        `pose_at` too.  Besides the default geometry, one whose lengths are
+        no powers of two, so that a product by l2, l3, a or b is rounded."""
         import oracles
         rng = random.Random(11)
-        for mode in WorkingMode.all_modes():
-            for wps in (FIG10, tuple(reversed(FIG10)), FIG10[1:]):
-                t = _traj(wps, mode=mode)
-                for s, (x, y, phi) in _system_points(t, rng):
-                    q, f, j = _chain_system(x, y, phi, s, t, PARAMS)
-                    jv = oracles.joints_at(t, s, PARAMS)
-                    assert _bits(q) == _bits((jv.rho1, jv.rho2, jv.rho3)), (wps, s)
-                    assert _bits(f) == _bits(oracles.distance_residuals(x, y, phi, jv, PARAMS))
-                    want = oracles.sys_jacobian4(x, y, phi, s, t, PARAMS, jv)
-                    assert [_bits(row) for row in j] == [_bits(row) for row in want], (wps, s)
+        other = MechanismParams(Fraction(17, 5), Fraction(3), Fraction(4, 3), Fraction(7, 5))
+        for params in (PARAMS, other):
+            for mode in WorkingMode.all_modes():
+                for wps in (FIG10, tuple(reversed(FIG10)), FIG10[1:]):
+                    t = _traj(wps, mode=mode)
+                    for s, (x, y, phi) in _system_points(t, rng):
+                        q, f, j = _system(t, x, y, phi, s, params)
+                        jv = oracles.joints_at(t, s, params)
+                        assert _bits(q) == _bits((jv.rho1, jv.rho2, jv.rho3)), (wps, s)
+                        xs, ps, qs, _ = _chain_kernel(t, params)[0](s)
+                        p = t.pose_at(s)
+                        assert _bits((xs, ps, *qs)) == _bits((p.x, p.phi, *q)), (wps, s)
+                        assert _bits(f) == _bits(oracles.distance_residuals(x, y, phi, jv, params))
+                        want = oracles.sys_jacobian4(x, y, phi, s, t, params, jv)
+                        assert [_bits(row) for row in j] == [_bits(row) for row in want], (wps, s)
 
     def test_system_takes_one_ik(self, monkeypatch):
-        """One evaluation of the IK core per call, and no other IK route."""
+        """One evaluation of the slice IK per call of the kernel's system,
+        and no other IK route: the slice set-up (asin and cos of leg 2) runs
+        once, when the kernel is built."""
         import inspect
         from kinatlas import trajectory as tj
-        assert list(inspect.signature(_chain_system).parameters) == [
-            "x", "y", "phi", "s", "traj", "params"]
         t = _traj()
         cases = []
         for s in (0.0, 1e-8, 0.25, 1 / 3, 1 / 3 + 5e-8, 0.5, 2 / 3 - 5e-8, 1.0):
             p = t.pose_at(s)
-            cases.append((p.x, p.y, p.phi, s, t, PARAMS))
-        want = [_chain_system(*c) for c in cases]
-        core = tj.ik_core
-        calls = []
+            cases.append((p.x, p.y, p.phi, s))
+        want = [_chain_kernel(t, PARAMS)[1](*c) for c in cases]
+        setup = tj.slice_ik
+        setups, calls = [], []
 
-        def counted(*args):
-            calls.append(args)
-            return core(*args)
+        def counted_setup(*args):
+            setups.append(args)
+            alpha2, ik = setup(*args)
+
+            def counted(*a):
+                calls.append(a)
+                return ik(*a)
+
+            return alpha2, counted
 
         def no_ik(*args):
-            raise AssertionError("a second IK route in _chain_system")
+            raise AssertionError("a second IK route in the chain kernel")
 
-        monkeypatch.setattr(tj, "ik_core", counted)
-        monkeypatch.setattr(tj, "joint_values_at", no_ik)
+        monkeypatch.setattr(tj, "slice_ik", counted_setup)
+        system = _chain_kernel(t, PARAMS)[1]
+        assert list(inspect.signature(system).parameters) == ["x", "y", "phi", "s"]
+        assert len(setups) == 1
+        monkeypatch.setattr(tj, "slice_ik", no_ik)
+        monkeypatch.setattr(tj, "_chain_kernel", no_ik)
         for c, w in zip(cases, want):
             calls.clear()
-            assert _chain_system(*c) == w
+            assert system(*c) == w
             assert len(calls) == 1
 
 
@@ -497,7 +552,7 @@ def _system_points(t, rng):
 
 def _partner_starts(t):
     p0 = t.pose_at(0.0)
-    sols = direct_kinematics(joint_values_at(t, 0.0, PARAMS), PARAMS)
+    sols = direct_kinematics(_joints_at(t, 0.0, PARAMS), PARAMS)
     return [(p.x, p.y, p.phi) for p, _ in sols
             if max(abs(p.x - p0.x), abs(p.y - p0.y), abs(p.phi - p0.phi)) >= 1e-6]
 
@@ -510,16 +565,24 @@ class TestWalkIdentity:
         t = _traj(wps)
         starts = _partner_starts(t)
         assert starts
-        system = tj._chain_system
+        kernel = tj._chain_kernel
         passed = []
 
-        def checked_system(x, y, phi, s, traj, params):
-            # the joints of each evaluation are those of the same s
-            q, f, j = system(x, y, phi, s, traj, params)
-            jv = joint_values_at(traj, s, params)
-            assert _bits(q) == _bits((jv.rho1, jv.rho2, jv.rho3)), s
-            passed.append(s)
-            return q, f, j
+        def checked_kernel(traj, params):
+            path, system = kernel(traj, params)
+
+            def checked_system(x, y, phi, s):
+                # the joints of each evaluation are those of the same s
+                q, rows = system(x, y, phi, s)
+                jv = _joints_at(traj, s, params)
+                assert _bits(q) == _bits((jv.rho1, jv.rho2, jv.rho3)), s
+                passed.append(s)
+                return q, rows
+
+            return path, checked_system
+
+        def oracle_solve(*rows):
+            return oracles.solve([row[:4] for row in rows], [row[4] for row in rows])
 
         def walk():
             chains = []
@@ -531,7 +594,7 @@ class TestWalkIdentity:
             return chains
 
         with monkeypatch.context() as mp:
-            mp.setattr(tj, "_chain_system", checked_system)
+            mp.setattr(tj, "_chain_kernel", checked_kernel)
             chains = walk()
         assert any(isinstance(c, tj.Chain) and c.end_s == 1.0 for c in chains)
         assert len(passed) > 100
@@ -540,14 +603,14 @@ class TestWalkIdentity:
                 # the chain keeps the joints of every point: those of its s
                 assert len(c.joints) == len(c.points)
                 for p, q in zip(c.points, c.joints):
-                    jv = joint_values_at(t, p[3], PARAMS)
+                    jv = _joints_at(t, p[3], PARAMS)
                     assert _bits((q.rho1, q.rho2, q.rho3)) == _bits((jv.rho1, jv.rho2, jv.rho3))
 
         def summary(cs):
             return [(repr(c.points), c.end_s) if isinstance(c, tj.Chain) else c for c in cs]
 
         with monkeypatch.context() as mp:
-            mp.setattr(tj, "_solve", oracles.solve)
+            mp.setattr(tj, "_solve", oracle_solve)
             assert summary(walk()) == summary(chains)
         with monkeypatch.context() as mp:
             mp.setattr(tj, "_tangent4", oracles.tangent4)
@@ -561,6 +624,7 @@ class TestWalkIdentity:
                 assert a == b
 
     def test_chain_chart_takes_no_ik(self, monkeypatch):
+        from kinatlas import mechanism
         from kinatlas import trajectory as tj
         t = _traj()
         ch = follow_chain(t, PARAMS, _partner_starts(t)[0])
@@ -569,8 +633,9 @@ class TestWalkIdentity:
         def no_ik(*args):
             raise AssertionError("inverse kinematics in Chain.chart")
 
-        monkeypatch.setattr(tj, "ik_core", no_ik)
-        monkeypatch.setattr(tj, "joint_values_at", no_ik)
+        monkeypatch.setattr(mechanism, "slice_ik", no_ik)
+        monkeypatch.setattr(tj, "slice_ik", no_ik)
+        monkeypatch.setattr(tj, "_chain_kernel", no_ik)
         assert ch.chart(PARAMS) == want
         assert len(want) == len(ch.points)
 
@@ -578,12 +643,8 @@ class TestWalkIdentity:
 def _pool_trajectories(count):
     """Waypoints of the first `count` generated trajectories recorded in
     perfbench/reference.json."""
-    import json
-    from pathlib import Path
-    ref = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
-    pool = sorted(json.loads(ref.read_text())["pool"], key=lambda e: e["index"])
-    return [tuple((float(Fraction(x)), float(Fraction(p))) for x, p in e["waypoints"])
-            for e in pool[:count]]
+    from oracles import pool_waypoints
+    return pool_waypoints(count)
 
 
 def _walks(t, walk):
