@@ -88,7 +88,7 @@ def _load_config(path: str) -> MechanismParams:
         raise ConfigError(f"config {path}: expected a JSON object")
     try:
         return MechanismParams.from_json(d)
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, OverflowError) as e:
         raise ConfigError(f"config {path}: {e}") from e
 
 
@@ -167,13 +167,9 @@ def _plot_slice(atlas: SliceAtlas, space: str, window: str | None, density: int)
             win = tuple(_float(w) for w in window.split(","))
         canvas = svg.SvgCanvas(win)
         xlo, xhi = Fraction(win[0]).limit_denominator(10 ** 6), Fraction(win[1]).limit_denominator(10 ** 6)
-        phi_of_t = lambda t: 2.0 * math.atan(t)
-        for poly, color in ((atlas.ws.serial[0], "red"), (atlas.ws.serial[1], "red"),
-                            (atlas.ws.parallel, "blue")):
-            cols = svg.curve_points(poly, "x", "tphi", xlo, xhi, density, fiber_map=phi_of_t)
-            canvas.curve_columns(cols, color)
+        _draw_workspace_curves(canvas, atlas, xlo, xhi, density)
         for poly in atlas.wa.sc.polynomials:
-            cols = svg.curve_points(poly, "x", "tphi", xlo, xhi, density, fiber_map=phi_of_t)
+            cols = svg.curve_points(poly, "x", "tphi", xlo, xhi, density, fiber_map=_half_angle)
             canvas.curve_columns(cols, "green")
         for r in atlas.atlas:
             x, t = float(r.sample[0]), float(r.sample[1])
@@ -186,16 +182,39 @@ def _plot_slice(atlas: SliceAtlas, space: str, window: str | None, density: int)
     canvas = svg.SvgCanvas(win)
     rlo = Fraction(max(0, Fraction(win[0]).limit_denominator(10 ** 6))) ** 2
     rhi = Fraction(win[1]).limit_denominator(10 ** 6) ** 2
-    a3_of_u = lambda u: 2.0 * math.atan(u)
-    cols = svg.curve_points(atlas.js.parallel_ru, "r", "u", rlo, rhi, density, fiber_map=a3_of_u)
-    cols = [[(math.sqrt(x), y) for x, y in col] for col in cols]
-    canvas.curve_columns(cols, "blue")
-    canvas.polyline([(0.0, 0.0), (win[1], 0.0)], "red")   # alpha3 = 0 serial line
-    canvas.polyline([(0.0, win[2]), (0.0, win[3])], "red")  # rho1 = 0
+    _draw_joint_view(canvas, atlas, rlo, rhi, density, [
+        ([(0.0, 0.0), (win[1], 0.0)], "red", 1.2),     # alpha3 = 0 serial line
+        ([(0.0, win[2]), (0.0, win[3])], "red", 1.2),  # rho1 = 0
+    ])
+    return canvas.render()
+
+
+def _half_angle(t: float) -> float:
+    return 2.0 * math.atan(t)
+
+
+def _draw_workspace_curves(canvas: svg.SvgCanvas, atlas: SliceAtlas,
+                           xlo: Fraction, xhi: Fraction, density: int):
+    """The serial curves in red, then the parallel curve in blue, as
+    phi = 2 atan(tphi) against x."""
+    for poly, color in ((atlas.ws.serial[0], "red"), (atlas.ws.serial[1], "red"),
+                        (atlas.ws.parallel, "blue")):
+        cols = svg.curve_points(poly, "x", "tphi", xlo, xhi, density, fiber_map=_half_angle)
+        canvas.curve_columns(cols, color)
+
+
+def _draw_joint_view(canvas: svg.SvgCanvas, atlas: SliceAtlas,
+                     rlo: Fraction, rhi: Fraction, density: int, lines):
+    """The joint curve in blue as alpha3 = 2 atan(u) against rho1 = sqrt(r),
+    then each (points, color, width) polyline of `lines`, then the cusps."""
+    cols = svg.curve_points(atlas.js.parallel_ru, "r", "u", rlo, rhi, density,
+                            fiber_map=_half_angle)
+    canvas.curve_columns([[(math.sqrt(x), y) for x, y in col] for col in cols], "blue")
+    for pts, color, width in lines:
+        canvas.polyline(pts, color, width)
     for c in atlas.cusps:
         r, u = c.center()
-        canvas.dot(math.sqrt(max(r, 0.0)), 2 * math.atan(u), "black", 3.0)
-    return canvas.render()
+        canvas.dot(math.sqrt(max(r, 0.0)), _half_angle(u), "black", 3.0)
 
 
 def cmd_check_trajectory(args) -> int:
@@ -212,7 +231,7 @@ def cmd_check_trajectory(args) -> int:
             raise TrajectoryError("expected a JSON object")
         traj = Trajectory.from_json(tdata)
     except (KeyError, IndexError, ValueError, TypeError, ZeroDivisionError,
-            TrajectoryError) as e:
+            OverflowError, TrajectoryError) as e:
         print(f"config error: bad trajectory: {e}", file=sys.stderr)
         return 2
     try:
@@ -235,21 +254,11 @@ def cmd_check_trajectory(args) -> int:
 def _plot_trajectory(atlas: SliceAtlas, traj: Trajectory, params, verdict) -> str:
     # workspace view (left) and joint view (right), side by side
     wcan = svg.SvgCanvas((-5.0, 5.0, -math.pi, math.pi), (420, 360))
-    phi_of_t = lambda t: 2.0 * math.atan(t)
-    xlo, xhi = Fraction(-5), Fraction(5)
-    for poly, color in ((atlas.ws.serial[0], "red"), (atlas.ws.serial[1], "red"),
-                        (atlas.ws.parallel, "blue")):
-        wcan.curve_columns(svg.curve_points(poly, "x", "tphi", xlo, xhi, 120, phi_of_t), color)
+    _draw_workspace_curves(wcan, atlas, Fraction(-5), Fraction(5), 120)
     wcan.polyline([(x, p) for x, p in traj.waypoints], "black", 1.8)
     jcan = svg.SvgCanvas((0.0, 4.0, -math.pi, math.pi), (420, 360))
-    cols = svg.curve_points(atlas.js.parallel_ru, "r", "u", Fraction(0), Fraction(16), 120,
-                            fiber_map=lambda u: 2.0 * math.atan(u))
-    cols = [[(math.sqrt(x), y) for x, y in col] for col in cols]
-    jcan.curve_columns(cols, "blue")
-    jcan.polyline(list(verdict.joint_path), "black", 1.8)
-    for c in atlas.cusps:
-        r, u = c.center()
-        jcan.dot(math.sqrt(max(r, 0.0)), 2 * math.atan(u), "black", 3.0)
+    _draw_joint_view(jcan, atlas, Fraction(0), Fraction(16), 120,
+                     [(list(verdict.joint_path), "black", 1.8)])
     left = wcan.render().replace("</svg>\n", "")
     right = jcan.render()
     merged = (f'<svg xmlns="http://www.w3.org/2000/svg" width="840" height="360">\n'
@@ -266,7 +275,11 @@ def cmd_solve(args) -> int:
         vals = [_float(v) for v in args.dk.split(",")]
         if len(vals) != 3:
             raise ConfigError("--dk needs rho1,rho2,rho3")
-        sols = direct_kinematics(JointValues(*vals), params)
+        try:
+            sols = direct_kinematics(JointValues(*vals), params)
+        except _MATH_ERRORS as e:
+            print(f"degeneracy: {e}", file=sys.stderr)
+            return 3
         for pose, pa in sols:
             jv = JointValues(*vals)
             res = residuals(pose, jv, pa, params)

@@ -92,25 +92,15 @@ def characteristic_surface(ws: WorkspaceSlice, prc: MPoly | None = None) -> Char
     and chart denominators divided out."""
     if prc is None:
         prc = project_parallel_to_joint(ws)
-    vs = ("x", "tphi")
-    NR = ws.rho1sq_num.with_vars(vs)
-    NC = ws.c3_num.with_vars(vs)
-    t = MPoly.var("tphi", vs)
-    op = MPoly.const(1, vs) + t * t
-    l3 = ws.params.l3
-    dr, dc = prc.degree("r"), prc.degree("c3")
-    ir = prc.vars.index("r")
-    ic = prc.vars.index("c3")
-    acc = MPoly.const(0, vs)
-    for e, coef in prc.terms.items():
-        i, j = e[ir], e[ic]
-        term = MPoly.const(coef * l3 ** (dc - j), vs)
-        acc = acc + term * (NR ** i) * (NC ** j) * (op ** (dc + 2 * dr - 2 * i - j))
+    t = MPoly.var("tphi", ("x", "tphi"))
+    op = 1 + t * t
+    # r = rho1sq_num / (1 + t^2)^2, then c3 = c3_num / (l3 (1 + t^2))
+    acc = prc.substitute({"r": ws.rho1sq_num}, op * op).substitute(
+        {"c3": ws.c3_num}, ws.params.l3 * op)
     if acc.is_zero():
         raise DomainError("degenerate doubling: preimage vanished identically")
     sc = acc.canonical()
-    pw = ws.parallel.with_vars(vs)
-    for factor in (pw, op):
+    for factor in (ws.parallel, op):
         while True:
             try:
                 sc = exact_div(sc, factor).canonical()

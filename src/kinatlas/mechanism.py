@@ -2,8 +2,12 @@
 
 Constraint equations over cosine/sine symbols, reduced Jacobians,
 singularity polynomials, closed-form inverse kinematics, exact direct
-kinematics, and the 2D workspace / joint-space slices with half-tangent
-rationalization.
+kinematics, and the 2D workspace / joint-space slices.  Every slice
+polynomial comes from a rational substitution (`MPoly.substitute`): the
+serial and parallel curves, rho1^2, cos(alpha3) and the leg-1 fibre over
+the joint chart are rationalized in phi from their trigonometric forms,
+the fibre once per slice; the joint projection substitutes x from leg 3,
+and the (r, u) chart substitutes c3.
 
 Symbol conventions: pose (x, y, phi) with phi carried as (cphi, sphi) or
 as the half-tangent tphi; passive angles as (c2, s2) and (c3, s3); joints
@@ -157,36 +161,18 @@ def rationalize(p: MPoly, angles: dict[str, tuple[str, str, str]]) -> tuple[MPol
     """Weierstrass substitution per angle.
 
     `angles` maps an angle name to its (cos symbol, sin symbol, half-tangent
-    symbol); returns the denominator-cleared polynomial and the list of
-    excluded angle values (theta = pi per substituted angle).
+    symbol t); cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2) go in by
+    `MPoly.substitute`.  Returns the denominator-cleared polynomial and the
+    list of excluded angle values (theta = pi per substituted angle).
     """
     out = p
     excluded = []
     for name, (cs, ss, ts) in angles.items():
-        if cs not in out.vars and ss not in out.vars:
-            continue
-        d = max((e[out.vars.index(cs)] if cs in out.vars else 0)
-                + (e[out.vars.index(ss)] if ss in out.vars else 0)
-                for e in out.terms) if out.terms else 0
-        if d == 0:
+        if out.degree(cs) <= 0 and out.degree(ss) <= 0:    # no denominator to clear
             out = out.with_vars(tuple(v for v in out.vars if v not in (cs, ss)))
             continue
-        new_vars = tuple(v for v in out.vars if v not in (cs, ss)) + (ts,)
-        acc = MPoly.const(0, new_vars)
-        t = MPoly.var(ts, new_vars)
-        one_p = MPoly.const(1, new_vars) + t * t      # 1 + t^2
-        one_m = MPoly.const(1, new_vars) - t * t      # 1 - t^2
-        two_t = 2 * t
-        ic = out.vars.index(cs) if cs in out.vars else None
-        isn = out.vars.index(ss) if ss in out.vars else None
-        for e, coef in out.terms.items():
-            i = e[ic] if ic is not None else 0
-            j = e[isn] if isn is not None else 0
-            rest = {tuple((0 if k in (ic, isn) else ee) for k, ee in enumerate(e)): coef}
-            base = MPoly(out.vars, rest).with_vars(new_vars)
-            term = base * (one_m ** i) * (two_t ** j) * (one_p ** (d - i - j))
-            acc = acc + term
-        out = acc
+        t = MPoly.var(ts)
+        out = out.substitute({cs: 1 - t * t, ss: 2 * t}, 1 + t * t)
         excluded.append(f"{name}=pi")
     return out, excluded
 
@@ -248,12 +234,10 @@ def parallel_singularity(params: MechanismParams) -> MPoly:
     even = MPoly(d.vars, {e: c for e, c in d.terms.items() if e[ic2] == 0 and e[is3] == 0})
     x, y = _v("x"), _v("y")
     cph = _v("cphi")
-    sub = even.eval({
+    sub = even.substitute({
         "s2": (Fraction(1) / params.l2) * y,
         "c3": (Fraction(1) / params.l3) * (x + params.b * cph),
-    })
-    if isinstance(sub, Fraction):
-        raise KinematicsError("degenerate jacobian structure")
+    }, MPoly.const(1))
     cof = y * (x + params.b * cph)
     sp = exact_div(sub.with_vars(cof.vars), cof)
     return sp.canonical()
@@ -425,6 +409,7 @@ class WorkspaceSlice:
     parallel: MPoly               # parallel-singularity curve in (x, tphi)
     rho1sq_num: MPoly             # (x,tphi)-numerator of rho1^2 (denominator (1+t^2)^2)
     c3_num: MPoly                 # numerator of cos(alpha3) (denominator l3 (1+t^2))
+    fibre: MPoly                  # leg-1 distance in (tphi, r, c3), x from leg 3: poses over (r, c3)
     excluded: tuple[str, ...]
 
     def chart_image(self, x: Fraction, t: Fraction) -> tuple[Fraction, Fraction]:
@@ -447,27 +432,24 @@ def slice_workspace(y0: Fraction, s2sign: int, params: MechanismParams) -> Works
         raise ValueError("s2sign must be +1 or -1")
     c2sq = 1 - (y0 / params.l2) ** 2
     l3, a, b = params.l3, params.a, params.b
+    tv = ("x", "r", "c3", "cphi", "sphi")
+    x, r, c3, cph, sph = (MPoly.var(v, tv) for v in tv)
+    # the trigonometric forms, each rationalized in phi
+    ser_out, ser_in, par, rho1sq, c3num, fibre = (rationalize(p, PHI_ANGLE)[0] for p in (
+        x - l3 + b * cph,
+        x + l3 + b * cph,
+        parallel_singularity(params).eval({"y": y0}),
+        (x - a * cph) ** 2 + (y0 - a * sph) ** 2,
+        x + b * cph,
+        (l3 * c3 - (a + b) * cph) ** 2 + (y0 - a * sph) ** 2 - r,   # x = l3 c3 - b cphi
+    ))
     vs = ("x", "tphi")
-    x = MPoly.var("x", vs)
-    t = MPoly.var("tphi", vs)
-    one = MPoly.const(1, vs)
-    op = one + t * t
-    om = one - t * t
-    tt = 2 * t
-    ser_out = (x - l3) * op + b * om
-    ser_in = (x + l3) * op + b * om
-    sp = parallel_singularity(params).eval({"y": y0})
-    if isinstance(sp, Fraction):
-        sp = MPoly.const(sp, ("x", "cphi", "sphi"))
-    spr, _ = rationalize(sp, PHI_ANGLE)
-    par = spr.with_vars(vs).canonical()
-    rho1sq = (x * op - a * om) ** 2 + (y0 * op - a * tt) ** 2
-    c3num = x * op + b * om
     return WorkspaceSlice(
         y0=y0, s2sign=s2sign, params=params, c2_sq=c2sq,
-        serial=(ser_out.canonical(), ser_in.canonical()), parallel=par,
-        rho1sq_num=rho1sq,
-        c3_num=c3num, excluded=("phi=pi",),
+        serial=(ser_out.with_vars(vs).canonical(), ser_in.with_vars(vs).canonical()),
+        parallel=par.with_vars(vs).canonical(),
+        rho1sq_num=rho1sq.with_vars(vs), c3_num=c3num.with_vars(vs),
+        fibre=fibre.with_vars(("tphi", "r", "c3")), excluded=("phi=pi",),
     )
 
 
@@ -493,18 +475,8 @@ def slice_jointspace(ws: WorkspaceSlice, prc: MPoly | None = None) -> JointSlice
     `prc`, when given, is `project_parallel_to_joint(ws)`, already computed."""
     if prc is None:
         prc = project_parallel_to_joint(ws)
-    vs = ("r", "u")
-    u = MPoly.var("u", vs)
-    one = MPoly.const(1, vs)
-    opu = one + u * u
-    omu = one - u * u
-    d3 = prc.degree("c3")
-    pru = MPoly.const(0, vs)
-    for k, coef in enumerate(prc.coeffs_in("c3")):
-        if coef.is_zero():
-            continue
-        pru = pru + coef.with_vars(vs) * (omu ** k) * (opu ** (d3 - k))
-    pru = squarefree_total(pru.canonical())
+    u = MPoly.var("u")
+    pru = squarefree_total(prc.substitute({"c3": 1 - u * u}, 1 + u * u).canonical())
     c3v = MPoly.var("c3", ("r", "c3"))
     rv = MPoly.var("r", ("r", "c3"))
     one_rc = MPoly.const(1, ("r", "c3"))
@@ -519,29 +491,18 @@ def project_parallel_to_joint(ws: WorkspaceSlice) -> MPoly:
     """Eliminate the pose from {leg-1 distance, leg-3 cosine, parallel
     singularity} on the slice: the projected curve in (r, c3), r = rho1^2.
 
-    x is removed by the linear leg-3 relation, tphi by a resultant; known
-    spurious factors (chart denominators, leading-coefficient artifacts)
-    are stripped afterwards.
+    x is removed by the linear leg-3 relation x = (l3 c3 (1 + tphi^2) -
+    b (1 - tphi^2)) / (1 + tphi^2), tphi by a resultant with the leg-1
+    fibre; known spurious factors (chart denominators, leading-coefficient
+    artifacts) are stripped afterwards.
     """
-    y0, l3, a, b = ws.y0, ws.params.l3, ws.params.a, ws.params.b
+    l3, b = ws.params.l3, ws.params.b
     vs = ("tphi", "r", "c3")
     t = MPoly.var("tphi", vs)
-    r = MPoly.var("r", vs)
     c3 = MPoly.var("c3", vs)
-    one = MPoly.const(1, vs)
-    op = one + t * t
-    om = one - t * t
-    xn = l3 * c3 * op - b * om           # x = xn / op
-    e1 = (xn - a * om) ** 2 + (y0 * op - a * 2 * t) ** 2 - r * op * op
-    sp = ws.parallel.with_vars(("x",) + vs)
-    # substitute x -> xn/op and clear op^deg_x
-    dx = sp.degree("x")
-    acc = MPoly.const(0, vs)
-    for k, coef in enumerate(sp.coeffs_in("x")):
-        if coef.is_zero():
-            continue
-        acc = acc + coef.with_vars(vs) * (xn ** k) * (op ** (dx - k))
-    res = resultant(e1.with_vars(("x",) + vs), acc, "tphi").with_vars(("r", "c3"))
+    op = 1 + t * t
+    acc = ws.parallel.substitute({"x": l3 * c3 * op - b * (1 - t * t)}, op)
+    res = resultant(ws.fibre, acc, "tphi").with_vars(("r", "c3"))
     res = _strip_known_factors(res, ["r", "c3"])
     return squarefree_total(res).with_vars(("r", "c3")).canonical()
 
@@ -556,17 +517,7 @@ def _strip_known_factors(p: MPoly, keep_vars: list[str]) -> MPoly:
 
 
 def dk_count_chart(r: Fraction, c3: Fraction, ws: WorkspaceSlice) -> int:
-    """Exact number of slice poses with the given (rho1^2, cos alpha3)."""
-    y0, l3, a, b = ws.y0, ws.params.l3, ws.params.a, ws.params.b
-    t = MPoly.var("t")
-    one = MPoly.const(1, ("t",))
-    op = one + t * t
-    om = one - t * t
-    xn = l3 * c3 * op - b * om
-    e = (xn - a * om) ** 2 + (y0 * op - a * 2 * t) ** 2 - r * op * op
-    if e.is_zero():
-        return 0
-    u = UPoly.from_mpoly(e.with_vars(("t",)), "t")
-    if u.degree < 1:
-        return 0
-    return len(realroots.isolate(u))
+    """Exact number of slice poses with the given (rho1^2, cos alpha3): the
+    real tphi-roots of the slice's leg-1 fibre bound at (r, c3)."""
+    u = UPoly.from_mpoly(ws.fibre.eval({"r": r, "c3": c3}), "tphi")
+    return len(realroots.isolate(u)) if u.degree >= 1 else 0

@@ -220,64 +220,48 @@ class MPoly:
         return MPoly(self.vars, terms)
 
     def eval(self, point: dict) -> "MPoly | Fraction":
-        """Bind a subset of variables to rationals (or polynomials).
-
-        Full binding returns a Fraction; partial binding returns the
-        specialized polynomial in the remaining variables.
-        """
-        remaining = tuple(v for v in self.vars if v not in point)
-        values = {}
-        for v in self.vars:
-            if v in point:
-                w = point[v]
-                values[v] = w if isinstance(w, MPoly) else Fraction(w)
-        if all(isinstance(w, Fraction) for w in values.values()) and remaining == ():
-            tot = Fraction(0)
-            for e, c in self.terms.items():
-                m = c
-                for i, p in enumerate(e):
-                    if p:
-                        m *= values[self.vars[i]] ** p
-                tot += m
-            return tot
-        if all(isinstance(w, Fraction) for w in values.values()):
-            terms: dict[tuple[int, ...], Fraction] = {}
-            ridx = [self.vars.index(v) for v in remaining]
-            for e, c in self.terms.items():
-                m = c
-                for i, p in enumerate(e):
-                    if p and self.vars[i] in values:
-                        m *= values[self.vars[i]] ** p
-                if not m:
-                    continue
-                ne = tuple(e[i] for i in ridx)
-                s = terms.get(ne, Fraction(0)) + m
-                if s:
-                    terms[ne] = s
-                else:
-                    terms.pop(ne, None)
-            return MPoly(remaining, terms)
-        # polynomial substitution
-        out_vars = remaining
-        for w in values.values():
-            if isinstance(w, MPoly):
-                out_vars = _merge_vars(out_vars, w.vars)
-        acc = MPoly.const(0, out_vars)
+        """Bind a subset of variables to rationals: a Fraction when all are
+        bound, else the polynomial in the remaining ones.  A polynomial
+        value goes through `substitute`."""
+        keep = [i for i, v in enumerate(self.vars) if v not in point]
+        bound = [(i, Fraction(point[v])) for i, v in enumerate(self.vars) if v in point]
+        terms: dict[tuple[int, ...], Fraction] = {}
         for e, c in self.terms.items():
-            term = MPoly.const(c, out_vars)
-            for i, p in enumerate(e):
-                if not p:
-                    continue
-                v = self.vars[i]
-                if v in values:
-                    w = values[v]
-                    if isinstance(w, Fraction):
-                        term = term * (w ** p)
-                    else:
-                        term = term * (w ** p)
-                else:
-                    term = term * (MPoly.var(v, out_vars) ** p)
-            acc = acc + term
+            for i, w in bound:
+                if e[i]:
+                    c *= w ** e[i]
+            ne = tuple(e[i] for i in keep)
+            terms[ne] = terms.get(ne, 0) + c
+        if not keep:
+            return terms.get((), Fraction(0))
+        return MPoly(tuple(self.vars[i] for i in keep), terms)
+
+    def substitute(self, values: dict[str, "MPoly"], den: "MPoly") -> "MPoly":
+        """den^d * self(v = values[v] / den), d the largest total degree of
+        a term in the substituted variables.  Each power of a value and of
+        den is taken once.  The result's variables are the kept ones, then
+        those of the values and of den."""
+        sub = [i for i, v in enumerate(self.vars) if v in values]
+        keep = [i for i, v in enumerate(self.vars) if v not in values]
+        out_vars = tuple(self.vars[i] for i in keep)
+        for w in (*values.values(), den):
+            out_vars = _merge_vars(out_vars, w.vars)
+        pad = (0,) * (len(out_vars) - len(keep))
+        groups: dict[tuple[int, ...], dict] = {}
+        for e, c in self.terms.items():
+            groups.setdefault(tuple(e[i] for i in sub), {})[tuple(e[i] for i in keep) + pad] = c
+        ws = [w.with_vars(out_vars) for w in [values[self.vars[i]] for i in sub] + [den]]
+        one = MPoly.const(1, out_vars)
+        pows = [[one] for _ in ws]
+        d = max(map(sum, groups), default=0)
+        acc = MPoly.const(0, out_vars)
+        for k, rest in groups.items():
+            f = one
+            for w, ps, p in zip(ws, pows, k + (d - sum(k),)):
+                while len(ps) <= p:
+                    ps.append(ps[-1] * w)
+                f = f * ps[p]
+            acc = acc + MPoly(out_vars, rest) * f
         return acc
 
     def eval_float(self, point: dict[str, float]) -> float:

@@ -36,7 +36,10 @@ against the fibre-degree parity rule inside the adjacency pass, the
 direct kinematics isolating the undivided eliminant against the one that
 isolates it without its factor (1 + t^2)^4, and point location counting
 the base roots below a point by the base product's Sturm sequence against
-the bisection over the isolated base roots.
+the bisection over the isolated base roots, the rational substitution by
+`MPoly.eval`'s former polynomial branch, a fresh product per term, against
+`MPoly.substitute`, and the slice pose count over a chart point with the
+leg-1 fibre rebuilt for every call against the one built once per slice.
 `divides` is the exact-division test the tests state factor claims with,
 and `det_a_sign` decides the sign of a working mode's det A at a rational
 slice pose exactly.  They are slow and meant for small inputs.
@@ -60,7 +63,7 @@ from kinatlas.mechanism import (
 )
 from kinatlas.ratpoly import (
     MPoly, UPoly, RatPolyError, _coeffs_wrt, _grlex_key, _int_prem, _int_primitive,
-    exact_div,
+    _merge_vars, exact_div,
 )
 from kinatlas.realroots import (
     NEG_INF, IsolatingInterval, RealRootError, count_roots, isolate,
@@ -342,9 +345,7 @@ def restrict_to_segment(poly: MPoly, p1, p2, tvar: str = "t") -> UPoly:
     sub = {poly.vars[0]: MPoly.const(x1, (tvar,)) + (x2 - x1) * t}
     if len(poly.vars) > 1:
         sub[poly.vars[1]] = MPoly.const(y1, (tvar,)) + (y2 - y1) * t
-    r = poly.eval(sub)
-    if isinstance(r, Fraction):
-        return UPoly([r], tvar)
+    r = eval_substituting(poly, sub)
     return UPoly.from_mpoly(r.with_vars((tvar,)), tvar)
 
 
@@ -933,6 +934,58 @@ def follow_chain(traj, params, start_state, h0=1.0 / 256, max_steps=40000) -> Ch
         if s >= 1.0 - 1e-12 and tangent[3] > 0:
             return Chain(points=pts, joints=qs, end_s=1.0)
     raise TrajectoryError("chain walk exceeded the step budget")
+
+
+def eval_substituting(p: MPoly, point: dict) -> MPoly:
+    """p with each variable of `point` replaced by its value, a rational or
+    a polynomial, term by term: every power of a value taken afresh for
+    every term.  The variables are the remaining ones followed by the
+    polynomial values' ones."""
+    remaining = tuple(v for v in p.vars if v not in point)
+    values = {v: w if isinstance(w, MPoly) else Fraction(w)
+              for v, w in point.items() if v in p.vars}
+    out_vars = remaining
+    for w in values.values():
+        if isinstance(w, MPoly):
+            out_vars = _merge_vars(out_vars, w.vars)
+    acc = MPoly.const(0, out_vars)
+    for e, c in p.terms.items():
+        term = MPoly.const(c, out_vars)
+        for i, k in enumerate(e):
+            if k:
+                v = p.vars[i]
+                term = term * (values[v] if v in values else MPoly.var(v, out_vars)) ** k
+        acc = acc + term
+    return acc
+
+
+def substitute_by_eval(p: MPoly, values: dict, den) -> MPoly:
+    """`MPoly.substitute` through `eval_substituting`: p homogenized by a
+    fresh variable h to degree d in the substituted variables,
+    h^d p(v / h), then v = values[v] and h = den."""
+    sub = [i for i, v in enumerate(p.vars) if v in values]
+    d = max((sum(e[i] for i in sub) for e in p.terms), default=0)
+    hom = MPoly(p.vars + ("h",), {e + (d - sum(e[i] for i in sub),): c
+                                  for e, c in p.terms.items()})
+    return eval_substituting(hom, {**values, "h": den})
+
+
+def dk_count_chart(r: Fraction, c3: Fraction, ws) -> int:
+    """`mechanism.dk_count_chart` with the leg-1 fibre rebuilt at (r, c3)
+    from the leg-1 distance and the leg-3 relation, each call afresh."""
+    y0, l3, a, b = ws.y0, ws.params.l3, ws.params.a, ws.params.b
+    t = MPoly.var("t")
+    one = MPoly.const(1, ("t",))
+    op = one + t * t
+    om = one - t * t
+    xn = l3 * c3 * op - b * om
+    e = (xn - a * om) ** 2 + (y0 * op - a * 2 * t) ** 2 - r * op * op
+    if e.is_zero():
+        return 0
+    u = UPoly.from_mpoly(e.with_vars(("t",)), "t")
+    if u.degree < 1:
+        return 0
+    return len(isolate(u))
 
 
 def dk_eliminant(r1: Fraction, r2: Fraction, r3: Fraction, params) -> UPoly | None:

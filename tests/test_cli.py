@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -67,6 +68,17 @@ class TestSolve:
                    for s in out["solutions"])
         assert all(s["residual"] < 1e-9 for s in out["solutions"])
 
+    def test_degenerate_dk_exit_3(self, tmp_path, capsys):
+        """With l2 = l3 = a = b = 1 and joints (1, 1, 0) the direct
+        kinematics eliminant vanishes identically: exit 3, no traceback."""
+        cf = tmp_path / "unit.json"
+        cf.write_text('{"l2": "1", "l3": "1", "a": "1", "b": "1"}')
+        rc = main(["solve", "--config", str(cf), "--dk", "1,1,0"])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "degeneracy: degenerate input: direct kinematics eliminant vanishes\n"
+
     def test_unreachable_exit_zero(self, config_file, capsys):
         rc = main(["solve", "--config", config_file, "--dk", "100,0,0"])
         assert rc == 0
@@ -79,11 +91,14 @@ class TestSolve:
         ('{"l2": "1/0"}', ["--dk", "1,1,1"]),
         ('["RPR-2PRR", "3", "3", "1", "1"]', ["--dk", "1,1,1"]),
         ('{"l2": "1e400"}', ["--ik", "1,1/2,0"]),
+        ('{"l2": 1e400}', ["--dk", "1,1,1"]),
+        ('{"b": -Infinity}', ["--ik", "1,1/2,0"]),
         (None, ["--ik", "1,1/2,0", "--mode", "1,2"]),
         (None, ["--ik", "1,1/2,0", "--mode", "1"]),
         (None, ["--ik", "1,1/2,0", "--mode", "a,b"]),
     ], ids=["malformed-json", "list-length", "zero-denominator", "array-config",
-            "length-too-large-for-a-float", "mode-sign", "mode-arity", "mode-not-int"])
+            "length-too-large-for-a-float", "json-number-beyond-float-range", "json-infinity",
+            "mode-sign", "mode-arity", "mode-not-int"])
     def test_bad_config_exit_2(self, config, args, config_file, tmp_path, capsys):
         if config is not None:
             bad = tmp_path / "bad.json"
@@ -157,7 +172,9 @@ class TestCheckTrajectory:
         assert v["same_domain"] is False
         assert v["singular_crossing"] is False
         assert len(v["encircled_cusps"]) >= 1
-        assert (out / "trajectory.svg").exists()
+        # recorded before the two plots shared their curve-drawing helpers
+        assert hashlib.sha256((out / "trajectory.svg").read_bytes()).hexdigest() == \
+            "ab31c7fabcb35da6c5dde816371abde6c025bc19b9e8fe6a86ae3dba6f1e0db3"
 
     def test_singular_trajectory_exit_4(self, config_file, tmp_path, capsys):
         tf = tmp_path / "bad_traj.json"
@@ -252,6 +269,17 @@ class TestCheckTrajectory:
         assert not (tmp_path / "v").exists()
 
 
+    @pytest.mark.parametrize("y", ["1e400", "-Infinity"])
+    def test_json_number_beyond_float_range_exit_2(self, y, config_file, tmp_path, capsys):
+        tf = tmp_path / "big_traj.json"
+        tf.write_text('{"y": %s, "mode": [1, 1], "waypoints": [["-1", "1"], ["0", "1/2"]]}' % y)
+        rc = main(["check-trajectory", "--config", config_file,
+                   "--traj", str(tf), "--out", str(tmp_path / "v")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: bad trajectory: ")
+        assert not (tmp_path / "v").exists()
+
+
 class TestCurvePoints:
     def test_columns_match_substitution_oracle(self, atlas_pp):
         from kinatlas.svg import curve_points
@@ -289,6 +317,20 @@ class TestConfigValidation:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err and "L2" in err and "l_3" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "check-trajectory"])
+    @pytest.mark.parametrize("config", ['{"l2": 1e400}', '{"l3": Infinity}'],
+                             ids=["number", "infinity"])
+    def test_json_number_beyond_float_range_exit_2(self, command, config, traj_file,
+                                                   tmp_path, capsys):
+        cfg = tmp_path / "big.json"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        args = ["--slice", "W:y=1/2"] if command == "analyze" else ["--traj", traj_file]
+        rc = main([command, "--config", str(cfg), "--out", str(out)] + args)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: config {cfg}: ")
         assert not out.exists()
 
     def test_density_floor(self, config_file):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import struct
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from kinatlas.ratpoly import MPoly, exact_div
+from kinatlas.ratpoly import MPoly, exact_div, format_poly
 from kinatlas.mechanism import (
     MechanismParams, WorkingMode, Pose, JointValues, PassiveAngles,
     KinematicsError, CS_VARS,
@@ -14,9 +15,10 @@ from kinatlas.mechanism import (
     inverse_kinematics, direct_kinematics, residuals,
     slice_workspace, slice_jointspace, project_parallel_to_joint, dk_count_chart,
 )
+from kinatlas.domains import characteristic_surface
 from kinatlas.trajectory import _det_a_normalized
 
-from oracles import ALL_ANGLES, det_a_sign, parse_poly, serial_singularity
+from oracles import ALL_ANGLES, det_a_sign, eval_substituting, parse_poly, serial_singularity
 
 PARAMS = MechanismParams()
 
@@ -135,14 +137,14 @@ class TestJacobians:
         total = None
         for s2 in (1, -1):
             for s3 in (1, -1):
-                term = d.eval({"c2": s2 * MPoly.var("c2", ("c2",)),
-                               "s3": s3 * MPoly.var("s3", ("s3",))})
+                term = eval_substituting(d, {"c2": s2 * MPoly.var("c2", ("c2",)),
+                                             "s3": s3 * MPoly.var("s3", ("s3",))})
                 total = term if total is None else total + term
         x = MPoly.var("x", CS_VARS)
         y = MPoly.var("y", CS_VARS)
         cph = MPoly.var("cphi", CS_VARS)
-        sub = total.eval({"s2": exact_div(y, MPoly.const(3, y.vars)),
-                          "c3": exact_div(x + cph, MPoly.const(3, x.vars))})
+        sub = eval_substituting(total, {"s2": exact_div(y, MPoly.const(3, y.vars)),
+                                        "c3": exact_div(x + cph, MPoly.const(3, x.vars))})
         sp = parallel_singularity(PARAMS)
         target = 4 * y * (x + cph) * sp.with_vars(CS_VARS)
         assert (PARAMS.l2 * PARAMS.l3 * sub.with_vars(CS_VARS)).canonical() == target.canonical()
@@ -329,6 +331,72 @@ class TestSlices:
         ws = slice_workspace(Fraction(1, 2), 1, PARAMS)
         n = dk_count_chart(Fraction(1, 4), Fraction(2, 3), ws)
         assert n >= 1
+
+    @pytest.mark.parametrize("params", [PARAMS, GEOM2], ids=["default", "geom2"])
+    def test_dk_count_chart_matches_rebuilt_fibre(self, params):
+        """The count from the slice's leg-1 fibre equals the oracle's, which
+        rebuilds the fibre at every chart point: 200 seeded points per
+        slice, a third of them images of slice poses."""
+        import oracles
+        rng = random.Random(1818)
+        counts = set()
+        for y0 in (Fraction(1, 2), Fraction(0), Fraction(1)):
+            ws = slice_workspace(y0, 1, params)
+            for k in range(200):
+                if k % 3:
+                    r = Fraction(rng.randint(0, 400), rng.randint(1, 25))
+                    c3 = Fraction(rng.randint(-60, 60), rng.randint(1, 60))
+                else:
+                    r, c3 = ws.chart_image(Fraction(rng.randint(-90, 90), 20),
+                                           Fraction(rng.randint(-90, 90), 30))
+                n = dk_count_chart(r, c3, ws)
+                assert n == oracles.dk_count_chart(r, c3, ws), (y0, r, c3)
+                counts.add(n)
+        assert counts == {0, 2, 4}
+
+
+# SHA-256 of the newline-joined format_poly of ws.parallel, ws.serial,
+# ws.rho1sq_num, ws.c3_num, the characteristic surface, parallel_rc and
+# parallel_ru on the ++ slice, recorded before these polynomials were built
+# by MPoly.substitute; geom2 has l2 = 2, so its fourth slice is y0 = -3/2.
+SLICE_POLY_DIGESTS = {
+    ("default", "1/2"): "16b2e56178336f79544a29f08b2614d7b2e0774527d9a21b3336a54d48df34e1",
+    ("default", "0"): "86d93345ba8da275b37bc2407369d5a93726a26755dcd0d8ddf234f611e6f7f3",
+    ("default", "1"): "c1f1a6fb0684fd5bbced225af4f086317a129a9bc0d5d4b5a8df7024539ea736",
+    ("default", "2"): "2ed5a0bd2ecb48281bf7ab630b719369b4092477777f1a1a572e020ad6fe8522",
+    ("geom2", "1/2"): "144da26b4942659f173a10e51ad979ad28bc9038e0bf58898246c5cdde4d37c5",
+    ("geom2", "0"): "06bde3ebc94d4c6121fb3ed8a090492162f404435ac2dbceb39042043bdb9648",
+    ("geom2", "1"): "8c18e46398e17b2b2b7a9f7a804216e75132cbb0a886c3a58efc3f24a95147c9",
+    ("geom2", "-3/2"): "96b4013805dd64d24d06b74893cbbc7ecf958a4a50538d0d3fc6bfb6c7f8a763",
+}
+PARALLEL_SINGULARITY_DIGESTS = {
+    "default": "e87e40df91356e0f32b27bcce7649352c2454b10b90c09a848db760f217f6b19",
+    "geom2": "400977432d8b5479ed90c07a24b2385a8fa6642b03a96a399f7d0e05731d52c7",
+}
+
+
+def _sha(*polys) -> str:
+    return hashlib.sha256("\n".join(format_poly(p) for p in polys).encode()).hexdigest()
+
+
+class TestSlicePolynomialPins:
+    @pytest.mark.parametrize("geom, y0", sorted(SLICE_POLY_DIGESTS))
+    def test_slice_polynomials(self, geom, y0):
+        params = {"default": PARAMS, "geom2": GEOM2}[geom]
+        ws = slice_workspace(Fraction(y0), 1, params)
+        prc = project_parallel_to_joint(ws)
+        sc = characteristic_surface(ws, prc)
+        js = slice_jointspace(ws, prc)
+        polys = (ws.parallel, *ws.serial, ws.rho1sq_num, ws.c3_num, sc.polynomials[0],
+                 prc, js.parallel_ru)
+        assert _sha(*polys) == SLICE_POLY_DIGESTS[geom, y0]
+        assert [p.vars for p in polys] == [("x", "tphi")] * 6 + [("r", "c3"), ("r", "u")]
+        assert ws.fibre.vars == ("tphi", "r", "c3")
+
+    @pytest.mark.parametrize("geom", sorted(PARALLEL_SINGULARITY_DIGESTS))
+    def test_parallel_singularity(self, geom):
+        params = {"default": PARAMS, "geom2": GEOM2}[geom]
+        assert _sha(parallel_singularity(params)) == PARALLEL_SINGULARITY_DIGESTS[geom]
 
 
 class TestJointProjection:

@@ -11,8 +11,9 @@ from kinatlas.ratpoly import (
 )
 
 from oracles import (
-    discriminant, divides, exact_div_by_fractions, gcd_prs, resultant_prs,
-    parse_poly, squarefree_by_fractions, sylvester_resultant, upoly_divmod, upoly_mul,
+    discriminant, divides, eval_substituting, exact_div_by_fractions, gcd_prs, resultant_prs,
+    parse_poly, squarefree_by_fractions, substitute_by_eval, sylvester_resultant,
+    upoly_divmod, upoly_mul,
 )
 from groebner import total_degree
 
@@ -69,6 +70,62 @@ class TestEval:
 
     def test_negative(self):
         assert P("u^2-2").eval({"u": 1}) == -1
+
+    def test_polynomial_value_rejected(self):
+        with pytest.raises(TypeError):
+            P("x^2+y", ("x", "y")).eval({"x": P("y+1", ("y",))})
+
+
+class TestSubstitute:
+    """`MPoly.substitute` against `substitute_by_eval`, which homogenizes
+    and substitutes term by term through `eval_substituting`."""
+
+    @staticmethod
+    def _check(p, values, den):
+        got = p.substitute(values, den)
+        assert got == substitute_by_eval(p, values, den)
+        return got
+
+    def test_shared_den_over_two_variables(self):
+        rng = random.Random(1801)
+        for _ in range(40):
+            p = _rand_poly(rng, ("x", "y", "z"), deg=4, nz=6)
+            values = {"x": _rand_poly(rng, ("s", "t"), deg=2),
+                      "y": _rand_poly(rng, ("s", "t"), deg=2)}
+            den = _rand_factor(rng, ("s", "t"))
+            got = self._check(p, values, den)
+            assert got.vars == ("z", "s", "t")
+
+    def test_den_one(self):
+        rng = random.Random(1802)
+        for _ in range(40):
+            p = _rand_poly(rng, ("x", "y"), deg=4, nz=6)
+            values = {"x": _rand_poly(rng, ("y", "t"), deg=2)}
+            got = self._check(p, values, MPoly.const(1))
+            assert got == eval_substituting(p, values)
+
+    def test_variable_absent_from_p(self):
+        rng = random.Random(1803)
+        for _ in range(20):
+            p = _rand_poly(rng, ("x", "y"), deg=3)
+            values = {"x": _rand_poly(rng, ("t",), deg=2), "w": _rand_poly(rng, ("u",), deg=2)}
+            got = self._check(p, values, _rand_factor(rng, ("t",)))
+            assert got.vars == ("y", "t", "u")
+
+    def test_degree_zero(self):
+        p = P("y^2 - 3*y + 1/2", ("x", "y"))
+        t = MPoly.var("t")
+        got = self._check(p, {"x": t * t - 1}, 1 + t * t)
+        assert got == p and got.vars == ("y", "t")
+
+    def test_zero_polynomial(self):
+        t = MPoly.var("t")
+        assert self._check(MPoly.const(0, ("x",)), {"x": 2 * t}, 1 + t * t).is_zero()
+
+    def test_weierstrass_identity(self):
+        t = MPoly.var("t")
+        got = P("c^2 + s^2", ("c", "s")).substitute({"c": 1 - t * t, "s": 2 * t}, 1 + t * t)
+        assert got == (1 + t * t) ** 2
 
 
 class TestResultant:
