@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .ratpoly import MPoly
 from .realroots import (
-    NEG_INF, POS_INF, IsolatingInterval, RealRootError, isolate, count_roots,
-    sample_between, _sign_at,
+    NEG_INF, POS_INF, IsolatingInterval, RealRootError, isolate_squarefree, count_roots,
+    sample_between, _bisect, _sign_at,
 )
 from .cad2d import Decomposition, _bind, _rows, _specialize_product
 
@@ -69,43 +70,64 @@ def components(g: AdjacencyGraph) -> list[set[int]]:
 
 def _cmp_bounds(a: IsolatingInterval, b: IsolatingInterval, gcds: dict,
                 max_iter: int = 50) -> int:
-    """Sign of (root a) - (root b).  Each round narrows both intervals below
-    a sixteenth of their width in one `refine` call, so max_iter rounds go
-    past 2^-200 of the starting widths.  `gcds` holds the gcd of each pair
-    of interval polynomials taken so far, keyed by their identities."""
-    x, y = a, b
+    """Sign of (root a) - (root b).  Each root is held across the rounds as
+    one integer bisection state [A, B, d, slo]: its interval (A/d, B/d) and
+    the sign of its polynomial at the low end, taken at the first halving.
+    Each round halves both intervals five times (`realroots._bisect`),
+    narrowing them below a sixteenth of their width as `refine(width / 16)`
+    would, so max_iter rounds go past 2^-200 of the starting widths; a low
+    end that is a root makes its interval exact.  Ends compare by
+    cross-multiplication.  `gcds` holds the gcd of each pair of interval
+    polynomials taken so far, keyed by their identities."""
+    sides = []
+    for iv in (a, b):
+        lo, hi = iv.low, iv.high
+        d = lcm(lo.denominator, hi.denominator)
+        sides.append(([lo.numerator * (d // lo.denominator),
+                       hi.numerator * (d // hi.denominator), d, None],
+                      iv.polynomial.int_cleared()))
+    x, y = sides[0][0], sides[1][0]
     for it in range(max_iter):
-        if x.high < y.low:
+        Ax, Bx, dx, _ = x
+        Ay, By, dy, _ = y
+        if Bx * dy < Ay * dx:
             return -1
-        if y.high < x.low:
+        if By * dx < Ax * dy:
             return 1
-        if x.is_exact() and y.is_exact():
-            return 0 if x.low == y.low else (-1 if x.low < y.low else 1)
+        if Ax == Bx and Ay == By:
+            c = Ax * dy - Ay * dx
+            return (c > 0) - (c < 0)
         # refine a few rounds before paying for the shared-root check
         if it >= 2:
-            key = (id(x.polynomial), id(y.polynomial))
+            key = (id(a.polynomial), id(b.polynomial))
             g = gcds.get(key)
             if g is None:
-                g = gcds[key] = x.polynomial.gcd(y.polynomial)
+                g = gcds[key] = a.polynomial.gcd(b.polynomial)
             if g.degree >= 1:
-                lo = max(x.low, y.low)
-                hi = min(x.high, y.high)
+                lo = max(Fraction(Ax, dx), Fraction(Ay, dy))
+                hi = min(Fraction(Bx, dx), Fraction(By, dy))
                 if lo <= hi:
-                    n = (count_roots(g, lo, hi) if lo < hi else 0) + (1 if g(lo) == 0 else 0)
-                    if n >= 1:
+                    at_lo = _sign_at(g.int_cleared(), *lo.as_integer_ratio()) == 0
+                    if at_lo or (lo < hi and count_roots(g, lo, hi) > 0):
                         # a common root inside both isolating intervals is
                         # the isolated root of each side
                         return 0
-        if not x.is_exact():
-            x = x.refine(x.width() / 16)
-        if not y.is_exact():
-            y = y.refine(y.width() / 16)
+        for st, ints in sides:
+            A, B, d, slo = st
+            if A == B:
+                continue
+            if slo is None:
+                slo = st[3] = _sign_at(ints, A, d)
+                if slo == 0:
+                    st[1] = A
+                    continue
+            st[:3] = _bisect(ints, A, B, d, slo, B - A, d << 4)
     raise AdjacencyError("could not order algebraic bounds")
 
 
 def _roots_at(dec: Decomposition, w: Fraction, col: list, where: str) -> list[IsolatingInterval]:
     f = _specialize_product(dec.polys, dec.base_var, dec.fiber_var, w)
-    roots = isolate(f) if f.degree >= 1 else []
+    roots = isolate_squarefree(f)
     if len(roots) != len(col) - 1:
         raise AdjacencyError(
             f"{where}, cells {col[0].id}..{col[-1].id}: delineability violated at "
@@ -158,38 +180,42 @@ def _crosses_horizontal(rows, c: Fraction, w1: Fraction, w2: Fraction, var: str)
         return True
     if u.degree <= 0:
         return False
-    if u(w1) == 0 or u(w2) == 0:
+    ints = u.int_cleared()
+    if _sign_at(ints, *w1.as_integer_ratio()) == 0 or _sign_at(ints, *w2.as_integer_ratio()) == 0:
         return True
     return count_roots(u, w1, w2) > 0
 
 
-def _witnesses(dec: Decomposition, j: int, shrink: int = 1 << 10) -> tuple[Fraction, Fraction]:
-    """Rational abscissae hugging base root j from both sides.
+_RUNGS = (1 << 10, 1 << 22, 1 << 40)   # witness shrink factors, tried in turn
+
+
+def _witnesses(dec: Decomposition, j: int):
+    """Rational abscissae hugging base root j from both sides: one
+    (shrink, w1, w2) per rung of `_RUNGS`, as the caller asks for them.
 
     The fiber-overlap criterion is valid only for witnesses close enough to
     the boundary, so the isolating interval is refined well below the gap
-    to its neighbours; `shrink` controls how far below.
+    to its neighbours, gap / shrink.  The gap is that of the unrefined
+    roots, and each rung bisects on from the interval the rung before left,
+    which is where bisection from the unrefined root would pass.
     """
     roots = dec.base_roots
     r = roots[j]
     left_gap = (r.low - roots[j - 1].high) if j > 0 else Fraction(1)
     right_gap = (roots[j + 1].low - r.high) if j + 1 < len(roots) else Fraction(1)
     gap = min(left_gap, right_gap, Fraction(1))
-    if not r.is_exact():
-        r = r.refine(gap / shrink)
-        if not r.is_exact():
-            return r.low, r.high
-    v = r.low
     ints = dec.base_poly.int_cleared()
-    d = gap / shrink
-    while True:
-        if (_sign_at(ints, *(v - d).as_integer_ratio()) != 0
-                and _sign_at(ints, *(v + d).as_integer_ratio()) != 0):
-            return v - d, v + d
-        d /= 2
-
-
-_RUNGS = (1 << 10, 1 << 22, 1 << 40)   # witness shrink factors, tried in turn
+    for shrink in _RUNGS:
+        d = gap / shrink
+        r = r.refine(d)
+        if not r.is_exact():
+            yield shrink, r.low, r.high
+            continue
+        v = r.low
+        while (_sign_at(ints, *(v - d).as_integer_ratio()) == 0
+               or _sign_at(ints, *(v + d).as_integer_ratio()) == 0):
+            d /= 2
+        yield shrink, v - d, v + d
 
 
 def build_graphs(dec: Decomposition, varieties: list[list[MPoly]],
@@ -257,11 +283,8 @@ def build_graphs(dec: Decomposition, varieties: list[list[MPoly]],
     for j in range(len(dec.base_roots)):
         left, right = dec.columns[j], dec.columns[j + 1]
         pending = {(c1.id, c2.id) for c1 in left for c2 in right}
-        for shrink in _RUNGS:
-            if not pending:
-                break
+        for shrink, w1, w2 in _witnesses(dec, j):
             where = f"base root {j}, shrink {shrink}"
-            w1, w2 = _witnesses(dec, j, shrink)
             roots1 = _roots_at(dec, w1, left, where)
             roots2 = _roots_at(dec, w2, right, where)
             try:
@@ -289,6 +312,8 @@ def build_graphs(dec: Decomposition, varieties: list[list[MPoly]],
                             lambda t: _crosses_horizontal(hrows[t], c, w1, w2, bv))
                     except (AdjacencyError, RealRootError) as e:
                         raise AdjacencyError(f"{where}, cells {pair}: {e}") from e
+            if not pending:
+                break
 
     nodes = tuple(c.id for c in dec.cells)
     return [AdjacencyGraph(nodes, tuple(sorted(es))) for es in edges]

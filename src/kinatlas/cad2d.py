@@ -4,8 +4,11 @@ Given a set of curves, the base line is cut at the roots of the projection
 polynomials (discriminants, leading coefficients, pairwise resultants,
 vertical-line contents) and each resulting open interval is lifted through
 the real roots of the specialized curve product.  The base product and
-every fibre product are one integer squarefree lcm (`_squarefree_lcm`).
-Only full-dimensional cells are produced.
+every fibre product are one integer squarefree lcm (`_squarefree_lcm`),
+which carries its cleared integers and is isolated without a second
+squarefree step.  Curves are bound at a point by integer Horner on their
+rows (`realroots._horner`).  Only
+full-dimensional cells are produced.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .ratpoly import (
 )
 from .realroots import (
     NEG_INF, POS_INF, IsolatingInterval,
-    isolate, count_roots, roots_below, sample_between, _sign_at,
+    isolate_squarefree, count_roots, roots_below, sample_between, _horner, _sign_at,
 )
 
 
@@ -95,7 +98,7 @@ class Decomposition:
         else:
             k1 = 0
         f = _specialize_product(self.polys, self.base_var, self.fiber_var, px)
-        if f.degree > 0 and f(py) == 0:
+        if f.degree > 0 and _sign_at(f.int_cleared(), *py.as_integer_ratio()) == 0:
             return None
         k2 = count_roots(f, NEG_INF, py) if f.degree > 0 else 0
         for c in self.columns[k1]:
@@ -206,16 +209,8 @@ def _rows(p: MPoly, var: str, other: str) -> tuple[list[list[int]], int]:
 
 def _bind_int(rows: list[list[int]], a: int, b: int) -> list[int]:
     """The integers b^d * rows[k](a/b), d the rows' common degree: one
-    homogeneous integer Horner pass per row."""
-    out = []
-    for ints in rows:
-        acc = ints[-1]
-        bp = 1
-        for c in reversed(ints[:-1]):
-            bp *= b
-            acc = acc * a + c * bp
-        out.append(acc)
-    return out
+    `realroots._horner` pass per row."""
+    return [_horner(ints, a, b) for ints in rows]
 
 
 def _bind(rows: tuple[list[list[int]], int], value: Fraction, var: str) -> UPoly:
@@ -259,7 +254,10 @@ def _squarefree_lcm(curves: list[list[int]], var: str, where: str = "") -> UPoly
             f = _poly_quo(f, g, f"lcm factor of curve {n}{where}")
         acc = _poly_mul(acc, f)
     lc = acc[-1]
-    return UPoly([Fraction(c, lc) for c in acc], var)
+    u = UPoly([Fraction(c, lc) for c in acc], var)
+    # acc is primitive, so it is u's cleared integers up to the sign of lc
+    u._ints = tuple(acc) if lc > 0 else tuple(-c for c in acc)
+    return u
 
 
 def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:
@@ -267,7 +265,7 @@ def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:
     proj = projection_set(p2, base_var, fiber_var)
     polys = list(proj.p2)
     base = _squarefree_lcm([list(q.int_cleared()) for q in proj.p1], base_var)
-    base_roots = isolate(base)
+    base_roots = isolate_squarefree(base)
     bounds = [NEG_INF, *base_roots, POS_INF]
     base_samples = [sample_between(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
@@ -278,7 +276,7 @@ def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:
     cid = 0
     for k1, s in enumerate(base_samples):
         f = _specialize_product(polys, base_var, fiber_var, s)
-        fr = isolate(f) if f.degree >= 1 else []
+        fr = isolate_squarefree(f)
         fiber_products.append(f)
         fiber_roots_all.append(fr)
         col = []
@@ -299,32 +297,47 @@ def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:
 
 
 def interval_eval(p: MPoly, boxes: dict[str, tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
-    """Exact interval-arithmetic range bound of p over a box."""
-    lo = Fraction(0)
-    hi = Fraction(0)
+    """Exact interval-arithmetic range bound of p over a box: each term's
+    coefficient times the enclosures of its powers, every product of two
+    intervals the min and max of the four end products (Moore-Kearfott-
+    Cloud), on integers.  A variable's box (a, b) is (A, B) / D over D =
+    lcm of its denominators, and the enclosures of x^0 .. x^top (top its
+    degree in p) are taken once per call as integers over D^top, so all of
+    a term's bounds lie over one positive denominator, the same for every
+    term; one Fraction per bound is built at the end."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    total = den
+    pows = []      # per variable: enclosures of x^k as integers over D^top, or None
+    for i, v in enumerate(p.vars):
+        top = max((e[i] for e in p.terms), default=0)
+        if not top:
+            pows.append(None)
+            continue
+        if v not in boxes:
+            raise CadError(f"unbound variable {v} in interval evaluation")
+        a, b = boxes[v]
+        D = lcm(a.denominator, b.denominator)
+        A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
+        encl = []
+        for k in range(top + 1):
+            s = D ** (top - k)
+            pa, pb = A ** k * s, B ** k * s
+            if k == 0 or k % 2 == 1 or A >= 0:
+                encl.append((pa, pb))
+            elif B <= 0:
+                encl.append((pb, pa))
+            else:
+                encl.append((0, max(pa, pb)))
+        pows.append(encl)
+        total *= D ** top
+    lo = hi = 0
     for e, c in p.terms.items():
-        tlo, thi = Fraction(c), Fraction(c)
-        for i, pw in enumerate(e):
-            if not pw:
-                continue
-            v = p.vars[i]
-            if v not in boxes:
-                raise CadError(f"unbound variable {v} in interval evaluation")
-            a, b = boxes[v]
-            plo, phi = _pow_interval(a, b, pw)
-            cands = [tlo * plo, tlo * phi, thi * plo, thi * phi]
-            tlo, thi = min(cands), max(cands)
+        tlo = thi = c.numerator * (den // c.denominator)
+        for k, encl in zip(e, pows):
+            if encl:
+                plo, phi = encl[k]
+                cands = (tlo * plo, tlo * phi, thi * plo, thi * phi)
+                tlo, thi = min(cands), max(cands)
         lo += tlo
         hi += thi
-    return lo, hi
-
-
-def _pow_interval(a: Fraction, b: Fraction, n: int) -> tuple[Fraction, Fraction]:
-    pa, pb = a ** n, b ** n
-    if n % 2 == 1:
-        return (pa, pb)
-    if a >= 0:
-        return (pa, pb)
-    if b <= 0:
-        return (pb, pa)
-    return (Fraction(0), max(pa, pb))
+    return Fraction(lo, total), Fraction(hi, total)

@@ -346,10 +346,10 @@ def cusp_points(js: JointSlice, width: Fraction = Fraction(1, 1 << 40)) -> list[
     uroots = isolate(UPoly.from_mpoly(gu.with_vars(("u",)), "u"))
     hess = Pr.diff("r") * Pu.diff("u") - Pr.diff("u") ** 2
     out = []
-    for ri in rroots:
-        for ui in uroots:
-            a = ri.refine(width)
-            b = ui.refine(width)
+    rboxes = [ri.refine(width) for ri in rroots]
+    uboxes = [ui.refine(width) for ui in uroots]
+    for a in rboxes:
+        for b in uboxes:
             box = {"r": (a.low - width, a.high + width),
                    "u": (b.low - width, b.high + width)}
             ok = True

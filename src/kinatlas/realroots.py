@@ -3,18 +3,24 @@
 Two independent routes are provided on purpose: Descartes-rule bisection
 drives isolation, Sturm sequences drive counting (`roots_below` counts on
 intervals isolation already found, with one sign test); both work on integer
-coefficients only, and both take the squarefree part of their input
-themselves, so callers pass any nonzero polynomial.  Isolation runs in the
+coefficients only.  `isolate` and the Sturm route take the squarefree part
+of their input themselves, so callers pass any nonzero polynomial;
+`isolate_squarefree` skips that step for input that is squarefree already,
+as the plane decomposition's fibre products are.  Isolation runs in the
 Bernstein basis (Mourrain-Rouillier-Roy; Eigenwillig): the Descartes test
 on (a, b) counts the sign variations of p's Bernstein coefficients b_i
 there, and one de Casteljau pass gives those of both halves.  p is converted once per top interval:
 with q(x) = p(a + (b - a) x), (1 + x)^n q(1 / (1 + x)) = sum C(n, i) b_i
-x^(n - i).  Refinement bisects on integers over one common denominator,
-and the one Horner sign routine takes an integer numerator and
-denominator.  The root bound is found on integers too.  Sturm sequences
-are kept as integer tuples, keyed by the integer coefficients.  Sample
-points are dyadic rationals so bit sizes stay bounded when these feed the
-plane decomposition.
+x^(n - i).  Refinement has one integer state: the interval (A/d, B/d) over
+one common denominator and the sign of p at its low end, which `_bisect`,
+the one bisection loop, halves on integers; `refine` wraps it in
+Fractions, and the adjacency pass's root comparisons keep such states
+across their rounds.  The one Horner sign routine takes an integer
+numerator a and denominator b = o 2^e, o odd, and takes b^k as o^k shifted
+by e k, so at a dyadic point it multiplies by a alone.  The root bound is
+found on integers too.  Sturm sequences are kept as integer tuples, keyed
+by the integer coefficients.  Sample points are dyadic rationals so bit
+sizes stay bounded when these feed the plane decomposition.
 """
 
 from __future__ import annotations
@@ -45,18 +51,46 @@ def _sign_variations(seq) -> int:
     return sum(map(ne, signs, signs[1:]))
 
 
-def _sign_at(ints: list[int], a: int, b: int) -> int:
-    """Sign of p(a/b) for integer coefficients and b > 0, exact
-    (denominator-cleared Horner; a/b need not be in lowest terms)."""
-    if not ints:
-        return 0
-    n = len(ints) - 1
+def _horner(ints: list[int], a: int, b: int) -> int:
+    """b^n p(a/b) for the integer coefficients of p (n = len(ints) - 1)
+    and b > 0, exact: homogeneous Horner.  With b = o 2^e, o odd, b^k is
+    o^k shifted by e k, so at a dyadic point (o = 1) Horner multiplies only
+    by a and shifts."""
+    e = (b & -b).bit_length() - 1
+    o = b >> e
     acc = 0
-    bp = 1
-    for i in range(n, -1, -1):
-        acc = acc * a + ints[i] * bp
-        bp *= b
-    return (acc > 0) - (acc < 0)
+    ok = 1
+    for k, c in enumerate(reversed(ints)):
+        acc = acc * a + ((c * ok) << (e * k))
+        ok *= o
+    return acc
+
+
+def _sign_at(ints: list[int], a: int, b: int) -> int:
+    """Sign of p(a/b) for integer coefficients and b > 0, exact (a/b need
+    not be in lowest terms)."""
+    v = _horner(ints, a, b)
+    return (v > 0) - (v < 0)
+
+
+def _bisect(ints: list[int], A: int, B: int, d: int, slo: int,
+            wn: int, wd: int) -> tuple[int, int, int]:
+    """The one bisection loop: halve the root's interval (A/d, B/d) until
+    it is narrower than wn/wd, p having the nonzero sign slo at A/d.  A
+    halving doubles A, B and d and takes A + B as the midpoint, so the loop
+    runs on integers and widths compare by cross-multiplication.  Returns
+    the final (A, B, d); A == B when a midpoint is the root."""
+    while (B - A) * wd >= wn * d:
+        M = A + B
+        A, B, d = A << 1, B << 1, d << 1
+        sm = _sign_at(ints, M, d)
+        if sm == 0:
+            return M, M, d
+        if sm == slo:
+            A = M
+        else:
+            B = M
+    return A, B, d
 
 
 def _taylor_shift_1(cs: list[int]) -> list[int]:
@@ -123,12 +157,7 @@ class IsolatingInterval:
         return (self.low + self.high) / 2
 
     def refine(self, width: Fraction) -> "IsolatingInterval":
-        """Narrow below `width` by sign-preserving bisection.
-
-        The interval is held as A/d, B/d over one common denominator; a
-        halving doubles A, B and d and takes A + B as the midpoint, so the
-        loop runs on integers and widths compare by cross-multiplication.
-        """
+        """Narrow below `width` by sign-preserving bisection (`_bisect`)."""
         lo, hi = self.low, self.high
         if lo == hi:
             return self
@@ -140,18 +169,7 @@ class IsolatingInterval:
         slo = _sign_at(ints, A, d)
         if slo == 0:
             return IsolatingInterval(lo, lo, p)
-        wn, wd = width.numerator, width.denominator
-        while (B - A) * wd >= wn * d:
-            M = A + B
-            A, B, d = A << 1, B << 1, d << 1
-            sm = _sign_at(ints, M, d)
-            if sm == 0:
-                m = Fraction(M, d)
-                return IsolatingInterval(m, m, p)
-            if sm == slo:
-                A = M
-            else:
-                B = M
+        A, B, d = _bisect(ints, A, B, d, slo, width.numerator, width.denominator)
         return IsolatingInterval(Fraction(A, d), Fraction(B, d), p)
 
     def float(self) -> float:
@@ -278,17 +296,24 @@ def _split(b: list[int]) -> tuple[list[int], list[int]]:
 
 
 def isolate(p: UPoly) -> list[IsolatingInterval]:
-    """Disjoint dyadic isolating intervals, one per distinct real root.
-
-    Descartes bisection in the Bernstein basis: node (k, e) of a top
-    interval (a, a + w) is a + w [k, k + 1] / 2^e and carries p's integer
-    Bernstein coefficients there up to a positive factor, the first and
-    last with the signs of p at its ends.  One variation with opposite end
-    signs accepts a node, none drops it; a zero `_split` apex is a root.
-    """
+    """Disjoint dyadic isolating intervals, one per distinct real root of
+    the nonzero polynomial p: `isolate_squarefree` on p's squarefree part."""
     if p.is_zero():
         raise RealRootError("zero polynomial")
-    f = p.squarefree()
+    return isolate_squarefree(p.squarefree())
+
+
+def isolate_squarefree(f: UPoly) -> list[IsolatingInterval]:
+    """Disjoint dyadic isolating intervals, one per real root of f, which
+    is squarefree already (the fibre products of `cad2d._squarefree_lcm`
+    are, and come with their cleared integers).
+
+    Descartes bisection in the Bernstein basis: node (k, e) of a top
+    interval (a, a + w) is a + w [k, k + 1] / 2^e and carries f's integer
+    Bernstein coefficients there up to a positive factor, the first and
+    last with the signs of f at its ends.  One variation with opposite end
+    signs accepts a node, none drops it; a zero `_split` apex is a root.
+    """
     if f.degree <= 0:
         return []
     ints = f.int_cleared()

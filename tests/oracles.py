@@ -39,7 +39,16 @@ the base roots below a point by the base product's Sturm sequence against
 the bisection over the isolated base roots, the rational substitution by
 `MPoly.eval`'s former polynomial branch, a fresh product per term, against
 `MPoly.substitute`, and the slice pose count over a chart point with the
-leg-1 fibre rebuilt for every call against the one built once per slice.
+leg-1 fibre rebuilt for every call against the one built once per slice,
+the interval enclosure of a polynomial over a box taken term by term on
+Fractions against the one on integers over the boxes' denominators, the
+order of two isolated roots by Fraction intervals that `refine` rebuilds
+every round against the integer bisection states kept across rounds,
+`refine`'s former bisection loop against `realroots._bisect`, the
+witnesses of a base root refined afresh at every rung against the
+bisection continued across the rungs, and Horner
+carrying the powers of the denominator against the one that shifts for
+its power of two.
 `divides` is the exact-division test the tests state factor claims with,
 and `det_a_sign` decides the sign of a working mode's det A at a rational
 slice pose exactly.  They are slow and meant for small inputs.
@@ -56,8 +65,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from kinatlas.adjacency import AdjacencyGraph, build_graph, build_graphs
-from kinatlas.cad2d import _specialize_product
+from kinatlas.adjacency import AdjacencyError, AdjacencyGraph, build_graph, build_graphs
+from kinatlas.cad2d import CadError, _specialize_product
 from kinatlas.mechanism import (
     CS_VARS, MechanismParams, PassiveAngles, Pose, jacobian_a, det3, residuals, _dk_univariate,
 )
@@ -579,6 +588,149 @@ def refine_by_fractions(iv: IsolatingInterval, width: Fraction) -> IsolatingInte
         else:
             hi = m
     return IsolatingInterval(lo, hi, p)
+
+
+def refine_by_bisection_loop(iv: IsolatingInterval, width: Fraction) -> IsolatingInterval:
+    """`IsolatingInterval.refine` with its own bisection loop on integers
+    over one common denominator, as it was before the loop became
+    `realroots._bisect`."""
+    lo, hi = iv.low, iv.high
+    if lo == hi:
+        return iv
+    p = iv.polynomial
+    ints = p.int_cleared()
+    d = math.lcm(lo.denominator, hi.denominator)
+    A = lo.numerator * (d // lo.denominator)
+    B = hi.numerator * (d // hi.denominator)
+    slo = _sign_at(ints, A, d)
+    if slo == 0:
+        return IsolatingInterval(lo, lo, p)
+    wn, wd = width.numerator, width.denominator
+    while (B - A) * wd >= wn * d:
+        M = A + B
+        A, B, d = A << 1, B << 1, d << 1
+        sm = _sign_at(ints, M, d)
+        if sm == 0:
+            m = Fraction(M, d)
+            return IsolatingInterval(m, m, p)
+        if sm == slo:
+            A = M
+        else:
+            B = M
+    return IsolatingInterval(Fraction(A, d), Fraction(B, d), p)
+
+
+def cmp_bounds_by_refine(a: IsolatingInterval, b: IsolatingInterval, gcds: dict,
+                         max_iter: int = 50) -> int:
+    """Sign of (root a) - (root b) by Fraction intervals rebuilt every
+    round: one `refine` below a sixteenth of the width per side and round,
+    the shared-root gcd check from round 2 on."""
+    x, y = a, b
+    for it in range(max_iter):
+        if x.high < y.low:
+            return -1
+        if y.high < x.low:
+            return 1
+        if x.is_exact() and y.is_exact():
+            return 0 if x.low == y.low else (-1 if x.low < y.low else 1)
+        if it >= 2:
+            key = (id(x.polynomial), id(y.polynomial))
+            g = gcds.get(key)
+            if g is None:
+                g = gcds[key] = x.polynomial.gcd(y.polynomial)
+            if g.degree >= 1:
+                lo = max(x.low, y.low)
+                hi = min(x.high, y.high)
+                if lo <= hi:
+                    n = (count_roots(g, lo, hi) if lo < hi else 0) + (1 if g(lo) == 0 else 0)
+                    if n >= 1:
+                        return 0
+        if not x.is_exact():
+            x = x.refine(x.width() / 16)
+        if not y.is_exact():
+            y = y.refine(y.width() / 16)
+    raise AdjacencyError("could not order algebraic bounds")
+
+
+def witnesses_from_coarse(dec, j: int, shrink: int) -> tuple[Fraction, Fraction]:
+    """The witness pair of base root j at one rung, refined from the
+    root's unrefined interval below gap / shrink."""
+    roots = dec.base_roots
+    r = roots[j]
+    left_gap = (r.low - roots[j - 1].high) if j > 0 else Fraction(1)
+    right_gap = (roots[j + 1].low - r.high) if j + 1 < len(roots) else Fraction(1)
+    gap = min(left_gap, right_gap, Fraction(1))
+    if not r.is_exact():
+        r = r.refine(gap / shrink)
+        if not r.is_exact():
+            return r.low, r.high
+    v = r.low
+    ints = dec.base_poly.int_cleared()
+    d = gap / shrink
+    while True:
+        if (_sign_at(ints, *(v - d).as_integer_ratio()) != 0
+                and _sign_at(ints, *(v + d).as_integer_ratio()) != 0):
+            return v - d, v + d
+        d /= 2
+
+
+def sign_at_by_powers(ints, a: int, b: int) -> int:
+    """Sign of p(a/b), b > 0, by Horner carrying the powers of b."""
+    acc = 0
+    bp = 1
+    for c in reversed(ints):
+        acc = acc * a + c * bp
+        bp *= b
+    return (acc > 0) - (acc < 0)
+
+
+def bind_int_by_powers(rows, a: int, b: int) -> list[int]:
+    """b^d * row(a/b) for each integer row of common degree d, by Horner
+    carrying the powers of b."""
+    out = []
+    for ints in rows:
+        acc = ints[-1]
+        bp = 1
+        for c in reversed(ints[:-1]):
+            bp *= b
+            acc = acc * a + c * bp
+        out.append(acc)
+    return out
+
+
+def interval_eval_by_fractions(p: MPoly, boxes: dict) -> tuple[Fraction, Fraction]:
+    """Interval range bound of p over a box, term by term on Fractions:
+    each power's enclosure from `_pow_interval`, each product the min and
+    max of the four end products."""
+    lo = Fraction(0)
+    hi = Fraction(0)
+    for e, c in p.terms.items():
+        tlo, thi = Fraction(c), Fraction(c)
+        for i, pw in enumerate(e):
+            if not pw:
+                continue
+            v = p.vars[i]
+            if v not in boxes:
+                raise CadError(f"unbound variable {v} in interval evaluation")
+            a, b = boxes[v]
+            plo, phi = _pow_interval(a, b, pw)
+            cands = [tlo * plo, tlo * phi, thi * plo, thi * phi]
+            tlo, thi = min(cands), max(cands)
+        lo += tlo
+        hi += thi
+    return lo, hi
+
+
+def _pow_interval(a: Fraction, b: Fraction, n: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of x^n over [a, b], n >= 1."""
+    pa, pb = a ** n, b ** n
+    if n % 2 == 1:
+        return (pa, pb)
+    if a >= 0:
+        return (pa, pb)
+    if b <= 0:
+        return (pb, pa)
+    return (Fraction(0), max(pa, pb))
 
 
 def fiber_roots_by_eval(poly: MPoly, base_var: str, fiber_var: str, x0) -> list[float]:

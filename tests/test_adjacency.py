@@ -8,16 +8,18 @@ from fractions import Fraction
 import pytest
 
 from kinatlas.ratpoly import MPoly, UPoly
-from kinatlas.realroots import isolate
+from kinatlas.realroots import IsolatingInterval, isolate
 from kinatlas.cad2d import decompose
 from kinatlas.domains import analyze_workspace
 from kinatlas.mechanism import MechanismParams, slice_workspace
 from kinatlas.adjacency import (
-    build_graph, build_graphs, _cmp_bounds, _ranks, _rows, _crosses_horizontal,
+    AdjacencyError, build_graph, build_graphs, _RUNGS, _cmp_bounds, _ranks, _rows,
+    _crosses_horizontal, _witnesses,
 )
 
 from oracles import (
-    parse_poly, segment_crosses, restrict_to_segment, workspace_graphs_by_post_pass,
+    cmp_bounds_by_refine, parse_poly, segment_crosses, restrict_to_segment, upoly_mul,
+    witnesses_from_coarse, workspace_graphs_by_post_pass,
 )
 from test_cad2d import _rand_conic
 
@@ -146,6 +148,112 @@ class TestRanks:
     def test_empty_side(self):
         assert _ranks(isolate(U([-2, 0, 1])), []) == ([1, 2], [])
         assert _ranks([], []) == ([], [])
+
+
+class TestComparisonStates:
+    """`_cmp_bounds` keeps one integer bisection state per root across its
+    rounds; the oracle rebuilds Fraction intervals with `refine` every
+    round.  Same sign, or the same raise."""
+
+    @staticmethod
+    def _same(a, b, max_iter=50):
+        """The sign both routes give, or None when both raise."""
+        try:
+            want = cmp_bounds_by_refine(a, b, {}, max_iter)
+        except AdjacencyError:
+            with pytest.raises(AdjacencyError, match="could not order"):
+                _cmp_bounds(a, b, {}, max_iter)
+            return None
+        assert _cmp_bounds(a, b, {}, max_iter) == want, (a, b, max_iter)
+        return want
+
+    @pytest.mark.parametrize("case", ["ref", "y0_0", "y0_2", "geom2"])
+    def test_every_comparison_of_the_perfbench_slices(self, case, monkeypatch):
+        import kinatlas.adjacency as adjacency
+        from kinatlas.domains import SliceAtlas
+        from kinatlas.mechanism import WorkingMode
+        params = {"geom2": MechanismParams(l2=Fraction(2), l3=Fraction(5, 2), a=Fraction(1, 2),
+                                           b=Fraction(3, 2))}.get(case, MechanismParams())
+        y0 = {"y0_0": Fraction(0), "y0_2": Fraction(2)}.get(case, Fraction(1, 2))
+        signs = []
+
+        def checked(a, b, gcds, max_iter=50):
+            got = _cmp_bounds(a, b, gcds, max_iter)
+            assert got == cmp_bounds_by_refine(a, b, {}, max_iter), (a, b)
+            signs.append(got)
+            return got
+
+        monkeypatch.setattr(adjacency, "_cmp_bounds", checked)
+        SliceAtlas.build(params, y0, WorkingMode(1, 1))
+        assert len(signs) >= 100 and set(signs) == {-1, 0, 1}, (len(signs), set(signs))
+
+    def test_ties_and_exact_intervals(self):
+        half = IsolatingInterval(Fraction(1, 2), Fraction(1, 2), U([-1, 2]))
+        other = IsolatingInterval(Fraction(1, 2), Fraction(1, 2), U([-5, 9, 2]))  # (2x - 1)(x + 5)
+        third = IsolatingInterval(Fraction(1, 3), Fraction(1, 3), U([-1, 3]))
+        assert self._same(half, other) == 0
+        assert self._same(half, third) == 1 and self._same(third, half) == -1
+        sqrt_half = IsolatingInterval(Fraction(0), Fraction(1), U([-1, 0, 2]))
+        assert self._same(half, sqrt_half) == -1 and self._same(sqrt_half, half) == 1
+
+    def test_low_end_is_a_root(self):
+        # 2x - 1 on [1/2, 5/3] turns exact at its first halving
+        low_root = IsolatingInterval(Fraction(1, 2), Fraction(5, 3), U([-1, 2]))
+        for hi, q, want in ((2, [-3, 8], 1), (2, [-7, 8], -1), (1, [-5, 9, 2], 0),
+                            (2, [-2, 0, 1], -1)):
+            other = IsolatingInterval(Fraction(0), Fraction(hi), U(q))
+            assert self._same(low_root, other) == want, q
+            assert self._same(other, low_root) == -want, q
+            # round by round: the same rounds decide, or both run out
+            for max_iter in (1, 2, 3):
+                self._same(low_root, other, max_iter)
+                self._same(other, low_root, max_iter)
+
+    def test_shared_roots(self):
+        # (x^2 - 2)(x - 1) against (x^2 - 2)(x + 3): the roots +-sqrt 2 of
+        # both sides are decided by the gcd check
+        roots1, roots2 = isolate(U([2, -2, -1, 1])), isolate(U([-6, -2, 3, 1]))
+        got = [[self._same(a, b) for b in roots2] for a in roots1]
+        assert got == [[1, 0, -1], [1, 1, -1], [1, 1, 0]]
+
+    def test_max_iter_raise(self):
+        # sqrt 2 and sqrt 2 + 2^-300 are never told apart in 50 rounds, and
+        # share no root
+        c = Fraction(1, 1 << 300)
+        a = isolate(U([-2, 0, 1]))[1]
+        b = isolate(UPoly([c * c - 2, -2 * c, 1], "x"))[1]
+        with pytest.raises(AdjacencyError, match="could not order"):
+            _cmp_bounds(a, b, {})
+        assert self._same(a, b) is None
+        assert self._same(a, b, max_iter=70) == -1
+
+    def test_random_root_lists(self):
+        rng = random.Random(1903)
+        signs = {-1: 0, 0: 0, 1: 0}
+        for _ in range(150):
+            shared = [rng.randint(-9, 9) for _ in range(rng.randint(0, 2))]
+            ps = []
+            for _ in range(2):
+                p = U([rng.randint(-5, 5) or 1, 0, 1])
+                for r in shared + [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))]:
+                    p = upoly_mul(p, UPoly([-r, 1], "x"))
+                ps.append(p)
+            for a in isolate(ps[0]):
+                for b in isolate(ps[1]):
+                    signs[self._same(a, b)] += 1
+                    for max_iter in (1, 2, 3):
+                        self._same(a, b, max_iter)
+        assert min(signs.values()) >= 50, signs
+
+
+class TestWitnessLadder:
+    def test_continued_bisection_gives_every_witness(self, atlas_pp):
+        for dec in (atlas_pp.wa.dec_fine, atlas_pp.ja.dec):
+            for j in range(len(dec.base_roots)):
+                got = list(_witnesses(dec, j))
+                assert [s for s, *_ in got] == list(_RUNGS)
+                for shrink, w1, w2 in got:
+                    assert (w1, w2) == witnesses_from_coarse(dec, j, shrink), (j, shrink)
 
 
 class TestHorizontalCrossing:

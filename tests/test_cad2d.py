@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from kinatlas.ratpoly import MPoly, UPoly, format_poly
-from kinatlas.cad2d import projection_set, decompose, interval_eval
+from kinatlas.cad2d import CadError, projection_set, decompose, interval_eval
 from kinatlas.adjacency import build_graph, components
 
-from oracles import parse_poly, upoly_mul
+from oracles import interval_eval_by_fractions, parse_poly, upoly_mul
 
 
 def P(text):
@@ -125,10 +125,75 @@ class TestAdjacency:
 
 
 class TestIntervalEval:
+    """`interval_eval` runs on integers over the boxes' denominators; the
+    oracle takes every term's enclosure on Fractions.  Same rationals."""
+
     def test_simple(self):
         p = parse_poly("u^2-v", ("u", "v"))
         lo, hi = interval_eval(p, {"u": (Fraction(-1), Fraction(2)), "v": (Fraction(0), Fraction(1))})
         assert lo <= Fraction(-1) and hi >= Fraction(4) - 1
+
+    def test_matches_fraction_oracle_random(self):
+        rng = random.Random(1919)
+        names = ("u", "v", "w")
+        seen = dict.fromkeys(("dyadic", "non-dyadic", "straddles 0", "below 0",
+                              "zero width", "even power", "odd power"), 0)
+        for case in range(800):
+            vs = names[:rng.randint(1, 3)]
+            terms = {tuple(rng.randint(0, 6) for _ in vs):
+                     Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 12)))
+                     for _ in range(rng.randint(0, 9))}
+            p = MPoly(vs, terms)
+            boxes = {}
+            for v in vs:
+                den = rng.choice((1, 3, 7, 1 << rng.randint(1, 40), 3 << rng.randint(1, 20)))
+                a = Fraction(rng.randint(-60, 60), den)
+                if rng.random() < 0.15:
+                    b = a
+                else:
+                    b = a + Fraction(rng.randint(1, 60), rng.choice((1, 3, 7, 1 << rng.randint(1, 40))))
+                boxes[v] = (a, b)
+                dyadic = all(q.denominator & (q.denominator - 1) == 0 for q in (a, b))
+                seen["dyadic" if dyadic else "non-dyadic"] += 1
+                if a == b:
+                    seen["zero width"] += 1
+                elif a < 0 < b:
+                    seen["straddles 0"] += 1
+                elif b < 0:
+                    seen["below 0"] += 1
+            for e in p.terms:
+                for k in e:
+                    if k:
+                        seen["even power" if k % 2 == 0 else "odd power"] += 1
+            assert interval_eval(p, boxes) == interval_eval_by_fractions(p, boxes), (p, boxes)
+        assert min(seen.values()) >= 100, seen
+
+    def test_unbound_variable(self):
+        p = parse_poly("u^2-v", ("u", "v"))
+        with pytest.raises(CadError, match="unbound variable v"):
+            interval_eval(p, {"u": (Fraction(-1), Fraction(2))})
+        # a variable p does not use need no box
+        assert interval_eval(parse_poly("u^3", ("u", "v")), {"u": (Fraction(-1), Fraction(2))}) \
+            == (Fraction(-1), Fraction(8))
+        assert interval_eval(MPoly(("u",), {}), {}) == (0, 0)
+
+    @pytest.mark.parametrize("y0", [Fraction(1, 2), Fraction(29, 10), Fraction(299, 100)],
+                             ids=["1/2", "29/10", "299/100"])
+    def test_every_cusp_box_matches_fraction_oracle(self, y0, monkeypatch):
+        import kinatlas.domains as domains
+        from kinatlas.mechanism import MechanismParams, slice_jointspace, slice_workspace
+        boxes = []
+
+        def checked(q, box):
+            got = interval_eval(q, box)
+            assert got == interval_eval_by_fractions(q, box), box
+            boxes.append(box)
+            return got
+
+        monkeypatch.setattr(domains, "interval_eval", checked)
+        points = domains.cusp_points(slice_jointspace(slice_workspace(y0, 1, MechanismParams())))
+        # P, P_r and P_u at each candidate box, the Hessian at each point kept
+        assert len(boxes) >= 3 * len(points) + len(points) > 0
 
 
 def _rand_conic(rng):
@@ -227,6 +292,8 @@ class TestFibreProduct:
                 want = specialize_product_whole(polys, "u", "v", x)
                 assert got == want and got.var == want.var == "v"
                 assert got.is_zero() or got.coeffs[-1] == 1
+                # the cleared integers it comes with are those it would clear
+                assert got.int_cleared() == UPoly(got.coeffs, "v").int_cleared()
             fibres = [UPoly.from_mpoly(p.eval({"u": x0}).with_vars(("v",)), "v")
                       for p in polys if p.degree("v") >= 1]
             shared += sum(f(y0) == 0 for f in fibres) >= 2
@@ -250,15 +317,21 @@ class TestFibreProduct:
                 assert got == specialize_product_by_fractions(polys, "u", "v", w)
                 assert got == specialize_product_whole(polys, "u", "v", w)
 
+    def test_reference_products_come_with_their_cleared_integers(self, atlas_pp):
+        for dec in (atlas_pp.wa.dec_fine, atlas_pp.ja.dec):
+            for f in (dec.base_poly, *dec.fiber_products):
+                assert f.int_cleared() == UPoly(f.coeffs, f.var).int_cleared()
+                assert f.squarefree() is f
+
     def test_matches_both_oracles_at_reference_witnesses(self, atlas_pp):
-        from kinatlas.adjacency import _RUNGS, _witnesses
+        from kinatlas.adjacency import _witnesses
         from kinatlas.cad2d import _specialize_product
         from oracles import specialize_product_by_fractions, specialize_product_whole
         dec = atlas_pp.wa.dec_fine
         n = 0
         for j in range(len(dec.base_roots)):
-            for shrink in _RUNGS:
-                for w in _witnesses(dec, j, shrink):
+            for _, *ws in _witnesses(dec, j):
+                for w in ws:
                     args = (dec.polys, dec.base_var, dec.fiber_var, w)
                     got = _specialize_product(*args)
                     assert got == specialize_product_by_fractions(*args)

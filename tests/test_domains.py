@@ -293,6 +293,23 @@ class TestCusps:
         assert kinds.count("cusp") == 4
         assert all(k in ("cusp", "node", "isolated") for k in kinds)
 
+    def test_each_root_refined_once_below_the_width(self, atlas_pp, monkeypatch):
+        # one refinement per r-root and per u-root, not one per pair; each
+        # box side is bisection's last interval above width 2^-40
+        from kinatlas.realroots import IsolatingInterval
+        refine = IsolatingInterval.refine
+        calls = []
+        monkeypatch.setattr(IsolatingInterval, "refine",
+                            lambda iv, w: calls.append(w) or refine(iv, w))
+        points = cusp_points(atlas_pp.js)
+        assert [(p.r_box, p.u_box, p.kind) for p in points] == \
+            [(p.r_box, p.u_box, p.kind) for p in atlas_pp.singular_points]
+        w = Fraction(1, 1 << 40)
+        assert calls.count(w) == 2 + 6     # r-roots and u-roots, not 2 x 6 pairs
+        for p in points:
+            for lo, hi in (p.r_box, p.u_box):
+                assert lo == hi or w / 2 <= hi - lo < w
+
     def test_smooth_conic_no_cusps(self):
         # a smooth curve has no singular points at all
         from kinatlas.mechanism import JointSlice

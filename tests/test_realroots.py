@@ -15,8 +15,9 @@ from kinatlas.realroots import (
 import kinatlas.realroots as realroots
 
 from oracles import (
-    bernstein_by_fractions, isolate_by_scaling, parse_poly, refine_by_fractions,
-    segment_crosses, restrict_to_segment, upoly_eval_float, upoly_mul,
+    bernstein_by_fractions, bind_int_by_powers, isolate_by_scaling, parse_poly,
+    refine_by_bisection_loop, refine_by_fractions, segment_crosses, restrict_to_segment,
+    sign_at_by_powers, upoly_eval_float, upoly_mul,
 )
 
 
@@ -216,13 +217,13 @@ class TestIncrementalIsolation:
     def test_reference_witness_fibres(self, atlas_pp):
         """Every witness fibre of the fine adjacency pass, at every rung: the
         2^-40 rung holds root clusters some 40 bisection levels deep."""
-        from kinatlas.adjacency import _RUNGS, _witnesses
+        from kinatlas.adjacency import _witnesses
         from kinatlas.cad2d import _specialize_product
         dec = atlas_pp.wa.dec_fine
         n, finest = 0, Fraction(1)
         for j in range(len(dec.base_roots)):
-            for shrink in _RUNGS:
-                for w in _witnesses(dec, j, shrink):
+            for shrink, *ws in _witnesses(dec, j):
+                for w in ws:
                     f = _specialize_product(dec.polys, dec.base_var, dec.fiber_var, w)
                     got = _bounds(isolate(f))
                     assert got == _bounds(isolate_by_scaling(f)), (j, shrink)
@@ -350,6 +351,77 @@ class TestIntegerRefine:
         for iv in roots:
             for k in (40, 80):
                 self._same(iv, Fraction(1, 1 << k))
+
+
+class TestShiftHorner:
+    """`_sign_at` and `cad2d._bind_int` run `_horner`, which writes the
+    denominator as o 2^e and shifts for its powers of two; the oracles
+    carry the powers of b."""
+
+    @staticmethod
+    def _points(rng):
+        yield rng.randint(-99, 99), 1
+        yield rng.randint(-99, 99), rng.randrange(3, 999, 2)
+        k = rng.randint(1, 70)
+        yield rng.randint(-(1 << k), 1 << k), 3 << k
+        yield rng.randrange(-(1 << k) + 1, 1 << k, 2), 1 << k
+        yield -rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)
+
+    def test_sign_at_matches_powers(self):
+        rng = random.Random(1901)
+        zeros = 0
+        for _ in range(600):
+            ints = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(rng.randint(0, 17))]
+            for a, b in self._points(rng):
+                assert _sign_at(ints, a, b) == sign_at_by_powers(ints, a, b), (ints, a, b)
+                # times (b x - a): a root at a/b
+                at_root = [-a * c for c in ints + [0]]
+                for i, c in enumerate(ints):
+                    at_root[i + 1] += b * c
+                assert _sign_at(at_root, a, b) == sign_at_by_powers(at_root, a, b) == 0
+                zeros += bool(ints)
+        assert _sign_at([], 5, 3 << 9) == 0 and zeros > 2000
+
+    def test_bind_int_matches_powers(self):
+        from kinatlas.cad2d import _bind_int
+        rng = random.Random(1902)
+        for _ in range(400):
+            width = rng.randint(1, 17)
+            rows = [[rng.randint(-10 ** 40, 10 ** 40) for _ in range(width)]
+                    for _ in range(rng.randint(1, 5))]
+            for a, b in self._points(rng):
+                assert _bind_int(rows, a, b) == bind_int_by_powers(rows, a, b), (rows, a, b)
+
+
+class TestOneBisectionLoop:
+    """`refine` bisects in `_bisect`; the oracle is its former own loop."""
+
+    def test_every_reference_isolate_input(self, monkeypatch):
+        import kinatlas.adjacency as adjacency
+        import kinatlas.cad2d as cad2d
+        from kinatlas.domains import SliceAtlas
+        from kinatlas.mechanism import MechanismParams, WorkingMode
+        inputs = {}
+        isolate_squarefree = realroots.isolate_squarefree
+
+        def recorded(f):
+            inputs.setdefault(f.int_cleared(), f)
+            return isolate_squarefree(f)
+
+        for module in (realroots, cad2d, adjacency):
+            monkeypatch.setattr(module, "isolate_squarefree", recorded)
+        SliceAtlas.build(MechanismParams(), Fraction(1, 2), WorkingMode(1, 1))
+        monkeypatch.undo()
+        assert len(inputs) >= 250
+        n = 0
+        for f in inputs.values():
+            for iv in isolate(f):
+                for width in (iv.width() / 1000, Fraction(1, 1 << 60)):
+                    got = iv.refine(width)
+                    want = refine_by_bisection_loop(iv, width)
+                    assert (got.low, got.high) == (want.low, want.high), (f, iv, width)
+                    n += 1
+        assert n >= 2000
 
 
 class TestRootBound:
