@@ -85,7 +85,7 @@ def _cmp_bounds(a: IsolatingInterval, b: IsolatingInterval, gcds: dict,
         d = lcm(lo.denominator, hi.denominator)
         sides.append(([lo.numerator * (d // lo.denominator),
                        hi.numerator * (d // hi.denominator), d, None],
-                      iv.polynomial.int_cleared()))
+                      iv.polynomial.coeffs))
     x, y = sides[0][0], sides[1][0]
     for it in range(max_iter):
         Ax, Bx, dx, _ = x
@@ -107,7 +107,7 @@ def _cmp_bounds(a: IsolatingInterval, b: IsolatingInterval, gcds: dict,
                 lo = max(Fraction(Ax, dx), Fraction(Ay, dy))
                 hi = min(Fraction(Bx, dx), Fraction(By, dy))
                 if lo <= hi:
-                    at_lo = _sign_at(g.int_cleared(), *lo.as_integer_ratio()) == 0
+                    at_lo = _sign_at(g.coeffs, *lo.as_integer_ratio()) == 0
                     if at_lo or (lo < hi and count_roots(g, lo, hi) > 0):
                         # a common root inside both isolating intervals is
                         # the isolated root of each side
@@ -180,7 +180,7 @@ def _crosses_horizontal(rows, c: Fraction, w1: Fraction, w2: Fraction, var: str)
         return True
     if u.degree <= 0:
         return False
-    ints = u.int_cleared()
+    ints = u.coeffs
     if _sign_at(ints, *w1.as_integer_ratio()) == 0 or _sign_at(ints, *w2.as_integer_ratio()) == 0:
         return True
     return count_roots(u, w1, w2) > 0
@@ -204,7 +204,7 @@ def _witnesses(dec: Decomposition, j: int):
     left_gap = (r.low - roots[j - 1].high) if j > 0 else Fraction(1)
     right_gap = (roots[j + 1].low - r.high) if j + 1 < len(roots) else Fraction(1)
     gap = min(left_gap, right_gap, Fraction(1))
-    ints = dec.base_poly.int_cleared()
+    ints = dec.base_poly.coeffs
     for shrink in _RUNGS:
         d = gap / shrink
         r = r.refine(d)

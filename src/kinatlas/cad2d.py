@@ -4,10 +4,11 @@ Given a set of curves, the base line is cut at the roots of the projection
 polynomials (discriminants, leading coefficients, pairwise resultants,
 vertical-line contents) and each resulting open interval is lifted through
 the real roots of the specialized curve product.  The base product and
-every fibre product are one integer squarefree lcm (`_squarefree_lcm`),
-which carries its cleared integers and is isolated without a second
-squarefree step.  Curves are bound at a point by integer Horner on their
-rows (`realroots._horner`).  Only
+every fibre product are one integer squarefree lcm (`_squarefree_lcm`), a
+`UPoly` isolated without a second squarefree step.  Curves are bound at a
+point by integer Horner on their integer rows (`realroots._horner`), and
+the bound polynomial is the `UPoly` of those integers.  The projection
+polynomials are canonical `MPoly`s.  Only
 full-dimensional cells are produced.
 """
 
@@ -37,7 +38,7 @@ class ProjectionSet:
     """Level-2 polynomials and their level-1 projections."""
 
     p2: tuple[MPoly, ...]
-    p1: tuple[UPoly, ...]
+    p1: tuple[MPoly, ...]
 
 
 @dataclass(frozen=True)
@@ -92,13 +93,13 @@ class Decomposition:
         product at px below py with its Sturm sequence."""
         px, py = Fraction(px), Fraction(py)
         if self.base_poly.degree > 0:
-            if _sign_at(self.base_poly.int_cleared(), *px.as_integer_ratio()) == 0:
+            if _sign_at(self.base_poly.coeffs, *px.as_integer_ratio()) == 0:
                 return None
             k1 = roots_below(self.base_roots, px)
         else:
             k1 = 0
         f = _specialize_product(self.polys, self.base_var, self.fiber_var, px)
-        if f.degree > 0 and _sign_at(f.int_cleared(), *py.as_integer_ratio()) == 0:
+        if f.degree > 0 and _sign_at(f.coeffs, *py.as_integer_ratio()) == 0:
             return None
         k2 = count_roots(f, NEG_INF, py) if f.degree > 0 else 0
         for c in self.columns[k1]:
@@ -163,8 +164,7 @@ def projection_set(p2, base_var: str, fiber_var: str) -> ProjectionSet:
     for i in range(len(fiber_polys)):
         for j in range(i + 1, len(fiber_polys)):
             push(resultant_bivar(fiber_polys[i], fiber_polys[j], fiber_var, base_var))
-    p1 = tuple(UPoly.from_mpoly(q, base_var) for q in p1_m)
-    return ProjectionSet(tuple(polys), p1)
+    return ProjectionSet(tuple(polys), tuple(p1_m))
 
 
 def resultant_bivar(p: MPoly, q: MPoly, elim: str, keep: str) -> MPoly:
@@ -188,7 +188,7 @@ def discriminant_bivar(p: MPoly, var: str, keep: str) -> MPoly:
     return r
 
 
-def _rows(p: MPoly, var: str, other: str) -> tuple[list[list[int]], int]:
+def _rows(p: MPoly, var: str, other: str) -> list[list[int]]:
     """p over one denominator D, read straight from its terms: rows[k] is
     the dense coefficient list (constant term first) in `other` of the
     integer polynomial D * [var^k] p, every row padded to p's degree in
@@ -204,7 +204,7 @@ def _rows(p: MPoly, var: str, other: str) -> tuple[list[list[int]], int]:
         if sum(e) != k + i:
             raise CadError(f"polynomial not over ({var},{other}): {p.live_vars()}")
         rows[k][i] = c.numerator * (den // c.denominator)
-    return rows, den
+    return rows
 
 
 def _bind_int(rows: list[list[int]], a: int, b: int) -> list[int]:
@@ -213,27 +213,24 @@ def _bind_int(rows: list[list[int]], a: int, b: int) -> list[int]:
     return [_horner(ints, a, b) for ints in rows]
 
 
-def _bind(rows: tuple[list[list[int]], int], value: Fraction, var: str) -> UPoly:
+def _bind(rows: list[list[int]], value: Fraction, var: str) -> UPoly:
     """The polynomial in `var` that rows (from `_rows(p, var, other)`) give
     with `other` bound to value."""
-    ints, den = rows
-    a, b = value.numerator, value.denominator
-    scale = den * b ** (len(ints[0]) - 1)
-    return UPoly([Fraction(c, scale) for c in _bind_int(ints, a, b)], var)
+    return UPoly(_bind_int(rows, *value.as_integer_ratio()), var)
 
 
 def _specialize_product(polys, base_var: str, fiber_var: str, x0: Fraction) -> UPoly:
-    """Monic squarefree part of the product of the curves bound at
+    """Squarefree part of the product of the curves bound at
     base_var = x0: each curve is bound through its integer rows and the
     results go to `_squarefree_lcm`."""
     a, b = Fraction(x0).as_integer_ratio()
     return _squarefree_lcm(
-        [_bind_int(_rows(p, fiber_var, base_var)[0], a, b) if p.degree(fiber_var) > 0 else []
+        [_bind_int(_rows(p, fiber_var, base_var), a, b) if p.degree(fiber_var) > 0 else []
          for p in polys], fiber_var, f" at {x0}")
 
 
 def _squarefree_lcm(curves: list[list[int]], var: str, where: str = "") -> UPoly:
-    """Monic lcm of the squarefree parts of integer polynomials given by
+    """The lcm of the squarefree parts of integer polynomials given by
     coefficient lists (constant term first; constants are skipped), on
     integers: each primitive squarefree part is taken with the integer gcd
     and the lcm is built by exact integer quotients.  An inexact quotient
@@ -253,18 +250,15 @@ def _squarefree_lcm(curves: list[list[int]], var: str, where: str = "") -> UPoly
         if len(g) > 1:
             f = _poly_quo(f, g, f"lcm factor of curve {n}{where}")
         acc = _poly_mul(acc, f)
-    lc = acc[-1]
-    u = UPoly([Fraction(c, lc) for c in acc], var)
-    # acc is primitive, so it is u's cleared integers up to the sign of lc
-    u._ints = tuple(acc) if lc > 0 else tuple(-c for c in acc)
-    return u
+    return UPoly(acc, var)
 
 
 def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:
     """Full-dimensional cells of the open CAD adapted to the curve set."""
     proj = projection_set(p2, base_var, fiber_var)
     polys = list(proj.p2)
-    base = _squarefree_lcm([list(q.int_cleared()) for q in proj.p1], base_var)
+    base = _squarefree_lcm([list(UPoly.from_mpoly(q, base_var).coeffs) for q in proj.p1],
+                           base_var)
     base_roots = isolate_squarefree(base)
     bounds = [NEG_INF, *base_roots, POS_INF]
     base_samples = [sample_between(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

@@ -25,7 +25,7 @@ from .cad2d import CadError
 from .adjacency import AdjacencyError
 from .mechanism import (
     MechanismParams, WorkingMode, Pose, JointValues, as_float,
-    inverse_kinematics, direct_kinematics, residuals, KinematicsError,
+    constraints_trig, inverse_kinematics, direct_kinematics, residuals, KinematicsError,
 )
 from .domains import SliceAtlas, DomainError
 from .trajectory import Trajectory, TrajectoryError, track_branches
@@ -138,7 +138,7 @@ def cmd_analyze(args) -> int:
     _write_json(out / "cells.json", {
         "base_var": "x", "fiber_var": "tphi",
         "cells": [c.to_json(base, fibers[c.base_index]) for c in dec.cells],
-        "projection": [format_poly(q.to_mpoly()) for q in dec.proj.p1],
+        "projection": [format_poly(q) for q in dec.proj.p1],
         "curves": [format_poly(p) for p in dec.polys],
     })
     _write_json(out / "adjacency.json", atlas.wa.graph_fine.to_json())
@@ -270,6 +270,7 @@ def _plot_trajectory(atlas: SliceAtlas, traj: Trajectory, params, verdict) -> st
 
 def cmd_solve(args) -> int:
     params = _load_config(args.config)
+    cons = constraints_trig(params)
     out = []
     if args.dk:
         vals = [_float(v) for v in args.dk.split(",")]
@@ -282,7 +283,7 @@ def cmd_solve(args) -> int:
             return 3
         for pose, pa in sols:
             jv = JointValues(*vals)
-            res = residuals(pose, jv, pa, params)
+            res = residuals(pose, jv, pa, cons)
             out.append({"x": pose.x, "y": pose.y, "phi": pose.phi,
                         "alpha2": pa.alpha2, "alpha3": pa.alpha3,
                         "residual": max(abs(v) for v in res)})
@@ -300,7 +301,7 @@ def cmd_solve(args) -> int:
         except KinematicsError as e:
             print(json.dumps({"solutions": [], "error": str(e)}))
             return 0
-        res = residuals(Pose(*vals), jv, pa, params)
+        res = residuals(Pose(*vals), jv, pa, cons)
         out.append({"rho1": jv.rho1, "rho2": jv.rho2, "rho3": jv.rho3,
                     "alpha2": pa.alpha2, "alpha3": pa.alpha3,
                     "residual": max(abs(v) for v in res)})

@@ -181,7 +181,9 @@ PHI_ANGLE = {"phi": ("cphi", "sphi", "tphi")}
 
 
 def residuals(pose: Pose, joints: JointValues, passives: PassiveAngles,
-              params: MechanismParams) -> list[float]:
+              constraints: list[MPoly]) -> list[float]:
+    """The values of `constraints` (from `constraints_trig`) at a
+    configuration, in floats."""
     point = {
         "x": pose.x, "y": pose.y,
         "cphi": math.cos(pose.phi), "sphi": math.sin(pose.phi),
@@ -189,7 +191,7 @@ def residuals(pose: Pose, joints: JointValues, passives: PassiveAngles,
         "c3": math.cos(passives.alpha3), "s3": math.sin(passives.alpha3),
         "rho1": joints.rho1, "rho2": joints.rho2, "rho3": joints.rho3,
     }
-    return [p.eval_float(point) for p in constraints_trig(params)]
+    return [p.eval_float(point) for p in constraints]
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +304,7 @@ def direct_kinematics(q: JointValues, params: MechanismParams,
     if poly.degree < 1:
         return []
     sols = []
+    cons = constraints_trig(params)
     for iv in realroots.isolate(poly):
         t = iv.refine(Fraction(1, 1 << 80)).midpoint()
         tf = float(t)
@@ -316,7 +319,7 @@ def direct_kinematics(q: JointValues, params: MechanismParams,
         pa = PassiveAngles(math.atan2(yf / l2, (xf - float(r2)) / l2),
                            math.atan2((yf + b * math.sin(phi) - float(r3)) / l3,
                                       (xf + b * math.cos(phi)) / l3))
-        res = residuals(pose, JointValues(float(r1), float(r2), float(r3)), pa, params)
+        res = residuals(pose, JointValues(float(r1), float(r2), float(r3)), pa, cons)
         if max(abs(v) for v in res) < tol:
             sols.append((pose, pa))
     # merge near-duplicates, sort canonically
@@ -384,7 +387,7 @@ def _dk_univariate(r1: Fraction, r2: Fraction, r3: Fraction, params: MechanismPa
     u = expr.with_vars(("t",))
     if u.is_zero():
         return None
-    poly = UPoly(_poly_quo(UPoly.from_mpoly(u, "t").int_cleared(), _OP4,
+    poly = UPoly(_poly_quo(UPoly.from_mpoly(u, "t").coeffs, _OP4,
                            "direct kinematics eliminant by (1 + t^2)^4"), "t")
     dent = den.with_vars(("t",)) if den.degree("x") <= 0 and den.degree("y") <= 0 else None
     return (poly,

@@ -1,10 +1,10 @@
 """Exact rational polynomial arithmetic.
 
 Sparse multivariate polynomials (MPoly) over arbitrary-precision rationals,
-and dense univariate polynomials (UPoly) that carry what the root and cell
-layers use: evaluation, the derivative, the gcd, the squarefree part, the
-monic form and the cleared integer coefficients.  All values are immutable
-and every operation is a pure function.
+and dense univariate polynomials (UPoly) held as primitive integer
+coefficients with a positive leading coefficient, which carry what the root
+and cell layers use: the derivative, the gcd and the squarefree part.  All
+values are immutable and every operation is a pure function.
 
 Elimination runs on integers: `mgcd`, `resultant` and `exact_div` clear
 each operand once to coprime integer coefficients and call the integer
@@ -738,17 +738,29 @@ def _newton_int(xs: list[int], ys: list[int]) -> list[int]:
 
 
 class UPoly:
-    """Dense univariate polynomial over Fraction, lowest degree first."""
+    """Dense univariate polynomial over Q, held as its primitive integer
+    coefficients (constant term first) with a positive leading
+    coefficient: the constructor clears rational input once.  Roots, gcds
+    and squarefree parts do not see the nonzero constant factor that is
+    dropped, and signs flip with it at most; `to_mpoly` gives the monic
+    form.  The root and cell layers read `coeffs` directly."""
 
-    __slots__ = ("coeffs", "var", "_ints")
+    __slots__ = ("coeffs", "var")
 
     def __init__(self, coeffs, var: str = "x"):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
+        if cs:
+            den = _int_lcm(*(c.denominator for c in cs))
+            cs = [c.numerator * (den // c.denominator) for c in cs]
+            g = _int_gcd(*cs)
+            if cs[-1] < 0:
+                g = -g
+            if g != 1:
+                cs = [c // g for c in cs]
         self.coeffs = tuple(cs)
         self.var = var
-        self._ints = None
 
     @staticmethod
     def from_mpoly(p: MPoly, var: str | None = None) -> "UPoly":
@@ -761,7 +773,9 @@ class UPoly:
         return UPoly([c.constant_value() for c in cs], var)
 
     def to_mpoly(self) -> MPoly:
-        return MPoly((self.var,), {(i,): c for i, c in enumerate(self.coeffs) if c})
+        """The monic polynomial."""
+        lc = self.coeffs[-1] if self.coeffs else 1
+        return MPoly((self.var,), {(i,): Fraction(c, lc) for i, c in enumerate(self.coeffs)})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -769,13 +783,6 @@ class UPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __eq__(self, other):
         return isinstance(other, UPoly) and self.coeffs == other.coeffs
@@ -787,43 +794,25 @@ class UPoly:
         return UPoly([c * i for i, c in enumerate(self.coeffs)][1:], self.var)
 
     def gcd(self, other: "UPoly") -> "UPoly":
-        """Monic gcd by `int_poly_gcd` on the cleared coefficients."""
+        """The gcd, by `int_poly_gcd`."""
         if self.is_zero():
-            return other.monic()
+            return other
         if other.is_zero():
-            return self.monic()
-        g = int_poly_gcd(self.int_cleared(), other.int_cleared())
-        return UPoly([Fraction(c) for c in g], self.var).monic()
+            return self
+        return UPoly(int_poly_gcd(self.coeffs, other.coeffs), self.var)
 
     def squarefree(self) -> "UPoly":
-        """Monic p / gcd(p, p'), gcd and quotient taken on the cleared
-        integers."""
+        """p / gcd(p, p'), gcd and quotient taken on integers."""
         if self.degree <= 1:
-            return self.monic()
-        ints = self.int_cleared()
+            return self
+        ints = self.coeffs
         g = int_poly_gcd(ints, [i * c for i, c in enumerate(ints)][1:])
         if len(g) == 1:
-            return self.monic()
-        return UPoly(_poly_quo(ints, g, "squarefree part"), self.var).monic()
-
-    def monic(self) -> "UPoly":
-        if self.is_zero() or self.coeffs[-1] == 1:
             return self
-        lc = self.coeffs[-1]
-        return UPoly([c / lc for c in self.coeffs], self.var)
-
-    def int_cleared(self) -> tuple[int, ...]:
-        """Coefficients scaled to coprime integers (for fast isolation),
-        computed on first use and kept."""
-        if self._ints is None:
-            den = _int_lcm(*(c.denominator for c in self.coeffs))
-            ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-            g = _int_gcd(*ints)
-            self._ints = tuple(k // g for k in ints) if g > 1 else tuple(ints)
-        return self._ints
+        return UPoly(_poly_quo(ints, g, "squarefree part"), self.var)
 
     def __repr__(self):
-        return f"UPoly({format_poly(self.to_mpoly())!r})"
+        return f"UPoly({self.coeffs!r}, {self.var!r})"
 
 
 def int_poly_gcd(a, b) -> list[int]:

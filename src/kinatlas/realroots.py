@@ -2,15 +2,16 @@
 
 Two independent routes are provided on purpose: Descartes-rule bisection
 drives isolation, Sturm sequences drive counting (`roots_below` counts on
-intervals isolation already found, with one sign test); both work on integer
-coefficients only.  `isolate` and the Sturm route take the squarefree part
-of their input themselves, so callers pass any nonzero polynomial;
-`isolate_squarefree` skips that step for input that is squarefree already,
-as the plane decomposition's fibre products are.  Isolation runs in the
-Bernstein basis (Mourrain-Rouillier-Roy; Eigenwillig): the Descartes test
-on (a, b) counts the sign variations of p's Bernstein coefficients b_i
-there, and one de Casteljau pass gives those of both halves.  p is converted once per top interval:
-with q(x) = p(a + (b - a) x), (1 + x)^n q(1 / (1 + x)) = sum C(n, i) b_i
+intervals isolation already found, with one sign test); both read the
+primitive integer coefficients a `UPoly` holds.  `isolate` and the Sturm
+route take the squarefree part of their input themselves, so callers pass
+any nonzero polynomial; `isolate_squarefree` skips that step for input that
+is squarefree already, as the plane decomposition's fibre products are.
+Isolation runs in the Bernstein basis (Mourrain-Rouillier-Roy;
+Eigenwillig): the Descartes test on (a, b) counts the sign variations of
+p's Bernstein coefficients b_i there, and one de Casteljau pass gives those
+of both halves.  p is converted once per top interval: with
+q(x) = p(a + (b - a) x), (1 + x)^n q(1 / (1 + x)) = sum C(n, i) b_i
 x^(n - i).  Refinement has one integer state: the interval (A/d, B/d) over
 one common denominator and the sign of p at its low end, which `_bisect`,
 the one bisection loop, halves on integers; `refine` wraps it in
@@ -18,9 +19,10 @@ Fractions, and the adjacency pass's root comparisons keep such states
 across their rounds.  The one Horner sign routine takes an integer
 numerator a and denominator b = o 2^e, o odd, and takes b^k as o^k shifted
 by e k, so at a dyadic point it multiplies by a alone.  The root bound is
-found on integers too.  Sturm sequences are kept as integer tuples, keyed
-by the integer coefficients.  Sample points are dyadic rationals so bit
-sizes stay bounded when these feed the plane decomposition.
+found on integers too.  Sturm sequences are integer tuples, kept per
+`UPoly` by an LRU cache on `sturm_sequence`.  Sample points are dyadic
+rationals so bit sizes stay bounded when these feed the plane
+decomposition.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ class IsolatingInterval:
         if lo == hi:
             return self
         p = self.polynomial
-        ints = p.int_cleared()
+        ints = p.coeffs
         d = math.lcm(lo.denominator, hi.denominator)
         A = lo.numerator * (d // lo.denominator)
         B = hi.numerator * (d // hi.denominator)
@@ -181,9 +183,10 @@ class IsolatingInterval:
 # Sturm route
 
 
+@functools.lru_cache(maxsize=512)
 def sturm_sequence(p: UPoly) -> tuple[tuple[int, ...], ...]:
     """Signed remainder sequence of the squarefree part of p, as primitive
-    integer coefficient tuples.
+    integer coefficient tuples; kept per polynomial.
 
     Computed fraction-free: each remainder is the negated pseudo-remainder,
     sign-corrected for the pseudo-division multiplier and stripped to
@@ -193,8 +196,8 @@ def sturm_sequence(p: UPoly) -> tuple[tuple[int, ...], ...]:
         raise RealRootError("zero polynomial")
     f = p.squarefree()
     if f.degree == 0:
-        return (f.int_cleared(),)
-    seq = [f.int_cleared(), f.derivative().int_cleared()]
+        return (f.coeffs,)
+    seq = [f.coeffs, f.derivative().coeffs]
     while len(seq[-1]) > 1:
         a, b = seq[-2], seq[-1]
         delta = len(a) - len(b)  # = deg a - deg b
@@ -220,12 +223,6 @@ def _variations_at(seq: tuple[tuple[int, ...], ...], x) -> int:
     return _sign_variations(vals)
 
 
-@functools.lru_cache(maxsize=512)
-def _sturm_cached(ints: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Sturm sequence keyed by integer coefficients: the cache holds no Fractions."""
-    return sturm_sequence(UPoly(ints))
-
-
 def count_roots(p: UPoly, low=NEG_INF, high=POS_INF) -> int:
     """Number of distinct real roots in (low, high]."""
     if p.is_zero():
@@ -235,7 +232,7 @@ def count_roots(p: UPoly, low=NEG_INF, high=POS_INF) -> int:
     if not (low == NEG_INF or high == POS_INF):
         if not low < high:
             raise RealRootError("empty interval")
-    seq = _sturm_cached(p.int_cleared())
+    seq = sturm_sequence(p)
     return _variations_at(seq, low) - _variations_at(seq, high)
 
 
@@ -251,7 +248,7 @@ def roots_below(roots: list[IsolatingInterval], x: Fraction) -> int:
     k = bisect.bisect_left(roots, x, key=lambda iv: iv.high)
     if k < len(roots) and roots[k].low < x:
         iv = roots[k]
-        ints = iv.polynomial.int_cleared()
+        ints = iv.polynomial.coeffs
         if _sign_at(ints, *iv.low.as_integer_ratio()) != _sign_at(ints, *x.as_integer_ratio()):
             k += 1
     return k
@@ -306,7 +303,7 @@ def isolate(p: UPoly) -> list[IsolatingInterval]:
 def isolate_squarefree(f: UPoly) -> list[IsolatingInterval]:
     """Disjoint dyadic isolating intervals, one per real root of f, which
     is squarefree already (the fibre products of `cad2d._squarefree_lcm`
-    are, and come with their cleared integers).
+    are).
 
     Descartes bisection in the Bernstein basis: node (k, e) of a top
     interval (a, a + w) is a + w [k, k + 1] / 2^e and carries f's integer
@@ -316,7 +313,7 @@ def isolate_squarefree(f: UPoly) -> list[IsolatingInterval]:
     """
     if f.degree <= 0:
         return []
-    ints = f.int_cleared()
+    ints = f.coeffs
     out: list[IsolatingInterval] = []
     B = _root_bound(ints)
     # peel an exact zero root; remaining roots are isolated against the
@@ -327,7 +324,7 @@ def isolate_squarefree(f: UPoly) -> list[IsolatingInterval]:
         while ints[k] == 0:
             k += 1
         ints_nz = ints[k:]
-        fiso = UPoly([Fraction(c) for c in ints_nz], f.var)
+        fiso = UPoly(ints_nz, f.var)
         tops = [(-B, B), (Fraction(0), B)]
     else:
         ints_nz = ints

@@ -54,8 +54,9 @@ and `det_a_sign` decides the sign of a working mode's det A at a rational
 slice pose exactly.  They are slow and meant for small inputs.
 
 The tests also take from here what the package itself never needs: the
-Fraction arithmetic on `UPoly` (`upoly_mul`, `upoly_divmod`,
-`upoly_eval_float`), the polynomial parser (`parse_poly`), det B
+arithmetic on `UPoly` over Fraction coefficient lists (`upoly_mul`,
+`upoly_divmod`, `upoly_eval`, `upoly_eval_float`, and `coeff_list`, the
+rational coefficients of a univariate `MPoly`), the polynomial parser (`parse_poly`), det B
 (`serial_singularity`), the half-tangent table of every angle
 (`ALL_ANGLES`) and the benchmark's recorded trajectories
 (`pool_waypoints`).
@@ -68,7 +69,8 @@ from fractions import Fraction
 from kinatlas.adjacency import AdjacencyError, AdjacencyGraph, build_graph, build_graphs
 from kinatlas.cad2d import CadError, _specialize_product
 from kinatlas.mechanism import (
-    CS_VARS, MechanismParams, PassiveAngles, Pose, jacobian_a, det3, residuals, _dk_univariate,
+    CS_VARS, MechanismParams, PassiveAngles, Pose, constraints_trig, jacobian_a, det3, residuals,
+    _dk_univariate,
 )
 from kinatlas.ratpoly import (
     MPoly, UPoly, RatPolyError, _coeffs_wrt, _grlex_key, _int_prem, _int_primitive,
@@ -147,41 +149,60 @@ def workspace_graphs_by_post_pass(wa) -> tuple[AdjacencyGraph, ...]:
 
 
 def upoly_mul(a: UPoly, b: UPoly) -> UPoly:
-    """Product of two univariate polynomials on Fractions."""
+    """Product of two univariate polynomials on Fraction coefficient
+    lists."""
     if a.is_zero() or b.is_zero():
         return UPoly([], a.var)
-    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
+    xs, ys = [Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs]
+    out = [Fraction(0)] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
         if x:
-            for j, y in enumerate(b.coeffs):
+            for j, y in enumerate(ys):
                 if y:
                     out[i + j] += x * y
     return UPoly(out, a.var)
 
 
 def upoly_divmod(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly]:
-    """Quotient and remainder of a by b on Fractions."""
+    """Quotient and remainder of a by b on Fraction coefficient lists."""
     if b.is_zero():
         raise RatPolyError("division by zero")
-    q = [Fraction(0)] * max(0, len(a.coeffs) - len(b.coeffs) + 1)
-    r = list(a.coeffs)
-    d, lc = b.degree, b.coeffs[-1]
+    bs = [Fraction(c) for c in b.coeffs]
+    q = [Fraction(0)] * max(0, len(a.coeffs) - len(bs) + 1)
+    r = [Fraction(c) for c in a.coeffs]
+    d, lc = b.degree, bs[-1]
     while len(r) - 1 >= d and r:
         k = len(r) - 1 - d
         c = r[-1] / lc
         q[k] = c
-        for i, bc in enumerate(b.coeffs):
+        for i, bc in enumerate(bs):
             r[k + i] -= c * bc
         while r and r[-1] == 0:
             r.pop()
     return UPoly(q, a.var), UPoly(r, a.var)
 
 
+def upoly_eval(p: UPoly, x) -> Fraction:
+    """p(x) by Horner's rule on Fractions."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def coeff_list(p: MPoly, var: str) -> list[Fraction]:
+    """The rational coefficients (constant term first) of a polynomial in
+    `var` alone."""
+    return [c.constant_value() for c in p.with_vars((var,)).coeffs_in(var)]
+
+
 def upoly_eval_float(p: UPoly, x: float) -> float:
-    """p(x) by Horner's rule in floats."""
+    """The monic form of p at x, by Horner's rule in floats."""
+    lc = p.coeffs[-1] if p.coeffs else 1
     acc = 0.0
     for c in reversed(p.coeffs):
-        acc = acc * x + float(c)
+        acc = acc * x + float(Fraction(c, lc))
     return acc
 
 
@@ -376,7 +397,7 @@ def segment_crosses(polys: list[MPoly], p1, p2, with_flag: bool = False):
             continue
         if u.degree <= 0:
             continue
-        if u(0) == 0 or u(1) == 0:
+        if upoly_eval(u, 0) == 0 or upoly_eval(u, 1) == 0:
             crossed = True
             continue
         if count_roots(u, Fraction(0), Fraction(1)) > 0:
@@ -395,7 +416,7 @@ def isolate_by_scaling(p: UPoly) -> list[IsolatingInterval]:
     f = p.squarefree()
     if f.degree <= 0:
         return []
-    ints = f.int_cleared()
+    ints = f.coeffs
     out: list[IsolatingInterval] = []
     B = _root_bound(ints)
     if ints[0] == 0:
@@ -404,7 +425,7 @@ def isolate_by_scaling(p: UPoly) -> list[IsolatingInterval]:
         while ints[k] == 0:
             k += 1
         ints_nz = ints[k:]
-        fiso = UPoly([Fraction(c) for c in ints_nz], f.var)
+        fiso = UPoly(ints_nz, f.var)
         stack = [(-B, Fraction(0)), (Fraction(0), B)]
     else:
         ints_nz = ints
@@ -456,23 +477,24 @@ def bernstein_by_fractions(ints, a: Fraction, w: Fraction) -> list[Fraction]:
 
 
 def squarefree_by_fractions(p: UPoly) -> UPoly:
-    """Monic squarefree part by the Fraction derivative, `UPoly.gcd` and
+    """Squarefree part by the derivative, `UPoly.gcd` and the Fraction
     `upoly_divmod` (the route `UPoly.squarefree` replaces)."""
     if p.degree <= 1:
-        return p.monic()
+        return p
     g = p.gcd(p.derivative())
     if g.degree <= 0:
-        return p.monic()
-    return upoly_divmod(p, g)[0].monic()
+        return p
+    return upoly_divmod(p, g)[0]
 
 
 def base_product_by_fractions(p1, var: str) -> UPoly:
-    """Monic squarefree part of the product of the projection polynomials
-    p1, by the Fraction loop of `UPoly.gcd`, `upoly_divmod` and `upoly_mul`
+    """Squarefree part of the product of the projection polynomials p1
+    (`MPoly`s in `var`), by the Fraction loop of `UPoly.gcd`, `upoly_divmod` and `upoly_mul`
     and a final `squarefree_by_fractions` (the route `cad2d.decompose` took
     before its base product became `_squarefree_lcm`)."""
     base = UPoly([Fraction(1)], var)
     for q in p1:
+        q = UPoly(coeff_list(q, var), var)
         g = base.gcd(q)
         extra = upoly_divmod(q, g)[0] if g.degree >= 1 else q
         if extra.degree >= 1:
@@ -547,13 +569,13 @@ def specialize_product_whole(polys, base_var: str, fiber_var: str, x0) -> UPoly:
 
 
 def gcd_prs(p: UPoly, q: UPoly) -> UPoly:
-    """Monic gcd by the integer primitive PRS run down to the last nonzero
+    """The gcd by the integer primitive PRS run down to the last nonzero
     remainder, with no modular shortcut."""
     if p.is_zero():
-        return q.monic()
+        return q
     if q.is_zero():
-        return p.monic()
-    a, b = p.int_cleared(), q.int_cleared()
+        return p
+    a, b = list(p.coeffs), list(q.coeffs)
     if len(a) < len(b):
         a, b = b, a
     while b and len(b) > 1:
@@ -564,8 +586,8 @@ def gcd_prs(p: UPoly, q: UPoly) -> UPoly:
         _int_primitive(r)
         a, b = b, r
     if b:
-        return UPoly([Fraction(1)], p.var)
-    return UPoly([Fraction(c) for c in a], p.var).monic()
+        return UPoly([1], p.var)
+    return UPoly(a, p.var)
 
 
 def refine_by_fractions(iv: IsolatingInterval, width: Fraction) -> IsolatingInterval:
@@ -574,7 +596,7 @@ def refine_by_fractions(iv: IsolatingInterval, width: Fraction) -> IsolatingInte
     if lo == hi:
         return iv
     p = iv.polynomial
-    ints = p.int_cleared()
+    ints = p.coeffs
     slo = _sign_at(ints, *lo.as_integer_ratio())
     if slo == 0:
         return IsolatingInterval(lo, lo, p)
@@ -598,7 +620,7 @@ def refine_by_bisection_loop(iv: IsolatingInterval, width: Fraction) -> Isolatin
     if lo == hi:
         return iv
     p = iv.polynomial
-    ints = p.int_cleared()
+    ints = p.coeffs
     d = math.lcm(lo.denominator, hi.denominator)
     A = lo.numerator * (d // lo.denominator)
     B = hi.numerator * (d // hi.denominator)
@@ -642,7 +664,8 @@ def cmp_bounds_by_refine(a: IsolatingInterval, b: IsolatingInterval, gcds: dict,
                 lo = max(x.low, y.low)
                 hi = min(x.high, y.high)
                 if lo <= hi:
-                    n = (count_roots(g, lo, hi) if lo < hi else 0) + (1 if g(lo) == 0 else 0)
+                    n = ((count_roots(g, lo, hi) if lo < hi else 0)
+                         + (1 if upoly_eval(g, lo) == 0 else 0))
                     if n >= 1:
                         return 0
         if not x.is_exact():
@@ -665,7 +688,7 @@ def witnesses_from_coarse(dec, j: int, shrink: int) -> tuple[Fraction, Fraction]
         if not r.is_exact():
             return r.low, r.high
     v = r.low
-    ints = dec.base_poly.int_cleared()
+    ints = dec.base_poly.coeffs
     d = gap / shrink
     while True:
         if (_sign_at(ints, *(v - d).as_integer_ratio()) != 0
@@ -784,7 +807,7 @@ def lagrange(xs, ys, var: str) -> MPoly:
         x = xs[i]
         poly = ([coeffs[i] - x * poly[0]]
                 + [poly[k - 1] - x * poly[k] for k in range(1, len(poly))] + [poly[-1]])
-    return UPoly(poly, var).to_mpoly()
+    return MPoly((var,), {(i,): c for i, c in enumerate(poly)})
 
 
 def resultant_bivar_by_fractions(p: MPoly, q: MPoly, elim: str, keep: str) -> MPoly:
@@ -797,11 +820,10 @@ def resultant_bivar_by_fractions(p: MPoly, q: MPoly, elim: str, keep: str) -> MP
     while len(xs) <= bound:
         x0 = Fraction(k if k % 2 == 0 else -(k + 1) // 2)
         k += 1
-        pu, qu = (UPoly.from_mpoly(f.eval({keep: x0}).with_vars((elim,)), elim)
-                  for f in (p, q))
-        if pu.degree < dpe or qu.degree < dqe:
+        pu, qu = (coeff_list(f.eval({keep: x0}), elim) for f in (p, q))
+        if len(pu) <= dpe or len(qu) <= dqe:
             continue
-        ys.append(resultant_scalar(pu.coeffs, qu.coeffs))
+        ys.append(resultant_scalar(pu, qu))
         xs.append(x0)
     return lagrange(xs, ys, keep)
 
@@ -1178,7 +1200,8 @@ def direct_kinematics(q: JointValues, params, tol: float = 1e-9):
         pa = PassiveAngles(math.atan2(yf / l2, (xf - float(r2)) / l2),
                            math.atan2((yf + b * math.sin(phi) - float(r3)) / l3,
                                       (xf + b * math.cos(phi)) / l3))
-        res = residuals(pose, JointValues(float(r1), float(r2), float(r3)), pa, params)
+        res = residuals(pose, JointValues(float(r1), float(r2), float(r3)), pa,
+                        constraints_trig(params))
         if max(abs(v) for v in res) < tol:
             sols.append((pose, pa))
     merged = []
@@ -1195,13 +1218,13 @@ def locate_by_sturm(dec, px, py) -> int | None:
     sequence of the whole base product, count_roots(base, -inf, px)."""
     px, py = Fraction(px), Fraction(py)
     if not dec.base_poly.is_zero() and dec.base_poly.degree > 0:
-        if dec.base_poly(px) == 0:
+        if upoly_eval(dec.base_poly, px) == 0:
             return None
         k1 = count_roots(dec.base_poly, NEG_INF, px)
     else:
         k1 = 0
     f = _specialize_product(dec.polys, dec.base_var, dec.fiber_var, px)
-    if f.degree > 0 and f(py) == 0:
+    if f.degree > 0 and upoly_eval(f, py) == 0:
         return None
     k2 = count_roots(f, NEG_INF, py) if f.degree > 0 else 0
     for c in dec.columns[k1]:

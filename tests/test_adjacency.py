@@ -18,7 +18,7 @@ from kinatlas.adjacency import (
 )
 
 from oracles import (
-    cmp_bounds_by_refine, parse_poly, segment_crosses, restrict_to_segment, upoly_mul,
+    cmp_bounds_by_refine, parse_poly, segment_crosses, restrict_to_segment, upoly_eval, upoly_mul,
     witnesses_from_coarse, workspace_graphs_by_post_pass,
 )
 from test_cad2d import _rand_conic
@@ -282,7 +282,7 @@ class TestHorizontalCrossing:
             u = restrict_to_segment(p, (w1, c), (w2, c))
             if u.is_zero():
                 kinds["identically zero"] += 1
-            elif u(0) == 0 or u(1) == 0:
+            elif upoly_eval(u, 0) == 0 or upoly_eval(u, 1) == 0:
                 kinds["endpoint"] += 1
             else:
                 kinds["crossed" if want else "clear"] += 1

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,11 +8,21 @@ from kinatlas.ratpoly import MPoly, UPoly, format_poly
 from kinatlas.cad2d import CadError, projection_set, decompose, interval_eval
 from kinatlas.adjacency import build_graph, components
 
-from oracles import interval_eval_by_fractions, parse_poly, upoly_mul
+from oracles import interval_eval_by_fractions, parse_poly, upoly_eval
 
 
 def P(text):
     return parse_poly(text, ("u", "v"))
+
+
+def _integer_form(f: UPoly) -> bool:
+    """Whether f holds primitive integers with a positive leading
+    coefficient, which are those its monic form clears to."""
+    cs = f.coeffs
+    monic = f.to_mpoly().with_vars((f.var,)).coeffs_in(f.var) if cs else []
+    return (all(type(c) is int for c in cs)
+            and (not cs or (cs[-1] > 0 and math.gcd(*cs) == 1))
+            and UPoly([c.constant_value() for c in monic], f.var).coeffs == cs)
 
 
 CIRCLE = P("u^2+v^2-1")
@@ -20,22 +31,22 @@ CIRCLE = P("u^2+v^2-1")
 class TestProjection:
     def test_circle(self):
         ps = projection_set([CIRCLE], "u", "v")
-        strs = {str(q.to_mpoly()) for q in ps.p1}
+        strs = {str(q) for q in ps.p1}
         assert "u^2 - 1" in strs
 
     def test_two_lines(self):
         ps = projection_set([P("v-u"), P("v+u")], "u", "v")
-        strs = {str(q.to_mpoly()) for q in ps.p1}
+        strs = {str(q) for q in ps.p1}
         assert "u" in strs
 
     def test_parabola(self):
         ps = projection_set([P("v^2-u")], "u", "v")
-        strs = {str(q.to_mpoly()) for q in ps.p1}
+        strs = {str(q) for q in ps.p1}
         assert "u" in strs
 
     def test_vertical_line_kept(self):
         ps = projection_set([P("u-1"), P("v")], "u", "v")
-        strs = {str(q.to_mpoly()) for q in ps.p1}
+        strs = {str(q) for q in ps.p1}
         assert "u - 1" in strs
 
 
@@ -68,7 +79,7 @@ class TestDecompose:
             hi = dec.base_roots[k1].low if k1 < len(dec.base_roots) else s + 2
             for i in range(1, 6):
                 w = lo + (hi - lo) * Fraction(i, 6)
-                if dec.base_poly.degree >= 1 and dec.base_poly(w) == 0:
+                if dec.base_poly.degree >= 1 and upoly_eval(dec.base_poly, w) == 0:
                     continue
                 f = _specialize_product(dec.polys, "u", "v", w)
                 got = len(isolate(f)) if f.degree >= 1 else 0
@@ -257,7 +268,7 @@ class TestTiling:
             cid = dec.locate(px, py)
             if on_variety:
                 assert cid is None
-            elif dec.base_poly(px) == 0:
+            elif upoly_eval(dec.base_poly, px) == 0:
                 assert cid is None  # projection wall, not a variety point
             else:
                 assert cid is not None
@@ -291,12 +302,10 @@ class TestFibreProduct:
                 got = _specialize_product(polys, "u", "v", x)
                 want = specialize_product_whole(polys, "u", "v", x)
                 assert got == want and got.var == want.var == "v"
-                assert got.is_zero() or got.coeffs[-1] == 1
-                # the cleared integers it comes with are those it would clear
-                assert got.int_cleared() == UPoly(got.coeffs, "v").int_cleared()
+                assert _integer_form(got)
             fibres = [UPoly.from_mpoly(p.eval({"u": x0}).with_vars(("v",)), "v")
                       for p in polys if p.degree("v") >= 1]
-            shared += sum(f(y0) == 0 for f in fibres) >= 2
+            shared += sum(upoly_eval(f, y0) == 0 for f in fibres) >= 2
             tangent += any(f.degree >= 1 and f.gcd(f.derivative()).degree >= 1 for f in fibres)
         assert shared >= 100 and tangent >= 20, (shared, tangent)
 
@@ -320,7 +329,7 @@ class TestFibreProduct:
     def test_reference_products_come_with_their_cleared_integers(self, atlas_pp):
         for dec in (atlas_pp.wa.dec_fine, atlas_pp.ja.dec):
             for f in (dec.base_poly, *dec.fiber_products):
-                assert f.int_cleared() == UPoly(f.coeffs, f.var).int_cleared()
+                assert _integer_form(f)
                 assert f.squarefree() is f
 
     def test_matches_both_oracles_at_reference_witnesses(self, atlas_pp):
@@ -338,6 +347,22 @@ class TestFibreProduct:
                     assert got == specialize_product_whole(*args)
                     n += 1
         assert n == 6 * len(dec.base_roots) > 0
+
+
+class TestIntegerForm:
+    def test_every_polynomial_of_the_reference_atlas(self, atlas_pp):
+        """Every base and fibre product and every isolating-interval
+        polynomial of the reference atlas's three decompositions holds
+        primitive integers with a positive leading coefficient."""
+        products = intervals = 0
+        for dec in (atlas_pp.wa.dec_sing, atlas_pp.wa.dec_fine, atlas_pp.ja.dec):
+            for f in (dec.base_poly, *dec.fiber_products):
+                assert _integer_form(f), f
+                products += 1
+            for iv in (*dec.base_roots, *(iv for fr in dec.fiber_roots for iv in fr)):
+                assert _integer_form(iv.polynomial), iv
+                intervals += 1
+        assert products >= 40 and intervals >= 200, (products, intervals)
 
 
 class TestBaseProduct:
@@ -361,8 +386,8 @@ class TestBaseProduct:
             dec = decompose(polys, "u", "v")
             want = base_product_by_fractions(dec.proj.p1, "u")
             assert dec.base_poly == want and dec.base_poly.var == "u"
-            assert dec.base_poly.coeffs[-1] == 1
-            p1 = dec.proj.p1
+            assert _integer_form(dec.base_poly)
+            p1 = [UPoly.from_mpoly(q, "u") for q in dec.proj.p1]
             shared += any(p1[i].gcd(p1[j]).degree >= 1
                           for i in range(len(p1)) for j in range(i + 1, len(p1)))
         assert shared >= 15, shared
@@ -372,7 +397,8 @@ class TestBaseProduct:
         from oracles import base_product_by_fractions
         dec = decompose([P("v^2 - u"), P("v - u")], "u", "v")
         p1 = dec.proj.p1
-        assert len(p1) == 2 and p1[0].gcd(p1[1]) == UPoly([0, 1], "u")
+        a, b = (UPoly.from_mpoly(q, "u") for q in p1)
+        assert len(p1) == 2 and a.gcd(b) == UPoly([0, 1], "u")
         assert dec.base_poly == base_product_by_fractions(p1, "u") == UPoly([0, -1, 1], "u")
 
     def test_matches_fraction_loop_on_reference_build(self, atlas_pp):
@@ -389,26 +415,37 @@ class TestScalarResultant:
         rng = random.Random(43)
         zero = linear = swapped = 0
         for _ in range(400):
-            def rand_upoly(d):
-                return UPoly([Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(d)]
-                             + [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))], "v")
-            a, b = rand_upoly(rng.randint(1, 6)), rand_upoly(rng.randint(1, 6))
+            def rand_coeffs(d):
+                return ([Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for _ in range(d)]
+                        + [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))])
+
+            def mul(x, y):
+                out = [Fraction(0)] * (len(x) + len(y) - 1)
+                for i, c in enumerate(x):
+                    for j, k in enumerate(y):
+                        out[i + j] += c * k
+                return out
+
+            a, b = rand_coeffs(rng.randint(1, 6)), rand_coeffs(rng.randint(1, 6))
             if rng.random() < 0.25:
-                common = rand_upoly(rng.randint(1, 2))
-                a, b = upoly_mul(a, common), upoly_mul(b, common)
-            want = resultant(a.to_mpoly(), b.to_mpoly(), "v").constant_value()
-            assert resultant_scalar(a.coeffs, b.coeffs) == want
+                common = rand_coeffs(rng.randint(1, 2))
+                a, b = mul(a, common), mul(b, common)
+            want = resultant(MPoly(("v",), {(i,): c for i, c in enumerate(a)}),
+                             MPoly(("v",), {(i,): c for i, c in enumerate(b)}),
+                             "v").constant_value()
+            assert resultant_scalar(a, b) == want
             # a = A / da, b = B / db: res(A, B) = da^deg b * db^deg a * res(a, b)
-            ia, ib = list(a.int_cleared()), list(b.int_cleared())
-            da, db = ia[-1] / a.coeffs[-1], ib[-1] / b.coeffs[-1]
-            scale = da ** b.degree * db ** a.degree
+            ua, ub = UPoly(a, "v"), UPoly(b, "v")
+            ia, ib = list(ua.coeffs), list(ub.coeffs)
+            da, db = ia[-1] / a[-1], ib[-1] / b[-1]
+            scale = da ** ub.degree * db ** ua.degree
             assert _resultant_int(ia, ib) == scale * want
             # res(b, a) = (-1)^(deg a * deg b) res(a, b)
-            sign = -1 if a.degree * b.degree % 2 else 1
+            sign = -1 if ua.degree * ub.degree % 2 else 1
             assert _resultant_int(ib, ia) == sign * scale * want
             zero += want == 0
-            linear += min(a.degree, b.degree) == 1
-            swapped += a.degree < b.degree
+            linear += min(ua.degree, ub.degree) == 1
+            swapped += ua.degree < ub.degree
         assert zero >= 50 and linear >= 50 and swapped >= 50, (zero, linear, swapped)
 
 

@@ -9,7 +9,7 @@ from kinatlas.realroots import (
     RealRootError,
     NEG_INF, POS_INF,
     IsolatingInterval,
-    sturm_sequence, count_roots, isolate, sample_between, _root_bound, _sturm_cached,
+    sturm_sequence, count_roots, isolate, sample_between, _root_bound,
     _scale_shift, _sign_at, _sign_variations, _split, _taylor_shift_1,
 )
 import kinatlas.realroots as realroots
@@ -17,7 +17,7 @@ import kinatlas.realroots as realroots
 from oracles import (
     bernstein_by_fractions, bind_int_by_powers, isolate_by_scaling, parse_poly,
     refine_by_bisection_loop, refine_by_fractions, segment_crosses, restrict_to_segment,
-    sign_at_by_powers, upoly_eval_float, upoly_mul,
+    sign_at_by_powers, upoly_eval, upoly_eval_float, upoly_mul,
 )
 
 
@@ -113,9 +113,9 @@ class TestIsolate:
                 assert a.high < b.low
             for iv in ivs:
                 if iv.is_exact():
-                    assert f(iv.low) == 0
+                    assert upoly_eval(f, iv.low) == 0
                 else:
-                    assert f(iv.low) * f(iv.high) < 0
+                    assert upoly_eval(f, iv.low) * upoly_eval(f, iv.high) < 0
                     assert count_roots(f, iv.low, iv.high) == 1
 
     def test_refinement_contract(self):
@@ -245,7 +245,7 @@ def _bernstein_cases(n: int = 240):
         w = Fraction(rng.randint(1, 8), 1 << rng.randint(0, 12))
         if i % 4 == 0:
             m = a + w / 2
-            ints = upoly_mul(UPoly(ints), UPoly([-m.numerator, m.denominator])).int_cleared()
+            ints = upoly_mul(UPoly(ints), UPoly([-m.numerator, m.denominator])).coeffs
         yield list(ints), a, w
 
 
@@ -405,7 +405,7 @@ class TestOneBisectionLoop:
         isolate_squarefree = realroots.isolate_squarefree
 
         def recorded(f):
-            inputs.setdefault(f.int_cleared(), f)
+            inputs.setdefault(f.coeffs, f)
             return isolate_squarefree(f)
 
         for module in (realroots, cad2d, adjacency):
@@ -443,22 +443,26 @@ class TestRootBound:
 
 
 class TestKernelCaches:
-    def test_int_cleared_is_kept_and_immutable(self):
+    def test_constructor_clears_to_primitive_integers(self):
         rng = random.Random(77)
         for _ in range(200):
-            p = UPoly([Fraction(rng.randint(-50, 50), rng.randint(1, 12))
-                       for _ in range(rng.randint(1, 9))])
-            ints = p.int_cleared()
-            assert isinstance(ints, tuple) and p.int_cleared() is ints
-            # fresh recomputation: clear denominators, strip the content
-            den = math.lcm(*(c.denominator for c in p.coeffs))
-            raw = [int(c * den) for c in p.coeffs]
-            g = math.gcd(*raw)
-            assert list(ints) == ([k // g for k in raw] if g else raw)
-            if ints:
+            cs = [Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+                  for _ in range(rng.randint(1, 9))]
+            p = UPoly(cs)
+            assert isinstance(p.coeffs, tuple) and all(type(c) is int for c in p.coeffs)
+            # fresh recomputation: clear denominators, strip the content and
+            # the sign of the leading coefficient
+            while cs and cs[-1] == 0:
+                cs.pop()
+            den = math.lcm(*(c.denominator for c in cs)) if cs else 1
+            raw = [int(c * den) for c in cs]
+            g = math.gcd(*raw) * (1 if not raw or raw[-1] > 0 else -1)
+            assert list(p.coeffs) == ([k // g for k in raw] if g else raw)
+            if p.coeffs:
+                assert p.coeffs[-1] > 0 and math.gcd(*p.coeffs) == 1
                 with pytest.raises(TypeError):
-                    ints[0] = ints[0] + 1
-            assert p.int_cleared() == UPoly(p.coeffs).int_cleared()
+                    p.coeffs[0] = p.coeffs[0] + 1
+            assert UPoly(p.coeffs) == p == UPoly([c * Fraction(-3, 7) for c in cs])
 
     def test_cached_sturm_counts_match_uncached(self):
         rng = random.Random(78)
@@ -469,16 +473,16 @@ class TestKernelCaches:
             lo = Fraction(rng.randint(-40, 40), 8)
             hi = lo + Fraction(rng.randint(1, 40), 8)
             cases.append(((p, NEG_INF, lo), (p, lo, hi), (p, hi, POS_INF))[len(cases) % 3])
-        _sturm_cached.cache_clear()
+        sturm_sequence.cache_clear()
         cold = [count_roots(p, lo, hi) for p, lo, hi in cases]
         warm = [count_roots(p, lo, hi) for p, lo, hi in cases]
         # a positive rational multiple has the same integer coefficients: same entry
         scaled = [count_roots(upoly_mul(p, UPoly([Fraction(3, 7)])), lo, hi) for p, lo, hi in cases]
-        assert _sturm_cached.cache_info().hits >= 2 * len(cases) - 10
+        assert sturm_sequence.cache_info().hits >= 2 * len(cases) - 10
         direct = []
         for p, lo, hi in cases:
-            seq = sturm_sequence(p)
-            assert seq == _sturm_cached(p.int_cleared())
+            seq = sturm_sequence.__wrapped__(p)
+            assert seq == sturm_sequence(p)
             direct.append(len(isolate_in(p, lo, hi)))
         assert cold == warm == scaled == direct
 
@@ -580,7 +584,7 @@ class TestSegment:
             scan = any(a * b <= 0 for a, b in zip(vals, vals[1:]))
             if not scan and got:
                 # scan can miss tangencies; verify exactly and skip
-                assert count_roots(u, Fraction(0), Fraction(1)) > 0 or u(0) == 0
+                assert count_roots(u, Fraction(0), Fraction(1)) > 0 or upoly_eval(u, 0) == 0
                 done += 1
                 continue
             assert got == scan or (scan and got)
@@ -618,7 +622,7 @@ class TestRootsBelow:
                     xs += [iv.low + (iv.high - iv.low) * Fraction(k, 5) for k in range(1, 5)]
                     inside += 4
             for x in xs:
-                if p(x) == 0:
+                if upoly_eval(p, x) == 0:
                     continue
                 assert roots_below(roots, x) == count_roots(p, NEG_INF, x), (p, x)
                 checked += 1
