@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .ratpoly import MPoly
 from .realroots import (
@@ -71,21 +70,14 @@ def components(g: AdjacencyGraph) -> list[set[int]]:
 def _cmp_bounds(a: IsolatingInterval, b: IsolatingInterval, gcds: dict,
                 max_iter: int = 50) -> int:
     """Sign of (root a) - (root b).  Each root is held across the rounds as
-    one integer bisection state [A, B, d, slo]: its interval (A/d, B/d) and
-    the sign of its polynomial at the low end, taken at the first halving.
+    one integer bisection state [A, B, d, slo], seeded with the interval's
+    own: its ends A/d and B/d and the sign of its polynomial at the low end.
     Each round halves both intervals five times (`realroots._bisect`),
     narrowing them below a sixteenth of their width as `refine(width / 16)`
-    would, so max_iter rounds go past 2^-200 of the starting widths; a low
-    end that is a root makes its interval exact.  Ends compare by
-    cross-multiplication.  `gcds` holds the gcd of each pair of interval
-    polynomials taken so far, keyed by their identities."""
-    sides = []
-    for iv in (a, b):
-        lo, hi = iv.low, iv.high
-        d = lcm(lo.denominator, hi.denominator)
-        sides.append(([lo.numerator * (d // lo.denominator),
-                       hi.numerator * (d // hi.denominator), d, None],
-                      iv.polynomial.coeffs))
+    would, so max_iter rounds go past 2^-200 of the starting widths.  Ends
+    compare by cross-multiplication.  `gcds` holds the gcd of each pair of
+    interval polynomials taken so far, keyed by their identities."""
+    sides = [([iv.A, iv.B, iv.d, iv.slo], iv.polynomial.coeffs) for iv in (a, b)]
     x, y = sides[0][0], sides[1][0]
     for it in range(max_iter):
         Ax, Bx, dx, _ = x
@@ -114,14 +106,8 @@ def _cmp_bounds(a: IsolatingInterval, b: IsolatingInterval, gcds: dict,
                         return 0
         for st, ints in sides:
             A, B, d, slo = st
-            if A == B:
-                continue
-            if slo is None:
-                slo = st[3] = _sign_at(ints, A, d)
-                if slo == 0:
-                    st[1] = A
-                    continue
-            st[:3] = _bisect(ints, A, B, d, slo, B - A, d << 4)
+            if A < B:
+                st[:3] = _bisect(ints, A, B, d, slo, B - A, d << 4)
     raise AdjacencyError("could not order algebraic bounds")
 
 

@@ -12,13 +12,15 @@ Eigenwillig): the Descartes test on (a, b) counts the sign variations of
 p's Bernstein coefficients b_i there, and one de Casteljau pass gives those
 of both halves.  p is converted once per top interval: with
 q(x) = p(a + (b - a) x), (1 + x)^n q(1 / (1 + x)) = sum C(n, i) b_i
-x^(n - i).  Refinement has one integer state: the interval (A/d, B/d) over
-one common denominator and the sign of p at its low end, which `_bisect`,
-the one bisection loop, halves on integers; `refine` wraps it in
-Fractions, and the adjacency pass's root comparisons keep such states
-across their rounds.  The one Horner sign routine takes an integer
-numerator a and denominator b = o 2^e, o odd, and takes b^k as o^k shifted
-by e k, so at a dyadic point it multiplies by a alone.  The root bound is
+x^(n - i).  An isolating interval is one integer state: its ends A/d and
+B/d over one positive denominator and the sign of p at its low end, built
+once from a Descartes node and halved on integers by `_bisect`, the one
+bisection loop; `refine` continues from the state, the adjacency pass's
+root comparisons seed their rounds with it, and its Fraction ends are
+derived for the callers that print or hand them on.  The one Horner sign
+routine takes an integer numerator a and denominator b = o 2^e, o odd,
+and takes b^k as o^k shifted by e k, so at a dyadic point it multiplies by
+a alone.  The root bound is
 found on integers too.  Sturm sequences are integer tuples, kept per
 `UPoly` by an LRU cache on `sturm_sequence`.  Sample points are dyadic
 rationals so bit sizes stay bounded when these feed the plane
@@ -139,40 +141,45 @@ def _scale_shift(cs: list[int], a: Fraction, w: Fraction) -> list[int]:
 
 @dataclass(frozen=True)
 class IsolatingInterval:
-    """Rational interval containing exactly one real root of `polynomial`.
-
-    low == high encodes an exact rational root.  `polynomial` is the
-    squarefree polynomial that isolation ran on.
+    """Rational interval (A/d, B/d), d > 0, containing exactly one real
+    root of `polynomial`, the squarefree polynomial that isolation ran on:
+    `_bisect`'s integer state.  slo is the sign of `polynomial` at A/d, 0
+    exactly when A == B, which encodes an exact rational root; for A < B
+    the sign at B/d is -slo.  The Fraction ends are derived.
     """
 
-    low: Fraction
-    high: Fraction
+    A: int
+    B: int
+    d: int
+    slo: int
     polynomial: UPoly
 
+    @property
+    def low(self) -> Fraction:
+        return Fraction(self.A, self.d)
+
+    @property
+    def high(self) -> Fraction:
+        return Fraction(self.B, self.d)
+
     def is_exact(self) -> bool:
-        return self.low == self.high
+        return self.A == self.B
 
     def width(self) -> Fraction:
-        return self.high - self.low
+        return Fraction(self.B - self.A, self.d)
 
     def midpoint(self) -> Fraction:
-        return (self.low + self.high) / 2
+        return Fraction(self.A + self.B, self.d << 1)
 
     def refine(self, width: Fraction) -> "IsolatingInterval":
-        """Narrow below `width` by sign-preserving bisection (`_bisect`)."""
-        lo, hi = self.low, self.high
-        if lo == hi:
+        """Narrow below `width` by sign-preserving bisection (`_bisect`),
+        continuing from the stored state."""
+        if self.A == self.B:
             return self
         p = self.polynomial
-        ints = p.coeffs
-        d = math.lcm(lo.denominator, hi.denominator)
-        A = lo.numerator * (d // lo.denominator)
-        B = hi.numerator * (d // hi.denominator)
-        slo = _sign_at(ints, A, d)
-        if slo == 0:
-            return IsolatingInterval(lo, lo, p)
-        A, B, d = _bisect(ints, A, B, d, slo, width.numerator, width.denominator)
-        return IsolatingInterval(Fraction(A, d), Fraction(B, d), p)
+        A, B, d = _bisect(p.coeffs, self.A, self.B, self.d, self.slo,
+                          width.numerator, width.denominator)
+        return IsolatingInterval(A, B, d, self.slo if A < B else 0, p)
 
     def float(self) -> float:
         iv = self.refine(Fraction(1, 1 << 60))
@@ -243,13 +250,13 @@ def roots_below(roots: list[IsolatingInterval], x: Fraction) -> int:
     A bisection over the intervals' upper ends counts those below x; of the
     rest, only the first can straddle x, low < x <= high, and it is not
     exact.  Its root is simple and lies strictly inside, where the
-    polynomial changes sign, so it is below x exactly when the signs at low
-    and at x differ: one exact integer sign test, no refinement."""
+    polynomial changes sign, so it is below x exactly when the sign at x
+    differs from the stored sign at low: one exact integer sign test, no
+    refinement."""
     k = bisect.bisect_left(roots, x, key=lambda iv: iv.high)
     if k < len(roots) and roots[k].low < x:
         iv = roots[k]
-        ints = iv.polynomial.coeffs
-        if _sign_at(ints, *iv.low.as_integer_ratio()) != _sign_at(ints, *x.as_integer_ratio()):
+        if iv.slo != _sign_at(iv.polynomial.coeffs, *x.as_integer_ratio()):
             k += 1
     return k
 
@@ -258,13 +265,13 @@ def roots_below(roots: list[IsolatingInterval], x: Fraction) -> int:
 # Descartes route
 
 
-def _root_bound(ints: list[int]) -> Fraction:
+def _root_bound(ints: list[int]) -> int:
     """Cauchy bound 1 + m/|lc|, rounded up to a power of two: the least
     b = 2^k with b |lc| >= |lc| + m, found on integers."""
     lc = abs(ints[-1])
     m = max((abs(c) for c in ints[:-1]), default=0)
     q = -(-(lc + m) // lc)  # ceil((lc + m) / lc)
-    return Fraction(1 << (q - 1).bit_length())
+    return 1 << (q - 1).bit_length()
 
 
 def _strip_twos(cs: list[int]) -> list[int]:
@@ -319,13 +326,13 @@ def isolate_squarefree(f: UPoly) -> list[IsolatingInterval]:
     # peel an exact zero root; remaining roots are isolated against the
     # peeled polynomial and never span 0, so endpoint signs stay reliable
     if ints[0] == 0:
-        out.append(IsolatingInterval(Fraction(0), Fraction(0), f))
+        out.append(IsolatingInterval(0, 0, 1, 0, f))
         k = 0
         while ints[k] == 0:
             k += 1
         ints_nz = ints[k:]
         fiso = UPoly(ints_nz, f.var)
-        tops = [(-B, B), (Fraction(0), B)]
+        tops = [(-B, B), (0, B)]
     else:
         ints_nz = ints
         fiso = f
@@ -345,27 +352,29 @@ def isolate_squarefree(f: UPoly) -> list[IsolatingInterval]:
         if v == 0:
             continue
         if v == 1 and (bern[0] < 0 < bern[-1] or bern[-1] < 0 < bern[0]):
-            out.append(IsolatingInterval(a + w * Fraction(k, 1 << e),
-                                         a + w * Fraction(k + 1, 1 << e), fiso))
+            lo = (a << e) + w * k
+            out.append(IsolatingInterval(lo, lo + w, 1 << e, 1 if bern[0] > 0 else -1, fiso))
             continue
         # two or more variations, or an end exactly on another root
         left, right = _split(bern)
         if left[-1] == 0:
-            m = a + w * Fraction(2 * k + 1, 2 << e)
-            out.append(IsolatingInterval(m, m, fiso))
+            m = (a << (e + 1)) + w * (2 * k + 1)
+            out.append(IsolatingInterval(m, m, 2 << e, 0, fiso))
         stack.append((a, w, 2 * k, e + 1, left))
         stack.append((a, w, 2 * k + 1, e + 1, right))
-    out.sort(key=lambda iv: (iv.low, iv.high))
+    # every denominator is a power of two, so all ends scale to the largest
+    D = max((iv.d for iv in out), default=1)
+    out.sort(key=lambda iv: (iv.A * (D // iv.d), iv.B * (D // iv.d)))
     # make neighbours strictly disjoint
     for i in range(len(out) - 1):
         a, b = out[i], out[i + 1]
-        while not a.high < b.low:
+        while not a.B * b.d < b.A * a.d:
             if not a.is_exact():
                 a = a.refine(a.width() / 2)
             if not b.is_exact():
                 b = b.refine(b.width() / 2)
             if a.is_exact() and b.is_exact():
-                if a.low == b.low:
+                if a.A * b.d == b.A * a.d:
                     raise RealRootError("duplicate root after squarefree")
                 break
         out[i], out[i + 1] = a, b
@@ -378,12 +387,12 @@ def sample_between(lo, hi) -> Fraction:
     integer below (above) a lone finite upper (lower) bound, else the
     midpoint of the gap that halving both intervals opens."""
     if lo == NEG_INF:
-        return Fraction(0) if hi == POS_INF else Fraction(math.floor(hi.low) - 1)
+        return Fraction(0) if hi == POS_INF else Fraction(hi.A // hi.d - 1)
     if hi == POS_INF:
-        return Fraction(math.floor(lo.high) + 1)
+        return Fraction(lo.B // lo.d + 1)
     for _ in range(200):
-        if lo.high < hi.low:
-            return (lo.high + hi.low) / 2
+        if lo.B * hi.d < hi.A * lo.d:
+            return Fraction(lo.B * hi.d + hi.A * lo.d, (lo.d * hi.d) << 1)
         if lo.is_exact() and hi.is_exact():
             raise RealRootError("empty gap between bounds")
         if not lo.is_exact():

@@ -53,7 +53,8 @@ its power of two.
 and `det_a_sign` decides the sign of a working mode's det A at a rational
 slice pose exactly.  They are slow and meant for small inputs.
 
-The tests also take from here what the package itself never needs: the
+The tests also take from here what the package itself never needs: an
+isolating interval built from Fraction ends (`interval`), the
 arithmetic on `UPoly` over Fraction coefficient lists (`upoly_mul`,
 `upoly_divmod`, `upoly_eval`, `upoly_eval_float`, and `coeff_list`, the
 rational coefficients of a univariate `MPoly`), the polynomial parser (`parse_poly`), det B
@@ -418,9 +419,9 @@ def isolate_by_scaling(p: UPoly) -> list[IsolatingInterval]:
         return []
     ints = f.coeffs
     out: list[IsolatingInterval] = []
-    B = _root_bound(ints)
+    B = Fraction(_root_bound(ints))
     if ints[0] == 0:
-        out.append(IsolatingInterval(Fraction(0), Fraction(0), f))
+        out.append(interval(0, 0, f))
         k = 0
         while ints[k] == 0:
             k += 1
@@ -442,11 +443,11 @@ def isolate_by_scaling(p: UPoly) -> list[IsolatingInterval]:
             sa = _sign_at(ints_nz, *a.as_integer_ratio())
             sb = _sign_at(ints_nz, *b.as_integer_ratio())
             if sa != 0 and sb != 0 and sa != sb:
-                out.append(IsolatingInterval(a, b, fiso))
+                out.append(interval(a, b, fiso))
                 continue
         m = (a + b) / 2
         if _sign_at(ints_nz, *m.as_integer_ratio()) == 0:
-            out.append(IsolatingInterval(m, m, fiso))
+            out.append(interval(m, m, fiso))
         stack.append((a, m))
         stack.append((m, b))
     out.sort(key=lambda iv: (iv.low, iv.high))
@@ -590,6 +591,19 @@ def gcd_prs(p: UPoly, q: UPoly) -> UPoly:
     return UPoly(a, p.var)
 
 
+def interval(lo, hi, p: UPoly) -> IsolatingInterval:
+    """The isolating interval [lo, hi] of a root of p from its rational
+    ends: both over the lcm of their denominators, with the sign of p at lo;
+    the exact interval of lo when p(lo) = 0."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    d = math.lcm(lo.denominator, hi.denominator)
+    A = lo.numerator * (d // lo.denominator)
+    slo = _sign_at(p.coeffs, A, d)
+    if slo == 0:
+        return IsolatingInterval(A, A, d, 0, p)
+    return IsolatingInterval(A, hi.numerator * (d // hi.denominator), d, slo, p)
+
+
 def refine_by_fractions(iv: IsolatingInterval, width: Fraction) -> IsolatingInterval:
     """Sign-preserving bisection below `width`, every midpoint a Fraction."""
     lo, hi = iv.low, iv.high
@@ -599,17 +613,17 @@ def refine_by_fractions(iv: IsolatingInterval, width: Fraction) -> IsolatingInte
     ints = p.coeffs
     slo = _sign_at(ints, *lo.as_integer_ratio())
     if slo == 0:
-        return IsolatingInterval(lo, lo, p)
+        return interval(lo, lo, p)
     while hi - lo >= width:
         m = (lo + hi) / 2
         sm = _sign_at(ints, *m.as_integer_ratio())
         if sm == 0:
-            return IsolatingInterval(m, m, p)
+            return interval(m, m, p)
         if sm == slo:
             lo = m
         else:
             hi = m
-    return IsolatingInterval(lo, hi, p)
+    return interval(lo, hi, p)
 
 
 def refine_by_bisection_loop(iv: IsolatingInterval, width: Fraction) -> IsolatingInterval:
@@ -626,7 +640,7 @@ def refine_by_bisection_loop(iv: IsolatingInterval, width: Fraction) -> Isolatin
     B = hi.numerator * (d // hi.denominator)
     slo = _sign_at(ints, A, d)
     if slo == 0:
-        return IsolatingInterval(lo, lo, p)
+        return interval(lo, lo, p)
     wn, wd = width.numerator, width.denominator
     while (B - A) * wd >= wn * d:
         M = A + B
@@ -634,12 +648,12 @@ def refine_by_bisection_loop(iv: IsolatingInterval, width: Fraction) -> Isolatin
         sm = _sign_at(ints, M, d)
         if sm == 0:
             m = Fraction(M, d)
-            return IsolatingInterval(m, m, p)
+            return interval(m, m, p)
         if sm == slo:
             A = M
         else:
             B = M
-    return IsolatingInterval(Fraction(A, d), Fraction(B, d), p)
+    return interval(Fraction(A, d), Fraction(B, d), p)
 
 
 def cmp_bounds_by_refine(a: IsolatingInterval, b: IsolatingInterval, gcds: dict,

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from kinatlas.ratpoly import MPoly, UPoly
-from kinatlas.realroots import IsolatingInterval, isolate
+from kinatlas.realroots import isolate
 from kinatlas.cad2d import decompose
 from kinatlas.domains import analyze_workspace
 from kinatlas.mechanism import MechanismParams, slice_workspace
@@ -18,8 +18,8 @@ from kinatlas.adjacency import (
 )
 
 from oracles import (
-    cmp_bounds_by_refine, parse_poly, segment_crosses, restrict_to_segment, upoly_eval, upoly_mul,
-    witnesses_from_coarse, workspace_graphs_by_post_pass,
+    cmp_bounds_by_refine, interval, parse_poly, segment_crosses, restrict_to_segment, upoly_eval,
+    upoly_mul, witnesses_from_coarse, workspace_graphs_by_post_pass,
 )
 from test_cad2d import _rand_conic
 
@@ -188,20 +188,22 @@ class TestComparisonStates:
         assert len(signs) >= 100 and set(signs) == {-1, 0, 1}, (len(signs), set(signs))
 
     def test_ties_and_exact_intervals(self):
-        half = IsolatingInterval(Fraction(1, 2), Fraction(1, 2), U([-1, 2]))
-        other = IsolatingInterval(Fraction(1, 2), Fraction(1, 2), U([-5, 9, 2]))  # (2x - 1)(x + 5)
-        third = IsolatingInterval(Fraction(1, 3), Fraction(1, 3), U([-1, 3]))
+        half = interval(Fraction(1, 2), Fraction(1, 2), U([-1, 2]))
+        other = interval(Fraction(1, 2), Fraction(1, 2), U([-5, 9, 2]))  # (2x - 1)(x + 5)
+        third = interval(Fraction(1, 3), Fraction(1, 3), U([-1, 3]))
         assert self._same(half, other) == 0
         assert self._same(half, third) == 1 and self._same(third, half) == -1
-        sqrt_half = IsolatingInterval(Fraction(0), Fraction(1), U([-1, 0, 2]))
+        sqrt_half = interval(Fraction(0), Fraction(1), U([-1, 0, 2]))
         assert self._same(half, sqrt_half) == -1 and self._same(sqrt_half, half) == 1
 
     def test_low_end_is_a_root(self):
-        # 2x - 1 on [1/2, 5/3] turns exact at its first halving
-        low_root = IsolatingInterval(Fraction(1, 2), Fraction(5, 3), U([-1, 2]))
+        # 2x - 1 on [1/2, 5/3]: its low end is the root, so the interval is
+        # built exact
+        low_root = interval(Fraction(1, 2), Fraction(5, 3), U([-1, 2]))
+        assert low_root.is_exact() and low_root.low == Fraction(1, 2)
         for hi, q, want in ((2, [-3, 8], 1), (2, [-7, 8], -1), (1, [-5, 9, 2], 0),
                             (2, [-2, 0, 1], -1)):
-            other = IsolatingInterval(Fraction(0), Fraction(hi), U(q))
+            other = interval(Fraction(0), Fraction(hi), U(q))
             assert self._same(low_root, other) == want, q
             assert self._same(other, low_root) == -want, q
             # round by round: the same rounds decide, or both run out

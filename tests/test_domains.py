@@ -326,6 +326,23 @@ class TestCusps:
         points = cusp_points(js, Fraction(1, 1 << 80))
         assert sorted(p.kind for p in points) == ["cusp"] * 4 + ["node"] * 2
 
+    # two isolated points at r = 13.1434, u = +-1 of a non-default geometry
+    _ISOLATED = MechanismParams(l2=Fraction(11, 4), l3=Fraction(2), a=Fraction(7, 4),
+                                b=Fraction(3, 4))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: cusp_points labels every "
+                       "point whose 2^-40 box leaves the Hessian sign undecided a cusp")
+    def test_two_isolated_points_at_the_default_width(self):
+        js = slice_jointspace(slice_workspace(Fraction(15, 8), 1, self._ISOLATED))
+        assert [p.kind for p in cusp_points(js)] == ["isolated"] * 2
+
+    def test_two_isolated_points_at_width_2_to_the_minus_80(self):
+        js = slice_jointspace(slice_workspace(Fraction(15, 8), 1, self._ISOLATED))
+        points = cusp_points(js, Fraction(1, 1 << 80))
+        assert [p.kind for p in points] == ["isolated"] * 2
+        assert [(round(r, 4), u) for r, u in (p.center() for p in points)] == \
+            [(13.1434, -1.0), (13.1434, 1.0)]
+
     def test_smooth_conic_no_cusps(self):
         # a smooth curve has no singular points at all
         from kinatlas.mechanism import JointSlice

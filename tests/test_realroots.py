@@ -8,14 +8,13 @@ from kinatlas.ratpoly import MPoly, UPoly
 from kinatlas.realroots import (
     RealRootError,
     NEG_INF, POS_INF,
-    IsolatingInterval,
     sturm_sequence, count_roots, isolate, sample_between, _root_bound,
     _scale_shift, _sign_at, _sign_variations, _split, _taylor_shift_1,
 )
 import kinatlas.realroots as realroots
 
 from oracles import (
-    bernstein_by_fractions, bind_int_by_powers, isolate_by_scaling, parse_poly,
+    bernstein_by_fractions, bind_int_by_powers, interval, isolate_by_scaling, parse_poly,
     refine_by_bisection_loop, refine_by_fractions, segment_crosses, restrict_to_segment,
     sign_at_by_powers, upoly_eval, upoly_eval_float, upoly_mul,
 )
@@ -327,21 +326,21 @@ class TestIntegerRefine:
             lo = r - Fraction(rng.randint(1, 50), rng.choice((3, 7, 11, 100)))
             hi = r + Fraction(rng.randint(1, 50), rng.choice((3, 7, 11, 100)))
             width = Fraction(rng.randint(1, 99), rng.choice((3, 10, 7 ** 9, 10 ** 12)))
-            got = self._same(IsolatingInterval(lo, hi, p), width)
+            got = self._same(interval(lo, hi, p), width)
             narrowed += got.width() < width < hi - lo
         assert narrowed >= 200
 
     def test_root_at_a_midpoint(self):
         p = U(-3, 8)  # 8x - 3
-        got = self._same(IsolatingInterval(Fraction(0), Fraction(1), p), Fraction(1, 1000))
+        got = self._same(interval(Fraction(0), Fraction(1), p), Fraction(1, 1000))
         assert got.is_exact() and got.low == Fraction(3, 8)
         q = U(-1, 2)  # 2x - 1, the first midpoint of (1/3, 2/3)
-        got = self._same(IsolatingInterval(Fraction(1, 3), Fraction(2, 3), q), Fraction(1, 7))
+        got = self._same(interval(Fraction(1, 3), Fraction(2, 3), q), Fraction(1, 7))
         assert got.is_exact() and got.low == Fraction(1, 2)
 
     def test_root_at_low_endpoint(self):
         p = U(-1, 2)
-        got = self._same(IsolatingInterval(Fraction(1, 2), Fraction(5, 3), p), Fraction(1, 9))
+        got = self._same(interval(Fraction(1, 2), Fraction(5, 3), p), Fraction(1, 9))
         assert got.is_exact() and got.low == Fraction(1, 2)
 
     def test_reference_decomposition_roots(self, atlas_pp):
@@ -424,6 +423,106 @@ class TestOneBisectionLoop:
         assert n >= 2000
 
 
+class TestIntervalState:
+    """An `IsolatingInterval` is `_bisect`'s state (A, B, d, slo): d > 0,
+    A <= B, slo the sign at A/d, 0 exactly when A == B, and the sign at B/d
+    is -slo when A < B."""
+
+    @staticmethod
+    def _check(iv):
+        ints = iv.polynomial.coeffs
+        assert iv.d > 0 and iv.A <= iv.B, iv
+        assert iv.slo == _sign_at(ints, iv.A, iv.d), iv
+        assert (iv.slo == 0) == (iv.A == iv.B), iv
+        if iv.A < iv.B:
+            assert _sign_at(ints, iv.B, iv.d) == -iv.slo, iv
+
+    def test_fields(self):
+        import dataclasses
+        assert [f.name for f in dataclasses.fields(realroots.IsolatingInterval)] == \
+            ["A", "B", "d", "slo", "polynomial"]
+
+    def test_reference_atlas(self, monkeypatch):
+        """Every interval of the reference atlas's three decompositions, and
+        of every witness fibre `_roots_at` isolates while it is built."""
+        import kinatlas.adjacency as adjacency
+        from kinatlas.domains import SliceAtlas
+        from kinatlas.mechanism import MechanismParams, WorkingMode
+        fibres = []
+        roots_at = adjacency._roots_at
+
+        def recorded(*args):
+            roots = roots_at(*args)
+            fibres.extend(roots)
+            return roots
+
+        monkeypatch.setattr(adjacency, "_roots_at", recorded)
+        atlas = SliceAtlas.build(MechanismParams(), Fraction(1, 2), WorkingMode(1, 1))
+        decs = (atlas.wa.dec_sing, atlas.wa.dec_fine, atlas.ja.dec)
+        ivs = [iv for dec in decs for iv in dec.base_roots]
+        ivs += [iv for dec in decs for col in dec.fiber_roots for iv in col]
+        assert len(ivs) >= 200 and len(fibres) >= 900, (len(ivs), len(fibres))
+        for iv in ivs + fibres:
+            self._check(iv)
+        assert any(iv.is_exact() for iv in ivs + fibres)
+
+    def test_refined_states(self):
+        for p, _, _ in _oracle_polys():
+            for iv in isolate(p):
+                for width in (iv.width() / 3, Fraction(1, 1 << 50)):
+                    self._check(iv.refine(width))
+
+
+class TestNoRepeatedSign:
+    """The stored sign at the low end is never taken again."""
+
+    @staticmethod
+    def _counted(monkeypatch, module):
+        calls = []
+        sign_at = module._sign_at
+        monkeypatch.setattr(module, "_sign_at",
+                            lambda ints, a, b: calls.append((a, b)) or sign_at(ints, a, b))
+        return calls
+
+    def test_refine_signs_once_per_halving(self, monkeypatch):
+        calls = self._counted(monkeypatch, realroots)
+        n = 0
+        for p, _, _ in _oracle_polys():
+            for iv in isolate(p):
+                if iv.is_exact():
+                    continue
+                for width in (iv.width() / 2, iv.width() / 1000, Fraction(1, 1 << 60)):
+                    calls.clear()
+                    got = iv.refine(width)
+                    if got.is_exact():
+                        continue
+                    k = (iv.width() / got.width()).numerator.bit_length() - 1
+                    assert iv.width() == got.width() * (1 << k) and len(calls) == k, (p, iv, width)
+                    n += 1
+        assert n >= 500
+
+    def test_roots_below_one_sign(self, monkeypatch):
+        from kinatlas.realroots import roots_below
+        roots = isolate(U(-2, 0, 1))
+        calls = self._counted(monkeypatch, realroots)
+        for x, want in ((Fraction(3, 2), 2), (Fraction(11, 8), 1), (Fraction(-11, 8), 1)):
+            calls.clear()
+            assert roots_below(roots, x) == want
+            assert len(calls) == 1, x
+
+    def test_cmp_bounds_signs_only_in_bisect(self, monkeypatch):
+        import kinatlas.adjacency as adjacency
+        from kinatlas.adjacency import _cmp_bounds
+        # sqrt 2 and sqrt 3, both isolated by (1, 2): one round of five
+        # halvings per side separates them
+        a, b = isolate(U(-2, 0, 1))[1], isolate(U(-3, 0, 1))[1]
+        assert (a.low, a.high) == (b.low, b.high) == (1, 2)
+        outside = self._counted(monkeypatch, adjacency)
+        inside = self._counted(monkeypatch, realroots)
+        assert _cmp_bounds(a, b, {}) == -1 and _cmp_bounds(b, a, {}) == 1
+        assert outside == [] and len(inside) == 20
+
+
 class TestRootBound:
     def test_huge_coefficients(self):
         for p, rts in ((U(-(10 ** 400), 1), [10 ** 400]),
@@ -438,8 +537,8 @@ class TestRootBound:
         cases = [(1, 0), (1, 1), (3, 3), (3, 3 * 2 ** 60 - 2), (7, 10 ** 30), (2 ** 70, 1)]
         for lc, m in cases:
             b = _root_bound([m, -lc] if m else [0, lc])
-            assert b.denominator == 1 and b.numerator & (b.numerator - 1) == 0
-            assert b * lc >= lc + m and (b == 1 or b / 2 * lc < lc + m), (lc, m, b)
+            assert type(b) is int and b > 0 and b & (b - 1) == 0
+            assert b * lc >= lc + m and (b == 1 or b // 2 * lc < lc + m), (lc, m, b)
 
 
 class TestKernelCaches:
@@ -533,13 +632,13 @@ class TestSampleBetween:
 
     def test_overlapping_bounds_of_two_polynomials(self):
         # sqrt2 < sqrt3 with both isolated by [1, 2]: halving opens the gap
-        lo = IsolatingInterval(Fraction(1), Fraction(2), U(-2, 0, 1))
-        hi = IsolatingInterval(Fraction(1), Fraction(2), U(-3, 0, 1))
+        lo = interval(Fraction(1), Fraction(2), U(-2, 0, 1))
+        hi = interval(Fraction(1), Fraction(2), U(-3, 0, 1))
         s = sample_between(lo, hi)
         assert 2 < s * s < 3
 
     def test_equal_exact_bounds_raise(self):
-        one = IsolatingInterval(Fraction(1), Fraction(1), U(-1, 1))
+        one = interval(Fraction(1), Fraction(1), U(-1, 1))
         with pytest.raises(RealRootError):
             sample_between(one, one)
 
