@@ -7,10 +7,11 @@ the first witness rung where they overlap (each with a horizontal witness
 segment), and, when the fiber is the half-tangent chart of an angle, the
 bottom and top cell of each column, which meet across the cut at fiber
 infinity.  For each candidate it records which variety polynomials block
-it: in a stacked pair, a root between the two samples; across a base root,
-a zero on the witness segment; across the cut, an odd fiber degree.  The
-graph of each variety is then a filter that keeps the candidates none of
-its own polynomials block.
+it: in a stacked pair, a sign change of the polynomial's squarefree fibre
+between the two samples; across a base root, a zero on the witness
+segment; across the cut, an odd fiber degree.  The graph of each variety
+is then a filter that keeps the candidates none of its own polynomials
+block.  Every test is an exact sign or Descartes root count.
 """
 
 from __future__ import annotations
@@ -96,14 +97,14 @@ def _cmp_bounds(a: IsolatingInterval, b: IsolatingInterval, gcds: dict,
             if g is None:
                 g = gcds[key] = a.polynomial.gcd(b.polynomial)
             if g.degree >= 1:
-                lo = max(Fraction(Ax, dx), Fraction(Ay, dy))
-                hi = min(Fraction(Bx, dx), Fraction(By, dy))
-                if lo <= hi:
-                    at_lo = _sign_at(g.coeffs, *lo.as_integer_ratio()) == 0
-                    if at_lo or (lo < hi and count_roots(g, lo, hi) > 0):
-                        # a common root inside both isolating intervals is
-                        # the isolated root of each side
-                        return 0
+                # the intervals overlap on [lo, hi], where g, dividing both
+                # squarefree interval polynomials, has at most one root, a
+                # simple one: it has one iff its signs at lo and hi are not
+                # one nonzero sign, and that root is each side's own
+                lo = (Ax, dx) if Ax * dy >= Ay * dx else (Ay, dy)
+                hi = (Bx, dx) if Bx * dy <= By * dx else (By, dy)
+                if _sign_at(g.coeffs, *lo) * _sign_at(g.coeffs, *hi) <= 0:
+                    return 0
         for st, ints in sides:
             A, B, d, slo = st
             if A < B:
@@ -160,16 +161,16 @@ def _ranked_bounds(roots: list[IsolatingInterval], ranks: list[int], k: int, top
 
 
 def _crosses_horizontal(rows, c: Fraction, w1: Fraction, w2: Fraction, var: str) -> bool:
-    """Whether p(x, c) vanishes for some x in [w1, w2], rows = _rows(p, x, y)."""
+    """Whether p(x, c) vanishes for some x in [w1, w2], rows = _rows(p, x, y):
+    surely when its signs at w1 and w2 differ, else by a root count."""
     u = _bind(rows, c, var)
     if u.is_zero():
         return True
     if u.degree <= 0:
         return False
     ints = u.coeffs
-    if _sign_at(ints, *w1.as_integer_ratio()) == 0 or _sign_at(ints, *w2.as_integer_ratio()) == 0:
-        return True
-    return count_roots(u, w1, w2) > 0
+    s1, s2 = _sign_at(ints, *w1.as_integer_ratio()), _sign_at(ints, *w2.as_integer_ratio())
+    return s1 != s2 or s1 == 0 or count_roots(u, w1, w2) > 0
 
 
 _RUNGS = (1 << 10, 1 << 22, 1 << 40)   # witness shrink factors, tried in turn
@@ -217,7 +218,13 @@ def build_graphs(dec: Decomposition, varieties: list[list[MPoly]],
     the pair.  For even d it tends to the leading coefficient of p in t,
     which has no root inside a column provided the variety's curves are
     curves of `dec` (its projection holds every leading coefficient), so p
-    does not block it."""
+    does not block it.
+
+    The stacked pairs rely on that condition too: between the samples of
+    two stacked cells lies exactly one root of the column's fibre product,
+    so the squarefree part of p's fibre has at most one root there, a
+    simple one, and p blocks the pair exactly when that part changes sign
+    between the samples."""
     bv, fv = dec.base_var, dec.fiber_var
     polys: list[MPoly] = []          # distinct polynomials of all varieties
     users: list[set[int]] = []       # the varieties each one belongs to
@@ -242,19 +249,16 @@ def build_graphs(dec: Decomposition, varieties: list[list[MPoly]],
         for i in open_:
             edges[i].add((min(a, b), max(a, b)))
 
-    # vertical: stacked cells in one column, blocked only by a variety root
+    # vertical: stacked cells in one column, blocked by a sign change of a
+    # squarefree fibre (constant fibres never change sign)
     vrows = [_rows(p, fv, bv) for p in polys]
     for k, col in enumerate(dec.columns):
         if len(col) < 2:
             continue
-        fibre = [_bind(r, dec.base_samples[k], fv) for r in vrows]
+        fibre = [_bind(r, dec.base_samples[k], fv).squarefree().coeffs for r in vrows]
         for low, high in zip(col, col[1:]):
-            a, b = low.sample[1], high.sample[1]
-            try:
-                add(low.id, high.id,
-                    lambda t: fibre[t].degree >= 1 and count_roots(fibre[t], a, b) > 0)
-            except RealRootError as e:
-                raise AdjacencyError(f"column {k}, cells ({low.id}, {high.id}): {e}") from e
+            a, b = low.sample[1].as_integer_ratio(), high.sample[1].as_integer_ratio()
+            add(low.id, high.id, lambda t: _sign_at(fibre[t], *a) != _sign_at(fibre[t], *b))
 
     # across the cut: bottom and top of a column, blocked by odd t-degree
     if wrap:

@@ -90,7 +90,7 @@ class Decomposition:
         projection boundary.  The base index counts the isolated base roots
         below px (`roots_below`, px being no base root, as an exact integer
         sign test says first); the fibre index counts the roots of the fibre
-        product at px below py with its Sturm sequence."""
+        product at px below py (`count_roots`, one Descartes walk)."""
         px, py = Fraction(px), Fraction(py)
         if self.base_poly.degree > 0:
             if _sign_at(self.base_poly.coeffs, *px.as_integer_ratio()) == 0:

@@ -94,9 +94,10 @@ def characteristic_surface(ws: WorkspaceSlice, prc: MPoly | None = None) -> Char
         prc = project_parallel_to_joint(ws)
     t = MPoly.var("tphi", ("x", "tphi"))
     op = 1 + t * t
-    # r = rho1sq_num / (1 + t^2)^2, then c3 = c3_num / (l3 (1 + t^2))
-    acc = prc.substitute({"r": ws.rho1sq_num}, op * op).substitute(
-        {"c3": ws.c3_num}, ws.params.l3 * op)
+    # c3 = c3_num / (l3 (1 + t^2)), then r = rho1sq_num / (1 + t^2)^2: c3
+    # first leaves the smaller intermediate
+    acc = prc.substitute({"c3": ws.c3_num}, ws.params.l3 * op).substitute(
+        {"r": ws.rho1sq_num}, op * op)
     if acc.is_zero():
         raise DomainError("degenerate doubling: preimage vanished identically")
     sc = acc.canonical()

@@ -3,7 +3,7 @@
 Sparse multivariate polynomials (MPoly) over arbitrary-precision rationals,
 and dense univariate polynomials (UPoly) held as primitive integer
 coefficients with a positive leading coefficient, which carry what the root
-and cell layers use: the derivative, the gcd and the squarefree part.  All
+and cell layers use: the gcd and the squarefree part.  All
 values are immutable and every operation is a pure function.
 
 Elimination runs on integers: `mgcd`, `resultant` and `exact_div` clear
@@ -789,9 +789,6 @@ class UPoly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def derivative(self) -> "UPoly":
-        return UPoly([c * i for i, c in enumerate(self.coeffs)][1:], self.var)
 
     def gcd(self, other: "UPoly") -> "UPoly":
         """The gcd, by `int_poly_gcd`."""

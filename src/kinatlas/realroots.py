@@ -1,42 +1,41 @@
 """Exact real-root isolation and counting for univariate polynomials.
 
-Two independent routes are provided on purpose: Descartes-rule bisection
-drives isolation, Sturm sequences drive counting (`roots_below` counts on
-intervals isolation already found, with one sign test); both read the
-primitive integer coefficients a `UPoly` holds.  `isolate` and the Sturm
-route take the squarefree part of their input themselves, so callers pass
-any nonzero polynomial; `isolate_squarefree` skips that step for input that
-is squarefree already, as the plane decomposition's fibre products are.
-Isolation runs in the Bernstein basis (Mourrain-Rouillier-Roy;
-Eigenwillig): the Descartes test on (a, b) counts the sign variations of
-p's Bernstein coefficients b_i there, and one de Casteljau pass gives those
-of both halves.  p is converted once per top interval: with
-q(x) = p(a + (b - a) x), (1 + x)^n q(1 / (1 + x)) = sum C(n, i) b_i
-x^(n - i).  An isolating interval is one integer state: its ends A/d and
-B/d over one positive denominator and the sign of p at its low end, built
-once from a Descartes node and halved on integers by `_bisect`, the one
-bisection loop; `refine` continues from the state, the adjacency pass's
-root comparisons seed their rounds with it, and its Fraction ends are
-derived for the callers that print or hand them on.  The one Horner sign
-routine takes an integer numerator a and denominator b = o 2^e, o odd,
-and takes b^k as o^k shifted by e k, so at a dyadic point it multiplies by
-a alone.  The root bound is
-found on integers too.  Sturm sequences are integer tuples, kept per
-`UPoly` by an LRU cache on `sturm_sequence`.  Sample points are dyadic
-rationals so bit sizes stay bounded when these feed the plane
-decomposition.
+One Descartes-rule bisection, `_descartes`, finds the roots on a window:
+`isolate` keeps the nodes it accepts as isolating intervals, `count_roots`
+counts them, and `roots_below` counts on intervals isolation already
+found, with one sign test.  All read the primitive integer coefficients a
+`UPoly` holds.  `isolate` and `count_roots` take the squarefree part of
+their input themselves, so callers pass any nonzero polynomial;
+`isolate_squarefree` skips that step for input that is squarefree already,
+as the plane decomposition's fibre products are.  The walk runs in the
+Bernstein basis (Mourrain-Rouillier-Roy; Eigenwillig): the Descartes test
+on (a, b) counts the sign variations of p's Bernstein coefficients b_i
+there, and one de Casteljau pass gives those of both halves.  p is
+converted once per window: with q(x) = p(a + (b - a) x),
+(1 + x)^n q(1 / (1 + x)) = sum C(n, i) b_i x^(n - i).  The test stays
+exact when an end of the window is a root (Krandick-Mehlhorn): that root
+is a zero b_0 or b_n and adds no variation.  An isolating interval is one
+integer state: its ends A/d and B/d over one positive denominator and the
+sign of p at its low end, built once from a Descartes node and halved on
+integers by `_bisect`, the one bisection loop; `refine` and `narrow`
+continue from the state, the adjacency pass's root comparisons seed their
+rounds with it, and its Fraction ends are derived for the callers that
+print or hand them on.  The one Horner sign routine takes an integer
+numerator a and denominator b = o 2^e, o odd, and takes b^k as o^k
+shifted by e k, so at a dyadic point it multiplies by a alone.  The root
+bound is found on integers too.  Sample points are dyadic rationals so bit
+sizes stay bounded when these feed the plane decomposition.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, ne
 
-from .ratpoly import UPoly, _int_prem, _int_primitive
+from .ratpoly import UPoly
 
 NEG_INF = -math.inf
 POS_INF = math.inf
@@ -165,82 +164,25 @@ class IsolatingInterval:
     def is_exact(self) -> bool:
         return self.A == self.B
 
-    def width(self) -> Fraction:
-        return Fraction(self.B - self.A, self.d)
-
     def midpoint(self) -> Fraction:
         return Fraction(self.A + self.B, self.d << 1)
 
     def refine(self, width: Fraction) -> "IsolatingInterval":
-        """Narrow below `width` by sign-preserving bisection (`_bisect`),
-        continuing from the stored state."""
+        """Narrow below `width` by sign-preserving bisection."""
+        return self.narrow(width.numerator, width.denominator)
+
+    def narrow(self, wn: int, wd: int) -> "IsolatingInterval":
+        """Narrow below wn/wd, wd > 0, by `_bisect`, continuing from the
+        stored state."""
         if self.A == self.B:
             return self
         p = self.polynomial
-        A, B, d = _bisect(p.coeffs, self.A, self.B, self.d, self.slo,
-                          width.numerator, width.denominator)
+        A, B, d = _bisect(p.coeffs, self.A, self.B, self.d, self.slo, wn, wd)
         return IsolatingInterval(A, B, d, self.slo if A < B else 0, p)
 
     def float(self) -> float:
         iv = self.refine(Fraction(1, 1 << 60))
         return float(iv.midpoint())
-
-
-# ---------------------------------------------------------------------------
-# Sturm route
-
-
-@functools.lru_cache(maxsize=512)
-def sturm_sequence(p: UPoly) -> tuple[tuple[int, ...], ...]:
-    """Signed remainder sequence of the squarefree part of p, as primitive
-    integer coefficient tuples; kept per polynomial.
-
-    Computed fraction-free: each remainder is the negated pseudo-remainder,
-    sign-corrected for the pseudo-division multiplier and stripped to
-    primitive integers (positive rescaling preserves sign variations).
-    """
-    if p.is_zero():
-        raise RealRootError("zero polynomial")
-    f = p.squarefree()
-    if f.degree == 0:
-        return (f.coeffs,)
-    seq = [f.coeffs, f.derivative().coeffs]
-    while len(seq[-1]) > 1:
-        a, b = seq[-2], seq[-1]
-        delta = len(a) - len(b)  # = deg a - deg b
-        r = _int_prem(a, b)
-        if not r:
-            break
-        # prem scales by lc(b)^(delta+1); restore the true remainder's sign
-        if not (b[-1] < 0 and (delta + 1) % 2 == 1):
-            r = [-c for c in r]
-        _int_primitive(r)
-        seq.append(tuple(r))
-    return tuple(seq)
-
-
-def _variations_at(seq: tuple[tuple[int, ...], ...], x) -> int:
-    if x == NEG_INF:
-        vals = [s[-1] if len(s) % 2 else -s[-1] for s in seq]
-    elif x == POS_INF:
-        vals = [s[-1] for s in seq]
-    else:
-        x = Fraction(x)
-        vals = [_sign_at(s, *x.as_integer_ratio()) for s in seq]
-    return _sign_variations(vals)
-
-
-def count_roots(p: UPoly, low=NEG_INF, high=POS_INF) -> int:
-    """Number of distinct real roots in (low, high]."""
-    if p.is_zero():
-        raise RealRootError("zero polynomial")
-    if p.degree <= 0:
-        return 0
-    if not (low == NEG_INF or high == POS_INF):
-        if not low < high:
-            raise RealRootError("empty interval")
-    seq = sturm_sequence(p)
-    return _variations_at(seq, low) - _variations_at(seq, high)
 
 
 def roots_below(roots: list[IsolatingInterval], x: Fraction) -> int:
@@ -299,6 +241,62 @@ def _split(b: list[int]) -> tuple[list[int], list[int]]:
     return _strip_twos(left), _strip_twos(right)
 
 
+def _descartes(ints: list[int], a: Fraction, w: Fraction):
+    """The one Descartes walk: one tuple per root of the squarefree
+    nonzero integer polynomial `ints` inside the window (a, a + w), w > 0,
+    whose ends may be roots.  It is (A, B, d, slo) for a node it accepts
+    and (M, M, d, 0) for a midpoint that is a root.  With D the least
+    common denominator of a and w, node (k, e) is a + w [k, k + 1] / 2^e,
+    ends A/d and B/d with d = D 2^e, and carries the polynomial's integer
+    Bernstein coefficients there up to a positive factor, the first and
+    last with its signs at the ends.  One variation with opposite end signs
+    accepts a node, none drops it; a zero `_split` apex is a root."""
+    n = len(ints) - 1
+    D = math.lcm(a.denominator, w.denominator)
+    a0, W = a.numerator * (D // a.denominator), w.numerator * (D // w.denominator)
+    # b_i = T[n - i] / C(n, i); the lcm of the C(n, i) keeps b integer
+    L = math.lcm(*(math.comb(n, i) for i in range(n + 1)))
+    T = _taylor_shift_1(_scale_shift(ints, a, w)[::-1])
+    stack = [(0, 0, [T[n - i] * (L // math.comb(n, i)) for i in range(n + 1)])]
+    while stack:
+        k, e, bern = stack.pop()
+        v = _sign_variations(bern)
+        if v == 0:
+            continue
+        if v == 1 and (bern[0] < 0 < bern[-1] or bern[-1] < 0 < bern[0]):
+            lo = (a0 << e) + W * k
+            yield lo, lo + W, D << e, 1 if bern[0] > 0 else -1
+            continue
+        # two or more variations, or an end exactly on another root
+        left, right = _split(bern)
+        if left[-1] == 0:
+            m = (a0 << (e + 1)) + W * (2 * k + 1)
+            yield m, m, D << (e + 1), 0
+        stack.append((2 * k, e + 1, left))
+        stack.append((2 * k + 1, e + 1, right))
+
+
+def count_roots(p: UPoly, low=NEG_INF, high=POS_INF) -> int:
+    """Number of distinct real roots in (low, high]: the roots
+    `_descartes` finds on (low, high) for p's squarefree part, an infinite
+    end cut at the root bound, and one more when high is a root."""
+    if p.is_zero():
+        raise RealRootError("zero polynomial")
+    if p.degree <= 0:
+        return 0
+    if not (low == NEG_INF or high == POS_INF):
+        if not low < high:
+            raise RealRootError("empty interval")
+    ints = p.squarefree().coeffs
+    bound = _root_bound(ints)
+    lo = Fraction(-bound if low == NEG_INF else low)
+    hi = Fraction(bound if high == POS_INF else high)
+    n = sum(1 for _ in _descartes(ints, lo, hi - lo)) if lo < hi else 0
+    if high != POS_INF and _sign_at(ints, *hi.as_integer_ratio()) == 0:
+        n += 1
+    return n
+
+
 def isolate(p: UPoly) -> list[IsolatingInterval]:
     """Disjoint dyadic isolating intervals, one per distinct real root of
     the nonzero polynomial p: `isolate_squarefree` on p's squarefree part."""
@@ -310,14 +308,8 @@ def isolate(p: UPoly) -> list[IsolatingInterval]:
 def isolate_squarefree(f: UPoly) -> list[IsolatingInterval]:
     """Disjoint dyadic isolating intervals, one per real root of f, which
     is squarefree already (the fibre products of `cad2d._squarefree_lcm`
-    are).
-
-    Descartes bisection in the Bernstein basis: node (k, e) of a top
-    interval (a, a + w) is a + w [k, k + 1] / 2^e and carries f's integer
-    Bernstein coefficients there up to a positive factor, the first and
-    last with the signs of f at its ends.  One variation with opposite end
-    signs accepts a node, none drops it; a zero `_split` apex is a root.
-    """
+    are): the nodes and roots of `_descartes` on windows of integer ends
+    that cover the root bound, made strictly disjoint by halving."""
     if f.degree <= 0:
         return []
     ints = f.coeffs
@@ -337,31 +329,8 @@ def isolate_squarefree(f: UPoly) -> list[IsolatingInterval]:
         ints_nz = ints
         fiso = f
         tops = [(-B, 2 * B)]
-    n = len(ints_nz) - 1
-    if n == 0:
-        return out
-    # b_i = T[n - i] / C(n, i); the lcm of the C(n, i) keeps b integer
-    L = math.lcm(*(math.comb(n, i) for i in range(n + 1)))
-    stack = []
     for a, w in tops:
-        T = _taylor_shift_1(_scale_shift(ints_nz, a, w)[::-1])
-        stack.append((a, w, 0, 0, [T[n - i] * (L // math.comb(n, i)) for i in range(n + 1)]))
-    while stack:
-        a, w, k, e, bern = stack.pop()
-        v = _sign_variations(bern)
-        if v == 0:
-            continue
-        if v == 1 and (bern[0] < 0 < bern[-1] or bern[-1] < 0 < bern[0]):
-            lo = (a << e) + w * k
-            out.append(IsolatingInterval(lo, lo + w, 1 << e, 1 if bern[0] > 0 else -1, fiso))
-            continue
-        # two or more variations, or an end exactly on another root
-        left, right = _split(bern)
-        if left[-1] == 0:
-            m = (a << (e + 1)) + w * (2 * k + 1)
-            out.append(IsolatingInterval(m, m, 2 << e, 0, fiso))
-        stack.append((a, w, 2 * k, e + 1, left))
-        stack.append((a, w, 2 * k + 1, e + 1, right))
+        out += (IsolatingInterval(*node, fiso) for node in _descartes(ints_nz, a, w))
     # every denominator is a power of two, so all ends scale to the largest
     D = max((iv.d for iv in out), default=1)
     out.sort(key=lambda iv: (iv.A * (D // iv.d), iv.B * (D // iv.d)))
@@ -369,10 +338,8 @@ def isolate_squarefree(f: UPoly) -> list[IsolatingInterval]:
     for i in range(len(out) - 1):
         a, b = out[i], out[i + 1]
         while not a.B * b.d < b.A * a.d:
-            if not a.is_exact():
-                a = a.refine(a.width() / 2)
-            if not b.is_exact():
-                b = b.refine(b.width() / 2)
+            a = a.narrow(a.B - a.A, a.d << 1)
+            b = b.narrow(b.B - b.A, b.d << 1)
             if a.is_exact() and b.is_exact():
                 if a.A * b.d == b.A * a.d:
                     raise RealRootError("duplicate root after squarefree")
@@ -395,8 +362,6 @@ def sample_between(lo, hi) -> Fraction:
             return Fraction(lo.B * hi.d + hi.A * lo.d, (lo.d * hi.d) << 1)
         if lo.is_exact() and hi.is_exact():
             raise RealRootError("empty gap between bounds")
-        if not lo.is_exact():
-            lo = lo.refine(lo.width() / 2)
-        if not hi.is_exact():
-            hi = hi.refine(hi.width() / 2)
+        lo = lo.narrow(lo.B - lo.A, lo.d << 1)
+        hi = hi.narrow(hi.B - hi.A, hi.d << 1)
     raise RealRootError("could not separate bounds")

@@ -34,9 +34,11 @@ post-pass over the cut line's blockers (the serial lines x = b +- l3, the
 characteristic surface's leading coefficients, all of it at y0 = 0)
 against the fibre-degree parity rule inside the adjacency pass, the
 direct kinematics isolating the undivided eliminant against the one that
-isolates it without its factor (1 + t^2)^4, and point location counting
-the base roots below a point by the base product's Sturm sequence against
-the bisection over the isolated base roots, the rational substitution by
+isolates it without its factor (1 + t^2)^4, root counts on a window by
+Sturm sequences against `count_roots`'s Descartes walk, and point
+location counting the base and fibre roots below a point by Sturm
+sequences against the bisection over the isolated base roots and the
+Descartes count, the rational substitution by
 `MPoly.eval`'s former polynomial branch, a fresh product per term, against
 `MPoly.substitute`, and the slice pose count over a chart point with the
 leg-1 fibre rebuilt for every call against the one built once per slice,
@@ -56,7 +58,8 @@ slice pose exactly.  They are slow and meant for small inputs.
 The tests also take from here what the package itself never needs: an
 isolating interval built from Fraction ends (`interval`), the
 arithmetic on `UPoly` over Fraction coefficient lists (`upoly_mul`,
-`upoly_divmod`, `upoly_eval`, `upoly_eval_float`, and `coeff_list`, the
+`upoly_divmod`, `upoly_eval`, `upoly_eval_float`), the derivative
+(`upoly_derivative`), `coeff_list` (the
 rational coefficients of a univariate `MPoly`), the polynomial parser (`parse_poly`), det B
 (`serial_singularity`), the half-tangent table of every angle
 (`ALL_ANGLES`) and the benchmark's recorded trajectories
@@ -78,7 +81,7 @@ from kinatlas.ratpoly import (
     _merge_vars, exact_div,
 )
 from kinatlas.realroots import (
-    NEG_INF, IsolatingInterval, RealRootError, count_roots, isolate,
+    NEG_INF, POS_INF, IsolatingInterval, RealRootError, isolate,
     _root_bound, _scale_shift, _sign_at, _sign_variations, _taylor_shift_1,
 )
 from kinatlas.mechanism import JointValues, KinematicsError
@@ -205,6 +208,63 @@ def upoly_eval_float(p: UPoly, x: float) -> float:
     for c in reversed(p.coeffs):
         acc = acc * x + float(Fraction(c, lc))
     return acc
+
+
+def upoly_derivative(p: UPoly) -> UPoly:
+    """p', up to the positive factor `UPoly` drops."""
+    return UPoly([c * i for i, c in enumerate(p.coeffs)][1:], p.var)
+
+
+def sturm_sequence(p: UPoly) -> tuple[tuple[int, ...], ...]:
+    """Signed remainder sequence of the squarefree part of p, as primitive
+    integer coefficient tuples.
+
+    Computed fraction-free: each remainder is the negated pseudo-remainder,
+    sign-corrected for the pseudo-division multiplier and stripped to
+    primitive integers (positive rescaling preserves sign variations).
+    """
+    if p.is_zero():
+        raise RealRootError("zero polynomial")
+    f = p.squarefree()
+    if f.degree == 0:
+        return (f.coeffs,)
+    seq = [f.coeffs, upoly_derivative(f).coeffs]
+    while len(seq[-1]) > 1:
+        a, b = seq[-2], seq[-1]
+        delta = len(a) - len(b)  # = deg a - deg b
+        r = _int_prem(a, b)
+        if not r:
+            break
+        # prem scales by lc(b)^(delta+1); restore the true remainder's sign
+        if not (b[-1] < 0 and (delta + 1) % 2 == 1):
+            r = [-c for c in r]
+        _int_primitive(r)
+        seq.append(tuple(r))
+    return tuple(seq)
+
+
+def _variations_at(seq: tuple[tuple[int, ...], ...], x) -> int:
+    if x == NEG_INF:
+        vals = [s[-1] if len(s) % 2 else -s[-1] for s in seq]
+    elif x == POS_INF:
+        vals = [s[-1] for s in seq]
+    else:
+        a, b = Fraction(x).as_integer_ratio()
+        vals = [_sign_at(s, a, b) for s in seq]
+    return _sign_variations(vals)
+
+
+def count_roots_by_sturm(p: UPoly, low=NEG_INF, high=POS_INF) -> int:
+    """Number of distinct real roots of the nonzero p in (low, high], by
+    the sign variations of its Sturm sequence at both ends (the counting
+    route the package had before `count_roots` walked the Descartes
+    tree)."""
+    if p.is_zero():
+        raise RealRootError("zero polynomial")
+    if p.degree <= 0:
+        return 0
+    seq = sturm_sequence(p)
+    return _variations_at(seq, low) - _variations_at(seq, high)
 
 
 def sylvester_resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
@@ -401,7 +461,7 @@ def segment_crosses(polys: list[MPoly], p1, p2, with_flag: bool = False):
         if upoly_eval(u, 0) == 0 or upoly_eval(u, 1) == 0:
             crossed = True
             continue
-        if count_roots(u, Fraction(0), Fraction(1)) > 0:
+        if count_roots_by_sturm(u, Fraction(0), Fraction(1)) > 0:
             crossed = True
     if with_flag:
         return crossed, degenerate
@@ -455,9 +515,9 @@ def isolate_by_scaling(p: UPoly) -> list[IsolatingInterval]:
         a, b = out[i], out[i + 1]
         while not a.high < b.low:
             if not a.is_exact():
-                a = a.refine(a.width() / 2)
+                a = a.refine((a.high - a.low) / 2)
             if not b.is_exact():
-                b = b.refine(b.width() / 2)
+                b = b.refine((b.high - b.low) / 2)
             if a.is_exact() and b.is_exact():
                 if a.low == b.low:
                     raise RealRootError("duplicate root after squarefree")
@@ -482,7 +542,7 @@ def squarefree_by_fractions(p: UPoly) -> UPoly:
     `upoly_divmod` (the route `UPoly.squarefree` replaces)."""
     if p.degree <= 1:
         return p
-    g = p.gcd(p.derivative())
+    g = p.gcd(upoly_derivative(p))
     if g.degree <= 0:
         return p
     return upoly_divmod(p, g)[0]
@@ -678,14 +738,14 @@ def cmp_bounds_by_refine(a: IsolatingInterval, b: IsolatingInterval, gcds: dict,
                 lo = max(x.low, y.low)
                 hi = min(x.high, y.high)
                 if lo <= hi:
-                    n = ((count_roots(g, lo, hi) if lo < hi else 0)
+                    n = ((count_roots_by_sturm(g, lo, hi) if lo < hi else 0)
                          + (1 if upoly_eval(g, lo) == 0 else 0))
                     if n >= 1:
                         return 0
         if not x.is_exact():
-            x = x.refine(x.width() / 16)
+            x = x.refine((x.high - x.low) / 16)
         if not y.is_exact():
-            y = y.refine(y.width() / 16)
+            y = y.refine((y.high - y.low) / 16)
     raise AdjacencyError("could not order algebraic bounds")
 
 
@@ -1229,18 +1289,19 @@ def direct_kinematics(q: JointValues, params, tol: float = 1e-9):
 
 def locate_by_sturm(dec, px, py) -> int | None:
     """`Decomposition.locate` with the base index counted by the Sturm
-    sequence of the whole base product, count_roots(base, -inf, px)."""
+    sequence of the whole base product, and the fibre index by the Sturm
+    sequence of the fibre product."""
     px, py = Fraction(px), Fraction(py)
     if not dec.base_poly.is_zero() and dec.base_poly.degree > 0:
         if upoly_eval(dec.base_poly, px) == 0:
             return None
-        k1 = count_roots(dec.base_poly, NEG_INF, px)
+        k1 = count_roots_by_sturm(dec.base_poly, NEG_INF, px)
     else:
         k1 = 0
     f = _specialize_product(dec.polys, dec.base_var, dec.fiber_var, px)
     if f.degree > 0 and upoly_eval(f, py) == 0:
         return None
-    k2 = count_roots(f, NEG_INF, py) if f.degree > 0 else 0
+    k2 = count_roots_by_sturm(f, NEG_INF, py) if f.degree > 0 else 0
     for c in dec.columns[k1]:
         if c.fiber_index == k2:
             return c.id

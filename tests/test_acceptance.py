@@ -297,7 +297,7 @@ class TestAcceptance:
             exact = count_roots(p)
             grid = _scan_roots(p)
             assert exact == grid, p.coeffs
-        _report(8, True, "8b: Sturm counting matches dense scan on 100 random polynomials")
+        _report(8, True, "8b: exact root counting matches dense scan on 100 random polynomials")
 
     def test_criterion_8c_cell_count_constancy(self, atlas_pp):
         dec = atlas_pp.wa.dec_fine

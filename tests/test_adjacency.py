@@ -13,7 +13,7 @@ from kinatlas.cad2d import decompose
 from kinatlas.domains import analyze_workspace
 from kinatlas.mechanism import MechanismParams, slice_workspace
 from kinatlas.adjacency import (
-    AdjacencyError, build_graph, build_graphs, _RUNGS, _cmp_bounds, _ranks, _rows,
+    AdjacencyError, build_graph, build_graphs, components, _RUNGS, _cmp_bounds, _ranks, _rows,
     _crosses_horizontal, _witnesses,
 )
 
@@ -64,6 +64,22 @@ class TestBuildGraphs:
         varieties = [[circle, line], [line], [], [circle]]
         assert build_graphs(dec, varieties) == [build_graph(dec, v) for v in varieties]
         assert build_graphs(dec, []) == []
+
+    def test_powers_and_products_block_as_their_curves(self):
+        """A variety polynomial blocks as its zero set does: p^2 as p, p q as
+        p and q together.  A squared fibre never changes sign, so this
+        fails if the stacked-pair test drops the squarefree part."""
+        rng = random.Random(5)
+        pairs = [(P("u^2+v^2-1"), P("v-u^2+1/2"))]
+        while len(pairs) < 4:
+            p, q = _rand_conic(rng), _rand_conic(rng)
+            if min(p.degree("v"), q.degree("v")) >= 1:
+                pairs.append((p, q))
+        for p, q in pairs:
+            dec = decompose([p, q], "u", "v")
+            g = build_graph(dec, [p])
+            assert build_graph(dec, [p * p]) == g and len(components(g)) >= 2
+            assert build_graph(dec, [p * q]) == build_graph(dec, [p, q])
 
 
 class TestCut:

@@ -285,7 +285,7 @@ def _through(rng, x0: Fraction, y0: Fraction) -> MPoly:
 class TestFibreProduct:
     def test_lcm_matches_whole_product_squarefree(self):
         from kinatlas.cad2d import _specialize_product
-        from oracles import specialize_product_whole
+        from oracles import specialize_product_whole, upoly_derivative
         rng = random.Random(41)
         shared = tangent = 0
         for _ in range(150):
@@ -306,7 +306,7 @@ class TestFibreProduct:
             fibres = [UPoly.from_mpoly(p.eval({"u": x0}).with_vars(("v",)), "v")
                       for p in polys if p.degree("v") >= 1]
             shared += sum(upoly_eval(f, y0) == 0 for f in fibres) >= 2
-            tangent += any(f.degree >= 1 and f.gcd(f.derivative()).degree >= 1 for f in fibres)
+            tangent += any(f.degree >= 1 and f.gcd(upoly_derivative(f)).degree >= 1 for f in fibres)
         assert shared >= 100 and tangent >= 20, (shared, tangent)
 
     def test_matches_both_oracles_at_fine_witnesses(self):
@@ -577,8 +577,8 @@ def _endpoints():
 
 class TestLocateOracle:
     """`Decomposition.locate` counts the base roots below px on the isolated
-    base roots; `oracles.locate_by_sturm` counts them with the Sturm
-    sequence of the whole base product."""
+    base roots and the fibre roots below py by a Descartes walk;
+    `oracles.locate_by_sturm` counts both with Sturm sequences."""
 
     def test_cell_samples_of_the_reference_decompositions(self, atlas_pp):
         from oracles import locate_by_sturm

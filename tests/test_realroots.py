@@ -8,15 +8,16 @@ from kinatlas.ratpoly import MPoly, UPoly
 from kinatlas.realroots import (
     RealRootError,
     NEG_INF, POS_INF,
-    sturm_sequence, count_roots, isolate, sample_between, _root_bound,
+    count_roots, isolate, sample_between, _root_bound,
     _scale_shift, _sign_at, _sign_variations, _split, _taylor_shift_1,
 )
 import kinatlas.realroots as realroots
 
 from oracles import (
-    bernstein_by_fractions, bind_int_by_powers, interval, isolate_by_scaling, parse_poly,
-    refine_by_bisection_loop, refine_by_fractions, segment_crosses, restrict_to_segment,
-    sign_at_by_powers, upoly_eval, upoly_eval_float, upoly_mul,
+    bernstein_by_fractions, bind_int_by_powers, count_roots_by_sturm, interval,
+    isolate_by_scaling, parse_poly, refine_by_bisection_loop, refine_by_fractions,
+    segment_crosses, restrict_to_segment, sign_at_by_powers, sturm_sequence, upoly_eval,
+    upoly_eval_float, upoly_mul,
 )
 
 
@@ -42,6 +43,8 @@ def _scan_count(p: UPoly, lo: float, hi: float, n: int = 20000) -> int:
 
 
 class TestSturm:
+    """The Sturm sequences of `oracles`, the independent counting route."""
+
     def test_basic_sequence(self):
         seq = sturm_sequence(U(-2, 0, 1))  # x^2 - 2
         assert seq[0] == (-2, 0, 1)
@@ -84,6 +87,32 @@ class TestCount:
             p = UPoly([Fraction(rng.randint(-9, 9)) for _ in range(deg)] + [Fraction(rng.randint(1, 9))])
             assert count_roots(p) == len(isolate(p))
 
+    def test_matches_sturm_oracle_random(self):
+        """The Descartes count equals the Sturm count of `oracles` on seeded
+        polynomials with rational (also non-dyadic) and repeated roots, on
+        windows with infinite ends and with ends that are roots."""
+        rng = random.Random(78)
+        windows = end_roots = 0
+        for _ in range(1000):
+            deg = rng.randint(1, 6)
+            p = UPoly([rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 5)])
+            roots = []
+            for _ in range(rng.randint(0, 3)):
+                r = Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 5, 8]))
+                p = upoly_mul(p, UPoly([-r.numerator, r.denominator]) if rng.random() < 0.8
+                              else UPoly([r.numerator ** 2, -2 * r.numerator * r.denominator,
+                                          r.denominator ** 2]))
+                roots.append(r)
+            ends = roots + [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(2)]
+            cases = [(NEG_INF, POS_INF)]
+            cases += [(NEG_INF, x) for x in ends] + [(x, POS_INF) for x in ends]
+            cases += [(x, y) for x in ends for y in ends if x < y]
+            for lo, hi in cases:
+                assert count_roots(p, lo, hi) == count_roots_by_sturm(p, lo, hi), (p, lo, hi)
+                windows += 1
+                end_roots += lo in roots or hi in roots
+        assert windows >= 10000 and end_roots >= 5000, (windows, end_roots)
+
 
 class TestIsolate:
     def test_sqrt2(self):
@@ -121,7 +150,7 @@ class TestIsolate:
         iv = isolate(U(-2, 0, 1))[1]
         w = Fraction(1, 10 ** 12)
         r = iv.refine(w)
-        assert r.width() < w
+        assert r.high - r.low < w
         assert abs(float(r.midpoint()) - math.sqrt(2)) < 1e-11
 
     def test_degree8_vs_scan_oracle(self):
@@ -327,7 +356,7 @@ class TestIntegerRefine:
             hi = r + Fraction(rng.randint(1, 50), rng.choice((3, 7, 11, 100)))
             width = Fraction(rng.randint(1, 99), rng.choice((3, 10, 7 ** 9, 10 ** 12)))
             got = self._same(interval(lo, hi, p), width)
-            narrowed += got.width() < width < hi - lo
+            narrowed += got.high - got.low < width < hi - lo
         assert narrowed >= 200
 
     def test_root_at_a_midpoint(self):
@@ -415,7 +444,7 @@ class TestOneBisectionLoop:
         n = 0
         for f in inputs.values():
             for iv in isolate(f):
-                for width in (iv.width() / 1000, Fraction(1, 1 << 60)):
+                for width in ((iv.high - iv.low) / 1000, Fraction(1, 1 << 60)):
                     got = iv.refine(width)
                     want = refine_by_bisection_loop(iv, width)
                     assert (got.low, got.high) == (want.low, want.high), (f, iv, width)
@@ -469,7 +498,7 @@ class TestIntervalState:
     def test_refined_states(self):
         for p, _, _ in _oracle_polys():
             for iv in isolate(p):
-                for width in (iv.width() / 3, Fraction(1, 1 << 50)):
+                for width in ((iv.high - iv.low) / 3, Fraction(1, 1 << 50)):
                     self._check(iv.refine(width))
 
 
@@ -491,13 +520,14 @@ class TestNoRepeatedSign:
             for iv in isolate(p):
                 if iv.is_exact():
                     continue
-                for width in (iv.width() / 2, iv.width() / 1000, Fraction(1, 1 << 60)):
+                w = iv.high - iv.low
+                for width in (w / 2, w / 1000, Fraction(1, 1 << 60)):
                     calls.clear()
                     got = iv.refine(width)
                     if got.is_exact():
                         continue
-                    k = (iv.width() / got.width()).numerator.bit_length() - 1
-                    assert iv.width() == got.width() * (1 << k) and len(calls) == k, (p, iv, width)
+                    k = (w / (got.high - got.low)).numerator.bit_length() - 1
+                    assert w == (got.high - got.low) * (1 << k) and len(calls) == k, (p, iv, width)
                     n += 1
         assert n >= 500
 
@@ -562,42 +592,6 @@ class TestKernelCaches:
                 with pytest.raises(TypeError):
                     p.coeffs[0] = p.coeffs[0] + 1
             assert UPoly(p.coeffs) == p == UPoly([c * Fraction(-3, 7) for c in cs])
-
-    def test_cached_sturm_counts_match_uncached(self):
-        rng = random.Random(78)
-        cases = []
-        for _ in range(150):
-            deg = rng.randint(1, 8)
-            p = UPoly([Fraction(rng.randint(-9, 9)) for _ in range(deg)] + [Fraction(rng.randint(1, 5))])
-            lo = Fraction(rng.randint(-40, 40), 8)
-            hi = lo + Fraction(rng.randint(1, 40), 8)
-            cases.append(((p, NEG_INF, lo), (p, lo, hi), (p, hi, POS_INF))[len(cases) % 3])
-        sturm_sequence.cache_clear()
-        cold = [count_roots(p, lo, hi) for p, lo, hi in cases]
-        warm = [count_roots(p, lo, hi) for p, lo, hi in cases]
-        # a positive rational multiple has the same integer coefficients: same entry
-        scaled = [count_roots(upoly_mul(p, UPoly([Fraction(3, 7)])), lo, hi) for p, lo, hi in cases]
-        assert sturm_sequence.cache_info().hits >= 2 * len(cases) - 10
-        direct = []
-        for p, lo, hi in cases:
-            seq = sturm_sequence.__wrapped__(p)
-            assert seq == sturm_sequence(p)
-            direct.append(len(isolate_in(p, lo, hi)))
-        assert cold == warm == scaled == direct
-
-
-def isolate_in(p: UPoly, lo: Fraction, hi: Fraction):
-    """Roots of p in (lo, hi] from the isolating intervals, refined until
-    each one lies on one side of both bounds."""
-    out = []
-    for iv in isolate(p):
-        while not iv.is_exact() and (iv.low < lo < iv.high or iv.low < hi < iv.high
-                                     or lo in (iv.low, iv.high) or hi in (iv.low, iv.high)):
-            iv = iv.refine(iv.width() / 2)
-        x = iv.low if iv.is_exact() else iv.midpoint()
-        if lo < x <= hi:
-            out.append(iv)
-    return out
 
 
 def _eq11_rho1_coeffs(c2s: Fraction, c3s: Fraction) -> list[Fraction]:
@@ -723,6 +717,6 @@ class TestRootsBelow:
             for x in xs:
                 if upoly_eval(p, x) == 0:
                     continue
-                assert roots_below(roots, x) == count_roots(p, NEG_INF, x), (p, x)
+                assert roots_below(roots, x) == count_roots_by_sturm(p, NEG_INF, x), (p, x)
                 checked += 1
         assert checked >= 1000 and inside >= 100
