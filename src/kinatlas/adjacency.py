@@ -2,16 +2,16 @@
 
 One pass per decomposition serves every variety asked of it.  The pass
 enumerates the candidate edges once: vertically stacked cells, horizontally
-adjacent cells whose fiber intervals overlap near the shared base root at
-the first witness rung where they overlap (each with a horizontal witness
-segment), and, when the fiber is the half-tangent chart of an angle, the
-bottom and top cell of each column, which meet across the cut at fiber
-infinity.  For each candidate it records which variety polynomials block
-it: in a stacked pair, a sign change of the polynomial's squarefree fibre
-between the two samples; across a base root, a zero on the witness
-segment; across the cut, an odd fiber degree.  The graph of each variety
-is then a filter that keeps the candidates none of its own polynomials
-block.  Every test is an exact sign or Descartes root count.
+adjacent cells whose fiber intervals overlap at one witness pair hugging
+the shared base root (each with a horizontal witness segment), and, when
+the fiber is the half-tangent chart of an angle, the bottom and top cell
+of each column, which meet across the cut at fiber infinity.  For each
+candidate it records which variety polynomials block it: in a stacked
+pair, a sign change of the polynomial's squarefree fibre between the two
+samples; across a base root, a zero on the witness segment; across the
+cut, an odd fiber degree.  The graph of each variety is then a filter
+that keeps the candidates none of its own polynomials block.  Every test
+is an exact sign or Descartes root count.
 """
 
 from __future__ import annotations
@@ -170,39 +170,36 @@ def _crosses_horizontal(rows, c: Fraction, w1: Fraction, w2: Fraction, var: str)
         return False
     ints = u.coeffs
     s1, s2 = _sign_at(ints, *w1.as_integer_ratio()), _sign_at(ints, *w2.as_integer_ratio())
-    return s1 != s2 or s1 == 0 or count_roots(u, w1, w2) > 0
+    return s1 != s2 or s1 == 0 or count_roots(u.squarefree(), w1, w2) > 0
 
 
-_RUNGS = (1 << 10, 1 << 22, 1 << 40)   # witness shrink factors, tried in turn
+_SHRINK = 1 << 40   # witnesses lie within gap / _SHRINK of their base root
 
 
-def _witnesses(dec: Decomposition, j: int):
-    """Rational abscissae hugging base root j from both sides: one
-    (shrink, w1, w2) per rung of `_RUNGS`, as the caller asks for them.
+def _witnesses(dec: Decomposition, j: int) -> tuple[Fraction, Fraction]:
+    """Rational abscissae w1 < root j < w2 hugging base root j, with no
+    other base root in [w1, w2].
 
-    The fiber-overlap criterion is valid only for witnesses close enough to
-    the boundary, so the isolating interval is refined well below the gap
-    to its neighbours, gap / shrink.  The gap is that of the unrefined
-    roots, and each rung bisects on from the interval the rung before left,
-    which is where bisection from the unrefined root would pass.
+    Adjacency across a base root is a limit (Arnon-Collins-McCallum): the
+    fiber-overlap criterion is valid only for witnesses close enough to the
+    root.  So its isolating interval is refined below gap / _SHRINK, gap
+    being that to its unrefined neighbours, at most 1.  An exact rational
+    root v gets v -+ d, d halved from gap / _SHRINK until neither is a base
+    root.
     """
     roots = dec.base_roots
     r = roots[j]
     left_gap = (r.low - roots[j - 1].high) if j > 0 else Fraction(1)
     right_gap = (roots[j + 1].low - r.high) if j + 1 < len(roots) else Fraction(1)
-    gap = min(left_gap, right_gap, Fraction(1))
-    ints = dec.base_poly.coeffs
-    for shrink in _RUNGS:
-        d = gap / shrink
-        r = r.refine(d)
-        if not r.is_exact():
-            yield shrink, r.low, r.high
-            continue
-        v = r.low
-        while (_sign_at(ints, *(v - d).as_integer_ratio()) == 0
-               or _sign_at(ints, *(v + d).as_integer_ratio()) == 0):
-            d /= 2
-        yield shrink, v - d, v + d
+    d = min(left_gap, right_gap, Fraction(1)) / _SHRINK
+    r = r.refine(d)
+    if not r.is_exact():
+        return r.low, r.high
+    v, ints = r.low, dec.base_poly.coeffs
+    while (_sign_at(ints, *(v - d).as_integer_ratio()) == 0
+           or _sign_at(ints, *(v + d).as_integer_ratio()) == 0):
+        d /= 2
+    return v - d, v + d
 
 
 def build_graphs(dec: Decomposition, varieties: list[list[MPoly]],
@@ -224,7 +221,12 @@ def build_graphs(dec: Decomposition, varieties: list[list[MPoly]],
     two stacked cells lies exactly one root of the column's fibre product,
     so the squarefree part of p's fibre has at most one root there, a
     simple one, and p blocks the pair exactly when that part changes sign
-    between the samples."""
+    between the samples.
+
+    Across base root j the candidates are the pairs whose fiber intervals
+    overlap at its one witness pair w1 < w2 (`_witnesses`), each decided
+    once: p blocks a pair when p(x, c) vanishes for x in [w1, w2], c a
+    sample of the overlap."""
     bv, fv = dec.base_var, dec.fiber_var
     polys: list[MPoly] = []          # distinct polynomials of all varieties
     users: list[set[int]] = []       # the varieties each one belongs to
@@ -267,43 +269,37 @@ def build_graphs(dec: Decomposition, varieties: list[list[MPoly]],
             if len(col) >= 2:
                 add(col[0].id, col[-1].id, lambda t: odd[t])
 
-    # horizontal: cells across each base root; witnesses escalate toward the
-    # boundary because fiber overlap is a limit criterion in e
+    # horizontal: cells across each base root whose fiber intervals overlap
+    # at its witnesses, blocked by a zero on the witness segment
     hrows = [_rows(p, bv, fv) for p in polys]
     for j in range(len(dec.base_roots)):
         left, right = dec.columns[j], dec.columns[j + 1]
-        pending = {(c1.id, c2.id) for c1 in left for c2 in right}
-        for shrink, w1, w2 in _witnesses(dec, j):
-            where = f"base root {j}, shrink {shrink}"
-            roots1 = _roots_at(dec, w1, left, where)
-            roots2 = _roots_at(dec, w2, right, where)
-            try:
-                rank1, rank2 = _ranks(roots1, roots2)
-            except AdjacencyError as e:
-                i, k = e.roots
-                raise AdjacencyError(
-                    f"{where}, cells ({left[i].id}, {right[k].id}): upper fiber "
-                    f"bounds: {e}") from e
-            top = len(roots1) + len(roots2) + 1
-            bounds2 = [_ranked_bounds(roots2, rank2, c2.fiber_index, top) for c2 in right]
-            for c1 in left:
-                lo1, hi1, rl1, rh1 = _ranked_bounds(roots1, rank1, c1.fiber_index, top)
-                for c2, (lo2, hi2, rl2, rh2) in zip(right, bounds2):
-                    pair = (c1.id, c2.id)
-                    if pair not in pending or max(rl1, rl2) >= min(rh1, rh2):
-                        continue
-                    pending.discard(pair)
-                    # on equal ranks the left bound is kept
-                    lo = lo1 if rl1 >= rl2 else lo2
-                    hi = hi1 if rh1 <= rh2 else hi2
-                    try:
-                        c = sample_between(lo, hi)
-                        add(c1.id, c2.id,
-                            lambda t: _crosses_horizontal(hrows[t], c, w1, w2, bv))
-                    except (AdjacencyError, RealRootError) as e:
-                        raise AdjacencyError(f"{where}, cells {pair}: {e}") from e
-            if not pending:
-                break
+        w1, w2 = _witnesses(dec, j)
+        where = f"base root {j}"
+        roots1 = _roots_at(dec, w1, left, where)
+        roots2 = _roots_at(dec, w2, right, where)
+        try:
+            rank1, rank2 = _ranks(roots1, roots2)
+        except AdjacencyError as e:
+            i, k = e.roots
+            raise AdjacencyError(
+                f"{where}, cells ({left[i].id}, {right[k].id}): upper fiber "
+                f"bounds: {e}") from e
+        top = len(roots1) + len(roots2) + 1
+        bounds2 = [_ranked_bounds(roots2, rank2, c2.fiber_index, top) for c2 in right]
+        for c1 in left:
+            lo1, hi1, rl1, rh1 = _ranked_bounds(roots1, rank1, c1.fiber_index, top)
+            for c2, (lo2, hi2, rl2, rh2) in zip(right, bounds2):
+                if max(rl1, rl2) >= min(rh1, rh2):
+                    continue
+                # on equal ranks the left bound is kept
+                lo = lo1 if rl1 >= rl2 else lo2
+                hi = hi1 if rh1 <= rh2 else hi2
+                try:
+                    c = sample_between(lo, hi)
+                    add(c1.id, c2.id, lambda t: _crosses_horizontal(hrows[t], c, w1, w2, bv))
+                except (AdjacencyError, RealRootError) as e:
+                    raise AdjacencyError(f"{where}, cells {(c1.id, c2.id)}: {e}") from e
 
     nodes = tuple(c.id for c in dec.cells)
     return [AdjacencyGraph(nodes, tuple(sorted(es))) for es in edges]

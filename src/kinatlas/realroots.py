@@ -4,9 +4,9 @@ One Descartes-rule bisection, `_descartes`, finds the roots on a window:
 `isolate` keeps the nodes it accepts as isolating intervals, `count_roots`
 counts them, and `roots_below` counts on intervals isolation already
 found, with one sign test.  All read the primitive integer coefficients a
-`UPoly` holds.  `isolate` and `count_roots` take the squarefree part of
-their input themselves, so callers pass any nonzero polynomial;
-`isolate_squarefree` skips that step for input that is squarefree already,
+`UPoly` holds.  `isolate` takes the squarefree part of its input itself,
+so callers pass any nonzero polynomial; `isolate_squarefree` and
+`count_roots` skip that step and take input that is squarefree already,
 as the plane decomposition's fibre products are.  The walk runs in the
 Bernstein basis (Mourrain-Rouillier-Roy; Eigenwillig): the Descartes test
 on (a, b) counts the sign variations of p's Bernstein coefficients b_i
@@ -277,8 +277,8 @@ def _descartes(ints: list[int], a: Fraction, w: Fraction):
 
 
 def count_roots(p: UPoly, low=NEG_INF, high=POS_INF) -> int:
-    """Number of distinct real roots in (low, high]: the roots
-    `_descartes` finds on (low, high) for p's squarefree part, an infinite
+    """Number of real roots of the squarefree polynomial p in
+    (low, high]: the roots `_descartes` finds on (low, high), an infinite
     end cut at the root bound, and one more when high is a root."""
     if p.is_zero():
         raise RealRootError("zero polynomial")
@@ -287,7 +287,7 @@ def count_roots(p: UPoly, low=NEG_INF, high=POS_INF) -> int:
     if not (low == NEG_INF or high == POS_INF):
         if not low < high:
             raise RealRootError("empty interval")
-    ints = p.squarefree().coeffs
+    ints = p.coeffs
     bound = _root_bound(ints)
     lo = Fraction(-bound if low == NEG_INF else low)
     hi = Fraction(bound if high == POS_INF else high)

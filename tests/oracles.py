@@ -47,8 +47,9 @@ Fractions against the one on integers over the boxes' denominators, the
 order of two isolated roots by Fraction intervals that `refine` rebuilds
 every round against the integer bisection states kept across rounds,
 `refine`'s former bisection loop against `realroots._bisect`, the
-witnesses of a base root refined afresh at every rung against the
-bisection continued across the rungs, and Horner
+adjacency graphs by the three-rung witness ladder, each pair decided at
+the first rung where its fiber intervals overlap, against the one witness
+pair per base root, and Horner
 carrying the powers of the denominator against the one that shifts for
 its power of two.
 `divides` is the exact-division test the tests state factor claims with,
@@ -66,10 +67,12 @@ rational coefficients of a univariate `MPoly`), the polynomial parser (`parse_po
 (`pool_waypoints`).
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
+from kinatlas import adjacency
 from kinatlas.adjacency import AdjacencyError, AdjacencyGraph, build_graph, build_graphs
 from kinatlas.cad2d import CadError, _specialize_product
 from kinatlas.mechanism import (
@@ -81,7 +84,7 @@ from kinatlas.ratpoly import (
     _merge_vars, exact_div,
 )
 from kinatlas.realroots import (
-    NEG_INF, POS_INF, IsolatingInterval, RealRootError, isolate,
+    NEG_INF, POS_INF, IsolatingInterval, RealRootError, isolate, sample_between,
     _root_bound, _scale_shift, _sign_at, _sign_variations, _taylor_shift_1,
 )
 from kinatlas.mechanism import JointValues, KinematicsError
@@ -215,9 +218,11 @@ def upoly_derivative(p: UPoly) -> UPoly:
     return UPoly([c * i for i, c in enumerate(p.coeffs)][1:], p.var)
 
 
+@functools.lru_cache(maxsize=512)
 def sturm_sequence(p: UPoly) -> tuple[tuple[int, ...], ...]:
     """Signed remainder sequence of the squarefree part of p, as primitive
-    integer coefficient tuples.
+    integer coefficient tuples, cached per polynomial: point location
+    counts on one base product for every point.
 
     Computed fraction-free: each remainder is the negated pseudo-remainder,
     sign-corrected for the pseudo-division multiplier and stripped to
@@ -750,8 +755,8 @@ def cmp_bounds_by_refine(a: IsolatingInterval, b: IsolatingInterval, gcds: dict,
 
 
 def witnesses_from_coarse(dec, j: int, shrink: int) -> tuple[Fraction, Fraction]:
-    """The witness pair of base root j at one rung, refined from the
-    root's unrefined interval below gap / shrink."""
+    """The witness pair of base root j for one shrink factor, refined
+    from the root's unrefined interval below gap / shrink."""
     roots = dec.base_roots
     r = roots[j]
     left_gap = (r.low - roots[j - 1].high) if j > 0 else Fraction(1)
@@ -769,6 +774,76 @@ def witnesses_from_coarse(dec, j: int, shrink: int) -> tuple[Fraction, Fraction]
                 and _sign_at(ints, *(v + d).as_integer_ratio()) != 0):
             return v - d, v + d
         d /= 2
+
+
+LADDER = (1 << 10, 1 << 22, 1 << 40)   # the rungs the adjacency pass once climbed
+
+
+def graphs_by_ladder(dec, varieties, wrap: bool = False) -> list[AdjacencyGraph]:
+    """`build_graphs` by the three-rung witness ladder the adjacency pass
+    once climbed, one variety at a time.  Across base root j each pair of
+    cells is decided at the first rung of `LADDER` whose witnesses
+    (`witnesses_from_coarse`) give it overlapping fiber intervals, by the
+    pass's horizontal segment test; a pair that overlaps at no rung is no
+    edge.  A stacked pair is blocked by a sign change of a squarefree fibre
+    between the two samples, and with `wrap` the bottom and top cell of a
+    column by an odd fiber degree.  The adjacency helpers are looked up on
+    the module at each call, so a test's monkeypatch of them sees the
+    ladder's calls."""
+    bv, fv = dec.base_var, dec.fiber_var
+    cands = []   # (cell id, cell id, whether a polynomial blocks the pair)
+    for col, x in zip(dec.columns, dec.base_samples):
+        for low, high in zip(col, col[1:]):
+            def stacked(p, x=x, ys=(low.sample[1], high.sample[1])):
+                f = UPoly.from_mpoly(p.eval({bv: x}), fv).squarefree()
+                s1, s2 = ((v > 0) - (v < 0) for v in (upoly_eval(f, y) for y in ys))
+                return f.degree >= 1 and s1 != s2
+            cands.append((low.id, high.id, stacked))
+        if wrap and len(col) >= 2:
+            cands.append((col[0].id, col[-1].id, lambda p: p.degree(fv) % 2 == 1))
+    for j in range(len(dec.base_roots)):
+        left, right = dec.columns[j], dec.columns[j + 1]
+        pending = {(c1.id, c2.id) for c1 in left for c2 in right}
+        for shrink in LADDER:
+            w1, w2 = witnesses_from_coarse(dec, j, shrink)
+            roots1 = adjacency._roots_at(dec, w1, left, f"base root {j}")
+            roots2 = adjacency._roots_at(dec, w2, right, f"base root {j}")
+            rank1, rank2 = adjacency._ranks(roots1, roots2)
+            top = len(roots1) + len(roots2) + 1
+            for c1 in left:
+                lo1, hi1, rl1, rh1 = adjacency._ranked_bounds(roots1, rank1, c1.fiber_index, top)
+                for c2 in right:
+                    lo2, hi2, rl2, rh2 = adjacency._ranked_bounds(roots2, rank2, c2.fiber_index,
+                                                                  top)
+                    if (c1.id, c2.id) not in pending or max(rl1, rl2) >= min(rh1, rh2):
+                        continue
+                    pending.discard((c1.id, c2.id))
+                    c = sample_between(lo1 if rl1 >= rl2 else lo2, hi1 if rh1 <= rh2 else hi2)
+                    cands.append((c1.id, c2.id, lambda p, c=c, w1=w1, w2=w2:
+                                  adjacency._crosses_horizontal(adjacency._rows(p, bv, fv),
+                                                                c, w1, w2, bv)))
+            if not pending:
+                break
+    nodes = tuple(c.id for c in dec.cells)
+    graphs = []
+    for variety in varieties:
+        ps = [p.with_vars((bv, fv)) for p in variety]
+        edges = {(min(a, b), max(a, b)) for a, b, blocks in cands
+                 if not any(blocks(p) for p in ps)}
+        graphs.append(AdjacencyGraph(nodes, tuple(sorted(edges))))
+    return graphs
+
+
+def atlas_passes(atlas):
+    """(decomposition, varieties, wrap, graphs) of each adjacency pass of
+    a slice atlas: the singular and fine workspace passes and the joint
+    one."""
+    ws, wa, ja = atlas.ws, atlas.wa, atlas.ja
+    sing = [ws.serial[0], ws.serial[1], ws.parallel]
+    fine = sing + list(wa.sc.polynomials)
+    return [(wa.dec_sing, [sing], True, [wa.graph_sing]),
+            (wa.dec_fine, [fine, sing], True, [wa.graph_fine, wa.graph_fine_sing]),
+            (ja.dec, [[ja.js.parallel_rc, *ja.js.serial_rc]], False, [ja.graph])]
 
 
 def sign_at_by_powers(ints, a: int, b: int) -> int:

@@ -8,18 +8,19 @@ from fractions import Fraction
 import pytest
 
 from kinatlas.ratpoly import MPoly, UPoly
-from kinatlas.realroots import isolate
+from kinatlas.realroots import isolate, _sign_at
 from kinatlas.cad2d import decompose
 from kinatlas.domains import analyze_workspace
 from kinatlas.mechanism import MechanismParams, slice_workspace
 from kinatlas.adjacency import (
-    AdjacencyError, build_graph, build_graphs, components, _RUNGS, _cmp_bounds, _ranks, _rows,
+    AdjacencyError, build_graph, build_graphs, components, _cmp_bounds, _ranks, _rows,
     _crosses_horizontal, _witnesses,
 )
 
 from oracles import (
-    cmp_bounds_by_refine, interval, parse_poly, segment_crosses, restrict_to_segment, upoly_eval,
-    upoly_mul, witnesses_from_coarse, workspace_graphs_by_post_pass,
+    LADDER, atlas_passes, cmp_bounds_by_refine, graphs_by_ladder, interval,
+    parse_poly, segment_crosses, restrict_to_segment, upoly_eval, upoly_mul,
+    witnesses_from_coarse, workspace_graphs_by_post_pass,
 )
 from test_cad2d import _rand_conic
 
@@ -57,6 +58,39 @@ class TestBuildGraphs:
             assert got == [build_graph(dec, V), build_graph(dec, V[:k])], \
                 f"{[str(p) for p in V]}, k = {k}"
             done += 1
+
+    def test_matches_ladder_oracle(self, atlas_pp):
+        """One witness pair per base root gives the graphs of the three-rung
+        ladder for the decomposition's own curves: on seeded conic
+        arrangements, with and without the cut, and on the reference
+        atlas's three passes.  For a sub-variety the ladder also keeps pairs
+        that overlap only at a coarse rung and whose witness segment no
+        curve of the sub-variety meets: sound edges of its complement but no
+        adjacencies, so there the pass's edges are a subset with the same
+        components."""
+        rng = random.Random(23)
+        done = fewer = 0
+        while done < 40:
+            polys = [_rand_conic(rng) for _ in range(rng.randint(1, 4))]
+            polys = [p for p in polys if not p.is_constant()]
+            if not polys:
+                continue
+            try:
+                dec = decompose(polys, "u", "v")
+            except Exception:
+                continue  # degenerate arrangement
+            varieties = [polys, polys[:rng.randint(0, len(polys) - 1)]]
+            for wrap in (False, True):
+                (g, g_sub), (want, want_sub) = (build_graphs(dec, varieties, wrap),
+                                                graphs_by_ladder(dec, varieties, wrap))
+                assert g == want, ([str(p) for p in polys], wrap)
+                assert set(g_sub.edges) <= set(want_sub.edges)
+                assert components(g_sub) == components(want_sub)
+                fewer += g_sub != want_sub
+            done += 1
+        assert fewer >= 10, fewer
+        for dec, varieties, wrap, graphs in atlas_passes(atlas_pp):
+            assert graphs_by_ladder(dec, varieties, wrap) == graphs
 
     def test_shared_and_disjoint_varieties(self):
         circle, line = P("u^2+v^2-1"), P("v")
@@ -200,7 +234,10 @@ class TestComparisonStates:
             return got
 
         monkeypatch.setattr(adjacency, "_cmp_bounds", checked)
-        SliceAtlas.build(params, y0, WorkingMode(1, 1))
+        atlas = SliceAtlas.build(params, y0, WorkingMode(1, 1))
+        # the comparisons of the ladder's rungs 2^-10 and 2^-22 too
+        for dec, varieties, wrap, graphs in atlas_passes(atlas):
+            assert graphs_by_ladder(dec, varieties, wrap) == graphs
         assert len(signs) >= 100 and set(signs) == {-1, 0, 1}, (len(signs), set(signs))
 
     def test_ties_and_exact_intervals(self):
@@ -264,14 +301,46 @@ class TestComparisonStates:
         assert min(signs.values()) >= 50, signs
 
 
-class TestWitnessLadder:
-    def test_continued_bisection_gives_every_witness(self, atlas_pp):
+class TestWitnessPair:
+    @staticmethod
+    def _check(dec):
+        """Each base root j lies strictly between its witnesses w1 < w2, by
+        exact signs, and the isolating intervals of its neighbours, which
+        hold every other base root, lie outside [w1, w2]; the witnesses hug
+        root j within gap / 2^40, and they are the last rung's pair of the
+        ladder."""
+        ints = dec.base_poly.coeffs
+        roots = dec.base_roots
+        exact = 0
+        for j, r in enumerate(roots):
+            w1, w2 = _witnesses(dec, j)
+            s1, s2 = (_sign_at(ints, *w.as_integer_ratio()) for w in (w1, w2))
+            assert s1 != 0 and s2 != 0, j
+            assert j == 0 or roots[j - 1].high < w1, j
+            assert j + 1 == len(roots) or w2 < roots[j + 1].low, j
+            left = r.low - roots[j - 1].high if j > 0 else Fraction(1)
+            right = roots[j + 1].low - r.high if j + 1 < len(roots) else Fraction(1)
+            bound = min(left, right, Fraction(1)) / (1 << 40)
+            iv = r.refine(bound)
+            if iv.is_exact():
+                # a rational root v, given or hit by bisection: v -+ d, d <= bound
+                v = iv.low
+                assert _sign_at(ints, *v.as_integer_ratio()) == 0, j
+                assert w1 < v < w2 and max(v - w1, w2 - v) <= bound, j
+                exact += 1
+            else:
+                assert r.low <= w1 < w2 <= r.high and s1 != s2 and w2 - w1 < bound, j
+            assert (w1, w2) == witnesses_from_coarse(dec, j, LADDER[-1]), j
+        return exact
+
+    def test_reference_decompositions(self, atlas_pp):
         for dec in (atlas_pp.wa.dec_fine, atlas_pp.ja.dec):
-            for j in range(len(dec.base_roots)):
-                got = list(_witnesses(dec, j))
-                assert [s for s, *_ in got] == list(_RUNGS)
-                for shrink, w1, w2 in got:
-                    assert (w1, w2) == witnesses_from_coarse(dec, j, shrink), (j, shrink)
+            assert len(dec.base_roots) >= 5
+            self._check(dec)
+
+    def test_exact_rational_base_roots(self):
+        # the unit circle's base roots +-1 are rational
+        assert self._check(decompose([P("u^2+v^2-1"), P("2*v-u")], "u", "v")) >= 2
 
 
 class TestHorizontalCrossing:

@@ -310,8 +310,8 @@ class TestFibreProduct:
         assert shared >= 100 and tangent >= 20, (shared, tangent)
 
     def test_matches_both_oracles_at_fine_witnesses(self):
-        # witnesses 2^-40 beside a shared fibre root, as the last rung of
-        # the adjacency ladder takes them
+        # witnesses 2^-40 beside a shared fibre root, as the adjacency pass
+        # takes them
         from kinatlas.cad2d import _specialize_product
         from oracles import specialize_product_by_fractions, specialize_product_whole
         rng = random.Random(59)
@@ -333,13 +333,16 @@ class TestFibreProduct:
                 assert f.squarefree() is f
 
     def test_matches_both_oracles_at_reference_witnesses(self, atlas_pp):
+        # the pass's witness pair and the ladder's coarser rungs 2^-10, 2^-22
         from kinatlas.adjacency import _witnesses
         from kinatlas.cad2d import _specialize_product
-        from oracles import specialize_product_by_fractions, specialize_product_whole
+        from oracles import (LADDER, specialize_product_by_fractions, specialize_product_whole,
+                             witnesses_from_coarse)
         dec = atlas_pp.wa.dec_fine
         n = 0
         for j in range(len(dec.base_roots)):
-            for _, *ws in _witnesses(dec, j):
+            pairs = [witnesses_from_coarse(dec, j, s) for s in LADDER[:-1]] + [_witnesses(dec, j)]
+            for ws in pairs:
                 for w in ws:
                     args = (dec.polys, dec.base_var, dec.fiber_var, w)
                     got = _specialize_product(*args)
@@ -625,6 +628,26 @@ class TestLocateOracle:
                         assert dec.locate(px, py) == locate_by_sturm(dec, px, py), (px, py)
                     straddled += 1
         assert exact >= 4 and straddled >= 7 * 25
+
+    def test_seeded_points_take_no_squarefree_part(self, atlas_pp, monkeypatch):
+        """The fibre product `locate` counts on is squarefree already, so
+        locating takes no squarefree part, at seeded rational points
+        across the reference fine decomposition."""
+        from oracles import locate_by_sturm
+        dec = atlas_pp.wa.dec_fine
+        rng = random.Random(300)
+        lo, hi = dec.base_roots[0].low - 1, dec.base_roots[-1].high + 1
+        points = [(lo + (hi - lo) * Fraction(rng.randint(0, 1000), 1000),
+                   Fraction(rng.randint(-80, 80), rng.choice([1, 3, 10, 16])))
+                  for _ in range(300)]
+        taken = []
+        squarefree = UPoly.squarefree
+        monkeypatch.setattr(UPoly, "squarefree", lambda f: taken.append(f) or squarefree(f))
+        got = [dec.locate(*p) for p in points]
+        assert not taken
+        monkeypatch.undo()
+        assert got == [locate_by_sturm(dec, *p) for p in points]
+        assert got.count(None) <= 3 and len(set(got)) >= 40, (got.count(None), len(set(got)))
 
     def test_rational_base_roots_of_a_circle(self):
         from oracles import locate_by_sturm

@@ -14,7 +14,8 @@ from kinatlas.realroots import (
 import kinatlas.realroots as realroots
 
 from oracles import (
-    bernstein_by_fractions, bind_int_by_powers, count_roots_by_sturm, interval,
+    atlas_passes, bernstein_by_fractions, bind_int_by_powers, count_roots_by_sturm,
+    graphs_by_ladder, interval,
     isolate_by_scaling, parse_poly, refine_by_bisection_loop, refine_by_fractions,
     segment_crosses, restrict_to_segment, sign_at_by_powers, sturm_sequence, upoly_eval,
     upoly_eval_float, upoly_mul,
@@ -85,12 +86,13 @@ class TestCount:
         for _ in range(100):
             deg = rng.randint(1, 10)
             p = UPoly([Fraction(rng.randint(-9, 9)) for _ in range(deg)] + [Fraction(rng.randint(1, 9))])
-            assert count_roots(p) == len(isolate(p))
+            assert count_roots(p.squarefree()) == len(isolate(p))
 
     def test_matches_sturm_oracle_random(self):
-        """The Descartes count equals the Sturm count of `oracles` on seeded
-        polynomials with rational (also non-dyadic) and repeated roots, on
-        windows with infinite ends and with ends that are roots."""
+        """The Descartes count of the squarefree part equals the Sturm count
+        of `oracles` on seeded polynomials with rational (also non-dyadic)
+        and repeated roots, on windows with infinite ends and with ends
+        that are roots."""
         rng = random.Random(78)
         windows = end_roots = 0
         for _ in range(1000):
@@ -104,11 +106,12 @@ class TestCount:
                                           r.denominator ** 2]))
                 roots.append(r)
             ends = roots + [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(2)]
+            f = p.squarefree()
             cases = [(NEG_INF, POS_INF)]
             cases += [(NEG_INF, x) for x in ends] + [(x, POS_INF) for x in ends]
             cases += [(x, y) for x in ends for y in ends if x < y]
             for lo, hi in cases:
-                assert count_roots(p, lo, hi) == count_roots_by_sturm(p, lo, hi), (p, lo, hi)
+                assert count_roots(f, lo, hi) == count_roots_by_sturm(p, lo, hi), (p, lo, hi)
                 windows += 1
                 end_roots += lo in roots or hi in roots
         assert windows >= 10000 and end_roots >= 5000, (windows, end_roots)
@@ -243,14 +246,18 @@ class TestIncrementalIsolation:
                 assert _bounds(isolate(f)) == _bounds(isolate_by_scaling(f)) == _bounds(roots)
 
     def test_reference_witness_fibres(self, atlas_pp):
-        """Every witness fibre of the fine adjacency pass, at every rung: the
-        2^-40 rung holds root clusters some 40 bisection levels deep."""
+        """Every witness fibre of the fine adjacency pass, and those of the
+        ladder's coarser rungs 2^-10 and 2^-22: the pass's witnesses, within
+        2^-40 of the gap, hold root clusters some 40 bisection levels
+        deep."""
         from kinatlas.adjacency import _witnesses
         from kinatlas.cad2d import _specialize_product
+        from oracles import LADDER, witnesses_from_coarse
         dec = atlas_pp.wa.dec_fine
         n, finest = 0, Fraction(1)
         for j in range(len(dec.base_roots)):
-            for shrink, *ws in _witnesses(dec, j):
+            pairs = [witnesses_from_coarse(dec, j, s) for s in LADDER[:-1]] + [_witnesses(dec, j)]
+            for shrink, ws in zip(LADDER, pairs):
                 for w in ws:
                     f = _specialize_product(dec.polys, dec.base_var, dec.fiber_var, w)
                     got = _bounds(isolate(f))
@@ -438,7 +445,10 @@ class TestOneBisectionLoop:
 
         for module in (realroots, cad2d, adjacency):
             monkeypatch.setattr(module, "isolate_squarefree", recorded)
-        SliceAtlas.build(MechanismParams(), Fraction(1, 2), WorkingMode(1, 1))
+        atlas = SliceAtlas.build(MechanismParams(), Fraction(1, 2), WorkingMode(1, 1))
+        # the witness fibres of the ladder's rungs 2^-10 and 2^-22 too
+        for dec, varieties, wrap, graphs in atlas_passes(atlas):
+            assert graphs_by_ladder(dec, varieties, wrap) == graphs
         monkeypatch.undo()
         assert len(inputs) >= 250
         n = 0
@@ -473,7 +483,8 @@ class TestIntervalState:
 
     def test_reference_atlas(self, monkeypatch):
         """Every interval of the reference atlas's three decompositions, and
-        of every witness fibre `_roots_at` isolates while it is built."""
+        of every witness fibre `_roots_at` isolates while it is built and
+        while the ladder oracle climbs its rungs on the three passes."""
         import kinatlas.adjacency as adjacency
         from kinatlas.domains import SliceAtlas
         from kinatlas.mechanism import MechanismParams, WorkingMode
@@ -487,6 +498,8 @@ class TestIntervalState:
 
         monkeypatch.setattr(adjacency, "_roots_at", recorded)
         atlas = SliceAtlas.build(MechanismParams(), Fraction(1, 2), WorkingMode(1, 1))
+        for dec, varieties, wrap, graphs in atlas_passes(atlas):
+            assert graphs_by_ladder(dec, varieties, wrap) == graphs
         decs = (atlas.wa.dec_sing, atlas.wa.dec_fine, atlas.ja.dec)
         ivs = [iv for dec in decs for iv in dec.base_roots]
         ivs += [iv for dec in decs for col in dec.fiber_roots for iv in col]
@@ -677,7 +690,8 @@ class TestSegment:
             scan = any(a * b <= 0 for a, b in zip(vals, vals[1:]))
             if not scan and got:
                 # scan can miss tangencies; verify exactly and skip
-                assert count_roots(u, Fraction(0), Fraction(1)) > 0 or upoly_eval(u, 0) == 0
+                assert (count_roots(u.squarefree(), Fraction(0), Fraction(1)) > 0
+                        or upoly_eval(u, 0) == 0)
                 done += 1
                 continue
             assert got == scan or (scan and got)
