@@ -22,7 +22,7 @@ from fractions import Fraction
 from .ratpoly import MPoly
 from .realroots import (
     NEG_INF, POS_INF, IsolatingInterval, RealRootError, isolate_squarefree, count_roots,
-    sample_between, _bisect, _sign_at,
+    sample_between, _deepen, _sign_at,
 )
 from .cad2d import Decomposition, _bind, _rows, _specialize_product
 
@@ -68,48 +68,53 @@ def components(g: AdjacencyGraph) -> list[set[int]]:
 # algebraic fiber bounds: IsolatingInterval values or +-inf sentinels
 
 
-def _cmp_bounds(a: IsolatingInterval, b: IsolatingInterval, gcds: dict,
+def _cmp_bounds(a: IsolatingInterval, b: IsolatingInterval, memo: dict,
                 max_iter: int = 50) -> int:
-    """Sign of (root a) - (root b).  Each root is held across the rounds as
-    one integer bisection state [A, B, d, slo], seeded with the interval's
-    own: its ends A/d and B/d and the sign of its polynomial at the low end.
-    Each round halves both intervals five times (`realroots._bisect`),
-    narrowing them below a sixteenth of their width as `refine(width / 16)`
-    would, so max_iter rounds go past 2^-200 of the starting widths.  Ends
-    compare by cross-multiplication.  `gcds` holds the gcd of each pair of
-    interval polynomials taken so far, keyed by their identities."""
-    sides = [([iv.A, iv.B, iv.d, iv.slo], iv.polynomial.coeffs) for iv in (a, b)]
-    x, y = sides[0][0], sides[1][0]
-    for it in range(max_iter):
-        Ax, Bx, dx, _ = x
-        Ay, By, dy, _ = y
-        if Bx * dy < Ay * dx:
-            return -1
-        if By * dx < Ax * dy:
-            return 1
-        if Ax == Bx and Ay == By:
-            c = Ax * dy - Ay * dx
-            return (c > 0) - (c < 0)
-        # refine a few rounds before paying for the shared-root check
-        if it >= 2:
-            key = (id(a.polynomial), id(b.polynomial))
-            g = gcds.get(key)
-            if g is None:
-                g = gcds[key] = a.polynomial.gcd(b.polynomial)
-            if g.degree >= 1:
-                # the intervals overlap on [lo, hi], where g, dividing both
-                # squarefree interval polynomials, has at most one root, a
-                # simple one: it has one iff its signs at lo and hi are not
-                # one nonzero sign, and that root is each side's own
-                lo = (Ax, dx) if Ax * dy >= Ay * dx else (Ay, dy)
-                hi = (Bx, dx) if Bx * dy <= By * dx else (By, dy)
-                if _sign_at(g.coeffs, *lo) * _sign_at(g.coeffs, *hi) <= 0:
-                    return 0
-        for st, ints in sides:
-            A, B, d, slo = st
-            if A < B:
-                st[:3] = _bisect(ints, A, B, d, slo, B - A, d << 4)
-    raise AdjacencyError("could not order algebraic bounds")
+    """Sign of (root a) - (root b).  Each root is held as one integer state
+    (A, B, d) of its own bisection, seeded with the interval's ends A/d and
+    B/d, and the two are compared at depths 0, 5, 10, 20, 40, ... of it, up
+    to 5 (max_iter - 1), so max_iter = 50 goes past 2^-200 of the starting
+    widths: `realroots._deepen` takes a state there by one `_bisect` call,
+    and a state deeper already is compared as it is.  Ends compare by
+    cross-multiplication.  `memo` holds the gcd of each pair of interval
+    polynomials taken so far, keyed by the pair, and each interval's deepest
+    state, keyed by the interval, from which later comparisons and overlap
+    samples (`sample_between`) of the same root go on."""
+    last = 5 * (max_iter - 1)
+    x, y = memo.get(a, (a.A, a.B, a.d)), memo.get(b, (b.A, b.B, b.d))
+    t = 0
+    try:
+        while True:
+            x, y = _deepen(a, x, t), _deepen(b, y, t)
+            (Ax, Bx, dx), (Ay, By, dy) = x, y
+            if Bx * dy < Ay * dx:
+                return -1
+            if By * dx < Ax * dy:
+                return 1
+            if Ax == Bx and Ay == By:
+                c = Ax * dy - Ay * dx
+                return (c > 0) - (c < 0)
+            # refine a few levels before paying for the shared-root check
+            if t >= 10:
+                key = (a.polynomial, b.polynomial)
+                g = memo.get(key)
+                if g is None:
+                    g = memo[key] = a.polynomial.gcd(b.polynomial)
+                if g.degree >= 1:
+                    # the intervals overlap on [lo, hi], where g, dividing
+                    # both squarefree interval polynomials, has at most one
+                    # root, a simple one: it has one iff its signs at lo and
+                    # hi are not one nonzero sign, and that root is each
+                    # side's own
+                    lo = (Ax, dx) if Ax * dy >= Ay * dx else (Ay, dy)
+                    hi = (Bx, dx) if Bx * dy <= By * dx else (By, dy)
+                    if _sign_at(g.coeffs, *lo) * _sign_at(g.coeffs, *hi) <= 0:
+                        return 0
+            if t == last:
+                raise AdjacencyError("could not order algebraic bounds")
+            t = min(2 * t or 5, last)
+    finally:
+        memo[a], memo[b] = x, y
 
 
 def _roots_at(dec: Decomposition, w: Fraction, col: list, where: str) -> list[IsolatingInterval]:
@@ -122,15 +127,14 @@ def _roots_at(dec: Decomposition, w: Fraction, col: list, where: str) -> list[Is
     return roots
 
 
-def _ranks(roots1: list[IsolatingInterval],
-           roots2: list[IsolatingInterval]) -> tuple[list[int], list[int]]:
+def _ranks(roots1: list[IsolatingInterval], roots2: list[IsolatingInterval],
+           memo: dict) -> tuple[list[int], list[int]]:
     """Ranks 1..m of two increasing root lists in their merged order; equal
     roots share a rank.  On failure the raised AdjacencyError carries the
-    indices of the two roots it could not order as `roots`.  The intervals
-    of one list share at most two polynomials (`isolate` peels an exact zero
-    root), which the lists outlive, so each gcd of a pair is taken once."""
+    indices of the two roots it could not order as `roots`.  Every
+    comparison shares `memo` (`_cmp_bounds`), so each gcd of a pair of
+    polynomials is taken once and each root goes on from its deepest state."""
     rank1, rank2 = [0] * len(roots1), [0] * len(roots2)
-    gcds: dict = {}
     i = k = rank = 0
     while i < len(roots1) or k < len(roots2):
         if k == len(roots2):
@@ -139,7 +143,7 @@ def _ranks(roots1: list[IsolatingInterval],
             c = 1
         else:
             try:
-                c = _cmp_bounds(roots1[i], roots2[k], gcds)
+                c = _cmp_bounds(roots1[i], roots2[k], memo)
             except AdjacencyError as e:
                 e.roots = (i, k)
                 raise
@@ -226,7 +230,10 @@ def build_graphs(dec: Decomposition, varieties: list[list[MPoly]],
     Across base root j the candidates are the pairs whose fiber intervals
     overlap at its one witness pair w1 < w2 (`_witnesses`), each decided
     once: p blocks a pair when p(x, c) vanishes for x in [w1, w2], c a
-    sample of the overlap."""
+    sample of the overlap.  One memo per base root holds the witness
+    roots' deepest comparison states (`_ranks`), so the overlap samples
+    (`sample_between`) read cells the comparisons reached instead of
+    halving the same intervals again; it dies with that base root."""
     bv, fv = dec.base_var, dec.fiber_var
     polys: list[MPoly] = []          # distinct polynomials of all varieties
     users: list[set[int]] = []       # the varieties each one belongs to
@@ -278,8 +285,9 @@ def build_graphs(dec: Decomposition, varieties: list[list[MPoly]],
         where = f"base root {j}"
         roots1 = _roots_at(dec, w1, left, where)
         roots2 = _roots_at(dec, w2, right, where)
+        memo: dict = {}     # this base root's gcds and deepest root states
         try:
-            rank1, rank2 = _ranks(roots1, roots2)
+            rank1, rank2 = _ranks(roots1, roots2, memo)
         except AdjacencyError as e:
             i, k = e.roots
             raise AdjacencyError(
@@ -296,7 +304,7 @@ def build_graphs(dec: Decomposition, varieties: list[list[MPoly]],
                 lo = lo1 if rl1 >= rl2 else lo2
                 hi = hi1 if rh1 <= rh2 else hi2
                 try:
-                    c = sample_between(lo, hi)
+                    c = sample_between(lo, hi, memo)
                     add(c1.id, c2.id, lambda t: _crosses_horizontal(hrows[t], c, w1, w2, bv))
                 except (AdjacencyError, RealRootError) as e:
                     raise AdjacencyError(f"{where}, cells {(c1.id, c2.id)}: {e}") from e

@@ -14,17 +14,21 @@ there, and one de Casteljau pass gives those of both halves.  p is
 converted once per window: with q(x) = p(a + (b - a) x),
 (1 + x)^n q(1 / (1 + x)) = sum C(n, i) b_i x^(n - i).  The test stays
 exact when an end of the window is a root (Krandick-Mehlhorn): that root
-is a zero b_0 or b_n and adds no variation.  An isolating interval is one
-integer state: its ends A/d and B/d over one positive denominator and the
-sign of p at its low end, built once from a Descartes node and halved on
-integers by `_bisect`, the one bisection loop; `refine` and `narrow`
-continue from the state, the adjacency pass's root comparisons seed their
-rounds with it, and its Fraction ends are derived for the callers that
-print or hand them on.  The one Horner sign routine takes an integer
-numerator a and denominator b = o 2^e, o odd, and takes b^k as o^k
-shifted by e k, so at a dyadic point it multiplies by a alone.  The root
-bound is found on integers too.  Sample points are dyadic rationals so bit
-sizes stay bounded when these feed the plane decomposition.
+is a zero b_0 or b_n and adds no variation, and a root-separation bound
+caps its depth, so input that is not squarefree raises.  An isolating
+interval is one integer state: its ends A/d and B/d over one positive
+denominator and the sign of p at its low end, built once from a Descartes
+node.  `_bisect`, the one refinement kernel, takes it to the cell that k
+halvings reach, jumping there by quadratic interval refinement on the
+same dyadic cells.  `refine` and `narrow` continue from the state; the
+adjacency pass's root comparisons and `sample_between` deepen it by
+galloping, and `sample_between` reads shallower cells as ancestors of a
+deep one.  Fraction ends are derived for the callers that print or hand
+them on.  The one Horner routine takes an integer numerator a and
+denominator b = o 2^e, o odd, and takes b^k as o^k shifted by e k, so at
+a dyadic point it multiplies by a alone.  The root bound is found on
+integers too.  Sample points are dyadic rationals so bit sizes stay
+bounded when these feed the plane decomposition.
 """
 
 from __future__ import annotations
@@ -76,23 +80,74 @@ def _sign_at(ints: list[int], a: int, b: int) -> int:
     return (v > 0) - (v < 0)
 
 
+_PLAIN = 12   # requests of at most this many halvings run the plain loop
+
+
 def _bisect(ints: list[int], A: int, B: int, d: int, slo: int,
             wn: int, wd: int) -> tuple[int, int, int]:
-    """The one bisection loop: halve the root's interval (A/d, B/d) until
-    it is narrower than wn/wd, p having the nonzero sign slo at A/d.  A
-    halving doubles A, B and d and takes A + B as the midpoint, so the loop
-    runs on integers and widths compare by cross-multiplication.  Returns
-    the final (A, B, d); A == B when a midpoint is the root."""
-    while (B - A) * wd >= wn * d:
+    """The one refinement kernel: the cell of the root's interval
+    (A/d, B/d) that k halvings reach, k the least count that makes it
+    narrower than wn/wd, p having the nonzero sign slo at A/d.  A halving
+    doubles A, B and d and keeps B - A = W, so the depth-t cells are
+    (A 2^t + i W) / (d 2^t) + [0, W / (d 2^t)].  Returns the depth-k
+    (A, B, d), or (M, M, d 2^tau) when M / (d 2^tau) is the root, first a
+    midpoint at depth tau <= k: the plain halving loop's answer.
+
+    Up to _PLAIN halvings run that loop, one sign per halving.  Longer
+    requests land on the same cells by quadratic interval refinement
+    (Abbott; Kerber-Sagraloff): a jump of m levels guesses subcell
+    j = floor(2^m f(A) / (f(A) - f(B))) of the cell by the secant through
+    the homogeneous Horner values f at its ends, and the exact values at
+    the subcell's ends prove or reject it.  A success doubles m; a failure
+    halves m and takes one plain halving."""
+    W = B - A
+    k = (W * wd // (wn * d)).bit_length()
+    if k <= _PLAIN:
+        for _ in range(k):
+            M = A + B
+            A, B, d = A << 1, B << 1, d << 1
+            sm = _sign_at(ints, M, d)
+            if sm == 0:
+                return M, M, d
+            if sm == slo:
+                A = M
+            else:
+                B = M
+        return A, B, d
+    n = len(ints) - 1
+    fa, fb = _horner(ints, A, d), _horner(ints, B, d)
+    m = 2
+    while k:
+        m = min(m, k)
+        j = (fa << m) // (fa - fb)
+        L, dm = (A << m) + j * W, d << m
+        fl = fa << (m * n) if j == 0 else _horner(ints, L, dm)
+        fr = fb << (m * n) if j + 1 == 1 << m else _horner(ints, L + W, dm)
+        for v, i in ((fl, j), (fr, j + 1)):
+            if v == 0:      # the root, first a midpoint z levels above
+                z = (i & -i).bit_length() - 1
+                M = (A << (m - z)) + (i >> z) * W
+                return M, M, d << (m - z)
+        if (fl > 0) == (slo > 0) != (fr > 0):
+            A, B, d, fa, fb = L, L + W, dm, fl, fr
+            k -= m
+            m <<= 1
+            continue
+        # rejected: one plain halving, whose midpoint is index h at depth
+        # m, evaluated already when the subcell ends on it
+        h, s = 1 << (m - 1), (m - 1) * n
+        fm = (fl >> s if j == h else fr >> s if j + 1 == h
+              else _horner(ints, A + B, d << 1))
         M = A + B
         A, B, d = A << 1, B << 1, d << 1
-        sm = _sign_at(ints, M, d)
-        if sm == 0:
+        if fm == 0:
             return M, M, d
-        if sm == slo:
-            A = M
+        if (fm > 0) == (slo > 0):
+            A, fa, fb = M, fm, fb << n
         else:
-            B = M
+            B, fa, fb = M, fa << n, fm
+        k -= 1
+        m = max(m >> 1, 1)
     return A, B, d
 
 
@@ -168,7 +223,8 @@ class IsolatingInterval:
         return Fraction(self.A + self.B, self.d << 1)
 
     def refine(self, width: Fraction) -> "IsolatingInterval":
-        """Narrow below `width` by sign-preserving bisection."""
+        """Narrow below `width`: the cell that sign-preserving bisection
+        reaches (`_bisect`)."""
         return self.narrow(width.numerator, width.denominator)
 
     def narrow(self, wn: int, wd: int) -> "IsolatingInterval":
@@ -250,8 +306,17 @@ def _descartes(ints: list[int], a: Fraction, w: Fraction):
     ends A/d and B/d with d = D 2^e, and carries the polynomial's integer
     Bernstein coefficients there up to a positive factor, the first and
     last with its signs at the ends.  One variation with opposite end signs
-    accepts a node, none drops it; a zero `_split` apex is a root."""
+    accepts a node, none drops it; a zero `_split` apex is a root.
+
+    A node that neither accepts nor drops holds two roots within sqrt 3
+    times its width (the two-circle theorem, Krandick-Mehlhorn), and two
+    roots of a squarefree integer polynomial lie more than
+    sqrt 3 n^(-(n+2)/2) |p|_2^(1-n) apart (Mahler-Mignotte), so no node
+    deeper than `cap` splits; one that would raises, as on an input that
+    is not squarefree, where the walk would split without end."""
     n = len(ints) - 1
+    cap = (2 * math.ceil(w).bit_length() + (n + 2) * n.bit_length()
+           + (n - 1) * sum(c * c for c in ints).bit_length()) // 2
     D = math.lcm(a.denominator, w.denominator)
     a0, W = a.numerator * (D // a.denominator), w.numerator * (D // w.denominator)
     # b_i = T[n - i] / C(n, i); the lcm of the C(n, i) keeps b integer
@@ -268,6 +333,9 @@ def _descartes(ints: list[int], a: Fraction, w: Fraction):
             yield lo, lo + W, D << e, 1 if bern[0] > 0 else -1
             continue
         # two or more variations, or an end exactly on another root
+        if e > cap:
+            raise RealRootError(f"polynomial of degree {n} is not squarefree: "
+                                f"roots closer than its separation bound")
         left, right = _split(bern)
         if left[-1] == 0:
             m = (a0 << (e + 1)) + W * (2 * k + 1)
@@ -348,20 +416,77 @@ def isolate_squarefree(f: UPoly) -> list[IsolatingInterval]:
     return out
 
 
-def sample_between(lo, hi) -> Fraction:
+def _deepen(iv: IsolatingInterval, st: tuple, t: int) -> tuple[int, int, int]:
+    """A state (A, B, d) of iv's bisection at depth t or deeper: st itself
+    when it is exact or that deep already, else st continued by `_bisect`."""
+    A, B, d = st
+    if A == B or d >= iv.d << t:
+        return st
+    return _bisect(iv.polynomial.coeffs, A, B, d, iv.slo, (iv.B - iv.A) << 1, iv.d << t)
+
+
+def _ancestor(iv: IsolatingInterval, st: tuple, t: int) -> tuple[int, int, int]:
+    """The depth-t state of iv's bisection from st, a state at depth t or
+    deeper, taking no sign: with W = iv.B - iv.A, the depth-s cell
+    A = iv.A 2^s + i W lies in the depth-t cell i >> (s - t).  An exact
+    state M, first a midpoint at depth s, has an odd i there and is its own
+    state at every depth from s on."""
+    A, B, d = st
+    s = (d // iv.d).bit_length() - 1
+    if s <= t:
+        return st
+    W = iv.B - iv.A
+    A = (iv.A << t) + ((A - (iv.A << s)) // W >> (s - t)) * W
+    return A, A + W, iv.d << t
+
+
+_ROUNDS = 200   # the rounds sample_between tries, 0 .. _ROUNDS - 1
+
+
+def sample_between(lo, hi, memo: dict | None = None) -> Fraction:
     """Dyadic rational strictly between two bounds, each an
     `IsolatingInterval` or NEG_INF / POS_INF: 0 between the infinities, the
     integer below (above) a lone finite upper (lower) bound, else the
-    midpoint of the gap that halving both intervals opens."""
+    midpoint of the gap that narrowing both intervals in lockstep opens
+    first: round r narrows each to depth 2 r, below half its width of round
+    r - 1, for the least r < _ROUNDS that opens it.  Both intervals gallop
+    to rounds 1, 2, 4, ... until one opens the gap; a binary search over
+    the rounds skipped then reads ancestors of those states (`_ancestor`),
+    taking no sign.  `memo`, if given, maps intervals to deeper states of
+    their own bisection that the caller holds (`adjacency._cmp_bounds`
+    leaves them there): the gallop tries the last round they reach before
+    it goes past them, and the deepest states are kept there."""
     if lo == NEG_INF:
         return Fraction(0) if hi == POS_INF else Fraction(hi.A // hi.d - 1)
     if hi == POS_INF:
         return Fraction(lo.B // lo.d + 1)
-    for _ in range(200):
-        if lo.B * hi.d < hi.A * lo.d:
-            return Fraction(lo.B * hi.d + hi.A * lo.d, (lo.d * hi.d) << 1)
-        if lo.is_exact() and hi.is_exact():
+    ivs = (lo, hi)
+    sts = [(memo.get(iv) if memo else None) or (iv.A, iv.B, iv.d) for iv in ivs]
+
+    def at(r):
+        return [_ancestor(iv, st, 2 * r) for iv, st in zip(ivs, sts)]
+
+    def opens(r):
+        (_, b, e), (a, _, f) = at(r)
+        return b * f < a * e
+
+    # the rounds the states reach already cost no sign: try the last first
+    free = min([((d // iv.d).bit_length() - 1) // 2 for iv, (A, B, d) in zip(ivs, sts) if A < B]
+               + [_ROUNDS - 1])
+    low, r = -1, 0      # the gap is shut at round low
+    while True:
+        sts = [_deepen(iv, st, 2 * r) for iv, st in zip(ivs, sts)]
+        if opens(r):
+            break
+        if all(A == B for A, B, _ in at(r)):
             raise RealRootError("empty gap between bounds")
-        lo = lo.narrow(lo.B - lo.A, lo.d << 1)
-        hi = hi.narrow(hi.B - hi.A, hi.d << 1)
-    raise RealRootError("could not separate bounds")
+        if r == _ROUNDS - 1:
+            raise RealRootError("could not separate bounds")
+        low, r = r, free if r < free else min(2 * r or 1, _ROUNDS - 1)
+    if memo is not None:
+        memo[lo], memo[hi] = sts
+    while r - low > 1:
+        mid = (low + r) // 2
+        low, r = (low, mid) if opens(mid) else (mid, r)
+    (_, b, e), (a, _, f) = at(r)
+    return Fraction(b * f + a * e, (e * f) << 1)

@@ -46,7 +46,9 @@ the interval enclosure of a polynomial over a box taken term by term on
 Fractions against the one on integers over the boxes' denominators, the
 order of two isolated roots by Fraction intervals that `refine` rebuilds
 every round against the integer bisection states kept across rounds,
-`refine`'s former bisection loop against `realroots._bisect`, the
+`refine`'s former bisection loop against `realroots._bisect`'s jumps
+on the same cells, `sample_between`'s former round-by-round halving
+against its galloping search over ancestor cells, the
 adjacency graphs by the three-rung witness ladder, each pair decided at
 the first rung where its fiber intervals overlap, against the one witness
 pair per base root, and Horner
@@ -721,6 +723,23 @@ def refine_by_bisection_loop(iv: IsolatingInterval, width: Fraction) -> Isolatin
     return interval(Fraction(A, d), Fraction(B, d), p)
 
 
+def sample_between_by_halving(lo, hi) -> Fraction:
+    """`sample_between` by its former loop: both intervals halved once per
+    round, up to 200 rounds, until the gap between them opens."""
+    if lo == NEG_INF:
+        return Fraction(0) if hi == POS_INF else Fraction(hi.A // hi.d - 1)
+    if hi == POS_INF:
+        return Fraction(lo.B // lo.d + 1)
+    for _ in range(200):
+        if lo.B * hi.d < hi.A * lo.d:
+            return Fraction(lo.B * hi.d + hi.A * lo.d, (lo.d * hi.d) << 1)
+        if lo.is_exact() and hi.is_exact():
+            raise RealRootError("empty gap between bounds")
+        lo = refine_by_bisection_loop(lo, (lo.high - lo.low) / 2)
+        hi = refine_by_bisection_loop(hi, (hi.high - hi.low) / 2)
+    raise RealRootError("could not separate bounds")
+
+
 def cmp_bounds_by_refine(a: IsolatingInterval, b: IsolatingInterval, gcds: dict,
                          max_iter: int = 50) -> int:
     """Sign of (root a) - (root b) by Fraction intervals rebuilt every
@@ -808,7 +827,8 @@ def graphs_by_ladder(dec, varieties, wrap: bool = False) -> list[AdjacencyGraph]
             w1, w2 = witnesses_from_coarse(dec, j, shrink)
             roots1 = adjacency._roots_at(dec, w1, left, f"base root {j}")
             roots2 = adjacency._roots_at(dec, w2, right, f"base root {j}")
-            rank1, rank2 = adjacency._ranks(roots1, roots2)
+            memo: dict = {}
+            rank1, rank2 = adjacency._ranks(roots1, roots2, memo)
             top = len(roots1) + len(roots2) + 1
             for c1 in left:
                 lo1, hi1, rl1, rh1 = adjacency._ranked_bounds(roots1, rank1, c1.fiber_index, top)
@@ -818,7 +838,8 @@ def graphs_by_ladder(dec, varieties, wrap: bool = False) -> list[AdjacencyGraph]
                     if (c1.id, c2.id) not in pending or max(rl1, rl2) >= min(rh1, rh2):
                         continue
                     pending.discard((c1.id, c2.id))
-                    c = sample_between(lo1 if rl1 >= rl2 else lo2, hi1 if rh1 <= rh2 else hi2)
+                    c = adjacency.sample_between(lo1 if rl1 >= rl2 else lo2,
+                                                 hi1 if rh1 <= rh2 else hi2, memo)
                     cands.append((c1.id, c2.id, lambda p, c=c, w1=w1, w2=w2:
                                   adjacency._crosses_horizontal(adjacency._rows(p, bv, fv),
                                                                 c, w1, w2, bv)))

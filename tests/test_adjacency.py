@@ -159,7 +159,7 @@ class TestCut:
 class TestRanks:
     def _check(self, p, q):
         roots1, roots2 = isolate(p), isolate(q)
-        rank1, rank2 = _ranks(roots1, roots2)
+        rank1, rank2 = _ranks(roots1, roots2, {})
         for ranks in (rank1, rank2):
             assert all(a < b for a, b in zip(ranks, ranks[1:]))
         for i, a in enumerate(roots1):
@@ -192,12 +192,12 @@ class TestRanks:
             return gcd(p, q)
 
         monkeypatch.setattr(UPoly, "gcd", counted)
-        assert _ranks(roots1, roots2) == ([2, 3, 4, 5], [1, 2, 5])
+        assert _ranks(roots1, roots2, {}) == ([2, 3, 4, 5], [1, 2, 5])
         assert taken and len(taken) == len(set(taken))
 
     def test_empty_side(self):
-        assert _ranks(isolate(U([-2, 0, 1])), []) == ([1, 2], [])
-        assert _ranks([], []) == ([], [])
+        assert _ranks(isolate(U([-2, 0, 1])), [], {}) == ([1, 2], [])
+        assert _ranks([], [], {}) == ([], [])
 
 
 class TestComparisonStates:

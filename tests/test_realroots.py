@@ -17,8 +17,8 @@ from oracles import (
     atlas_passes, bernstein_by_fractions, bind_int_by_powers, count_roots_by_sturm,
     graphs_by_ladder, interval,
     isolate_by_scaling, parse_poly, refine_by_bisection_loop, refine_by_fractions,
-    segment_crosses, restrict_to_segment, sign_at_by_powers, sturm_sequence, upoly_eval,
-    upoly_eval_float, upoly_mul,
+    sample_between_by_halving, segment_crosses, restrict_to_segment, sign_at_by_powers,
+    sturm_sequence, upoly_eval, upoly_eval_float, upoly_mul,
 )
 
 
@@ -352,7 +352,7 @@ class TestIntegerRefine:
     def test_non_dyadic_intervals_and_widths(self):
         rng = random.Random(61)
         narrowed = 0
-        for _ in range(300):
+        for _ in range(400):
             roots = [Fraction(rng.randint(-40, 40), rng.choice((3, 5, 7, 9, 10))) for _ in range(3)]
             p = UPoly([1])
             for r in roots:
@@ -362,6 +362,14 @@ class TestIntegerRefine:
             lo = r - Fraction(rng.randint(1, 50), rng.choice((3, 7, 11, 100)))
             hi = r + Fraction(rng.randint(1, 50), rng.choice((3, 7, 11, 100)))
             width = Fraction(rng.randint(1, 99), rng.choice((3, 10, 7 ** 9, 10 ** 12)))
+            if roots.count(r) > 1:
+                continue
+            # an isolating interval holds one root: halve each offset from r
+            # until no other root of p lies between that end and r
+            while count_roots_by_sturm(p, lo, r) + (upoly_eval(p, lo) == 0) > 1:
+                lo = (r + lo) / 2
+            while count_roots_by_sturm(p, r, hi) > 0:
+                hi = (r + hi) / 2
             got = self._same(interval(lo, hi, p), width)
             narrowed += got.high - got.low < width < hi - lo
         assert narrowed >= 200
@@ -527,8 +535,15 @@ class TestNoRepeatedSign:
         return calls
 
     def test_refine_signs_once_per_halving(self, monkeypatch):
-        calls = self._counted(monkeypatch, realroots)
-        n = 0
+        """A request of k <= 12 halvings takes k evaluations, one sign per
+        halving; the refinements to 2^-60 jump by quadratic interval
+        refinement and take at most 40 % of the evaluations the plain loop
+        takes, one per halving."""
+        calls = []
+        horner = realroots._horner
+        monkeypatch.setattr(realroots, "_horner",
+                            lambda ints, a, b: calls.append((a, b)) or horner(ints, a, b))
+        n = evals = halvings = 0
         for p, _, _ in _oracle_polys():
             for iv in isolate(p):
                 if iv.is_exact():
@@ -540,9 +555,15 @@ class TestNoRepeatedSign:
                     if got.is_exact():
                         continue
                     k = (w / (got.high - got.low)).numerator.bit_length() - 1
-                    assert w == (got.high - got.low) * (1 << k) and len(calls) == k, (p, iv, width)
+                    assert w == (got.high - got.low) * (1 << k), (p, iv, width)
+                    if k <= 12:
+                        assert len(calls) == k, (p, iv, width)
+                    if width.numerator == 1 and width.denominator == 1 << 60:
+                        evals += len(calls)
+                        halvings += k
                     n += 1
-        assert n >= 500
+        assert n >= 500 and halvings >= 20000
+        assert evals <= 0.4 * halvings, (evals, halvings)
 
     def test_roots_below_one_sign(self, monkeypatch):
         from kinatlas.realroots import roots_below
@@ -564,6 +585,29 @@ class TestNoRepeatedSign:
         inside = self._counted(monkeypatch, realroots)
         assert _cmp_bounds(a, b, {}) == -1 and _cmp_bounds(b, a, {}) == 1
         assert outside == [] and len(inside) == 20
+
+
+class TestEvaluationBudget:
+    def test_reference_analyze(self, monkeypatch, tmp_path):
+        """One `kinatlas analyze` of the reference slice (y = 1/2, mode ++)
+        makes at most 40,000 exact Horner evaluations; refining by the
+        plain halving loop, it made 69,958."""
+        import kinatlas.cad2d as cad2d
+        from kinatlas.cli import main
+        calls = []
+        horner = realroots._horner
+
+        def counted(ints, a, b):
+            calls.append(1)
+            return horner(ints, a, b)
+
+        for module in (realroots, cad2d):
+            monkeypatch.setattr(module, "_horner", counted)
+        cfg = tmp_path / "mech.json"
+        cfg.write_text('{"type": "RPR-2PRR", "l2": "3", "l3": "3", "a": "1", "b": "1"}\n')
+        assert main(["analyze", "--config", str(cfg), "--slice", "W:y=1/2",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert 10000 <= len(calls) <= 40000, len(calls)
 
 
 class TestRootBound:
@@ -648,6 +692,124 @@ class TestSampleBetween:
         one = interval(Fraction(1), Fraction(1), U(-1, 1))
         with pytest.raises(RealRootError):
             sample_between(one, one)
+
+
+class TestSampleBetweenOracle:
+    """`sample_between` gallops and searches its rounds by ancestors; the
+    oracle halves both intervals round by round.  Same sample, or the same
+    raise."""
+
+    @staticmethod
+    def _same(lo, hi, memo=None):
+        """The sample both routes give, or None when both raise alike."""
+        try:
+            want = sample_between_by_halving(lo, hi)
+        except RealRootError as e:
+            with pytest.raises(RealRootError, match=str(e)):
+                sample_between(lo, hi, memo)
+            return None
+        assert sample_between(lo, hi, memo) == want, (lo, hi)
+        return want
+
+    @pytest.mark.parametrize("case", ["ref", "y0_0", "y0_2", "geom2"])
+    def test_every_sample_of_the_perfbench_slices(self, case, monkeypatch):
+        import kinatlas.adjacency as adjacency
+        import kinatlas.cad2d as cad2d
+        from kinatlas.domains import SliceAtlas
+        from kinatlas.mechanism import MechanismParams, WorkingMode
+        params = {"geom2": MechanismParams(l2=Fraction(2), l3=Fraction(5, 2), a=Fraction(1, 2),
+                                           b=Fraction(3, 2))}.get(case, MechanismParams())
+        y0 = {"y0_0": Fraction(0), "y0_2": Fraction(2)}.get(case, Fraction(1, 2))
+        calls = overlapping = 0
+
+        def checked(lo, hi, memo=None):
+            nonlocal calls, overlapping
+            got = sample_between(lo, hi, memo)
+            assert got == sample_between_by_halving(lo, hi), (lo, hi)
+            calls += 1
+            overlapping += lo != NEG_INF and hi != POS_INF and not lo.high < hi.low
+            return got
+
+        for module in (realroots, cad2d, adjacency):
+            monkeypatch.setattr(module, "sample_between", checked)
+        atlas = SliceAtlas.build(params, y0, WorkingMode(1, 1))
+        # the samples of the ladder's rungs 2^-10 and 2^-22 too
+        for dec, varieties, wrap, graphs in atlas_passes(atlas):
+            assert graphs_by_ladder(dec, varieties, wrap) == graphs
+        assert calls >= 250 and overlapping >= 15, (calls, overlapping)
+
+    def test_random_overlapping_pairs(self):
+        """Roots of two seeded polynomials, in order, whose intervals
+        overlap, sampled fresh and after `_cmp_bounds` left deeper states
+        in a shared memo, as the adjacency pass samples them."""
+        from kinatlas.adjacency import _cmp_bounds
+        rng = random.Random(2401)
+        n = overlapping = 0
+        for _ in range(150):
+            ps = []
+            for _ in range(2):
+                p = U(rng.randint(-5, 5) or 1, 0, 1)
+                for _ in range(rng.randint(1, 2)):
+                    r = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 8)))
+                    p = upoly_mul(p, UPoly([-r.numerator, r.denominator]))
+                ps.append(p)
+            memo: dict = {}
+            for a in isolate(ps[0]):
+                for b in isolate(ps[1]):
+                    c = _cmp_bounds(a, b, memo)
+                    if c == 0:
+                        continue
+                    lo, hi = (a, b) if c < 0 else (b, a)
+                    s = self._same(lo, hi)
+                    assert s == self._same(lo, hi, memo) and lo.low < s < hi.high
+                    overlapping += not lo.high < hi.low
+                    n += 1
+        assert n >= 800 and overlapping >= 200, (n, overlapping)
+
+    def test_exact_bounds(self):
+        half = interval(Fraction(1, 2), Fraction(1, 2), U(-1, 2))
+        third = interval(Fraction(1, 3), Fraction(1, 3), U(-1, 3))
+        # (x - 1/2 - 2^-40)(x^2 - 2): its root above 1/2 isolated by (0, 1)
+        c = Fraction(1, 2) + Fraction(1, 1 << 40)
+        above = interval(Fraction(0), Fraction(1), upoly_mul(UPoly([-c, 1]), U(-2, 0, 1)))
+        below = interval(Fraction(0), Fraction(1), upoly_mul(UPoly([-c + 2 * Fraction(1, 1 << 40),
+                                                                    1]), U(-2, 0, 1)))
+        assert self._same(third, half) == Fraction(5, 12)
+        for lo, hi in ((half, above), (below, half), (third, above), (below, above)):
+            s = self._same(lo, hi)
+            assert lo.low <= s <= hi.high
+
+    def test_raises(self):
+        one = interval(Fraction(1), Fraction(1), U(-1, 1))
+        assert self._same(one, one) is None
+        with pytest.raises(RealRootError, match="empty gap"):
+            sample_between(one, one)
+        # sqrt 2 and sqrt 2 + 2^-500 need more than 200 rounds of two
+        # halvings; 2^-300 opens the gap at a round past the last gallop
+        for e, opens in ((500, False), (300, True)):
+            c = Fraction(1, 1 << e)
+            a = isolate(U(-2, 0, 1))[1]
+            b = isolate(UPoly([c * c - 2, -2 * c, 1], "x"))[1]
+            assert (self._same(a, b) is not None) == opens
+            if not opens:
+                with pytest.raises(RealRootError, match="could not separate"):
+                    sample_between(a, b)
+
+
+class TestNotSquarefree:
+    """The Descartes walk stops at its root-separation depth on an input
+    that is not squarefree; the squarefree part is isolated as before."""
+
+    @pytest.mark.parametrize("p", [
+        U(1, -6, 9),                                    # (3x - 1)^2
+        U(4, 0, -4, 0, 1),                              # (x^2 - 2)^2
+        upoly_mul(U(4, 0, -4, 0, 1), U(-3, 0, 0, 1)),   # (x^2 - 2)^2 (x^3 - 3)
+    ], ids=["(3x-1)^2", "(x^2-2)^2", "(x^2-2)^2(x^3-3)"])
+    def test_raises_naming_the_degree(self, p):
+        for f in (count_roots, realroots.isolate_squarefree):
+            with pytest.raises(RealRootError, match=f"degree {p.degree} is not squarefree"):
+                f(p)
+        assert len(isolate(p)) == count_roots(p.squarefree()) == count_roots_by_sturm(p)
 
 
 class TestSegment:
