@@ -10,8 +10,9 @@ candidate it records which variety polynomials block it: in a stacked
 pair, a sign change of the polynomial's squarefree fibre between the two
 samples; across a base root, a zero on the witness segment; across the
 cut, an odd fiber degree.  The graph of each variety is then a filter
-that keeps the candidates none of its own polynomials block.  Every test
-is an exact sign or Descartes root count.
+that keeps the candidates none of its own polynomials block.  Curves are
+bound by `cad2d.bind`, witness roots ordered and sampled by a
+`realroots.RootMerge`, and every test is an exact `realroots` sign or count.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from fractions import Fraction
 
 from .ratpoly import MPoly
 from .realroots import (
-    NEG_INF, POS_INF, IsolatingInterval, RealRootError, isolate_squarefree, count_roots,
-    sample_between, _deepen, _sign_at,
+    NEG_INF, POS_INF, IsolatingInterval, RealRootError, RootMerge, UnorderedRootsError,
+    has_root_in, isolate_squarefree, sign_at,
 )
-from .cad2d import Decomposition, _bind, _rows, _specialize_product
+from .cad2d import Decomposition, bind, int_rows
 
 
 class AdjacencyError(Exception):
@@ -65,61 +66,11 @@ def components(g: AdjacencyGraph) -> list[set[int]]:
 
 
 # ---------------------------------------------------------------------------
-# algebraic fiber bounds: IsolatingInterval values or +-inf sentinels
-
-
-def _cmp_bounds(a: IsolatingInterval, b: IsolatingInterval, memo: dict,
-                max_iter: int = 50) -> int:
-    """Sign of (root a) - (root b).  Each root is held as one integer state
-    (A, B, d) of its own bisection, seeded with the interval's ends A/d and
-    B/d, and the two are compared at depths 0, 5, 10, 20, 40, ... of it, up
-    to 5 (max_iter - 1), so max_iter = 50 goes past 2^-200 of the starting
-    widths: `realroots._deepen` takes a state there by one `_bisect` call,
-    and a state deeper already is compared as it is.  Ends compare by
-    cross-multiplication.  `memo` holds the gcd of each pair of interval
-    polynomials taken so far, keyed by the pair, and each interval's deepest
-    state, keyed by the interval, from which later comparisons and overlap
-    samples (`sample_between`) of the same root go on."""
-    last = 5 * (max_iter - 1)
-    x, y = memo.get(a, (a.A, a.B, a.d)), memo.get(b, (b.A, b.B, b.d))
-    t = 0
-    try:
-        while True:
-            x, y = _deepen(a, x, t), _deepen(b, y, t)
-            (Ax, Bx, dx), (Ay, By, dy) = x, y
-            if Bx * dy < Ay * dx:
-                return -1
-            if By * dx < Ax * dy:
-                return 1
-            if Ax == Bx and Ay == By:
-                c = Ax * dy - Ay * dx
-                return (c > 0) - (c < 0)
-            # refine a few levels before paying for the shared-root check
-            if t >= 10:
-                key = (a.polynomial, b.polynomial)
-                g = memo.get(key)
-                if g is None:
-                    g = memo[key] = a.polynomial.gcd(b.polynomial)
-                if g.degree >= 1:
-                    # the intervals overlap on [lo, hi], where g, dividing
-                    # both squarefree interval polynomials, has at most one
-                    # root, a simple one: it has one iff its signs at lo and
-                    # hi are not one nonzero sign, and that root is each
-                    # side's own
-                    lo = (Ax, dx) if Ax * dy >= Ay * dx else (Ay, dy)
-                    hi = (Bx, dx) if Bx * dy <= By * dx else (By, dy)
-                    if _sign_at(g.coeffs, *lo) * _sign_at(g.coeffs, *hi) <= 0:
-                        return 0
-            if t == last:
-                raise AdjacencyError("could not order algebraic bounds")
-            t = min(2 * t or 5, last)
-    finally:
-        memo[a], memo[b] = x, y
+# fiber bounds: IsolatingInterval values or +-inf sentinels
 
 
 def _roots_at(dec: Decomposition, w: Fraction, col: list, where: str) -> list[IsolatingInterval]:
-    f = _specialize_product(dec.polys, dec.base_var, dec.fiber_var, w)
-    roots = isolate_squarefree(f)
+    roots = isolate_squarefree(dec.fiber_product(w))
     if len(roots) != len(col) - 1:
         raise AdjacencyError(
             f"{where}, cells {col[0].id}..{col[-1].id}: delineability violated at "
@@ -127,54 +78,11 @@ def _roots_at(dec: Decomposition, w: Fraction, col: list, where: str) -> list[Is
     return roots
 
 
-def _ranks(roots1: list[IsolatingInterval], roots2: list[IsolatingInterval],
-           memo: dict) -> tuple[list[int], list[int]]:
-    """Ranks 1..m of two increasing root lists in their merged order; equal
-    roots share a rank.  On failure the raised AdjacencyError carries the
-    indices of the two roots it could not order as `roots`.  Every
-    comparison shares `memo` (`_cmp_bounds`), so each gcd of a pair of
-    polynomials is taken once and each root goes on from its deepest state."""
-    rank1, rank2 = [0] * len(roots1), [0] * len(roots2)
-    i = k = rank = 0
-    while i < len(roots1) or k < len(roots2):
-        if k == len(roots2):
-            c = -1
-        elif i == len(roots1):
-            c = 1
-        else:
-            try:
-                c = _cmp_bounds(roots1[i], roots2[k], memo)
-            except AdjacencyError as e:
-                e.roots = (i, k)
-                raise
-        rank += 1
-        if c <= 0:
-            rank1[i] = rank
-            i += 1
-        if c >= 0:
-            rank2[k] = rank
-            k += 1
-    return rank1, rank2
-
-
 def _ranked_bounds(roots: list[IsolatingInterval], ranks: list[int], k: int, top: int):
     """Fiber bounds of interval k with their ranks (0 and `top` for -inf/+inf)."""
     lo, rlo = (roots[k - 1], ranks[k - 1]) if k >= 1 else (NEG_INF, 0)
     hi, rhi = (roots[k], ranks[k]) if k < len(roots) else (POS_INF, top)
     return lo, hi, rlo, rhi
-
-
-def _crosses_horizontal(rows, c: Fraction, w1: Fraction, w2: Fraction, var: str) -> bool:
-    """Whether p(x, c) vanishes for some x in [w1, w2], rows = _rows(p, x, y):
-    surely when its signs at w1 and w2 differ, else by a root count."""
-    u = _bind(rows, c, var)
-    if u.is_zero():
-        return True
-    if u.degree <= 0:
-        return False
-    ints = u.coeffs
-    s1, s2 = _sign_at(ints, *w1.as_integer_ratio()), _sign_at(ints, *w2.as_integer_ratio())
-    return s1 != s2 or s1 == 0 or count_roots(u.squarefree(), w1, w2) > 0
 
 
 _SHRINK = 1 << 40   # witnesses lie within gap / _SHRINK of their base root
@@ -199,9 +107,8 @@ def _witnesses(dec: Decomposition, j: int) -> tuple[Fraction, Fraction]:
     r = r.refine(d)
     if not r.is_exact():
         return r.low, r.high
-    v, ints = r.low, dec.base_poly.coeffs
-    while (_sign_at(ints, *(v - d).as_integer_ratio()) == 0
-           or _sign_at(ints, *(v + d).as_integer_ratio()) == 0):
+    v = r.low
+    while sign_at(dec.base_poly, v - d) == 0 or sign_at(dec.base_poly, v + d) == 0:
         d /= 2
     return v - d, v + d
 
@@ -230,10 +137,9 @@ def build_graphs(dec: Decomposition, varieties: list[list[MPoly]],
     Across base root j the candidates are the pairs whose fiber intervals
     overlap at its one witness pair w1 < w2 (`_witnesses`), each decided
     once: p blocks a pair when p(x, c) vanishes for x in [w1, w2], c a
-    sample of the overlap.  One memo per base root holds the witness
-    roots' deepest comparison states (`_ranks`), so the overlap samples
-    (`sample_between`) read cells the comparisons reached instead of
-    halving the same intervals again; it dies with that base root."""
+    sample of the overlap.  One `realroots.RootMerge` per base root orders
+    the witness roots and samples each overlap from the states its
+    comparisons left."""
     bv, fv = dec.base_var, dec.fiber_var
     polys: list[MPoly] = []          # distinct polynomials of all varieties
     users: list[set[int]] = []       # the varieties each one belongs to
@@ -260,14 +166,14 @@ def build_graphs(dec: Decomposition, varieties: list[list[MPoly]],
 
     # vertical: stacked cells in one column, blocked by a sign change of a
     # squarefree fibre (constant fibres never change sign)
-    vrows = [_rows(p, fv, bv) for p in polys]
+    vrows = [int_rows(p, fv, bv) for p in polys]
     for k, col in enumerate(dec.columns):
         if len(col) < 2:
             continue
-        fibre = [_bind(r, dec.base_samples[k], fv).squarefree().coeffs for r in vrows]
+        fibre = [bind(r, dec.base_samples[k], fv).squarefree() for r in vrows]
         for low, high in zip(col, col[1:]):
-            a, b = low.sample[1].as_integer_ratio(), high.sample[1].as_integer_ratio()
-            add(low.id, high.id, lambda t: _sign_at(fibre[t], *a) != _sign_at(fibre[t], *b))
+            a, b = low.sample[1], high.sample[1]
+            add(low.id, high.id, lambda t: sign_at(fibre[t], a) != sign_at(fibre[t], b))
 
     # across the cut: bottom and top of a column, blocked by odd t-degree
     if wrap:
@@ -278,25 +184,23 @@ def build_graphs(dec: Decomposition, varieties: list[list[MPoly]],
 
     # horizontal: cells across each base root whose fiber intervals overlap
     # at its witnesses, blocked by a zero on the witness segment
-    hrows = [_rows(p, bv, fv) for p in polys]
+    hrows = [int_rows(p, bv, fv) for p in polys]
     for j in range(len(dec.base_roots)):
         left, right = dec.columns[j], dec.columns[j + 1]
         w1, w2 = _witnesses(dec, j)
         where = f"base root {j}"
         roots1 = _roots_at(dec, w1, left, where)
         roots2 = _roots_at(dec, w2, right, where)
-        memo: dict = {}     # this base root's gcds and deepest root states
         try:
-            rank1, rank2 = _ranks(roots1, roots2, memo)
-        except AdjacencyError as e:
-            i, k = e.roots
+            merge = RootMerge(roots1, roots2)
+        except UnorderedRootsError as e:
             raise AdjacencyError(
-                f"{where}, cells ({left[i].id}, {right[k].id}): upper fiber "
+                f"{where}, cells ({left[e.i].id}, {right[e.k].id}): upper fiber "
                 f"bounds: {e}") from e
         top = len(roots1) + len(roots2) + 1
-        bounds2 = [_ranked_bounds(roots2, rank2, c2.fiber_index, top) for c2 in right]
+        bounds2 = [_ranked_bounds(roots2, merge.ranks2, c2.fiber_index, top) for c2 in right]
         for c1 in left:
-            lo1, hi1, rl1, rh1 = _ranked_bounds(roots1, rank1, c1.fiber_index, top)
+            lo1, hi1, rl1, rh1 = _ranked_bounds(roots1, merge.ranks1, c1.fiber_index, top)
             for c2, (lo2, hi2, rl2, rh2) in zip(right, bounds2):
                 if max(rl1, rl2) >= min(rh1, rh2):
                     continue
@@ -304,9 +208,9 @@ def build_graphs(dec: Decomposition, varieties: list[list[MPoly]],
                 lo = lo1 if rl1 >= rl2 else lo2
                 hi = hi1 if rh1 <= rh2 else hi2
                 try:
-                    c = sample_between(lo, hi, memo)
-                    add(c1.id, c2.id, lambda t: _crosses_horizontal(hrows[t], c, w1, w2, bv))
-                except (AdjacencyError, RealRootError) as e:
+                    c = merge.sample_between(lo, hi)
+                    add(c1.id, c2.id, lambda t: has_root_in(bind(hrows[t], c, bv), w1, w2))
+                except RealRootError as e:
                     raise AdjacencyError(f"{where}, cells {(c1.id, c2.id)}: {e}") from e
 
     nodes = tuple(c.id for c in dec.cells)

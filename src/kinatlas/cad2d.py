@@ -5,11 +5,11 @@ polynomials (discriminants, leading coefficients, pairwise resultants,
 vertical-line contents) and each resulting open interval is lifted through
 the real roots of the specialized curve product.  The base product and
 every fibre product are one integer squarefree lcm (`_squarefree_lcm`), a
-`UPoly` isolated without a second squarefree step.  Curves are bound at a
-point by integer Horner on their integer rows (`realroots._horner`), and
-the bound polynomial is the `UPoly` of those integers.  The projection
-polynomials are canonical `MPoly`s.  Only
-full-dimensional cells are produced.
+`UPoly` isolated without a second squarefree step.  A curve's integer rows
+(`int_rows`) are built once per curve and direction and bound at a point
+by integer Horner (`bind`); a `Decomposition` keeps its curves' rows and
+binds them for each fibre product asked of it.  The projection polynomials
+are canonical `MPoly`s.  Only full-dimensional cells are produced.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from math import lcm
 
 from .ratpoly import (
     MPoly, UPoly,
-    squarefree_total, exact_div, resultant,
+    squarefree_total, exact_div, mgcd, resultant,
     int_poly_gcd, _int_primitive, _poly_mul, _poly_quo,
 )
 from .realroots import (
     NEG_INF, POS_INF, IsolatingInterval,
-    isolate_squarefree, count_roots, roots_below, sample_between, _horner, _sign_at,
+    isolate_squarefree, count_roots, roots_below, sample_between, sign_at, _horner,
 )
 
 
@@ -76,6 +76,7 @@ class Decomposition:
     base_var: str
     fiber_var: str
     polys: list[MPoly]
+    rows: list[list[list[int]]]            # int_rows(p, fiber_var, base_var) per curve
     proj: ProjectionSet
     base_poly: UPoly
     base_roots: list[IsolatingInterval]
@@ -85,6 +86,13 @@ class Decomposition:
     cells: list[Cell2D]
     columns: list[list[Cell2D]]
 
+    def fiber_product(self, x0: Fraction) -> UPoly:
+        """Squarefree part of the product of the curves bound at
+        base_var = x0: `_squarefree_lcm` of their rows bound by `_bind_int`."""
+        a, b = x0.as_integer_ratio()
+        return _squarefree_lcm([_bind_int(r, a, b) for r in self.rows], self.fiber_var,
+                               f" at {x0}")
+
     def locate(self, px: Fraction, py: Fraction) -> int | None:
         """Cell id containing the rational point; None on the variety or a
         projection boundary.  The base index counts the isolated base roots
@@ -93,13 +101,13 @@ class Decomposition:
         product at px below py (`count_roots`, one Descartes walk)."""
         px, py = Fraction(px), Fraction(py)
         if self.base_poly.degree > 0:
-            if _sign_at(self.base_poly.coeffs, *px.as_integer_ratio()) == 0:
+            if sign_at(self.base_poly, px) == 0:
                 return None
             k1 = roots_below(self.base_roots, px)
         else:
             k1 = 0
-        f = _specialize_product(self.polys, self.base_var, self.fiber_var, px)
-        if f.degree > 0 and _sign_at(f.coeffs, *py.as_integer_ratio()) == 0:
+        f = self.fiber_product(px)
+        if f.degree > 0 and sign_at(f, py) == 0:
             return None
         k2 = count_roots(f, NEG_INF, py) if f.degree > 0 else 0
         for c in self.columns[k1]:
@@ -163,7 +171,16 @@ def projection_set(p2, base_var: str, fiber_var: str) -> ProjectionSet:
             push(discriminant_bivar(prim, fiber_var, base_var))
     for i in range(len(fiber_polys)):
         for j in range(i + 1, len(fiber_polys)):
-            push(resultant_bivar(fiber_polys[i], fiber_polys[j], fiber_var, base_var))
+            p, q = fiber_polys[i], fiber_polys[j]
+            r = resultant_bivar(p, q, fiber_var, base_var)
+            if r.is_zero():
+                # a shared factor g: the cofactors' crossings (g's lie in the
+                # discriminants; a cofactor free of the fiber is in a content)
+                g = mgcd(p, q)
+                p, q = exact_div(p, g), exact_div(q, g)
+                if min(p.degree(fiber_var), q.degree(fiber_var)) >= 1:
+                    r = resultant_bivar(p, q, fiber_var, base_var)
+            push(r)
     return ProjectionSet(tuple(polys), tuple(p1_m))
 
 
@@ -188,11 +205,11 @@ def discriminant_bivar(p: MPoly, var: str, keep: str) -> MPoly:
     return r
 
 
-def _rows(p: MPoly, var: str, other: str) -> list[list[int]]:
+def int_rows(p: MPoly, var: str, other: str) -> list[list[int]]:
     """p over one denominator D, read straight from its terms: rows[k] is
     the dense coefficient list (constant term first) in `other` of the
     integer polynomial D * [var^k] p, every row padded to p's degree in
-    `other`."""
+    `other`.  `bind` binds `other` in them."""
     at = {v: i for i, v in enumerate(p.vars)}
     iv, io = at.get(var), at.get(other)
     den = lcm(*(c.denominator for c in p.terms.values()))
@@ -213,20 +230,10 @@ def _bind_int(rows: list[list[int]], a: int, b: int) -> list[int]:
     return [_horner(ints, a, b) for ints in rows]
 
 
-def _bind(rows: list[list[int]], value: Fraction, var: str) -> UPoly:
-    """The polynomial in `var` that rows (from `_rows(p, var, other)`) give
-    with `other` bound to value."""
+def bind(rows: list[list[int]], value: Fraction, var: str) -> UPoly:
+    """The polynomial in `var` that rows (from `int_rows(p, var, other)`)
+    give with `other` bound to value."""
     return UPoly(_bind_int(rows, *value.as_integer_ratio()), var)
-
-
-def _specialize_product(polys, base_var: str, fiber_var: str, x0: Fraction) -> UPoly:
-    """Squarefree part of the product of the curves bound at
-    base_var = x0: each curve is bound through its integer rows and the
-    results go to `_squarefree_lcm`."""
-    a, b = Fraction(x0).as_integer_ratio()
-    return _squarefree_lcm(
-        [_bind_int(_rows(p, fiber_var, base_var), a, b) if p.degree(fiber_var) > 0 else []
-         for p in polys], fiber_var, f" at {x0}")
 
 
 def _squarefree_lcm(curves: list[list[int]], var: str, where: str = "") -> UPoly:
@@ -261,33 +268,27 @@ def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:
                            base_var)
     base_roots = isolate_squarefree(base)
     bounds = [NEG_INF, *base_roots, POS_INF]
-    base_samples = [sample_between(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-    cells: list[Cell2D] = []
-    columns: list[list[Cell2D]] = []
-    fiber_products: list[UPoly] = []
-    fiber_roots_all: list[list[IsolatingInterval]] = []
-    cid = 0
-    for k1, s in enumerate(base_samples):
-        f = _specialize_product(polys, base_var, fiber_var, s)
+    dec = Decomposition(
+        base_var=base_var, fiber_var=fiber_var, polys=polys,
+        rows=[int_rows(p, fiber_var, base_var) for p in polys], proj=proj,
+        base_poly=base, base_roots=base_roots,
+        base_samples=[sample_between(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
+        fiber_products=[], fiber_roots=[], cells=[], columns=[],
+    )
+    for k1, s in enumerate(dec.base_samples):
+        f = dec.fiber_product(s)
         fr = isolate_squarefree(f)
-        fiber_products.append(f)
-        fiber_roots_all.append(fr)
+        dec.fiber_products.append(f)
+        dec.fiber_roots.append(fr)
         col = []
         fbounds = [NEG_INF, *fr, POS_INF]
         for k2, (lo, hi) in enumerate(zip(fbounds, fbounds[1:])):
-            cell = Cell2D(id=cid, base_index=k1, fiber_index=k2,
+            cell = Cell2D(id=len(dec.cells), base_index=k1, fiber_index=k2,
                           sample=(s, sample_between(lo, hi)))
             col.append(cell)
-            cells.append(cell)
-            cid += 1
-        columns.append(col)
-    return Decomposition(
-        base_var=base_var, fiber_var=fiber_var, polys=polys, proj=proj,
-        base_poly=base, base_roots=base_roots, base_samples=base_samples,
-        fiber_products=fiber_products, fiber_roots=fiber_roots_all,
-        cells=cells, columns=columns,
-    )
+            dec.cells.append(cell)
+        dec.columns.append(col)
+    return dec
 
 
 def interval_eval(p: MPoly, boxes: dict[str, tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:

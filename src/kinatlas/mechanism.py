@@ -523,4 +523,4 @@ def dk_count_chart(r: Fraction, c3: Fraction, ws: WorkspaceSlice) -> int:
     """Exact number of slice poses with the given (rho1^2, cos alpha3): the
     real tphi-roots of the slice's leg-1 fibre bound at (r, c3)."""
     u = UPoly.from_mpoly(ws.fibre.eval({"r": r, "c3": c3}), "tphi")
-    return len(realroots.isolate(u)) if u.degree >= 1 else 0
+    return realroots.count_roots(u.squarefree()) if u.degree >= 1 else 0

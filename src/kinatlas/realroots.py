@@ -1,34 +1,31 @@
-"""Exact real-root isolation and counting for univariate polynomials.
+"""Exact real-root isolation, counting and ordering for univariate polynomials.
 
 One Descartes-rule bisection, `_descartes`, finds the roots on a window:
 `isolate` keeps the nodes it accepts as isolating intervals, `count_roots`
 counts them, and `roots_below` counts on intervals isolation already
 found, with one sign test.  All read the primitive integer coefficients a
-`UPoly` holds.  `isolate` takes the squarefree part of its input itself,
-so callers pass any nonzero polynomial; `isolate_squarefree` and
-`count_roots` skip that step and take input that is squarefree already,
-as the plane decomposition's fibre products are.  The walk runs in the
-Bernstein basis (Mourrain-Rouillier-Roy; Eigenwillig): the Descartes test
-on (a, b) counts the sign variations of p's Bernstein coefficients b_i
-there, and one de Casteljau pass gives those of both halves.  p is
-converted once per window: with q(x) = p(a + (b - a) x),
+`UPoly` holds.  `isolate` takes the squarefree part of its input itself;
+`isolate_squarefree` and `count_roots` take squarefree input, as the
+plane decomposition's fibre products are.  The walk runs in the Bernstein
+basis (Mourrain-Rouillier-Roy; Eigenwillig): the Descartes test on (a, b)
+counts the sign variations of p's Bernstein coefficients b_i there, and
+one de Casteljau pass gives those of both halves.  p is converted once per
+window: with q(x) = p(a + (b - a) x),
 (1 + x)^n q(1 / (1 + x)) = sum C(n, i) b_i x^(n - i).  The test stays
-exact when an end of the window is a root (Krandick-Mehlhorn): that root
-is a zero b_0 or b_n and adds no variation, and a root-separation bound
-caps its depth, so input that is not squarefree raises.  An isolating
-interval is one integer state: its ends A/d and B/d over one positive
-denominator and the sign of p at its low end, built once from a Descartes
-node.  `_bisect`, the one refinement kernel, takes it to the cell that k
+exact when an end of the window is a root (Krandick-Mehlhorn), and a
+root-separation bound caps its depth, so input that is not squarefree
+raises.  An isolating interval is one integer state: its ends A/d and B/d
+over one positive denominator and the sign of p at its low end.
+`_bisect`, the one refinement kernel, takes it to the cell that k
 halvings reach, jumping there by quadratic interval refinement on the
-same dyadic cells.  `refine` and `narrow` continue from the state; the
-adjacency pass's root comparisons and `sample_between` deepen it by
-galloping, and `sample_between` reads shallower cells as ancestors of a
-deep one.  Fraction ends are derived for the callers that print or hand
-them on.  The one Horner routine takes an integer numerator a and
-denominator b = o 2^e, o odd, and takes b^k as o^k shifted by e k, so at
-a dyadic point it multiplies by a alone.  The root bound is found on
-integers too.  Sample points are dyadic rationals so bit sizes stay
-bounded when these feed the plane decomposition.
+same dyadic cells.  `RootMerge` owns the order of two root lists: it
+compares their states at galloping depths and samples between any two of
+their bounds from the deepest states the comparisons left, reading
+shallower cells as ancestors of a deep one.  `sign_at` and `has_root_in`
+are the exact sign and closed-interval root tests of a bound curve.  The
+one Horner routine takes b = o 2^e, o odd, and takes b^k as o^k shifted
+by e k, so at a dyadic point it multiplies by the numerator alone.
+Sample points are dyadic rationals so bit sizes stay bounded.
 """
 
 from __future__ import annotations
@@ -365,6 +362,19 @@ def count_roots(p: UPoly, low=NEG_INF, high=POS_INF) -> int:
     return n
 
 
+def sign_at(p: UPoly, x: Fraction) -> int:
+    """Sign of p at the rational x, exact."""
+    return _sign_at(p.coeffs, *x.as_integer_ratio())
+
+
+def has_root_in(p: UPoly, low: Fraction, high: Fraction) -> bool:
+    """Whether p vanishes somewhere in the closed [low, high], low < high
+    (everywhere when p is zero): surely when its signs at the ends differ
+    or one is 0, else by a root count of its squarefree part."""
+    s1, s2 = sign_at(p, low), sign_at(p, high)
+    return s1 != s2 or s1 == 0 or count_roots(p.squarefree(), low, high) > 0
+
+
 def isolate(p: UPoly) -> list[IsolatingInterval]:
     """Disjoint dyadic isolating intervals, one per distinct real root of
     the nonzero polynomial p: `isolate_squarefree` on p's squarefree part."""
@@ -443,25 +453,29 @@ def _ancestor(iv: IsolatingInterval, st: tuple, t: int) -> tuple[int, int, int]:
 _ROUNDS = 200   # the rounds sample_between tries, 0 .. _ROUNDS - 1
 
 
-def sample_between(lo, hi, memo: dict | None = None) -> Fraction:
+def sample_between(lo, hi) -> Fraction:
+    """Dyadic rational strictly between two bounds (`_sample`)."""
+    return _sample(lo, hi, {})
+
+
+def _sample(lo, hi, states: dict) -> Fraction:
     """Dyadic rational strictly between two bounds, each an
     `IsolatingInterval` or NEG_INF / POS_INF: 0 between the infinities, the
     integer below (above) a lone finite upper (lower) bound, else the
     midpoint of the gap that narrowing both intervals in lockstep opens
-    first: round r narrows each to depth 2 r, below half its width of round
-    r - 1, for the least r < _ROUNDS that opens it.  Both intervals gallop
-    to rounds 1, 2, 4, ... until one opens the gap; a binary search over
-    the rounds skipped then reads ancestors of those states (`_ancestor`),
-    taking no sign.  `memo`, if given, maps intervals to deeper states of
-    their own bisection that the caller holds (`adjacency._cmp_bounds`
-    leaves them there): the gallop tries the last round they reach before
-    it goes past them, and the deepest states are kept there."""
+    first: round r narrows each to depth 2 r, for the least r < _ROUNDS
+    that opens it.  Each interval starts from the deeper state of its
+    bisection that `states` maps it to, if any, and leaves its deepest
+    state there.  Both gallop to rounds 1, 2, 4, ... until one opens the
+    gap, trying first the last round the states reach already; a binary
+    search over the rounds skipped then reads ancestors of those states
+    (`_ancestor`), taking no sign."""
     if lo == NEG_INF:
         return Fraction(0) if hi == POS_INF else Fraction(hi.A // hi.d - 1)
     if hi == POS_INF:
         return Fraction(lo.B // lo.d + 1)
     ivs = (lo, hi)
-    sts = [(memo.get(iv) if memo else None) or (iv.A, iv.B, iv.d) for iv in ivs]
+    sts = [states.get(iv) or (iv.A, iv.B, iv.d) for iv in ivs]
 
     def at(r):
         return [_ancestor(iv, st, 2 * r) for iv, st in zip(ivs, sts)]
@@ -483,10 +497,95 @@ def sample_between(lo, hi, memo: dict | None = None) -> Fraction:
         if r == _ROUNDS - 1:
             raise RealRootError("could not separate bounds")
         low, r = r, free if r < free else min(2 * r or 1, _ROUNDS - 1)
-    if memo is not None:
-        memo[lo], memo[hi] = sts
+    states[lo], states[hi] = sts
     while r - low > 1:
         mid = (low + r) // 2
         low, r = (low, mid) if opens(mid) else (mid, r)
     (_, b, e), (a, _, f) = at(r)
     return Fraction(b * f + a * e, (e * f) << 1)
+
+
+class UnorderedRootsError(RealRootError):
+    """Roots i and k of a `RootMerge`'s two lists, which it could not order."""
+
+    def __init__(self, i: int, k: int):
+        super().__init__("could not order algebraic bounds")
+        self.i, self.k = i, k
+
+
+class RootMerge:
+    """Two increasing lists of isolated roots in one order: `ranks1` and
+    `ranks2` rank their roots 1..m in the merged order, equal roots sharing
+    a rank, and `sample_between` samples between any two of their bounds.
+
+    Two roots are compared on integer states (A, B, d) of their own
+    bisections at depths 0, 5, 10, 20, 40, ... up to 5 (max_iter - 1), so
+    max_iter = 50 goes past 2^-200 of the starting widths; a state deeper
+    already is compared as it is, and ends by cross-multiplication.  Each
+    root's deepest state and the gcd of each pair of polynomials live as
+    long as the merge, so later comparisons and samples go on from them."""
+
+    def __init__(self, roots1: list[IsolatingInterval], roots2: list[IsolatingInterval],
+                 max_iter: int = 50):
+        # interval -> its deepest (A, B, d); (polynomial, polynomial) -> gcd
+        self._states, self._gcds = {}, {}
+        self.ranks1, self.ranks2 = [0] * len(roots1), [0] * len(roots2)
+        i = k = rank = 0
+        while i < len(roots1) or k < len(roots2):
+            if k == len(roots2):
+                c = -1
+            elif i == len(roots1):
+                c = 1
+            else:
+                c = self._compare(roots1[i], roots2[k], max_iter)
+                if c is None:
+                    raise UnorderedRootsError(i, k)
+            rank += 1
+            if c <= 0:
+                self.ranks1[i] = rank
+                i += 1
+            if c >= 0:
+                self.ranks2[k] = rank
+                k += 1
+
+    def _compare(self, a: IsolatingInterval, b: IsolatingInterval, max_iter: int) -> int | None:
+        """Sign of (root a) - (root b); None when the last depth leaves it open."""
+        last = 5 * (max_iter - 1)
+        st = self._states
+        x, y = st.get(a, (a.A, a.B, a.d)), st.get(b, (b.A, b.B, b.d))
+        t = 0
+        try:
+            while True:
+                x, y = _deepen(a, x, t), _deepen(b, y, t)
+                (Ax, Bx, dx), (Ay, By, dy) = x, y
+                if Bx * dy < Ay * dx:
+                    return -1
+                if By * dx < Ax * dy:
+                    return 1
+                if Ax == Bx and Ay == By:
+                    c = Ax * dy - Ay * dx
+                    return (c > 0) - (c < 0)
+                # refine a few levels before paying for the shared-root check
+                if t >= 10:
+                    key = (a.polynomial, b.polynomial)
+                    g = self._gcds.get(key)
+                    if g is None:
+                        g = self._gcds[key] = a.polynomial.gcd(b.polynomial)
+                    if g.degree >= 1:
+                        # on the overlap [lo, hi] g, dividing both squarefree
+                        # polynomials, has at most one root, a simple one, and it
+                        # is each side's own: there iff its end signs differ
+                        lo = (Ax, dx) if Ax * dy >= Ay * dx else (Ay, dy)
+                        hi = (Bx, dx) if Bx * dy <= By * dx else (By, dy)
+                        if _sign_at(g.coeffs, *lo) * _sign_at(g.coeffs, *hi) <= 0:
+                            return 0
+                if t == last:
+                    return None
+                t = min(2 * t or 5, last)
+        finally:
+            st[a], st[b] = x, y
+
+    def sample_between(self, lo, hi) -> Fraction:
+        """`sample_between`, each interval going on from its deepest state
+        in the merge."""
+        return _sample(lo, hi, self._states)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cad2d import _bind, _rows
+from .cad2d import bind, int_rows
 from .ratpoly import MPoly
 from .realroots import isolate
 
@@ -17,11 +17,11 @@ def curve_points(poly: MPoly, base_var: str, fiber_var: str,
                  x_lo: Fraction, x_hi: Fraction, density: int,
                  fiber_map=None) -> list[list[tuple[float, float]]]:
     """Column-wise points of the curve, one list per abscissa."""
-    rows = _rows(poly, fiber_var, base_var)
+    rows = int_rows(poly, fiber_var, base_var)
     cols = []
     for i in range(density + 1):
         x0 = x_lo + (x_hi - x_lo) * Fraction(i, density)
-        u = _bind(rows, x0, fiber_var)
+        u = bind(rows, x0, fiber_var)
         ys = [iv.float() for iv in isolate(u)] if u.degree >= 1 else []
         if fiber_map is not None:
             ys = [fiber_map(v) for v in ys]

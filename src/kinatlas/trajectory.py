@@ -621,11 +621,7 @@ def track_branches(traj: Trajectory, params: MechanismParams, atlas) -> Verdict:
             chain = ch
             break
         notes.append("partner chain returned to the start fiber")
-    centers = []
-    for c in atlas.cusps:
-        r = (float(c.r_box[0]) + float(c.r_box[1])) / 2
-        u = (float(c.u_box[0]) + float(c.u_box[1])) / 2
-        centers.append((math.sqrt(r), 2 * math.atan(u)))
+    centers = [(math.sqrt(r), 2 * math.atan(u)) for r, u in (c.center() for c in atlas.cusps)]
     fwd = tracked_chart(traj, params, evens=jp)
     encircled = encirclement(fwd, params, centers, chain)
     notes.append("loop construction: forward tracked image + reversed partner "

@@ -76,7 +76,7 @@ from fractions import Fraction
 
 from kinatlas import adjacency
 from kinatlas.adjacency import AdjacencyError, AdjacencyGraph, build_graph, build_graphs
-from kinatlas.cad2d import CadError, _specialize_product
+from kinatlas.cad2d import CadError, bind, int_rows
 from kinatlas.mechanism import (
     CS_VARS, MechanismParams, PassiveAngles, Pose, constraints_trig, jacobian_a, det3, residuals,
     _dk_univariate,
@@ -86,7 +86,7 @@ from kinatlas.ratpoly import (
     _merge_vars, exact_div,
 )
 from kinatlas.realroots import (
-    NEG_INF, POS_INF, IsolatingInterval, RealRootError, isolate, sample_between,
+    NEG_INF, POS_INF, IsolatingInterval, RealRootError, RootMerge, has_root_in, isolate,
     _root_bound, _scale_shift, _sign_at, _sign_variations, _taylor_shift_1,
 )
 from kinatlas.mechanism import JointValues, KinematicsError
@@ -622,7 +622,7 @@ def det_a_sign(params, mode, y0: Fraction, x: Fraction, t: Fraction) -> int:
 
 def specialize_product_whole(polys, base_var: str, fiber_var: str, x0) -> UPoly:
     """Squarefree part of the product of the specialised curves, taken on
-    the whole product (the route `cad2d._specialize_product` replaces)."""
+    the whole product (the route `Decomposition.fiber_product` replaces)."""
     acc = UPoly([Fraction(1)], fiber_var)
     for p in polys:
         if p.degree(fiber_var) == 0:
@@ -806,9 +806,10 @@ def graphs_by_ladder(dec, varieties, wrap: bool = False) -> list[AdjacencyGraph]
     pass's horizontal segment test; a pair that overlaps at no rung is no
     edge.  A stacked pair is blocked by a sign change of a squarefree fibre
     between the two samples, and with `wrap` the bottom and top cell of a
-    column by an odd fiber degree.  The adjacency helpers are looked up on
-    the module at each call, so a test's monkeypatch of them sees the
-    ladder's calls."""
+    column by an odd fiber degree.  `adjacency._roots_at` is looked up on
+    the module at each call and each rung orders its witness roots by one
+    `RootMerge`, so a test's monkeypatch of either sees the ladder's
+    calls."""
     bv, fv = dec.base_var, dec.fiber_var
     cands = []   # (cell id, cell id, whether a polynomial blocks the pair)
     for col, x in zip(dec.columns, dec.base_samples):
@@ -827,8 +828,8 @@ def graphs_by_ladder(dec, varieties, wrap: bool = False) -> list[AdjacencyGraph]
             w1, w2 = witnesses_from_coarse(dec, j, shrink)
             roots1 = adjacency._roots_at(dec, w1, left, f"base root {j}")
             roots2 = adjacency._roots_at(dec, w2, right, f"base root {j}")
-            memo: dict = {}
-            rank1, rank2 = adjacency._ranks(roots1, roots2, memo)
+            merge = RootMerge(roots1, roots2)
+            rank1, rank2 = merge.ranks1, merge.ranks2
             top = len(roots1) + len(roots2) + 1
             for c1 in left:
                 lo1, hi1, rl1, rh1 = adjacency._ranked_bounds(roots1, rank1, c1.fiber_index, top)
@@ -838,11 +839,10 @@ def graphs_by_ladder(dec, varieties, wrap: bool = False) -> list[AdjacencyGraph]
                     if (c1.id, c2.id) not in pending or max(rl1, rl2) >= min(rh1, rh2):
                         continue
                     pending.discard((c1.id, c2.id))
-                    c = adjacency.sample_between(lo1 if rl1 >= rl2 else lo2,
-                                                 hi1 if rh1 <= rh2 else hi2, memo)
+                    c = merge.sample_between(lo1 if rl1 >= rl2 else lo2,
+                                             hi1 if rh1 <= rh2 else hi2)
                     cands.append((c1.id, c2.id, lambda p, c=c, w1=w1, w2=w2:
-                                  adjacency._crosses_horizontal(adjacency._rows(p, bv, fv),
-                                                                c, w1, w2, bv)))
+                                  has_root_in(bind(int_rows(p, bv, fv), c, bv), w1, w2)))
             if not pending:
                 break
     nodes = tuple(c.id for c in dec.cells)
@@ -1394,7 +1394,7 @@ def locate_by_sturm(dec, px, py) -> int | None:
         k1 = count_roots_by_sturm(dec.base_poly, NEG_INF, px)
     else:
         k1 = 0
-    f = _specialize_product(dec.polys, dec.base_var, dec.fiber_var, px)
+    f = dec.fiber_product(px)
     if f.degree > 0 and upoly_eval(f, py) == 0:
         return None
     k2 = count_roots_by_sturm(f, NEG_INF, py) if f.degree > 0 else 0

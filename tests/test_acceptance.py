@@ -12,7 +12,7 @@ from kinatlas.ratpoly import (
     MPoly, UPoly, resultant,
 )
 from kinatlas.realroots import isolate, count_roots
-from kinatlas.cad2d import decompose, _specialize_product
+from kinatlas.cad2d import decompose
 from kinatlas.adjacency import build_graph, components
 from kinatlas.mechanism import (
     MechanismParams, WorkingMode, Pose,
@@ -310,7 +310,7 @@ class TestAcceptance:
                 w = lo + (hi - lo) * Fraction(i, 6)
                 if dec.base_poly.degree >= 1 and upoly_eval(dec.base_poly, w) == 0:
                     continue
-                f = _specialize_product(dec.polys, "x", "tphi", w)
+                f = dec.fiber_product(w)
                 got = len(isolate(f)) if f.degree >= 1 else 0
                 assert got == expect, f"column {k1}: {got} vs {expect}"
                 checked += 1

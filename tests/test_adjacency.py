@@ -8,13 +8,12 @@ from fractions import Fraction
 import pytest
 
 from kinatlas.ratpoly import MPoly, UPoly
-from kinatlas.realroots import isolate, _sign_at
-from kinatlas.cad2d import decompose
+from kinatlas.realroots import RootMerge, UnorderedRootsError, has_root_in, isolate, _sign_at
+from kinatlas.cad2d import bind, decompose, int_rows
 from kinatlas.domains import analyze_workspace
 from kinatlas.mechanism import MechanismParams, slice_workspace
 from kinatlas.adjacency import (
-    AdjacencyError, build_graph, build_graphs, components, _cmp_bounds, _ranks, _rows,
-    _crosses_horizontal, _witnesses,
+    AdjacencyError, build_graph, build_graphs, components, _witnesses,
 )
 
 from oracles import (
@@ -35,6 +34,12 @@ def U(coeffs):
 
 def _sign(x):
     return (x > 0) - (x < 0)
+
+
+def _cmp(a, b, max_iter=50):
+    """Sign of (root a) - (root b), by the ranks of a one-root merge."""
+    merge = RootMerge([a], [b], max_iter)
+    return _sign(merge.ranks1[0] - merge.ranks2[0])
 
 
 class TestBuildGraphs:
@@ -159,12 +164,13 @@ class TestCut:
 class TestRanks:
     def _check(self, p, q):
         roots1, roots2 = isolate(p), isolate(q)
-        rank1, rank2 = _ranks(roots1, roots2, {})
+        merge = RootMerge(roots1, roots2)
+        rank1, rank2 = merge.ranks1, merge.ranks2
         for ranks in (rank1, rank2):
             assert all(a < b for a, b in zip(ranks, ranks[1:]))
         for i, a in enumerate(roots1):
             for k, b in enumerate(roots2):
-                assert _sign(rank1[i] - rank2[k]) == _cmp_bounds(a, b, {}), (i, k)
+                assert _sign(rank1[i] - rank2[k]) == _cmp(a, b), (i, k)
         return roots1, roots2, rank1, rank2
 
     def test_shared_irrational_roots(self):
@@ -192,16 +198,19 @@ class TestRanks:
             return gcd(p, q)
 
         monkeypatch.setattr(UPoly, "gcd", counted)
-        assert _ranks(roots1, roots2, {}) == ([2, 3, 4, 5], [1, 2, 5])
+        merge = RootMerge(roots1, roots2)
+        assert (merge.ranks1, merge.ranks2) == ([2, 3, 4, 5], [1, 2, 5])
         assert taken and len(taken) == len(set(taken))
 
     def test_empty_side(self):
-        assert _ranks(isolate(U([-2, 0, 1])), [], {}) == ([1, 2], [])
-        assert _ranks([], [], {}) == ([], [])
+        merge = RootMerge(isolate(U([-2, 0, 1])), [])
+        assert (merge.ranks1, merge.ranks2) == ([1, 2], [])
+        merge = RootMerge([], [])
+        assert (merge.ranks1, merge.ranks2) == ([], [])
 
 
 class TestComparisonStates:
-    """`_cmp_bounds` keeps one integer bisection state per root across its
+    """`RootMerge` keeps one integer bisection state per root across its
     rounds; the oracle rebuilds Fraction intervals with `refine` every
     round.  Same sign, or the same raise."""
 
@@ -211,15 +220,14 @@ class TestComparisonStates:
         try:
             want = cmp_bounds_by_refine(a, b, {}, max_iter)
         except AdjacencyError:
-            with pytest.raises(AdjacencyError, match="could not order"):
-                _cmp_bounds(a, b, {}, max_iter)
+            with pytest.raises(UnorderedRootsError, match="could not order"):
+                _cmp(a, b, max_iter)
             return None
-        assert _cmp_bounds(a, b, {}, max_iter) == want, (a, b, max_iter)
+        assert _cmp(a, b, max_iter) == want, (a, b, max_iter)
         return want
 
     @pytest.mark.parametrize("case", ["ref", "y0_0", "y0_2", "geom2"])
     def test_every_comparison_of_the_perfbench_slices(self, case, monkeypatch):
-        import kinatlas.adjacency as adjacency
         from kinatlas.domains import SliceAtlas
         from kinatlas.mechanism import WorkingMode
         params = {"geom2": MechanismParams(l2=Fraction(2), l3=Fraction(5, 2), a=Fraction(1, 2),
@@ -227,13 +235,15 @@ class TestComparisonStates:
         y0 = {"y0_0": Fraction(0), "y0_2": Fraction(2)}.get(case, Fraction(1, 2))
         signs = []
 
-        def checked(a, b, gcds, max_iter=50):
-            got = _cmp_bounds(a, b, gcds, max_iter)
+        compare = RootMerge._compare
+
+        def checked(merge, a, b, max_iter):
+            got = compare(merge, a, b, max_iter)
             assert got == cmp_bounds_by_refine(a, b, {}, max_iter), (a, b)
             signs.append(got)
             return got
 
-        monkeypatch.setattr(adjacency, "_cmp_bounds", checked)
+        monkeypatch.setattr(RootMerge, "_compare", checked)
         atlas = SliceAtlas.build(params, y0, WorkingMode(1, 1))
         # the comparisons of the ladder's rungs 2^-10 and 2^-22 too
         for dec, varieties, wrap, graphs in atlas_passes(atlas):
@@ -277,10 +287,14 @@ class TestComparisonStates:
         c = Fraction(1, 1 << 300)
         a = isolate(U([-2, 0, 1]))[1]
         b = isolate(UPoly([c * c - 2, -2 * c, 1], "x"))[1]
-        with pytest.raises(AdjacencyError, match="could not order"):
-            _cmp_bounds(a, b, {})
+        with pytest.raises(UnorderedRootsError, match="could not order"):
+            _cmp(a, b)
         assert self._same(a, b) is None
         assert self._same(a, b, max_iter=70) == -1
+        # the raise names the pair: -sqrt 2 < 1 < sqrt 2, then sqrt 2 against b
+        with pytest.raises(UnorderedRootsError) as e:
+            RootMerge(isolate(U([-2, 0, 1])), [isolate(U([-1, 1]))[0], b])
+        assert (e.value.i, e.value.k) == (1, 1)
 
     def test_random_root_lists(self):
         rng = random.Random(1903)
@@ -363,7 +377,7 @@ class TestHorizontalCrossing:
                 p = p - MPoly.const(p.eval({"u": w, "v": c}), ("u", "v"))
             if p.is_zero():
                 continue
-            got = _crosses_horizontal(_rows(p, "u", "v"), c, w1, w2, "u")
+            got = has_root_in(bind(int_rows(p, "u", "v"), c, "u"), w1, w2)
             want = segment_crosses([p], (w1, c), (w2, c))
             assert got == want, (str(p), c, w1, w2)
             u = restrict_to_segment(p, (w1, c), (w2, c))

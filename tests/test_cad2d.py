@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -49,6 +50,18 @@ class TestProjection:
         strs = {str(q) for q in ps.p1}
         assert "u - 1" in strs
 
+    def test_curves_sharing_a_factor(self):
+        # (v - u)(v + u) and (v - u)(v - 2u - 3) share the line v = u, so
+        # their resultant vanishes identically; the other two lines cross at
+        # u = -1, which must still cut the base line.  The three lines make
+        # 7 faces, and (-2, 1), (-1/2, 1) lie in different ones.
+        A, B = P("(v-u)*(v+u)"), P("(v-u)*(v-2*u-3)")
+        assert {str(q) for q in projection_set([A, B], "u", "v").p1} == {"u", "u + 1", "u + 3"}
+        dec = decompose([A, B], "u", "v")
+        assert len(components(build_graph(dec, [A, B]))) == 7
+        a, b = dec.locate(Fraction(-2), Fraction(1)), dec.locate(Fraction(-1, 2), Fraction(1))
+        assert None not in (a, b) and a != b
+
 
 class TestDecompose:
     def test_circle_five_cells(self):
@@ -71,7 +84,6 @@ class TestDecompose:
     def test_fiber_count_constant_per_region(self):
         # delineability: re-lift at 5 extra rational samples per base region
         dec = decompose([CIRCLE, P("v^2-u")], "u", "v")
-        from kinatlas.cad2d import _specialize_product
         from kinatlas.realroots import isolate
         for k1, s in enumerate(dec.base_samples):
             expect = len(dec.fiber_roots[k1])
@@ -81,7 +93,7 @@ class TestDecompose:
                 w = lo + (hi - lo) * Fraction(i, 6)
                 if dec.base_poly.degree >= 1 and upoly_eval(dec.base_poly, w) == 0:
                     continue
-                f = _specialize_product(dec.polys, "u", "v", w)
+                f = dec.fiber_product(w)
                 got = len(isolate(f)) if f.degree >= 1 else 0
                 assert got == expect
 
@@ -282,9 +294,17 @@ def _through(rng, x0: Fraction, y0: Fraction) -> MPoly:
     return c - c.eval({"u": x0, "v": y0})
 
 
+def _fibre_product(polys, x) -> UPoly:
+    """`Decomposition.fiber_product` at u = x of a decomposition that
+    holds the curves `polys` as given."""
+    from kinatlas.cad2d import int_rows
+    dec = dataclasses.replace(decompose([], "u", "v"), polys=polys,
+                              rows=[int_rows(p, "v", "u") for p in polys])
+    return dec.fiber_product(x)
+
+
 class TestFibreProduct:
     def test_lcm_matches_whole_product_squarefree(self):
-        from kinatlas.cad2d import _specialize_product
         from oracles import specialize_product_whole, upoly_derivative
         rng = random.Random(41)
         shared = tangent = 0
@@ -299,7 +319,7 @@ class TestFibreProduct:
                 polys.append(_rand_conic(rng))
             polys.append(polys[0])  # the same curve twice
             for x in (x0, x0 + Fraction(1, 3)):
-                got = _specialize_product(polys, "u", "v", x)
+                got = _fibre_product(polys, x)
                 want = specialize_product_whole(polys, "u", "v", x)
                 assert got == want and got.var == want.var == "v"
                 assert _integer_form(got)
@@ -312,7 +332,6 @@ class TestFibreProduct:
     def test_matches_both_oracles_at_fine_witnesses(self):
         # witnesses 2^-40 beside a shared fibre root, as the adjacency pass
         # takes them
-        from kinatlas.cad2d import _specialize_product
         from oracles import specialize_product_by_fractions, specialize_product_whole
         rng = random.Random(59)
         for _ in range(60):
@@ -322,7 +341,7 @@ class TestFibreProduct:
             polys.append((P("v") - y0) ** 2 + (P("u") - x0) * P("u + v"))
             for k in (-1, 1, rng.randrange(1, 1 << 20, 2)):
                 w = x0 + Fraction(k, 1 << 40) / rng.choice([1, 3])
-                got = _specialize_product(polys, "u", "v", w)
+                got = _fibre_product(polys, w)
                 assert got == specialize_product_by_fractions(polys, "u", "v", w)
                 assert got == specialize_product_whole(polys, "u", "v", w)
 
@@ -335,7 +354,6 @@ class TestFibreProduct:
     def test_matches_both_oracles_at_reference_witnesses(self, atlas_pp):
         # the pass's witness pair and the ladder's coarser rungs 2^-10, 2^-22
         from kinatlas.adjacency import _witnesses
-        from kinatlas.cad2d import _specialize_product
         from oracles import (LADDER, specialize_product_by_fractions, specialize_product_whole,
                              witnesses_from_coarse)
         dec = atlas_pp.wa.dec_fine
@@ -345,11 +363,37 @@ class TestFibreProduct:
             for ws in pairs:
                 for w in ws:
                     args = (dec.polys, dec.base_var, dec.fiber_var, w)
-                    got = _specialize_product(*args)
+                    got = dec.fiber_product(w)
                     assert got == specialize_product_by_fractions(*args)
                     assert got == specialize_product_whole(*args)
                     n += 1
         assert n == 6 * len(dec.base_roots) > 0
+
+
+class TestRowBuilds:
+    def test_reference_analyze(self, monkeypatch, tmp_path):
+        """One `kinatlas analyze` of the reference slice (y = 1/2, mode ++)
+        builds a curve's integer rows (`int_rows`) at most 40 times: once per
+        curve and direction in each decomposition, adjacency pass and plot.
+        Rebuilt for every fibre product, they were built 759 times."""
+        import kinatlas.adjacency as adjacency
+        import kinatlas.cad2d as cad2d
+        import kinatlas.svg as svg
+        from kinatlas.cli import main
+        calls = []
+        int_rows = cad2d.int_rows
+
+        def counted(*args):
+            calls.append(args[1:])
+            return int_rows(*args)
+
+        for module in (cad2d, adjacency, svg):
+            monkeypatch.setattr(module, "int_rows", counted)
+        cfg = tmp_path / "mech.json"
+        cfg.write_text('{"type": "RPR-2PRR", "l2": "3", "l3": "3", "a": "1", "b": "1"}\n')
+        assert main(["analyze", "--config", str(cfg), "--slice", "W:y=1/2",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert 20 <= len(calls) <= 40, len(calls)
 
 
 class TestIntegerForm:

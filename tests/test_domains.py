@@ -181,6 +181,26 @@ class TestBasicRegions:
             owners = {lab for lab, cells in qcells.items() if comps[k] <= cells}
             assert len(owners) == 1, b.region.label
 
+    @pytest.mark.parametrize("case", [
+        "ref",
+        pytest.param("y0_0", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="ROADMAP item 11: squarefree_total drops the line tphi = 0 at y0 = 0, "
+                   "and basic_regions skips the 2 reachable count regions no aspect owns")),
+        "y0_2", "geom2"])
+    def test_one_per_reachable_count_region_on_the_perfbench_slices(self, case, atlas_pp):
+        # no reachable count region is dropped: the basic regions are those
+        # cell sets, each once
+        from kinatlas.domains import SliceAtlas
+        geom2 = MechanismParams(l2=Fraction(2), l3=Fraction(5, 2), a=Fraction(1, 2),
+                                b=Fraction(3, 2))
+        atlas = atlas_pp if case == "ref" else SliceAtlas.build(
+            geom2 if case == "geom2" else PARAMS,
+            {"y0_0": Fraction(0), "y0_2": Fraction(2)}.get(case, Fraction(1, 2)), MODE)
+        counted = sorted(sorted(r.cells) for r in atlas.atlas if r.ik_count > 0)
+        basic = sorted(sorted(b.region.cells) for b in atlas.basics)
+        assert basic == counted, (len(basic), len(counted))
+
     def test_region_spanning_two_joint_components_raises(self):
         wa, ja, aspects = _toy_slice(fine_variety=[], joint_variety=[_R])
         with pytest.raises(DomainError, match=r"WAb_pp_1_1 .*\[0, 1\]"):

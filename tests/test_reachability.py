@@ -12,7 +12,10 @@ finds dead code, not every unreachable path: a method stays alive while
 any method of the same name is called on any object.
 
 Each module also reads every name it imports, standard library included:
-an import no `Name` node of its module reads fails.
+an import no `Name` node of its module reads fails.  And no module takes a
+`_`-prefixed name from another package module, by import or as an
+attribute of an imported module, unless `PRIVATE_IMPORTS` names it with a
+reason: a private format has one owner.
 """
 
 import ast
@@ -127,3 +130,53 @@ def test_unused_import_guard_flags_stdlib_and_package_names():
                      "import math\nimport os.path\nfrom .realroots import isolate as iso, NEG_INF\n"
                      "def f():\n    import json\n    return NEG_INF, os.path\n")
     assert _unused_imports(tree) == ["math", "iso", "json"]
+
+
+# `_`-prefixed names a module may take from another package module, each
+# with its reason; every other private name is used only in its own module
+PRIVATE_IMPORTS = {
+    "cad2d <- ratpoly._int_primitive": "integer kernel of the squarefree lcm of fibre products",
+    "cad2d <- ratpoly._poly_mul": "integer kernel of the squarefree lcm of fibre products",
+    "cad2d <- ratpoly._poly_quo": "integer kernel of the squarefree lcm of fibre products",
+    "cad2d <- realroots._horner": "integer Horner kernel that binds a curve's rows",
+    "mechanism <- ratpoly._poly_quo": "exact integer quotient of the DK eliminant by (1 + t^2)^4",
+}
+
+
+def _private_imports(tree: ast.Module, stem: str) -> list[str]:
+    """'module <- source._name' for each `_`-prefixed name `tree` imports
+    from a package module, or reads as an attribute of one it imports."""
+    out, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    out.append(f"{stem} <- {node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            out.append(f"{stem} <- {modules[node.value.id]}.{node.attr}")
+    return out
+
+
+def _all_private_imports() -> set[str]:
+    return {imp for path in sorted(SRC.glob("*.py"))
+            for imp in _private_imports(ast.parse(path.read_text(), str(path)), path.stem)}
+
+
+def test_private_names_stay_in_their_module():
+    found = _all_private_imports()
+    assert not found - set(PRIVATE_IMPORTS), \
+        f"private names taken from another module: {sorted(found - set(PRIVATE_IMPORTS))}"
+    stale = set(PRIVATE_IMPORTS) - found
+    assert not stale, f"allowlist entries no longer imported: {sorted(stale)}"
+    assert not [k for k in PRIVATE_IMPORTS if k.split(" <- ")[0] in ("adjacency", "svg")]
+
+
+def test_private_import_guard_flags_names_and_attributes():
+    tree = ast.parse("import math\nfrom . import realroots as rr\n"
+                     "from .cad2d import bind, _bind_int\n"
+                     "def f():\n    return rr._sign_at, rr.isolate, math._x, _bind_int\n")
+    assert _private_imports(tree, "m") == ["m <- cad2d._bind_int", "m <- realroots._sign_at"]

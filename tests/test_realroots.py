@@ -251,7 +251,6 @@ class TestIncrementalIsolation:
         2^-40 of the gap, hold root clusters some 40 bisection levels
         deep."""
         from kinatlas.adjacency import _witnesses
-        from kinatlas.cad2d import _specialize_product
         from oracles import LADDER, witnesses_from_coarse
         dec = atlas_pp.wa.dec_fine
         n, finest = 0, Fraction(1)
@@ -259,7 +258,7 @@ class TestIncrementalIsolation:
             pairs = [witnesses_from_coarse(dec, j, s) for s in LADDER[:-1]] + [_witnesses(dec, j)]
             for shrink, ws in zip(LADDER, pairs):
                 for w in ws:
-                    f = _specialize_product(dec.polys, dec.base_var, dec.fiber_var, w)
+                    f = dec.fiber_product(w)
                     got = _bounds(isolate(f))
                     assert got == _bounds(isolate_by_scaling(f)), (j, shrink)
                     finest = min([finest] + [hi - lo for lo, hi in got if lo < hi])
@@ -575,16 +574,25 @@ class TestNoRepeatedSign:
             assert len(calls) == 1, x
 
     def test_cmp_bounds_signs_only_in_bisect(self, monkeypatch):
-        import kinatlas.adjacency as adjacency
-        from kinatlas.adjacency import _cmp_bounds
+        from kinatlas.realroots import RootMerge
         # sqrt 2 and sqrt 3, both isolated by (1, 2): one round of five
         # halvings per side separates them
         a, b = isolate(U(-2, 0, 1))[1], isolate(U(-3, 0, 1))[1]
         assert (a.low, a.high) == (b.low, b.high) == (1, 2)
-        outside = self._counted(monkeypatch, adjacency)
-        inside = self._counted(monkeypatch, realroots)
-        assert _cmp_bounds(a, b, {}) == -1 and _cmp_bounds(b, a, {}) == 1
-        assert outside == [] and len(inside) == 20
+        calls = self._counted(monkeypatch, realroots)
+        bisect_ = realroots._bisect
+        inside = []
+
+        def counted(*args):
+            n = len(calls)
+            out = bisect_(*args)
+            inside.extend(calls[n:])
+            return out
+
+        monkeypatch.setattr(realroots, "_bisect", counted)
+        merges = [RootMerge([a], [b]), RootMerge([b], [a])]
+        assert [(m.ranks1, m.ranks2) for m in merges] == [([1], [2]), ([2], [1])]
+        assert calls == inside and len(inside) == 20
 
 
 class TestEvaluationBudget:
@@ -700,21 +708,23 @@ class TestSampleBetweenOracle:
     raise."""
 
     @staticmethod
-    def _same(lo, hi, memo=None):
-        """The sample both routes give, or None when both raise alike."""
+    def _same(lo, hi, merge=None):
+        """The sample both routes give, or None when both raise alike;
+        with `merge`, its `sample_between`."""
+        sample = merge.sample_between if merge else sample_between
         try:
             want = sample_between_by_halving(lo, hi)
         except RealRootError as e:
             with pytest.raises(RealRootError, match=str(e)):
-                sample_between(lo, hi, memo)
+                sample(lo, hi)
             return None
-        assert sample_between(lo, hi, memo) == want, (lo, hi)
+        assert sample(lo, hi) == want, (lo, hi)
         return want
 
     @pytest.mark.parametrize("case", ["ref", "y0_0", "y0_2", "geom2"])
     def test_every_sample_of_the_perfbench_slices(self, case, monkeypatch):
-        import kinatlas.adjacency as adjacency
         import kinatlas.cad2d as cad2d
+        from kinatlas.realroots import RootMerge
         from kinatlas.domains import SliceAtlas
         from kinatlas.mechanism import MechanismParams, WorkingMode
         params = {"geom2": MechanismParams(l2=Fraction(2), l3=Fraction(5, 2), a=Fraction(1, 2),
@@ -722,16 +732,20 @@ class TestSampleBetweenOracle:
         y0 = {"y0_0": Fraction(0), "y0_2": Fraction(2)}.get(case, Fraction(1, 2))
         calls = overlapping = 0
 
-        def checked(lo, hi, memo=None):
+        def checked(sample, lo, hi):
             nonlocal calls, overlapping
-            got = sample_between(lo, hi, memo)
+            got = sample(lo, hi)
             assert got == sample_between_by_halving(lo, hi), (lo, hi)
             calls += 1
             overlapping += lo != NEG_INF and hi != POS_INF and not lo.high < hi.low
             return got
 
-        for module in (realroots, cad2d, adjacency):
-            monkeypatch.setattr(module, "sample_between", checked)
+        merge_sample = RootMerge.sample_between
+        for module in (realroots, cad2d):
+            monkeypatch.setattr(module, "sample_between",
+                                lambda lo, hi: checked(sample_between, lo, hi))
+        monkeypatch.setattr(RootMerge, "sample_between",
+                            lambda merge, lo, hi: checked(merge_sample.__get__(merge), lo, hi))
         atlas = SliceAtlas.build(params, y0, WorkingMode(1, 1))
         # the samples of the ladder's rungs 2^-10 and 2^-22 too
         for dec, varieties, wrap, graphs in atlas_passes(atlas):
@@ -740,9 +754,10 @@ class TestSampleBetweenOracle:
 
     def test_random_overlapping_pairs(self):
         """Roots of two seeded polynomials, in order, whose intervals
-        overlap, sampled fresh and after `_cmp_bounds` left deeper states
-        in a shared memo, as the adjacency pass samples them."""
-        from kinatlas.adjacency import _cmp_bounds
+        overlap, sampled fresh and by the `RootMerge` of their two root
+        lists, whose comparisons left deeper states, as the adjacency pass
+        samples them."""
+        from kinatlas.realroots import RootMerge
         rng = random.Random(2401)
         n = overlapping = 0
         for _ in range(150):
@@ -753,15 +768,15 @@ class TestSampleBetweenOracle:
                     r = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 8)))
                     p = upoly_mul(p, UPoly([-r.numerator, r.denominator]))
                 ps.append(p)
-            memo: dict = {}
-            for a in isolate(ps[0]):
-                for b in isolate(ps[1]):
-                    c = _cmp_bounds(a, b, memo)
-                    if c == 0:
+            roots1, roots2 = isolate(ps[0]), isolate(ps[1])
+            merge = RootMerge(roots1, roots2)
+            for a, ra in zip(roots1, merge.ranks1):
+                for b, rb in zip(roots2, merge.ranks2):
+                    if ra == rb:
                         continue
-                    lo, hi = (a, b) if c < 0 else (b, a)
+                    lo, hi = (a, b) if ra < rb else (b, a)
                     s = self._same(lo, hi)
-                    assert s == self._same(lo, hi, memo) and lo.low < s < hi.high
+                    assert s == self._same(lo, hi, merge) and lo.low < s < hi.high
                     overlapping += not lo.high < hi.low
                     n += 1
         assert n >= 800 and overlapping >= 200, (n, overlapping)
