@@ -132,7 +132,7 @@ def _normalize_input(polys, base_var: str, fiber_var: str) -> list[MPoly]:
         if q.is_zero() or q.is_constant():
             continue
         q = squarefree_total(q).canonical()
-        key = frozenset(q.terms.items())
+        key = frozenset(q.nums.items())
         if key not in seen:
             seen.add(key)
             out.append(q)
@@ -206,21 +206,20 @@ def discriminant_bivar(p: MPoly, var: str, keep: str) -> MPoly:
 
 
 def int_rows(p: MPoly, var: str, other: str) -> list[list[int]]:
-    """p over one denominator D, read straight from its terms: rows[k] is
-    the dense coefficient list (constant term first) in `other` of the
-    integer polynomial D * [var^k] p, every row padded to p's degree in
+    """p's numerators (p = `p.nums` / `p.den`): rows[k] is the dense
+    coefficient list (constant term first) in `other` of the integer
+    polynomial p.den * [var^k] p, every row padded to p's degree in
     `other`.  `bind` binds `other` in them."""
     at = {v: i for i, v in enumerate(p.vars)}
     iv, io = at.get(var), at.get(other)
-    den = lcm(*(c.denominator for c in p.terms.values()))
     width = max(p.degree(other), 0) + 1
     rows = [[0] * width for _ in range(max(p.degree(var), 0) + 1)]
-    for e, c in p.terms.items():
+    for e, c in p.nums.items():
         k = e[iv] if iv is not None else 0
         i = e[io] if io is not None else 0
         if sum(e) != k + i:
             raise CadError(f"polynomial not over ({var},{other}): {p.live_vars()}")
-        rows[k][i] = c.numerator * (den // c.denominator)
+        rows[k][i] = c
     return rows
 
 
@@ -295,16 +294,15 @@ def interval_eval(p: MPoly, boxes: dict[str, tuple[Fraction, Fraction]]) -> tupl
     """Exact interval-arithmetic range bound of p over a box: each term's
     coefficient times the enclosures of its powers, every product of two
     intervals the min and max of the four end products (Moore-Kearfott-
-    Cloud), on integers.  A variable's box (a, b) is (A, B) / D over D =
-    lcm of its denominators, and the enclosures of x^0 .. x^top (top its
+    Cloud), on p's numerators.  A variable's box (a, b) is (A, B) / D over
+    D = lcm of its denominators, and the enclosures of x^0 .. x^top (top its
     degree in p) are taken once per call as integers over D^top, so all of
     a term's bounds lie over one positive denominator, the same for every
     term; one Fraction per bound is built at the end."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    total = den
+    total = p.den
     pows = []      # per variable: enclosures of x^k as integers over D^top, or None
     for i, v in enumerate(p.vars):
-        top = max((e[i] for e in p.terms), default=0)
+        top = max((e[i] for e in p.nums), default=0)
         if not top:
             pows.append(None)
             continue
@@ -326,8 +324,8 @@ def interval_eval(p: MPoly, boxes: dict[str, tuple[Fraction, Fraction]]) -> tupl
         pows.append(encl)
         total *= D ** top
     lo = hi = 0
-    for e, c in p.terms.items():
-        tlo = thi = c.numerator * (den // c.denominator)
+    for e, c in p.nums.items():
+        tlo = thi = c
         for k, encl in zip(e, pows):
             if encl:
                 plo, phi = encl[k]

@@ -327,18 +327,14 @@ class CuspPoint:
 
 def cusp_points(js: JointSlice, width: Fraction = Fraction(1, 1 << 40)) -> list[CuspPoint]:
     """Singular points of the projected parallel curve in the (r, u) chart,
-    by bivariate elimination, isolation, and interval-verified pairing."""
+    by bivariate elimination in w = u^2 (`_cusp_eliminants`), isolation, and
+    interval-verified pairing."""
     P = js.parallel_ru.with_vars(("r", "u"))
     Pr = P.diff("r")
     Pu = P.diff("u")
     if Pr.is_zero() or Pu.is_zero():
         raise DomainError("non-isolated singular locus")
-    R1 = _pair_eliminant(P, Pr, "u", "r")
-    R2 = _pair_eliminant(P, Pu, "u", "r")
-    gr = mgcd(R1, R2)
-    S1 = _pair_eliminant(P, Pr, "r", "u")
-    S2 = _pair_eliminant(P, Pu, "r", "u")
-    gu = mgcd(S1, S2)
+    gr, gu = _cusp_eliminants(P)
     if gr.is_zero() or gu.is_zero():
         raise DomainError("non-isolated singular locus")
     if gr.is_constant() or gu.is_constant():
@@ -372,6 +368,33 @@ def cusp_points(js: JointSlice, width: Fraction = Fraction(1, 1 << 40)) -> list[
                 kind = "cusp"
             out.append(CuspPoint((a.low, a.high), (b.low, b.high), kind))
     return out
+
+
+def _cusp_eliminants(P: MPoly) -> tuple[MPoly, MPoly]:
+    """(gr, gu): polynomials in r and in u whose roots hold the r- and
+    u-coordinates of the singular points of P(r, u), computed in w = u^2.
+
+    P is even in u: `mechanism.slice_jointspace` substitutes c3 =
+    (1 - u^2) / (1 + u^2) into the (r, c3) curve, whose factors in c3 alone
+    `_strip_known_factors` removed, so P has no factor u and its squarefree
+    part stays even: P = Q(r, u^2).  An odd power of u raises `DomainError`.
+    With P_r = Q_r(r, u^2), P_u = 2u Q_w(r, u^2), Res_u(A(u^2), B(u^2)) =
+    +-Res_w(A, B)^2 and Res_u(P, u) = P(r, 0), the eliminants
+    gr = gcd(Res_w(Q, Q_r), Q(r, 0) Res_w(Q, Q_w)) and
+    gu = gcd(S_r(u^2), u S_w(u^2)), S_r = Res_r(Q, Q_r), S_w = Res_r(Q, Q_w),
+    have the squarefree parts of those taken in u, at half the degree in w."""
+    odd = min((e[1] for e in P.nums if e[1] % 2), default=0)
+    if odd:
+        raise DomainError(f"parallel curve is not even in u: it has the power u^{odd}")
+    Q = MPoly.from_ints(("r", "w"), {(e[0], e[1] // 2): k for e, k in P.nums.items()}, P.den)
+    Qr, Qw = Q.diff("r"), Q.diff("w")
+    gr = mgcd(_pair_eliminant(Q, Qr, "w", "r"),
+              Q.eval({"w": 0}) * _pair_eliminant(Q, Qw, "w", "r"))
+    Sr, Sw = _pair_eliminant(Q, Qr, "r", "w"), _pair_eliminant(Q, Qw, "r", "w")
+    # S_r(u^2) and u S_w(u^2)
+    gu = mgcd(*(MPoly.from_ints(("u",), {(2 * e[0] + j,): k for e, k in S.nums.items()}, S.den)
+                for j, S in enumerate((Sr, Sw))))
+    return gr, gu
 
 
 def _pair_eliminant(f: MPoly, g: MPoly, elim: str, keep: str) -> MPoly:

@@ -233,7 +233,8 @@ def parallel_singularity(params: MechanismParams) -> MPoly:
     d = det3(jacobian_a(params))
     ic2 = d.vars.index("c2")
     is3 = d.vars.index("s3")
-    even = MPoly(d.vars, {e: c for e, c in d.terms.items() if e[ic2] == 0 and e[is3] == 0})
+    even = MPoly.from_ints(d.vars, {e: k for e, k in d.nums.items() if e[ic2] == 0 and e[is3] == 0},
+                           d.den)
     x, y = _v("x"), _v("y")
     cph = _v("cphi")
     sub = even.substitute({

@@ -1,19 +1,16 @@
 """Exact rational polynomial arithmetic.
 
-Sparse multivariate polynomials (MPoly) over arbitrary-precision rationals,
-and dense univariate polynomials (UPoly) held as primitive integer
-coefficients with a positive leading coefficient, which carry what the root
-and cell layers use: the gcd and the squarefree part.  All
-values are immutable and every operation is a pure function.
-
-Elimination runs on integers: `mgcd`, `resultant` and `exact_div` clear
-each operand once to coprime integer coefficients and call the integer
-kernels, and only the result is Fraction-valued again.  The multivariate
-gcd is GCDHEU (Char, Geddes and Gonnet 1989), proven by exact division and
-backed by the primitive PRS; the resultant is taken by evaluation at
-integer nodes and Newton interpolation (Collins 1971); squarefree parts
-are p / gcd(p, dp/dv).  Univariate gcds, exact quotients and products run
-on integer coefficient lists (`int_poly_gcd`, `_poly_quo`, `_poly_mul`).
+Sparse multivariate polynomials (MPoly) are integer numerators over one
+positive denominator; dense univariate polynomials (UPoly) are primitive
+integer coefficients with a positive leading coefficient.  Both are
+immutable.  Arithmetic, derivatives, evaluation and substitution run on the
+numerators, and so does elimination: the multivariate gcd is GCDHEU (Char,
+Geddes and Gonnet 1989), proven by exact division and backed by the
+primitive PRS; the resultant is taken at integer nodes and interpolated
+(Collins 1971); squarefree parts are p / gcd(p, dp/dv).  Univariate gcds,
+quotients and products run on coefficient lists (`int_poly_gcd`,
+`_poly_quo`, `_poly_mul`).  Fractions are built only for `terms`, a
+constant's value, a full `eval` and the printed text.
 """
 
 from __future__ import annotations
@@ -21,46 +18,98 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd, lcm as _int_lcm
+from operator import add as _add
 
 class RatPolyError(Exception):
     pass
 
 
 def _merge_vars(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
-    """Union of two variable tuples, keeping first-seen order."""
-    out = list(a)
-    seen = set(a)
-    for v in b:
-        if v not in seen:
-            out.append(v)
-            seen.add(v)
-    return tuple(out)
+    """Union of two variable tuples in first-seen order."""
+    return a + tuple(v for v in b if v not in a)
 
 
 def _grlex_key(exp: tuple[int, ...]):
     return (sum(exp), exp)
 
 
-class MPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+def _ratio(c) -> tuple[int, int]:
+    """(n, d) with d > 0 of a rational scalar."""
+    return (c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio()
 
-    Terms map exponent tuples (one entry per variable in `vars`) to
-    nonzero coefficients.  Zero coefficients are never stored.
+
+def _iadd(acc: dict, b: dict) -> dict:
+    """acc += b on integer terms in place; a sum that cancels is dropped."""
+    for e, c in b.items():
+        s = acc.get(e, 0) + c
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]
+    return acc
+
+
+def _imul(a: dict, b: dict) -> dict:
+    """Product of two integer term dicts; the outer loop runs over the one
+    with fewer terms."""
+    if len(a) < len(b):
+        a, b = b, a
+    out: dict = {}
+    for eb, cb in b.items():
+        for ea, ca in a.items():
+            e = tuple(map(_add, ea, eb))
+            s = out.get(e)
+            if s is None:
+                out[e] = ca * cb
+            else:
+                s += ca * cb
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
+
+
+class MPoly:
+    """Sparse multivariate polynomial over the rationals.
+
+    `nums` maps exponent tuples (one entry per variable in `vars`) to
+    nonzero integer numerators over the one positive denominator `den`,
+    and the gcd of den and every numerator is 1, so the form is unique.
+    The constructor takes rational terms and `terms` gives them back;
+    the package reads and builds the integer form (`from_ints`).
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "nums", "den")
 
     def __init__(self, variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]):
-        self.vars = tuple(variables)
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        cs = {e: _ratio(c) for e, c in terms.items() if c}
+        self.vars, self.den = tuple(variables), _int_lcm(*(d for _, d in cs.values()))
+        self.nums = {e: n * (self.den // d) for e, (n, d) in cs.items()}
 
-    # -- constructors -------------------------------------------------
+    # -- constructors
+
+    @staticmethod
+    def from_ints(variables: tuple[str, ...], nums: dict, den: int = 1) -> "MPoly":
+        """nums / den: nonzero integer numerators over den > 0, reduced."""
+        if den != 1:
+            g = _int_gcd(den, *nums.values())
+            if g != 1:
+                nums = {e: k // g for e, k in nums.items()}
+                den //= g
+        p = object.__new__(MPoly)
+        p.vars, p.nums, p.den = tuple(variables), nums, den
+        return p
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The rational coefficients."""
+        return {e: Fraction(k, self.den) for e, k in self.nums.items()}
 
     @staticmethod
     def const(c, variables: tuple[str, ...] = ()) -> "MPoly":
-        c = Fraction(c)
-        z = (0,) * len(variables)
-        return MPoly(variables, {z: c} if c else {})
+        n, d = _ratio(c)
+        return MPoly.from_ints(variables, {(0,) * len(variables): n} if n else {}, d)
 
     @staticmethod
     def var(name: str, variables: tuple[str, ...] | None = None) -> "MPoly":
@@ -68,61 +117,49 @@ class MPoly:
             variables = (name,)
         if name not in variables:
             raise RatPolyError(f"variable {name!r} not in {variables}")
-        e = tuple(1 if v == name else 0 for v in variables)
-        return MPoly(variables, {e: Fraction(1)})
+        return MPoly.from_ints(variables, {tuple(int(v == name) for v in variables): 1})
 
     def with_vars(self, variables: tuple[str, ...]) -> "MPoly":
         """Re-embed into a larger (or reordered) variable tuple."""
         if variables == self.vars:
             return self
-        idx = []
-        for v in self.vars:
+        for v in self.live_vars():
             if v not in variables:
-                if any(e[self.vars.index(v)] for e in self.terms):
-                    raise RatPolyError(f"cannot drop live variable {v!r}")
-                idx.append(None)
-            else:
-                idx.append(variables.index(v))
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
+                raise RatPolyError(f"cannot drop live variable {v!r}")
+        idx = [variables.index(v) if v in variables else 0 for v in self.vars]
+        nums = {}
+        for e, c in self.nums.items():
             ne = [0] * len(variables)
-            for i, p in enumerate(e):
+            for i, p in zip(idx, e):
                 if p:
-                    ne[idx[i]] = p
-            terms[tuple(ne)] = c
-        return MPoly(variables, terms)
+                    ne[i] = p
+            nums[tuple(ne)] = c
+        return MPoly.from_ints(variables, nums, self.den)
 
-    # -- predicates / accessors ---------------------------------------
+    # -- predicates / accessors
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self.nums)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
         if not self.is_constant():
             raise RatPolyError("not a constant")
-        return next(iter(self.terms.values()))
+        return Fraction(sum(self.nums.values()), self.den)
 
     def degree(self, var: str) -> int:
         """Degree in one variable (-1 for the zero polynomial)."""
         if var not in self.vars:
-            return 0 if self.terms else -1
+            return 0 if self.nums else -1
         i = self.vars.index(var)
-        return max((e[i] for e in self.terms), default=-1)
+        return max((e[i] for e in self.nums), default=-1)
 
     def live_vars(self) -> tuple[str, ...]:
-        live = set()
-        for e in self.terms:
-            for i, p in enumerate(e):
-                if p:
-                    live.add(self.vars[i])
-        return tuple(v for v in self.vars if v in live)
+        return tuple(v for v, *es in zip(self.vars, *self.nums) if any(es))
 
-    # -- arithmetic ----------------------------------------------------
+    # -- arithmetic
 
     def _aligned(self, other: "MPoly") -> tuple["MPoly", "MPoly"]:
         if self.vars == other.vars:
@@ -134,24 +171,18 @@ class MPoly:
         if not isinstance(other, MPoly):
             other = MPoly.const(other, self.vars)
         a, b = self._aligned(other)
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return MPoly(a.vars, terms)
+        den = _int_lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        acc = {e: k * fa for e, k in a.nums.items()} if fa > 1 else dict(a.nums)
+        _iadd(acc, {e: k * fb for e, k in b.nums.items()} if fb > 1 else b.nums)
+        return MPoly.from_ints(a.vars, acc, den)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly.from_ints(self.vars, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other) -> "MPoly":
-        if not isinstance(other, MPoly):
-            other = MPoly.const(other, self.vars)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -159,30 +190,13 @@ class MPoly:
 
     def __mul__(self, other) -> "MPoly":
         if not isinstance(other, MPoly):
-            c = Fraction(other)
-            if not c:
-                return MPoly(self.vars, {})
-            return MPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+            n, d = _ratio(other)
+            return MPoly.from_ints(self.vars, {e: k * n for e, k in self.nums.items()} if n else {},
+                                   self.den * d)
         a, b = self._aligned(other)
-        if len(a.terms) < len(b.terms):
-            a, b = b, a
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for eb, cb in b.terms.items():
-            for ea, ca in a.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = terms.get(e)
-                if s is None:
-                    terms[e] = ca * cb
-                else:
-                    s = s + ca * cb
-                    if s:
-                        terms[e] = s
-                    else:
-                        del terms[e]
-        return MPoly(a.vars, terms)
+        return MPoly.from_ints(a.vars, _imul(a.nums, b.nums), a.den * b.den)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
@@ -200,47 +214,50 @@ class MPoly:
         if not isinstance(other, MPoly):
             return self.is_constant() and self.constant_value() == Fraction(other)
         a, b = self._aligned(other)
-        return a.terms == b.terms
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self.nums.items()), self.den))
 
-    # -- calculus / evaluation -----------------------------------------
+    # -- calculus / evaluation
 
     def diff(self, var: str) -> "MPoly":
         """Exact partial derivative."""
         if var not in self.vars:
             raise RatPolyError(f"unknown variable {var!r}")
         i = self.vars.index(var)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-                terms[ne] = terms.get(ne, Fraction(0)) + c * e[i]
-        return MPoly(self.vars, terms)
+        return MPoly.from_ints(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                                           for e, c in self.nums.items() if e[i]}, self.den)
 
     def eval(self, point: dict) -> "MPoly | Fraction":
         """Bind a subset of variables to rationals: a Fraction when all are
-        bound, else the polynomial in the remaining ones.  A polynomial
-        value goes through `substitute`."""
+        bound, else the polynomial in the rest.  A value n/d of a variable
+        of degree t enters as n^k d^(t - k)."""
         keep = [i for i, v in enumerate(self.vars) if v not in point]
-        bound = [(i, Fraction(point[v])) for i, v in enumerate(self.vars) if v in point]
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            for i, w in bound:
-                if e[i]:
-                    c *= w ** e[i]
+        bound = []
+        den = self.den
+        for i, v in enumerate(self.vars):
+            if v in point:
+                (n, d), t = _ratio(point[v]), max((e[i] for e in self.nums), default=0)
+                bound.append((i, [n ** k * d ** (t - k) for k in range(t + 1)]))
+                den *= d ** t
+        terms: dict = {}
+        for e, c in self.nums.items():
+            for i, pw in bound:
+                c *= pw[e[i]]
             ne = tuple(e[i] for i in keep)
             terms[ne] = terms.get(ne, 0) + c
         if not keep:
-            return terms.get((), Fraction(0))
-        return MPoly(tuple(self.vars[i] for i in keep), terms)
+            return Fraction(terms.get((), 0), den)
+        return MPoly.from_ints(tuple(self.vars[i] for i in keep),
+                               {e: c for e, c in terms.items() if c}, den)
 
     def substitute(self, values: dict[str, "MPoly"], den: "MPoly") -> "MPoly":
         """den^d * self(v = values[v] / den), d the largest total degree of
-        a term in the substituted variables.  Each power of a value and of
-        den is taken once.  The result's variables are the kept ones, then
-        those of the values and of den."""
+        a term in the substituted variables.  Each power of a value's or
+        den's numerators W_j / D_j is taken once; a term with powers p_j is
+        scaled by the D_j^(d - p_j).  The result's variables are the kept
+        ones, then those of the values and of den."""
         sub = [i for i, v in enumerate(self.vars) if v in values]
         keep = [i for i, v in enumerate(self.vars) if v not in values]
         out_vars = tuple(self.vars[i] for i in keep)
@@ -248,33 +265,42 @@ class MPoly:
             out_vars = _merge_vars(out_vars, w.vars)
         pad = (0,) * (len(out_vars) - len(keep))
         groups: dict[tuple[int, ...], dict] = {}
-        for e, c in self.terms.items():
+        for e, c in self.nums.items():
             groups.setdefault(tuple(e[i] for i in sub), {})[tuple(e[i] for i in keep) + pad] = c
         ws = [w.with_vars(out_vars) for w in [values[self.vars[i]] for i in sub] + [den]]
-        one = MPoly.const(1, out_vars)
+        one = {(0,) * len(out_vars): 1}
         pows = [[one] for _ in ws]
         d = max(map(sum, groups), default=0)
-        acc = MPoly.const(0, out_vars)
+        acc: dict = {}
+        total = self.den
+        for w in ws:
+            total *= w.den ** d
         for k, rest in groups.items():
-            f = one
+            f, scale = one, 1
             for w, ps, p in zip(ws, pows, k + (d - sum(k),)):
                 while len(ps) <= p:
-                    ps.append(ps[-1] * w)
-                f = f * ps[p]
-            acc = acc + MPoly(out_vars, rest) * f
-        return acc
+                    ps.append(_imul(ps[-1], w.nums))
+                if p:
+                    f = ps[p] if f is one else _imul(f, ps[p])
+                scale *= w.den ** (d - p)
+            if scale > 1:
+                rest = {e: c * scale for e, c in rest.items()}
+            _iadd(acc, _imul(rest, f))
+        return MPoly.from_ints(out_vars, acc, total)
 
     def eval_float(self, point: dict[str, float]) -> float:
+        """The value at a float point; a coefficient is numerator / den,
+        correctly rounded."""
         tot = 0.0
-        for e, c in self.terms.items():
-            m = float(c)
+        for e, c in self.nums.items():
+            m = c / self.den
             for i, p in enumerate(e):
                 if p:
                     m *= point[self.vars[i]] ** p
             tot += m
         return tot
 
-    # -- structure in one variable -------------------------------------
+    # -- structure in one variable
 
     def coeffs_in(self, var: str) -> list["MPoly"]:
         """Dense coefficient list in `var` (constant term first),
@@ -284,13 +310,10 @@ class MPoly:
         i = self.vars.index(var)
         rest = tuple(v for j, v in enumerate(self.vars) if j != i)
         d = self.degree(var)
-        if d < 0:
-            return []
         buckets: list[dict] = [dict() for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            ne = e[:i] + e[i + 1:]
-            buckets[e[i]][ne] = c
-        return [MPoly(rest, b) for b in buckets]
+        for e, c in self.nums.items():
+            buckets[e[i]][e[:i] + e[i + 1:]] = c
+        return [MPoly.from_ints(rest, b, self.den) for b in buckets]
 
     @staticmethod
     def from_coeffs(coeffs: list["MPoly"], var: str) -> "MPoly":
@@ -298,44 +321,29 @@ class MPoly:
         out_vars: tuple[str, ...] = (var,)
         for c in coeffs:
             out_vars = _merge_vars(out_vars, c.vars)
-        acc = MPoly.const(0, out_vars)
-        xv = MPoly.var(var, out_vars)
-        xp = MPoly.const(1, out_vars)
+        den = _int_lcm(*(c.den for c in coeffs))
+        acc: dict = {}
         for k, c in enumerate(coeffs):
-            if not c.is_zero():
-                acc = acc + c.with_vars(out_vars) * xp
-            xp = xp * xv
-        return acc
+            f = den // c.den
+            _iadd(acc, {(e[0] + k,) + e[1:]: n * f for e, n in c.with_vars(out_vars).nums.items()})
+        return MPoly.from_ints(out_vars, acc, den)
 
     def leading_coefficient(self, var: str) -> "MPoly":
         cs = self.coeffs_in(var)
-        if not cs:
-            rest = tuple(v for v in self.vars if v != var)
-            return MPoly.const(0, rest)
-        return cs[-1]
+        return cs[-1] if cs else MPoly.const(0, tuple(v for v in self.vars if v != var))
 
-    # -- normalization ---------------------------------------------------
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c having coprime integer coefficients."""
-        if not self.terms:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = _int_gcd(num, abs(c.numerator))
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        return Fraction(num, den)
+    # -- normalization
 
     def canonical(self) -> "MPoly":
         """Content-free integer form with positive graded-lex leading coeff."""
-        if not self.terms:
+        if not self.nums:
             return self
-        c = self.content()
-        lead = max(self.terms, key=_grlex_key)
-        if self.terms[lead] < 0:
-            c = -c
-        return MPoly(self.vars, {e: k / c for e, k in self.terms.items()})
+        g = _int_gcd(*self.nums.values())
+        if self.nums[max(self.nums, key=_grlex_key)] < 0:
+            g = -g
+        if g == 1 and self.den == 1:
+            return self
+        return MPoly.from_ints(self.vars, {e: k // g for e, k in self.nums.items()})
 
     def primitive_and_content_in(self, var: str) -> tuple["MPoly", "MPoly"]:
         """Split off gcd of the coefficients wrt `var` (multivariate content)."""
@@ -355,7 +363,7 @@ class MPoly:
         prim = MPoly.from_coeffs([exact_div(c, g) for c in cs], var)
         return prim.canonical(), g
 
-    # -- printing / parsing ----------------------------------------------
+    # -- printing / parsing
 
     def __repr__(self):
         return f"MPoly({format_poly(self)!r})"
@@ -369,27 +377,27 @@ class MPoly:
 
 
 def exact_div(num: MPoly, den: MPoly) -> MPoly:
-    """Exact multivariate division on the cleared integers; raises if den
-    does not divide num."""
+    """Exact multivariate division on the numerators, by den's primitive
+    part; raises if den does not divide num."""
     if den.is_zero():
         raise RatPolyError("division by zero polynomial")
     if den.is_constant():
-        c = den.constant_value()
-        return MPoly(num.vars, {e: k / c for e, k in num.terms.items()})
+        (c,) = den.nums.values()
+        return MPoly.from_ints(num.vars, {e: k * den.den * (1 if c > 0 else -1)
+                                          for e, k in num.nums.items()}, num.den * abs(c))
     num, den = num._aligned(den)
     if num.is_zero():
         return num
-    (n, cn), (d, cd) = _cleared(num), _cleared(den)
-    q = _int_quo(n, d)
+    d, g = _primitive(den.nums)
+    q = _int_quo(num.nums, d)
     if q is None:
         raise RatPolyError("inexact polynomial division")
-    c = cn / cd
-    return MPoly(num.vars, {e: c * k for e, k in q.items()})
+    return MPoly.from_ints(num.vars, {e: k * den.den for e, k in q.items()}, num.den * g)
 
 
 def mgcd(p: MPoly, q: MPoly) -> MPoly:
-    """Multivariate gcd, canonical: the heuristic gcd of the cleared
-    integers (`_heu_gcd`), or the primitive PRS when the heuristic gives up."""
+    """Multivariate gcd, canonical: the heuristic gcd of the numerators
+    (`_heu_gcd`), or the primitive PRS when the heuristic gives up."""
     if p.is_zero():
         return q.canonical()
     if q.is_zero():
@@ -399,10 +407,10 @@ def mgcd(p: MPoly, q: MPoly) -> MPoly:
     if not set(p.live_vars()) & set(q.live_vars()):
         return MPoly.const(1, p.vars)
     p, q = p._aligned(q)
-    g = _heu_gcd(_cleared(p)[0], _cleared(q)[0])
+    g = _heu_gcd(p.nums, q.nums)
     if g is None:
         return _mgcd_prs(p, q)
-    return MPoly(p.vars, {e: Fraction(k) for e, k in g.items()}).canonical()
+    return MPoly.from_ints(p.vars, g).canonical()
 
 
 def _mgcd_prs(p: MPoly, q: MPoly) -> MPoly:
@@ -439,8 +447,6 @@ def _prem(a: MPoly, b: MPoly, var: str) -> MPoly:
     their `MPoly` coefficient lists."""
     rest = tuple(v for v in a.vars if v != var)
     r = _int_prem(_coeffs_wrt(a, var, rest), _coeffs_wrt(b, var, rest))
-    if not r:
-        return MPoly.const(0, a.vars)
     return MPoly.from_coeffs(r, var).with_vars(_merge_vars(a.vars, (var,)))
 
 
@@ -448,25 +454,25 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     """Resultant wrt `var` by evaluation and interpolation on integers
     (Collins, JACM 1971); exact.
 
-    Each operand is cleared once, p = c_p P and q = c_q Q with P and Q
-    integer.  The other variables that either operand holds are bound one
-    at a time at the integer nodes 0, -1, 2, -2, 4, -3, ..., skipping every
-    node where an operand loses degree in `var`; for a bound variable k,
-    deg_var P deg_k Q + deg_var Q deg_k P + 1 nodes fix the result's degree
-    in k.  With every variable bound, Res(P, Q) is the integer subresultant
-    PRS (`_resultant_int`), and each coefficient is interpolated by integer
-    Newton differences (`_newton_int`).  Res(p, q) = c_p^deg_var q
-    c_q^deg_var p Res(P, Q) gives the result with one scaling at the end.
-    """
+    p = c_p P with P its numerators' primitive part.  The other variables
+    are bound one at a time at the integer nodes 0, -1, 2, -2, 4, ...,
+    skipping nodes where an operand loses degree in `var`; for a bound k,
+    deg_var P deg_k Q + deg_var Q deg_k P + 1 nodes fix the degree in k.
+    With all bound, Res(P, Q) is the integer subresultant PRS
+    (`_resultant_int`); coefficients are interpolated by integer Newton
+    differences (`_newton_int`), and Res(p, q) = c_p^deg_var q c_q^deg_var p
+    Res(P, Q)."""
     p, q = p._aligned(q)
     dp, dq = p.degree(var), q.degree(var)
     if dp <= 0 or dq <= 0:
         raise RatPolyError("resultant needs positive degree in the variable")
     v = p.vars.index(var)
-    (P, cp), (Q, cq) = _cleared(p), _cleared(q)
+    (P, cp), (Q, cq) = _primitive(p.nums), _primitive(q.nums)
     scale = cp ** dq * cq ** dp
-    return MPoly(p.vars[:v] + p.vars[v + 1:],
-                 {e[:v] + e[v + 1:]: scale * k for e, k in _resultant_interp(P, Q, v).items()})
+    return MPoly.from_ints(p.vars[:v] + p.vars[v + 1:],
+                           {e[:v] + e[v + 1:]: scale * k
+                            for e, k in _resultant_interp(P, Q, v).items()},
+                           p.den ** dq * q.den ** dp)
 
 
 def squarefree_part(p: MPoly, var: str) -> MPoly:
@@ -494,22 +500,17 @@ def squarefree_total(p: MPoly) -> MPoly:
 # one entry per variable of a tuple fixed by the caller, to nonzero ints
 
 
-def _cleared(p: MPoly) -> tuple[dict, Fraction]:
-    """(P, c): p = c * P with P integer terms of coprime coefficients and
-    c a positive rational; p nonzero."""
-    den = _int_lcm(*(c.denominator for c in p.terms.values()))
-    ints = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-    g = _int_gcd(*ints.values())
-    if g > 1:
-        ints = {e: k // g for e, k in ints.items()}
-    return ints, Fraction(g, den)
+def _primitive(a: dict) -> tuple[dict, int]:
+    """(A, g): a = g A, g > 0 the gcd of a's nonzero integer terms."""
+    g = _int_gcd(*a.values())
+    return (a if g == 1 else {e: k // g for e, k in a.items()}), g
 
 
 def _int_quo(num: dict, den: dict) -> dict | None:
     """Exact quotient num / den of integer polynomials, or None when den
     does not divide num over the integers.  The graded-lex leading term of
     the remainder is cancelled until none is left; when den is primitive, as
-    `_cleared` makes it, that is division over the rationals too (Gauss)."""
+    `exact_div` makes it, that is division over the rationals too (Gauss)."""
     dl = max(den, key=_grlex_key)
     dc = den[dl]
     tail = [(e, k) for e, k in den.items() if e != dl]
@@ -550,13 +551,11 @@ def _heu_gcd(a: dict, b: dict) -> dict | None:
     (Char, Geddes and Gonnet, J. Symbolic Comput. 1989), or None when the
     heuristic gives up.
 
-    The gcd c of the two integer contents is split off and carried into the
-    result.  The last live variable is bound at xi = 2 min(|A|, |B|) + 29
-    (max norms of the primitive parts A, B), the gcd of the images is taken
-    recursively down to integer gcds, and its symmetric xi-adic expansion
-    rebuilds a candidate whose primitive part is accepted only when it
-    divides A and B exactly; then it is gcd(A, B), because the images' gcd
-    is the true gcd with its integer content.  Otherwise xi grows by
+    The gcd c of the integer contents is carried into the result.  The last
+    live variable is bound at xi = 2 min(|A|, |B|) + 29 (max norms of the
+    primitive parts), the images' gcd is taken recursively, and its
+    symmetric xi-adic expansion gives a candidate whose primitive part is
+    gcd(A, B) when it divides both exactly.  Otherwise xi grows by
     73794/27011, at most `_HEU_TRIES` times.
     """
     ca, cb = _int_gcd(*a.values()), _int_gcd(*b.values())
@@ -640,7 +639,8 @@ def _resultant_interp(a: dict, b: dict, v: int) -> dict:
     da, db = max(e[v] for e in a), max(e[v] for e in b)
     live = [i for i, d in enumerate(map(max, zip(*a, *b))) if d and i != v]
     if not live:
-        r = _resultant_int(_dense(a, v, da), _dense(b, v, db))
+        (ra,), (rb,) = _rows_in(a, v).values(), _rows_in(b, v).values()
+        r = _resultant_int(ra, rb)
         return {(0,) * len(next(iter(a))): r} if r else {}
     i = live[-1]
     bound = da * max(e[i] for e in b) + db * max(e[i] for e in a)
@@ -661,15 +661,6 @@ def _resultant_interp(a: dict, b: dict, v: int) -> dict:
         for j, c in enumerate(_newton_int(xs, [w.get(mono, 0) for w in values])):
             if c:
                 out[mono[:i] + (j,) + mono[i + 1:]] = c
-    return out
-
-
-def _dense(a: dict, v: int, d: int) -> list[int]:
-    """Coefficient list (constant term first) of an integer polynomial of
-    degree d in variable v, the only live one."""
-    out = [0] * (d + 1)
-    for e, c in a.items():
-        out[e[v]] = c
     return out
 
 
@@ -713,10 +704,9 @@ def _exact_quo(n: int, d: int, what: str) -> int:
 
 def _newton_int(xs: list[int], ys: list[int]) -> list[int]:
     """Coefficients (constant term first) of the polynomial of degree below
-    len(xs) through the points (xs[i], ys[i]), by Newton divided
-    differences on integers.  They are integers whenever an integer
-    polynomial takes the values at distinct integer nodes; any other
-    input raises RatPolyError naming the node."""
+    len(xs) through the points (xs[i], ys[i]), by integer Newton divided
+    differences; a difference that is not an integer raises RatPolyError
+    naming the node."""
     n = len(xs)
     c = list(ys)
     for j in range(1, n):
@@ -741,9 +731,8 @@ class UPoly:
     """Dense univariate polynomial over Q, held as its primitive integer
     coefficients (constant term first) with a positive leading
     coefficient: the constructor clears rational input once.  Roots, gcds
-    and squarefree parts do not see the nonzero constant factor that is
-    dropped, and signs flip with it at most; `to_mpoly` gives the monic
-    form.  The root and cell layers read `coeffs` directly."""
+    and squarefree parts do not see the dropped constant factor, and signs
+    flip with it at most; `to_mpoly` gives the monic form."""
 
     __slots__ = ("coeffs", "var")
 
@@ -769,13 +758,14 @@ class UPoly:
             var = live[0] if live else (p.vars[0] if p.vars else "x")
         if any(v != var for v in live):
             raise RatPolyError(f"not univariate in {var!r}: {live}")
-        cs = p.coeffs_in(var)
-        return UPoly([c.constant_value() for c in cs], var)
+        if var not in p.vars:
+            return UPoly(list(p.nums.values()), var)
+        return UPoly(next(iter(_rows_in(p.nums, p.vars.index(var)).values()), []), var)
 
     def to_mpoly(self) -> MPoly:
         """The monic polynomial."""
-        lc = self.coeffs[-1] if self.coeffs else 1
-        return MPoly((self.var,), {(i,): Fraction(c, lc) for i, c in enumerate(self.coeffs)})
+        return MPoly.from_ints((self.var,), {(i,): c for i, c in enumerate(self.coeffs) if c},
+                               self.coeffs[-1] if self.coeffs else 1)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -817,9 +807,9 @@ def int_poly_gcd(a, b) -> list[int]:
     by coefficient lists, constant term first; [1] when they are coprime.
 
     Coprime operands are settled by one gcd over GF(P) first: when P does
-    not divide the leading coefficient of the higher-degree operand, the
-    true gcd keeps its degree modulo P, so a constant gcd modulo P proves
-    it constant.  Every other case runs the integer primitive PRS.
+    not divide the leading coefficient of the longer operand, a constant
+    gcd modulo P proves the true gcd constant.  Every other case runs the
+    integer primitive PRS.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -934,30 +924,11 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
 
 def format_poly(p: MPoly) -> str:
     """Canonical text: graded-lex descending, `^` powers, `*` products."""
-    if p.is_zero():
-        return "0"
-    items = sorted(p.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
     parts = []
-    for e, c in items:
-        factors = []
-        for i, pw in enumerate(e):
-            if pw == 1:
-                factors.append(p.vars[i])
-            elif pw > 1:
-                factors.append(f"{p.vars[i]}^{pw}")
-        mag = abs(c)
-        if not factors:
-            body = _fmt_frac(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = _fmt_frac(mag) + "*" + "*".join(factors)
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append((" + " if c > 0 else " - ") + body)
-    return "".join(parts)
-
-
-def _fmt_frac(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    for e, c in sorted(p.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True):
+        factors = [v if pw == 1 else f"{v}^{pw}" for v, pw in zip(p.vars, e) if pw]
+        n, d = abs(c.numerator), c.denominator
+        mag = str(n) if d == 1 else f"{n}/{d}"
+        body = "*".join(factors if mag == "1" else [mag] + factors) or mag
+        parts.append((" + " if c > 0 else " - ") + body if parts else "-" * (c < 0) + body)
+    return "".join(parts) or "0"

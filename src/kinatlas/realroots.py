@@ -234,8 +234,9 @@ class IsolatingInterval:
         return IsolatingInterval(A, B, d, self.slo if A < B else 0, p)
 
     def float(self) -> float:
-        iv = self.refine(Fraction(1, 1 << 60))
-        return float(iv.midpoint())
+        """The midpoint of the cell below width 2^-60, correctly rounded."""
+        iv = self.narrow(1, 1 << 60)
+        return (iv.A + iv.B) / (iv.d << 1)
 
 
 def roots_below(roots: list[IsolatingInterval], x: Fraction) -> int:
@@ -341,6 +342,11 @@ def _descartes(ints: list[int], a: Fraction, w: Fraction):
         stack.append((2 * k + 1, e + 1, right))
 
 
+def _rational(x) -> int | Fraction:
+    """x itself when it is an int or a Fraction, else Fraction(x)."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def count_roots(p: UPoly, low=NEG_INF, high=POS_INF) -> int:
     """Number of real roots of the squarefree polynomial p in
     (low, high]: the roots `_descartes` finds on (low, high), an infinite
@@ -354,8 +360,8 @@ def count_roots(p: UPoly, low=NEG_INF, high=POS_INF) -> int:
             raise RealRootError("empty interval")
     ints = p.coeffs
     bound = _root_bound(ints)
-    lo = Fraction(-bound if low == NEG_INF else low)
-    hi = Fraction(bound if high == POS_INF else high)
+    lo, hi = (-bound if low == NEG_INF else _rational(low),
+              bound if high == POS_INF else _rational(high))
     n = sum(1 for _ in _descartes(ints, lo, hi - lo)) if lo < hi else 0
     if high != POS_INF and _sign_at(ints, *hi.as_integer_ratio()) == 0:
         n += 1

@@ -19,8 +19,10 @@ def curve_points(poly: MPoly, base_var: str, fiber_var: str,
     """Column-wise points of the curve, one list per abscissa."""
     rows = int_rows(poly, fiber_var, base_var)
     cols = []
+    (a, b), (c, d) = x_lo.as_integer_ratio(), x_hi.as_integer_ratio()
     for i in range(density + 1):
-        x0 = x_lo + (x_hi - x_lo) * Fraction(i, density)
+        # x_lo + (x_hi - x_lo) i / density, one Fraction
+        x0 = Fraction(a * d * (density - i) + c * b * i, b * d * density)
         u = bind(rows, x0, fiber_var)
         ys = [iv.float() for iv in isolate(u)] if u.degree >= 1 else []
         if fiber_map is not None:

@@ -54,6 +54,10 @@ the first rung where its fiber intervals overlap, against the one witness
 pair per base root, and Horner
 carrying the powers of the denominator against the one that shifts for
 its power of two.
+`FractionPoly` is `MPoly`'s arithmetic on Fraction coefficients against
+the one on integer numerators over one denominator, and
+`cusp_eliminants_in_u` the singular-point eliminants taken in u against
+those taken in w = u^2.
 `divides` is the exact-division test the tests state factor claims with,
 and `det_a_sign` decides the sign of a working mode's det A at a rational
 slice pose exactly.  They are slow and meant for small inputs.
@@ -406,6 +410,200 @@ def exact_div_by_fractions(num: MPoly, den: MPoly) -> MPoly:
             else:
                 rem.pop(ne, None)
     return MPoly(num.vars, q)
+
+
+class FractionPoly:
+    """`MPoly`'s arithmetic as it ran on a dict from exponent tuples to
+    Fraction coefficients, with no `MPoly` arithmetic: the same loops, so
+    the same terms in the same insertion order.  `of(p)` reads an `MPoly`'s
+    rational terms; `text()` is the former `format_poly`."""
+
+    def __init__(self, variables, terms):
+        self.vars = tuple(variables)
+        self.terms = {e: Fraction(c) for e, c in terms.items() if c != 0}
+
+    @staticmethod
+    def of(p: MPoly) -> "FractionPoly":
+        return FractionPoly(p.vars, p.terms)
+
+    def _const(self, c) -> "FractionPoly":
+        c = Fraction(c)
+        return FractionPoly(self.vars, {(0,) * len(self.vars): c} if c else {})
+
+    def with_vars(self, variables) -> "FractionPoly":
+        if variables == self.vars:
+            return self
+        idx = [variables.index(v) for v in self.vars]
+        terms = {}
+        for e, c in self.terms.items():
+            ne = [0] * len(variables)
+            for i, p in enumerate(e):
+                if p:
+                    ne[idx[i]] = p
+            terms[tuple(ne)] = c
+        return FractionPoly(variables, terms)
+
+    def _aligned(self, other):
+        if self.vars == other.vars:
+            return self, other
+        u = _merge_vars(self.vars, other.vars)
+        return self.with_vars(u), other.with_vars(u)
+
+    def __add__(self, other) -> "FractionPoly":
+        if not isinstance(other, FractionPoly):
+            other = self._const(other)
+        a, b = self._aligned(other)
+        terms = dict(a.terms)
+        for e, c in b.terms.items():
+            s = terms.get(e, Fraction(0)) + c
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+        return FractionPoly(a.vars, terms)
+
+    def __neg__(self) -> "FractionPoly":
+        return FractionPoly(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other) -> "FractionPoly":
+        if not isinstance(other, FractionPoly):
+            other = self._const(other)
+        return self + (-other)
+
+    def __mul__(self, other) -> "FractionPoly":
+        if not isinstance(other, FractionPoly):
+            c = Fraction(other)
+            return FractionPoly(self.vars, {e: k * c for e, k in self.terms.items()} if c else {})
+        a, b = self._aligned(other)
+        if len(a.terms) < len(b.terms):
+            a, b = b, a
+        terms = {}
+        for eb, cb in b.terms.items():
+            for ea, ca in a.terms.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                s = terms.get(e)
+                if s is None:
+                    terms[e] = ca * cb
+                else:
+                    s = s + ca * cb
+                    if s:
+                        terms[e] = s
+                    else:
+                        del terms[e]
+        return FractionPoly(a.vars, terms)
+
+    def __pow__(self, n: int) -> "FractionPoly":
+        result, base = self._const(1), self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    def diff(self, var: str) -> "FractionPoly":
+        i = self.vars.index(var)
+        terms = {}
+        for e, c in self.terms.items():
+            if e[i]:
+                ne = e[:i] + (e[i] - 1,) + e[i + 1:]
+                terms[ne] = terms.get(ne, Fraction(0)) + c * e[i]
+        return FractionPoly(self.vars, terms)
+
+    def eval(self, point: dict):
+        keep = [i for i, v in enumerate(self.vars) if v not in point]
+        bound = [(i, Fraction(point[v])) for i, v in enumerate(self.vars) if v in point]
+        terms = {}
+        for e, c in self.terms.items():
+            for i, w in bound:
+                if e[i]:
+                    c *= w ** e[i]
+            ne = tuple(e[i] for i in keep)
+            terms[ne] = terms.get(ne, 0) + c
+        if not keep:
+            return terms.get((), Fraction(0))
+        return FractionPoly(tuple(self.vars[i] for i in keep), terms)
+
+    def substitute(self, values: dict, den: "FractionPoly") -> "FractionPoly":
+        sub = [i for i, v in enumerate(self.vars) if v in values]
+        keep = [i for i, v in enumerate(self.vars) if v not in values]
+        out_vars = tuple(self.vars[i] for i in keep)
+        for w in (*values.values(), den):
+            out_vars = _merge_vars(out_vars, w.vars)
+        pad = (0,) * (len(out_vars) - len(keep))
+        groups = {}
+        for e, c in self.terms.items():
+            groups.setdefault(tuple(e[i] for i in sub), {})[tuple(e[i] for i in keep) + pad] = c
+        ws = [w.with_vars(out_vars) for w in [values[self.vars[i]] for i in sub] + [den]]
+        one = FractionPoly(out_vars, {(0,) * len(out_vars): 1})
+        pows = [[one] for _ in ws]
+        d = max(map(sum, groups), default=0)
+        acc = FractionPoly(out_vars, {})
+        for k, rest in groups.items():
+            f = one
+            for w, ps, p in zip(ws, pows, k + (d - sum(k),)):
+                while len(ps) <= p:
+                    ps.append(ps[-1] * w)
+                f = f * ps[p]
+            acc = acc + FractionPoly(out_vars, rest) * f
+        return acc
+
+    def eval_float(self, point: dict) -> float:
+        tot = 0.0
+        for e, c in self.terms.items():
+            m = float(c)
+            for i, p in enumerate(e):
+                if p:
+                    m *= point[self.vars[i]] ** p
+            tot += m
+        return tot
+
+    def canonical(self) -> "FractionPoly":
+        if not self.terms:
+            return self
+        num, den = 0, 1
+        for c in self.terms.values():
+            num = math.gcd(num, abs(c.numerator))
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        c = Fraction(num, den)
+        if self.terms[max(self.terms, key=_grlex_key)] < 0:
+            c = -c
+        return FractionPoly(self.vars, {e: k / c for e, k in self.terms.items()})
+
+    def text(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for e, c in sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True):
+            factors = [self.vars[i] if pw == 1 else f"{self.vars[i]}^{pw}"
+                       for i, pw in enumerate(e) if pw]
+            mag = abs(c)
+            num = str(mag.numerator) if mag.denominator == 1 else \
+                f"{mag.numerator}/{mag.denominator}"
+            if not factors:
+                body = num
+            elif mag == 1:
+                body = "*".join(factors)
+            else:
+                body = num + "*" + "*".join(factors)
+            if not parts:
+                parts.append(body if c > 0 else "-" + body)
+            else:
+                parts.append((" + " if c > 0 else " - ") + body)
+        return "".join(parts)
+
+
+def cusp_eliminants_in_u(js) -> tuple[MPoly, MPoly]:
+    """`domains.cusp_points`' former eliminants, taken in u: gr = gcd(Res_u(P,
+    P_r), Res_u(P, P_u)) and gu = gcd(Res_r(P, P_r), Res_r(P, P_u)), each
+    resultant through `domains._pair_eliminant`."""
+    from kinatlas.domains import _pair_eliminant
+    from kinatlas.ratpoly import mgcd
+    P = js.parallel_ru.with_vars(("r", "u"))
+    Pr, Pu = P.diff("r"), P.diff("u")
+    gr = mgcd(_pair_eliminant(P, Pr, "u", "r"), _pair_eliminant(P, Pu, "u", "r"))
+    gu = mgcd(_pair_eliminant(P, Pr, "r", "u"), _pair_eliminant(P, Pu, "r", "u"))
+    return gr, gu
 
 
 def _det_expand(rows: list[list[MPoly]]) -> MPoly:

@@ -18,7 +18,7 @@ from kinatlas.domains import (
 from kinatlas.adjacency import AdjacencyGraph, build_graph, components
 from kinatlas.cad2d import decompose
 
-from oracles import maximal_domains
+from oracles import cusp_eliminants_in_u, maximal_domains
 
 PARAMS = MechanismParams()
 MODE = WorkingMode(1, 1)
@@ -362,6 +362,51 @@ class TestCusps:
         assert [p.kind for p in points] == ["isolated"] * 2
         assert [(round(r, 4), u) for r, u in (p.center() for p in points)] == \
             [(13.1434, -1.0), (13.1434, 1.0)]
+
+    # the slices whose singular points the w = u^2 route must find as the
+    # u route did: the perfbench slices, y0 = 29/10 and 299/100, and the
+    # geometry with two isolated points
+    _GEOM2 = MechanismParams(l2=Fraction(2), l3=Fraction(5, 2), a=Fraction(1, 2),
+                             b=Fraction(3, 2))
+
+    @pytest.mark.parametrize("params,y0", [
+        (PARAMS, Fraction(1, 2)), (PARAMS, Fraction(0)), (PARAMS, Fraction(2)),
+        (_GEOM2, Fraction(1, 2)), (PARAMS, Fraction(29, 10)), (PARAMS, Fraction(299, 100)),
+        (_ISOLATED, Fraction(15, 8))],
+        ids=["ref", "y0_0", "y0_2", "geom2", "y0_29_10", "y0_299_100", "isolated"])
+    def test_eliminants_in_w_have_the_squarefree_parts_of_those_in_u(self, params, y0):
+        from kinatlas.domains import _cusp_eliminants
+        js = slice_jointspace(slice_workspace(y0, 1, params))
+        got = _cusp_eliminants(js.parallel_ru.with_vars(("r", "u")))
+        want = cusp_eliminants_in_u(js)
+        for g, w, v in zip(got, want, ("r", "u")):
+            sg = UPoly.from_mpoly(g.with_vars((v,)), v).squarefree()
+            assert sg.degree >= 1
+            assert sg == UPoly.from_mpoly(w.with_vars((v,)), v).squarefree()
+
+    def test_no_resultant_above_degree_8_in_u_at_the_reference_slice(self, atlas_pp, monkeypatch):
+        from kinatlas import domains
+        degrees = []
+        real = domains.resultant_bivar
+
+        def counting(p, q, elim, keep):
+            degrees.append(max(p.degree("u"), p.degree("w"), q.degree("u"), q.degree("w")))
+            return real(p, q, elim, keep)
+        monkeypatch.setattr(domains, "resultant_bivar", counting)
+        points = cusp_points(atlas_pp.js)
+        assert [(p.r_box, p.u_box, p.kind) for p in points] == \
+            [(p.r_box, p.u_box, p.kind) for p in atlas_pp.singular_points]
+        assert len(degrees) == 4 and max(degrees) == 8
+
+    def test_odd_power_of_u_is_rejected(self):
+        from kinatlas.mechanism import JointSlice
+        vs = ("r", "u")
+        r, u = MPoly.var("r", vs), MPoly.var("u", vs)
+        curve = (r - 2) ** 2 + u ** 4 - 3 * u ** 2 + u ** 3 - 1
+        js = JointSlice(y0=Fraction(1, 2), s2sign=1, params=PARAMS,
+                        parallel_rc=_R, parallel_ru=curve, serial_rc=())
+        with pytest.raises(DomainError, match=r"not even in u: .*u\^3"):
+            cusp_points(js)
 
     def test_smooth_conic_no_cusps(self):
         # a smooth curve has no singular points at all

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,8 +12,8 @@ from kinatlas.ratpoly import (
 )
 
 from oracles import (
-    discriminant, divides, eval_substituting, exact_div_by_fractions, gcd_prs, resultant_prs,
-    parse_poly, squarefree_by_fractions, substitute_by_eval, sylvester_resultant,
+    FractionPoly, discriminant, divides, eval_substituting, exact_div_by_fractions, gcd_prs,
+    resultant_prs, parse_poly, squarefree_by_fractions, substitute_by_eval, sylvester_resultant,
     upoly_divmod, upoly_eval, upoly_mul,
 )
 from groebner import total_degree
@@ -501,6 +502,92 @@ class TestTextFormat:
         p = P("1/2*x^2 - 3/4")
         assert p.eval({"x": 2}) == Fraction(2) - Fraction(3, 4)
         assert parse_poly(format_poly(p), ("x",)) == p
+
+
+class TestIntegerForm:
+    """`MPoly` holds integer numerators over one denominator; `FractionPoly`
+    runs the former arithmetic on Fraction coefficients.  Every operation
+    gives the same terms in the same order, and `eval_float` the same bits,
+    on seeded random polynomials with rational coefficients."""
+
+    @staticmethod
+    def _same(p, ref):
+        assert isinstance(p, MPoly) and p.vars == ref.vars
+        assert list(p.terms.items()) == list(ref.terms.items()), (p, ref.text())
+        assert all(type(k) is int and k for k in p.nums.values())
+        assert p.den > 0 and math.gcd(p.den, *p.nums.values()) == 1
+        pt = {v: (-1) ** i * (0.75 + 0.3 * i) for i, v in enumerate(p.vars)}
+        assert p.eval_float(pt).hex() == ref.eval_float(pt).hex()
+
+    @staticmethod
+    def _rand(rng, vs, big=False):
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            e = tuple(rng.randint(0, 3) for _ in vs)
+            if big:
+                c = Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 25))
+            else:
+                c = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6)))
+            terms[e] = c
+        return MPoly(vs, terms)
+
+    def test_arithmetic_matches_the_fraction_route(self):
+        rng = random.Random(83)
+        for i in range(200):
+            vs = ("x", "y", "z")[:rng.randint(1, 3)]
+            a = self._rand(rng, vs, big=i % 4 == 3)
+            b = self._rand(rng, rng.choice((vs, ("y", "x"), ("z", "w"))), big=i % 8 == 7)
+            A, B = FractionPoly.of(a), FractionPoly.of(b)
+            c = rng.choice((0, 3, -2, Fraction(5, 6), Fraction(-7, 4)))
+            n = rng.randint(0, 3)
+            self._same(a, A)
+            for got, want in ((a + b, A + B), (a - b, A - B), (a * b, A * B), (-a, -A),
+                              (a + c, A + c), (a - c, A - c), (c * a, A * c), (a ** n, A ** n),
+                              (a.canonical(), A.canonical())):
+                self._same(got, want)
+            for v in vs:
+                self._same(a.diff(v), A.diff(v))
+            point = {v: rng.choice((0, 2, Fraction(-3, 5), Fraction(7, 2)))
+                     for v in rng.sample(vs, rng.randint(1, len(vs)))}
+            got, want = a.eval(point), A.eval(point)
+            if len(point) == len(vs):
+                assert type(got) is Fraction and got == want
+            else:
+                self._same(got, want)
+
+    def test_substitute_matches_the_fraction_route(self):
+        rng = random.Random(87)
+        for i in range(120):
+            vs = ("x", "y", "z")[:rng.randint(1, 3)]
+            a = self._rand(rng, vs)
+            subbed = rng.sample(vs, rng.randint(1, len(vs)))
+            values = {v: self._rand(rng, ("s", "t")) for v in subbed}
+            den = self._rand(rng, ("t",)) + rng.choice((1, Fraction(3, 2)))
+            if den.is_zero():
+                continue
+            self._same(a.substitute(values, den),
+                       FractionPoly.of(a).substitute({v: FractionPoly.of(w)
+                                                      for v, w in values.items()},
+                                                     FractionPoly.of(den)))
+
+    def test_elimination_and_text_read_the_numerators(self):
+        rng = random.Random(89)
+        for i in range(80):
+            vs = ("x", "y")
+            a, b, g = (_rand_factor(rng, vs) * rng.choice((1, Fraction(2, 3), Fraction(-5, 4)))
+                       for _ in range(3))
+            ag, bg = a * g, b * g
+            assert exact_div(ag, g) == a and exact_div(ag, a * Fraction(3, 7)) == g * Fraction(7, 3)
+            assert exact_div(ag, MPoly.const(Fraction(-2, 9), vs)) == ag * Fraction(-9, 2)
+            h = mgcd(ag, bg)
+            assert h.den == 1 and math.gcd(*h.nums.values()) == 1
+            assert h.nums[max(h.nums, key=lambda e: (sum(e), e))] > 0
+            assert divides(g, h) and divides(h, ag) and divides(h, bg)
+            if ag.degree("x") > 0 and b.degree("x") > 0:
+                assert resultant(ag, b, "x") == sylvester_resultant(ag, b, "x")
+            assert format_poly(ag) == FractionPoly.of(ag).text()
+            assert parse_poly(format_poly(ag), vs) == ag
+        assert format_poly(MPoly.const(0, ("x",))) == FractionPoly.of(MPoly.const(0)).text()
 
 
 class TestUPoly:
