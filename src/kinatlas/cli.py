@@ -111,6 +111,8 @@ def _parse_slice(text: str):
         if not (v.startswith("asin(") and v.endswith(")")):
             raise ConfigError(f"bad slice value {value!r}: expected asin(<rational>)")
         sin_a2 = _frac(v[5:-1])
+        if abs(sin_a2) > 1:
+            raise ConfigError(f"bad slice value {value!r}: no angle has sine {sin_a2}")
         return ("Q", sin_a2, branch)
     raise ConfigError(f"bad slice {text!r}")
 
@@ -169,8 +171,7 @@ def _plot_slice(atlas: SliceAtlas, space: str, window: str | None, density: int)
         xlo, xhi = Fraction(win[0]).limit_denominator(10 ** 6), Fraction(win[1]).limit_denominator(10 ** 6)
         _draw_workspace_curves(canvas, atlas, xlo, xhi, density)
         for poly in atlas.wa.sc.polynomials:
-            cols = svg.curve_points(poly, "x", "tphi", xlo, xhi, density, fiber_map=_half_angle)
-            canvas.curve_columns(cols, "green")
+            canvas.curve_columns(svg.curve_points(poly, "x", "tphi", xlo, xhi, density), "green")
         for r in atlas.atlas:
             x, t = float(r.sample[0]), float(r.sample[1])
             canvas.text(x, 2 * math.atan(t), f"{r.ik_count}", "red")
@@ -189,32 +190,26 @@ def _plot_slice(atlas: SliceAtlas, space: str, window: str | None, density: int)
     return canvas.render()
 
 
-def _half_angle(t: float) -> float:
-    return 2.0 * math.atan(t)
-
-
 def _draw_workspace_curves(canvas: svg.SvgCanvas, atlas: SliceAtlas,
                            xlo: Fraction, xhi: Fraction, density: int):
     """The serial curves in red, then the parallel curve in blue, as
     phi = 2 atan(tphi) against x."""
     for poly, color in ((atlas.ws.serial[0], "red"), (atlas.ws.serial[1], "red"),
                         (atlas.ws.parallel, "blue")):
-        cols = svg.curve_points(poly, "x", "tphi", xlo, xhi, density, fiber_map=_half_angle)
-        canvas.curve_columns(cols, color)
+        canvas.curve_columns(svg.curve_points(poly, "x", "tphi", xlo, xhi, density), color)
 
 
 def _draw_joint_view(canvas: svg.SvgCanvas, atlas: SliceAtlas,
                      rlo: Fraction, rhi: Fraction, density: int, lines):
     """The joint curve in blue as alpha3 = 2 atan(u) against rho1 = sqrt(r),
     then each (points, color, width) polyline of `lines`, then the cusps."""
-    cols = svg.curve_points(atlas.js.parallel_ru, "r", "u", rlo, rhi, density,
-                            fiber_map=_half_angle)
+    cols = svg.curve_points(atlas.js.parallel_ru, "r", "u", rlo, rhi, density)
     canvas.curve_columns([[(math.sqrt(x), y) for x, y in col] for col in cols], "blue")
     for pts, color, width in lines:
         canvas.polyline(pts, color, width)
     for c in atlas.cusps:
         r, u = c.center()
-        canvas.dot(math.sqrt(max(r, 0.0)), _half_angle(u), "black", 3.0)
+        canvas.dot(math.sqrt(max(r, 0.0)), 2 * math.atan(u), "black", 3.0)
 
 
 def cmd_check_trajectory(args) -> int:

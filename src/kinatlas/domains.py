@@ -21,8 +21,7 @@ from .cad2d import Decomposition, decompose, interval_eval, resultant_bivar
 from .adjacency import AdjacencyGraph, build_graph, build_graphs, components
 from .mechanism import (
     MechanismParams, WorkingMode, WorkspaceSlice, JointSlice,
-    slice_workspace, slice_jointspace, project_parallel_to_joint,
-    dk_count_chart,
+    slice_workspace, slice_jointspace, dk_count_chart,
 )
 
 
@@ -86,17 +85,16 @@ class WorkspaceAnalysis:
         return self.ws.ik_count(c.sample[0], c.sample[1]) > 0
 
 
-def characteristic_surface(ws: WorkspaceSlice, prc: MPoly | None = None) -> CharSurface:
+def characteristic_surface(js: JointSlice) -> CharSurface:
     """Pseudo-singularity curve: the preimage of the projected parallel
-    curve under the slice joint map, with the parallel (diagonal) factor
-    and chart denominators divided out."""
-    if prc is None:
-        prc = project_parallel_to_joint(ws)
+    curve `js.parallel_rc` under the joint map of the slice `js.ws`, with
+    the parallel (diagonal) factor and chart denominators divided out."""
+    ws = js.ws
     t = MPoly.var("tphi", ("x", "tphi"))
     op = 1 + t * t
     # c3 = c3_num / (l3 (1 + t^2)), then r = rho1sq_num / (1 + t^2)^2: c3
     # first leaves the smaller intermediate
-    acc = prc.substitute({"c3": ws.c3_num}, ws.params.l3 * op).substitute(
+    acc = js.parallel_rc.substitute({"c3": ws.c3_num}, ws.params.l3 * op).substitute(
         {"r": ws.rho1sq_num}, op * op)
     if acc.is_zero():
         raise DomainError("degenerate doubling: preimage vanished identically")
@@ -111,10 +109,11 @@ def characteristic_surface(ws: WorkspaceSlice, prc: MPoly | None = None) -> Char
     return CharSurface((sc,), ws.excluded)
 
 
-def analyze_workspace(ws: WorkspaceSlice, prc: MPoly | None = None) -> WorkspaceAnalysis:
-    if prc is None:
-        prc = project_parallel_to_joint(ws)
-    sc = characteristic_surface(ws, prc)
+def analyze_workspace(js: JointSlice) -> WorkspaceAnalysis:
+    """Decompositions and graphs of `js.ws`; the fine ones add the
+    characteristic surface of `js`."""
+    ws = js.ws
+    sc = characteristic_surface(js)
     sing = [ws.serial[0], ws.serial[1], ws.parallel]
     dec_s = decompose(sing, "x", "tphi")
     g_s = build_graph(dec_s, sing, wrap=True)
@@ -163,10 +162,10 @@ def analyze_jointspace(js: JointSlice) -> JointAnalysis:
     return JointAnalysis(js=js, dec=dec, graph=g)
 
 
-def q_aspects(ja: JointAnalysis, ws: WorkspaceSlice, mode: WorkingMode) -> list[RegionSet]:
+def q_aspects(ja: JointAnalysis, mode: WorkingMode) -> list[RegionSet]:
     """Maximal singularity-free joint-chart regions: components of the
-    complement carrying direct-kinematics solutions, grouped by the sign of
-    the projected parallel polynomial."""
+    complement carrying direct-kinematics solutions (poses of the slice
+    `ja.js.ws`), grouped by the sign of the projected parallel polynomial."""
     comps = components(ja.graph)
     out = []
     idx = 1
@@ -176,7 +175,7 @@ def q_aspects(ja: JointAnalysis, ws: WorkspaceSlice, mode: WorkingMode) -> list[
         r, c3 = cell.sample
         if r <= 0 or abs(c3) >= 1:
             continue
-        dk = dk_count_chart(r, c3, ws)
+        dk = dk_count_chart(r, c3, ja.js.ws)
         if dk == 0:
             continue
         sgn = ja.dec.sign_at_sample(ja.js.parallel_rc, rep)
@@ -409,10 +408,6 @@ def _pair_eliminant(f: MPoly, g: MPoly, elim: str, keep: str) -> MPoly:
     return side.with_vars((keep,))
 
 
-def cusps_only(points: list[CuspPoint]) -> list[CuspPoint]:
-    return [p for p in points if p.kind == "cusp"]
-
-
 # ---------------------------------------------------------------------------
 # full-slice orchestration
 
@@ -430,9 +425,8 @@ class SliceAtlas:
     y0: Fraction
     mode: WorkingMode
     ws: WorkspaceSlice
-    prc: MPoly
     wa: WorkspaceAnalysis
-    js: "JointSlice"
+    js: JointSlice
     ja: JointAnalysis
     aspects: list[RegionSet]
     qaspects: list[RegionSet]
@@ -445,24 +439,23 @@ class SliceAtlas:
     def build(params: MechanismParams, y0: Fraction,
               mode: WorkingMode) -> "SliceAtlas":
         ws = slice_workspace(y0, mode.s2, params)
-        prc = project_parallel_to_joint(ws)
-        wa = analyze_workspace(ws, prc)
-        js = slice_jointspace(ws, prc)
+        js = slice_jointspace(ws)
+        wa = analyze_workspace(js)
         ja = analyze_jointspace(js)
         aspects = w_aspects(wa, mode)
-        qaspects = q_aspects(ja, ws, mode)
+        qaspects = q_aspects(ja, mode)
         basics = basic_regions(wa, ja, aspects, mode)
         uds = uniqueness_domains(wa, basics, mode)
         atlas = count_atlas(wa)
         sing = cusp_points(js)
-        return SliceAtlas(params=params, y0=y0, mode=mode, ws=ws, prc=prc,
+        return SliceAtlas(params=params, y0=y0, mode=mode, ws=ws,
                           wa=wa, js=js, ja=ja, aspects=aspects, qaspects=qaspects,
                           basics=basics, domains=uds, atlas=atlas,
                           singular_points=sing)
 
     @property
     def cusps(self) -> list[CuspPoint]:
-        return cusps_only(self.singular_points)
+        return [p for p in self.singular_points if p.kind == "cusp"]
 
     def locate_basic(self, x: Fraction, t: Fraction) -> BasicRegion | None:
         cid = self.wa.dec_fine.locate(Fraction(x), Fraction(t))

@@ -288,14 +288,18 @@ def inverse_kinematics(pose: Pose, mode: WorkingMode,
     return JointValues(*q), PassiveAngles(alpha2, alpha3)
 
 
-def direct_kinematics(q: JointValues, params: MechanismParams,
-                      tol: float = 1e-9) -> list[tuple[Pose, PassiveAngles]]:
+# largest constraint residual of a direct-kinematics solution
+_DK_TOL = 1e-9
+
+
+def direct_kinematics(q: JointValues, params: MechanismParams) -> list[tuple[Pose, PassiveAngles]]:
     """All real solutions of the constraint system for fixed joints.
 
     Eliminates (x, y) linearly between the three distance equations,
     isolates the half-tangent roots of the eliminant exactly (without its
-    factor (1 + t^2)^4, see `_dk_univariate`), and back-substitutes.
-    Poses with phi = pi are outside the half-tangent chart.
+    factor (1 + t^2)^4, see `_dk_univariate`), and back-substitutes; a
+    solution whose residual is not below _DK_TOL is dropped.  Poses with
+    phi = pi are outside the half-tangent chart.
     """
     r1, r2, r3 = Fraction(q.rho1), Fraction(q.rho2), Fraction(q.rho3)
     P = _dk_univariate(r1, r2, r3, params)
@@ -321,7 +325,7 @@ def direct_kinematics(q: JointValues, params: MechanismParams,
                            math.atan2((yf + b * math.sin(phi) - float(r3)) / l3,
                                       (xf + b * math.cos(phi)) / l3))
         res = residuals(pose, JointValues(float(r1), float(r2), float(r3)), pa, cons)
-        if max(abs(v) for v in res) < tol:
+        if max(abs(v) for v in res) < _DK_TOL:
             sols.append((pose, pa))
     # merge near-duplicates, sort canonically
     merged: list[tuple[Pose, PassiveAngles]] = []
@@ -459,34 +463,30 @@ def slice_workspace(y0: Fraction, s2sign: int, params: MechanismParams) -> Works
 
 @dataclass(frozen=True)
 class JointSlice:
-    """Joint-space section for a fixed alpha2 branch.
+    """Joint-space section of the workspace slice `ws`, a fixed alpha2 branch.
 
     Charts: (r, c3) with r = rho1^2 (rational-friendly, one working mode's
     alpha3 branch) and (r, u) with u = tan(alpha3/2) (faithful to the
     (rho1, alpha3) picture, both branches).
     """
 
-    y0: Fraction
-    s2sign: int
-    params: MechanismParams
-    parallel_rc: MPoly     # curve in (r, c3)
+    ws: WorkspaceSlice
+    parallel_rc: MPoly     # curve in (r, c3), `project_parallel_to_joint(ws)`
     parallel_ru: MPoly     # curve in (r, u)
     serial_rc: tuple[MPoly, ...]
 
 
-def slice_jointspace(ws: WorkspaceSlice, prc: MPoly | None = None) -> JointSlice:
-    """The joint section of the workspace slice `ws` (sin(alpha2) = y0/l2);
-    `prc`, when given, is `project_parallel_to_joint(ws)`, already computed."""
-    if prc is None:
-        prc = project_parallel_to_joint(ws)
+def slice_jointspace(ws: WorkspaceSlice) -> JointSlice:
+    """The joint section of the workspace slice `ws` (sin(alpha2) = y0/l2):
+    the projected parallel curve, taken once here, in both charts."""
+    prc = project_parallel_to_joint(ws)
     u = MPoly.var("u")
     pru = squarefree_total(prc.substitute({"c3": 1 - u * u}, 1 + u * u).canonical())
     c3v = MPoly.var("c3", ("r", "c3"))
     rv = MPoly.var("r", ("r", "c3"))
     one_rc = MPoly.const(1, ("r", "c3"))
     return JointSlice(
-        y0=ws.y0, s2sign=ws.s2sign, params=ws.params,
-        parallel_rc=prc, parallel_ru=pru,
+        ws=ws, parallel_rc=prc, parallel_ru=pru,
         serial_rc=(rv, one_rc - c3v, one_rc + c3v),
     )
 

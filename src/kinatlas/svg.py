@@ -6,6 +6,7 @@ Curves are rendered by per-abscissa fiber root isolation on an exact grid
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cad2d import bind, int_rows
@@ -14,9 +15,9 @@ from .realroots import isolate
 
 
 def curve_points(poly: MPoly, base_var: str, fiber_var: str,
-                 x_lo: Fraction, x_hi: Fraction, density: int,
-                 fiber_map=None) -> list[list[tuple[float, float]]]:
-    """Column-wise points of the curve, one list per abscissa."""
+                 x_lo: Fraction, x_hi: Fraction, density: int) -> list[list[tuple[float, float]]]:
+    """Column-wise points of the curve, one list per abscissa, each root of
+    the fibre variable, a half-angle tangent, given as its angle 2 atan."""
     rows = int_rows(poly, fiber_var, base_var)
     cols = []
     (a, b), (c, d) = x_lo.as_integer_ratio(), x_hi.as_integer_ratio()
@@ -24,9 +25,7 @@ def curve_points(poly: MPoly, base_var: str, fiber_var: str,
         # x_lo + (x_hi - x_lo) i / density, one Fraction
         x0 = Fraction(a * d * (density - i) + c * b * i, b * d * density)
         u = bind(rows, x0, fiber_var)
-        ys = [iv.float() for iv in isolate(u)] if u.degree >= 1 else []
-        if fiber_map is not None:
-            ys = [fiber_map(v) for v in ys]
+        ys = [2.0 * math.atan(iv.float()) for iv in isolate(u)] if u.degree >= 1 else []
         cols.append([(float(x0), y) for y in ys])
     return cols
 

@@ -3,24 +3,26 @@ cusp-encirclement verdicts.
 
 Continuation runs in floating point (pseudo-arclength predictor, Newton
 corrector on the reduced distance equations); region membership of the
-endpoints is decided on the exact cell data.  A walk, the det A scan and
-the tracked chart each build the trajectory's chain kernel
-(`_chain_kernel`) once: the slice's IK (`mechanism.slice_ik`, leg 2's term
+endpoints is decided on the exact cell data.  A walk and a verdict's
+sampling pass each build the trajectory's chain kernel (`_chain_kernel`)
+once: the slice's IK (`mechanism.slice_ik`, leg 2's term
 l2 cos(alpha2) taken once) and the segments' velocities.  Its `path` gives
 the branch's q(s) and alpha3 from `Trajectory.segment_point` and one
 cos/sin of the path point; its `system` takes q(s) the same way, dq/ds
 from that cos/sin, and the distance equations at the iterate
 (`_distance_rows`, one cos/sin of the iterate) as augmented rows of
-F(X; q) and its 3x4 Jacobian.  Within `_KINK_WINDOW` of a waypoint, where q(s)
-has a kink, the two one-sided rates are weighted as a central difference
-of that half-width weighs them.  Every Newton step, the corrector's and
-the boundary clamp's, is one solve of the straight-line 4x4 kernel
-`_solve` on four augmented rows; the clamp's 3x3 system at fixed s is
-padded to 4x4 (`_newton`).  The converged iterate's Jacobian gives the
-chain tangent, its signed 3x3 minors; the chain keeps its joints for its
-joint-space image.  A verdict scans det A on its branch at s = i/600 and
-takes one tracked chart at s = i/400, whose samples at s = k/200 come from
-the scan; the scan, the chart and the chains all read q(s) from the
+F(X; q) and its 3x4 Jacobian.  Within `_KINK_WINDOW` of a waypoint, where
+q(s) has a kink, the two one-sided rates, taken when the kernel is built,
+are weighted as a central difference of that half-width weighs them.
+Every Newton step, the corrector's and the boundary clamp's, is one solve
+of the straight-line 4x4 kernel `_solve` on four augmented rows; the
+clamp's 3x3 system at fixed s is padded to 4x4 (`_newton`).  The
+converged iterate's Jacobian gives the chain tangent, its signed 3x3
+minors; the chain keeps its joints for its joint-space image.  A verdict
+samples its branch in one pass over s = i/1200, 2 or 3 dividing i: det A
+at s = k/600, the forward chart at s = k/400 and the joint path at
+s = k/200, each the same double as its i/1200, both correctly rounded
+quotients of one rational.  The pass and the chains read q(s) from the
 kernel's `path`.
 """
 
@@ -53,6 +55,13 @@ class Trajectory:
     def __post_init__(self):
         if len(self.waypoints) < 2:
             raise TrajectoryError("need at least 2 waypoints")
+        for k, w in enumerate(self.waypoints):
+            try:   # bool is no coordinate: type(True) is bool
+                ok = len(w) == 2 and all(type(v) in (int, float) and math.isfinite(v) for v in w)
+            except (TypeError, OverflowError):
+                ok = False
+            if not ok:
+                raise TrajectoryError(f"waypoint {k} needs 2 finite coordinates (x, phi): {w!r}")
         object.__setattr__(self, "y0_float", as_float(self.y0, "y"))
 
     @staticmethod
@@ -63,8 +72,6 @@ class Trajectory:
         if any(type(v) is not int for v in d["mode"]):
             raise ValueError(f"mode entries must be the integers 1 or -1, got {d['mode']!r}")
         mode = WorkingMode(*d["mode"])
-        if any(len(w) != 2 for w in d["waypoints"]):
-            raise ValueError("each waypoint needs 2 coordinates (x, phi)")
         wps = tuple(tuple(as_float(Fraction(str(v)), f"waypoint coordinate {v!r}") for v in w)
                     for w in d["waypoints"])
         return Trajectory(y0=y0, mode=mode, waypoints=wps)
@@ -236,6 +243,9 @@ def _solve(a, b, c, d):
 # the augmented row that pads the 3x3 Newton system of the distance
 # equations to the kernel's 4x4: it holds the fourth unknown, s, at 0
 _HOLD_S = (0.0, 0.0, 0.0, 1.0, 0.0)
+# `_newton` stops below this residual, or fails after this many steps
+_NEWTON_TOL = 1e-12
+_NEWTON_ITERS = 40
 
 
 def _residual(x, y, phi, q, params) -> float:
@@ -244,17 +254,17 @@ def _residual(x, y, phi, q, params) -> float:
     return max(abs(r1[4]), abs(r2[4]), abs(r3[4]))
 
 
-def _newton(x, y, phi, q, params, tol=1e-12, iters=40):
+def _newton(x, y, phi, q, params):
     """Damped Newton on F(X; q) = 0 at fixed joints q: the point (x, y, phi)
     and its residual, or None.  Each step solves dF/dX d = F through the
     4x4 kernel, padded by a zero fourth column and the row _HOLD_S with
     right-hand side 0: the padding row never pivots before column 3 and its
     zeros leave every other operation's result unchanged, so on finite
     systems d is bit for bit the 3x3 elimination's."""
-    for _ in range(iters):
+    for _ in range(_NEWTON_ITERS):
         r1, r2, r3 = _distance_rows(x, y, phi, q, _FIXED_Q, params)
         err = max(abs(r1[4]), abs(r2[4]), abs(r3[4]))
-        if err < tol:
+        if err < _NEWTON_TOL:
             return (x, y, phi, err)
         try:
             d = _solve((*r1[:3], 0.0, r1[4]), (*r2[:3], 0.0, r2[4]), (*r3[:3], 0.0, r3[4]),
@@ -322,9 +332,11 @@ def _chain_kernel(traj: Trajectory, params: MechanismParams):
 
     It holds the slice's IK (`mechanism.slice_ik`, whose leg-2 term is
     constant along the path, y being y0 on it), each segment's velocity
-    (n dx, n dphi) and the inner waypoints' one-sided rates, taken on first
-    use.  path(s) gives the path's (x, phi) at s (`Trajectory.segment_point`)
-    and its branch's q = (rho1, rho2, rho3) and alpha3 there.
+    (n dx, n dphi) and each inner waypoint's two one-sided rates, taken
+    here after its IK, which raises `KinematicsError` where they are
+    undefined.  path(s) gives the path's (x, phi) at s
+    (`Trajectory.segment_point`) and its branch's q = (rho1, rho2, rho3)
+    and alpha3 there.
     system(x, y, phi, s) gives path(s)'s q and the chain system at
     (x, y, phi; s) as `_distance_rows` with dq/ds: the derivative of the
     closed-form IK moving along the segment at its velocity, or, within
@@ -339,8 +351,6 @@ def _chain_kernel(traj: Trajectory, params: MechanismParams):
     n = len(wps) - 1
     point = traj.segment_point
     vels = [(n * (x1 - x0), n * (p1 - p0)) for (x0, p0), (x1, p1) in zip(wps, wps[1:])]
-    # an inner waypoint's one-sided rates (left, right), on first use
-    kinks = {}
 
     def rates(x, c, sn, vx, vphi):
         """dq/ds at the path pose (x, y0, phi), c = cos phi and sn = sin phi,
@@ -351,6 +361,14 @@ def _chain_kernel(traj: Trajectory, params: MechanismParams):
         return ((dx * (vx + a * sn * vphi) - dy * a * c * vphi) / math.hypot(dx, dy),
                 vx,
                 b * c * vphi + s3l3 * c3 * dc3 / math.sqrt(1.0 - c3 * c3))
+
+    # inner waypoint w's one-sided rates (left, right) are kinks[w - 1]
+    kinks = []
+    for w in range(1, n):
+        xw, pw = wps[w]
+        cw, sw = math.cos(pw), math.sin(pw)
+        ik(xw, cw, sw)
+        kinks.append((rates(xw, cw, sw, *vels[w - 1]), rates(xw, cw, sw, *vels[w])))
 
     def path(s):
         _, x, phi = point(s)
@@ -363,11 +381,7 @@ def _chain_kernel(traj: Trajectory, params: MechanismParams):
         q, _ = ik(xs, c, sn)
         w = round(s * n)
         if 0 < w < n and abs(s - w / n) <= _KINK_WINDOW:
-            if w not in kinks:
-                xw, pw = wps[w]
-                cw, sw = math.cos(pw), math.sin(pw)
-                kinks[w] = (rates(xw, cw, sw, *vels[w - 1]), rates(xw, cw, sw, *vels[w]))
-            left, right = kinks[w]
+            left, right = kinks[w - 1]
             lo, hi = max(0.0, s - _KINK_WINDOW), min(1.0, s + _KINK_WINDOW)
             share = (w / n - lo) / (hi - lo)
             dq = tuple(share * lv + (1.0 - share) * rv for lv, rv in zip(left, right))
@@ -382,6 +396,11 @@ def _chain_kernel(traj: Trajectory, params: MechanismParams):
 _RANK_TOL = 1e-14
 # orients the first tangent of a chain toward increasing s
 _ALONG_S = (0.0, 0.0, 0.0, 1.0)
+# a chain walk's step budget, and its corrector's iterations per step
+_MAX_STEPS = 40000
+_CORRECTOR_ITERS = 25
+# the largest rho1 gap at which a partner chain closes the joint-space loop
+_CLOSE_TOL = 1e-6
 
 
 def _tangent4(j4, prev) -> list[float]:
@@ -418,7 +437,7 @@ class Chain:
 
 
 def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
-                 h0: float = 1.0 / 256, max_steps: int = 40000) -> Chain:
+                 h0: float = 1.0 / 256) -> Chain:
     """Pseudo-arclength walk of F(X; q(s)) = 0 from a boundary solution at
     s = 0 (forward) until the walk exits at s = 0 or s = 1."""
     path, system = _chain_kernel(traj, params)
@@ -431,7 +450,7 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
     if abs(tangent[3]) < 1e-12:
         raise TrajectoryError("chain tangent parallel to the fiber at start")
     h = h0
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         # predictor
         px = x + h * tangent[0]
         py = y + h * tangent[1]
@@ -475,14 +494,14 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
     raise TrajectoryError("chain walk exceeded the step budget")
 
 
-def _corrector4(x, y, phi, s, tangent, system, iters=25):
+def _corrector4(x, y, phi, s, tangent, system):
     """Newton on {F = 0, tangent . (Z - start) = 0}, one evaluation of the
     chain kernel's `system` per iterate, whose three augmented rows and the
     tangent's go to `_solve` as they are: the converged point
     (x, y, phi, s), its joints and its rows, or None."""
     t0, t1, t2, t3 = tangent
     bx, by, bphi, bs = x, y, phi, s
-    for _ in range(iters):
+    for _ in range(_CORRECTOR_ITERS):
         s = min(1.0, max(0.0, s))
         q, rows = system(x, y, phi, s)
         r1, r2, r3 = rows
@@ -531,34 +550,17 @@ def _unwrap(angles: list[float]) -> list[float]:
     return out
 
 
-def tracked_chart(traj: Trajectory, params: MechanismParams, n: int = 400,
-                  evens=None) -> list[tuple[float, float]]:
-    """(rho1, alpha3) image of the trajectory itself (the exact branch) at
-    s = i/n; `evens`, when given, holds the samples at even i, taken at
-    s = (i/2)/(n/2), the same float.  alpha3 = s3 acos(c3) stays in
-    s3 [0, pi], so it needs no unwrapping."""
-    path = _chain_kernel(traj, params)[0]
-    pts = []
-    for i in range(n + 1):
-        if evens is not None and i % 2 == 0:
-            pts.append(evens[i // 2])
-            continue
-        _, _, q, alpha3 = path(i / n)
-        pts.append((q[0], alpha3))
-    return pts
-
-
 def encirclement(fwd: list[tuple[float, float]], params: MechanismParams,
                  cusp_centers: list[tuple[float, float]],
-                 chain: Chain | None = None,
-                 close_tol: float = 1e-6) -> list[tuple[int, int]]:
+                 chain: Chain | None) -> list[tuple[int, int]]:
     """Windings of the closed joint-space loop around each cusp.
 
-    The loop concatenates `fwd`, the trajectory's tracked chart, with the
-    reversed image of the partner chain; the junction segments at each end
-    run along the (shared) joint fiber.  A trivial permutation (no partner
-    chain reaching the far end) yields a degenerate loop and all-zero
-    windings.
+    The loop concatenates `fwd`, the trajectory's tracked chart (the
+    (rho1, alpha3) image of its own branch; alpha3 = s3 acos(c3) stays in
+    s3 [0, pi], so it needs no unwrapping), with the reversed image of the
+    partner chain; the junction segments at each end run along the (shared)
+    joint fiber.  A trivial permutation (`chain` None, or not reaching the
+    far end) yields a degenerate loop and all-zero windings.
     """
     if chain is None or chain.end_s != 1.0:
         return [(i, 0) for i in range(len(cusp_centers))]
@@ -567,7 +569,7 @@ def encirclement(fwd: list[tuple[float, float]], params: MechanismParams,
     # bring the chain's angle branch next to the tracked end
     shift = round((fwd[-1][1] - a3[0]) / (2 * math.pi)) * 2 * math.pi
     rev = [(p[0], a + shift) for p, a in zip(rev, a3)]
-    if abs(rev[0][0] - fwd[-1][0]) > close_tol or abs(rev[-1][0] - fwd[0][0]) > close_tol:
+    if abs(rev[0][0] - fwd[-1][0]) > _CLOSE_TOL or abs(rev[-1][0] - fwd[0][0]) > _CLOSE_TOL:
         raise TrajectoryError("open loop: partner chain does not share the endpoint fibers")
     loop = fwd + rev
     return [(i, winding_number(loop, ctr)) for i, ctr in enumerate(cusp_centers)]
@@ -592,19 +594,24 @@ def track_branches(traj: Trajectory, params: MechanismParams, atlas) -> Verdict:
     e0 = (Fraction(p0.x), Fraction(math.tan(p0.phi / 2)))
     e1 = (Fraction(p1.x), Fraction(math.tan(p1.phi / 2)))
     b0, b1, same, changed, lab0, lab1 = atlas.classify_endpoints(e0, e1)
-    # the exact tracked branch: singularity monitoring at s = i/600; every
-    # third sample gives the joint path, s = k/200 (in floats
-    # 3k/600 == k/200 == 2k/400)
+    # the exact tracked branch, one pass: singularity monitoring at the even
+    # i (s = k/600), the forward chart where 3 divides i (s = k/400), the
+    # joint path where 6 does (s = k/200); in floats 2k/1200 == k/600, ...
     path = _chain_kernel(traj, params)[0]
     min_det = math.inf
-    jp = []
-    for i in range(601):
-        x, phi, q, alpha3 = path(i / 600)
+    fwd, jp = [], []
+    for i in range(1201):
+        if i % 2 and i % 3:
+            continue
+        x, phi, q, alpha3 = path(i / 1200)
         if i == 0:
             q0 = JointValues(*q)
+        if i % 2 == 0:
+            min_det = min(min_det, abs(_det_a_normalized(x, traj.y0_float, phi, q, params)))
         if i % 3 == 0:
-            jp.append((q[0], alpha3))
-        min_det = min(min_det, abs(_det_a_normalized(x, traj.y0_float, phi, q, params)))
+            fwd.append((q[0], alpha3))
+            if i % 6 == 0:
+                jp.append(fwd[-1])
     singular = min_det < 1e-8
     # partner chains from the other start solutions
     sols = direct_kinematics(q0, params)
@@ -622,7 +629,6 @@ def track_branches(traj: Trajectory, params: MechanismParams, atlas) -> Verdict:
             break
         notes.append("partner chain returned to the start fiber")
     centers = [(math.sqrt(r), 2 * math.atan(u)) for r, u in (c.center() for c in atlas.cusps)]
-    fwd = tracked_chart(traj, params, evens=jp)
     encircled = encirclement(fwd, params, centers, chain)
     notes.append("loop construction: forward tracked image + reversed partner "
                  "chain image (interpretation; the source text does not define "

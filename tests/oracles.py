@@ -57,7 +57,8 @@ its power of two.
 `FractionPoly` is `MPoly`'s arithmetic on Fraction coefficients against
 the one on integer numerators over one denominator, and
 `cusp_eliminants_in_u` the singular-point eliminants taken in u against
-those taken in w = u^2.
+those taken in w = u^2, and `tracked_chart` the forward chart and joint
+path sampled on their own grids against the verdict's one pass.
 `divides` is the exact-division test the tests state factor claims with,
 and `det_a_sign` decides the sign of a working mode's det A at a rational
 slice pose exactly.  They are slow and meant for small inputs.
@@ -94,7 +95,7 @@ from kinatlas.realroots import (
     _root_bound, _scale_shift, _sign_at, _sign_variations, _taylor_shift_1,
 )
 from kinatlas.mechanism import JointValues, KinematicsError
-from kinatlas.trajectory import Chain, TrajectoryError, _KINK_WINDOW, _tangent4
+from kinatlas.trajectory import Chain, TrajectoryError, _KINK_WINDOW, _chain_kernel, _tangent4
 
 
 ALL_ANGLES = {"phi": ("cphi", "sphi", "tphi"),
@@ -1304,6 +1305,19 @@ def joints_at(traj, s, params) -> JointValues:
     """The joints of the trajectory's branch at s, through `pose_at`."""
     p = traj.pose_at(s)
     return JointValues(*joints_by_pose(p.x, p.y, p.phi, traj.mode, params))
+
+
+def tracked_chart(traj, params, n: int = 400) -> list[tuple[float, float]]:
+    """(rho1, alpha3) image of the trajectory itself (the exact branch) at
+    s = i/n, each sample from its own evaluation of the chain kernel's
+    `path`.  alpha3 = s3 acos(c3) stays in s3 [0, pi], so it needs no
+    unwrapping."""
+    path = _chain_kernel(traj, params)[0]
+    pts = []
+    for i in range(n + 1):
+        _, _, q, alpha3 = path(i / n)
+        pts.append((q[0], alpha3))
+    return pts
 
 
 def distance_residuals(x, y, phi, q: JointValues, params):

@@ -11,7 +11,7 @@ from kinatlas.ratpoly import MPoly, UPoly
 from kinatlas.realroots import RootMerge, UnorderedRootsError, has_root_in, isolate, _sign_at
 from kinatlas.cad2d import bind, decompose, int_rows
 from kinatlas.domains import analyze_workspace
-from kinatlas.mechanism import MechanismParams, slice_workspace
+from kinatlas.mechanism import MechanismParams, slice_jointspace, slice_workspace
 from kinatlas.adjacency import (
     AdjacencyError, build_graph, build_graphs, components, _witnesses,
 )
@@ -156,7 +156,7 @@ class TestCut:
 
     @pytest.mark.parametrize("y0", [Fraction(0), Fraction(2)], ids=["y0=0", "y0=2"])
     def test_matches_post_pass_oracle(self, y0):
-        wa = analyze_workspace(slice_workspace(y0, 1, MechanismParams()))
+        wa = analyze_workspace(slice_jointspace(slice_workspace(y0, 1, MechanismParams())))
         assert (wa.graph_sing, wa.graph_fine, wa.graph_fine_sing) == \
             workspace_graphs_by_post_pass(wa)
 

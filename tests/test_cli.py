@@ -151,6 +151,25 @@ class TestAnalyze:
                    "--out", "/tmp/kinatlas-degenerate"])
         assert rc == 3
 
+    @pytest.mark.parametrize("value, sine", [("asin(2)", "2"), ("pi-asin(-3/2)", "-3/2")])
+    def test_joint_slice_sine_beyond_one_exit_2(self, value, sine, config_file, tmp_path,
+                                                capsys):
+        """No angle has a sine beyond 1: malformed input, exit 2 before any
+        build."""
+        rc = main(["analyze", "--config", config_file, "--slice", f"Q:alpha2={value}",
+                   "--out", str(tmp_path / "a")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"config error: bad slice value {value!r}: no angle has sine {sine}\n"
+        assert not (tmp_path / "a").exists()
+
+    def test_joint_slice_sine_one_exit_3(self, config_file, tmp_path, capsys):
+        """Sine 1 is an angle, pi/2, on leg 2's serial singularity: exit 3."""
+        rc = main(["analyze", "--config", config_file, "--slice", "Q:alpha2=asin(1)",
+                   "--out", str(tmp_path / "a")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("degeneracy: slice on leg 2 serial singularity")
+
     def test_reproducible(self, analysis_dir, config_file, tmp_path):
         out2 = tmp_path / "again"
         rc = main(["analyze", "--config", config_file, "--slice", "W:y=1/2",
@@ -292,7 +311,8 @@ class TestCurvePoints:
             cols = curve_points(poly, xv, yv, lo, hi, 24)
             for i, col in enumerate(cols):
                 x0 = lo + (hi - lo) * Fraction(i, 24)
-                assert col == [(float(x0), y) for y in fiber_roots_by_eval(poly, xv, yv, x0)]
+                assert col == [(float(x0), 2.0 * math.atan(y))
+                               for y in fiber_roots_by_eval(poly, xv, yv, x0)]
                 points += len(col)
         assert points >= 100
 

@@ -133,7 +133,7 @@ class TestCharacteristicSurface:
     def test_forward_images_on_joint_curve(self, atlas_pp):
         # sampled points of S_c map into the projected parallel curve
         sc = atlas_pp.wa.sc.polynomials[0]
-        prc = atlas_pp.prc
+        prc = atlas_pp.js.parallel_rc
         hits = 0
         xs = [Fraction(n, 16) for n in range(-40, 40)]
         for x0 in xs:
@@ -403,7 +403,7 @@ class TestCusps:
         vs = ("r", "u")
         r, u = MPoly.var("r", vs), MPoly.var("u", vs)
         curve = (r - 2) ** 2 + u ** 4 - 3 * u ** 2 + u ** 3 - 1
-        js = JointSlice(y0=Fraction(1, 2), s2sign=1, params=PARAMS,
+        js = JointSlice(ws=slice_workspace(Fraction(1, 2), 1, PARAMS),
                         parallel_rc=_R, parallel_ru=curve, serial_rc=())
         with pytest.raises(DomainError, match=r"not even in u: .*u\^3"):
             cusp_points(js)
@@ -414,7 +414,7 @@ class TestCusps:
         vs = ("r", "u")
         circle = MPoly.var("r", vs) ** 2 + MPoly.var("u", vs) ** 2 - 1
         rc = (MPoly.var("r", ("r", "c3")) ** 2 + MPoly.var("c3", ("r", "c3")) ** 2 - 1)
-        js = JointSlice(y0=Fraction(1, 2), s2sign=1, params=PARAMS,
+        js = JointSlice(ws=slice_workspace(Fraction(1, 2), 1, PARAMS),
                         parallel_rc=rc, parallel_ru=circle, serial_rc=())
         assert cusp_points(js) == []
 

@@ -384,11 +384,10 @@ class TestSlicePolynomialPins:
     def test_slice_polynomials(self, geom, y0):
         params = {"default": PARAMS, "geom2": GEOM2}[geom]
         ws = slice_workspace(Fraction(y0), 1, params)
-        prc = project_parallel_to_joint(ws)
-        sc = characteristic_surface(ws, prc)
-        js = slice_jointspace(ws, prc)
+        js = slice_jointspace(ws)
+        sc = characteristic_surface(js)
         polys = (ws.parallel, *ws.serial, ws.rho1sq_num, ws.c3_num, sc.polynomials[0],
-                 prc, js.parallel_ru)
+                 js.parallel_rc, js.parallel_ru)
         assert _sha(*polys) == SLICE_POLY_DIGESTS[geom, y0]
         assert [p.vars for p in polys] == [("x", "tphi")] * 6 + [("r", "c3"), ("r", "u")]
         assert ws.fibre.vars == ("tphi", "r", "c3")
@@ -406,13 +405,20 @@ class TestJointProjection:
         assert prc.canonical() == eq11_rc.canonical()
 
     @pytest.mark.parametrize("y0", [Fraction(1, 2), Fraction(2)])
-    def test_passed_projection_matches_recomputed(self, y0):
-        ws = slice_workspace(y0, 1, PARAMS)
-        prc = project_parallel_to_joint(ws)
-        given = slice_jointspace(ws, prc)
-        recomputed = slice_jointspace(ws)
-        assert given.parallel_rc == recomputed.parallel_rc == prc
-        assert given.parallel_ru == recomputed.parallel_ru
+    def test_one_projection_per_build(self, y0, monkeypatch):
+        """One `SliceAtlas.build` projects the parallel curve once, in
+        `slice_jointspace`, and its stages read that slice's workspace."""
+        from kinatlas import domains, mechanism
+        real, calls = project_parallel_to_joint, []
+
+        def counted(ws):
+            calls.append(ws)
+            return real(ws)
+
+        monkeypatch.setattr(mechanism, "project_parallel_to_joint", counted)
+        atlas = domains.SliceAtlas.build(PARAMS, y0, WorkingMode(1, 1))
+        assert len(calls) == 1
+        assert calls[0] is atlas.ws is atlas.js.ws is atlas.wa.ws
 
 
 # Rational slice poses (x, tan(phi / 2)) at y0 = 1/2, mode ++, next to two

@@ -16,6 +16,11 @@ an import no `Name` node of its module reads fails.  And no module takes a
 `_`-prefixed name from another package module, by import or as an
 attribute of an imported module, unless `PRIVATE_IMPORTS` names it with a
 reason: a private format has one owner.
+
+No parameter of a package function or method defaults to `None` unless
+`NONE_DEFAULTS` names it with a reason: a derived value has one owner that
+computes it, not a cache parameter that trusts its caller to pass the
+right one.
 """
 
 import ast
@@ -180,3 +185,58 @@ def test_private_import_guard_flags_names_and_attributes():
                      "from .cad2d import bind, _bind_int\n"
                      "def f():\n    return rr._sign_at, rr.isolate, math._x, _bind_int\n")
     assert _private_imports(tree, "m") == ["m <- cad2d._bind_int", "m <- realroots._sign_at"]
+
+
+# parameters of package functions and methods that default to None, each
+# with its reason
+NONE_DEFAULTS = {
+    "cli.main(argv)": "None reads the process's command line, as argparse does",
+    "mechanism.KinematicsError.__init__(leg)": "an error that no single leg causes names none",
+    "ratpoly.MPoly.var(variables)": "None makes the variable its polynomial's only one",
+    "ratpoly.UPoly.from_mpoly(var)": "None takes the polynomial's only variable",
+}
+
+
+def _none_defaults(tree: ast.Module, stem: str) -> list[str]:
+    """'module.qualname(param)' for each parameter in `tree` whose default
+    is the constant None, methods qualified by their class."""
+    out = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                pos = a.posonlyargs + a.args
+                pairs = list(zip(pos[len(pos) - len(a.defaults):], a.defaults))
+                pairs += [(k, d) for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                out.extend(f"{stem}.{prefix}{node.name}({arg.arg})" for arg, d in pairs
+                           if isinstance(d, ast.Constant) and d.value is None)
+                visit(node.body, f"{prefix}{node.name}.")
+
+    visit(tree.body, "")
+    return out
+
+
+def _all_none_defaults() -> list[str]:
+    return [name for path in sorted(SRC.glob("*.py"))
+            for name in _none_defaults(ast.parse(path.read_text(), str(path)), path.stem)]
+
+
+def test_none_defaults_are_named():
+    unnamed = [name for name in _all_none_defaults() if name not in NONE_DEFAULTS]
+    assert not unnamed, f"parameters defaulting to None without a reason: {unnamed}"
+
+
+def test_none_default_allowlist_is_current():
+    stale = set(NONE_DEFAULTS) - set(_all_none_defaults())
+    assert not stale, f"allowlist entries that no longer default to None: {sorted(stale)}"
+
+
+def test_none_default_guard_flags_functions_methods_and_keywords():
+    tree = ast.parse("def f(a, b=None, *, c=None, d=1):\n    def g(e=None):\n        pass\n"
+                     "class K:\n    def m(self, x=None, y=0):\n        pass\n"
+                     "    @staticmethod\n    def s(z=None):\n        pass\n")
+    assert _none_defaults(tree, "mod") == [
+        "mod.f(b)", "mod.f(c)", "mod.f.g(e)", "mod.K.m(x)", "mod.K.s(z)"]

@@ -10,10 +10,11 @@ from kinatlas.mechanism import (
 )
 from kinatlas.trajectory import (
     Trajectory, TrajectoryError,
-    track_branches, follow_chain,
-    tracked_chart, encirclement, winding_number,
+    track_branches, follow_chain, encirclement, winding_number,
     _solve, _tangent4, _chain_kernel,
 )
+
+from oracles import tracked_chart
 
 PARAMS = MechanismParams()
 FIG10 = ((-1.0, 1.0), (0.0, 0.5), (1.0, -1.0), (0.5, -2.0))
@@ -39,6 +40,20 @@ class TestTrajectoryBasics:
         with pytest.raises(ValueError, match="mode entries must be the integers 1 or -1"):
             Trajectory.from_json({"y": "1/2", "mode": mode,
                                   "waypoints": [["-1", "1"], ["0", "1/2"]]})
+
+    @pytest.mark.parametrize("waypoint", [
+        ("1/2", 0.5), (1.0, None), (math.nan, 0.5), (1.0, math.inf), (-math.inf, 0.5),
+        (True, 0.5), (1.0, 0.5, 2.0)],
+        ids=["str", "none", "nan", "inf", "-inf", "bool", "three-coordinates"])
+    def test_waypoint_needs_two_finite_numbers(self, waypoint):
+        with pytest.raises(TrajectoryError,
+                           match=r"^waypoint 1 needs 2 finite coordinates \(x, phi\)"):
+            _traj(((0.0, 0.0), waypoint))
+
+    def test_waypoints_are_kept_as_given(self):
+        t = _traj(((-1, 1), (0.0, 0.5)))
+        assert t.waypoints == ((-1, 1), (0.0, 0.5))
+        assert [type(v) for w in t.waypoints for v in w] == [int, int, float, float]
 
     def test_json_parsing(self):
         t = Trajectory.from_json({
@@ -92,6 +107,16 @@ class TestTracking:
         ch = follow_chain(t, PARAMS, starts[0])
         assert ch.end_s == 1.0
         assert any(abs(p[3] - 0.5) < 1e-6 for p in ch.points)
+
+    def test_unreachable_inner_waypoint_raises(self):
+        """An inner waypoint just beyond leg 3's reach, |cos(alpha3)| > 1:
+        its one-sided rates are undefined, so building the chain kernel
+        raises `KinematicsError` for leg 3, not a float error."""
+        from kinatlas.mechanism import KinematicsError
+        t = _traj(((1.0, 0.0), (2.0 + 1e-9, 0.0), (1.0, 0.5)))
+        with pytest.raises(KinematicsError) as e:
+            _chain_kernel(t, PARAMS)
+        assert e.value.leg == 3
 
     def test_tracked_chart_alpha3_is_the_ik_angle(self):
         from kinatlas.mechanism import inverse_kinematics
@@ -198,21 +223,44 @@ class TestVerdicts:
         w2 = encirclement(tracked_chart(t, PARAMS, n=800), PARAMS, centers, ch)
         assert w1 == w2
 
-    def test_one_tracked_chart_per_verdict(self, atlas_pp, monkeypatch):
+    def test_one_pass_per_verdict(self, atlas_pp, monkeypatch):
+        """The Fig. 10 verdict samples its branch in one pass, at s = i/1200
+        for every i that 2 or 3 divides, each once; its joint path is the
+        n = 200 chart and the forward chart of its loop the n = 400 one,
+        bit for bit, and the partner chains take the path only at their
+        boundary clamp."""
         from kinatlas import trajectory as tj
-        charts = []
+        kernel, encircle = tj._chain_kernel, tj.encirclement
+        paths, fwds = [], []
 
-        def counted(traj, params, n=400, evens=None):
-            charts.append(n)
-            return tracked_chart(traj, params, n, evens)
+        def recorded_kernel(traj, params):
+            path, system = kernel(traj, params)
+            calls = []
+            paths.append(calls)
 
-        monkeypatch.setattr(tj, "tracked_chart", counted)
+            def recorded_path(s):
+                calls.append(s)
+                return path(s)
+
+            return recorded_path, system
+
+        def recorded_encirclement(fwd, *args):
+            fwds.append(fwd)
+            return encircle(fwd, *args)
+
+        monkeypatch.setattr(tj, "_chain_kernel", recorded_kernel)
+        monkeypatch.setattr(tj, "encirclement", recorded_encirclement)
         t = _traj()
         v = track_branches(t, PARAMS, atlas_pp)
-        assert charts == [400]
-        # the joint path is the n = 200 chart, bit for bit
-        want = tracked_chart(t, PARAMS, n=200)
-        assert [_bits(p) for p in v.joint_path] == [_bits(p) for p in want]
+        monkeypatch.undo()
+        want = [i / 1200 for i in range(1201) if i % 2 == 0 or i % 3 == 0]
+        assert len(want) == len(set(want)) == 801
+        assert paths[0] == want
+        assert len(paths) > 1 and all(s in (0.0, 1.0) for calls in paths[1:] for s in calls)
+        assert len(fwds) == 1
+        assert [_bits(p) for p in v.joint_path] == \
+            [_bits(p) for p in tracked_chart(t, PARAMS, n=200)]
+        assert [_bits(p) for p in fwds[0]] == [_bits(p) for p in tracked_chart(t, PARAMS, n=400)]
 
 
 class TestWinding:
