@@ -8,8 +8,9 @@ every fibre product are one integer squarefree lcm (`_squarefree_lcm`), a
 `UPoly` isolated without a second squarefree step.  A curve's integer rows
 (`int_rows`) are built once per curve and direction and bound at a point
 by integer Horner (`bind`); a `Decomposition` keeps its curves' rows and
-binds them for each fibre product asked of it.  The projection polynomials
-are canonical `MPoly`s.  Only full-dimensional cells are produced.
+binds them for each fibre product asked of it.  `projection_set` gives the
+normalized curves and their projection, canonical `MPoly`s that a
+`Decomposition` keeps.  Only full-dimensional cells are produced.
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ from .realroots import (
 
 class CadError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class ProjectionSet:
-    """Level-2 polynomials and their level-1 projections."""
-
-    p2: tuple[MPoly, ...]
-    p1: tuple[MPoly, ...]
 
 
 @dataclass(frozen=True)
@@ -75,9 +68,9 @@ class Cell2D:
 class Decomposition:
     base_var: str
     fiber_var: str
-    polys: list[MPoly]
+    polys: list[MPoly]                     # the curves, squarefree and deduplicated
     rows: list[list[list[int]]]            # int_rows(p, fiber_var, base_var) per curve
-    proj: ProjectionSet
+    projection: list[MPoly]                # polynomials in base_var, from projection_set
     base_poly: UPoly
     base_roots: list[IsolatingInterval]
     base_samples: list[Fraction]
@@ -139,13 +132,11 @@ def _normalize_input(polys, base_var: str, fiber_var: str) -> list[MPoly]:
     return out
 
 
-def projection_set(p2, base_var: str, fiber_var: str) -> ProjectionSet:
-    """Discriminants, leading coefficients, contents, and pairwise
-    resultants with respect to the fiber variable; squarefree, deduplicated
-    up to constants."""
+def projection_set(p2, base_var: str, fiber_var: str) -> tuple[list[MPoly], list[MPoly]]:
+    """(curves, projection): p2's curves, squarefree and deduplicated, and
+    their discriminants, leading coefficients, contents and pairwise
+    resultants in the fiber variable, squarefree and unique up to constants."""
     polys = _normalize_input(p2, base_var, fiber_var)
-    if not polys:
-        return ProjectionSet(tuple(), tuple())
     p1_m: list[MPoly] = []
 
     def push(q: MPoly):
@@ -181,7 +172,7 @@ def projection_set(p2, base_var: str, fiber_var: str) -> ProjectionSet:
                 if min(p.degree(fiber_var), q.degree(fiber_var)) >= 1:
                     r = resultant_bivar(p, q, fiber_var, base_var)
             push(r)
-    return ProjectionSet(tuple(polys), tuple(p1_m))
+    return polys, p1_m
 
 
 def resultant_bivar(p: MPoly, q: MPoly, elim: str, keep: str) -> MPoly:
@@ -261,15 +252,14 @@ def _squarefree_lcm(curves: list[list[int]], var: str, where: str = "") -> UPoly
 
 def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:
     """Full-dimensional cells of the open CAD adapted to the curve set."""
-    proj = projection_set(p2, base_var, fiber_var)
-    polys = list(proj.p2)
-    base = _squarefree_lcm([list(UPoly.from_mpoly(q, base_var).coeffs) for q in proj.p1],
+    polys, projection = projection_set(p2, base_var, fiber_var)
+    base = _squarefree_lcm([list(UPoly.from_mpoly(q, base_var).coeffs) for q in projection],
                            base_var)
     base_roots = isolate_squarefree(base)
     bounds = [NEG_INF, *base_roots, POS_INF]
     dec = Decomposition(
         base_var=base_var, fiber_var=fiber_var, polys=polys,
-        rows=[int_rows(p, fiber_var, base_var) for p in polys], proj=proj,
+        rows=[int_rows(p, fiber_var, base_var) for p in polys], projection=projection,
         base_poly=base, base_roots=base_roots,
         base_samples=[sample_between(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
         fiber_products=[], fiber_roots=[], cells=[], columns=[],

@@ -24,7 +24,7 @@ from .realroots import RealRootError
 from .cad2d import CadError
 from .adjacency import AdjacencyError
 from .mechanism import (
-    MechanismParams, WorkingMode, Pose, JointValues, as_float,
+    MechanismParams, WorkingMode, Pose, JointValues, as_float, as_fraction,
     constraints_trig, inverse_kinematics, direct_kinematics, residuals, KinematicsError,
 )
 from .domains import SliceAtlas, DomainError
@@ -44,7 +44,7 @@ _MATH_ERRORS = (KinematicsError, DomainError, AdjacencyError, CadError,
 
 def _frac(s) -> Fraction:
     try:
-        return Fraction(str(s))
+        return as_fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"bad rational {s!r}: {e}") from e
 
@@ -121,11 +121,11 @@ def cmd_analyze(args) -> int:
     params = _load_config(args.config)
     if args.density < 2:
         raise ConfigError("--density must be at least 2")
-    if args.window:
-        w = [_float(v) for v in args.window.split(",")]
-        if len(w) != 4 or w[0] >= w[1] or w[2] >= w[3]:
-            raise ConfigError("--window must be x0,x1,y0,y1 with x0 < x1, y0 < y1")
+    win = tuple(_float(v) for v in args.window.split(",")) if args.window else None
+    if win and (len(win) != 4 or win[0] >= win[1] or win[2] >= win[3]):
+        raise ConfigError("--window must be x0,x1,y0,y1 with x0 < x1, y0 < y1")
     space, val, branch = _parse_slice(args.slice)
+    win = win or (-5.0 if space == "W" else 0.0, 5.0, -math.pi, math.pi)
     y0 = val if space == "W" else val * params.l2
     mode = WorkingMode(branch, 1)
     out = Path(args.out)
@@ -140,7 +140,7 @@ def cmd_analyze(args) -> int:
     _write_json(out / "cells.json", {
         "base_var": "x", "fiber_var": "tphi",
         "cells": [c.to_json(base, fibers[c.base_index]) for c in dec.cells],
-        "projection": [format_poly(q) for q in dec.proj.p1],
+        "projection": [format_poly(q) for q in dec.projection],
         "curves": [format_poly(p) for p in dec.polys],
     })
     _write_json(out / "adjacency.json", atlas.wa.graph_fine.to_json())
@@ -157,29 +157,22 @@ def cmd_analyze(args) -> int:
         "cusps": [c.to_json() for c in atlas.cusps],
         "all_singular_points": [c.to_json() for c in atlas.singular_points],
     })
-    _write_atomic(out / "plot.svg", [_plot_slice(atlas, space, args.window, args.density)])
+    _write_atomic(out / "plot.svg", [_plot_slice(atlas, space, win, args.density)])
     print(f"analysis written to {out}")
     return 0
 
 
-def _plot_slice(atlas: SliceAtlas, space: str, window: str | None, density: int) -> str:
+def _plot_slice(atlas: SliceAtlas, space: str, win: tuple[float, ...], density: int) -> str:
     if space == "W":
-        win = (-5.0, 5.0, -math.pi, math.pi)
-        if window:
-            win = tuple(_float(w) for w in window.split(","))
         canvas = svg.SvgCanvas(win)
         xlo, xhi = Fraction(win[0]).limit_denominator(10 ** 6), Fraction(win[1]).limit_denominator(10 ** 6)
         _draw_workspace_curves(canvas, atlas, xlo, xhi, density)
-        for poly in atlas.wa.sc.polynomials:
-            canvas.curve_columns(svg.curve_points(poly, "x", "tphi", xlo, xhi, density), "green")
+        canvas.curve_columns(svg.curve_points(atlas.wa.sc, "x", "tphi", xlo, xhi, density), "green")
         for r in atlas.atlas:
             x, t = float(r.sample[0]), float(r.sample[1])
             canvas.text(x, 2 * math.atan(t), f"{r.ik_count}", "red")
             canvas.text(x, 2 * math.atan(t) - 0.18, f"{r.dk_count}", "blue")
         return canvas.render()
-    win = (0.0, 5.0, -math.pi, math.pi)
-    if window:
-        win = tuple(_float(w) for w in window.split(","))
     canvas = svg.SvgCanvas(win)
     rlo = Fraction(max(0, Fraction(win[0]).limit_denominator(10 ** 6))) ** 2
     rhi = Fraction(win[1]).limit_denominator(10 ** 6) ** 2

@@ -3,7 +3,8 @@ and solution-count atlases on 2D slices.
 
 The workspace slice (x, tphi) is decomposed against the serial reach
 boundaries and the parallel-singularity curve; refining by the
-characteristic surface yields basic regions.  Each basic region carries the
+characteristic surface yields the count regions (`count_atlas`), and the
+reachable ones are the basic regions.  Each basic region carries the
 id of the joint-chart component (connected piece of the complement of the
 joint curves) that the images of its cells lie in.  Uniqueness domains are
 the maximal connected unions of basic regions whose components are
@@ -58,12 +59,6 @@ class RegionSet:
         return d
 
 
-@dataclass(frozen=True)
-class CharSurface:
-    polynomials: tuple[MPoly, ...]
-    excluded: tuple[str, ...]
-
-
 # ---------------------------------------------------------------------------
 # workspace-side analysis
 
@@ -73,19 +68,15 @@ class WorkspaceAnalysis:
     """Decompositions and adjacency of one workspace slice, cached."""
 
     ws: WorkspaceSlice
-    sc: CharSurface
+    sc: MPoly                      # characteristic surface
     dec_sing: Decomposition        # serial + parallel only
     graph_sing: AdjacencyGraph
     dec_fine: Decomposition        # + characteristic surface
     graph_fine: AdjacencyGraph
     graph_fine_sing: AdjacencyGraph  # fine cells, singularity-only variety
 
-    def reachable(self, dec: Decomposition, cid: int) -> bool:
-        c = dec.cells[cid]
-        return self.ws.ik_count(c.sample[0], c.sample[1]) > 0
 
-
-def characteristic_surface(js: JointSlice) -> CharSurface:
+def characteristic_surface(js: JointSlice) -> MPoly:
     """Pseudo-singularity curve: the preimage of the projected parallel
     curve `js.parallel_rc` under the joint map of the slice `js.ws`, with
     the parallel (diagonal) factor and chart denominators divided out."""
@@ -105,8 +96,7 @@ def characteristic_surface(js: JointSlice) -> CharSurface:
                 sc = exact_div(sc, factor).canonical()
             except RatPolyError:     # factor no longer divides
                 break
-    sc = squarefree_total(sc).canonical()
-    return CharSurface((sc,), ws.excluded)
+    return squarefree_total(sc).canonical()
 
 
 def analyze_workspace(js: JointSlice) -> WorkspaceAnalysis:
@@ -117,7 +107,7 @@ def analyze_workspace(js: JointSlice) -> WorkspaceAnalysis:
     sing = [ws.serial[0], ws.serial[1], ws.parallel]
     dec_s = decompose(sing, "x", "tphi")
     g_s = build_graph(dec_s, sing, wrap=True)
-    fine = sing + list(sc.polynomials)
+    fine = sing + [sc]
     dec_f = decompose(fine, "x", "tphi")
     g_f, g_fs = build_graphs(dec_f, [fine, sing], wrap=True)
     return WorkspaceAnalysis(ws=ws, sc=sc, dec_sing=dec_s, graph_sing=g_s,
@@ -133,10 +123,10 @@ def w_aspects(wa: WorkspaceAnalysis, mode: WorkingMode) -> list[RegionSet]:
     idx = 1
     for comp in comps:
         rep = min(comp)
-        if not wa.reachable(dec, rep):
+        cell = dec.cells[rep]
+        if wa.ws.ik_count(*cell.sample) == 0:
             continue
         sgn = dec.sign_at_sample(wa.ws.parallel, rep)
-        cell = dec.cells[rep]
         out.append(RegionSet(
             kind="W-aspect", label=f"WA_{mode.label}_{idx}", mode=mode,
             cells=frozenset(comp), sample=cell.sample, sign=sgn))
@@ -165,7 +155,7 @@ def analyze_jointspace(js: JointSlice) -> JointAnalysis:
 def q_aspects(ja: JointAnalysis, mode: WorkingMode) -> list[RegionSet]:
     """Maximal singularity-free joint-chart regions: components of the
     complement carrying direct-kinematics solutions (poses of the slice
-    `ja.js.ws`), grouped by the sign of the projected parallel polynomial."""
+    `ja.js.ws`)."""
     comps = components(ja.graph)
     out = []
     idx = 1
@@ -178,10 +168,9 @@ def q_aspects(ja: JointAnalysis, mode: WorkingMode) -> list[RegionSet]:
         dk = dk_count_chart(r, c3, ja.js.ws)
         if dk == 0:
             continue
-        sgn = ja.dec.sign_at_sample(ja.js.parallel_rc, rep)
         out.append(RegionSet(
             kind="Q-aspect", label=f"QA_{mode.label}_{idx}", mode=mode,
-            cells=frozenset(comp), sample=cell.sample, sign=sgn, dk_count=dk))
+            cells=frozenset(comp), sample=cell.sample, dk_count=dk))
         idx += 1
     return out
 
@@ -197,29 +186,28 @@ class BasicRegion:
     components: frozenset[int]     # ids in components(ja.graph) its image meets
 
 
-def basic_regions(wa: WorkspaceAnalysis, ja: JointAnalysis,
+def basic_regions(wa: WorkspaceAnalysis, ja: JointAnalysis, atlas: list[RegionSet],
                   aspects: list[RegionSet], mode: WorkingMode) -> list[BasicRegion]:
     """Connected pieces of each aspect after refining by the characteristic
-    surface, with the joint component their image lies in."""
+    surface, the reachable regions of `atlas` (`count_atlas(wa)`), with the
+    joint component their image lies in."""
     dec = wa.dec_fine
     joint_comp = {cid: k for k, comp in enumerate(components(ja.graph)) for cid in comp}
     out: list[BasicRegion] = []
     counters: dict[str, int] = {}
-    for comp in components(wa.graph_fine):
-        rep = min(comp)
-        if not wa.reachable(dec, rep):
+    for r in atlas:
+        if r.ik_count == 0:
             continue
-        sample = dec.cells[rep].sample
-        sgn = dec.sign_at_sample(wa.ws.parallel, rep)
-        loc = wa.dec_sing.locate(*sample)
-        owner = next((a for a in aspects if a.sign == sgn and loc in a.cells), None)
+        loc = wa.dec_sing.locate(*r.sample)
+        # signs differ at y0 = 0, where samples lie on the line tphi = 0 the passes drop
+        owner = next((a for a in aspects if a.sign == r.sign and loc in a.cells), None)
         if owner is None:
             continue
         k = counters.get(owner.label, 0) + 1
         counters[owner.label] = k
         label = f"WAb_{mode.label}_{owner.label.rsplit('_', 1)[1]}_{k}"
         image = set()
-        for cid in comp:
+        for cid in r.cells:
             jc = ja.dec.locate(*wa.ws.chart_image(*dec.cells[cid].sample))
             if jc is not None:  # None: the image lies on a joint curve
                 image.add(joint_comp[jc])
@@ -227,7 +215,7 @@ def basic_regions(wa: WorkspaceAnalysis, ja: JointAnalysis,
             raise DomainError(f"basic region {label} maps into joint components "
                               f"{sorted(image)}, not one")
         rs = RegionSet(kind="basic-region", label=label, mode=mode,
-                       cells=frozenset(comp), sample=sample, sign=sgn)
+                       cells=r.cells, sample=r.sample)
         out.append(BasicRegion(region=rs, aspect_label=owner.label,
                                components=frozenset(image)))
     return out
@@ -284,25 +272,17 @@ def uniqueness_domains(wa: WorkspaceAnalysis, basics: list[BasicRegion],
 def count_atlas(wa: WorkspaceAnalysis) -> list[RegionSet]:
     """Connected regions of the refined slice with IK and DK counts;
     unreachable regions carry zero counts."""
-    dec, graph = wa.dec_fine, wa.graph_fine
-    comps = components(graph)
+    dec, ws = wa.dec_fine, wa.ws
     out = []
-    idx = 1
-    for comp in comps:
+    for idx, comp in enumerate(components(wa.graph_fine), 1):
         rep = min(comp)
-        cell = dec.cells[rep]
-        x, t = cell.sample
-        ik = wa.ws.ik_count(x, t)
-        if ik > 0:
-            r, c3 = wa.ws.chart_image(x, t)
-            dk = dk_count_chart(r, c3, wa.ws)
-        else:
-            dk = 0
+        sample = dec.cells[rep].sample
+        ik = ws.ik_count(*sample)
+        dk = dk_count_chart(*ws.chart_image(*sample), ws) if ik else 0
         out.append(RegionSet(
             kind="count-region", label=f"R_{idx}", mode=None,
-            cells=frozenset(comp), ik_count=ik, dk_count=dk, sample=cell.sample,
-            sign=dec.sign_at_sample(wa.ws.parallel, rep)))
-        idx += 1
+            cells=frozenset(comp), ik_count=ik, dk_count=dk, sample=sample,
+            sign=dec.sign_at_sample(ws.parallel, rep)))
     return out
 
 
@@ -438,15 +418,15 @@ class SliceAtlas:
     @staticmethod
     def build(params: MechanismParams, y0: Fraction,
               mode: WorkingMode) -> "SliceAtlas":
-        ws = slice_workspace(y0, mode.s2, params)
+        ws = slice_workspace(y0, params)
         js = slice_jointspace(ws)
         wa = analyze_workspace(js)
         ja = analyze_jointspace(js)
         aspects = w_aspects(wa, mode)
         qaspects = q_aspects(ja, mode)
-        basics = basic_regions(wa, ja, aspects, mode)
-        uds = uniqueness_domains(wa, basics, mode)
         atlas = count_atlas(wa)
+        basics = basic_regions(wa, ja, atlas, aspects, mode)
+        uds = uniqueness_domains(wa, basics, mode)
         sing = cusp_points(js)
         return SliceAtlas(params=params, y0=y0, mode=mode, ws=ws,
                           wa=wa, js=js, ja=ja, aspects=aspects, qaspects=qaspects,

@@ -5,9 +5,9 @@ singularity polynomials, closed-form inverse kinematics, exact direct
 kinematics, and the 2D workspace / joint-space slices.  Every slice
 polynomial comes from a rational substitution (`MPoly.substitute`): the
 serial and parallel curves, rho1^2, cos(alpha3) and the leg-1 fibre over
-the joint chart are rationalized in phi from their trigonometric forms,
-the fibre once per slice; the joint projection substitutes x from leg 3,
-and the (r, u) chart substitutes c3.
+the joint chart are rationalized in phi by `rationalize` from their
+trigonometric forms, the fibre once per slice; the joint projection
+substitutes x from leg 3, and the (r, u) chart substitutes c3.
 
 Symbol conventions: pose (x, y, phi) with phi carried as (cphi, sphi) or
 as the half-tangent tphi; passive angles as (c2, s2) and (c3, s3); joints
@@ -36,6 +36,12 @@ class KinematicsError(Exception):
     def __init__(self, msg: str, leg: int | None = None):
         super().__init__(msg)
         self.leg = leg
+
+
+def as_fraction(v) -> Fraction:
+    """Fraction(str(v)), the rational a user wrote: a JSON float is read as
+    written (0.1 is 1/10), and a bool (text True or False) raises ValueError."""
+    return Fraction(str(v))
 
 
 def as_float(v: Fraction, name: str) -> float:
@@ -76,7 +82,7 @@ class MechanismParams:
         unknown = sorted(set(d) - {"type", "l2", "l3", "a", "b"})
         if unknown:
             raise ValueError(f"unknown keys {unknown}")
-        kw = {k: Fraction(d[k]) for k in ("l2", "l3", "a", "b") if k in d}
+        kw = {k: as_fraction(d[k]) for k in ("l2", "l3", "a", "b") if k in d}
         return MechanismParams(**kw)
 
     def to_json(self) -> dict:
@@ -157,27 +163,14 @@ def constraints_trig(params: MechanismParams) -> list[MPoly]:
     ]
 
 
-def rationalize(p: MPoly, angles: dict[str, tuple[str, str, str]]) -> tuple[MPoly, list[str]]:
-    """Weierstrass substitution per angle.
-
-    `angles` maps an angle name to its (cos symbol, sin symbol, half-tangent
-    symbol t); cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2) go in by
-    `MPoly.substitute`.  Returns the denominator-cleared polynomial and the
-    list of excluded angle values (theta = pi per substituted angle).
-    """
-    out = p
-    excluded = []
-    for name, (cs, ss, ts) in angles.items():
-        if out.degree(cs) <= 0 and out.degree(ss) <= 0:    # no denominator to clear
-            out = out.with_vars(tuple(v for v in out.vars if v not in (cs, ss)))
-            continue
-        t = MPoly.var(ts)
-        out = out.substitute({cs: 1 - t * t, ss: 2 * t}, 1 + t * t)
-        excluded.append(f"{name}=pi")
-    return out, excluded
-
-
-PHI_ANGLE = {"phi": ("cphi", "sphi", "tphi")}
+def rationalize(p: MPoly) -> MPoly:
+    """Weierstrass substitution in phi: cphi = (1 - tphi^2)/(1 + tphi^2)
+    and sphi = 2 tphi/(1 + tphi^2) go in by `MPoly.substitute`, which
+    clears the denominator; phi = pi has no half-tangent and is excluded."""
+    if p.degree("cphi") <= 0 and p.degree("sphi") <= 0:    # no denominator to clear
+        return p.with_vars(tuple(v for v in p.vars if v not in ("cphi", "sphi")))
+    t = MPoly.var("tphi")
+    return p.substitute({"cphi": 1 - t * t, "sphi": 2 * t}, 1 + t * t)
 
 
 def residuals(pose: Pose, joints: JointValues, passives: PassiveAngles,
@@ -407,18 +400,17 @@ def _dk_univariate(r1: Fraction, r2: Fraction, r3: Fraction, params: MechanismPa
 
 @dataclass(frozen=True)
 class WorkspaceSlice:
-    """Workspace section y = y0 in coordinates (x, tphi)."""
+    """Workspace section y = y0 in coordinates (x, tphi), the same for every
+    working mode."""
 
     y0: Fraction
-    s2sign: int
     params: MechanismParams
-    c2_sq: Fraction
     serial: tuple[MPoly, MPoly]   # leg-3 reach boundaries in (x, tphi)
     parallel: MPoly               # parallel-singularity curve in (x, tphi)
     rho1sq_num: MPoly             # (x,tphi)-numerator of rho1^2 (denominator (1+t^2)^2)
     c3_num: MPoly                 # numerator of cos(alpha3) (denominator l3 (1+t^2))
     fibre: MPoly                  # leg-1 distance in (tphi, r, c3), x from leg 3: poses over (r, c3)
-    excluded: tuple[str, ...]
+    excluded: tuple[str, ...]     # poses the half-tangent chart leaves out
 
     def chart_image(self, x: Fraction, t: Fraction) -> tuple[Fraction, Fraction]:
         """Exact (r, c3) joint-chart image of a rational slice point."""
@@ -432,18 +424,15 @@ class WorkspaceSlice:
         return 0 if r == 0 or abs(c3) >= 1 else 4
 
 
-def slice_workspace(y0: Fraction, s2sign: int, params: MechanismParams) -> WorkspaceSlice:
+def slice_workspace(y0: Fraction, params: MechanismParams) -> WorkspaceSlice:
     y0 = Fraction(y0)
     if abs(y0) >= params.l2:
         raise KinematicsError(f"slice on leg 2 serial singularity: |y0| >= l2", leg=2)
-    if s2sign not in (1, -1):
-        raise ValueError("s2sign must be +1 or -1")
-    c2sq = 1 - (y0 / params.l2) ** 2
     l3, a, b = params.l3, params.a, params.b
     tv = ("x", "r", "c3", "cphi", "sphi")
     x, r, c3, cph, sph = (MPoly.var(v, tv) for v in tv)
     # the trigonometric forms, each rationalized in phi
-    ser_out, ser_in, par, rho1sq, c3num, fibre = (rationalize(p, PHI_ANGLE)[0] for p in (
+    ser_out, ser_in, par, rho1sq, c3num, fibre = (rationalize(p) for p in (
         x - l3 + b * cph,
         x + l3 + b * cph,
         parallel_singularity(params).eval({"y": y0}),
@@ -453,7 +442,7 @@ def slice_workspace(y0: Fraction, s2sign: int, params: MechanismParams) -> Works
     ))
     vs = ("x", "tphi")
     return WorkspaceSlice(
-        y0=y0, s2sign=s2sign, params=params, c2_sq=c2sq,
+        y0=y0, params=params,
         serial=(ser_out.with_vars(vs).canonical(), ser_in.with_vars(vs).canonical()),
         parallel=par.with_vars(vs).canonical(),
         rho1sq_num=rho1sq.with_vars(vs), c3_num=c3num.with_vars(vs),

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .mechanism import (
-    MechanismParams, WorkingMode, Pose, JointValues, as_float,
+    MechanismParams, WorkingMode, Pose, JointValues, as_float, as_fraction,
     direct_kinematics, slice_ik,
 )
 
@@ -66,13 +66,13 @@ class Trajectory:
 
     @staticmethod
     def from_json(d: dict) -> "Trajectory":
-        y0 = Fraction(d["y"])
+        y0 = as_fraction(d["y"])
         if len(d["mode"]) != 2:
             raise ValueError(f"mode needs 2 entries, got {len(d['mode'])}")
         if any(type(v) is not int for v in d["mode"]):
             raise ValueError(f"mode entries must be the integers 1 or -1, got {d['mode']!r}")
         mode = WorkingMode(*d["mode"])
-        wps = tuple(tuple(as_float(Fraction(str(v)), f"waypoint coordinate {v!r}") for v in w)
+        wps = tuple(tuple(as_float(as_fraction(v), f"waypoint coordinate {v!r}") for v in w)
                     for w in d["waypoints"])
         return Trajectory(y0=y0, mode=mode, waypoints=wps)
 

@@ -69,8 +69,8 @@ arithmetic on `UPoly` over Fraction coefficient lists (`upoly_mul`,
 `upoly_divmod`, `upoly_eval`, `upoly_eval_float`), the derivative
 (`upoly_derivative`), `coeff_list` (the
 rational coefficients of a univariate `MPoly`), the polynomial parser (`parse_poly`), det B
-(`serial_singularity`), the half-tangent table of every angle
-(`ALL_ANGLES`) and the benchmark's recorded trajectories
+(`serial_singularity`), the Weierstrass substitution in
+every angle (`rationalize_all`) and the benchmark's recorded trajectories
 (`pool_waypoints`).
 """
 
@@ -98,9 +98,21 @@ from kinatlas.mechanism import JointValues, KinematicsError
 from kinatlas.trajectory import Chain, TrajectoryError, _KINK_WINDOW, _chain_kernel, _tangent4
 
 
-ALL_ANGLES = {"phi": ("cphi", "sphi", "tphi"),
-              "alpha2": ("c2", "s2", "t2"),
-              "alpha3": ("c3", "s3", "t3")}
+# (cos symbol, sin symbol, half-tangent symbol) of every angle
+ALL_ANGLES = (("cphi", "sphi", "tphi"), ("c2", "s2", "t2"), ("c3", "s3", "t3"))
+
+
+def rationalize_all(p: MPoly) -> MPoly:
+    """`mechanism.rationalize`'s Weierstrass substitution in every angle of
+    `ALL_ANGLES` that p has: cos = (1 - t^2)/(1 + t^2), sin = 2t/(1 + t^2),
+    each denominator cleared by `MPoly.substitute`."""
+    for cs, ss, ts in ALL_ANGLES:
+        if p.degree(cs) <= 0 and p.degree(ss) <= 0:
+            p = p.with_vars(tuple(v for v in p.vars if v not in (cs, ss)))
+            continue
+        t = MPoly.var(ts)
+        p = p.substitute({cs: 1 - t * t, ss: 2 * t}, 1 + t * t)
+    return p
 
 
 def serial_singularity(params: MechanismParams) -> MPoly:
@@ -114,21 +126,21 @@ def serial_singularity(params: MechanismParams) -> MPoly:
                  [zero, zero, params.l3 * s3]])
 
 
-def cut_blockers(ws, sc):
-    """Restrictions of the variety to the cut line phi = pi, as polynomials
-    in x; None means the whole cut lies on the variety closure."""
+def cut_blockers(ws, extra):
+    """Restrictions of the variety (the slice's singular curves and the
+    curves of `extra`) to the cut line phi = pi, as polynomials in x; None
+    means the whole cut lies on the variety closure."""
     if ws.y0 == 0:
         return None  # parallel polynomial vanishes identically on the cut
     b, l3 = ws.params.b, ws.params.l3
     x = MPoly.var("x", ("x",))
     out = [x - (b + l3), x - (b - l3)]
-    if sc is not None:
-        for p in sc.polynomials:
-            if p.degree("tphi") % 2 != 0:
-                return None  # cut on the closure of this curve
-            lc = p.leading_coefficient("tphi").with_vars(("x",))
-            if not lc.is_constant():
-                out.append(lc)
+    for p in extra:
+        if p.degree("tphi") % 2 != 0:
+            return None  # cut on the closure of this curve
+        lc = p.leading_coefficient("tphi").with_vars(("x",))
+        if not lc.is_constant():
+            out.append(lc)
     return out
 
 
@@ -153,10 +165,10 @@ def workspace_graphs_by_post_pass(wa) -> tuple[AdjacencyGraph, ...]:
     decompositions without the cut and then glued by `with_wrap_edges`."""
     ws = wa.ws
     sing = [ws.serial[0], ws.serial[1], ws.parallel]
-    fine = sing + list(wa.sc.polynomials)
+    fine = sing + [wa.sc]
     g_s = build_graph(wa.dec_sing, sing)
     g_f, g_fs = build_graphs(wa.dec_fine, [fine, sing])
-    bl_sing, bl_fine = cut_blockers(ws, None), cut_blockers(ws, wa.sc)
+    bl_sing, bl_fine = cut_blockers(ws, []), cut_blockers(ws, [wa.sc])
     return (with_wrap_edges(g_s, wa.dec_sing, bl_sing),
             with_wrap_edges(g_f, wa.dec_fine, bl_fine),
             with_wrap_edges(g_fs, wa.dec_fine, bl_sing))
@@ -1060,7 +1072,7 @@ def atlas_passes(atlas):
     one."""
     ws, wa, ja = atlas.ws, atlas.wa, atlas.ja
     sing = [ws.serial[0], ws.serial[1], ws.parallel]
-    fine = sing + list(wa.sc.polynomials)
+    fine = sing + [wa.sc]
     return [(wa.dec_sing, [sing], True, [wa.graph_sing]),
             (wa.dec_fine, [fine, sing], True, [wa.graph_fine, wa.graph_fine_sing]),
             (ja.dec, [[ja.js.parallel_rc, *ja.js.serial_rc]], False, [ja.graph])]

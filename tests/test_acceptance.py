@@ -16,7 +16,7 @@ from kinatlas.cad2d import decompose
 from kinatlas.adjacency import build_graph, components
 from kinatlas.mechanism import (
     MechanismParams, WorkingMode, Pose,
-    parallel_singularity, rationalize, PHI_ANGLE,
+    parallel_singularity, rationalize,
     inverse_kinematics, direct_kinematics, slice_workspace,
     project_parallel_to_joint,
 )
@@ -28,7 +28,7 @@ from kinatlas.trajectory import (
 from conftest import eq11_reference, sc_quartic_reference
 from groebner import PolySystem, eliminate
 from oracles import (
-    ALL_ANGLES, divides, parse_poly, serial_singularity, upoly_eval, upoly_eval_float,
+    divides, parse_poly, rationalize_all, serial_singularity, upoly_eval, upoly_eval_float,
 )
 
 PARAMS = MechanismParams()
@@ -58,8 +58,8 @@ class TestAcceptance:
         t0 = time.time()
         detb = serial_singularity(PARAMS)
         target = PARAMS.l2 * PARAMS.l3 * parse_poly("rho1*c2*s3", ("rho1", "c2", "s3"))
-        rb, _ = rationalize(detb, ALL_ANGLES)
-        rt, _ = rationalize(target, ALL_ANGLES)
+        rb = rationalize_all(detb)
+        rt = rationalize_all(target)
         ok = rb.canonical() == rt.with_vars(rb.vars).canonical()
         dt = time.time() - t0
         _report(1, ok and dt < 1.0,
@@ -110,7 +110,7 @@ class TestAcceptance:
 
     def test_criterion_3_joint_curve(self):
         t0 = time.time()
-        ws = slice_workspace(Fraction(1, 2), 1, PARAMS)
+        ws = slice_workspace(Fraction(1, 2), PARAMS)
         ours = project_parallel_to_joint(ws)
         ref = eq11_reference(Fraction(35, 36))
         worst = 0.0
@@ -177,12 +177,12 @@ class TestAcceptance:
         ], vs3)
         out3 = eliminate(sys3, ["c3", "s3"])
         # reference factors carry a (cos phi + 1) denominator; cleared forms:
-        f_out, _ = rationalize(parse_poly("cphi - 3 + x", ("x", "cphi", "sphi")), PHI_ANGLE)
-        f_in, _ = rationalize(parse_poly("cphi + 3 + x", ("x", "cphi", "sphi")), PHI_ANGLE)
+        f_out = rationalize(parse_poly("cphi - 3 + x", ("x", "cphi", "sphi")))
+        f_in = rationalize(parse_poly("cphi + 3 + x", ("x", "cphi", "sphi")))
         gens3 = [g for g in out3.polynomials if g.degree("x") > 0]
         ok_x = any(divides(f_out.with_vars(g.vars), g) for g in gens3) and \
             any(divides(f_in.with_vars(g.vars), g) for g in gens3)
-        ws = slice_workspace(Fraction(1, 2), 1, PARAMS)
+        ws = slice_workspace(Fraction(1, 2), PARAMS)
         ok_slice = {str(p) for p in ws.serial} == \
             {str(f_out.with_vars(("x", "tphi")).canonical()),
              str(f_in.with_vars(("x", "tphi")).canonical())}
@@ -194,10 +194,9 @@ class TestAcceptance:
 
     def test_criterion_5_characteristic_surface(self, atlas_pp):
         t0 = time.time()
-        ours = atlas_pp.wa.sc.polynomials[0].with_vars(("x", "tphi"))
+        ours = atlas_pp.wa.sc.with_vars(("x", "tphi"))
         ref4 = sc_quartic_reference().eval({"y": Fraction(1, 2)})
-        refr, _ = rationalize(ref4, PHI_ANGLE)
-        refr = refr.with_vars(("x", "tphi"))
+        refr = rationalize(ref4).with_vars(("x", "tphi"))
         worst = 0.0
         counts = []
         for poly_from, poly_to in ((refr, ours), (ours, refr)):
@@ -217,7 +216,7 @@ class TestAcceptance:
                     worst = max(worst, _rel_residual(poly_to, {"x": x0, "tphi": tv}))
                     hits += 1
             counts.append(hits)
-        excluded_ok = "phi=pi" in atlas_pp.wa.sc.excluded
+        excluded_ok = "phi=pi" in atlas_pp.ws.excluded
         dt = time.time() - t0
         ok = min(counts) >= 100 and worst < 1e-6 and excluded_ok and dt < 120.0
         _report(5, ok,
@@ -240,7 +239,7 @@ class TestAcceptance:
         ud_all_modes = [n_ud]
         for mode in (WorkingMode(1, -1), WorkingMode(-1, 1), WorkingMode(-1, -1)):
             aspects = w_aspects(atlas_pp.wa, mode)
-            basics = basic_regions(atlas_pp.wa, atlas_pp.ja, aspects, mode)
+            basics = basic_regions(atlas_pp.wa, atlas_pp.ja, atlas_pp.atlas, aspects, mode)
             ud_all_modes.append(len(uniqueness_domains(atlas_pp.wa, basics, mode)))
         dt = atlas_build_seconds + (time.time() - t0)
         ok = (n_w == 2 and all(m == 2 for m in per_mode) and n_q == 2

@@ -143,7 +143,7 @@ class TestCut:
         # the parity rule's premise: an even curve meets phi = pi only where
         # its tphi-leading coefficient vanishes, never at a base sample
         wa = atlas_pp.wa
-        variety = [wa.ws.serial[0], wa.ws.serial[1], wa.ws.parallel, *wa.sc.polynomials]
+        variety = [wa.ws.serial[0], wa.ws.serial[1], wa.ws.parallel, wa.sc]
         lcs = [p.leading_coefficient("tphi").with_vars(("x",)) for p in variety]
         for dec in (wa.dec_sing, wa.dec_fine):
             for s in dec.base_samples:
@@ -156,7 +156,7 @@ class TestCut:
 
     @pytest.mark.parametrize("y0", [Fraction(0), Fraction(2)], ids=["y0=0", "y0=2"])
     def test_matches_post_pass_oracle(self, y0):
-        wa = analyze_workspace(slice_jointspace(slice_workspace(y0, 1, MechanismParams())))
+        wa = analyze_workspace(slice_jointspace(slice_workspace(y0, MechanismParams())))
         assert (wa.graph_sing, wa.graph_fine, wa.graph_fine_sing) == \
             workspace_graphs_by_post_pass(wa)
 
@@ -396,7 +396,7 @@ class TestEdgeInvariance:
         # cells with the same sign vector over its variety
         ws, wa = atlas_pp.ws, atlas_pp.wa
         sing = [ws.serial[0], ws.serial[1], ws.parallel]
-        fine = sing + list(wa.sc.polynomials)
+        fine = sing + [wa.sc]
         g_s = build_graph(wa.dec_sing, sing)
         g_f, g_fs = build_graphs(wa.dec_fine, [fine, sing])
         checked = 0

@@ -31,23 +31,23 @@ CIRCLE = P("u^2+v^2-1")
 
 class TestProjection:
     def test_circle(self):
-        ps = projection_set([CIRCLE], "u", "v")
-        strs = {str(q) for q in ps.p1}
+        _, proj = projection_set([CIRCLE], "u", "v")
+        strs = {str(q) for q in proj}
         assert "u^2 - 1" in strs
 
     def test_two_lines(self):
-        ps = projection_set([P("v-u"), P("v+u")], "u", "v")
-        strs = {str(q) for q in ps.p1}
+        _, proj = projection_set([P("v-u"), P("v+u")], "u", "v")
+        strs = {str(q) for q in proj}
         assert "u" in strs
 
     def test_parabola(self):
-        ps = projection_set([P("v^2-u")], "u", "v")
-        strs = {str(q) for q in ps.p1}
+        _, proj = projection_set([P("v^2-u")], "u", "v")
+        strs = {str(q) for q in proj}
         assert "u" in strs
 
     def test_vertical_line_kept(self):
-        ps = projection_set([P("u-1"), P("v")], "u", "v")
-        strs = {str(q) for q in ps.p1}
+        _, proj = projection_set([P("u-1"), P("v")], "u", "v")
+        strs = {str(q) for q in proj}
         assert "u - 1" in strs
 
     def test_curves_sharing_a_factor(self):
@@ -56,7 +56,7 @@ class TestProjection:
         # u = -1, which must still cut the base line.  The three lines make
         # 7 faces, and (-2, 1), (-1/2, 1) lie in different ones.
         A, B = P("(v-u)*(v+u)"), P("(v-u)*(v-2*u-3)")
-        assert {str(q) for q in projection_set([A, B], "u", "v").p1} == {"u", "u + 1", "u + 3"}
+        assert {str(q) for q in projection_set([A, B], "u", "v")[1]} == {"u", "u + 1", "u + 3"}
         dec = decompose([A, B], "u", "v")
         assert len(components(build_graph(dec, [A, B]))) == 7
         a, b = dec.locate(Fraction(-2), Fraction(1)), dec.locate(Fraction(-1, 2), Fraction(1))
@@ -214,7 +214,7 @@ class TestIntervalEval:
             return got
 
         monkeypatch.setattr(domains, "interval_eval", checked)
-        points = domains.cusp_points(slice_jointspace(slice_workspace(y0, 1, MechanismParams())))
+        points = domains.cusp_points(slice_jointspace(slice_workspace(y0, MechanismParams())))
         # P, P_r and P_u at each candidate box, the Hessian at each point kept
         assert len(boxes) >= 3 * len(points) + len(points) > 0
 
@@ -431,10 +431,10 @@ class TestBaseProduct:
                 polys.append((P("v") - y0) ** 2 + (P("u") - x0) * P("u + v"))
             polys.append(_rand_conic(rng))
             dec = decompose(polys, "u", "v")
-            want = base_product_by_fractions(dec.proj.p1, "u")
+            want = base_product_by_fractions(dec.projection, "u")
             assert dec.base_poly == want and dec.base_poly.var == "u"
             assert _integer_form(dec.base_poly)
-            p1 = [UPoly.from_mpoly(q, "u") for q in dec.proj.p1]
+            p1 = [UPoly.from_mpoly(q, "u") for q in dec.projection]
             shared += any(p1[i].gcd(p1[j]).degree >= 1
                           for i in range(len(p1)) for j in range(i + 1, len(p1)))
         assert shared >= 15, shared
@@ -443,7 +443,7 @@ class TestBaseProduct:
         # disc(v^2 - u) = 4u and res(v^2 - u, v - u) = u^2 - u share u
         from oracles import base_product_by_fractions
         dec = decompose([P("v^2 - u"), P("v - u")], "u", "v")
-        p1 = dec.proj.p1
+        p1 = dec.projection
         a, b = (UPoly.from_mpoly(q, "u") for q in p1)
         assert len(p1) == 2 and a.gcd(b) == UPoly([0, 1], "u")
         assert dec.base_poly == base_product_by_fractions(p1, "u") == UPoly([0, -1, 1], "u")
@@ -452,7 +452,7 @@ class TestBaseProduct:
         from oracles import base_product_by_fractions
         for dec in (atlas_pp.wa.dec_sing, atlas_pp.wa.dec_fine, atlas_pp.ja.dec):
             assert dec.base_poly.degree >= 1
-            assert dec.base_poly == base_product_by_fractions(dec.proj.p1, dec.base_var)
+            assert dec.base_poly == base_product_by_fractions(dec.projection, dec.base_var)
 
 
 class TestScalarResultant:

@@ -93,11 +93,13 @@ class TestSolve:
         ('{"l2": "1e400"}', ["--ik", "1,1/2,0"]),
         ('{"l2": 1e400}', ["--dk", "1,1,1"]),
         ('{"b": -Infinity}', ["--ik", "1,1/2,0"]),
+        ('{"l2": true}', ["--ik", "1,0.5,0"]),
         (None, ["--ik", "1,1/2,0", "--mode", "1,2"]),
         (None, ["--ik", "1,1/2,0", "--mode", "1"]),
         (None, ["--ik", "1,1/2,0", "--mode", "a,b"]),
     ], ids=["malformed-json", "list-length", "zero-denominator", "array-config",
             "length-too-large-for-a-float", "json-number-beyond-float-range", "json-infinity",
+            "length-bool",
             "mode-sign", "mode-arity", "mode-not-int"])
     def test_bad_config_exit_2(self, config, args, config_file, tmp_path, capsys):
         if config is not None:
@@ -259,9 +261,10 @@ class TestCheckTrajectory:
         {"y": "1/2", "mode": [True, 1], "waypoints": [["-1", "1"], ["0", "1/2"]]},
         {"y": "1/2", "mode": ["1", -1], "waypoints": [["-1", "1"], ["0", "1/2"]]},
         {"y": "1/2", "mode": [1, 1.0], "waypoints": [["-1", "1"], ["0", "1/2"]]},
+        {"y": True, "mode": [1, 1], "waypoints": [["-1", "1"], ["0", "1/2"]]},
     ], ids=["array", "y-list", "waypoints-int", "waypoint-arity", "zero-denominator",
             "mode-three-entries", "waypoint-three-coordinates", "mode-float", "mode-bool",
-            "mode-string", "mode-integral-float"])
+            "mode-string", "mode-integral-float", "y-bool"])
     def test_bad_trajectory_exit_2(self, traj, config_file, tmp_path, capsys):
         tf = tmp_path / "bad_traj.json"
         tf.write_text(json.dumps(traj))
@@ -304,7 +307,7 @@ class TestCurvePoints:
         from kinatlas.svg import curve_points
         from oracles import fiber_roots_by_eval
         curves = [(p, "x", "tphi", Fraction(-5), Fraction(5))
-                  for p in (atlas_pp.ws.parallel, *atlas_pp.ws.serial, *atlas_pp.wa.sc.polynomials)]
+                  for p in (atlas_pp.ws.parallel, *atlas_pp.ws.serial, atlas_pp.wa.sc)]
         curves.append((atlas_pp.js.parallel_ru, "r", "u", Fraction(0), Fraction(16)))
         points = 0
         for poly, xv, yv, lo, hi in curves:
@@ -320,7 +323,7 @@ class TestCurvePoints:
 class TestJointPlot:
     def test_q_slice_plot_renders(self, atlas_pp):
         from kinatlas.cli import _plot_slice
-        out = _plot_slice(atlas_pp, "Q", None, 40)
+        out = _plot_slice(atlas_pp, "Q", (0.0, 5.0, -math.pi, math.pi), 40)
         assert out.startswith("<svg") and out.rstrip().endswith("</svg>")
         assert "circle" in out  # cusp markers present
 

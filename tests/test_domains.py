@@ -8,11 +8,11 @@ import pytest
 from kinatlas.ratpoly import MPoly, UPoly, squarefree_total
 from kinatlas.realroots import isolate
 from kinatlas.mechanism import (
-    MechanismParams, WorkingMode, dk_count_chart, rationalize, PHI_ANGLE,
+    MechanismParams, WorkingMode, dk_count_chart, rationalize,
     inverse_kinematics, Pose, slice_jointspace, slice_workspace,
 )
 from kinatlas.domains import (
-    w_aspects, q_aspects, basic_regions, uniqueness_domains, cusp_points,
+    w_aspects, q_aspects, basic_regions, count_atlas, uniqueness_domains, cusp_points,
     BasicRegion, DomainError, JointAnalysis, RegionSet, WorkspaceAnalysis,
 )
 from kinatlas.adjacency import AdjacencyGraph, build_graph, components
@@ -29,10 +29,12 @@ _R = MPoly.var("r", ("r", "c3"))
 def _toy_slice(fine_variety, joint_variety):
     """A workspace whose fine cells are x < 0 and x > 0 (one aspect, every
     cell reachable) and a joint chart whose cells are r < 0 and r > 0, with
-    the chart image (x, tphi) -> (r, c3) = (x, tphi).  The varieties given
+    the chart image (x, tphi) -> (r, c3) = (x, tphi) and one pose over each
+    chart point (leg-1 fibre tphi, for `count_atlas`).  The varieties given
     decide which cells are adjacent on each side."""
     ws = SimpleNamespace(parallel=MPoly.const(1, ("x", "tphi")),
-                         ik_count=lambda x, t: 4, chart_image=lambda x, t: (x, t))
+                         ik_count=lambda x, t: 4, chart_image=lambda x, t: (x, t),
+                         fibre=MPoly.var("tphi", ("tphi", "r", "c3")))
     dec_sing = decompose([], "x", "tphi")
     dec_fine = decompose([_X], "x", "tphi")
     wa = WorkspaceAnalysis(ws=ws, sc=None, dec_sing=dec_sing,
@@ -70,7 +72,7 @@ class TestCounts:
         # counts are label-independent across modes (same cells)
         mode = WorkingMode(-1, -1)
         aspects = w_aspects(atlas_pp.wa, mode)
-        basics = basic_regions(atlas_pp.wa, atlas_pp.ja, aspects, mode)
+        basics = basic_regions(atlas_pp.wa, atlas_pp.ja, atlas_pp.atlas, aspects, mode)
         uds = uniqueness_domains(atlas_pp.wa, basics, mode)
         assert len(uds) == 4
 
@@ -122,17 +124,16 @@ class TestAspects:
 class TestCharacteristicSurface:
     def test_matches_reference_quartic(self, atlas_pp, sc_quartic):
         qy = sc_quartic.eval({"y": Fraction(1, 2)})
-        qr, _ = rationalize(qy, PHI_ANGLE)
-        qr = qr.with_vars(("x", "tphi")).canonical()
-        ours = atlas_pp.wa.sc.polynomials[0].with_vars(("x", "tphi")).canonical()
+        qr = rationalize(qy).with_vars(("x", "tphi")).canonical()
+        ours = atlas_pp.wa.sc.with_vars(("x", "tphi")).canonical()
         assert ours == qr
 
     def test_excluded_set_recorded(self, atlas_pp):
-        assert "phi=pi" in atlas_pp.wa.sc.excluded
+        assert "phi=pi" in atlas_pp.ws.excluded
 
     def test_forward_images_on_joint_curve(self, atlas_pp):
         # sampled points of S_c map into the projected parallel curve
-        sc = atlas_pp.wa.sc.polynomials[0]
+        sc = atlas_pp.wa.sc
         prc = atlas_pp.js.parallel_rc
         hits = 0
         xs = [Fraction(n, 16) for n in range(-40, 40)]
@@ -201,10 +202,26 @@ class TestBasicRegions:
         basic = sorted(sorted(b.region.cells) for b in atlas.basics)
         assert basic == counted, (len(basic), len(counted))
 
+    def test_one_enumeration_per_build(self, monkeypatch):
+        # the fine partition is enumerated once, by count_atlas, and every
+        # component of each workspace graph takes one ik_count
+        from kinatlas import domains
+        from kinatlas.mechanism import WorkspaceSlice
+        ik_calls, comp_calls = [], []
+        ik_count, comps = WorkspaceSlice.ik_count, domains.components
+        monkeypatch.setattr(WorkspaceSlice, "ik_count",
+                            lambda ws, x, t: ik_calls.append((x, t)) or ik_count(ws, x, t))
+        monkeypatch.setattr(domains, "components",
+                            lambda g: comp_calls.append(g) or comps(g))
+        atlas = domains.SliceAtlas.build(PARAMS, Fraction(1, 2), MODE)
+        wa = atlas.wa
+        assert len(ik_calls) == len(comps(wa.graph_sing)) + len(comps(wa.graph_fine)) == 16
+        assert sum(g is wa.graph_fine for g in comp_calls) == 1
+
     def test_region_spanning_two_joint_components_raises(self):
         wa, ja, aspects = _toy_slice(fine_variety=[], joint_variety=[_R])
         with pytest.raises(DomainError, match=r"WAb_pp_1_1 .*\[0, 1\]"):
-            basic_regions(wa, ja, aspects, MODE)
+            basic_regions(wa, ja, count_atlas(wa), aspects, MODE)
 
 
 class TestUniqueness:
@@ -286,7 +303,7 @@ class TestUniquenessEnumeration:
     def test_reference_slice_matches_brute_force_in_every_mode(self, atlas_pp):
         for mode in WorkingMode.all_modes():
             aspects = w_aspects(atlas_pp.wa, mode)
-            basics = basic_regions(atlas_pp.wa, atlas_pp.ja, aspects, mode)
+            basics = basic_regions(atlas_pp.wa, atlas_pp.ja, atlas_pp.atlas, aspects, mode)
             got = uniqueness_domains(atlas_pp.wa, basics, mode)
             want = _oracle_domains(basics, atlas_pp.wa.graph_fine_sing.edges)
             assert len(got) == 4, mode.label
@@ -297,7 +314,7 @@ class TestUniquenessEnumeration:
         # r > 0 of one joint component: they share that component, so no
         # domain holds both (disjoint joint *cell* sets would have merged them)
         wa, ja, aspects = _toy_slice(fine_variety=[_X], joint_variety=[])
-        basics = basic_regions(wa, ja, aspects, MODE)
+        basics = basic_regions(wa, ja, count_atlas(wa), aspects, MODE)
         assert [b.components for b in basics] == [frozenset({0})] * 2
         images = [{ja.dec.locate(*c.sample) for c in wa.dec_fine.cells if c.id in b.region.cells}
                   for b in basics]
@@ -337,12 +354,12 @@ class TestCusps:
                        "2^-40 box leaves the Hessian sign undecided a cusp")
     @pytest.mark.parametrize("y0", [Fraction(29, 10), Fraction(299, 100)])
     def test_four_cusps_and_two_nodes_at_the_default_width(self, y0):
-        js = slice_jointspace(slice_workspace(y0, 1, PARAMS))
+        js = slice_jointspace(slice_workspace(y0, PARAMS))
         assert sorted(p.kind for p in cusp_points(js)) == ["cusp"] * 4 + ["node"] * 2
 
     @pytest.mark.parametrize("y0", [Fraction(29, 10), Fraction(299, 100)])
     def test_four_cusps_and_two_nodes_at_width_2_to_the_minus_80(self, y0):
-        js = slice_jointspace(slice_workspace(y0, 1, PARAMS))
+        js = slice_jointspace(slice_workspace(y0, PARAMS))
         points = cusp_points(js, Fraction(1, 1 << 80))
         assert sorted(p.kind for p in points) == ["cusp"] * 4 + ["node"] * 2
 
@@ -353,11 +370,11 @@ class TestCusps:
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: cusp_points labels every "
                        "point whose 2^-40 box leaves the Hessian sign undecided a cusp")
     def test_two_isolated_points_at_the_default_width(self):
-        js = slice_jointspace(slice_workspace(Fraction(15, 8), 1, self._ISOLATED))
+        js = slice_jointspace(slice_workspace(Fraction(15, 8), self._ISOLATED))
         assert [p.kind for p in cusp_points(js)] == ["isolated"] * 2
 
     def test_two_isolated_points_at_width_2_to_the_minus_80(self):
-        js = slice_jointspace(slice_workspace(Fraction(15, 8), 1, self._ISOLATED))
+        js = slice_jointspace(slice_workspace(Fraction(15, 8), self._ISOLATED))
         points = cusp_points(js, Fraction(1, 1 << 80))
         assert [p.kind for p in points] == ["isolated"] * 2
         assert [(round(r, 4), u) for r, u in (p.center() for p in points)] == \
@@ -376,7 +393,7 @@ class TestCusps:
         ids=["ref", "y0_0", "y0_2", "geom2", "y0_29_10", "y0_299_100", "isolated"])
     def test_eliminants_in_w_have_the_squarefree_parts_of_those_in_u(self, params, y0):
         from kinatlas.domains import _cusp_eliminants
-        js = slice_jointspace(slice_workspace(y0, 1, params))
+        js = slice_jointspace(slice_workspace(y0, params))
         got = _cusp_eliminants(js.parallel_ru.with_vars(("r", "u")))
         want = cusp_eliminants_in_u(js)
         for g, w, v in zip(got, want, ("r", "u")):
@@ -403,7 +420,7 @@ class TestCusps:
         vs = ("r", "u")
         r, u = MPoly.var("r", vs), MPoly.var("u", vs)
         curve = (r - 2) ** 2 + u ** 4 - 3 * u ** 2 + u ** 3 - 1
-        js = JointSlice(ws=slice_workspace(Fraction(1, 2), 1, PARAMS),
+        js = JointSlice(ws=slice_workspace(Fraction(1, 2), PARAMS),
                         parallel_rc=_R, parallel_ru=curve, serial_rc=())
         with pytest.raises(DomainError, match=r"not even in u: .*u\^3"):
             cusp_points(js)
@@ -414,7 +431,7 @@ class TestCusps:
         vs = ("r", "u")
         circle = MPoly.var("r", vs) ** 2 + MPoly.var("u", vs) ** 2 - 1
         rc = (MPoly.var("r", ("r", "c3")) ** 2 + MPoly.var("c3", ("r", "c3")) ** 2 - 1)
-        js = JointSlice(ws=slice_workspace(Fraction(1, 2), 1, PARAMS),
+        js = JointSlice(ws=slice_workspace(Fraction(1, 2), PARAMS),
                         parallel_rc=rc, parallel_ru=circle, serial_rc=())
         assert cusp_points(js) == []
 
@@ -422,7 +439,7 @@ class TestCusps:
         # workspace intersections of S_c with the parallel curve map onto
         # the cusps (within 1e-6)
         ws = atlas_pp.ws
-        sc = atlas_pp.wa.sc.polynomials[0]
+        sc = atlas_pp.wa.sc
         pw = ws.parallel
         from kinatlas.cad2d import resultant_bivar
         rx = resultant_bivar(sc.with_vars(("x", "tphi")), pw.with_vars(("x", "tphi")),

@@ -421,7 +421,7 @@ class TestInterpolatedResultant:
         from kinatlas.mechanism import MechanismParams, project_parallel_to_joint, slice_workspace
         calls = []
         monkeypatch.setattr(mechanism, "resultant", _counting(resultant, calls))
-        project_parallel_to_joint(slice_workspace(Fraction(1, 2), 1, MechanismParams()))
+        project_parallel_to_joint(slice_workspace(Fraction(1, 2), MechanismParams()))
         (p, q, var), = calls
         assert set(p.live_vars()) | set(q.live_vars()) == {"tphi", "r", "c3"}
         assert resultant(p, q, var) == resultant_prs(p, q, var)

@@ -21,6 +21,11 @@ No parameter of a package function or method defaults to `None` unless
 `NONE_DEFAULTS` names it with a reason: a derived value has one owner that
 computes it, not a cache parameter that trusts its caller to pass the
 right one.
+
+Every field of a package dataclass must be read, by an `Attribute` node
+that loads it, somewhere in the package (its own class's methods
+included), unless `UNREAD_FIELDS` names it with a reason: a record keeps
+only what something reads.  Fields are matched by name, as definitions are.
 """
 
 import ast
@@ -240,3 +245,59 @@ def test_none_default_guard_flags_functions_methods_and_keywords():
                      "    @staticmethod\n    def s(z=None):\n        pass\n")
     assert _none_defaults(tree, "mod") == [
         "mod.f(b)", "mod.f(c)", "mod.f.g(e)", "mod.K.m(x)", "mod.K.s(z)"]
+
+
+# dataclass fields that no `Attribute` node of the package reads, each
+# with its reason
+UNREAD_FIELDS = {
+    "domains.BasicRegion.aspect_label": "the partition test groups basic regions by aspect",
+    "domains.SliceAtlas.ja": "tests inspect the joint analysis a build made",
+    "mechanism.WorkspaceSlice.excluded": "acceptance criterion 5 reads the excluded pose phi = pi",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def _unread_fields(tree: ast.Module, stem: str, reads: set[str]) -> list[str]:
+    """'module.Class.field' for each field of a dataclass in `tree` whose
+    name is not in `reads`, the attributes that some `Attribute` node
+    loads; a write (`a.x = ...`) is no read."""
+    return [f"{stem}.{node.name}.{stmt.target.id}" for node in tree.body
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in reads]
+
+
+def _attribute_reads(trees) -> set[str]:
+    return {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _all_unread_fields() -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    reads = _attribute_reads(trees.values())
+    return [f for stem, tree in trees.items() for f in _unread_fields(tree, stem, reads)]
+
+
+def test_every_field_is_read():
+    unread = [f for f in _all_unread_fields() if f not in UNREAD_FIELDS]
+    assert not unread, f"dataclass fields that src/kinatlas never reads: {unread}"
+
+
+def test_unread_field_allowlist_is_current():
+    stale = set(UNREAD_FIELDS) - set(_all_unread_fields())
+    assert not stale, f"allowlist entries that are gone or now read: {sorted(stale)}"
+
+
+def test_unread_field_guard_flags_unread_and_written_fields():
+    tree = ast.parse("from dataclasses import dataclass\n"
+                     "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n    z: int = 0\n"
+                     "    def f(self):\n        return self.y\n"
+                     "class B:\n    w: int\n"
+                     "def g(a, b):\n    a.z = 1\n    return a.x\n")
+    assert _unread_fields(tree, "m", _attribute_reads([tree])) == ["m.A.z"]

@@ -62,6 +62,14 @@ class TestTrajectoryBasics:
         assert t.waypoints == FIG10
         assert t.mode == WorkingMode(1, 1)
 
+    def test_json_values_read_as_written(self):
+        t = Trajectory.from_json({"y": 0.1, "mode": [1, 1],
+                                  "waypoints": [[0.1, "1"], ["0", 0.5]]})
+        assert t.y0 == Fraction(1, 10) and t.waypoints == ((0.1, 1.0), (0.0, 0.5))
+        with pytest.raises(ValueError):
+            Trajectory.from_json({"y": True, "mode": [1, 1],
+                                  "waypoints": [["-1", "1"], ["0", "1/2"]]})
+
     def test_float_y0_is_not_compared(self):
         t = _traj()
         assert t.y0_float == 0.5 and t.pose_at(0.3).y == 0.5
