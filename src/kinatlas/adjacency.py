@@ -11,8 +11,10 @@ pair, a sign change of the polynomial's squarefree fibre between the two
 samples; across a base root, a zero on the witness segment; across the
 cut, an odd fiber degree.  The graph of each variety is then a filter
 that keeps the candidates none of its own polynomials block.  Curves are
-bound by `cad2d.bind`, witness roots ordered and sampled by a
-`realroots.RootMerge`, and every test is an exact `realroots` sign or count.
+bound by `cad2d.bind`.  A witness fibre is asked of the decomposition
+curve by curve (`Decomposition.roots_at`), the two fibres of a base root
+are ordered and sampled by one `realroots.RootMerge`, and every test is an
+exact `realroots` sign or count.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from .ratpoly import MPoly
 from .realroots import (
     NEG_INF, POS_INF, IsolatingInterval, RealRootError, RootMerge, UnorderedRootsError,
-    has_root_in, isolate_squarefree, sign_at,
+    has_root_in, sign_at,
 )
 from .cad2d import Decomposition, bind, int_rows
 
@@ -70,7 +72,10 @@ def components(g: AdjacencyGraph) -> list[set[int]]:
 
 
 def _roots_at(dec: Decomposition, w: Fraction, col: list, where: str) -> list[IsolatingInterval]:
-    roots = isolate_squarefree(dec.fiber_product(w))
+    try:
+        roots = dec.roots_at(w)
+    except RealRootError as e:
+        raise AdjacencyError(f"{where}, witness {w}: {e}") from e
     if len(roots) != len(col) - 1:
         raise AdjacencyError(
             f"{where}, cells {col[0].id}..{col[-1].id}: delineability violated at "

@@ -3,14 +3,16 @@
 Given a set of curves, the base line is cut at the roots of the projection
 polynomials (discriminants, leading coefficients, pairwise resultants,
 vertical-line contents) and each resulting open interval is lifted through
-the real roots of the specialized curve product.  The base product and
-every fibre product are one integer squarefree lcm (`_squarefree_lcm`), a
-`UPoly` isolated without a second squarefree step.  A curve's integer rows
-(`int_rows`) are built once per curve and direction and bound at a point
-by integer Horner (`bind`); a `Decomposition` keeps its curves' rows and
-binds them for each fibre product asked of it.  `projection_set` gives the
-normalized curves and their projection, canonical `MPoly`s that a
-`Decomposition` keeps.  Only full-dimensional cells are produced.
+the real roots of the specialized curve product.  `projection_set` gives
+the normalized curves, the same made pairwise coprime (its parts) and
+their projection.  A `Decomposition` keeps the parts' integer rows
+(`int_rows`, bound at a point by integer Horner, `bind`).  The base
+product and each base sample's fibre product are one integer squarefree
+lcm (`_squarefree_lcm`), isolated without a second squarefree step.
+Other fibres are asked part by part: `roots_at` isolates each bound part
+alone and orders the lists by `RootMerge`s, and `locate` adds up
+per-part root counts, so no two curves' roots are bisected apart inside
+one product.  Only full-dimensional cells are produced.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .ratpoly import (
     int_poly_gcd, _int_primitive, _poly_mul, _poly_quo,
 )
 from .realroots import (
-    NEG_INF, POS_INF, IsolatingInterval,
+    NEG_INF, POS_INF, IsolatingInterval, RealRootError, RootMerge,
     isolate_squarefree, count_roots, roots_below, sample_between, sign_at, _horner,
 )
 
@@ -69,7 +71,7 @@ class Decomposition:
     base_var: str
     fiber_var: str
     polys: list[MPoly]                     # the curves, squarefree and deduplicated
-    rows: list[list[list[int]]]            # int_rows(p, fiber_var, base_var) per curve
+    rows: list[list[list[int]]]            # int_rows(p, fiber_var, base_var), p the coprime parts
     projection: list[MPoly]                # polynomials in base_var, from projection_set
     base_poly: UPoly
     base_roots: list[IsolatingInterval]
@@ -81,17 +83,45 @@ class Decomposition:
 
     def fiber_product(self, x0: Fraction) -> UPoly:
         """Squarefree part of the product of the curves bound at
-        base_var = x0: `_squarefree_lcm` of their rows bound by `_bind_int`."""
+        base_var = x0: `_squarefree_lcm` of the rows bound by `_bind_int`."""
         a, b = x0.as_integer_ratio()
         return _squarefree_lcm([_bind_int(r, a, b) for r in self.rows], self.fiber_var,
                                f" at {x0}")
+
+    def _fibres(self, x0: Fraction) -> list[tuple[int, UPoly]]:
+        """(index, part bound at base_var = x0) of each coprime part that
+        is no constant there."""
+        a, b = x0.as_integer_ratio()
+        bound = (UPoly(_bind_int(r, a, b), self.fiber_var) for r in self.rows)
+        return [(n, f) for n, f in enumerate(bound) if f.degree > 0]
+
+    def roots_at(self, x0: Fraction) -> list[IsolatingInterval]:
+        """The real fibre roots at base_var = x0, a rational that is no
+        base root, increasing, each isolated on its own part's bound
+        polynomial, which is squarefree and coprime to the others there;
+        `RootMerge`s fold the lists into one.  A part that is not
+        squarefree makes the Descartes walk raise, and two that share a
+        root raise `RealRootError` naming x0 and both curve indices."""
+        roots, owner = [], []     # the roots so far and the curve of each
+        for n, f in self._fibres(x0):
+            more = isolate_squarefree(f)
+            merge = RootMerge(roots, more)
+            ranks = merge.ranks1 + merge.ranks2
+            merged: list = [None] * len(ranks)
+            for r, iv, m in zip(ranks, roots + more, owner + [n] * len(more)):
+                if merged[r - 1]:
+                    raise RealRootError(f"curves {merged[r - 1][1]} and {n} share a fibre "
+                                        f"root at {self.base_var} = {x0}")
+                merged[r - 1] = iv, m
+            roots, owner = [iv for iv, _ in merged], [m for _, m in merged]
+        return roots
 
     def locate(self, px: Fraction, py: Fraction) -> int | None:
         """Cell id containing the rational point; None on the variety or a
         projection boundary.  The base index counts the isolated base roots
         below px (`roots_below`, px being no base root, as an exact integer
-        sign test says first); the fibre index counts the roots of the fibre
-        product at px below py (`count_roots`, one Descartes walk)."""
+        sign test says first); the fibre index adds up the roots below py of
+        the parts bound at px (`count_roots`), none of which vanishes at py."""
         px, py = Fraction(px), Fraction(py)
         if self.base_poly.degree > 0:
             if sign_at(self.base_poly, px) == 0:
@@ -99,10 +129,10 @@ class Decomposition:
             k1 = roots_below(self.base_roots, px)
         else:
             k1 = 0
-        f = self.fiber_product(px)
-        if f.degree > 0 and sign_at(f, py) == 0:
+        fibres = [f for _, f in self._fibres(px)]
+        if any(sign_at(f, py) == 0 for f in fibres):
             return None
-        k2 = count_roots(f, NEG_INF, py) if f.degree > 0 else 0
+        k2 = sum(count_roots(f, NEG_INF, py) for f in fibres)
         for c in self.columns[k1]:
             if c.fiber_index == k2:
                 return c.id
@@ -132,11 +162,15 @@ def _normalize_input(polys, base_var: str, fiber_var: str) -> list[MPoly]:
     return out
 
 
-def projection_set(p2, base_var: str, fiber_var: str) -> tuple[list[MPoly], list[MPoly]]:
-    """(curves, projection): p2's curves, squarefree and deduplicated, and
-    their discriminants, leading coefficients, contents and pairwise
-    resultants in the fiber variable, squarefree and unique up to constants."""
+def projection_set(p2, base_var: str, fiber_var: str) -> tuple[list[MPoly], ...]:
+    """(curves, parts, projection): p2's curves, squarefree and
+    deduplicated; the same made pairwise coprime, each divided by its gcd
+    with the parts before it that share a factor, which their vanishing
+    resultant tells; and their discriminants, leading coefficients,
+    contents and pairwise resultants in the fiber variable, squarefree and
+    unique up to constants."""
     polys = _normalize_input(p2, base_var, fiber_var)
+    parts = list(polys)
     p1_m: list[MPoly] = []
 
     def push(q: MPoly):
@@ -147,11 +181,11 @@ def projection_set(p2, base_var: str, fiber_var: str) -> tuple[list[MPoly], list
             p1_m.append(q)
 
     fiber_polys = []
-    for p in polys:
+    for n, p in enumerate(polys):
         if p.degree(fiber_var) == 0:
             push(p)  # vertical lines project to themselves
             continue
-        fiber_polys.append(p)
+        fiber_polys.append(n)
         prim, cont = p.primitive_and_content_in(fiber_var)
         if not cont.is_constant():
             push(cont)
@@ -160,9 +194,9 @@ def projection_set(p2, base_var: str, fiber_var: str) -> tuple[list[MPoly], list
             push(lc)
         if prim.degree(fiber_var) >= 2:
             push(discriminant_bivar(prim, fiber_var, base_var))
-    for i in range(len(fiber_polys)):
-        for j in range(i + 1, len(fiber_polys)):
-            p, q = fiber_polys[i], fiber_polys[j]
+    for a, i in enumerate(fiber_polys):
+        for j in fiber_polys[a + 1:]:
+            p, q = polys[i], polys[j]
             r = resultant_bivar(p, q, fiber_var, base_var)
             if r.is_zero():
                 # a shared factor g: the cofactors' crossings (g's lie in the
@@ -171,8 +205,10 @@ def projection_set(p2, base_var: str, fiber_var: str) -> tuple[list[MPoly], list
                 p, q = exact_div(p, g), exact_div(q, g)
                 if min(p.degree(fiber_var), q.degree(fiber_var)) >= 1:
                     r = resultant_bivar(p, q, fiber_var, base_var)
+                # part i is final, as every pair (h, i) came first
+                parts[j] = exact_div(parts[j], mgcd(parts[j], parts[i]))
             push(r)
-    return polys, p1_m
+    return polys, parts, p1_m
 
 
 def resultant_bivar(p: MPoly, q: MPoly, elim: str, keep: str) -> MPoly:
@@ -252,14 +288,14 @@ def _squarefree_lcm(curves: list[list[int]], var: str, where: str = "") -> UPoly
 
 def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:
     """Full-dimensional cells of the open CAD adapted to the curve set."""
-    polys, projection = projection_set(p2, base_var, fiber_var)
+    polys, parts, projection = projection_set(p2, base_var, fiber_var)
     base = _squarefree_lcm([list(UPoly.from_mpoly(q, base_var).coeffs) for q in projection],
                            base_var)
     base_roots = isolate_squarefree(base)
     bounds = [NEG_INF, *base_roots, POS_INF]
     dec = Decomposition(
         base_var=base_var, fiber_var=fiber_var, polys=polys,
-        rows=[int_rows(p, fiber_var, base_var) for p in polys], projection=projection,
+        rows=[int_rows(p, fiber_var, base_var) for p in parts], projection=projection,
         base_poly=base, base_roots=base_roots,
         base_samples=[sample_between(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
         fiber_products=[], fiber_roots=[], cells=[], columns=[],

@@ -79,7 +79,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from kinatlas import adjacency
+from kinatlas import adjacency, realroots
 from kinatlas.adjacency import AdjacencyError, AdjacencyGraph, build_graph, build_graphs
 from kinatlas.cad2d import CadError, bind, int_rows
 from kinatlas.mechanism import (
@@ -845,6 +845,14 @@ def specialize_product_whole(polys, base_var: str, fiber_var: str, x0) -> UPoly:
         if u.degree >= 1:
             acc = upoly_mul(acc, u.squarefree())
     return acc.squarefree() if acc.degree >= 1 else acc
+
+
+def roots_at_by_product(dec, x0) -> list[IsolatingInterval]:
+    """`Decomposition.roots_at` by the route the witness fibres once took:
+    one isolation of the squarefree product of the curves bound at x0.
+    `realroots.isolate_squarefree` is looked up at each call, so a test's
+    monkeypatch sees it."""
+    return realroots.isolate_squarefree(dec.fiber_product(Fraction(x0)))
 
 
 def gcd_prs(p: UPoly, q: UPoly) -> UPoly:

@@ -357,6 +357,49 @@ class TestWitnessPair:
         assert self._check(decompose([P("u^2+v^2-1"), P("2*v-u")], "u", "v")) >= 2
 
 
+class TestWitnessFibres:
+    def test_reference_build_asks_them_curve_by_curve(self, monkeypatch):
+        """The 78 witness fibres of a reference build (y = 1/2, mode ++)
+        take at most 2,000 splits of the Descartes walk, isolated curve by
+        curve (`Decomposition.roots_at`); isolated on the curves' product,
+        which bisects two curves' crossing apart some 40 levels deep, they
+        took 4,473.  Only the base samples of `decompose` take a fibre
+        product: adjacency and `locate` take none."""
+        import kinatlas.adjacency as adjacency
+        import kinatlas.realroots as realroots
+        from kinatlas.cad2d import Decomposition
+        from kinatlas.domains import SliceAtlas
+        from kinatlas.mechanism import WorkingMode
+        inside, splits, fibres, products = [False], [0], [0], [0]
+        split, roots_at, fiber_product = (realroots._split, adjacency._roots_at,
+                                          Decomposition.fiber_product)
+
+        def counted_split(b):
+            splits[0] += inside[0]
+            return split(b)
+
+        def counted_roots_at(*args):
+            inside[0] = True
+            fibres[0] += 1
+            try:
+                return roots_at(*args)
+            finally:
+                inside[0] = False
+
+        def counted_product(dec, x0):
+            products[0] += 1
+            return fiber_product(dec, x0)
+
+        monkeypatch.setattr(realroots, "_split", counted_split)
+        monkeypatch.setattr(adjacency, "_roots_at", counted_roots_at)
+        monkeypatch.setattr(Decomposition, "fiber_product", counted_product)
+        atlas = SliceAtlas.build(MechanismParams(), Fraction(1, 2), WorkingMode(1, 1))
+        decs = (atlas.wa.dec_sing, atlas.wa.dec_fine, atlas.ja.dec)
+        assert fibres[0] == 2 * sum(len(dec.base_roots) for dec in decs) == 78
+        assert 0 < splits[0] <= 2000, splits[0]
+        assert products[0] == sum(len(dec.columns) for dec in decs)
+
+
 class TestHorizontalCrossing:
     def test_matches_segment_oracle_random_conics(self):
         # p(u, c) on [w1, w2] by the pass's specialised test against the

@@ -31,22 +31,22 @@ CIRCLE = P("u^2+v^2-1")
 
 class TestProjection:
     def test_circle(self):
-        _, proj = projection_set([CIRCLE], "u", "v")
+        *_, proj = projection_set([CIRCLE], "u", "v")
         strs = {str(q) for q in proj}
         assert "u^2 - 1" in strs
 
     def test_two_lines(self):
-        _, proj = projection_set([P("v-u"), P("v+u")], "u", "v")
+        *_, proj = projection_set([P("v-u"), P("v+u")], "u", "v")
         strs = {str(q) for q in proj}
         assert "u" in strs
 
     def test_parabola(self):
-        _, proj = projection_set([P("v^2-u")], "u", "v")
+        *_, proj = projection_set([P("v^2-u")], "u", "v")
         strs = {str(q) for q in proj}
         assert "u" in strs
 
     def test_vertical_line_kept(self):
-        _, proj = projection_set([P("u-1"), P("v")], "u", "v")
+        *_, proj = projection_set([P("u-1"), P("v")], "u", "v")
         strs = {str(q) for q in proj}
         assert "u - 1" in strs
 
@@ -56,7 +56,7 @@ class TestProjection:
         # u = -1, which must still cut the base line.  The three lines make
         # 7 faces, and (-2, 1), (-1/2, 1) lie in different ones.
         A, B = P("(v-u)*(v+u)"), P("(v-u)*(v-2*u-3)")
-        assert {str(q) for q in projection_set([A, B], "u", "v")[1]} == {"u", "u + 1", "u + 3"}
+        assert {str(q) for q in projection_set([A, B], "u", "v")[2]} == {"u", "u + 1", "u + 3"}
         dec = decompose([A, B], "u", "v")
         assert len(components(build_graph(dec, [A, B]))) == 7
         a, b = dec.locate(Fraction(-2), Fraction(1)), dec.locate(Fraction(-1, 2), Fraction(1))
@@ -674,9 +674,10 @@ class TestLocateOracle:
         assert exact >= 4 and straddled >= 7 * 25
 
     def test_seeded_points_take_no_squarefree_part(self, atlas_pp, monkeypatch):
-        """The fibre product `locate` counts on is squarefree already, so
-        locating takes no squarefree part, at seeded rational points
-        across the reference fine decomposition."""
+        """The bound curves `locate` counts on are squarefree already, so
+        locating takes no squarefree part and builds no fibre product, at
+        seeded rational points across the reference fine decomposition."""
+        from kinatlas.cad2d import Decomposition
         from oracles import locate_by_sturm
         dec = atlas_pp.wa.dec_fine
         rng = random.Random(300)
@@ -687,6 +688,7 @@ class TestLocateOracle:
         taken = []
         squarefree = UPoly.squarefree
         monkeypatch.setattr(UPoly, "squarefree", lambda f: taken.append(f) or squarefree(f))
+        monkeypatch.setattr(Decomposition, "fiber_product", lambda *a: taken.append(a))
         got = [dec.locate(*p) for p in points]
         assert not taken
         monkeypatch.undo()
@@ -703,3 +705,73 @@ class TestLocateOracle:
                 assert dec.locate(px, py) == locate_by_sturm(dec, px, py)
                 if iv.is_exact():
                     assert dec.locate(px, py) is None
+
+
+class TestRootsAt:
+    """`Decomposition.roots_at` isolates each coprime part's fibre alone
+    and merges the lists; `oracles.roots_at_by_product` isolates their
+    product, the route the adjacency witnesses once took."""
+
+    @pytest.mark.parametrize("case", ["ref", "y0_2", "geom2"])
+    def test_every_witness_of_the_atlas_passes(self, case, atlas_pp):
+        from kinatlas.adjacency import _witnesses, build_graphs
+        from kinatlas.domains import SliceAtlas
+        from kinatlas.mechanism import MechanismParams, WorkingMode
+        from kinatlas.realroots import RootMerge
+        from oracles import atlas_passes, graphs_by_ladder, roots_at_by_product
+        geom2 = MechanismParams(l2=Fraction(2), l3=Fraction(5, 2), a=Fraction(1, 2),
+                                b=Fraction(3, 2))
+        atlas = atlas_pp if case == "ref" else SliceAtlas.build(
+            geom2 if case == "geom2" else MechanismParams(),
+            Fraction(2) if case == "y0_2" else Fraction(1, 2), WorkingMode(1, 1))
+        n = merged = 0
+        for dec, varieties, wrap, graphs in atlas_passes(atlas):
+            assert build_graphs(dec, varieties, wrap) == graphs
+            assert graphs_by_ladder(dec, varieties, wrap) == graphs
+            for j in range(len(dec.base_roots)):
+                for w in _witnesses(dec, j):
+                    got, want = dec.roots_at(w), roots_at_by_product(dec, w)
+                    merge = RootMerge(got, want)
+                    ranks = list(range(1, len(want) + 1))
+                    assert merge.ranks1 == merge.ranks2 == ranks, (case, j, w)
+                    merged += len({iv.polynomial for iv in got}) >= 2
+                    n += 1
+        assert n >= 40 and merged >= n // 2, (n, merged)
+
+    def test_curves_sharing_a_factor(self):
+        """The curves of `TestProjection.test_curves_sharing_a_factor`
+        share the line v = u, which only one of their coprime parts keeps:
+        seeded fibres have as many roots as the product's, and seeded points
+        lie in the cells the Sturm oracle names."""
+        from kinatlas.realroots import sign_at
+        from oracles import locate_by_sturm, roots_at_by_product
+        dec = decompose([P("(v-u)*(v+u)"), P("(v-u)*(v-2*u-3)")], "u", "v")
+        rng = random.Random(29)
+        fibres = points = 0
+        while fibres < 40:
+            x = Fraction(rng.randint(-50, 50), rng.choice([1, 3, 7, 8]))
+            if sign_at(dec.base_poly, x) == 0:
+                continue
+            assert len(dec.roots_at(x)) == len(roots_at_by_product(dec, x)) >= 2, x
+            fibres += 1
+            for _ in range(5):
+                y = Fraction(rng.randint(-50, 50), rng.choice([1, 2, 5]))
+                assert dec.locate(x, y) == locate_by_sturm(dec, x, y), (x, y)
+                points += dec.locate(x, y) is not None
+        # and the lines' own points, on the variety
+        assert dec.locate(Fraction(1, 3), Fraction(1, 3)) is None
+        assert points >= 150, points
+
+    def test_two_curves_crossing_at_the_abscissa_raise(self):
+        """v = u and v = 2 - u cross at u = 1, a base root: the fibre
+        there would hold one root twice, and the error names the abscissa
+        and both curves, and through the adjacency pass the base root and
+        the witness."""
+        from kinatlas.adjacency import AdjacencyError, _roots_at
+        from kinatlas.realroots import RealRootError
+        dec = decompose([P("v-u"), P("v+u-2")], "u", "v")
+        assert len(dec.roots_at(Fraction(1, 2))) == 2
+        with pytest.raises(RealRootError, match=r"curves 0 and 1 share a fibre root at u = 1$"):
+            dec.roots_at(Fraction(1))
+        with pytest.raises(AdjacencyError, match=r"^base root 0, witness 1: curves 0 and 1"):
+            _roots_at(dec, Fraction(1), dec.columns[0], "base root 0")

@@ -439,10 +439,11 @@ class TestOneBisectionLoop:
     """`refine` bisects in `_bisect`; the oracle is its former own loop."""
 
     def test_every_reference_isolate_input(self, monkeypatch):
-        import kinatlas.adjacency as adjacency
         import kinatlas.cad2d as cad2d
+        from kinatlas.adjacency import _witnesses
         from kinatlas.domains import SliceAtlas
         from kinatlas.mechanism import MechanismParams, WorkingMode
+        from oracles import LADDER, roots_at_by_product, witnesses_from_coarse
         inputs = {}
         isolate_squarefree = realroots.isolate_squarefree
 
@@ -450,12 +451,17 @@ class TestOneBisectionLoop:
             inputs.setdefault(f.coeffs, f)
             return isolate_squarefree(f)
 
-        for module in (realroots, cad2d, adjacency):
+        for module in (realroots, cad2d):
             monkeypatch.setattr(module, "isolate_squarefree", recorded)
         atlas = SliceAtlas.build(MechanismParams(), Fraction(1, 2), WorkingMode(1, 1))
-        # the witness fibres of the ladder's rungs 2^-10 and 2^-22 too
+        # the witness fibres of the ladder's rungs 2^-10 and 2^-22 too, each
+        # curve's, and the whole products the witnesses were once isolated on
         for dec, varieties, wrap, graphs in atlas_passes(atlas):
             assert graphs_by_ladder(dec, varieties, wrap) == graphs
+            for j in range(len(dec.base_roots)):
+                pairs = [witnesses_from_coarse(dec, j, s) for s in LADDER[:-1]]
+                for w in (w for ws in pairs + [_witnesses(dec, j)] for w in ws):
+                    roots_at_by_product(dec, w)
         monkeypatch.undo()
         assert len(inputs) >= 250
         n = 0
@@ -466,7 +472,7 @@ class TestOneBisectionLoop:
                     want = refine_by_bisection_loop(iv, width)
                     assert (got.low, got.high) == (want.low, want.high), (f, iv, width)
                     n += 1
-        assert n >= 2000
+        assert n >= 2000, n
 
 
 class TestIntervalState:
