@@ -22,7 +22,12 @@ same dyadic cells.  `RootMerge` owns the order of two root lists: it
 compares their states at galloping depths and samples between any two of
 their bounds from the deepest states the comparisons left, reading
 shallower cells as ancestors of a deep one.  `sign_at` and `has_root_in`
-are the exact sign and closed-interval root tests of a bound curve.  The
+are the exact sign and closed-interval root tests of a bound curve.
+Doubles of roots are correctly rounded (Rump's verification by exact
+signs): `IsolatingInterval.float()` returns its root rounded to nearest,
+ties to even, whatever interval it starts from, and `round_root`, the
+half-ulp certificate, proves a float guess by p's signs half-way between
+it and its neighbouring doubles, the dyadic points `_halfway` gives.  The
 one Horner routine takes b = o 2^e, o odd, and takes b^k as o^k shifted
 by e k, so at a dyadic point it multiplies by the numerator alone.
 Sample points are dyadic rationals so bit sizes stay bounded.
@@ -234,25 +239,52 @@ class IsolatingInterval:
         return IsolatingInterval(A, B, d, self.slo if A < B else 0, p)
 
     def float(self) -> float:
-        """The midpoint of the cell below width 2^-60, correctly rounded."""
-        iv = self.narrow(1, 1 << 60)
-        return (iv.A + iv.B) / (iv.d << 1)
+        """The correctly rounded double of the root, ties to even.  The
+        cell is cut at 0 by one sign, so its ends bound the root's size,
+        and narrowed below a quarter ulp of its larger end until both ends
+        round to one double, the answer, or to neighbours.  Rounding is
+        monotone, so the root then rounds to the one its side of their
+        half-way point gives: one sign there (`_halfway`), a 0 being the
+        root itself."""
+        A, B, d, slo = self.A, self.B, self.d, self.slo
+        ints = self.polynomial.coeffs
+        if A < 0 < B:
+            s = _sign_at(ints, 0, 1)
+            if s == 0:
+                return 0.0
+            if s == slo:
+                A = 0
+            else:
+                B = 0
+        while A < B:
+            lo, hi = A / d, B / d
+            if lo == hi:
+                return lo
+            if math.nextafter(lo, POS_INF) == hi:
+                hn, hd = _halfway(lo)
+                s = _sign_at(ints, hn, hd)
+                return hn / hd if s == 0 else hi if s == slo else lo
+            un, ud = math.ulp(max(-lo, hi)).as_integer_ratio()
+            A, B, d = _bisect(ints, A, B, d, slo, un, ud << 2)
+        return A / d
 
 
 def roots_below(roots: list[IsolatingInterval], x: Fraction) -> int:
     """Number of the roots that `roots`, sorted disjoint intervals from
     `isolate`, isolate below x, x being no root of their polynomial.
 
-    A bisection over the intervals' upper ends counts those below x; of the
+    A bisection over the intervals' upper ends, each compared with x by
+    cross-multiplication, counts those below x; of the
     rest, only the first can straddle x, low < x <= high, and it is not
     exact.  Its root is simple and lies strictly inside, where the
     polynomial changes sign, so it is below x exactly when the sign at x
     differs from the stored sign at low: one exact integer sign test, no
     refinement."""
-    k = bisect.bisect_left(roots, x, key=lambda iv: iv.high)
-    if k < len(roots) and roots[k].low < x:
+    n, m = x.as_integer_ratio()
+    k = bisect.bisect_left(roots, True, key=lambda iv: n * iv.d <= iv.B * m)
+    if k < len(roots) and roots[k].A * m < n * roots[k].d:
         iv = roots[k]
-        if iv.slo != _sign_at(iv.polynomial.coeffs, *x.as_integer_ratio()):
+        if iv.slo != _sign_at(iv.polynomial.coeffs, n, m):
             k += 1
     return k
 
@@ -366,6 +398,54 @@ def count_roots(p: UPoly, low=NEG_INF, high=POS_INF) -> int:
     if high != POS_INF and _sign_at(ints, *hi.as_integer_ratio()) == 0:
         n += 1
     return n
+
+
+def _halfway(y: float) -> tuple[int, int]:
+    """The point half-way between the double y and the next double above
+    it, as integers (n, d) with d a power of two."""
+    a, b = y.as_integer_ratio()
+    c, e = math.nextafter(y, POS_INF).as_integer_ratio()
+    if b < e:
+        a, b = a * (e // b), e
+    else:
+        c *= b // e
+    return a + c, b << 1
+
+
+_ULPS = 4      # round_root tries the doubles this many ulps either side of its guess
+
+
+def round_root(p: UPoly, y: float) -> float | None:
+    """The half-ulp certificate: a double z within _ULPS ulps of y, the
+    nearest first, proved by the exact signs of p at the points half-way
+    between z and its two neighbouring doubles, each point signed once.
+    Nonzero opposite signs prove a root strictly between them, which
+    rounds to z: z is returned.  One sign 0 makes that point a root,
+    returned rounded half to even.  None when no such z is found.  Each
+    answer is the correctly rounded double of a root of p in the closed
+    half-ulp bracket of the z that gave it, and two different answers come
+    from different roots, as no open bracket holds a half-way point."""
+    signs: dict[float, int] = {}
+
+    def above(z: float) -> int:     # the sign half-way between z and its next double up
+        if z not in signs:
+            signs[z] = _sign_at(p.coeffs, *_halfway(z))
+        return signs[z]
+
+    zs = [y]
+    up = down = y
+    for _ in range(_ULPS):
+        up, down = math.nextafter(up, POS_INF), math.nextafter(down, NEG_INF)
+        zs += [up, down]
+    for z in zs:
+        below = math.nextafter(z, NEG_INF)
+        s, t = above(below), above(z)
+        if s * t < 0:
+            return z
+        if (s == 0) != (t == 0):
+            n, d = _halfway(below if s == 0 else z)
+            return n / d
+    return None
 
 
 def sign_at(p: UPoly, x: Fraction) -> int:

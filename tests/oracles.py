@@ -59,6 +59,9 @@ the one on integer numerators over one denominator, and
 `cusp_eliminants_in_u` the singular-point eliminants taken in u against
 those taken in w = u^2, and `tracked_chart` the forward chart and joint
 path sampled on their own grids against the verdict's one pass.
+`correctly_rounded` decides on Fractions whether a double is a root
+rounded to nearest, against the half-ulp signs of `IsolatingInterval.float()`
+and `realroots.round_root`.
 `divides` is the exact-division test the tests state factor claims with,
 and `det_a_sign` decides the sign of a working mode's det A at a rational
 slice pose exactly.  They are slow and meant for small inputs.
@@ -77,6 +80,7 @@ every angle (`rationalize_all`) and the benchmark's recorded trajectories
 import functools
 import itertools
 import math
+import struct
 from fractions import Fraction
 
 from kinatlas import adjacency, realroots
@@ -1147,14 +1151,35 @@ def _pow_interval(a: Fraction, b: Fraction, n: int) -> tuple[Fraction, Fraction]
 
 def fiber_roots_by_eval(poly: MPoly, base_var: str, fiber_var: str, x0) -> list[float]:
     """Float fibre roots of a plane curve over x0, substituting x0 through
-    `MPoly.eval` and refining each root to 2^-40 before `float()`."""
+    `MPoly.eval` and isolating the fibre afresh, each root's `float()`."""
     s = poly.eval({base_var: Fraction(x0)})
     if isinstance(s, Fraction):
         return []
     u = UPoly.from_mpoly(s.with_vars((fiber_var,)), fiber_var)
     if u.degree < 1:
         return []
-    return [iv.refine(Fraction(1, 1 << 40)).float() for iv in isolate(u)]
+    return [iv.float() for iv in isolate(u)]
+
+
+def correctly_rounded(iv: IsolatingInterval, y: float) -> bool:
+    """Whether the double y is the root that iv isolates rounded to
+    nearest, ties to even, decided on Fractions: the root lies strictly
+    between the points half-way from y to its neighbouring doubles, or on
+    one of them when the last bit of y's significand is 0."""
+    fy = Fraction(y)
+    halves = [(fy + Fraction(math.nextafter(y, t))) / 2 for t in (-math.inf, math.inf)]
+    even = struct.unpack("<Q", struct.pack("<d", y))[0] & 1 == 0
+    p, a, b = iv.polynomial, iv.low, iv.high
+    if a == b:
+        return halves[0] < a < halves[1] or a in halves and even
+    if any(a < h < b and upoly_eval(p, h) == 0 for h in halves):
+        return even
+    sa = upoly_eval(p, a) > 0
+
+    def above(h):       # the root is above h, which is not the root
+        return h <= a or h < b and (upoly_eval(p, h) > 0) == sa
+
+    return above(halves[0]) and not above(halves[1])
 
 
 def resultant_scalar(a, b) -> Fraction:

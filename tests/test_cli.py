@@ -302,22 +302,106 @@ class TestCheckTrajectory:
         assert not (tmp_path / "v").exists()
 
 
+def _perfbench_curves(case, atlas_pp):
+    """The four workspace curves that `plot.svg` draws at a perfbench slice."""
+    from kinatlas.domains import characteristic_surface
+    from kinatlas.mechanism import MechanismParams, slice_jointspace, slice_workspace
+    if case == "ref":
+        return [atlas_pp.ws.parallel, *atlas_pp.ws.serial, atlas_pp.wa.sc]
+    params = {"geom2": MechanismParams(l2=Fraction(2), l3=Fraction(5, 2), a=Fraction(1, 2),
+                                       b=Fraction(3, 2))}.get(case, MechanismParams())
+    y0 = {"y0_0": Fraction(0), "y0_2": Fraction(2)}.get(case, Fraction(1, 2))
+    ws = slice_workspace(y0, params)
+    return [ws.parallel, *ws.serial, characteristic_surface(slice_jointspace(ws))]
+
+
+def _assert_columns_match_oracle(poly, xv, yv, lo, hi, density):
+    """Every column of `curve_points` equals a fresh isolation of its fibre,
+    double for double; returns the number of points."""
+    from kinatlas.svg import curve_points
+    from oracles import fiber_roots_by_eval
+    cols = curve_points(poly, xv, yv, lo, hi, density)
+    assert len(cols) == density + 1
+    for i, col in enumerate(cols):
+        x0 = lo + (hi - lo) * Fraction(i, density)
+        assert col == [(float(x0), 2.0 * math.atan(y))
+                       for y in fiber_roots_by_eval(poly, xv, yv, x0)], (poly, x0)
+    return sum(map(len, cols))
+
+
 class TestCurvePoints:
+    """Every column `plot.svg` and `trajectory.svg` draw, at their density,
+    against the substitution oracle: the certified route carried across
+    each delineable interval gives the doubles a fresh isolation gives."""
+
     def test_columns_match_substitution_oracle(self, atlas_pp):
+        points = sum(_assert_columns_match_oracle(poly, "x", "tphi", Fraction(-5), Fraction(5), 160)
+                     for poly in _perfbench_curves("ref", atlas_pp))
+        points += _assert_columns_match_oracle(atlas_pp.js.parallel_ru, "r", "u",
+                                               Fraction(0), Fraction(16), 120)
+        assert points >= 600
+
+    @pytest.mark.parametrize("case", ["y0_0", "y0_2", "geom2"])
+    def test_other_perfbench_slices(self, case, atlas_pp):
+        points = sum(_assert_columns_match_oracle(poly, "x", "tphi", Fraction(-5), Fraction(5), 160)
+                     for poly in _perfbench_curves(case, atlas_pp))
+        assert points >= 300
+
+
+class TestPlotRoutes:
+    """Each case that must leave the certified route, counted by route and
+    equal to the oracle column for column."""
+
+    @staticmethod
+    def _count_routes(monkeypatch) -> dict:
+        from kinatlas import svg
+        count = {"exact": 0, "carried": 0, "missed": 0}
+        isolate, carried = svg.isolate, svg._carried_roots
+
+        def exact(u):
+            count["exact"] += 1
+            return isolate(u)
+
+        def certified(u, guesses):
+            found = carried(u, guesses)
+            count["carried" if found is not None else "missed"] += 1
+            return found
+
+        monkeypatch.setattr(svg, "isolate", exact)
+        monkeypatch.setattr(svg, "_carried_roots", certified)
+        return count
+
+    def test_repeated_factor_takes_the_exact_route(self, monkeypatch):
         from kinatlas.svg import curve_points
-        from oracles import fiber_roots_by_eval
-        curves = [(p, "x", "tphi", Fraction(-5), Fraction(5))
-                  for p in (atlas_pp.ws.parallel, *atlas_pp.ws.serial, atlas_pp.wa.sc)]
-        curves.append((atlas_pp.js.parallel_ru, "r", "u", Fraction(0), Fraction(16)))
-        points = 0
-        for poly, xv, yv, lo, hi in curves:
-            cols = curve_points(poly, xv, yv, lo, hi, 24)
-            for i, col in enumerate(cols):
-                x0 = lo + (hi - lo) * Fraction(i, 24)
-                assert col == [(float(x0), 2.0 * math.atan(y))
-                               for y in fiber_roots_by_eval(poly, xv, yv, x0)]
-                points += len(col)
-        assert points >= 100
+        from oracles import parse_poly
+        q = parse_poly("x^2 + t^2 - 1", ("x", "t"))
+        count = self._count_routes(monkeypatch)
+        _assert_columns_match_oracle(q * q, "x", "t", Fraction(-2), Fraction(2), 16)
+        assert count == {"exact": 17, "carried": 0, "missed": 0}
+        assert curve_points(q * q, "x", "t", Fraction(-2), Fraction(2), 16) == \
+            curve_points(q, "x", "t", Fraction(-2), Fraction(2), 16)
+
+    def test_column_on_a_critical_abscissa(self, monkeypatch):
+        from oracles import parse_poly
+        # columns at x = -2, -3/2, ..., 2: x = +-1 critical, each followed
+        # by the first column of the next interval
+        count = self._count_routes(monkeypatch)
+        points = _assert_columns_match_oracle(parse_poly("x^2 + t^2 - 1", ("x", "t")), "x", "t",
+                                              Fraction(-2), Fraction(2), 8)
+        assert points == 2 + 2 * 3
+        # the critical polynomial, then x = -2, -1, -1/2, 1, 3/2 by isolation
+        assert count == {"exact": 1 + 5, "carried": 4, "missed": 0}
+
+    def test_roots_that_nearly_meet(self, monkeypatch):
+        from oracles import parse_poly
+        # t = 1 +- sqrt((x - 1/3)^2 + 10^-12): no critical abscissa, the two
+        # roots 2 10^-6 apart at x = 1/3, where the guesses carried from
+        # the columns at 1/6 and 0 cross or meet
+        poly = parse_poly("10^12*(t - 1)^2 - 10^12*(x - 1/3)^2 - 1", ("x", "t"))
+        count = self._count_routes(monkeypatch)
+        points = _assert_columns_match_oracle(poly, "x", "t", Fraction(0), Fraction(1), 6)
+        assert points == 14
+        assert count["missed"] >= 1 and count["carried"] >= 3
 
 
 class TestJointPlot:

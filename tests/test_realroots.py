@@ -14,7 +14,8 @@ from kinatlas.realroots import (
 import kinatlas.realroots as realroots
 
 from oracles import (
-    atlas_passes, bernstein_by_fractions, bind_int_by_powers, count_roots_by_sturm,
+    atlas_passes, bernstein_by_fractions, bind_int_by_powers, correctly_rounded,
+    count_roots_by_sturm,
     graphs_by_ladder, interval,
     isolate_by_scaling, parse_poly, refine_by_bisection_loop, refine_by_fractions,
     sample_between_by_halving, segment_crosses, restrict_to_segment, sign_at_by_powers,
@@ -213,6 +214,73 @@ def _oracle_polys(n: int = 320):
             feats.add("degree>=8")
         out.append((p, feats, known))
     return out
+
+
+class TestCorrectRounding:
+    """`IsolatingInterval.float()` is the root rounded to nearest double,
+    ties to even, and `round_root` proves only such doubles, each checked
+    on Fractions by `oracles.correctly_rounded`."""
+
+    @staticmethod
+    def _floats(p: UPoly) -> list[float]:
+        ys = [iv.float() for iv in isolate(p)]
+        for iv, y in zip(isolate(p), ys):
+            assert correctly_rounded(iv, y), (p, iv, y)
+        return ys
+
+    def test_small_roots_keep_their_relative_precision(self):
+        assert self._floats(UPoly([-1, 10 ** 20])) == [1e-20]
+        assert self._floats(UPoly([-1, 0, 10 ** 24])) == [-1e-12, 1e-12]
+
+    def test_tie_rounds_to_even(self):
+        # the root 1 + 2^-53 lies half-way between 1 and 1 + 2^-52
+        p = UPoly([-(2 ** 53 + 1), 2 ** 53])
+        assert self._floats(p) == [1.0]
+        # from an interval over 3, whose halvings never reach the root
+        assert interval(Fraction(1, 3), Fraction(5, 3), p).float() == 1.0
+        # half-way between 1 - 2^-53 and 1, to the even 1
+        assert interval(Fraction(1, 3), Fraction(5, 3), UPoly([-(2 ** 54 - 1), 2 ** 54])).float() == 1.0
+
+    def test_root_at_zero_inside_the_interval(self):
+        assert interval(Fraction(-1, 3), Fraction(2, 3), UPoly([0, 3, 1])).float() == 0.0
+        assert interval(Fraction(-1, 3), Fraction(2, 3), UPoly([-1, 10 ** 30])).float() == 1e-30
+        assert interval(Fraction(-1, 3), Fraction(2, 3), UPoly([1, 10 ** 30])).float() == -1e-30
+
+    def test_seeded_squarefree_polynomials(self):
+        rng = random.Random(30)
+        checked = 0
+        for _ in range(60):
+            factors = [[rng.randint(-10 ** 6, 10 ** 6) or 1, rng.choice([1, 3, 10 ** rng.randint(0, 25)])]
+                       for _ in range(rng.randint(1, 3))]
+            factors.append([rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)])
+            p = UPoly([1])
+            for f in factors:
+                p = upoly_mul(p, UPoly(f))
+            p = p.squarefree()
+            checked += len(self._floats(p))
+        assert checked >= 100
+
+    def test_round_root_proves_only_correct_roundings(self):
+        p = U(-2, 0, 1)
+        iv = isolate(p)[1]
+        y = iv.float()
+        for z in (y, math.nextafter(y, 2.0), math.nextafter(math.nextafter(y, 0.0), 0.0)):
+            assert realroots.round_root(p, z) == y
+        assert realroots.round_root(p, 1.5) is None
+        tie = UPoly([-(2 ** 53 + 1), 2 ** 53])
+        assert realroots.round_root(tie, math.nextafter(1.0, 2.0)) == 1.0
+        assert realroots.round_root(tie, 1.0) == 1.0
+        rng = random.Random(31)
+        for _ in range(40):
+            p = UPoly([rng.randint(-50, 50) for _ in range(rng.randint(2, 6))] + [rng.randint(1, 9)])
+            p = p.squarefree()
+            for iv in isolate(p):
+                z = iv.float()
+                for _ in range(rng.randint(0, 6)):
+                    z = math.nextafter(z, rng.choice([-math.inf, math.inf]))
+                r = realroots.round_root(p, z)
+                if r is not None:
+                    assert any(correctly_rounded(jv, r) for jv in isolate(p)), (p, z, r)
 
 
 class TestIncrementalIsolation:
