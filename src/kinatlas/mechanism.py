@@ -281,18 +281,18 @@ def inverse_kinematics(pose: Pose, mode: WorkingMode,
     return JointValues(*q), PassiveAngles(alpha2, alpha3)
 
 
-# largest constraint residual of a direct-kinematics solution
-_DK_TOL = 1e-9
-
-
 def direct_kinematics(q: JointValues, params: MechanismParams) -> list[tuple[Pose, PassiveAngles]]:
-    """All real solutions of the constraint system for fixed joints.
+    """All real solutions of the constraint system for fixed joints, one
+    per real root of the eliminant, sorted by (x, y, phi).
 
     Eliminates (x, y) linearly between the three distance equations,
     isolates the half-tangent roots of the eliminant exactly (without its
-    factor (1 + t^2)^4, see `_dk_univariate`), and back-substitutes; a
-    solution whose residual is not below _DK_TOL is dropped.  Poses with
-    phi = pi are outside the half-tangent chart.
+    factor (1 + t^2)^4, see `_dk_univariate`), and back-substitutes in
+    floats at each root's midpoint once its interval is below 2^-80.  The
+    elimination is an equivalence wherever its denominator den(t) is not
+    0, so distinct roots are distinct poses; a real root shared by the
+    eliminant and den, where it is not, raises `KinematicsError`.  Poses
+    with phi = pi are outside the half-tangent chart.
     """
     r1, r2, r3 = Fraction(q.rho1), Fraction(q.rho2), Fraction(q.rho3)
     P = _dk_univariate(r1, r2, r3, params)
@@ -301,33 +301,27 @@ def direct_kinematics(q: JointValues, params: MechanismParams) -> list[tuple[Pos
     poly, xnum, ynum, den = P
     if poly.degree < 1:
         return []
+    shared = realroots.isolate(poly.gcd(UPoly.from_mpoly(den, "t")))
+    if shared:
+        iv = shared[0]
+        root = f"t = {iv.low}" if iv.is_exact() else f"t in ({iv.low}, {iv.high})"
+        raise KinematicsError(f"direct kinematics at joints ({q.rho1}, {q.rho2}, {q.rho3}): "
+                              f"the eliminant's root {root} is one of the back-substitution "
+                              f"denominator's, where x and y are not determined")
+    l2, l3, _, b = params.floats
     sols = []
-    cons = constraints_trig(params)
     for iv in realroots.isolate(poly):
-        t = iv.refine(Fraction(1, 1 << 80)).midpoint()
-        tf = float(t)
+        tf = float(iv.refine(Fraction(1, 1 << 80)).midpoint())
         d = den.eval_float({"t": tf})
-        if abs(d) < 1e-14:
-            continue
         xf = xnum.eval_float({"t": tf}) / d
         yf = ynum.eval_float({"t": tf}) / d
-        phi = 2.0 * math.atan(tf)
-        l2, l3, _, b = params.floats
-        pose = Pose(xf, yf, phi)
-        pa = PassiveAngles(math.atan2(yf / l2, (xf - float(r2)) / l2),
-                           math.atan2((yf + b * math.sin(phi) - float(r3)) / l3,
-                                      (xf + b * math.cos(phi)) / l3))
-        res = residuals(pose, JointValues(float(r1), float(r2), float(r3)), pa, cons)
-        if max(abs(v) for v in res) < _DK_TOL:
-            sols.append((pose, pa))
-    # merge near-duplicates, sort canonically
-    merged: list[tuple[Pose, PassiveAngles]] = []
-    for s in sols:
-        if not any(abs(s[0].x - m[0].x) < 1e-7 and abs(s[0].y - m[0].y) < 1e-7
-                   and abs(s[0].phi - m[0].phi) < 1e-7 for m in merged):
-            merged.append(s)
-    merged.sort(key=lambda s: (s[0].x, s[0].y, s[0].phi))
-    return merged
+        phi = 2 * math.atan(tf)
+        sols.append((Pose(xf, yf, phi),
+                     PassiveAngles(math.atan2(yf / l2, (xf - float(r2)) / l2),
+                                   math.atan2((yf + b * math.sin(phi) - float(r3)) / l3,
+                                              (xf + b * math.cos(phi)) / l3))))
+    sols.sort(key=lambda s: (s[0].x, s[0].y, s[0].phi))
+    return sols
 
 
 # (1 + t^2)^4, constant term first
@@ -369,7 +363,7 @@ def _dk_univariate(r1: Fraction, r2: Fraction, r3: Fraction, params: MechanismPa
     g3 = (x * op + b * om) ** 2 + (y * op + b * tt - r3 * op) ** 2 - l3 * l3 * op * op
     lin1 = g1 - g2 * op * op
     lin2 = g3 - g2 * op * op
-    # both linear in x and y
+    # both linear in x and y, so their coefficients, den, xnum and ynum hold t alone
     a11 = lin1.diff("x"); a12 = lin1.diff("y")
     a21 = lin2.diff("x"); a22 = lin2.diff("y")
     b1 = -lin1.eval({"x": 0, "y": 0})
@@ -379,19 +373,12 @@ def _dk_univariate(r1: Fraction, r2: Fraction, r3: Fraction, params: MechanismPa
     ynum = (a11 * b2 - a21 * b1)
     # substitute into g2 and clear den^2
     expr = (xnum - r2 * den) ** 2 + ynum * ynum - l2 * l2 * den * den
-    for vname in ("x", "y"):
-        if expr.degree(vname) > 0:
-            raise KinematicsError("internal: elimination left pose variables")
     u = expr.with_vars(("t",))
     if u.is_zero():
         return None
     poly = UPoly(_poly_quo(UPoly.from_mpoly(u, "t").coeffs, _OP4,
                            "direct kinematics eliminant by (1 + t^2)^4"), "t")
-    dent = den.with_vars(("t",)) if den.degree("x") <= 0 and den.degree("y") <= 0 else None
-    return (poly,
-            xnum.with_vars(("t",)) if not xnum.is_zero() else MPoly.const(0, ("t",)),
-            ynum.with_vars(("t",)) if not ynum.is_zero() else MPoly.const(0, ("t",)),
-            dent)
+    return poly, xnum.with_vars(("t",)), ynum.with_vars(("t",)), den.with_vars(("t",))
 
 
 # ---------------------------------------------------------------------------

@@ -225,17 +225,13 @@ class IsolatingInterval:
         return Fraction(self.A + self.B, self.d << 1)
 
     def refine(self, width: Fraction) -> "IsolatingInterval":
-        """Narrow below `width`: the cell that sign-preserving bisection
-        reaches (`_bisect`)."""
-        return self.narrow(width.numerator, width.denominator)
-
-    def narrow(self, wn: int, wd: int) -> "IsolatingInterval":
-        """Narrow below wn/wd, wd > 0, by `_bisect`, continuing from the
-        stored state."""
+        """Narrow below `width` > 0: the cell that sign-preserving bisection
+        reaches (`_bisect`), continuing from the stored state."""
         if self.A == self.B:
             return self
         p = self.polynomial
-        A, B, d = _bisect(p.coeffs, self.A, self.B, self.d, self.slo, wn, wd)
+        A, B, d = _bisect(p.coeffs, self.A, self.B, self.d, self.slo,
+                          width.numerator, width.denominator)
         return IsolatingInterval(A, B, d, self.slo if A < B else 0, p)
 
     def float(self) -> float:
@@ -502,8 +498,8 @@ def isolate_squarefree(f: UPoly) -> list[IsolatingInterval]:
     for i in range(len(out) - 1):
         a, b = out[i], out[i + 1]
         while not a.B * b.d < b.A * a.d:
-            a = a.narrow(a.B - a.A, a.d << 1)
-            b = b.narrow(b.B - b.A, b.d << 1)
+            a = a.refine(Fraction(a.B - a.A, a.d << 1))
+            b = b.refine(Fraction(b.B - b.A, b.d << 1))
             if a.is_exact() and b.is_exact():
                 if a.A * b.d == b.A * a.d:
                     raise RealRootError("duplicate root after squarefree")

@@ -14,16 +14,19 @@ from that cos/sin, and the distance equations at the iterate
 F(X; q) and its 3x4 Jacobian.  Within `_KINK_WINDOW` of a waypoint, where
 q(s) has a kink, the two one-sided rates, taken when the kernel is built,
 are weighted as a central difference of that half-width weighs them.
-Every Newton step, the corrector's and the boundary clamp's, is one solve
-of the straight-line 4x4 kernel `_solve` on four augmented rows; the
-clamp's 3x3 system at fixed s is padded to 4x4 (`_newton`).  The
+Every Newton step is one solve of the straight-line 4x4 kernel `_solve`
+on four augmented rows, in one corrector (`_corrector4`): its fourth row
+is the plane through the predicted point normal to the tangent, and at
+the boundary clamp the plane s = 0 or 1, the row (0, 0, 0, 1 | 0).  The
 converged iterate's Jacobian gives the chain tangent, its signed 3x3
-minors; the chain keeps its joints for its joint-space image.  A verdict
-samples its branch in one pass over s = i/1200, 2 or 3 dividing i: det A
-at s = k/600, the forward chart at s = k/400 and the joint path at
-s = k/200, each the same double as its i/1200, both correctly rounded
-quotients of one rational.  The pass and the chains read q(s) from the
-kernel's `path`.
+minors; the chain keeps its joints for its joint-space image.  The
+partner chains start from the direct kinematics at the start joints, one
+pose per root, less the start pose that `_start_solution` tells apart.
+A verdict samples its branch in one pass over s = i/1200, 2 or 3
+dividing i: det A at s = k/600, the forward chart at s = k/400 and the
+joint path at s = k/200, each the same double as its i/1200, both
+correctly rounded quotients of one rational.  The pass reads q(s) from
+the kernel's `path`, the chains from its `system`.
 """
 
 from __future__ import annotations
@@ -240,50 +243,6 @@ def _solve(a, b, c, d):
     return [a4 / pv0, b4 / pv1, c4 / pv2, d4 / pv3]
 
 
-# the augmented row that pads the 3x3 Newton system of the distance
-# equations to the kernel's 4x4: it holds the fourth unknown, s, at 0
-_HOLD_S = (0.0, 0.0, 0.0, 1.0, 0.0)
-# `_newton` stops below this residual, or fails after this many steps
-_NEWTON_TOL = 1e-12
-_NEWTON_ITERS = 40
-
-
-def _residual(x, y, phi, q, params) -> float:
-    """max |F(X; q)| of the distance equations."""
-    r1, r2, r3 = _distance_rows(x, y, phi, q, _FIXED_Q, params)
-    return max(abs(r1[4]), abs(r2[4]), abs(r3[4]))
-
-
-def _newton(x, y, phi, q, params):
-    """Damped Newton on F(X; q) = 0 at fixed joints q: the point (x, y, phi)
-    and its residual, or None.  Each step solves dF/dX d = F through the
-    4x4 kernel, padded by a zero fourth column and the row _HOLD_S with
-    right-hand side 0: the padding row never pivots before column 3 and its
-    zeros leave every other operation's result unchanged, so on finite
-    systems d is bit for bit the 3x3 elimination's."""
-    for _ in range(_NEWTON_ITERS):
-        r1, r2, r3 = _distance_rows(x, y, phi, q, _FIXED_Q, params)
-        err = max(abs(r1[4]), abs(r2[4]), abs(r3[4]))
-        if err < _NEWTON_TOL:
-            return (x, y, phi, err)
-        try:
-            d = _solve((*r1[:3], 0.0, r1[4]), (*r2[:3], 0.0, r2[4]), (*r3[:3], 0.0, r3[4]),
-                       _HOLD_S)
-        except ZeroDivisionError:
-            return None
-        lam = 1.0
-        while lam > 1e-4:
-            nx, ny, nphi = x - lam * d[0], y - lam * d[1], phi - lam * d[2]
-            if _residual(nx, ny, nphi, q, params) < err:
-                x, y, phi = nx, ny, nphi
-                break
-            lam /= 2
-        else:
-            return None
-    err = _residual(x, y, phi, q, params)
-    return (x, y, phi, err) if err < 1e-9 else None
-
-
 def _det3(m, c0: int, c1: int, c2: int) -> float:
     """Determinant of columns c0, c1, c2 of the 3-row matrix m, expanded
     along its first row."""
@@ -440,7 +399,7 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
                  h0: float = 1.0 / 256) -> Chain:
     """Pseudo-arclength walk of F(X; q(s)) = 0 from a boundary solution at
     s = 0 (forward) until the walk exits at s = 0 or s = 1."""
-    path, system = _chain_kernel(traj, params)
+    system = _chain_kernel(traj, params)[1]
     x, y, phi = start_state
     s = 0.0
     q, rows = system(x, y, phi, s)
@@ -457,17 +416,16 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
         pphi = phi + h * tangent[2]
         ps = s + h * tangent[3]
         if ps < 0.0 or ps > 1.0:
-            # clamp to the boundary and converge there
+            # clamp to the boundary and converge there: the corrector whose
+            # plane is s = target, the row (0, 0, 0, 1 | 0)
             target = 0.0 if ps < 0.0 else 1.0
             if abs(tangent[3]) > 1e-9:
                 lam = (target - s) / (h * tangent[3])
-                px = x + lam * h * tangent[0]
-                py = y + lam * h * tangent[1]
-                pphi = phi + lam * h * tangent[2]
-                q = path(target)[2]
-                res = _newton(px, py, pphi, q, params)
+                res = _corrector4(x + lam * h * tangent[0], y + lam * h * tangent[1],
+                                  phi + lam * h * tangent[2], target, _ALONG_S, system)
                 if res is not None:
-                    pts.append((res[0], res[1], res[2], target))
+                    (x, y, phi, s), q, _ = res
+                    pts.append((x, y, phi, s))
                     qs.append(JointValues(*q))
                     return Chain(points=pts, joints=qs, end_s=target)
             h /= 2
@@ -575,6 +533,24 @@ def encirclement(fwd: list[tuple[float, float]], params: MechanismParams,
     return [(i, winding_number(loop, ctr)) for i, ctr in enumerate(cusp_centers)]
 
 
+def _start_solution(sols, p0: Pose) -> int:
+    """The index of the tracked start pose p0 among `sols`, the direct
+    kinematics at its joints: the solution whose half-tangent t = tan(phi/2)
+    is nearest t0 = tan(phi0/2), taken only when 4 |t - t0| is below its
+    gap to every other solution's t.  Otherwise (no solution, or an
+    ambiguous one) a TrajectoryError names the start and the roots."""
+    t0 = math.tan(p0.phi / 2)
+    ts = [math.tan(p.phi / 2) for p, _ in sols]
+    if ts:
+        i = min(range(len(ts)), key=lambda k: abs(ts[k] - t0))
+        gap = min((abs(t - ts[i]) for k, t in enumerate(ts) if k != i), default=math.inf)
+        if 4 * abs(ts[i] - t0) < gap:
+            return i
+    raise TrajectoryError(f"start pose (x, phi) = ({p0.x}, {p0.phi}) is not told apart among the "
+                          f"direct-kinematics roots at its joints: tan(phi0/2) = {t0}, "
+                          f"roots t = {ts}")
+
+
 def track_branches(traj: Trajectory, params: MechanismParams, atlas) -> Verdict:
     """Full verdict for one trajectory against a prepared slice atlas: its
     slice, working mode and mechanism must be the atlas's."""
@@ -615,9 +591,10 @@ def track_branches(traj: Trajectory, params: MechanismParams, atlas) -> Verdict:
     singular = min_det < 1e-8
     # partner chains from the other start solutions
     sols = direct_kinematics(q0, params)
+    start = _start_solution(sols, p0)
     chain = None
-    for p, pa in sols:
-        if max(abs(p.x - p0.x), abs(p.y - p0.y), abs(p.phi - p0.phi)) < 1e-6:
+    for k, (p, _) in enumerate(sols):
+        if k == start:
             continue
         try:
             ch = follow_chain(traj, params, (p.x, p.y, p.phi))

@@ -15,8 +15,8 @@ bisection on Fractions against bisection on integers over a common
 denominator, plot columns by substitution against row-wise binding, and
 the Fraction routes of the interpolated resultant and of the fibre product
 against their integer ones, the Gauss-Jordan loop pivoting by `max`
-against the unrolled 4x4 kernel (3x3 systems padded to 4x4 as `_newton`
-pads them), the chain tangent by four
+against the unrolled 4x4 kernel (3x3 systems padded to 4x4 by a zero
+fourth column and the row (0, 0, 0, 1 | 0)), the chain tangent by four
 solves with one coordinate fixed, kept by the conditioning of [J; t],
 against the signed 3x3 minors of J, the Jacobian's path column dF/ds by
 a central difference at the IK joints of s +- 1e-7 against the analytic
@@ -1442,31 +1442,6 @@ def sys_jacobian4_central(x, y, phi, s, traj, params, q, ds=1e-7):
     return [row + [d] for row, d in zip(j3, dcol)]
 
 
-def _newton(x, y, phi, q, params, tol=1e-12, iters=40):
-    for _ in range(iters):
-        r = distance_residuals(x, y, phi, q, params)
-        err = max(abs(v) for v in r)
-        if err < tol:
-            return (x, y, phi, err)
-        try:
-            d = solve(distance_jacobian(x, y, phi, q, params), r)
-        except ZeroDivisionError:
-            return None
-        lam = 1.0
-        while lam > 1e-4:
-            nx, ny, nphi = x - lam * d[0], y - lam * d[1], phi - lam * d[2]
-            nr = distance_residuals(nx, ny, nphi, q, params)
-            if max(abs(v) for v in nr) < err:
-                x, y, phi = nx, ny, nphi
-                break
-            lam /= 2
-        else:
-            return None
-    r = distance_residuals(x, y, phi, q, params)
-    err = max(abs(v) for v in r)
-    return (x, y, phi, err) if err < 1e-9 else None
-
-
 def _corrector4(x, y, phi, s, tangent, traj, params, iters=25):
     base = (x, y, phi, s)
     for _ in range(iters):
@@ -1489,7 +1464,8 @@ def _corrector4(x, y, phi, s, tangent, traj, params, iters=25):
 def follow_chain(traj, params, start_state, h0=1.0 / 256, max_steps=40000) -> Chain:
     """The pseudo-arclength walk on per-quantity routes: the joints by
     `joints_at` at every corrector iterate, F and dF/dX by separate
-    routines, the Jacobian again at each converged point for its tangent."""
+    routines, the Jacobian again at each converged point for its tangent,
+    and the boundary clamp by the same corrector on the plane s = 0 or 1."""
     x, y, phi = start_state
     s = 0.0
     q = joints_at(traj, s, params)
@@ -1508,10 +1484,10 @@ def follow_chain(traj, params, start_state, h0=1.0 / 256, max_steps=40000) -> Ch
                 px = x + lam * h * tangent[0]
                 py = y + lam * h * tangent[1]
                 pphi = phi + lam * h * tangent[2]
-                q = joints_at(traj, target, params)
-                res = _newton(px, py, pphi, q, params)
+                res = _corrector4(px, py, pphi, target, (0.0, 0.0, 0.0, 1.0), traj, params)
                 if res is not None:
-                    pts.append((res[0], res[1], res[2], target))
+                    (x, y, phi, s), q = res
+                    pts.append((x, y, phi, s))
                     qs.append(q)
                     return Chain(points=pts, joints=qs, end_s=target)
             h /= 2

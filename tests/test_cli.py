@@ -79,6 +79,17 @@ class TestSolve:
         assert out == ""
         assert err == "degeneracy: degenerate input: direct kinematics eliminant vanishes\n"
 
+    def test_root_shared_with_the_denominator_exit_3(self, config_file, capsys):
+        """At joints (2, 7/2, 0) the direct kinematics eliminant shares its
+        root t = 0 with the back-substitution denominator: exit 3, the
+        joints and the root named."""
+        rc = main(["solve", "--config", config_file, "--dk", "2,7/2,0"])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("degeneracy: direct kinematics at joints (2.0, 3.5, 0.0): ")
+        assert "root t = 0 " in err
+
     def test_unreachable_exit_zero(self, config_file, capsys):
         rc = main(["solve", "--config", config_file, "--dk", "100,0,0"])
         assert rc == 0
@@ -235,6 +246,24 @@ class TestCheckTrajectory:
         if mech["l2"] != "3":
             assert "'l2': '3'" in err
         assert "error" in json.loads((out / "verdict.json").read_text())
+
+    def test_start_pose_not_told_apart_exit_4(self, config_file, tmp_path, capsys):
+        """A path from the benchmark's singular pose (0.2062912477066774, 1),
+        on det A = 0 in mode ++: the direct kinematics at its joints has no
+        real root to be the start pose, so the verdict exits 4 and names the
+        start in `verdict.json`."""
+        tf = tmp_path / "traj.json"
+        tf.write_text(json.dumps({
+            "y": "1/2", "mode": [1, 1],
+            "waypoints": [["0.2062912477066774", "1"], ["97/128", "161/128"]]}))
+        out = tmp_path / "v"
+        rc = main(["check-trajectory", "--config", config_file,
+                   "--traj", str(tf), "--out", str(out)])
+        assert rc == 4
+        err = json.loads((out / "verdict.json").read_text())["error"]
+        assert err.startswith("start pose (x, phi) = (0.2062912477066774, 1.0) is not told apart")
+        assert err.endswith("roots t = []")
+        assert capsys.readouterr().err == f"indeterminate: {err}\n"
 
     def test_start_outside_atlas_named(self, config_file, tmp_path, capsys):
         tf = tmp_path / "bad_traj.json"

@@ -208,6 +208,38 @@ class TestDirectKinematics:
     def test_unreachable_empty(self):
         assert direct_kinematics(JointValues(100, 0, 0), PARAMS) == []
 
+    def test_root_shared_with_the_denominator_raises(self):
+        """At q = (2, 7/2, 0) the poses (5/4, +-sqrt(63)/4, 0) solve the
+        constraints, and their root t = 0 is also one of the back-substitution
+        denominator's, where x and y are not determined: the direct
+        kinematics raises and names the root, where a float filter dropped
+        both poses."""
+        import oracles
+        q = JointValues(2, Fraction(7, 2), 0)
+        for sy in (1, -1):
+            y = sy * math.sqrt(63) / 4
+            pa = PassiveAngles(math.atan2(y / 3, (1.25 - 3.5) / 3), math.atan2(y / 3, 2.25 / 3))
+            res = residuals(Pose(1.25, y, 0.0), JointValues(2.0, 3.5, 0.0), pa,
+                            constraints_trig(PARAMS))
+            assert max(abs(v) for v in res) < 1e-12
+        with pytest.raises(KinematicsError) as e:
+            direct_kinematics(q, PARAMS)
+        assert "(2, 7/2, 0)" in str(e.value) and "root t = 0 " in str(e.value)
+        assert all(abs(p.phi) > 1 for p, _ in oracles.direct_kinematics(q, PARAMS))
+
+    def test_roots_closer_than_1e_7_are_two_poses(self):
+        """One ulp above rho1 at a pose on det A = 0 (the middle waypoint of
+        the benchmark's singular path, mode ++), the eliminant has two real
+        roots within 1e-8 of each other: two poses, which a 1e-7 merge
+        made one."""
+        import oracles
+        q, _ = inverse_kinematics(Pose(0.2062912477066774, 0.5, 1.0), WorkingMode(1, 1), PARAMS)
+        assert direct_kinematics(q, PARAMS) == []
+        q = JointValues(math.nextafter(q.rho1, math.inf), q.rho2, q.rho3)
+        (p1, _), (p2, _) = direct_kinematics(q, PARAMS)
+        assert 0 < max(abs(p1.x - p2.x), abs(p1.y - p2.y), abs(p1.phi - p2.phi)) < 1e-7
+        assert len(oracles.direct_kinematics(q, PARAMS)) == 1
+
     def test_ik_dk_round_trips(self):
         rng = random.Random(8)
         for _ in range(25):

@@ -26,6 +26,10 @@ Every field of a package dataclass must be read, by an `Attribute` node
 that loads it, somewhere in the package (its own class's methods
 included), unless `UNREAD_FIELDS` names it with a reason: a record keeps
 only what something reads.  Fields are matched by name, as definitions are.
+
+The functions `EXACT_FUNCTIONS` names hold no float constant: what they
+decide, they decide exactly, so no tolerance can drop or merge a
+solution.
 """
 
 import ast
@@ -301,3 +305,32 @@ def test_unread_field_guard_flags_unread_and_written_fields():
                      "class B:\n    w: int\n"
                      "def g(a, b):\n    a.z = 1\n    return a.x\n")
     assert _unread_fields(tree, "m", _attribute_reads([tree])) == ["m.A.z"]
+
+
+# functions that decide exactly, so hold no float constant and no tolerance
+EXACT_FUNCTIONS = {"mechanism": ("direct_kinematics", "_dk_univariate")}
+
+
+def _float_constants(tree: ast.Module, stem: str, names) -> list[str]:
+    """'module.function: value' for each float constant in the top-level
+    functions of `tree` that `names` lists."""
+    return [f"{stem}.{node.name}: {c.value!r}" for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in names
+            for c in ast.walk(node) if isinstance(c, ast.Constant) and isinstance(c.value, float)]
+
+
+def test_exact_functions_hold_no_float_constant():
+    for stem, names in EXACT_FUNCTIONS.items():
+        tree = ast.parse((SRC / f"{stem}.py").read_text())
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert set(names) <= defined, f"{stem} no longer defines {set(names) - defined}"
+        found = _float_constants(tree, stem, names)
+        assert not found, f"float constants in functions that decide exactly: {found}"
+
+
+def test_float_constant_guard_flags_tolerances_only_in_named_functions():
+    tree = ast.parse("def f(x):\n    if abs(x) < 1e-9:\n        return -0.5 * x\n    return 2 * x\n"
+                     "def g(x):\n    return x < 1e-9\n"
+                     "class K:\n    def f(self):\n        return 1e-7\n")
+    assert _float_constants(tree, "m", ("f",)) == ["m.f: 1e-09", "m.f: 0.5"]
+    assert _float_constants(tree, "m", ("h",)) == []

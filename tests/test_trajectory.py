@@ -213,6 +213,37 @@ class TestVerdicts:
         assert v.assembly_mode_changed is False
         assert all(w == 0 for _, w in v.encircled_cusps)
 
+    def test_start_pose_without_its_root_raises(self, atlas_pp):
+        """From the benchmark's singular pose (0.2062912477066774, 1), on
+        det A = 0 in mode ++, the direct kinematics at the start joints has
+        no real root: no pose to tell the partners from, so no verdict."""
+        t = _traj(((0.2062912477066774, 1.0), (97 / 128, 161 / 128)))
+        with pytest.raises(TrajectoryError, match=r"start pose \(x, phi\) = "
+                                                  r"\(0\.2062912477066774, 1\.0\) is not told"):
+            track_branches(t, PARAMS, atlas_pp)
+
+    def test_start_solution_is_told_apart_by_a_quarter_gap(self):
+        """The start pose is the solution nearest tan(phi0/2), taken only
+        when four times its distance is below its gap to the next one."""
+        from kinatlas.mechanism import Pose
+        from kinatlas.trajectory import _start_solution
+
+        def sols(*ts):
+            return [(Pose(0.0, 0.5, 2 * math.atan(t)), None) for t in ts]
+
+        def start(phi0, ts):
+            return _start_solution(sols(*ts), Pose(0.0, 0.5, phi0))
+
+        assert start(0.0, [-1.0, 0.0, 1.0]) == 1
+        assert start(2 * math.atan(0.9), [-1.0, 1.0]) == 1
+        assert start(2 * math.atan(0.2), [0.0, 1.0]) == 0
+        assert start(2 * math.atan(0.1) + 2 * math.pi, [0.0, 1.0]) == 0
+        assert start(0.0, [0.3]) == 0
+        for phi0, ts in ((0.0, []), (2 * math.atan(0.3), [0.0, 1.0]),
+                         (2 * math.atan(0.5), [0.0, 1.0])):
+            with pytest.raises(TrajectoryError, match="is not told apart"):
+                start(phi0, ts)
+
     def test_winding_refinement_invariant(self, atlas_pp):
         t = _traj()
         centers = []
@@ -235,8 +266,8 @@ class TestVerdicts:
         """The Fig. 10 verdict samples its branch in one pass, at s = i/1200
         for every i that 2 or 3 divides, each once; its joint path is the
         n = 200 chart and the forward chart of its loop the n = 400 one,
-        bit for bit, and the partner chains take the path only at their
-        boundary clamp."""
+        bit for bit, and the partner chains, their boundary clamp included,
+        never take the path."""
         from kinatlas import trajectory as tj
         kernel, encircle = tj._chain_kernel, tj.encirclement
         paths, fwds = [], []
@@ -264,7 +295,7 @@ class TestVerdicts:
         want = [i / 1200 for i in range(1201) if i % 2 == 0 or i % 3 == 0]
         assert len(want) == len(set(want)) == 801
         assert paths[0] == want
-        assert len(paths) > 1 and all(s in (0.0, 1.0) for calls in paths[1:] for s in calls)
+        assert len(paths) > 1 and not any(paths[1:])
         assert len(fwds) == 1
         assert [_bits(p) for p in v.joint_path] == \
             [_bits(p) for p in tracked_chart(t, PARAMS, n=200)]
@@ -375,8 +406,8 @@ def _minor_ratio(j):
 
 def _kernel(m, r):
     """`_solve` on the augmented rows of a 4x4 system, or of a 3x3 one
-    padded as `_newton` pads it: a zero fourth column, the row (0, 0, 0, 1)
-    and right-hand side 0, the first three entries kept."""
+    padded to 4x4: a zero fourth column, the row (0, 0, 0, 1) and
+    right-hand side 0, the first three entries kept."""
     if len(m) == 4:
         return _solve(*[(*row, v) for row, v in zip(m, r)])
     return _solve(*[(*row, 0.0, v) for row, v in zip(m, r)], (0.0, 0.0, 0.0, 1.0, 0.0))[:3]
@@ -443,38 +474,6 @@ class TestKernelOracles:
                         assert _outcome(_kernel, m, r) == _outcome(solve, m, r), (wps, s)
                         systems += 1
         assert systems >= 600
-
-    def test_newton_matches_oracle_at_the_fig10_clamp(self, monkeypatch):
-        """`_newton`, on the padded 4x4 kernel, returns bit for bit what the
-        oracle Newton on the 3x3 loop returns at the boundary clamp of the
-        Fig. 10 partner chain, and from starts moved off it."""
-        import oracles
-        from kinatlas import trajectory as tj
-        t = _traj()
-        newton = tj._newton
-        calls = []
-
-        def recorded(*args):
-            calls.append(args)
-            return newton(*args)
-
-        monkeypatch.setattr(tj, "_newton", recorded)
-        ends = [follow_chain(t, PARAMS, st).end_s for st in _partner_starts(t)]
-        assert 1.0 in ends
-        monkeypatch.undo()
-        jv = _joints_at(t, 1.0, PARAMS)
-        clamps = [c for c in calls if c[3] == (jv.rho1, jv.rho2, jv.rho3)]
-        assert clamps
-        checked = 0
-        for x, y, phi, q, params in clamps:
-            for dx, dphi in ((0.0, 0.0), (1e-6, -1e-6), (1e-3, 2e-3), (-0.05, 0.03), (0.4, -0.3)):
-                got = newton(x + dx, y, phi + dphi, q, params)
-                want = oracles._newton(x + dx, y, phi + dphi, JointValues(*q), params)
-                assert (got is None) == (want is None), (dx, dphi)
-                if got is not None:
-                    assert _bits(got) == _bits(want), (dx, dphi)
-                    checked += 1
-        assert checked >= 3
 
     def test_tangent_is_the_oracle_null_vector(self):
         """The signed minors give a unit null vector, equal after orientation
