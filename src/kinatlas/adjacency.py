@@ -99,10 +99,10 @@ def _witnesses(dec: Decomposition, j: int) -> tuple[Fraction, Fraction]:
 
     Adjacency across a base root is a limit (Arnon-Collins-McCallum): the
     fiber-overlap criterion is valid only for witnesses close enough to the
-    root.  So its isolating interval is refined below gap / _SHRINK, gap
-    being that to its unrefined neighbours, at most 1.  An exact rational
-    root v gets v -+ d, d halved from gap / _SHRINK until neither is a base
-    root.
+    root.  So its isolating interval is refined below d = gap / _SHRINK,
+    gap being that to its unrefined neighbours, at most 1.  An exact
+    rational root v gets v -+ d: the unrefined neighbours hold every other
+    base root, and [v - d, v + d] lies strictly between them.
     """
     roots = dec.base_roots
     r = roots[j]
@@ -112,10 +112,7 @@ def _witnesses(dec: Decomposition, j: int) -> tuple[Fraction, Fraction]:
     r = r.refine(d)
     if not r.is_exact():
         return r.low, r.high
-    v = r.low
-    while sign_at(dec.base_poly, v - d) == 0 or sign_at(dec.base_poly, v + d) == 0:
-        d /= 2
-    return v - d, v + d
+    return r.low - d, r.low + d
 
 
 def build_graphs(dec: Decomposition, varieties: list[list[MPoly]],

@@ -133,10 +133,8 @@ class Decomposition:
         if any(sign_at(f, py) == 0 for f in fibres):
             return None
         k2 = sum(count_roots(f, NEG_INF, py) for f in fibres)
-        for c in self.columns[k1]:
-            if c.fiber_index == k2:
-                return c.id
-        return None
+        col = self.columns[k1]
+        return col[k2].id if k2 < len(col) else None
 
     def sign_at_sample(self, poly: MPoly, cid: int) -> int:
         c = self.cells[cid]

@@ -291,8 +291,9 @@ def direct_kinematics(q: JointValues, params: MechanismParams) -> list[tuple[Pos
     floats at each root's midpoint once its interval is below 2^-80.  The
     elimination is an equivalence wherever its denominator den(t) is not
     0, so distinct roots are distinct poses; a real root shared by the
-    eliminant and den, where it is not, raises `KinematicsError`.  Poses
-    with phi = pi are outside the half-tangent chart.
+    eliminant and den, where it is not, raises `KinematicsError`; their gcd
+    is taken without the factors 1 + t^2 both have.  Poses with phi = pi
+    are outside the half-tangent chart.
     """
     r1, r2, r3 = Fraction(q.rho1), Fraction(q.rho2), Fraction(q.rho3)
     P = _dk_univariate(r1, r2, r3, params)
@@ -301,7 +302,10 @@ def direct_kinematics(q: JointValues, params: MechanismParams) -> list[tuple[Pos
     poly, xnum, ynum, den = P
     if poly.degree < 1:
         return []
-    shared = realroots.isolate(poly.gcd(UPoly.from_mpoly(den, "t")))
+    # without 1 + t^2 the gcd is most often 1, which is settled modulo a prime
+    core = UPoly(_poly_quo(poly.coeffs, _OP, "eliminant by 1 + t^2"), "t")
+    den_core = UPoly(_poly_quo(UPoly.from_mpoly(den, "t").coeffs, _OP2, "den by (1 + t^2)^2"), "t")
+    shared = realroots.isolate(core.gcd(den_core))
     if shared:
         iv = shared[0]
         root = f"t = {iv.low}" if iv.is_exact() else f"t in ({iv.low}, {iv.high})"
@@ -324,8 +328,8 @@ def direct_kinematics(q: JointValues, params: MechanismParams) -> list[tuple[Pos
     return sols
 
 
-# (1 + t^2)^4, constant term first
-_OP4 = [1, 0, 4, 0, 6, 0, 4, 0, 1]
+# 1 + t^2, (1 + t^2)^2 and (1 + t^2)^4, constant term first
+_OP, _OP2, _OP4 = [1, 0, 1], [1, 0, 2, 0, 1], [1, 0, 4, 0, 6, 0, 4, 0, 1]
 
 
 def _dk_univariate(r1: Fraction, r2: Fraction, r3: Fraction, params: MechanismParams):

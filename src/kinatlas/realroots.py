@@ -452,9 +452,12 @@ def sign_at(p: UPoly, x: Fraction) -> int:
 def has_root_in(p: UPoly, low: Fraction, high: Fraction) -> bool:
     """Whether p vanishes somewhere in the closed [low, high], low < high
     (everywhere when p is zero): surely when its signs at the ends differ
-    or one is 0, else by a root count of its squarefree part."""
+    or one is 0.  Else p of degree at most 1, monotone, has none, and from
+    degree 2 on a root count of its squarefree part decides."""
     s1, s2 = sign_at(p, low), sign_at(p, high)
-    return s1 != s2 or s1 == 0 or count_roots(p.squarefree(), low, high) > 0
+    if s1 != s2 or s1 == 0:
+        return True
+    return p.degree >= 2 and count_roots(p.squarefree(), low, high) > 0
 
 
 def isolate(p: UPoly) -> list[IsolatingInterval]:
@@ -536,7 +539,8 @@ _ROUNDS = 200   # the rounds sample_between tries, 0 .. _ROUNDS - 1
 
 
 def sample_between(lo, hi) -> Fraction:
-    """Dyadic rational strictly between two bounds (`_sample`)."""
+    """Dyadic rational strictly between two bounds (`_sample`), from the
+    bounds' own intervals."""
     return _sample(lo, hi, {})
 
 
@@ -545,46 +549,29 @@ def _sample(lo, hi, states: dict) -> Fraction:
     `IsolatingInterval` or NEG_INF / POS_INF: 0 between the infinities, the
     integer below (above) a lone finite upper (lower) bound, else the
     midpoint of the gap that narrowing both intervals in lockstep opens
-    first: round r narrows each to depth 2 r, for the least r < _ROUNDS
-    that opens it.  Each interval starts from the deeper state of its
-    bisection that `states` maps it to, if any, and leaves its deepest
-    state there.  Both gallop to rounds 1, 2, 4, ... until one opens the
-    gap, trying first the last round the states reach already; a binary
-    search over the rounds skipped then reads ancestors of those states
-    (`_ancestor`), taking no sign."""
+    first: round r = 0, 1, ... takes each to its depth-2r cell, and the
+    first round whose cells are disjoint gives the sample.  Each interval
+    starts from the state of its bisection that `states` maps it to, if
+    any; a state deeper than the round gives its depth-2r cell as an
+    ancestor (`_ancestor`), taking no sign.  The deepest states go back to
+    `states`.  Raises when both cells are exact and not apart, or after
+    _ROUNDS rounds."""
     if lo == NEG_INF:
         return Fraction(0) if hi == POS_INF else Fraction(hi.A // hi.d - 1)
     if hi == POS_INF:
         return Fraction(lo.B // lo.d + 1)
     ivs = (lo, hi)
     sts = [states.get(iv) or (iv.A, iv.B, iv.d) for iv in ivs]
-
-    def at(r):
-        return [_ancestor(iv, st, 2 * r) for iv, st in zip(ivs, sts)]
-
-    def opens(r):
-        (_, b, e), (a, _, f) = at(r)
-        return b * f < a * e
-
-    # the rounds the states reach already cost no sign: try the last first
-    free = min([((d // iv.d).bit_length() - 1) // 2 for iv, (A, B, d) in zip(ivs, sts) if A < B]
-               + [_ROUNDS - 1])
-    low, r = -1, 0      # the gap is shut at round low
-    while True:
+    for r in range(_ROUNDS):
         sts = [_deepen(iv, st, 2 * r) for iv, st in zip(ivs, sts)]
-        if opens(r):
-            break
-        if all(A == B for A, B, _ in at(r)):
+        cells = [_ancestor(iv, st, 2 * r) for iv, st in zip(ivs, sts)]
+        (_, b, e), (a, _, f) = cells
+        if b * f < a * e:
+            states[lo], states[hi] = sts
+            return Fraction(b * f + a * e, (e * f) << 1)
+        if all(A == B for A, B, _ in cells):
             raise RealRootError("empty gap between bounds")
-        if r == _ROUNDS - 1:
-            raise RealRootError("could not separate bounds")
-        low, r = r, free if r < free else min(2 * r or 1, _ROUNDS - 1)
-    states[lo], states[hi] = sts
-    while r - low > 1:
-        mid = (low + r) // 2
-        low, r = (low, mid) if opens(mid) else (mid, r)
-    (_, b, e), (a, _, f) = at(r)
-    return Fraction(b * f + a * e, (e * f) << 1)
+    raise RealRootError("could not separate bounds")
 
 
 class UnorderedRootsError(RealRootError):

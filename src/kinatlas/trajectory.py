@@ -398,7 +398,9 @@ class Chain:
 def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
                  h0: float = 1.0 / 256) -> Chain:
     """Pseudo-arclength walk of F(X; q(s)) = 0 from a boundary solution at
-    s = 0 (forward) until the walk exits at s = 0 or s = 1."""
+    s = 0 (forward) until the walk exits at s = 0 or s = 1.  Its one exit
+    is the clamp: a predictor past either end is cut back to that end,
+    where the corrector on the plane s = 0 or 1 converges."""
     system = _chain_kernel(traj, params)[1]
     x, y, phi = start_state
     s = 0.0
@@ -445,10 +447,6 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
         qs.append(JointValues(*q))
         if h < h0:
             h *= 1.5
-        if s <= 0.0 + 1e-12 and tangent[3] < 0:
-            return Chain(points=pts, joints=qs, end_s=0.0)
-        if s >= 1.0 - 1e-12 and tangent[3] > 0:
-            return Chain(points=pts, joints=qs, end_s=1.0)
     raise TrajectoryError("chain walk exceeded the step budget")
 
 

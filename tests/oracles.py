@@ -48,7 +48,8 @@ order of two isolated roots by Fraction intervals that `refine` rebuilds
 every round against the integer bisection states kept across rounds,
 `refine`'s former bisection loop against `realroots._bisect`'s jumps
 on the same cells, `sample_between`'s former round-by-round halving
-against its galloping search over ancestor cells, the
+on Fraction intervals against its lockstep rounds on integer bisection
+states, which read a deeper state's ancestor cell, the
 adjacency graphs by the three-rung witness ladder, each pair decided at
 the first rung where its fiber intervals overlap, against the one witness
 pair per base root, and Horner
@@ -1506,10 +1507,6 @@ def follow_chain(traj, params, start_state, h0=1.0 / 256, max_steps=40000) -> Ch
         qs.append(q)
         if h < h0:
             h *= 1.5
-        if s <= 0.0 + 1e-12 and tangent[3] < 0:
-            return Chain(points=pts, joints=qs, end_s=0.0)
-        if s >= 1.0 - 1e-12 and tangent[3] > 0:
-            return Chain(points=pts, joints=qs, end_s=1.0)
     raise TrajectoryError("chain walk exceeded the step budget")
 
 

@@ -17,7 +17,7 @@ from kinatlas.adjacency import (
 )
 
 from oracles import (
-    LADDER, atlas_passes, cmp_bounds_by_refine, graphs_by_ladder, interval,
+    LADDER, atlas_passes, cmp_bounds_by_refine, count_roots_by_sturm, graphs_by_ladder, interval,
     parse_poly, segment_crosses, restrict_to_segment, upoly_eval, upoly_mul,
     witnesses_from_coarse, workspace_graphs_by_post_pass,
 )
@@ -337,10 +337,12 @@ class TestWitnessPair:
             bound = min(left, right, Fraction(1)) / (1 << 40)
             iv = r.refine(bound)
             if iv.is_exact():
-                # a rational root v, given or hit by bisection: v -+ d, d <= bound
+                # a rational root v, given or hit by bisection: exactly v -+ bound,
+                # the one base root in [w1, w2]
                 v = iv.low
                 assert _sign_at(ints, *v.as_integer_ratio()) == 0, j
-                assert w1 < v < w2 and max(v - w1, w2 - v) <= bound, j
+                assert (w1, w2) == (v - bound, v + bound), j
+                assert count_roots_by_sturm(dec.base_poly, w1, w2) == 1, j
                 exact += 1
             else:
                 assert r.low <= w1 < w2 <= r.high and s1 != s2 and w2 - w1 < bound, j
@@ -353,8 +355,11 @@ class TestWitnessPair:
             self._check(dec)
 
     def test_exact_rational_base_roots(self):
-        # the unit circle's base roots +-1 are rational
+        # the unit circle's base roots +-1 are rational, and so is the line u = 1/2
         assert self._check(decompose([P("u^2+v^2-1"), P("2*v-u")], "u", "v")) >= 2
+        dec = decompose([P("2*u-1"), P("u^2+2*v^2-2*u*v-3")], "u", "v")
+        assert Fraction(1, 2) in [r.low for r in dec.base_roots if r.is_exact()]
+        assert self._check(dec) >= 1
 
 
 class TestWitnessFibres:

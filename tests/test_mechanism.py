@@ -227,6 +227,18 @@ class TestDirectKinematics:
         assert "(2, 7/2, 0)" in str(e.value) and "root t = 0 " in str(e.value)
         assert all(abs(p.phi) > 1 for p, _ in oracles.direct_kinematics(q, PARAMS))
 
+    def test_denominator_identically_zero(self):
+        """At rho2 = rho3 = 0 the back-substitution denominator is 0 for
+        every t.  No pose has the default geometry's joints (2, 0, 0), and
+        with l2 = l3 = 1, a = b = 2 the pose (-cos phi, -sin phi, phi) has
+        the joints (3, 0, 0) for every phi: the eliminant vanishes, and the
+        direct kinematics raises."""
+        from kinatlas.mechanism import _dk_univariate
+        assert _dk_univariate(Fraction(2), Fraction(0), Fraction(0), PARAMS)[3].is_zero()
+        assert direct_kinematics(JointValues(2, 0, 0), PARAMS) == []
+        with pytest.raises(KinematicsError, match="eliminant vanishes"):
+            direct_kinematics(JointValues(3, 0, 0), MechanismParams(*map(Fraction, (1, 1, 2, 2))))
+
     def test_roots_closer_than_1e_7_are_two_poses(self):
         """One ulp above rho1 at a pose on det A = 0 (the middle waypoint of
         the benchmark's singular path, mode ++), the eliminant has two real

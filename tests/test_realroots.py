@@ -777,9 +777,9 @@ class TestSampleBetween:
 
 
 class TestSampleBetweenOracle:
-    """`sample_between` gallops and searches its rounds by ancestors; the
-    oracle halves both intervals round by round.  Same sample, or the same
-    raise."""
+    """`sample_between` narrows both integer bisection states in lockstep,
+    reading a deeper state's ancestor cell; the oracle halves both Fraction
+    intervals round by round.  Same sample, or the same raise."""
 
     @staticmethod
     def _same(lo, hi, merge=None):
@@ -824,6 +824,14 @@ class TestSampleBetweenOracle:
         # the samples of the ladder's rungs 2^-10 and 2^-22 too
         for dec, varieties, wrap, graphs in atlas_passes(atlas):
             assert graphs_by_ladder(dec, varieties, wrap) == graphs
+        # every base and fibre sample each decomposition keeps, from its bounds
+        for dec, *_ in atlas_passes(atlas):
+            for samples, roots in [(dec.base_samples, dec.base_roots)] + [
+                    ([c.sample[1] for c in col], fr)
+                    for col, fr in zip(dec.columns, dec.fiber_roots)]:
+                bounds = [NEG_INF, *roots, POS_INF]
+                assert samples == [sample_between_by_halving(lo, hi)
+                                   for lo, hi in zip(bounds, bounds[1:])]
         assert calls >= 250 and overlapping >= 15, (calls, overlapping)
 
     def test_random_overlapping_pairs(self):
@@ -874,7 +882,7 @@ class TestSampleBetweenOracle:
         with pytest.raises(RealRootError, match="empty gap"):
             sample_between(one, one)
         # sqrt 2 and sqrt 2 + 2^-500 need more than 200 rounds of two
-        # halvings; 2^-300 opens the gap at a round past the last gallop
+        # halvings; 2^-300 opens the gap at round 151
         for e, opens in ((500, False), (300, True)):
             c = Fraction(1, 1 << e)
             a = isolate(U(-2, 0, 1))[1]
@@ -899,6 +907,42 @@ class TestNotSquarefree:
             with pytest.raises(RealRootError, match=f"degree {p.degree} is not squarefree"):
                 f(p)
         assert len(isolate(p)) == count_roots(p.squarefree()) == count_roots_by_sturm(p)
+
+
+class TestHasRootIn:
+    def test_matches_sturm_on_closed_dyadic_windows(self, monkeypatch):
+        """Seeded constant, linear and quadratic fibres over dyadic windows,
+        a third of each shifted to vanish at an end: a root in [low, high]
+        by the Sturm count on (low, high] and the sign at low.  Only
+        degree 2 and up reaches `count_roots`."""
+        counted = []
+
+        def count(p, low, high):
+            counted.append(p)
+            return count_roots(p, low, high)
+
+        monkeypatch.setattr(realroots, "count_roots", count)
+        rng = random.Random(3203)
+        kinds = {"zero": 0, "at an end": 0, "counted": 0, "inside": 0}
+        for case in range(900):
+            low = Fraction(rng.randint(-48, 48), 1 << rng.randint(0, 4))
+            high = low + Fraction(rng.randint(1, 48), 1 << rng.randint(0, 4))
+            cs = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4))) for _ in range(case % 3 + 1)]
+            if case % 9 < 3:
+                end = low if rng.random() < 0.5 else high
+                cs[0] -= sum(c * end ** i for i, c in enumerate(cs))
+            p = UPoly(cs)
+            n = len(counted)
+            got = realroots.has_root_in(p, low, high)
+            want = (p.is_zero() or upoly_eval(p, low) == 0
+                    or count_roots_by_sturm(p, low, high) > 0)
+            assert got == want, (p, low, high)
+            assert len(counted) == n or p.degree >= 2, p
+            kinds["zero"] += p.is_zero()
+            kinds["at an end"] += not p.is_zero() and upoly_eval(p, low) * upoly_eval(p, high) == 0
+            kinds["counted"] += len(counted) > n
+            kinds["inside"] += len(counted) > n and got
+        assert all(k >= 10 for k in kinds.values()), kinds
 
 
 class TestSegment:
