@@ -5,14 +5,16 @@ polynomials (discriminants, leading coefficients, pairwise resultants,
 vertical-line contents) and each resulting open interval is lifted through
 the real roots of the specialized curve product.  `projection_set` gives
 the normalized curves, the same made pairwise coprime (its parts) and
-their projection.  A `Decomposition` keeps the parts' integer rows
-(`int_rows`, bound at a point by integer Horner, `bind`).  The base
-product and each base sample's fibre product are one integer squarefree
-lcm (`_squarefree_lcm`), isolated without a second squarefree step.
-Other fibres are asked part by part: `roots_at` isolates each bound part
-alone and orders the lists by `RootMerge`s, and `locate` adds up
-per-part root counts, so no two curves' roots are bisected apart inside
-one product.  Only full-dimensional cells are produced.
+their projection, whose polynomials are squarefree.  A `Decomposition`
+keeps the parts' integer rows (`int_rows`, bound at a point by integer
+Horner, `bind`).  The base product is the integer lcm of the projection
+(`_lcm`).  Off its roots the projection proves every bound part squarefree
+and coprime to the others (Collins 1975; McCallum 1988), so a column's
+fibre product is their plain product and `roots_at` and `locate` ask the
+bound parts one by one: `roots_at` isolates each alone and orders the
+lists by `RootMerge`s, and `locate` adds up per-part root counts, so no
+two curves' roots are bisected apart inside one product.  Only
+full-dimensional cells are produced.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from math import lcm
 
 from .ratpoly import (
     MPoly, UPoly,
-    squarefree_total, exact_div, mgcd, resultant,
-    int_poly_gcd, _int_primitive, _poly_mul, _poly_quo,
+    squarefree_total, exact_div, mgcd, resultant, discriminant,
+    int_poly_gcd, _poly_mul, _poly_quo,
 )
 from .realroots import (
     NEG_INF, POS_INF, IsolatingInterval, RealRootError, RootMerge,
@@ -82,11 +84,12 @@ class Decomposition:
     columns: list[list[Cell2D]]
 
     def fiber_product(self, x0: Fraction) -> UPoly:
-        """Squarefree part of the product of the curves bound at
-        base_var = x0: `_squarefree_lcm` of the rows bound by `_bind_int`."""
-        a, b = x0.as_integer_ratio()
-        return _squarefree_lcm([_bind_int(r, a, b) for r in self.rows], self.fiber_var,
-                               f" at {x0}")
+        """The product of the parts bound at base_var = x0 (`_fibres`),
+        squarefree where x0 is no base root, as the projection proves."""
+        acc = [1]
+        for _, f in self._fibres(x0):
+            acc = _poly_mul(acc, f.coeffs)
+        return UPoly(acc, self.fiber_var)
 
     def _fibres(self, x0: Fraction) -> list[tuple[int, UPoly]]:
         """(index, part bound at base_var = x0) of each coprime part that
@@ -191,43 +194,22 @@ def projection_set(p2, base_var: str, fiber_var: str) -> tuple[list[MPoly], ...]
         if not lc.is_constant():
             push(lc)
         if prim.degree(fiber_var) >= 2:
-            push(discriminant_bivar(prim, fiber_var, base_var))
+            push(discriminant(prim, fiber_var))
     for a, i in enumerate(fiber_polys):
         for j in fiber_polys[a + 1:]:
             p, q = polys[i], polys[j]
-            r = resultant_bivar(p, q, fiber_var, base_var)
+            r = resultant(p, q, fiber_var)
             if r.is_zero():
                 # a shared factor g: the cofactors' crossings (g's lie in the
                 # discriminants; a cofactor free of the fiber is in a content)
                 g = mgcd(p, q)
                 p, q = exact_div(p, g), exact_div(q, g)
                 if min(p.degree(fiber_var), q.degree(fiber_var)) >= 1:
-                    r = resultant_bivar(p, q, fiber_var, base_var)
+                    r = resultant(p, q, fiber_var)
                 # part i is final, as every pair (h, i) came first
                 parts[j] = exact_div(parts[j], mgcd(parts[j], parts[i]))
             push(r)
     return polys, parts, p1_m
-
-
-def resultant_bivar(p: MPoly, q: MPoly, elim: str, keep: str) -> MPoly:
-    """Resultant of two curves in `elim`, as a polynomial in `keep`:
-    `ratpoly.resultant`, the integer interpolated kernel."""
-    if p.degree(elim) <= 0 or q.degree(elim) <= 0:
-        raise CadError("resultant needs positive degree in the eliminated variable")
-    return resultant(p, q, elim).with_vars((keep,))
-
-
-def discriminant_bivar(p: MPoly, var: str, keep: str) -> MPoly:
-    """Discriminant via the interpolated resultant route."""
-    d = p.degree(var)
-    if d < 2:
-        raise CadError("discriminant needs degree >= 2")
-    r = resultant_bivar(p, p.diff(var), var, keep)
-    lc = p.leading_coefficient(var)
-    r = exact_div(r.with_vars((keep,)), lc.with_vars((keep,)))
-    if (d * (d - 1) // 2) % 2 == 1:
-        r = -r
-    return r
 
 
 def int_rows(p: MPoly, var: str, other: str) -> list[list[int]]:
@@ -260,26 +242,15 @@ def bind(rows: list[list[int]], value: Fraction, var: str) -> UPoly:
     return UPoly(_bind_int(rows, *value.as_integer_ratio()), var)
 
 
-def _squarefree_lcm(curves: list[list[int]], var: str, where: str = "") -> UPoly:
-    """The lcm of the squarefree parts of integer polynomials given by
-    coefficient lists (constant term first; constants are skipped), on
-    integers: each primitive squarefree part is taken with the integer gcd
-    and the lcm is built by exact integer quotients.  An inexact quotient
-    names the curve's index and `where`."""
+def _lcm(polys: list[UPoly], var: str) -> UPoly:
+    """The lcm of nonzero polynomials, on integers: each is divided by its
+    gcd with the product so far (`int_poly_gcd`, an exact `_poly_quo`)."""
     acc = [1]
-    for n, f in enumerate(curves):
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) < 2:
-            continue
-        _int_primitive(f)
-        if len(f) > 2:
-            g = int_poly_gcd(f, [i * c for i, c in enumerate(f)][1:])
-            if len(g) > 1:
-                f = _poly_quo(f, g, f"squarefree part of curve {n}{where}")
+    for f in polys:
+        f = f.coeffs
         g = int_poly_gcd(acc, f)
         if len(g) > 1:
-            f = _poly_quo(f, g, f"lcm factor of curve {n}{where}")
+            f = _poly_quo(f, g, "lcm factor")
         acc = _poly_mul(acc, f)
     return UPoly(acc, var)
 
@@ -287,8 +258,7 @@ def _squarefree_lcm(curves: list[list[int]], var: str, where: str = "") -> UPoly
 def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:
     """Full-dimensional cells of the open CAD adapted to the curve set."""
     polys, parts, projection = projection_set(p2, base_var, fiber_var)
-    base = _squarefree_lcm([list(UPoly.from_mpoly(q, base_var).coeffs) for q in projection],
-                           base_var)
+    base = _lcm([UPoly.from_mpoly(q, base_var) for q in projection], base_var)
     base_roots = isolate_squarefree(base)
     bounds = [NEG_INF, *base_roots, POS_INF]
     dec = Decomposition(

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratpoly import MPoly, UPoly, RatPolyError, exact_div, squarefree_total, mgcd
+from .ratpoly import MPoly, UPoly, RatPolyError, exact_div, squarefree_total, mgcd, resultant
 from .realroots import isolate
-from .cad2d import Decomposition, decompose, interval_eval, resultant_bivar
+from .cad2d import Decomposition, decompose, interval_eval
 from .adjacency import AdjacencyGraph, build_graph, build_graphs, components
 from .mechanism import (
     MechanismParams, WorkingMode, WorkspaceSlice, JointSlice,
@@ -381,7 +381,7 @@ def _pair_eliminant(f: MPoly, g: MPoly, elim: str, keep: str) -> MPoly:
     common roots of {f, g}; degenerate elim-degrees handled directly."""
     df, dg = f.degree(elim), g.degree(elim)
     if df > 0 and dg > 0:
-        return resultant_bivar(f, g, elim, keep)
+        return resultant(f, g, elim)
     side = g if dg == 0 else f
     if side.is_constant():
         return MPoly.const(1, (keep,)) if not side.is_zero() else MPoly.const(0, (keep,))

@@ -288,7 +288,7 @@ def direct_kinematics(q: JointValues, params: MechanismParams) -> list[tuple[Pos
     Eliminates (x, y) linearly between the three distance equations,
     isolates the half-tangent roots of the eliminant exactly (without its
     factor (1 + t^2)^4, see `_dk_univariate`), and back-substitutes in
-    floats at each root's midpoint once its interval is below 2^-80.  The
+    floats at each root's correctly rounded double (`float`).  The
     elimination is an equivalence wherever its denominator den(t) is not
     0, so distinct roots are distinct poses; a real root shared by the
     eliminant and den, where it is not, raises `KinematicsError`; their gcd
@@ -315,7 +315,7 @@ def direct_kinematics(q: JointValues, params: MechanismParams) -> list[tuple[Pos
     l2, l3, _, b = params.floats
     sols = []
     for iv in realroots.isolate(poly):
-        tf = float(iv.refine(Fraction(1, 1 << 80)).midpoint())
+        tf = iv.float()
         d = den.eval_float({"t": tf})
         xf = xnum.eval_float({"t": tf}) / d
         yf = ynum.eval_float({"t": tf}) / d

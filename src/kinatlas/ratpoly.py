@@ -7,10 +7,11 @@ immutable.  Arithmetic, derivatives, evaluation and substitution run on the
 numerators, and so does elimination: the multivariate gcd is GCDHEU (Char,
 Geddes and Gonnet 1989), proven by exact division and backed by the
 primitive PRS; the resultant is taken at integer nodes and interpolated
-(Collins 1971); squarefree parts are p / gcd(p, dp/dv).  Univariate gcds,
-quotients and products run on coefficient lists (`int_poly_gcd`,
-`_poly_quo`, `_poly_mul`).  Fractions are built only for `terms`, a
-constant's value, a full `eval` and the printed text.
+(Collins 1971), and the discriminant is the resultant with the derivative
+over the leading coefficient; squarefree parts are p / gcd(p, dp/dv).
+Univariate gcds, quotients and products run on coefficient lists
+(`int_poly_gcd`, `_poly_quo`, `_poly_mul`).  Fractions are built only for
+`terms`, a constant's value, a full `eval` and the printed text.
 """
 
 from __future__ import annotations
@@ -473,6 +474,14 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
                            {e[:v] + e[v + 1:]: scale * k
                             for e, k in _resultant_interp(P, Q, v).items()},
                            p.den ** dq * q.den ** dp)
+
+
+def discriminant(p: MPoly, var: str) -> MPoly:
+    """(-1)^(d(d-1)/2) Res(p, dp/dvar) / lc(p) in `var`, d = deg_var p >= 2
+    (`resultant` raises on a lower degree), divided exactly."""
+    d = p.degree(var)
+    r = exact_div(resultant(p, p.diff(var), var), p.leading_coefficient(var))
+    return -r if d * (d - 1) // 2 % 2 else r
 
 
 def squarefree_part(p: MPoly, var: str) -> MPoly:

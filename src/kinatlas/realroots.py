@@ -470,9 +470,10 @@ def isolate(p: UPoly) -> list[IsolatingInterval]:
 
 def isolate_squarefree(f: UPoly) -> list[IsolatingInterval]:
     """Disjoint dyadic isolating intervals, one per real root of f, which
-    is squarefree already (the fibre products of `cad2d._squarefree_lcm`
-    are): the nodes and roots of `_descartes` on windows of integer ends
-    that cover the root bound, made strictly disjoint by halving."""
+    is squarefree already (the projection makes the fibre products of
+    `cad2d.decompose` so): the nodes and roots of `_descartes` on windows
+    of integer ends that cover the root bound, made strictly disjoint by
+    halving."""
     if f.degree <= 0:
         return []
     ints = f.coeffs

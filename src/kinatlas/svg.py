@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cad2d import bind, discriminant_bivar, int_rows
-from .ratpoly import MPoly, UPoly
+from .cad2d import bind, int_rows
+from .ratpoly import MPoly, UPoly, discriminant
 from .realroots import isolate, roots_below, round_root, sign_at
 
 _NEWTON = 8    # float Newton steps per proposed root, at most
@@ -72,7 +72,7 @@ def _critical_polynomial(poly: MPoly, base_var: str, fiber_var: str) -> UPoly | 
     discriminant is 0, poly having a repeated factor."""
     crit = poly.leading_coefficient(fiber_var)
     if poly.degree(fiber_var) >= 2:
-        crit = crit * discriminant_bivar(poly, fiber_var, base_var)
+        crit = crit * discriminant(poly, fiber_var)
     if crit.is_zero():
         return None
     return UPoly.from_mpoly(crit.with_vars((base_var,)), base_var)

@@ -775,7 +775,7 @@ def base_product_by_fractions(p1, var: str) -> UPoly:
     """Squarefree part of the product of the projection polynomials p1
     (`MPoly`s in `var`), by the Fraction loop of `UPoly.gcd`, `upoly_divmod` and `upoly_mul`
     and a final `squarefree_by_fractions` (the route `cad2d.decompose` took
-    before its base product became `_squarefree_lcm`)."""
+    before its base product became the integer `_lcm`)."""
     base = UPoly([Fraction(1)], var)
     for q in p1:
         q = UPoly(coeff_list(q, var), var)
@@ -1226,7 +1226,7 @@ def lagrange(xs, ys, var: str) -> MPoly:
 
 
 def resultant_bivar_by_fractions(p: MPoly, q: MPoly, elim: str, keep: str) -> MPoly:
-    """`cad2d.resultant_bivar` on Fractions: `keep` bound by substitution at
+    """`ratpoly.resultant` on Fractions: `keep` bound by substitution at
     the same nodes, scalar resultants over Q, Lagrange interpolation."""
     dpe, dqe = p.degree(elim), q.degree(elim)
     bound = p.degree(keep) * dqe + q.degree(keep) * dpe

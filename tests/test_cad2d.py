@@ -305,29 +305,39 @@ def _fibre_product(polys, x) -> UPoly:
 
 class TestFibreProduct:
     def test_lcm_matches_whole_product_squarefree(self):
-        from oracles import specialize_product_whole, upoly_derivative
+        # at x0 the curves share the fibre root y0 and one of them is there
+        # twice: `_lcm` of their bound fibres is the whole product's
+        # squarefree part; at x0 + 1/3, unless it is a base root, their
+        # coprime parts' fibres are squarefree and coprime, and the plain
+        # `fiber_product` is that part too
+        from kinatlas.cad2d import _lcm
+        from kinatlas.realroots import sign_at
+        from oracles import specialize_product_whole
         rng = random.Random(41)
-        shared = tangent = 0
+        shared = plain = 0
         for _ in range(150):
             x0 = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
             y0 = Fraction(rng.randint(-6, 6), rng.choice([1, 4]))
             polys = [_through(rng, x0, y0) for _ in range(rng.randint(2, 3))]
-            if rng.random() < 0.3:
-                # (v - y0)^2 + (u - x0) * (u + v): a double fibre root at x0
-                polys.append((P("v") - y0) ** 2 + (P("u") - x0) * P("u + v"))
             if rng.random() < 0.2:
                 polys.append(_rand_conic(rng))
-            polys.append(polys[0])  # the same curve twice
-            for x in (x0, x0 + Fraction(1, 3)):
-                got = _fibre_product(polys, x)
-                want = specialize_product_whole(polys, "u", "v", x)
-                assert got == want and got.var == want.var == "v"
+            dec, x = decompose(polys, "u", "v"), x0 + Fraction(1, 3)
+            if sign_at(dec.base_poly, x) != 0:
+                got = dec.fiber_product(x)
+                assert got == specialize_product_whole(dec.polys, "u", "v", x) and got.var == "v"
                 assert _integer_form(got)
-            fibres = [UPoly.from_mpoly(p.eval({"u": x0}).with_vars(("v",)), "v")
-                      for p in polys if p.degree("v") >= 1]
-            shared += sum(upoly_eval(f, y0) == 0 for f in fibres) >= 2
-            tangent += any(f.degree >= 1 and f.gcd(upoly_derivative(f)).degree >= 1 for f in fibres)
-        assert shared >= 100 and tangent >= 20, (shared, tangent)
+                plain += 1
+            polys.append(polys[0])  # the same curve twice
+            bound = (UPoly.from_mpoly(p.eval({"u": x0}).with_vars(("v",)), "v")
+                     for p in polys if p.degree("v") >= 1)
+            fibres = [f for f in bound if f.degree >= 1]
+            if any(f.squarefree() != f for f in fibres):
+                continue    # a double fibre root: `_lcm` takes no squarefree part
+            got = _lcm(fibres, "v")
+            assert got == specialize_product_whole(polys, "u", "v", x0) and got.var == "v"
+            assert _integer_form(got)
+            shared += sum(upoly_eval(f, y0) == 0 for f in fibres) >= 3
+        assert shared >= 130 and plain >= 140, (shared, plain)
 
     def test_matches_both_oracles_at_fine_witnesses(self):
         # witnesses 2^-40 beside a shared fibre root, as the adjacency pass
@@ -413,9 +423,9 @@ class TestIntegerForm:
 
 
 class TestBaseProduct:
-    """`decompose`'s base product is the integer squarefree lcm of the
-    projection polynomials; it must equal the Fraction gcd, divide and
-    multiply loop it replaced."""
+    """`decompose`'s base product is the integer lcm of the projection
+    polynomials, which are squarefree; it must equal the Fraction gcd,
+    divide and multiply loop it replaced."""
 
     def test_matches_fraction_loop_on_random_arrangements(self):
         from oracles import base_product_by_fractions
@@ -453,6 +463,59 @@ class TestBaseProduct:
         for dec in (atlas_pp.wa.dec_sing, atlas_pp.wa.dec_fine, atlas_pp.ja.dec):
             assert dec.base_poly.degree >= 1
             assert dec.base_poly == base_product_by_fractions(dec.projection, dec.base_var)
+
+
+class TestProjectionGuarantee:
+    """Off the base roots the projection makes every bound part squarefree
+    and coprime to the others, so a column's fibre product is the plain
+    product of the bound parts and the base product the plain lcm of the
+    projection: each equals the squarefree part that the whole product had."""
+
+    @staticmethod
+    def _check(dec) -> int:
+        from oracles import base_product_by_fractions, specialize_product_whole
+        assert dec.base_poly == base_product_by_fractions(dec.projection, dec.base_var)
+        for s, f in zip(dec.base_samples, dec.fiber_products, strict=True):
+            assert f == specialize_product_whole(dec.polys, dec.base_var, dec.fiber_var, s), s
+        return len(dec.fiber_products)
+
+    @pytest.mark.parametrize("case", ["ref", "y0_0", "y0_2", "geom2", "y0_1"])
+    def test_decompositions_of_the_slice_atlas(self, case, atlas_pp):
+        from kinatlas.domains import SliceAtlas
+        from kinatlas.mechanism import MechanismParams, WorkingMode
+        params = {"geom2": MechanismParams(l2=Fraction(2), l3=Fraction(5, 2), a=Fraction(1, 2),
+                                           b=Fraction(3, 2))}.get(case, MechanismParams())
+        y0 = {"y0_0": Fraction(0), "y0_2": Fraction(2), "y0_1": Fraction(1)}.get(case,
+                                                                               Fraction(1, 2))
+        atlas = atlas_pp if case == "ref" else SliceAtlas.build(params, y0, WorkingMode(1, 1))
+        columns = sum(self._check(dec) for dec in (atlas.wa.dec_fine, atlas.wa.dec_sing,
+                                                    atlas.ja.dec))
+        assert columns >= 20, columns
+
+    def test_seeded_conic_arrangements(self):
+        rng = random.Random(83)
+        columns = 0
+        for _ in range(40):
+            x0 = Fraction(rng.randint(-4, 4), rng.choice([1, 2]))
+            y0 = Fraction(rng.randint(-4, 4), rng.choice([1, 2]))
+            polys = [_through(rng, x0, y0) for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.5:
+                polys.append((P("v") - y0) ** 2 + (P("u") - x0) * P("u + v"))
+            polys.append(_rand_conic(rng))
+            columns += self._check(decompose(polys, "u", "v"))
+        assert columns >= 200, columns
+
+    def test_a_shared_root_at_a_base_root_raises(self):
+        # v^2 - u and v^2 + u - 4 share the fibre roots +-sqrt 2 at the base
+        # root u = 2, where the product of their parts is (v^2 - 2)^2
+        from kinatlas.realroots import RealRootError, isolate_squarefree, sign_at
+        dec = decompose([P("v^2 - u"), P("v^2 + u - 4")], "u", "v")
+        assert sign_at(dec.base_poly, Fraction(2)) == 0
+        f = dec.fiber_product(Fraction(2))
+        assert f == UPoly([4, 0, -4, 0, 1], "v")
+        with pytest.raises(RealRootError, match="not squarefree"):
+            isolate_squarefree(f)
+        assert len(isolate_squarefree(dec.fiber_product(Fraction(3)))) == 4
 
 
 class TestScalarResultant:
@@ -498,7 +561,7 @@ class TestScalarResultant:
 
 class TestResultantRoutes:
     def test_interpolated_matches_prs(self):
-        from kinatlas.cad2d import resultant_bivar
+        from kinatlas import ratpoly
         from oracles import resultant_prs
         rng = random.Random(13)
         done = 0
@@ -507,13 +570,13 @@ class TestResultantRoutes:
             q = _rand_conic(rng) + MPoly(("u", "v"), {(0, 1): Fraction(1)})
             if p.degree("v") <= 0 or q.degree("v") <= 0:
                 continue
-            a = resultant_bivar(p, q, "v", "u")
+            a = ratpoly.resultant(p, q, "v")
             b = resultant_prs(p, q, "v").with_vars(a.vars)
             assert a == b  # sign-exact agreement between the two routes
             done += 1
 
     def test_interpolated_discriminant_matches(self):
-        from kinatlas.cad2d import discriminant_bivar
+        from kinatlas import ratpoly
         from oracles import discriminant
         rng = random.Random(37)
         done = 0
@@ -521,28 +584,55 @@ class TestResultantRoutes:
             p = _rand_conic(rng) + MPoly(("u", "v"), {(0, 2): Fraction(1)})
             if p.degree("v") < 2:
                 continue
-            a = discriminant_bivar(p, "v", "u")
+            a = ratpoly.discriminant(p, "v")
             b = discriminant(p, "v").with_vars(a.vars)
             assert a == b
             done += 1
 
+    def test_discriminant_on_the_resultant_cases(self):
+        # the cubic-quartic case's operands, whose leading coefficients
+        # vanish at nodes, and seeded cubics whose rows mix denominators
+        from kinatlas import ratpoly
+        from oracles import discriminant
+        rng = random.Random(47)
+        done = 0
+        for i in range(12):
+            lcp = P(("u", "u + 1", "u - 2", "u^2 + u")[i % 4])
+            lcq = P(("u - 2", "u", "3*u + 3", "1")[i % 4])
+            p = lcp * P("v^3") + _rand_conic(rng) * (P("v") + rng.randint(-3, 3))
+            q = lcq * P("v^4") + _rand_conic(rng) * _rand_conic(rng)
+            for f in (p, q):
+                if f.degree("v") >= 2:
+                    a = ratpoly.discriminant(f, "v")
+                    assert a == discriminant(f, "v").with_vars(a.vars)
+                    done += 1
+        rng = random.Random(53)
+        for _ in range(40):
+            f = MPoly(("u", "v"), {(e, k): Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 9]))
+                                   for k in range(4) for e in range(3)})
+            if f.degree("v") >= 2:
+                a = ratpoly.discriminant(f, "v")
+                assert a == discriminant(f, "v").with_vars(a.vars)
+                done += 1
+        assert done >= 50, done
+
     def test_operands_free_of_the_kept_variable(self):
         # the joint chart's lines 1 - c3 and 1 + c3 have degree 0 in r; the
         # interpolation bound is then 0 and one node gives the resultant
-        from kinatlas.cad2d import resultant_bivar, discriminant_bivar
+        from kinatlas import ratpoly
         from oracles import discriminant, resultant_prs
         for p, q in [(P("1-v"), P("1+v")), (P("2*v^2-3"), P("3*v+1/2")),
                      (P("v^2-2"), P("u+v")), (P("v^3-v"), P("v^2-1"))]:
-            a = resultant_bivar(p, q, "v", "u")
+            a = ratpoly.resultant(p, q, "v")
             assert a == resultant_prs(p, q, "v").with_vars(a.vars)
         for p in (P("v^2-2"), P("2*v^3-v+1/3"), P("v^2-2*v+1")):
-            a = discriminant_bivar(p, "v", "u")
+            a = ratpoly.discriminant(p, "v")
             assert a == discriminant(p, "v").with_vars(a.vars)
 
     def test_cubic_quartic_with_vanishing_leading_coefficient(self):
         # leading coefficients in v vanish at interpolation nodes (u = 0,
         # -1, 2, ...), so those nodes are skipped
-        from kinatlas.cad2d import resultant_bivar
+        from kinatlas import ratpoly
         from oracles import resultant_prs
         rng = random.Random(47)
         for i in range(12):
@@ -552,10 +642,10 @@ class TestResultantRoutes:
             q = lcq * P("v^4") + _rand_conic(rng) * _rand_conic(rng)
             if p.degree("v") < 3 or q.degree("v") < 4:
                 continue
-            a = resultant_bivar(p, q, "v", "u")
+            a = ratpoly.resultant(p, q, "v")
             b = resultant_prs(p, q, "v").with_vars(a.vars)
             assert a == b
-            a = resultant_bivar(q, p, "v", "u")
+            a = ratpoly.resultant(q, p, "v")
             b = resultant_prs(q, p, "v").with_vars(a.vars)
             assert a == b
 
@@ -564,7 +654,7 @@ class TestResultantRoutes:
         # coefficients in v vanish at the nodes 0, -1 and 2 (and at 1, which
         # is not a node); degrees are swapped, including odd-by-odd pairs
         # where the swap flips the sign
-        from kinatlas.cad2d import resultant_bivar
+        from kinatlas import ratpoly
         from oracles import resultant_bivar_by_fractions, resultant_prs
         rng = random.Random(53)
         lcs = ("u", "u + 1", "u - 1", "u - 2", "u^2 - 1", "1/3*u^2 + 1/5", "7/2")
@@ -586,10 +676,10 @@ class TestResultantRoutes:
             p, q = rand_poly(m, lcp), rand_poly(n, lcq)
             if p.degree("u") == 0 and q.degree("u") == 0:
                 continue
-            got = resultant_bivar(p, q, "v", "u")
+            got = ratpoly.resultant(p, q, "v")
             assert got == resultant_prs(p, q, "v").with_vars(got.vars)
             assert got == resultant_bivar_by_fractions(p, q, "v", "u").with_vars(got.vars)
-            assert resultant_bivar(q, p, "v", "u") == (-got if m * n % 2 else got)
+            assert ratpoly.resultant(q, p, "v") == (-got if m * n % 2 else got)
             mixed += len({c.denominator for c in p.terms.values()}) > 1
             vanishing += bool({lcp, lcq} & at_node)
             odd_swaps += m * n % 2 == 1 and m != n

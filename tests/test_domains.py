@@ -404,12 +404,12 @@ class TestCusps:
     def test_no_resultant_above_degree_8_in_u_at_the_reference_slice(self, atlas_pp, monkeypatch):
         from kinatlas import domains
         degrees = []
-        real = domains.resultant_bivar
+        real = domains.resultant
 
-        def counting(p, q, elim, keep):
+        def counting(p, q, elim):
             degrees.append(max(p.degree("u"), p.degree("w"), q.degree("u"), q.degree("w")))
-            return real(p, q, elim, keep)
-        monkeypatch.setattr(domains, "resultant_bivar", counting)
+            return real(p, q, elim)
+        monkeypatch.setattr(domains, "resultant", counting)
         points = cusp_points(atlas_pp.js)
         assert [(p.r_box, p.u_box, p.kind) for p in points] == \
             [(p.r_box, p.u_box, p.kind) for p in atlas_pp.singular_points]
@@ -441,9 +441,8 @@ class TestCusps:
         ws = atlas_pp.ws
         sc = atlas_pp.wa.sc
         pw = ws.parallel
-        from kinatlas.cad2d import resultant_bivar
-        rx = resultant_bivar(sc.with_vars(("x", "tphi")), pw.with_vars(("x", "tphi")),
-                             "tphi", "x")
+        from kinatlas.ratpoly import resultant
+        rx = resultant(sc.with_vars(("x", "tphi")), pw.with_vars(("x", "tphi")), "tphi")
         targets = []
         for c in atlas_pp.cusps:
             r = (float(c.r_box[0]) + float(c.r_box[1])) / 2

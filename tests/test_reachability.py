@@ -25,7 +25,12 @@ right one.
 Every field of a package dataclass must be read, by an `Attribute` node
 that loads it, somewhere in the package (its own class's methods
 included), unless `UNREAD_FIELDS` names it with a reason: a record keeps
-only what something reads.  Fields are matched by name, as definitions are.
+only what something reads.  A load that only receives an `append`,
+`extend`, `add` or `update` call writes.  Fields are matched by name, as
+definitions are.
+
+The package's parameters with a default number at most `MAX_DEFAULTED`:
+an option a change adds shows up as a count that the change must raise.
 
 The functions `EXACT_FUNCTIONS` names hold no float constant: what they
 decide, they decide exactly, so no tolerance can drop or merge a
@@ -41,6 +46,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "kinatlas"
 ALLOWED = {
     "mechanism.WorkingMode.all_modes": "public enumeration of the four working modes",
     "mechanism.WorkingMode.from_label": "inverse of WorkingMode.label for library users",
+    "realroots.IsolatingInterval.midpoint": "acceptance criteria 3 and 5 take a refined root's "
+                                            "rational midpoint",
 }
 
 
@@ -149,9 +156,8 @@ def test_unused_import_guard_flags_stdlib_and_package_names():
 # `_`-prefixed names a module may take from another package module, each
 # with its reason; every other private name is used only in its own module
 PRIVATE_IMPORTS = {
-    "cad2d <- ratpoly._int_primitive": "integer kernel of the squarefree lcm of fibre products",
-    "cad2d <- ratpoly._poly_mul": "integer kernel of the squarefree lcm of fibre products",
-    "cad2d <- ratpoly._poly_quo": "integer kernel of the squarefree lcm of fibre products",
+    "cad2d <- ratpoly._poly_mul": "integer kernel of the fibre products and the base lcm",
+    "cad2d <- ratpoly._poly_quo": "integer kernel of the base product's lcm",
     "cad2d <- realroots._horner": "integer Horner kernel that binds a curve's rows",
     "mechanism <- ratpoly._poly_quo": "exact integer quotient of the DK eliminant by (1 + t^2)^4",
 }
@@ -206,9 +212,9 @@ NONE_DEFAULTS = {
 }
 
 
-def _none_defaults(tree: ast.Module, stem: str) -> list[str]:
-    """'module.qualname(param)' for each parameter in `tree` whose default
-    is the constant None, methods qualified by their class."""
+def _defaults(tree: ast.Module, stem: str) -> list[tuple[str, ast.expr]]:
+    """('module.qualname(param)', default) for each parameter in `tree`
+    that has a default, methods qualified by their class."""
     out = []
 
     def visit(body, prefix):
@@ -220,12 +226,18 @@ def _none_defaults(tree: ast.Module, stem: str) -> list[str]:
                 pos = a.posonlyargs + a.args
                 pairs = list(zip(pos[len(pos) - len(a.defaults):], a.defaults))
                 pairs += [(k, d) for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-                out.extend(f"{stem}.{prefix}{node.name}({arg.arg})" for arg, d in pairs
-                           if isinstance(d, ast.Constant) and d.value is None)
+                out.extend((f"{stem}.{prefix}{node.name}({arg.arg})", d) for arg, d in pairs)
                 visit(node.body, f"{prefix}{node.name}.")
 
     visit(tree.body, "")
     return out
+
+
+def _none_defaults(tree: ast.Module, stem: str) -> list[str]:
+    """'module.qualname(param)' for each parameter in `tree` whose default
+    is the constant None."""
+    return [name for name, d in _defaults(tree, stem)
+            if isinstance(d, ast.Constant) and d.value is None]
 
 
 def _all_none_defaults() -> list[str]:
@@ -251,9 +263,35 @@ def test_none_default_guard_flags_functions_methods_and_keywords():
         "mod.f(b)", "mod.f(c)", "mod.f.g(e)", "mod.K.m(x)", "mod.K.s(z)"]
 
 
+# the most parameters of package functions and methods that may have a
+# default: an option that a change adds raises this count, and the change
+# says why
+MAX_DEFAULTED = 21
+
+
+def _all_defaults() -> list[str]:
+    return [name for path in sorted(SRC.glob("*.py"))
+            for name, _ in _defaults(ast.parse(path.read_text(), str(path)), path.stem)]
+
+
+def test_defaulted_parameters_stay_within_the_ratchet():
+    found = _all_defaults()
+    assert len(found) <= MAX_DEFAULTED, \
+        f"{len(found)} defaulted parameters, more than {MAX_DEFAULTED}: {found}"
+
+
+def test_default_guard_counts_positional_keyword_and_nested_defaults():
+    tree = ast.parse("def f(a, b=1, *, c, d=None):\n    def g(e=()):\n        pass\n"
+                     "class K:\n    def m(self, x, y=0):\n        pass\n")
+    assert [name for name, _ in _defaults(tree, "mod")] == [
+        "mod.f(b)", "mod.f(d)", "mod.f.g(e)", "mod.K.m(y)"]
+
+
 # dataclass fields that no `Attribute` node of the package reads, each
 # with its reason
 UNREAD_FIELDS = {
+    "cad2d.Decomposition.fiber_roots": "acceptance 8c and test_realroots read the fibre roots "
+                                       "that decompose isolated",
     "domains.BasicRegion.aspect_label": "the partition test groups basic regions by aspect",
     "domains.SliceAtlas.ja": "tests inspect the joint analysis a build made",
     "mechanism.WorkspaceSlice.excluded": "acceptance criterion 5 reads the excluded pose phi = pi",
@@ -277,9 +315,18 @@ def _unread_fields(tree: ast.Module, stem: str, reads: set[str]) -> list[str]:
             and stmt.target.id not in reads]
 
 
+# methods that write to their receiver: `a.x.append(...)` is no read of x
+MUTATORS = ("append", "extend", "add", "update")
+
+
 def _attribute_reads(trees) -> set[str]:
-    return {n.attr for tree in trees for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    """The attributes that some `Attribute` node loads, other than as the
+    receiver of a `MUTATORS` call."""
+    nodes = [n for tree in trees for n in ast.walk(tree)]
+    written = {id(n.func.value) for n in nodes if isinstance(n, ast.Call)
+               and isinstance(n.func, ast.Attribute) and n.func.attr in MUTATORS}
+    return {n.attr for n in nodes if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Load) and id(n) not in written}
 
 
 def _all_unread_fields() -> list[str]:
@@ -305,6 +352,16 @@ def test_unread_field_guard_flags_unread_and_written_fields():
                      "class B:\n    w: int\n"
                      "def g(a, b):\n    a.z = 1\n    return a.x\n")
     assert _unread_fields(tree, "m", _attribute_reads([tree])) == ["m.A.z"]
+
+
+def test_unread_field_guard_counts_mutator_receivers_as_writes():
+    tree = ast.parse("from dataclasses import dataclass\n"
+                     "@dataclass\nclass A:\n    xs: list\n    ys: list\n    s: set\n"
+                     "    d: dict\n    zs: list\n"
+                     "def g(a):\n    a.xs.append(1)\n    a.ys.extend([2])\n    a.s.add(3)\n"
+                     "    a.d.update(k=4)\n    a.zs.append(5)\n    return a.zs[0]\n")
+    assert _unread_fields(tree, "m", _attribute_reads([tree])) == ["m.A.xs", "m.A.ys", "m.A.s",
+                                                                   "m.A.d"]
 
 
 # functions that decide exactly, so hold no float constant and no tolerance
