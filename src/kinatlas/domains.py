@@ -13,7 +13,7 @@ pairwise different, and every one of them is enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .ratpoly import MPoly, UPoly, RatPolyError, exact_div, squarefree_total, mgcd, resultant
@@ -392,13 +392,25 @@ def _pair_eliminant(f: MPoly, g: MPoly, elim: str, keep: str) -> MPoly:
 # full-slice orchestration
 
 
+def _labelings(wa: WorkspaceAnalysis, ja: JointAnalysis, atlas: list[RegionSet],
+               mode: WorkingMode) -> dict:
+    """The per-mode fields of a `SliceAtlas`: one slice's aspects, joint
+    aspects, basic regions and uniqueness domains, labelled for `mode`."""
+    aspects = w_aspects(wa, mode)
+    basics = basic_regions(wa, ja, atlas, aspects, mode)
+    return dict(mode=mode, aspects=aspects, qaspects=q_aspects(ja, mode), basics=basics,
+                domains=uniqueness_domains(wa, basics, mode))
+
+
 @dataclass
 class SliceAtlas:
     """Everything the CLI and trajectory verdicts need for one slice.
 
     The cell geometry is working-mode independent for this mechanism (the
     parallel curve and the joint chart do not depend on the branch signs);
-    per-mode data differs only in labels and in the IK map itself.
+    per-mode data differs only in labels and in the IK map itself, so
+    `in_mode` relabels one build for another mode (`tests/test_domains.py`,
+    `TestWorkingModes`, checks this against fresh builds).
     """
 
     params: MechanismParams
@@ -422,16 +434,14 @@ class SliceAtlas:
         js = slice_jointspace(ws)
         wa = analyze_workspace(js)
         ja = analyze_jointspace(js)
-        aspects = w_aspects(wa, mode)
-        qaspects = q_aspects(ja, mode)
         atlas = count_atlas(wa)
-        basics = basic_regions(wa, ja, atlas, aspects, mode)
-        uds = uniqueness_domains(wa, basics, mode)
         sing = cusp_points(js)
-        return SliceAtlas(params=params, y0=y0, mode=mode, ws=ws,
-                          wa=wa, js=js, ja=ja, aspects=aspects, qaspects=qaspects,
-                          basics=basics, domains=uds, atlas=atlas,
-                          singular_points=sing)
+        return SliceAtlas(params=params, y0=y0, ws=ws, wa=wa, js=js, ja=ja, atlas=atlas,
+                          singular_points=sing, **_labelings(wa, ja, atlas, mode))
+
+    def in_mode(self, mode: WorkingMode) -> "SliceAtlas":
+        """This slice's atlas in working mode `mode`: its geometry, relabelled."""
+        return replace(self, **_labelings(self.wa, self.ja, self.atlas, mode))
 
     @property
     def cusps(self) -> list[CuspPoint]:

@@ -14,8 +14,10 @@ window: with q(x) = p(a + (b - a) x),
 (1 + x)^n q(1 / (1 + x)) = sum C(n, i) b_i x^(n - i).  The test stays
 exact when an end of the window is a root (Krandick-Mehlhorn), and a
 root-separation bound caps its depth, so input that is not squarefree
-raises.  An isolating interval is one integer state: its ends A/d and B/d
-over one positive denominator and the sign of p at its low end.
+raises, unless the walk meets a repeated root exactly: `isolate_squarefree`
+refuses that root by p' there, and `count_roots` counts it once.  An
+isolating interval is one integer state: its ends A/d and B/d over one
+positive denominator and the sign of p at its low end.
 `_bisect`, the one refinement kernel, takes it to the cell that k
 halvings reach, jumping there by quadratic interval refinement on the
 same dyadic cells.  `RootMerge` owns the order of two root lists: it
@@ -473,7 +475,8 @@ def isolate_squarefree(f: UPoly) -> list[IsolatingInterval]:
     is squarefree already (the projection makes the fibre products of
     `cad2d.decompose` so): the nodes and roots of `_descartes` on windows
     of integer ends that cover the root bound, made strictly disjoint by
-    halving."""
+    halving.  A repeated root raises `RealRootError`: the walk's depth
+    bound catches one it does not meet, and f' one it meets exactly."""
     if f.degree <= 0:
         return []
     ints = f.coeffs
@@ -495,6 +498,11 @@ def isolate_squarefree(f: UPoly) -> list[IsolatingInterval]:
         tops = [(-B, 2 * B)]
     for a, w in tops:
         out += (IsolatingInterval(*node, fiso) for node in _descartes(ints_nz, a, w))
+    # the walk stops on an exact root whatever its multiplicity: f' decides
+    dints = [k * c for k, c in enumerate(ints)][1:]
+    for iv in out:
+        if iv.is_exact() and not _horner(dints, iv.A, iv.d):
+            raise RealRootError(f"repeated root {Fraction(iv.A, iv.d)}: input not squarefree")
     # every denominator is a power of two, so all ends scale to the largest
     D = max((iv.d for iv in out), default=1)
     out.sort(key=lambda iv: (iv.A * (D // iv.d), iv.B * (D // iv.d)))

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from fractions import Fraction
 
@@ -67,16 +69,16 @@ def atlas_build_seconds(atlas_pp) -> float:
 
 
 @pytest.fixture(scope="session")
-def atlas_of_mode(atlas_pp):
-    """The slice atlas at y = 1/2 of a given working mode, each built once;
-    (+,+) is `atlas_pp`."""
+def slice_atlas(atlas_pp):
+    """The (+,+) slice atlas of a case of `oracles.SLICES`, each built
+    once; "ref" is `atlas_pp`.  Tests that patch a build build their own."""
     from kinatlas.domains import SliceAtlas
+    from oracles import SLICES
 
-    def build(mode: WorkingMode):
-        if mode == atlas_pp.mode:
+    @functools.cache
+    def build(case: str):
+        if case == "ref":
             return atlas_pp
-        if mode not in _atlas_cache:
-            _atlas_cache[mode] = SliceAtlas.build(MechanismParams(), Fraction(1, 2), mode)
-        return _atlas_cache[mode]
+        return SliceAtlas.build(*SLICES[case], WorkingMode(1, 1))
 
     return build

@@ -74,8 +74,8 @@ arithmetic on `UPoly` over Fraction coefficient lists (`upoly_mul`,
 (`upoly_derivative`), `coeff_list` (the
 rational coefficients of a univariate `MPoly`), the polynomial parser (`parse_poly`), det B
 (`serial_singularity`), the Weierstrass substitution in
-every angle (`rationalize_all`) and the benchmark's recorded trajectories
-(`pool_waypoints`).
+every angle (`rationalize_all`), the benchmark's recorded trajectories
+(`pool_waypoints`) and the slices the tests share (`SLICES`).
 """
 
 import functools
@@ -101,6 +101,19 @@ from kinatlas.realroots import (
 )
 from kinatlas.mechanism import JointValues, KinematicsError
 from kinatlas.trajectory import Chain, TrajectoryError, _KINK_WINDOW, _chain_kernel, _tangent4
+
+
+# the non-default geometry (l2, l3, a, b) of the benchmark's slice sweep
+GEOM2 = MechanismParams(l2=Fraction(2), l3=Fraction(5, 2), a=Fraction(1, 2), b=Fraction(3, 2))
+
+# case -> (geometry, y0): the slices `perfbench/run.py` analyzes, and y0 = 1
+SLICES = {
+    "ref": (MechanismParams(), Fraction(1, 2)),
+    "y0_0": (MechanismParams(), Fraction(0)),
+    "y0_2": (MechanismParams(), Fraction(2)),
+    "geom2": (GEOM2, Fraction(1, 2)),
+    "y0_1": (MechanismParams(), Fraction(1)),
+}
 
 
 # (cos symbol, sin symbol, half-tangent symbol) of every angle

@@ -20,7 +20,6 @@ from kinatlas.mechanism import (
     inverse_kinematics, direct_kinematics, slice_workspace,
     project_parallel_to_joint,
 )
-from kinatlas.domains import w_aspects, basic_regions, uniqueness_domains
 from kinatlas.trajectory import (
     Trajectory, track_branches, follow_chain,
 )
@@ -228,19 +227,12 @@ class TestAcceptance:
         t0 = time.time()
         n_w = len(atlas_pp.aspects)
         n_q = len(atlas_pp.qaspects)
-        per_mode = []
-        for mode in WorkingMode.all_modes():
-            aspects = w_aspects(atlas_pp.wa, mode)
-            per_mode.append(len(aspects))
+        atlases = [atlas_pp.in_mode(mode) for mode in WorkingMode.all_modes()]
+        per_mode = [len(a.aspects) for a in atlases]
         generalized = sum(per_mode)
         n_regions = len(atlas_pp.atlas)
         n_cusps = len(atlas_pp.cusps)
-        n_ud = len(atlas_pp.domains)
-        ud_all_modes = [n_ud]
-        for mode in (WorkingMode(1, -1), WorkingMode(-1, 1), WorkingMode(-1, -1)):
-            aspects = w_aspects(atlas_pp.wa, mode)
-            basics = basic_regions(atlas_pp.wa, atlas_pp.ja, atlas_pp.atlas, aspects, mode)
-            ud_all_modes.append(len(uniqueness_domains(atlas_pp.wa, basics, mode)))
+        ud_all_modes = [len(a.domains) for a in atlases]
         dt = atlas_build_seconds + (time.time() - t0)
         ok = (n_w == 2 and all(m == 2 for m in per_mode) and n_q == 2
               and generalized == 8 and n_regions == 10 and n_cusps == 4
@@ -250,8 +242,8 @@ class TestAcceptance:
                 f"{generalized} (2x4), count-regions={n_regions}, cusps={n_cusps}, "
                 f"uniqueness domains/mode={ud_all_modes} (pipeline {dt:.0f}s < 600s)")
 
-    def test_criterion_7_fig10_trajectory(self, atlas_of_mode):
-        atlases = {mode: atlas_of_mode(mode) for mode in WorkingMode.all_modes()}
+    def test_criterion_7_fig10_trajectory(self, atlas_pp):
+        atlases = {mode: atlas_pp.in_mode(mode) for mode in WorkingMode.all_modes()}
         t0 = time.time()
         wps = ((-1.0, 1.0), (0.0, 0.5), (1.0, -1.0), (0.5, -2.0))
         winners = []

@@ -17,8 +17,8 @@ from kinatlas.adjacency import (
 )
 
 from oracles import (
-    LADDER, atlas_passes, cmp_bounds_by_refine, count_roots_by_sturm, graphs_by_ladder, interval,
-    parse_poly, segment_crosses, restrict_to_segment, upoly_eval, upoly_mul,
+    LADDER, SLICES, atlas_passes, cmp_bounds_by_refine, count_roots_by_sturm, graphs_by_ladder,
+    interval, parse_poly, segment_crosses, restrict_to_segment, upoly_eval, upoly_mul,
     witnesses_from_coarse, workspace_graphs_by_post_pass,
 )
 from test_cad2d import _rand_conic
@@ -230,9 +230,6 @@ class TestComparisonStates:
     def test_every_comparison_of_the_perfbench_slices(self, case, monkeypatch):
         from kinatlas.domains import SliceAtlas
         from kinatlas.mechanism import WorkingMode
-        params = {"geom2": MechanismParams(l2=Fraction(2), l3=Fraction(5, 2), a=Fraction(1, 2),
-                                           b=Fraction(3, 2))}.get(case, MechanismParams())
-        y0 = {"y0_0": Fraction(0), "y0_2": Fraction(2)}.get(case, Fraction(1, 2))
         signs = []
 
         compare = RootMerge._compare
@@ -244,7 +241,7 @@ class TestComparisonStates:
             return got
 
         monkeypatch.setattr(RootMerge, "_compare", checked)
-        atlas = SliceAtlas.build(params, y0, WorkingMode(1, 1))
+        atlas = SliceAtlas.build(*SLICES[case], WorkingMode(1, 1))
         # the comparisons of the ladder's rungs 2^-10 and 2^-22 too
         for dec, varieties, wrap, graphs in atlas_passes(atlas):
             assert graphs_by_ladder(dec, varieties, wrap) == graphs

@@ -480,14 +480,8 @@ class TestProjectionGuarantee:
         return len(dec.fiber_products)
 
     @pytest.mark.parametrize("case", ["ref", "y0_0", "y0_2", "geom2", "y0_1"])
-    def test_decompositions_of_the_slice_atlas(self, case, atlas_pp):
-        from kinatlas.domains import SliceAtlas
-        from kinatlas.mechanism import MechanismParams, WorkingMode
-        params = {"geom2": MechanismParams(l2=Fraction(2), l3=Fraction(5, 2), a=Fraction(1, 2),
-                                           b=Fraction(3, 2))}.get(case, MechanismParams())
-        y0 = {"y0_0": Fraction(0), "y0_2": Fraction(2), "y0_1": Fraction(1)}.get(case,
-                                                                               Fraction(1, 2))
-        atlas = atlas_pp if case == "ref" else SliceAtlas.build(params, y0, WorkingMode(1, 1))
+    def test_decompositions_of_the_slice_atlas(self, case, slice_atlas):
+        atlas = slice_atlas(case)
         columns = sum(self._check(dec) for dec in (atlas.wa.dec_fine, atlas.wa.dec_sing,
                                                     atlas.ja.dec))
         assert columns >= 20, columns
@@ -803,17 +797,11 @@ class TestRootsAt:
     product, the route the adjacency witnesses once took."""
 
     @pytest.mark.parametrize("case", ["ref", "y0_2", "geom2"])
-    def test_every_witness_of_the_atlas_passes(self, case, atlas_pp):
+    def test_every_witness_of_the_atlas_passes(self, case, slice_atlas):
         from kinatlas.adjacency import _witnesses, build_graphs
-        from kinatlas.domains import SliceAtlas
-        from kinatlas.mechanism import MechanismParams, WorkingMode
         from kinatlas.realroots import RootMerge
         from oracles import atlas_passes, graphs_by_ladder, roots_at_by_product
-        geom2 = MechanismParams(l2=Fraction(2), l3=Fraction(5, 2), a=Fraction(1, 2),
-                                b=Fraction(3, 2))
-        atlas = atlas_pp if case == "ref" else SliceAtlas.build(
-            geom2 if case == "geom2" else MechanismParams(),
-            Fraction(2) if case == "y0_2" else Fraction(1, 2), WorkingMode(1, 1))
+        atlas = slice_atlas(case)
         n = merged = 0
         for dec, varieties, wrap, graphs in atlas_passes(atlas):
             assert build_graphs(dec, varieties, wrap) == graphs

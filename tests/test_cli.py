@@ -334,12 +334,11 @@ class TestCheckTrajectory:
 def _perfbench_curves(case, atlas_pp):
     """The four workspace curves that `plot.svg` draws at a perfbench slice."""
     from kinatlas.domains import characteristic_surface
-    from kinatlas.mechanism import MechanismParams, slice_jointspace, slice_workspace
+    from kinatlas.mechanism import slice_jointspace, slice_workspace
+    from oracles import SLICES
     if case == "ref":
         return [atlas_pp.ws.parallel, *atlas_pp.ws.serial, atlas_pp.wa.sc]
-    params = {"geom2": MechanismParams(l2=Fraction(2), l3=Fraction(5, 2), a=Fraction(1, 2),
-                                       b=Fraction(3, 2))}.get(case, MechanismParams())
-    y0 = {"y0_0": Fraction(0), "y0_2": Fraction(2)}.get(case, Fraction(1, 2))
+    params, y0 = SLICES[case]
     ws = slice_workspace(y0, params)
     return [ws.parallel, *ws.serial, characteristic_surface(slice_jointspace(ws))]
 

@@ -12,13 +12,14 @@ from kinatlas.mechanism import (
     inverse_kinematics, Pose, slice_jointspace, slice_workspace,
 )
 from kinatlas.domains import (
-    w_aspects, q_aspects, basic_regions, count_atlas, uniqueness_domains, cusp_points,
-    BasicRegion, DomainError, JointAnalysis, RegionSet, WorkspaceAnalysis,
+    basic_regions, count_atlas, uniqueness_domains, cusp_points,
+    BasicRegion, DomainError, JointAnalysis, RegionSet, SliceAtlas, WorkspaceAnalysis,
 )
 from kinatlas.adjacency import AdjacencyGraph, build_graph, components
 from kinatlas.cad2d import decompose
+from kinatlas.trajectory import Trajectory, track_branches
 
-from oracles import cusp_eliminants_in_u, maximal_domains
+from oracles import SLICES, cusp_eliminants_in_u, maximal_domains
 
 PARAMS = MechanismParams()
 MODE = WorkingMode(1, 1)
@@ -51,14 +52,13 @@ def _toy_slice(fine_variety, joint_variety):
 class TestCounts:
     def test_two_w_aspects_per_mode(self, atlas_pp):
         for mode in WorkingMode.all_modes():
-            aspects = w_aspects(atlas_pp.wa, mode)
-            assert len(aspects) == 2, mode.label
+            assert len(atlas_pp.in_mode(mode).aspects) == 2, mode.label
 
     def test_two_q_aspects(self, atlas_pp):
         assert len(atlas_pp.qaspects) == 2
 
     def test_two_by_four_generalized_aspects(self, atlas_pp):
-        total = sum(len(w_aspects(atlas_pp.wa, m)) for m in WorkingMode.all_modes())
+        total = sum(len(atlas_pp.in_mode(m).aspects) for m in WorkingMode.all_modes())
         assert total == 8
 
     def test_ten_count_regions(self, atlas_pp):
@@ -70,11 +70,7 @@ class TestCounts:
     def test_four_uniqueness_domains_per_mode(self, atlas_pp):
         assert len(atlas_pp.domains) == 4
         # counts are label-independent across modes (same cells)
-        mode = WorkingMode(-1, -1)
-        aspects = w_aspects(atlas_pp.wa, mode)
-        basics = basic_regions(atlas_pp.wa, atlas_pp.ja, atlas_pp.atlas, aspects, mode)
-        uds = uniqueness_domains(atlas_pp.wa, basics, mode)
-        assert len(uds) == 4
+        assert len(atlas_pp.in_mode(WorkingMode(-1, -1)).domains) == 4
 
 
 class TestAspects:
@@ -189,15 +185,10 @@ class TestBasicRegions:
             reason="ROADMAP item 11: squarefree_total drops the line tphi = 0 at y0 = 0, "
                    "and basic_regions skips the 2 reachable count regions no aspect owns")),
         "y0_2", "geom2"])
-    def test_one_per_reachable_count_region_on_the_perfbench_slices(self, case, atlas_pp):
+    def test_one_per_reachable_count_region_on_the_perfbench_slices(self, case, slice_atlas):
         # no reachable count region is dropped: the basic regions are those
         # cell sets, each once
-        from kinatlas.domains import SliceAtlas
-        geom2 = MechanismParams(l2=Fraction(2), l3=Fraction(5, 2), a=Fraction(1, 2),
-                                b=Fraction(3, 2))
-        atlas = atlas_pp if case == "ref" else SliceAtlas.build(
-            geom2 if case == "geom2" else PARAMS,
-            {"y0_0": Fraction(0), "y0_2": Fraction(2)}.get(case, Fraction(1, 2)), MODE)
+        atlas = slice_atlas(case)
         counted = sorted(sorted(r.cells) for r in atlas.atlas if r.ik_count > 0)
         basic = sorted(sorted(b.region.cells) for b in atlas.basics)
         assert basic == counted, (len(basic), len(counted))
@@ -302,12 +293,10 @@ class TestUniquenessEnumeration:
 
     def test_reference_slice_matches_brute_force_in_every_mode(self, atlas_pp):
         for mode in WorkingMode.all_modes():
-            aspects = w_aspects(atlas_pp.wa, mode)
-            basics = basic_regions(atlas_pp.wa, atlas_pp.ja, atlas_pp.atlas, aspects, mode)
-            got = uniqueness_domains(atlas_pp.wa, basics, mode)
-            want = _oracle_domains(basics, atlas_pp.wa.graph_fine_sing.edges)
-            assert len(got) == 4, mode.label
-            assert _members(got, basics) == want, mode.label
+            atlas = atlas_pp.in_mode(mode)
+            want = _oracle_domains(atlas.basics, atlas.wa.graph_fine_sing.edges)
+            assert len(atlas.domains) == 4, mode.label
+            assert _members(atlas.domains, atlas.basics) == want, mode.label
 
     def test_same_component_through_different_cells_stays_apart(self):
         # two adjacent basic regions whose images are the two cells r < 0 and
@@ -322,6 +311,43 @@ class TestUniquenessEnumeration:
         assert wa.graph_fine_sing.edges == ((0, 1),)
         domains = uniqueness_domains(wa, basics, MODE)
         assert [d.cells for d in domains] == [frozenset({0}), frozenset({1})]
+
+
+def _labelled(atlas: SliceAtlas) -> dict:
+    """A slice atlas's regions, basic regions and singular points, in
+    `to_json` form."""
+    return {
+        "aspects": [a.to_json() for a in atlas.aspects],
+        "qaspects": [a.to_json() for a in atlas.qaspects],
+        "basics": [(b.region.to_json(), b.aspect_label, sorted(b.components))
+                   for b in atlas.basics],
+        "domains": [d.to_json() for d in atlas.domains],
+        "atlas": [r.to_json() for r in atlas.atlas],
+        "singular_points": [p.to_json() for p in atlas.singular_points],
+    }
+
+
+_MODE_CASES = [("ref", m) for m in WorkingMode.all_modes()] + [
+    (case, WorkingMode(-1, -1)) for case in ("y0_0", "y0_2", "geom2")]
+
+
+class TestWorkingModes:
+    """The `SliceAtlas` docstring's claim: the cells do not depend on the
+    working mode, so a slice's atlas relabelled by `in_mode` equals a fresh
+    build in that mode, and so does the Fig. 10 verdict on it."""
+
+    @pytest.mark.parametrize("case,mode", _MODE_CASES,
+                             ids=[f"{case}-{mode.label}" for case, mode in _MODE_CASES])
+    def test_relabelled_atlas_equals_a_fresh_build(self, case, mode, slice_atlas):
+        got = slice_atlas(case).in_mode(mode)
+        fresh = SliceAtlas.build(*SLICES[case], mode)
+        assert got.mode == fresh.mode == mode
+        assert _labelled(got) == _labelled(fresh)
+        if case == "ref":
+            fig10 = ((-1.0, 1.0), (0.0, 0.5), (1.0, -1.0), (0.5, -2.0))
+            traj = Trajectory(y0=Fraction(1, 2), mode=mode, waypoints=fig10)
+            assert track_branches(traj, PARAMS, got).to_json() == \
+                track_branches(traj, PARAMS, fresh).to_json()
 
 
 class TestCusps:
@@ -383,13 +409,9 @@ class TestCusps:
     # the slices whose singular points the w = u^2 route must find as the
     # u route did: the perfbench slices, y0 = 29/10 and 299/100, and the
     # geometry with two isolated points
-    _GEOM2 = MechanismParams(l2=Fraction(2), l3=Fraction(5, 2), a=Fraction(1, 2),
-                             b=Fraction(3, 2))
-
     @pytest.mark.parametrize("params,y0", [
-        (PARAMS, Fraction(1, 2)), (PARAMS, Fraction(0)), (PARAMS, Fraction(2)),
-        (_GEOM2, Fraction(1, 2)), (PARAMS, Fraction(29, 10)), (PARAMS, Fraction(299, 100)),
-        (_ISOLATED, Fraction(15, 8))],
+        *(SLICES[case] for case in ("ref", "y0_0", "y0_2", "geom2")),
+        (PARAMS, Fraction(29, 10)), (PARAMS, Fraction(299, 100)), (_ISOLATED, Fraction(15, 8))],
         ids=["ref", "y0_0", "y0_2", "geom2", "y0_29_10", "y0_299_100", "isolated"])
     def test_eliminants_in_w_have_the_squarefree_parts_of_those_in_u(self, params, y0):
         from kinatlas.domains import _cusp_eliminants

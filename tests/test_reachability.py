@@ -35,6 +35,11 @@ an option a change adds shows up as a count that the change must raise.
 The functions `EXACT_FUNCTIONS` names hold no float constant: what they
 decide, they decide exactly, so no tolerance can drop or merge a
 solution.
+
+No geometry stage takes a working mode: the package functions that
+`SliceAtlas.build` calls before `_labelings`, and `characteristic_surface`,
+have no parameter named `mode` or annotated `WorkingMode`, so
+`SliceAtlas.in_mode` may relabel one geometry for every mode.
 """
 
 import ast
@@ -48,6 +53,8 @@ ALLOWED = {
     "mechanism.WorkingMode.from_label": "inverse of WorkingMode.label for library users",
     "realroots.IsolatingInterval.midpoint": "acceptance criteria 3 and 5 take a refined root's "
                                             "rational midpoint",
+    "domains.SliceAtlas.in_mode": "one slice's atlas in another working mode; criterion 7 and "
+                                  "the mode tests use it",
 }
 
 
@@ -293,7 +300,6 @@ UNREAD_FIELDS = {
     "cad2d.Decomposition.fiber_roots": "acceptance 8c and test_realroots read the fibre roots "
                                        "that decompose isolated",
     "domains.BasicRegion.aspect_label": "the partition test groups basic regions by aspect",
-    "domains.SliceAtlas.ja": "tests inspect the joint analysis a build made",
     "mechanism.WorkspaceSlice.excluded": "acceptance criterion 5 reads the excluded pose phi = pi",
 }
 
@@ -391,3 +397,53 @@ def test_float_constant_guard_flags_tolerances_only_in_named_functions():
                      "class K:\n    def f(self):\n        return 1e-7\n")
     assert _float_constants(tree, "m", ("f",)) == ["m.f: 1e-09", "m.f: 0.5"]
     assert _float_constants(tree, "m", ("h",)) == []
+
+
+def _geometry_stages(trees: dict[str, ast.Module]) -> list[str]:
+    """The package functions `SliceAtlas.build` calls before `_labelings`,
+    in source order."""
+    funcs = {node.name for tree in trees.values() for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    build = next(m for tree in trees.values() for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "SliceAtlas"
+                 for m in node.body if isinstance(m, ast.FunctionDef) and m.name == "build")
+    calls = sorted((n for n in ast.walk(build)
+                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)),
+                   key=lambda n: (n.lineno, n.col_offset))
+    names = [n.func.id for n in calls]
+    return [n for n in names[:names.index("_labelings")] if n in funcs]
+
+
+def _mode_parameters(trees: dict[str, ast.Module], names) -> list[str]:
+    """'module.function(param)' for each parameter of the top-level
+    functions `names` lists that is named `mode` or annotated
+    `WorkingMode`."""
+    return [f"{stem}.{node.name}({a.arg})" for stem, tree in trees.items()
+            for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in names
+            for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if a.arg == "mode" or a.annotation is not None
+            and "WorkingMode" in ast.unparse(a.annotation)]
+
+
+def test_geometry_stages_take_no_working_mode():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    stages = _geometry_stages(trees) + ["characteristic_surface"]
+    assert {"slice_workspace", "slice_jointspace", "analyze_workspace", "analyze_jointspace",
+            "count_atlas", "cusp_points"} <= set(stages), stages
+    found = _mode_parameters(trees, stages)
+    assert not found, f"geometry stages that take a working mode: {found}"
+
+
+def test_mode_guard_flags_stages_by_name_and_annotation():
+    tree = ast.parse("class SliceAtlas:\n"
+                     "    def build(params, y0, mode):\n"
+                     "        ws = cut(y0, params)\n"
+                     "        g = grid(ws, WorkingMode(1, 1))\n"
+                     "        return SliceAtlas(ws=ws, **_labelings(g, mode), x=late(g, mode))\n"
+                     "def cut(y0, mode):\n    pass\n"
+                     "def grid(ws, m: 'WorkingMode', *, n: WorkingMode = None):\n    pass\n"
+                     "def late(g, mode):\n    pass\n"
+                     "def _labelings(g, mode):\n    pass\n")
+    stages = _geometry_stages({"m": tree})
+    assert stages == ["cut", "grid"]
+    assert _mode_parameters({"m": tree}, stages) == ["m.cut(mode)", "m.grid(m)", "m.grid(n)"]

@@ -800,10 +800,8 @@ class TestSampleBetweenOracle:
         import kinatlas.cad2d as cad2d
         from kinatlas.realroots import RootMerge
         from kinatlas.domains import SliceAtlas
-        from kinatlas.mechanism import MechanismParams, WorkingMode
-        params = {"geom2": MechanismParams(l2=Fraction(2), l3=Fraction(5, 2), a=Fraction(1, 2),
-                                           b=Fraction(3, 2))}.get(case, MechanismParams())
-        y0 = {"y0_0": Fraction(0), "y0_2": Fraction(2)}.get(case, Fraction(1, 2))
+        from kinatlas.mechanism import WorkingMode
+        from oracles import SLICES
         calls = overlapping = 0
 
         def checked(sample, lo, hi):
@@ -820,7 +818,7 @@ class TestSampleBetweenOracle:
                                 lambda lo, hi: checked(sample_between, lo, hi))
         monkeypatch.setattr(RootMerge, "sample_between",
                             lambda merge, lo, hi: checked(merge_sample.__get__(merge), lo, hi))
-        atlas = SliceAtlas.build(params, y0, WorkingMode(1, 1))
+        atlas = SliceAtlas.build(*SLICES[case], WorkingMode(1, 1))
         # the samples of the ladder's rungs 2^-10 and 2^-22 too
         for dec, varieties, wrap, graphs in atlas_passes(atlas):
             assert graphs_by_ladder(dec, varieties, wrap) == graphs
@@ -907,6 +905,35 @@ class TestNotSquarefree:
             with pytest.raises(RealRootError, match=f"degree {p.degree} is not squarefree"):
                 f(p)
         assert len(isolate(p)) == count_roots(p.squarefree()) == count_roots_by_sturm(p)
+
+    @pytest.mark.parametrize("p,match", [
+        (U(1, -2, 1), "repeated root 1: "),                 # (x - 1)^2, met at a midpoint
+        (U(1, -4, 6, -4, 1), "repeated root 1: "),          # (x - 1)^4
+        (U(0, 0, 1), "repeated root 0: "),                  # x^2, met by the zero peel
+        (U(4, 0, -4, 0, 1), "degree 4 is not squarefree"),  # (x^2 - 2)^2, by the depth bound
+    ], ids=["(x-1)^2", "(x-1)^4", "x^2", "(x^2-2)^2"])
+    def test_a_repeated_root_raises_wherever_the_walk_meets_it(self, p, match):
+        with pytest.raises(RealRootError, match=match):
+            realroots.isolate_squarefree(p)
+
+    @pytest.mark.parametrize("p,roots", [
+        (U(0, -1, 1), [(0, 0), (1, 1)]),                    # x (x - 1): two exact roots
+        (U(0, 1), [(0, 0)]),                                # x
+        (U(-1, 2), [(-2, 2)]),                              # 2x - 1
+    ], ids=["x(x-1)", "x", "2x-1"])
+    def test_simple_exact_roots_are_kept(self, p, roots):
+        assert [(iv.low, iv.high) for iv in realroots.isolate_squarefree(p)] == roots
+
+    def test_fibre_product_where_two_curves_cross(self):
+        """At u = 1, where v = u and v = 2 - u cross, the fibre product is
+        (v - 1)^2: isolation refuses it rather than give one root."""
+        from kinatlas.cad2d import decompose
+        vs = ("u", "v")
+        dec = decompose([parse_poly("v-u", vs), parse_poly("v+u-2", vs)], "u", "v")
+        f = dec.fiber_product(Fraction(1))
+        assert f == U(1, -2, 1)
+        with pytest.raises(RealRootError, match="repeated root 1: "):
+            realroots.isolate_squarefree(f)
 
 
 class TestHasRootIn:

@@ -160,11 +160,11 @@ class TestVerdicts:
         assert len(v.encircled_cusps) >= 1
         assert all(isinstance(w, int) and w != 0 for _, w in v.encircled_cusps)
 
-    def test_fig10_some_mode_reproduces(self, atlas_of_mode):
+    def test_fig10_some_mode_reproduces(self, atlas_pp):
         hits = []
         for mode in WorkingMode.all_modes():
             t = _traj(mode=mode)
-            v = track_branches(t, PARAMS, atlas_of_mode(mode))
+            v = track_branches(t, PARAMS, atlas_pp.in_mode(mode))
             if (not v.same_domain and v.assembly_mode_changed
                     and not v.singular_crossing and v.encircled_cusps):
                 hits.append(mode.label)
