@@ -255,7 +255,7 @@ def _lcm(polys: list[UPoly], var: str) -> UPoly:
     return UPoly(acc, var)
 
 
-def decompose(p2, base_var: str = "u", fiber_var: str = "v") -> Decomposition:
+def decompose(p2, base_var: str, fiber_var: str) -> Decomposition:
     """Full-dimensional cells of the open CAD adapted to the curve set."""
     polys, parts, projection = projection_set(p2, base_var, fiber_var)
     base = _lcm([UPoly.from_mpoly(q, base_var) for q in projection], base_var)

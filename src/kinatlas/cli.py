@@ -150,7 +150,7 @@ def cmd_analyze(args) -> int:
     })
     _write_json(out / "regions.json", {
         "count_regions": [r.to_json() for r in atlas.atlas],
-        "basic_regions": [b.region.to_json() for b in atlas.basics],
+        "basic_regions": [b.to_json() for b in atlas.basics],
     })
     _write_json(out / "uniqueness.json", [d.to_json() for d in atlas.domains])
     _write_json(out / "cusps.json", {

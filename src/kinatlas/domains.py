@@ -30,18 +30,32 @@ class DomainError(Exception):
     pass
 
 
+# the label prefix of each kind of region
+_PREFIX = {"count-region": "R", "W-aspect": "WA", "Q-aspect": "QA", "basic-region": "WAb",
+           "uniqueness-domain": "Wu"}
+
+
 @dataclass(frozen=True)
 class RegionSet:
-    """Labeled union of cells from one decomposition."""
+    """A union of cells from one decomposition, labelled by its kind, its
+    working mode unless None, and its index: WA_pp_2 is the second W-aspect
+    in mode (+,+), WAb_pp_1_3 the third basic region of aspect 1, R_4 a
+    count region, and Wu_2 a uniqueness domain no mode has named yet."""
 
-    kind: str                      # W-aspect | Q-aspect | basic-region | ...
-    label: str
+    kind: str                      # a key of _PREFIX
+    index: tuple[int, ...]
     mode: WorkingMode | None
     cells: frozenset[int]
     ik_count: int | None = None
     dk_count: int | None = None
     sample: tuple[Fraction, Fraction] | None = None
     sign: int | None = None        # sign of the parallel polynomial
+    components: frozenset[int] = frozenset()   # a basic region's joint components
+
+    @property
+    def label(self) -> str:
+        mode = [self.mode.label] if self.mode else []
+        return "_".join([_PREFIX[self.kind], *mode, *map(str, self.index)])
 
     def to_json(self) -> dict:
         d = {
@@ -114,23 +128,19 @@ def analyze_workspace(js: JointSlice) -> WorkspaceAnalysis:
                              dec_fine=dec_f, graph_fine=g_f, graph_fine_sing=g_fs)
 
 
-def w_aspects(wa: WorkspaceAnalysis, mode: WorkingMode) -> list[RegionSet]:
-    """Maximal singularity-free workspace regions for one working mode,
-    grouped by the sign of the parallel polynomial."""
-    dec, graph = wa.dec_sing, wa.graph_sing
-    comps = components(graph)
+def w_aspects(wa: WorkspaceAnalysis) -> list[RegionSet]:
+    """Maximal singularity-free workspace regions, grouped by the sign of
+    the parallel polynomial."""
+    dec = wa.dec_sing
     out = []
-    idx = 1
-    for comp in comps:
+    for comp in components(wa.graph_sing):
         rep = min(comp)
         cell = dec.cells[rep]
         if wa.ws.ik_count(*cell.sample) == 0:
             continue
-        sgn = dec.sign_at_sample(wa.ws.parallel, rep)
         out.append(RegionSet(
-            kind="W-aspect", label=f"WA_{mode.label}_{idx}", mode=mode,
-            cells=frozenset(comp), sample=cell.sample, sign=sgn))
-        idx += 1
+            kind="W-aspect", index=(len(out) + 1,), mode=None, cells=frozenset(comp),
+            sample=cell.sample, sign=dec.sign_at_sample(wa.ws.parallel, rep)))
     return out
 
 
@@ -152,14 +162,12 @@ def analyze_jointspace(js: JointSlice) -> JointAnalysis:
     return JointAnalysis(js=js, dec=dec, graph=g)
 
 
-def q_aspects(ja: JointAnalysis, mode: WorkingMode) -> list[RegionSet]:
+def q_aspects(ja: JointAnalysis) -> list[RegionSet]:
     """Maximal singularity-free joint-chart regions: components of the
     complement carrying direct-kinematics solutions (poses of the slice
     `ja.js.ws`)."""
-    comps = components(ja.graph)
     out = []
-    idx = 1
-    for comp in comps:
+    for comp in components(ja.graph):
         rep = min(comp)
         cell = ja.dec.cells[rep]
         r, c3 = cell.sample
@@ -169,9 +177,8 @@ def q_aspects(ja: JointAnalysis, mode: WorkingMode) -> list[RegionSet]:
         if dk == 0:
             continue
         out.append(RegionSet(
-            kind="Q-aspect", label=f"QA_{mode.label}_{idx}", mode=mode,
-            cells=frozenset(comp), sample=cell.sample, dk_count=dk))
-        idx += 1
+            kind="Q-aspect", index=(len(out) + 1,), mode=None, cells=frozenset(comp),
+            sample=cell.sample, dk_count=dk))
     return out
 
 
@@ -179,22 +186,14 @@ def q_aspects(ja: JointAnalysis, mode: WorkingMode) -> list[RegionSet]:
 # basic regions, components, uniqueness domains
 
 
-@dataclass(frozen=True)
-class BasicRegion:
-    region: RegionSet              # cells in the fine workspace decomposition
-    aspect_label: str
-    components: frozenset[int]     # ids in components(ja.graph) its image meets
-
-
 def basic_regions(wa: WorkspaceAnalysis, ja: JointAnalysis, atlas: list[RegionSet],
-                  aspects: list[RegionSet], mode: WorkingMode) -> list[BasicRegion]:
+                  aspects: list[RegionSet]) -> list[RegionSet]:
     """Connected pieces of each aspect after refining by the characteristic
-    surface, the reachable regions of `atlas` (`count_atlas(wa)`), with the
-    joint component their image lies in."""
+    surface, the reachable regions of `atlas` (`count_atlas(wa)`), indexed
+    (aspect, k), with the joint component their image lies in."""
     dec = wa.dec_fine
     joint_comp = {cid: k for k, comp in enumerate(components(ja.graph)) for cid in comp}
-    out: list[BasicRegion] = []
-    counters: dict[str, int] = {}
+    out: list[RegionSet] = []
     for r in atlas:
         if r.ik_count == 0:
             continue
@@ -203,26 +202,22 @@ def basic_regions(wa: WorkspaceAnalysis, ja: JointAnalysis, atlas: list[RegionSe
         owner = next((a for a in aspects if a.sign == r.sign and loc in a.cells), None)
         if owner is None:
             continue
-        k = counters.get(owner.label, 0) + 1
-        counters[owner.label] = k
-        label = f"WAb_{mode.label}_{owner.label.rsplit('_', 1)[1]}_{k}"
         image = set()
         for cid in r.cells:
             jc = ja.dec.locate(*wa.ws.chart_image(*dec.cells[cid].sample))
             if jc is not None:  # None: the image lies on a joint curve
                 image.add(joint_comp[jc])
+        a = owner.index[0]
+        basic = RegionSet(kind="basic-region", index=(a, 1 + sum(b.index[0] == a for b in out)),
+                          mode=None, cells=r.cells, sample=r.sample, components=frozenset(image))
         if len(image) > 1:
-            raise DomainError(f"basic region {label} maps into joint components "
+            raise DomainError(f"basic region {basic.label} maps into joint components "
                               f"{sorted(image)}, not one")
-        rs = RegionSet(kind="basic-region", label=label, mode=mode,
-                       cells=r.cells, sample=r.sample)
-        out.append(BasicRegion(region=rs, aspect_label=owner.label,
-                               components=frozenset(image)))
+        out.append(basic)
     return out
 
 
-def uniqueness_domains(wa: WorkspaceAnalysis, basics: list[BasicRegion],
-                       mode: WorkingMode) -> list[RegionSet]:
+def uniqueness_domains(wa: WorkspaceAnalysis, basics: list[RegionSet]) -> list[RegionSet]:
     """Every maximal connected union of basic regions whose images are
     pairwise different joint components.
 
@@ -232,7 +227,7 @@ def uniqueness_domains(wa: WorkspaceAnalysis, basics: list[BasicRegion],
     is grown one admissible neighbour at a time, so every one is visited; a
     set with no admissible neighbour is maximal, since any admissible
     connected superset would contain one."""
-    owner = {cid: i for i, b in enumerate(basics) for cid in b.region.cells}
+    owner = {cid: i for i, b in enumerate(basics) for cid in b.cells}
     nbrs: list[set[int]] = [set() for _ in basics]
     for a, b in wa.graph_fine_sing.edges:
         ia, ib = owner.get(a), owner.get(b)
@@ -258,10 +253,9 @@ def uniqueness_domains(wa: WorkspaceAnalysis, basics: list[BasicRegion],
         grow(frozenset({i}), b.components)
     out = []
     for k, g in enumerate(sorted(maximal, key=sorted), 1):
-        cells = frozenset().union(*(basics[i].region.cells for i in g))
         out.append(RegionSet(
-            kind="uniqueness-domain", label=f"Wu_{mode.label}_{k}", mode=mode,
-            cells=cells, sample=basics[min(g)].region.sample))
+            kind="uniqueness-domain", index=(k,), mode=None,
+            cells=frozenset().union(*(basics[i].cells for i in g)), sample=basics[min(g)].sample))
     return out
 
 
@@ -280,7 +274,7 @@ def count_atlas(wa: WorkspaceAnalysis) -> list[RegionSet]:
         ik = ws.ik_count(*sample)
         dk = dk_count_chart(*ws.chart_image(*sample), ws) if ik else 0
         out.append(RegionSet(
-            kind="count-region", label=f"R_{idx}", mode=None,
+            kind="count-region", index=(idx,), mode=None,
             cells=frozenset(comp), ik_count=ik, dk_count=dk, sample=sample,
             sign=dec.sign_at_sample(ws.parallel, rep)))
     return out
@@ -392,24 +386,14 @@ def _pair_eliminant(f: MPoly, g: MPoly, elim: str, keep: str) -> MPoly:
 # full-slice orchestration
 
 
-def _labelings(wa: WorkspaceAnalysis, ja: JointAnalysis, atlas: list[RegionSet],
-               mode: WorkingMode) -> dict:
-    """The per-mode fields of a `SliceAtlas`: one slice's aspects, joint
-    aspects, basic regions and uniqueness domains, labelled for `mode`."""
-    aspects = w_aspects(wa, mode)
-    basics = basic_regions(wa, ja, atlas, aspects, mode)
-    return dict(mode=mode, aspects=aspects, qaspects=q_aspects(ja, mode), basics=basics,
-                domains=uniqueness_domains(wa, basics, mode))
-
-
 @dataclass
 class SliceAtlas:
     """Everything the CLI and trajectory verdicts need for one slice.
 
-    The cell geometry is working-mode independent for this mechanism (the
-    parallel curve and the joint chart do not depend on the branch signs);
-    per-mode data differs only in labels and in the IK map itself, so
-    `in_mode` relabels one build for another mode (`tests/test_domains.py`,
+    The regions do not depend on the working mode for this mechanism (the
+    parallel curve and the joint chart do not depend on the branch signs),
+    so `build` finds each of them once, and a mode only names them: `in_mode`
+    renames one build for another mode (`tests/test_domains.py`,
     `TestWorkingModes`, checks this against fresh builds).
     """
 
@@ -422,7 +406,7 @@ class SliceAtlas:
     ja: JointAnalysis
     aspects: list[RegionSet]
     qaspects: list[RegionSet]
-    basics: list[BasicRegion]
+    basics: list[RegionSet]
     domains: list[RegionSet]
     atlas: list[RegionSet]
     singular_points: list[CuspPoint]
@@ -436,30 +420,38 @@ class SliceAtlas:
         ja = analyze_jointspace(js)
         atlas = count_atlas(wa)
         sing = cusp_points(js)
-        return SliceAtlas(params=params, y0=y0, ws=ws, wa=wa, js=js, ja=ja, atlas=atlas,
-                          singular_points=sing, **_labelings(wa, ja, atlas, mode))
+        aspects = w_aspects(wa)
+        basics = basic_regions(wa, ja, atlas, aspects)
+        return SliceAtlas(params=params, y0=y0, mode=None, ws=ws, wa=wa, js=js, ja=ja,
+                          aspects=aspects, qaspects=q_aspects(ja), basics=basics,
+                          domains=uniqueness_domains(wa, basics), atlas=atlas,
+                          singular_points=sing).in_mode(mode)
 
     def in_mode(self, mode: WorkingMode) -> "SliceAtlas":
-        """This slice's atlas in working mode `mode`: its geometry, relabelled."""
-        return replace(self, **_labelings(self.wa, self.ja, self.atlas, mode))
+        """This slice's atlas in working mode `mode`: the same regions,
+        named for `mode`."""
+        def named(regions: list[RegionSet]) -> list[RegionSet]:
+            return [replace(r, mode=mode) for r in regions]
+        return replace(self, mode=mode, aspects=named(self.aspects), qaspects=named(self.qaspects),
+                       basics=named(self.basics), domains=named(self.domains))
 
     @property
     def cusps(self) -> list[CuspPoint]:
         return [p for p in self.singular_points if p.kind == "cusp"]
 
-    def locate_basic(self, x: Fraction, t: Fraction) -> BasicRegion | None:
+    def locate_basic(self, x: Fraction, t: Fraction) -> RegionSet | None:
         cid = self.wa.dec_fine.locate(Fraction(x), Fraction(t))
         if cid is None:
             return None
         for b in self.basics:
-            if cid in b.region.cells:
+            if cid in b.cells:
                 return b
         return None
 
-    def domains_containing(self, basic: BasicRegion) -> list[str]:
+    def domains_containing(self, basic: RegionSet) -> list[str]:
         out = []
         for d in self.domains:
-            if basic.region.cells <= d.cells:
+            if basic.cells <= d.cells:
                 out.append(d.label)
         return out
 
@@ -480,6 +472,6 @@ class SliceAtlas:
             changed = False
         else:
             changed = not b0.components.isdisjoint(b1.components)
-        lab0 = d0[0] if d0 else b0.region.label
-        lab1 = d1[0] if d1 else b1.region.label
+        lab0 = d0[0] if d0 else b0.label
+        lab1 = d1[0] if d1 else b1.label
         return b0, b1, same, changed, lab0, lab1

@@ -14,10 +14,10 @@ window: with q(x) = p(a + (b - a) x),
 (1 + x)^n q(1 / (1 + x)) = sum C(n, i) b_i x^(n - i).  The test stays
 exact when an end of the window is a root (Krandick-Mehlhorn), and a
 root-separation bound caps its depth, so input that is not squarefree
-raises, unless the walk meets a repeated root exactly: `isolate_squarefree`
-refuses that root by p' there, and `count_roots` counts it once.  An
-isolating interval is one integer state: its ends A/d and B/d over one
-positive denominator and the sign of p at its low end.
+raises; a repeated root that the walk meets exactly, it refuses by p' = 0
+there (`_simple_root`).  An isolating interval is one integer state: its
+ends A/d and B/d over one positive denominator and the sign of p at its
+low end.
 `_bisect`, the one refinement kernel, takes it to the cell that k
 halvings reach, jumping there by quadratic interval refinement on the
 same dyadic cells.  `RootMerge` owns the order of two root lists: it
@@ -75,6 +75,13 @@ def _horner(ints: list[int], a: int, b: int) -> int:
         acc = acc * a + ((c * ok) << (e * k))
         ok *= o
     return acc
+
+
+def _simple_root(ints: list[int], a: int, b: int):
+    """Refuse the exact root a/b of p, b > 0, when p' vanishes there too:
+    a repeated root means the input is not squarefree."""
+    if not _horner([k * c for k, c in enumerate(ints)][1:], a, b):
+        raise RealRootError(f"repeated root {Fraction(a, b)}: input not squarefree")
 
 
 def _sign_at(ints: list[int], a: int, b: int) -> int:
@@ -334,7 +341,8 @@ def _descartes(ints: list[int], a: Fraction, w: Fraction):
     ends A/d and B/d with d = D 2^e, and carries the polynomial's integer
     Bernstein coefficients there up to a positive factor, the first and
     last with its signs at the ends.  One variation with opposite end signs
-    accepts a node, none drops it; a zero `_split` apex is a root.
+    accepts a node, none drops it; a zero `_split` apex is a root, refused
+    when it is repeated (`_simple_root`).
 
     A node that neither accepts nor drops holds two roots within sqrt 3
     times its width (the two-circle theorem, Krandick-Mehlhorn), and two
@@ -367,6 +375,7 @@ def _descartes(ints: list[int], a: Fraction, w: Fraction):
         left, right = _split(bern)
         if left[-1] == 0:
             m = (a0 << (e + 1)) + W * (2 * k + 1)
+            _simple_root(ints, m, D << (e + 1))
             yield m, m, D << (e + 1), 0
         stack.append((2 * k, e + 1, left))
         stack.append((2 * k + 1, e + 1, right))
@@ -380,7 +389,8 @@ def _rational(x) -> int | Fraction:
 def count_roots(p: UPoly, low=NEG_INF, high=POS_INF) -> int:
     """Number of real roots of the squarefree polynomial p in
     (low, high]: the roots `_descartes` finds on (low, high), an infinite
-    end cut at the root bound, and one more when high is a root."""
+    end cut at the root bound, and one more when high is a root.  An
+    exact root it counts that is repeated raises `RealRootError`."""
     if p.is_zero():
         raise RealRootError("zero polynomial")
     if p.degree <= 0:
@@ -394,6 +404,7 @@ def count_roots(p: UPoly, low=NEG_INF, high=POS_INF) -> int:
               bound if high == POS_INF else _rational(high))
     n = sum(1 for _ in _descartes(ints, lo, hi - lo)) if lo < hi else 0
     if high != POS_INF and _sign_at(ints, *hi.as_integer_ratio()) == 0:
+        _simple_root(ints, *hi.as_integer_ratio())
         n += 1
     return n
 
@@ -485,6 +496,7 @@ def isolate_squarefree(f: UPoly) -> list[IsolatingInterval]:
     # peel an exact zero root; remaining roots are isolated against the
     # peeled polynomial and never span 0, so endpoint signs stay reliable
     if ints[0] == 0:
+        _simple_root(ints, 0, 1)
         out.append(IsolatingInterval(0, 0, 1, 0, f))
         k = 0
         while ints[k] == 0:
@@ -498,11 +510,6 @@ def isolate_squarefree(f: UPoly) -> list[IsolatingInterval]:
         tops = [(-B, 2 * B)]
     for a, w in tops:
         out += (IsolatingInterval(*node, fiso) for node in _descartes(ints_nz, a, w))
-    # the walk stops on an exact root whatever its multiplicity: f' decides
-    dints = [k * c for k, c in enumerate(ints)][1:]
-    for iv in out:
-        if iv.is_exact() and not _horner(dints, iv.A, iv.d):
-            raise RealRootError(f"repeated root {Fraction(iv.A, iv.d)}: input not squarefree")
     # every denominator is a power of two, so all ends scale to the largest
     D = max((iv.d for iv in out), default=1)
     out.sort(key=lambda iv: (iv.A * (D // iv.d), iv.B * (D // iv.d)))

@@ -125,14 +125,14 @@ class SvgCanvas:
         self.parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{coords}"/>')
 
-    def dot(self, x: float, y: float, color: str, r: float = 2.5):
+    def dot(self, x: float, y: float, color: str, r: float):
         px, py = self._map(x, y)
         self.parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{r}" fill="{color}"/>')
 
-    def text(self, x: float, y: float, s: str, color: str = "#000", size: int = 11):
+    def text(self, x: float, y: float, s: str, color: str):
         px, py = self._map(x, y)
         self.parts.append(
-            f'<text x="{px:.2f}" y="{py:.2f}" fill="{color}" font-size="{size}" '
+            f'<text x="{px:.2f}" y="{py:.2f}" fill="{color}" font-size="11" '
             f'font-family="monospace">{s}</text>')
 
     def curve_columns(self, cols: list[list[tuple[float, float]]], color: str):

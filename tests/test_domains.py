@@ -13,7 +13,7 @@ from kinatlas.mechanism import (
 )
 from kinatlas.domains import (
     basic_regions, count_atlas, uniqueness_domains, cusp_points,
-    BasicRegion, DomainError, JointAnalysis, RegionSet, SliceAtlas, WorkspaceAnalysis,
+    DomainError, JointAnalysis, RegionSet, SliceAtlas, WorkspaceAnalysis,
 )
 from kinatlas.adjacency import AdjacencyGraph, build_graph, components
 from kinatlas.cad2d import decompose
@@ -44,8 +44,7 @@ def _toy_slice(fine_variety, joint_variety):
                            graph_fine_sing=build_graph(dec_fine, []))
     dec_joint = decompose([_R], "r", "c3")
     ja = JointAnalysis(js=None, dec=dec_joint, graph=build_graph(dec_joint, joint_variety))
-    aspect = RegionSet(kind="W-aspect", label="WA_++_1", mode=MODE,
-                       cells=frozenset({0}), sign=1)
+    aspect = RegionSet(kind="W-aspect", index=(1,), mode=None, cells=frozenset({0}), sign=1)
     return wa, ja, [aspect]
 
 
@@ -158,9 +157,9 @@ class TestBasicRegions:
         # (in the fine decomposition, mapped through the aspect membership)
         by_aspect = {}
         for b in atlas_pp.basics:
-            by_aspect.setdefault(b.aspect_label, set())
-            assert not (b.region.cells & by_aspect[b.aspect_label])
-            by_aspect[b.aspect_label] |= b.region.cells
+            by_aspect.setdefault(b.index[0], set())
+            assert not (b.cells & by_aspect[b.index[0]])
+            by_aspect[b.index[0]] |= b.cells
         reach_fine = set()
         for comp in components(atlas_pp.wa.graph_fine):
             rep = min(comp)
@@ -173,10 +172,10 @@ class TestBasicRegions:
         comps = components(atlas_pp.ja.graph)
         qcells = {a.label: a.cells for a in atlas_pp.qaspects}
         for b in atlas_pp.basics:
-            assert len(b.components) == 1, b.region.label
+            assert len(b.components) == 1, b.label
             (k,) = b.components
             owners = {lab for lab, cells in qcells.items() if comps[k] <= cells}
-            assert len(owners) == 1, b.region.label
+            assert len(owners) == 1, b.label
 
     @pytest.mark.parametrize("case", [
         "ref",
@@ -190,7 +189,7 @@ class TestBasicRegions:
         # cell sets, each once
         atlas = slice_atlas(case)
         counted = sorted(sorted(r.cells) for r in atlas.atlas if r.ik_count > 0)
-        basic = sorted(sorted(b.region.cells) for b in atlas.basics)
+        basic = sorted(sorted(b.cells) for b in atlas.basics)
         assert basic == counted, (len(basic), len(counted))
 
     def test_one_enumeration_per_build(self, monkeypatch):
@@ -211,8 +210,8 @@ class TestBasicRegions:
 
     def test_region_spanning_two_joint_components_raises(self):
         wa, ja, aspects = _toy_slice(fine_variety=[], joint_variety=[_R])
-        with pytest.raises(DomainError, match=r"WAb_pp_1_1 .*\[0, 1\]"):
-            basic_regions(wa, ja, count_atlas(wa), aspects, MODE)
+        with pytest.raises(DomainError, match=r"WAb_1_1 .*\[0, 1\]"):
+            basic_regions(wa, ja, count_atlas(wa), aspects)
 
 
 class TestUniqueness:
@@ -220,8 +219,8 @@ class TestUniqueness:
         for d in atlas_pp.domains:
             covered = set()
             for b in atlas_pp.basics:
-                if b.region.cells <= d.cells:
-                    covered |= b.region.cells
+                if b.cells <= d.cells:
+                    covered |= b.cells
             assert covered == d.cells
 
     def test_injectivity_sample_scan(self, atlas_pp):
@@ -251,14 +250,14 @@ class TestUniqueness:
 
 def _oracle_domains(basics, edges):
     """Brute-force domains of `basics`, as sets of region indices."""
-    owner = {cid: i for i, b in enumerate(basics) for cid in b.region.cells}
+    owner = {cid: i for i, b in enumerate(basics) for cid in b.cells}
     adjacent = {(owner[a], owner[b]) for a, b in edges
                 if a in owner and b in owner and owner[a] != owner[b]}
     return maximal_domains(adjacent, [b.components for b in basics])
 
 
 def _members(domains, basics):
-    return {frozenset(i for i, b in enumerate(basics) if b.region.cells <= d.cells)
+    return {frozenset(i for i, b in enumerate(basics) if b.cells <= d.cells)
             for d in domains}
 
 
@@ -272,22 +271,21 @@ class TestUniquenessEnumeration:
             for i in range(n):
                 comp = rng.choice([frozenset(), *(frozenset({k}) for k in range(4))])
                 # two fine cells per region; cells 100+ belong to no region
-                rs = RegionSet(kind="basic-region", label=f"b{i}", mode=MODE,
-                               cells=frozenset({2 * i, 2 * i + 1}),
-                               sample=(Fraction(i), Fraction(0)))
-                basics.append(BasicRegion(rs, "WA_++_1", comp))
+                basics.append(RegionSet(kind="basic-region", index=(1, i + 1), mode=None,
+                                        cells=frozenset({2 * i, 2 * i + 1}),
+                                        sample=(Fraction(i), Fraction(0)), components=comp))
             cells = list(range(2 * n)) + [100, 101]
             edges = sorted({tuple(sorted(rng.sample(cells, 2)))
                             for _ in range(rng.randint(0, 3 * n))})
             wa = SimpleNamespace(graph_fine_sing=AdjacencyGraph(tuple(cells), tuple(edges)))
-            got = uniqueness_domains(wa, basics, MODE)
+            got = uniqueness_domains(wa, basics)
             want = _oracle_domains(basics, edges)
             assert _members(got, basics) == want, (trial, edges)
             # labels follow the sorted member lists
-            order = [sorted(i for i, b in enumerate(basics) if b.region.cells <= d.cells)
+            order = [sorted(i for i, b in enumerate(basics) if b.cells <= d.cells)
                      for d in got]
             assert order == sorted(order)
-            assert [d.label for d in got] == [f"Wu_pp_{k}" for k in range(1, len(got) + 1)]
+            assert [d.label for d in got] == [f"Wu_{k}" for k in range(1, len(got) + 1)]
             rich += len(want) >= 2 and max(map(len, want)) >= 3
         assert rich >= 30, rich
 
@@ -303,13 +301,13 @@ class TestUniquenessEnumeration:
         # r > 0 of one joint component: they share that component, so no
         # domain holds both (disjoint joint *cell* sets would have merged them)
         wa, ja, aspects = _toy_slice(fine_variety=[_X], joint_variety=[])
-        basics = basic_regions(wa, ja, count_atlas(wa), aspects, MODE)
+        basics = basic_regions(wa, ja, count_atlas(wa), aspects)
         assert [b.components for b in basics] == [frozenset({0})] * 2
-        images = [{ja.dec.locate(*c.sample) for c in wa.dec_fine.cells if c.id in b.region.cells}
+        images = [{ja.dec.locate(*c.sample) for c in wa.dec_fine.cells if c.id in b.cells}
                   for b in basics]
         assert images == [{0}, {1}]
         assert wa.graph_fine_sing.edges == ((0, 1),)
-        domains = uniqueness_domains(wa, basics, MODE)
+        domains = uniqueness_domains(wa, basics)
         assert [d.cells for d in domains] == [frozenset({0}), frozenset({1})]
 
 
@@ -319,7 +317,7 @@ def _labelled(atlas: SliceAtlas) -> dict:
     return {
         "aspects": [a.to_json() for a in atlas.aspects],
         "qaspects": [a.to_json() for a in atlas.qaspects],
-        "basics": [(b.region.to_json(), b.aspect_label, sorted(b.components))
+        "basics": [(b.to_json(), b.index[0], sorted(b.components))
                    for b in atlas.basics],
         "domains": [d.to_json() for d in atlas.domains],
         "atlas": [r.to_json() for r in atlas.atlas],
@@ -333,7 +331,7 @@ _MODE_CASES = [("ref", m) for m in WorkingMode.all_modes()] + [
 
 class TestWorkingModes:
     """The `SliceAtlas` docstring's claim: the cells do not depend on the
-    working mode, so a slice's atlas relabelled by `in_mode` equals a fresh
+    working mode, so a slice's atlas renamed by `in_mode` equals a fresh
     build in that mode, and so does the Fig. 10 verdict on it."""
 
     @pytest.mark.parametrize("case,mode", _MODE_CASES,
@@ -348,6 +346,25 @@ class TestWorkingModes:
             traj = Trajectory(y0=Fraction(1, 2), mode=mode, waypoints=fig10)
             assert track_branches(traj, PARAMS, got).to_json() == \
                 track_branches(traj, PARAMS, fresh).to_json()
+
+    def test_renaming_runs_no_geometry(self, atlas_pp, monkeypatch):
+        # with point location, graph components and both solution counts
+        # raising, `in_mode` still gives each other mode's fresh build
+        from kinatlas import domains
+        from kinatlas.cad2d import Decomposition
+        from kinatlas.mechanism import WorkspaceSlice
+        modes = [m for m in WorkingMode.all_modes() if m != atlas_pp.mode]
+        fresh = {m: _labelled(SliceAtlas.build(PARAMS, Fraction(1, 2), m)) for m in modes}
+
+        def geometry(*args):
+            raise AssertionError("in_mode ran a geometry kernel")
+        for owner, name in ((Decomposition, "locate"), (domains, "components"),
+                            (domains, "dk_count_chart"), (WorkspaceSlice, "ik_count")):
+            monkeypatch.setattr(owner, name, geometry)
+        for m in modes:
+            got = atlas_pp.in_mode(m)
+            assert got.mode == m
+            assert _labelled(got) == fresh[m], m.label
 
 
 class TestCusps:

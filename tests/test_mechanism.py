@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from kinatlas.ratpoly import MPoly, exact_div, format_poly
+from kinatlas.ratpoly import MPoly, exact_div, format_poly, squarefree_total
 from kinatlas.mechanism import (
     MechanismParams, WorkingMode, Pose, JointValues, PassiveAngles,
     KinematicsError, CS_VARS,
@@ -19,7 +19,7 @@ from kinatlas.domains import characteristic_surface
 from kinatlas.trajectory import _det_a_normalized
 
 from oracles import (
-    GEOM2, det_a_sign, divides, eval_substituting, parse_poly, rationalize_all,
+    GEOM2, SLICES, det_a_sign, divides, eval_substituting, parse_poly, rationalize_all,
     serial_singularity,
 )
 
@@ -449,6 +449,32 @@ class TestSlicePolynomialPins:
     def test_parallel_singularity(self, geom):
         params = {"default": PARAMS, "geom2": GEOM2}[geom]
         assert _sha(parallel_singularity(params)) == PARALLEL_SINGULARITY_DIGESTS[geom]
+
+
+class TestSliceMapFold:
+    """ROADMAP item 3's Finding 0: the atlas's parallel curve is the fold of
+    the slice map M: (x, tphi) -> (r, c3), with r = rho1sq_num / (1 + t^2)^2
+    and c3 = c3_num / (l3 (1 + t^2)), so every atlas object belongs to M."""
+
+    @pytest.mark.parametrize("case", [
+        "ref",
+        pytest.param("y0_0", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="ROADMAP item 11: squarefree_total drops the line tphi = 0 at y0 = 0, so "
+                   "the fold has degree 2 in tphi where ws.parallel has degree 3")),
+        "y0_2", "geom2"])
+    def test_parallel_curve_is_the_squarefree_jacobian_of_the_slice_map(self, case):
+        params, y0 = SLICES[case]
+        ws = slice_workspace(y0, params)
+        A, C = ws.rho1sq_num, ws.c3_num
+        t = MPoly.var("tphi", A.vars)
+        op = 1 + t * t
+        # det d(r, c3)/d(x, t) = (A_x (C_t op - 2 t C) - C_x (A_t op - 4 t A)) / (l3 op^4)
+        det = A.diff("x") * (C.diff("tphi") * op - 2 * t * C) \
+            - C.diff("x") * (A.diff("tphi") * op - 4 * t * A)
+        while divides(op, det):
+            det = exact_div(det, op)
+        assert squarefree_total(det).canonical() == ws.parallel.canonical()
 
 
 class TestJointProjection:

@@ -34,12 +34,15 @@ an option a change adds shows up as a count that the change must raise.
 
 The functions `EXACT_FUNCTIONS` names hold no float constant: what they
 decide, they decide exactly, so no tolerance can drop or merge a
-solution.
+solution.  Every function, method or closure that compares with a float
+constant or a module-level float name is one that `FLOAT_DECISIONS` names,
+with its reason and the ROADMAP item that will certify it, or "display
+only": an uncertified decision is a listed one.
 
-No geometry stage takes a working mode: the package functions that
-`SliceAtlas.build` calls before `_labelings`, and `characteristic_surface`,
-have no parameter named `mode` or annotated `WorkingMode`, so
-`SliceAtlas.in_mode` may relabel one geometry for every mode.
+No stage takes a working mode: the package functions that
+`SliceAtlas.build` calls by name, and `characteristic_surface`, have no
+parameter named `mode` or annotated `WorkingMode`, so every region is
+found once per slice and `SliceAtlas.in_mode` only renames.
 """
 
 import ast
@@ -53,8 +56,6 @@ ALLOWED = {
     "mechanism.WorkingMode.from_label": "inverse of WorkingMode.label for library users",
     "realroots.IsolatingInterval.midpoint": "acceptance criteria 3 and 5 take a refined root's "
                                             "rational midpoint",
-    "domains.SliceAtlas.in_mode": "one slice's atlas in another working mode; criterion 7 and "
-                                  "the mode tests use it",
 }
 
 
@@ -273,7 +274,7 @@ def test_none_default_guard_flags_functions_methods_and_keywords():
 # the most parameters of package functions and methods that may have a
 # default: an option that a change adds raises this count, and the change
 # says why
-MAX_DEFAULTED = 21
+MAX_DEFAULTED = 16
 
 
 def _all_defaults() -> list[str]:
@@ -299,7 +300,7 @@ def test_default_guard_counts_positional_keyword_and_nested_defaults():
 UNREAD_FIELDS = {
     "cad2d.Decomposition.fiber_roots": "acceptance 8c and test_realroots read the fibre roots "
                                        "that decompose isolated",
-    "domains.BasicRegion.aspect_label": "the partition test groups basic regions by aspect",
+    "domains.SliceAtlas.ja": "tests inspect the joint analysis a build made",
     "mechanism.WorkspaceSlice.excluded": "acceptance criterion 5 reads the excluded pose phi = pi",
 }
 
@@ -399,9 +400,83 @@ def test_float_constant_guard_flags_tolerances_only_in_named_functions():
     assert _float_constants(tree, "m", ("h",)) == []
 
 
+# package functions, methods and closures that compare with a float constant
+# or a module-level float name, each with its reason and the ROADMAP item
+# that will certify it, or "display only"
+FLOAT_DECISIONS = {
+    "mechanism.slice_ik.ik": "leg 3 and leg 1 reach of a float pose (|cos alpha3| >= 1.0, "
+                             "rho1 = 0) on a verdict's sampled path; item 13",
+    "svg._carried_roots": "display only: a Newton step below 2^-40 of its root ends the "
+                          "proposal, and round_root proves the double by exact signs",
+    "trajectory._solve": "a pivot below 1e-14 declares the chain system singular; item 1",
+    "trajectory._chain_kernel.system": "blended rates within _KINK_WINDOW of a waypoint; item 1",
+    "trajectory._tangent4": "rank-deficiency against _RANK_TOL; item 1",
+    "trajectory.follow_chain": "the chain walk's tangent, clamp and step-size thresholds and "
+                               "its s range [0.0, 1.0]; item 1",
+    "trajectory._corrector4": "corrector convergence below 1e-11 and its s window "
+                              "[-0.05, 1.05]; item 1",
+    "trajectory.encirclement": "a chain ending short of s = 1.0 and a loop closed within "
+                               "_CLOSE_TOL; item 13 (d)",
+    "trajectory.track_branches": "singular_crossing as a sampled |det A| below 1e-8 (item 13 (a)), "
+                                 "and a partner chain reaching s = 1.0 (item 1)",
+}
+
+
+def _is_float(node: ast.expr) -> bool:
+    try:
+        return isinstance(ast.literal_eval(node), float)
+    except ValueError:
+        return False
+
+
+def _float_decisions(tree: ast.Module, stem: str) -> list[str]:
+    """'module.qualname' of each function, method or closure of `tree`, in
+    source order, holding an `ast.Compare` some side of which holds a float
+    constant or a name that a top-level assignment binds to a float; a
+    comparison belongs to its innermost function."""
+    floats = {name for node in tree.body if isinstance(node, ast.Assign) and _is_float(node.value)
+              for name in _assigned(node)}
+    out: list[str] = []
+
+    def visit(node: ast.AST, qual: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{qual}.{child.name}")
+                continue
+            if isinstance(child, ast.Compare) and qual not in out and any(
+                    isinstance(n, ast.Constant) and isinstance(n.value, float)
+                    or isinstance(n, ast.Name) and n.id in floats
+                    for side in (child.left, *child.comparators) for n in ast.walk(side)):
+                out.append(qual)
+            visit(child, qual)
+
+    visit(tree, stem)
+    return out
+
+
+def test_float_decisions_are_listed():
+    found = {q for path in sorted(SRC.glob("*.py"))
+             for q in _float_decisions(ast.parse(path.read_text(), str(path)), path.stem)}
+    unlisted = found - set(FLOAT_DECISIONS)
+    assert not unlisted, f"float comparisons without a FLOAT_DECISIONS entry: {sorted(unlisted)}"
+    stale = set(FLOAT_DECISIONS) - found
+    assert not stale, f"FLOAT_DECISIONS entries that no longer compare with a float: {sorted(stale)}"
+
+
+def test_float_decision_guard_flags_constants_and_module_floats_by_innermost_function():
+    tree = ast.parse("_TOL = 1e-9\n_N = 40\n_NEG = -0.5\n_INF = math.inf\n"
+                     "def f(x):\n    if x < _TOL:\n        return 0.5 * x\n"
+                     "    def g(y):\n        return abs(y) <= 2.0 ** -40\n    return g\n"
+                     "def h(x):\n    return x < _N or x > 2 or x == _INF\n"
+                     "def k(x):\n    return x == _NEG\n"
+                     "class K:\n    def m(self, s):\n        return s != 1.0\n"
+                     "    def n(self, s):\n        return 1.0 * s\n")
+    assert _float_decisions(tree, "m") == ["m.f", "m.f.g", "m.k", "m.K.m"]
+
+
 def _geometry_stages(trees: dict[str, ast.Module]) -> list[str]:
-    """The package functions `SliceAtlas.build` calls before `_labelings`,
-    in source order."""
+    """The package functions `SliceAtlas.build` calls by name, in source
+    order."""
     funcs = {node.name for tree in trees.values() for node in tree.body
              if isinstance(node, ast.FunctionDef)}
     build = next(m for tree in trees.values() for node in tree.body
@@ -410,8 +485,7 @@ def _geometry_stages(trees: dict[str, ast.Module]) -> list[str]:
     calls = sorted((n for n in ast.walk(build)
                     if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)),
                    key=lambda n: (n.lineno, n.col_offset))
-    names = [n.func.id for n in calls]
-    return [n for n in names[:names.index("_labelings")] if n in funcs]
+    return [n.func.id for n in calls if n.func.id in funcs]
 
 
 def _mode_parameters(trees: dict[str, ast.Module], names) -> list[str]:
@@ -429,9 +503,10 @@ def test_geometry_stages_take_no_working_mode():
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
     stages = _geometry_stages(trees) + ["characteristic_surface"]
     assert {"slice_workspace", "slice_jointspace", "analyze_workspace", "analyze_jointspace",
-            "count_atlas", "cusp_points"} <= set(stages), stages
+            "count_atlas", "cusp_points", "w_aspects", "q_aspects", "basic_regions",
+            "uniqueness_domains"} <= set(stages), stages
     found = _mode_parameters(trees, stages)
-    assert not found, f"geometry stages that take a working mode: {found}"
+    assert not found, f"stages that take a working mode: {found}"
 
 
 def test_mode_guard_flags_stages_by_name_and_annotation():
@@ -439,11 +514,12 @@ def test_mode_guard_flags_stages_by_name_and_annotation():
                      "    def build(params, y0, mode):\n"
                      "        ws = cut(y0, params)\n"
                      "        g = grid(ws, WorkingMode(1, 1))\n"
-                     "        return SliceAtlas(ws=ws, **_labelings(g, mode), x=late(g, mode))\n"
+                     "        return SliceAtlas(ws=ws, x=late(g)).in_mode(mode)\n"
                      "def cut(y0, mode):\n    pass\n"
                      "def grid(ws, m: 'WorkingMode', *, n: WorkingMode = None):\n    pass\n"
                      "def late(g, mode):\n    pass\n"
-                     "def _labelings(g, mode):\n    pass\n")
+                     "def unused(mode):\n    pass\n")
     stages = _geometry_stages({"m": tree})
-    assert stages == ["cut", "grid"]
-    assert _mode_parameters({"m": tree}, stages) == ["m.cut(mode)", "m.grid(m)", "m.grid(n)"]
+    assert stages == ["cut", "grid", "late"]
+    assert _mode_parameters({"m": tree}, stages) == ["m.cut(mode)", "m.grid(m)", "m.grid(n)",
+                                                     "m.late(mode)"]

@@ -924,6 +924,20 @@ class TestNotSquarefree:
     def test_simple_exact_roots_are_kept(self, p, roots):
         assert [(iv.low, iv.high) for iv in realroots.isolate_squarefree(p)] == roots
 
+    @pytest.mark.parametrize("p,low,high,match", [
+        (U(1, -2, 1), NEG_INF, POS_INF, "repeated root 1: "),         # (x - 1)^2, at a midpoint
+        (U(1, -4, 6, -4, 1), NEG_INF, POS_INF, "repeated root 1: "),  # (x - 1)^4
+        (U(0, 0, 1), NEG_INF, POS_INF, "repeated root 0: "),          # x^2
+        (U(1, -2, 1), Fraction(0), Fraction(1), "repeated root 1: "),  # (x - 1)^2, at high
+    ], ids=["(x-1)^2", "(x-1)^4", "x^2", "(x-1)^2-on-(0,1]"])
+    def test_count_roots_refuses_a_repeated_exact_root(self, p, low, high, match):
+        with pytest.raises(RealRootError, match=match):
+            count_roots(p, low, high)
+
+    def test_count_roots_keeps_simple_roots_and_skips_the_low_end(self):
+        assert count_roots(U(0, -1, 1)) == 2                        # x (x - 1)
+        assert count_roots(U(0, 0, 1), Fraction(0), Fraction(1)) == 0   # x^2: 0 is excluded
+
     def test_fibre_product_where_two_curves_cross(self):
         """At u = 1, where v = u and v = 2 - u cross, the fibre product is
         (v - 1)^2: isolation refuses it rather than give one root."""
