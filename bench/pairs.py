@@ -15,7 +15,8 @@ seed 1.  The file holds every run's two output lines, and for each
 workload and end-to-end metric of the change tree's BENCHMARK.json each
 side's median and quartiles
 (statistics.quantiles(n=4, method='inclusive')), the number of pairs the
-change wins, and its median over the parent's, minus 1.  Nothing under
+change wins, and its median over the parent's, minus 1; a summary line per
+workload and metric prints each side's median and [q1, q3].  Nothing under
 `perfbench/` is written or changed here.
 """
 
@@ -150,8 +151,10 @@ def main(argv=None) -> int:
     for w, ms in summary.items():
         for name, e in ms.items():
             if isinstance(e, dict):
-                print(f"{w:14} {name:12} parent {e['parent_median']:.4g} "
-                      f"change {e['change_median']:.4g} ({e['change_vs_parent']:+.1%})")
+                sides = " ".join(f"{side} {e[f'{side}_median']:.4g} "
+                                 f"[{e[f'{side}_q1']:.4g}, {e[f'{side}_q3']:.4g}]"
+                                 for side in ("parent", "change"))
+                print(f"{w:14} {name:12} {sides} ({e['change_vs_parent']:+.1%})")
     print(f"wrote {out}")
     return 0 if all(s["correct_all_runs"] for s in summary.values()) else 1
 

@@ -1,12 +1,12 @@
 """RPR-2PRR mechanism model.
 
-Constraint equations over cosine/sine symbols, reduced Jacobians,
-singularity polynomials, closed-form inverse kinematics, exact direct
-kinematics, and the 2D workspace / joint-space slices.  Every slice
-polynomial comes from a rational substitution (`MPoly.substitute`): the
-serial and parallel curves, rho1^2, cos(alpha3) and the leg-1 fibre over
-the joint chart are rationalized in phi by `rationalize` from their
-trigonometric forms, the fibre once per slice; the joint projection
+Constraint equations over cosine/sine symbols, the slice map and its
+fold, closed-form inverse kinematics, exact direct kinematics, and the 2D
+workspace / joint-space slices.  Every slice polynomial comes from a
+rational substitution (`MPoly.substitute`): the parallel curve (the fold),
+the serial curves, rho1^2, cos(alpha3) and the leg-1 fibre over the joint
+chart, all read from the slice map `_slice_map`, are rationalized in phi
+by `rationalize`, the fibre once per slice; the joint projection
 substitutes x from leg 3, and the (r, u) chart substitutes c3.
 
 Symbol conventions: pose (x, y, phi) with phi carried as (cphi, sphi) or
@@ -23,10 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .ratpoly import (
-    MPoly, UPoly,
-    exact_div, resultant, squarefree_total, _poly_quo,
-)
+from .ratpoly import MPoly, UPoly, resultant, squarefree_total, _poly_quo
 from . import realroots
 
 
@@ -143,10 +140,6 @@ def _v(name: str) -> MPoly:
     return MPoly.var(name, CS_VARS)
 
 
-def _c(val) -> MPoly:
-    return MPoly.const(val, CS_VARS)
-
-
 def constraints_trig(params: MechanismParams) -> list[MPoly]:
     """The five constraint polynomials over cosine/sine symbols."""
     x, y = _v("x"), _v("y")
@@ -188,55 +181,31 @@ def residuals(pose: Pose, joints: JointValues, passives: PassiveAngles,
 
 
 # ---------------------------------------------------------------------------
-# Jacobians and singularity polynomials
+# the slice map and its fold
 
 
-def jacobian_a(params: MechanismParams) -> list[list[MPoly]]:
-    """Reduced 3x3 Jacobian A of the constraints wrt the pose.
-
-    Rows: leg 1 distance equation, leg 2 and leg 3 chains with the passive
-    angle rates eliminated and rows scaled by l2, l3 to clear denominators.
-    """
-    x, y = _v("x"), _v("y")
-    cph, sph = _v("cphi"), _v("sphi")
-    c2, s2, c3, s3 = _v("c2"), _v("s2"), _v("c3"), _v("s3")
-    l2, l3, a, b = params.l2, params.l3, params.a, params.b
-    return [
-        [x - a * cph, y - a * sph, a * (x * sph - y * cph)],
-        [-l2 * c2, -l2 * s2, _c(0)],
-        [-l3 * c3, -l3 * s3, b * l3 * (sph * c3 - cph * s3)],
-    ]
-
-
-def det3(m: list[list[MPoly]]) -> MPoly:
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+def _slice_map(params: MechanismParams, x, y, c, s):
+    """The slice map M: (x, phi) -> (rho1^2, l3 cos(alpha3)) at the pose
+    (x, y, phi) with c = cos phi and s = sin phi, for polynomial symbols
+    x, c, s and y a symbol or a rational."""
+    a, b = params.a, params.b
+    return (x - a * c) ** 2 + (y - a * s) ** 2, x + b * c
 
 
 def parallel_singularity(params: MechanismParams) -> MPoly:
-    """Parallel-singularity polynomial in (x, y, cphi, sphi).
+    """Parallel-singularity polynomial in (x, y, cphi, sphi): the Jacobian
+    determinant of the slice map in (x, phi) at fixed y, d/dphi being
+    cphi d/dsphi - sphi d/dcphi; up to a constant, the sum of det A over
+    the four IK branches with y (x + b cphi) divided out."""
+    vs = ("x", "y", "cphi", "sphi")
+    x, y, c, s = (MPoly.var(v, vs) for v in vs)
+    r, l3c3 = _slice_map(params, x, y, c, s)
 
-    det A depends on the inverse-kinematic branch through (c2, s3); the
-    branch-sign-invariant part (summed over the four branches) factors as
-    y * (x + b cphi) times a pose-only polynomial, which is the polynomial
-    whose zero set the downstream atlas uses.  The spurious cofactor is
-    divided out exactly.
-    """
-    d = det3(jacobian_a(params))
-    ic2 = d.vars.index("c2")
-    is3 = d.vars.index("s3")
-    even = MPoly.from_ints(d.vars, {e: k for e, k in d.nums.items() if e[ic2] == 0 and e[is3] == 0},
-                           d.den)
-    x, y = _v("x"), _v("y")
-    cph = _v("cphi")
-    sub = even.substitute({
-        "s2": (Fraction(1) / params.l2) * y,
-        "c3": (Fraction(1) / params.l3) * (x + params.b * cph),
-    }, MPoly.const(1))
-    cof = y * (x + params.b * cph)
-    sp = exact_div(sub.with_vars(cof.vars), cof)
-    return sp.canonical()
+    def dphi(p):
+        return -s * p.diff("cphi") + c * p.diff("sphi")
+
+    # terms come out as x sphi, y cphi, cphi sphi: the order float evaluations sum them in
+    return (dphi(r) * l3c3.diff("x") - r.diff("x") * dphi(l3c3)).canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +388,18 @@ def slice_workspace(y0: Fraction, params: MechanismParams) -> WorkspaceSlice:
     y0 = Fraction(y0)
     if abs(y0) >= params.l2:
         raise KinematicsError(f"slice on leg 2 serial singularity: |y0| >= l2", leg=2)
-    l3, a, b = params.l3, params.a, params.b
+    l3, b = params.l3, params.b
     tv = ("x", "r", "c3", "cphi", "sphi")
     x, r, c3, cph, sph = (MPoly.var(v, tv) for v in tv)
+    rho1sq, l3c3 = _slice_map(params, x, y0, cph, sph)
     # the trigonometric forms, each rationalized in phi
     ser_out, ser_in, par, rho1sq, c3num, fibre = (rationalize(p) for p in (
-        x - l3 + b * cph,
-        x + l3 + b * cph,
+        l3c3 - l3,                                  # cos(alpha3) = 1
+        l3c3 + l3,                                  # cos(alpha3) = -1
         parallel_singularity(params).eval({"y": y0}),
-        (x - a * cph) ** 2 + (y0 - a * sph) ** 2,
-        x + b * cph,
-        (l3 * c3 - (a + b) * cph) ** 2 + (y0 - a * sph) ** 2 - r,   # x = l3 c3 - b cphi
+        rho1sq,
+        l3c3,
+        _slice_map(params, l3 * c3 - b * cph, y0, cph, sph)[0] - r,   # x from leg 3
     ))
     vs = ("x", "tphi")
     return WorkspaceSlice(

@@ -72,7 +72,9 @@ isolating interval built from Fraction ends (`interval`), the
 arithmetic on `UPoly` over Fraction coefficient lists (`upoly_mul`,
 `upoly_divmod`, `upoly_eval`, `upoly_eval_float`), the derivative
 (`upoly_derivative`), `coeff_list` (the
-rational coefficients of a univariate `MPoly`), the polynomial parser (`parse_poly`), det B
+rational coefficients of a univariate `MPoly`), the polynomial parser (`parse_poly`),
+the reduced Jacobian A and its determinant (`jacobian_a`, `det3`), whose
+branch sum the package's parallel polynomial is checked against, det B
 (`serial_singularity`), the Weierstrass substitution in
 every angle (`rationalize_all`), the benchmark's recorded trajectories
 (`pool_waypoints`) and the slices the tests share (`SLICES`).
@@ -88,8 +90,7 @@ from kinatlas import adjacency, realroots
 from kinatlas.adjacency import AdjacencyError, AdjacencyGraph, build_graph, build_graphs
 from kinatlas.cad2d import CadError, bind, int_rows
 from kinatlas.mechanism import (
-    CS_VARS, MechanismParams, PassiveAngles, Pose, constraints_trig, jacobian_a, det3, residuals,
-    _dk_univariate,
+    CS_VARS, MechanismParams, PassiveAngles, Pose, constraints_trig, residuals, _dk_univariate,
 )
 from kinatlas.ratpoly import (
     MPoly, UPoly, RatPolyError, _coeffs_wrt, _grlex_key, _int_prem, _int_primitive,
@@ -133,10 +134,31 @@ def rationalize_all(p: MPoly) -> MPoly:
     return p
 
 
+def jacobian_a(params: MechanismParams) -> list[list[MPoly]]:
+    """Reduced 3x3 Jacobian A of the constraints wrt the pose, over `CS_VARS`.
+
+    Rows: leg 1 distance equation, leg 2 and leg 3 chains with the passive
+    angle rates eliminated and rows scaled by l2, l3 to clear denominators.
+    """
+    x, y, cph, sph, c2, s2, c3, s3 = (MPoly.var(v, CS_VARS) for v in CS_VARS[:8])
+    l2, l3, a, b = params.l2, params.l3, params.a, params.b
+    return [
+        [x - a * cph, y - a * sph, a * (x * sph - y * cph)],
+        [-l2 * c2, -l2 * s2, MPoly.const(0, CS_VARS)],
+        [-l3 * c3, -l3 * s3, b * l3 * (sph * c3 - cph * s3)],
+    ]
+
+
+def det3(m: list[list[MPoly]]) -> MPoly:
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
 def serial_singularity(params: MechanismParams) -> MPoly:
     """det B, B the reduced Jacobian wrt the actuated joints (rows scaled
-    as in `jacobian_a`): the product rho1 * l2 cos(a2) * l3 sin(a3) up to
-    sign."""
+    as `jacobian_a`'s above): the product rho1 * l2 cos(a2) * l3 sin(a3) up
+    to sign."""
     rho1, c2, s3 = (MPoly.var(v, CS_VARS) for v in ("rho1", "c2", "s3"))
     zero = MPoly.const(0, CS_VARS)
     return det3([[-rho1, zero, zero],
@@ -243,11 +265,62 @@ def coeff_list(p: MPoly, var: str) -> list[Fraction]:
 
 def upoly_eval_float(p: UPoly, x: float) -> float:
     """The monic form of p at x, by Horner's rule in floats."""
-    lc = p.coeffs[-1] if p.coeffs else 1
     acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * x + float(Fraction(c, lc))
+    for c in _monic_floats(p):
+        acc = acc * x + c
     return acc
+
+
+@functools.lru_cache(maxsize=512)
+def _monic_floats(p: UPoly) -> tuple[float, ...]:
+    """The coefficients of p's monic form as floats, leading one first."""
+    lc = p.coeffs[-1] if p.coeffs else 1
+    return tuple(float(Fraction(c, lc)) for c in reversed(p.coeffs))
+
+
+def grid_regions(polys, n: int, span: float = 4.0) -> int:
+    """Flood-fill count of the connected sign-invariant regions of `polys`
+    (over ("u", "v")) on the n x n grid of cell centres in [-span, span]^2;
+    a cell where one of them reads 0 is in no region.
+
+    Each value is `MPoly.eval_float`'s, bit for bit: the same products
+    (c / den) * u^pu * v^pv summed in the term dict's order, each c / den
+    and each u^pu taken once per polynomial and column."""
+    h = 2 * span / n
+    coords = [-span + (i + 0.5) * h for i in range(n)]
+    powers = {}   # pv -> v^pv down a column; pv = 0 gives 1.0, and k * 1.0 is k
+    terms = []
+    for p in polys:
+        p = p.with_vars(("u", "v"))
+        terms.append([(k / p.den, pu, pv) for (pu, pv), k in p.nums.items()])
+        for _, _, pv in terms[-1]:
+            powers.setdefault(pv, [v ** pv for v in coords])
+    key = []      # the sign pattern of cell (i, j) at i * n + j, None on a curve
+    for u in coords:
+        col = [0] * n
+        for ts in terms:
+            vals = [0.0] * n
+            for k, pu, pv in ts:
+                ku = k * u ** pu
+                vals = [t + ku * w for t, w in zip(vals, powers[pv])]
+            col = [None if a is None or t == 0 else 2 * a + (t > 0) for a, t in zip(col, vals)]
+        key += col
+    seen = [False] * (n * n)
+    regions = 0
+    for start, sign in enumerate(key):
+        if seen[start] or sign is None:
+            continue
+        regions += 1
+        stack = [start]
+        seen[start] = True
+        while stack:
+            c = stack.pop()
+            j = c % n
+            for nb in (c - n, c + n, c - 1 if j else -1, c + 1 if j < n - 1 else -1):
+                if 0 <= nb < n * n and not seen[nb] and key[nb] == sign:
+                    seen[nb] = True
+                    stack.append(nb)
+    return regions
 
 
 def upoly_derivative(p: UPoly) -> UPoly:

@@ -27,7 +27,8 @@ from kinatlas.trajectory import (
 from conftest import eq11_reference, sc_quartic_reference
 from groebner import PolySystem, eliminate
 from oracles import (
-    divides, parse_poly, rationalize_all, serial_singularity, upoly_eval, upoly_eval_float,
+    divides, grid_regions, parse_poly, rationalize_all, serial_singularity, upoly_eval,
+    upoly_eval_float,
 )
 
 PARAMS = MechanismParams()
@@ -346,7 +347,7 @@ class TestAcceptance:
             got = len(inside)
             wants = []
             for n in (320, 640, 1280):
-                want = _grid_regions(polys, n, span=float(span))
+                want = grid_regions(polys, n, span=float(span))
                 wants.append(want)
                 if got == want:
                     break
@@ -445,36 +446,3 @@ def _random_slice_point(rng):
     if math.hypot(x - math.cos(phi), 0.5 - math.sin(phi)) < 0.05:
         return None
     return (x, phi)
-
-
-def _grid_regions(polys, n, span=4.0) -> int:
-    def sgn(x, y):
-        key = 0
-        for p in polys:
-            v = p.eval_float({"u": x, "v": y})
-            if v == 0:
-                return None
-            key = key * 2 + (1 if v > 0 else 0)
-        return key
-
-    h = 2 * span / n
-    cells = {}
-    for i in range(n):
-        for j in range(n):
-            cells[(i, j)] = sgn(-span + (i + 0.5) * h, -span + (j + 0.5) * h)
-    seen = set()
-    regions = 0
-    for start in cells:
-        if start in seen or cells[start] is None:
-            continue
-        regions += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            ci, cj = stack.pop()
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                nb = (ci + di, cj + dj)
-                if nb in cells and nb not in seen and cells[nb] == cells[start]:
-                    seen.add(nb)
-                    stack.append(nb)
-    return regions

@@ -9,7 +9,7 @@ from kinatlas.ratpoly import MPoly, UPoly, format_poly
 from kinatlas.cad2d import CadError, projection_set, decompose, interval_eval
 from kinatlas.adjacency import build_graph, components
 
-from oracles import interval_eval_by_fractions, parse_poly, upoly_eval
+from oracles import grid_regions, interval_eval_by_fractions, parse_poly, upoly_eval
 
 
 def P(text):
@@ -68,7 +68,7 @@ class TestDecompose:
         dec = decompose([CIRCLE], "u", "v")
         assert len(dec.cells) == 5
         # brute-force sign grid oracle: count of sign-invariant open regions
-        assert _grid_regions([CIRCLE], 200) == 2  # cells over-split the connected outside
+        assert grid_regions([CIRCLE], 200) == 2  # cells over-split the connected outside
 
     def test_empty_set_single_cell(self):
         dec = decompose([], "u", "v")
@@ -226,44 +226,6 @@ def _rand_conic(rng):
         if c:
             terms[e] = Fraction(c)
     return MPoly(("u", "v"), terms)
-
-
-def _grid_regions(polys, n, span=4.0) -> int:
-    """Flood-fill count of connected sign-invariant regions on a dense grid."""
-    import math
-
-    def sgn(x, y):
-        key = 0
-        for p in polys:
-            v = p.eval_float({"u": x, "v": y})
-            if v == 0:
-                return None
-            key = key * 2 + (1 if v > 0 else 0)
-        return key
-
-    h = 2 * span / n
-    cells = {}
-    for i in range(n):
-        for j in range(n):
-            x = -span + (i + 0.5) * h
-            y = -span + (j + 0.5) * h
-            cells[(i, j)] = sgn(x, y)
-    seen = set()
-    regions = 0
-    for start in cells:
-        if start in seen or cells[start] is None:
-            continue
-        regions += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            ci, cj = stack.pop()
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                nb = (ci + di, cj + dj)
-                if nb in cells and nb not in seen and cells[nb] == cells[start]:
-                    seen.add(nb)
-                    stack.append(nb)
-    return regions
 
 
 class TestTiling:

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from kinatlas.ratpoly import MPoly, exact_div, format_poly, squarefree_total
+from kinatlas.ratpoly import MPoly, exact_div, format_poly
 from kinatlas.mechanism import (
     MechanismParams, WorkingMode, Pose, JointValues, PassiveAngles,
     KinematicsError, CS_VARS,
     constraints_trig, rationalize,
-    jacobian_a, det3, parallel_singularity,
+    parallel_singularity,
     inverse_kinematics, direct_kinematics, residuals,
     slice_workspace, slice_jointspace, project_parallel_to_joint, dk_count_chart,
 )
@@ -19,11 +19,20 @@ from kinatlas.domains import characteristic_surface
 from kinatlas.trajectory import _det_a_normalized
 
 from oracles import (
-    GEOM2, SLICES, det_a_sign, divides, eval_substituting, parse_poly, rationalize_all,
-    serial_singularity,
+    GEOM2, SLICES, det3, det_a_sign, divides, eval_substituting, jacobian_a, parse_poly,
+    rationalize_all, serial_singularity,
 )
 
 PARAMS = MechanismParams()
+
+# the default, geom2, the isolated-point geometry of test_domains and ten seeded ones
+_RNG = random.Random(11)
+BRANCH_SUM_GEOMETRIES = [
+    PARAMS, GEOM2,
+    MechanismParams(Fraction(11, 4), Fraction(2), Fraction(7, 4), Fraction(3, 4)),
+    *(MechanismParams(*(Fraction(_RNG.randint(1, 40), _RNG.randint(1, 12)) for _ in range(4)))
+      for _ in range(10)),
+]
 
 
 class TestParams:
@@ -141,9 +150,12 @@ class TestJacobians:
                        **{v: 0 for v in detb.vars if v not in ("s3", "c2", "rho1")}})
         assert v == 0
 
-    def test_branch_sum_factors_through_pose_polynomial(self):
-        # sum of det A over the four IK branches = 4 y (x + b cphi) S_p / (l2 l3)
-        d = det3(jacobian_a(PARAMS))
+    @pytest.mark.parametrize("params", BRANCH_SUM_GEOMETRIES,
+                             ids=lambda g: ",".join(str(v) for v in (g.l2, g.l3, g.a, g.b)))
+    def test_branch_sum_factors_through_pose_polynomial(self, params):
+        # the sum of det A over the four IK branches, at s2 = y / l2 and
+        # c3 = (x + b cphi) / l3, is y (x + b cphi) S_p up to a constant
+        d = det3(jacobian_a(params))
         total = None
         for s2 in (1, -1):
             for s3 in (1, -1):
@@ -153,11 +165,10 @@ class TestJacobians:
         x = MPoly.var("x", CS_VARS)
         y = MPoly.var("y", CS_VARS)
         cph = MPoly.var("cphi", CS_VARS)
-        sub = eval_substituting(total, {"s2": exact_div(y, MPoly.const(3, y.vars)),
-                                        "c3": exact_div(x + cph, MPoly.const(3, x.vars))})
-        sp = parallel_singularity(PARAMS)
-        target = 4 * y * (x + cph) * sp.with_vars(CS_VARS)
-        assert (PARAMS.l2 * PARAMS.l3 * sub.with_vars(CS_VARS)).canonical() == target.canonical()
+        sub = eval_substituting(total, {"s2": y * (1 / params.l2),
+                                        "c3": (x + params.b * cph) * (1 / params.l3)})
+        target = y * (x + params.b * cph) * parallel_singularity(params).with_vars(CS_VARS)
+        assert sub.with_vars(CS_VARS).canonical() == target.canonical()
 
 
 class TestInverseKinematics:
@@ -456,13 +467,7 @@ class TestSliceMapFold:
     the slice map M: (x, tphi) -> (r, c3), with r = rho1sq_num / (1 + t^2)^2
     and c3 = c3_num / (l3 (1 + t^2)), so every atlas object belongs to M."""
 
-    @pytest.mark.parametrize("case", [
-        "ref",
-        pytest.param("y0_0", marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason="ROADMAP item 11: squarefree_total drops the line tphi = 0 at y0 = 0, so "
-                   "the fold has degree 2 in tphi where ws.parallel has degree 3")),
-        "y0_2", "geom2"])
+    @pytest.mark.parametrize("case", sorted(SLICES))
     def test_parallel_curve_is_the_squarefree_jacobian_of_the_slice_map(self, case):
         params, y0 = SLICES[case]
         ws = slice_workspace(y0, params)
@@ -474,7 +479,7 @@ class TestSliceMapFold:
             - C.diff("x") * (A.diff("tphi") * op - 4 * t * A)
         while divides(op, det):
             det = exact_div(det, op)
-        assert squarefree_total(det).canonical() == ws.parallel.canonical()
+        assert det.canonical() == ws.parallel
 
 
 class TestJointProjection:

@@ -35,9 +35,10 @@ an option a change adds shows up as a count that the change must raise.
 The functions `EXACT_FUNCTIONS` names hold no float constant: what they
 decide, they decide exactly, so no tolerance can drop or merge a
 solution.  Every function, method or closure that compares with a float
-constant or a module-level float name is one that `FLOAT_DECISIONS` names,
-with its reason and the ROADMAP item that will certify it, or "display
-only": an uncertified decision is a listed one.
+constant, a module-level float name or a name unpacked from
+`params.floats` is one that `FLOAT_DECISIONS` names, with its reason and
+the ROADMAP item that will certify it, or "display only": an uncertified
+decision is a listed one.
 
 No stage takes a working mode: the package functions that
 `SliceAtlas.build` calls by name, and `characteristic_surface`, have no
@@ -400,10 +401,11 @@ def test_float_constant_guard_flags_tolerances_only_in_named_functions():
     assert _float_constants(tree, "m", ("h",)) == []
 
 
-# package functions, methods and closures that compare with a float constant
-# or a module-level float name, each with its reason and the ROADMAP item
+# package functions, methods and closures that compare with a float constant,
+# a module-level float name or a name unpacked from `params.floats`, each with its reason and the ROADMAP item
 # that will certify it, or "display only"
 FLOAT_DECISIONS = {
+    "mechanism.slice_ik": "leg 2 reach of a float slice, |y| >= l2; item 13",
     "mechanism.slice_ik.ik": "leg 3 and leg 1 reach of a float pose (|cos alpha3| >= 1.0, "
                              "rho1 = 0) on a verdict's sampled path; item 13",
     "svg._carried_roots": "display only: a Newton step below 2^-40 of its root ends the "
@@ -432,25 +434,31 @@ def _is_float(node: ast.expr) -> bool:
 def _float_decisions(tree: ast.Module, stem: str) -> list[str]:
     """'module.qualname' of each function, method or closure of `tree`, in
     source order, holding an `ast.Compare` some side of which holds a float
-    constant or a name that a top-level assignment binds to a float; a
-    comparison belongs to its innermost function."""
+    constant or a float name: one that a top-level assignment binds to a
+    float, or one that an assignment from an attribute named `floats`
+    (`l2, l3, a, b = params.floats`) binds anywhere in the function's
+    definition or an enclosing one's; a comparison belongs to its innermost
+    function."""
     floats = {name for node in tree.body if isinstance(node, ast.Assign) and _is_float(node.value)
               for name in _assigned(node)}
     out: list[str] = []
 
-    def visit(node: ast.AST, qual: str):
+    def visit(node: ast.AST, qual: str, floats: set[str]):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{qual}.{child.name}")
+                unpacked = {name for n in ast.walk(child) if isinstance(n, ast.Assign)
+                            and isinstance(n.value, ast.Attribute) and n.value.attr == "floats"
+                            for name in _assigned(n)}
+                visit(child, f"{qual}.{child.name}", floats | unpacked)
                 continue
             if isinstance(child, ast.Compare) and qual not in out and any(
                     isinstance(n, ast.Constant) and isinstance(n.value, float)
                     or isinstance(n, ast.Name) and n.id in floats
                     for side in (child.left, *child.comparators) for n in ast.walk(side)):
                 out.append(qual)
-            visit(child, qual)
+            visit(child, qual, floats)
 
-    visit(tree, stem)
+    visit(tree, stem, floats)
     return out
 
 
@@ -470,8 +478,11 @@ def test_float_decision_guard_flags_constants_and_module_floats_by_innermost_fun
                      "def h(x):\n    return x < _N or x > 2 or x == _INF\n"
                      "def k(x):\n    return x == _NEG\n"
                      "class K:\n    def m(self, s):\n        return s != 1.0\n"
-                     "    def n(self, s):\n        return 1.0 * s\n")
-    assert _float_decisions(tree, "m") == ["m.f", "m.f.g", "m.k", "m.K.m"]
+                     "    def n(self, s):\n        return 1.0 * s\n"
+                     "def p(params, y):\n    l2, l3 = params.floats\n"
+                     "    def q(x):\n        return x < l3\n    return abs(y) >= l2, q\n"
+                     "def r(params, y):\n    l2 = params.l2\n    return y >= l2\n")
+    assert _float_decisions(tree, "m") == ["m.f", "m.f.g", "m.k", "m.K.m", "m.p.q", "m.p"]
 
 
 def _geometry_stages(trees: dict[str, ast.Module]) -> list[str]:
