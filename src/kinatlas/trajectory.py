@@ -8,18 +8,22 @@ sampling pass each build the trajectory's chain kernel (`_chain_kernel`)
 once: the slice's IK (`mechanism.slice_ik`, leg 2's term
 l2 cos(alpha2) taken once) and the segments' velocities.  Its `path` gives
 the branch's q(s) and alpha3 from `Trajectory.segment_point` and one
-cos/sin of the path point; its `system` takes q(s) the same way, dq/ds
-from that cos/sin, and the distance equations at the iterate
-(`_distance_rows`, one cos/sin of the iterate) as augmented rows of
+cos/sin of the path point; its `system` takes q(s) the same way and
+writes out, in one body, dq/ds from that cos/sin (dividing by the IK's
+rho1) and the distance equations at the iterate (one cos/sin of the
+iterate, l2^2 and l3^2 taken once per kernel) as augmented rows of
 F(X; q) and its 3x4 Jacobian.  Within `_KINK_WINDOW` of a waypoint, where
-q(s) has a kink, the two one-sided rates, taken when the kernel is built,
-are weighted as a central difference of that half-width weighs them.
-Every Newton step is one solve of the straight-line 4x4 kernel `_solve`
-on four augmented rows, in one corrector (`_corrector4`): its fourth row
-is the plane through the predicted point normal to the tangent, and at
-the boundary clamp the plane s = 0 or 1, the row (0, 0, 0, 1 | 0).  The
-converged iterate's Jacobian gives the chain tangent, its signed 3x3
-minors; the chain keeps its joints for its joint-space image.  The
+q(s) has a kink, the two one-sided rates, taken when the kernel is built
+(its `rates`), are weighted as a central difference of that half-width
+weighs them.  Every Newton step is one solve of the straight-line 4x4
+kernel `_solve` on four augmented rows, in one corrector (`_corrector4`,
+whose clamp of s and convergence test are comparisons that keep the
+semantics of `min`, `max` and `abs`, NaN and signed zeros included): its
+fourth row is the plane through the predicted point normal to the
+tangent, and at the boundary clamp the plane s = 0 or 1, the row
+(0, 0, 0, 1 | 0).  The converged iterate's Jacobian gives the chain
+tangent, its signed 3x3 minors (`_minors`, over the six 2x2 minors of its
+last two rows); the chain keeps its joints for its joint-space image.  The
 partner chains start from the direct kinematics at the start joints, one
 pose per root, less the start pose that `_start_solution` tells apart.
 A verdict samples its branch in one pass over s = i/1200, 2 or 3
@@ -88,7 +92,9 @@ class Trajectory:
         if s >= 1:
             return (n - 1, *self.waypoints[-1])
         u = s * n
-        k = min(int(u), n - 1)
+        k = int(u)
+        if k >= n:   # min(int(u), n - 1): s * n may round up to n
+            k = n - 1
         f = u - k
         (x0, p0), (x1, p1) = self.waypoints[k], self.waypoints[k + 1]
         return k, x0 + f * (x1 - x0), p0 + f * (p1 - p0)
@@ -127,32 +133,6 @@ class Verdict:
 
 # ---------------------------------------------------------------------------
 # numeric kinematics
-
-
-def _distance_rows(x, y, phi, q, dq, params):
-    """The distance equations F(X; q) at X = (x, y, phi), q = (rho1, rho2,
-    rho3), as three augmented rows (dF/dx, dF/dy, dF/dphi, dF/ds, F), from
-    one cos/sin of phi.  dF/dq is diagonal, (-2 rho1, -2(x - rho2),
-    -2(y + b sin phi - rho3)), so dF/ds = (dF/dq)(dq/ds) for the rates
-    dq = dq/ds takes no IK; at fixed joints dq is _FIXED_Q."""
-    l2, l3, a, b = params.floats
-    rho1, rho2, rho3 = q
-    r1, r2, r3 = dq
-    c, sn = math.cos(phi), math.sin(phi)
-    u1, v1 = x - a * c, y - a * sn
-    u2 = x - rho2
-    u3, v3 = x + b * c, y + b * sn - rho3
-    du2, dv3 = 2 * u2, 2 * v3
-    # dF2/drho2 and dF3/drho3 are the negated dF2/dx and dF3/dy
-    return ((2 * u1, 2 * v1, 2 * a * (x * sn - y * c), -2.0 * rho1 * r1,
-             u1 ** 2 + v1 ** 2 - rho1 * rho1),
-            (du2, 2 * y, 0.0, -du2 * r2, u2 ** 2 + y * y - l2 * l2),
-            (2 * u3, dv3, 2 * b * (-u3 * sn + v3 * c), -dv3 * r3,
-             u3 ** 2 + v3 ** 2 - l3 * l3))
-
-
-# the rates of joints held fixed: dF/ds = 0 up to the sign of zero
-_FIXED_Q = (0.0, 0.0, 0.0)
 
 
 def _solve(a, b, c, d):
@@ -243,31 +223,38 @@ def _solve(a, b, c, d):
     return [a4 / pv0, b4 / pv1, c4 / pv2, d4 / pv3]
 
 
-def _det3(m, c0: int, c1: int, c2: int) -> float:
-    """Determinant of columns c0, c1, c2 of the 3-row matrix m, expanded
-    along its first row."""
-    r0, r1, r2 = m
-    return (r0[c0] * (r1[c1] * r2[c2] - r1[c2] * r2[c1])
-            - r0[c1] * (r1[c0] * r2[c2] - r1[c2] * r2[c0])
-            + r0[c2] * (r1[c0] * r2[c1] - r1[c1] * r2[c0]))
-
-
-def _row_norm_product(m) -> float:
-    """Product of the Euclidean norms of m's rows, each over its first four
-    entries (an augmented row's right-hand side left out), a zero row
-    counting as 1: Hadamard's bound on the size of every maximal minor of m."""
-    norm = 1.0
-    for row in m:
-        norm *= math.hypot(*row[:4]) or 1.0
-    return norm
+def _minors(j4):
+    """(t0, t1, t2, t3, norm): the signed 3x3 minors of the 3x4 matrix J,
+    t_k = (-1)^k det(J without column k), each expanded along J's first
+    row over the six 2x2 minors of its last two rows, and the product of
+    J's row norms, each over its first four entries (an augmented row's
+    right-hand side left out), a zero row counting as 1: Hadamard's bound
+    on the size of every t_k."""
+    r0, r1, r2 = j4
+    a0, a1, a2, a3 = r0[0], r0[1], r0[2], r0[3]
+    b0, b1, b2, b3 = r1[0], r1[1], r1[2], r1[3]
+    c0, c1, c2, c3 = r2[0], r2[1], r2[2], r2[3]
+    m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+    m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+    return (a1 * m23 - a2 * m13 + a3 * m12, -(a0 * m23 - a2 * m03 + a3 * m02),
+            a0 * m13 - a1 * m03 + a3 * m01, -(a0 * m12 - a1 * m02 + a2 * m01),
+            (math.hypot(a0, a1, a2, a3) or 1.0) * (math.hypot(b0, b1, b2, b3) or 1.0)
+            * (math.hypot(c0, c1, c2, c3) or 1.0))
 
 
 def _det_a_normalized(x, y, phi, q, params) -> float:
-    """det dF/dX over the product of its row norms at fixed joints q.  The
-    rows' fourth entries are zeros, which leave each row's hypot as that of
-    its first three entries, bit for bit."""
-    rows = _distance_rows(x, y, phi, q, _FIXED_Q, params)
-    return _det3(rows, 0, 1, 2) / _row_norm_product(rows)
+    """det dF/dX of the distance equations F(X; q) at X = (x, y, phi), q =
+    (rho1, rho2, rho3) held fixed, over the product of its row norms: the
+    negated last minor of dF/dX bordered by a zero column, from one cos/sin
+    of phi."""
+    _, _, a, b = params.floats
+    _, rho2, rho3 = q
+    c, sn = math.cos(phi), math.sin(phi)
+    u3, v3 = x + b * c, y + b * sn - rho3
+    t3, norm = _minors(((2 * (x - a * c), 2 * (y - a * sn), 2 * a * (x * sn - y * c), 0.0),
+                        (2 * (x - rho2), 2 * y, 0.0, 0.0),
+                        (2 * u3, 2 * v3, 2 * b * (-u3 * sn + v3 * c), 0.0)))[3:]
+    return -t3 / norm
 
 
 def _alpha3_of(x, y, phi, q: JointValues, params) -> float:
@@ -297,12 +284,16 @@ def _chain_kernel(traj: Trajectory, params: MechanismParams):
     (`Trajectory.segment_point`) and its branch's q = (rho1, rho2, rho3)
     and alpha3 there.
     system(x, y, phi, s) gives path(s)'s q and the chain system at
-    (x, y, phi; s) as `_distance_rows` with dq/ds: the derivative of the
-    closed-form IK moving along the segment at its velocity, or, within
+    (x, y, phi; s): F(X; q) at X = (x, y, phi) and its 3x4 Jacobian as
+    three augmented rows (dF/dx, dF/dy, dF/dphi, dF/ds, F).  dF/dq is
+    diagonal, (-2 rho1, -2(x - rho2), -2(y + b sin phi - rho3)), so
+    dF/ds = (dF/dq)(dq/ds) takes no second IK, dq/ds being the derivative
+    of the closed-form IK moving along the segment at its velocity, or, within
     _KINK_WINDOW of an inner waypoint s_w, where q(s) has a kink, the two
     one-sided rates at s_w weighted by the window's share on each side of
     s_w, [0, 1] clipping it."""
-    _, l3, a, b = params.floats
+    l2, l3, a, b = params.floats
+    l2l2, l3l3 = l2 * l2, l3 * l3
     y0 = traj.y0_float
     _, ik = slice_ik(y0, traj.mode, params)
     s3l3 = traj.mode.s3 * l3
@@ -313,7 +304,7 @@ def _chain_kernel(traj: Trajectory, params: MechanismParams):
 
     def rates(x, c, sn, vx, vphi):
         """dq/ds at the path pose (x, y0, phi), c = cos phi and sn = sin phi,
-        moving at the velocity (vx, vphi)."""
+        moving at the velocity (vx, vphi); `system` writes it out too."""
         dx, dy = x - a * c, y0 - a * sn
         c3 = (b * c + x) / l3
         dc3 = (vx - b * sn * vphi) / l3
@@ -338,15 +329,34 @@ def _chain_kernel(traj: Trajectory, params: MechanismParams):
         k, xs, ps = point(s)
         c, sn = math.cos(ps), math.sin(ps)
         q, _ = ik(xs, c, sn)
+        rho1, rho2, rho3 = q
         w = round(s * n)
-        if 0 < w < n and abs(s - w / n) <= _KINK_WINDOW:
+        if 0 < w < n and -_KINK_WINDOW <= s - w / n <= _KINK_WINDOW:
             left, right = kinks[w - 1]
             lo, hi = max(0.0, s - _KINK_WINDOW), min(1.0, s + _KINK_WINDOW)
             share = (w / n - lo) / (hi - lo)
-            dq = tuple(share * lv + (1.0 - share) * rv for lv, rv in zip(left, right))
+            r1, r2, r3 = (share * lv + (1.0 - share) * rv for lv, rv in zip(left, right))
         else:
-            dq = rates(xs, c, sn, *vels[k])
-        return q, _distance_rows(x, y, phi, q, dq, params)
+            # `rates` at the path pose; the IK's rho1 is its hypot(dx, dy)
+            vx, vphi = vels[k]
+            dx, dy = xs - a * c, y0 - a * sn
+            c3 = (b * c + xs) / l3
+            dc3 = (vx - b * sn * vphi) / l3
+            r1 = (dx * (vx + a * sn * vphi) - dy * a * c * vphi) / rho1
+            r2 = vx
+            r3 = b * c * vphi + s3l3 * c3 * dc3 / math.sqrt(1.0 - c3 * c3)
+        # the distance equations at the iterate, one cos/sin of its phi
+        c, sn = math.cos(phi), math.sin(phi)
+        u1, v1 = x - a * c, y - a * sn
+        u2 = x - rho2
+        u3, v3 = x + b * c, y + b * sn - rho3
+        du2, dv3 = 2 * u2, 2 * v3
+        # dF2/drho2 and dF3/drho3 are the negated dF2/dx and dF3/dy
+        return q, ((2 * u1, 2 * v1, 2 * a * (x * sn - y * c), -2.0 * rho1 * r1,
+                    u1 ** 2 + v1 ** 2 - rho1 * rho1),
+                   (du2, 2 * y, 0.0, -du2 * r2, u2 ** 2 + y * y - l2l2),
+                   (2 * u3, dv3, 2 * b * (-u3 * sn + v3 * c), -dv3 * r3,
+                    u3 ** 2 + v3 ** 2 - l3l3))
 
     return path, system
 
@@ -371,13 +381,13 @@ def _tangent4(j4, prev) -> list[float]:
     rank-deficient, and raises TrajectoryError, when the minors' norm is at
     most _RANK_TOL times the product of J's row norms (the normalisation of
     `_det_a_normalized`)."""
-    t = [_det3(j4, 1, 2, 3), -_det3(j4, 0, 2, 3), _det3(j4, 0, 1, 3), -_det3(j4, 0, 1, 2)]
-    n = math.hypot(*t)
-    if not n > _RANK_TOL * _row_norm_product(j4):
+    t0, t1, t2, t3, norm = _minors(j4)
+    n = math.hypot(t0, t1, t2, t3)
+    if not n > _RANK_TOL * norm:
         raise TrajectoryError("rank-deficient system on the solution manifold")
-    if t[0] * prev[0] + t[1] * prev[1] + t[2] * prev[2] + t[3] * prev[3] < 0:
+    if t0 * prev[0] + t1 * prev[1] + t2 * prev[2] + t3 * prev[3] < 0:
         n = -n
-    return [v / n for v in t]
+    return [t0 / n, t1 / n, t2 / n, t3 / n]
 
 
 @dataclass
@@ -458,12 +468,22 @@ def _corrector4(x, y, phi, s, tangent, system):
     t0, t1, t2, t3 = tangent
     bx, by, bphi, bs = x, y, phi, s
     for _ in range(_CORRECTOR_ITERS):
-        s = min(1.0, max(0.0, s))
+        # min(1.0, max(0.0, s)): NaN and -0.0 clamp to 0.0
+        if not s > 0.0:
+            s = 0.0
+        elif s > 1.0:
+            s = 1.0
         q, rows = system(x, y, phi, s)
         r1, r2, r3 = rows
         # left to right from 0.0, so that a zero sum is +0.0
         plane = 0.0 + t0 * (x - bx) + t1 * (y - by) + t2 * (phi - bphi) + t3 * (s - bs)
-        if max(abs(r1[4]), abs(r2[4]), abs(r3[4]), abs(plane)) < 1e-11:
+        # max(abs(f1), abs(f2), abs(f3), abs(plane)) < 1e-11: max keeps its
+        # first argument unless a later one is larger, so a NaN f1 fails and
+        # a later NaN is passed over
+        f1, f2, f3 = r1[4], r2[4], r3[4]
+        if (-1e-11 < f1 < 1e-11 and not (f2 <= -1e-11 or f2 >= 1e-11)
+                and not (f3 <= -1e-11 or f3 >= 1e-11)
+                and not (plane <= -1e-11 or plane >= 1e-11)):
             return (x, y, phi, s), q, rows
         try:
             d = _solve(r1, r2, r3, (t0, t1, t2, t3, plane))
@@ -476,15 +496,13 @@ def _corrector4(x, y, phi, s, tangent, system):
 
 
 def winding_number(path: list[tuple[float, float]], center: tuple[float, float]) -> int:
-    """Integer winding of a closed polyline around a point."""
-    total = 0.0
+    """Integer winding of a closed polyline around a point: the angle of
+    each vertex taken once, the wrapped differences summed segment by
+    segment."""
     cx, cy = center
-    n = len(path)
-    for i in range(n):
-        x0, y0 = path[i]
-        x1, y1 = path[(i + 1) % n]
-        a0 = math.atan2(y0 - cy, x0 - cx)
-        a1 = math.atan2(y1 - cy, x1 - cx)
+    angles = [math.atan2(y - cy, x - cx) for x, y in path]
+    total = 0.0
+    for a0, a1 in zip(angles, angles[1:] + angles[:1]):
         d = a1 - a0
         while d > math.pi:
             d -= 2 * math.pi

@@ -23,7 +23,12 @@ a central difference at the IK joints of s +- 1e-7 against the analytic
 joint rates, the joints, residuals and 3x4 Jacobian of the chain system
 by per-quantity routes (each with its own IK through `pose_at` and its own
 cos and sin), and the pseudo-arclength walk on them, against the chain
-kernel's one-pass `system` and the walk on it, the resultant and the discriminant
+kernel's one-pass `system` and the walk on it, the chain tangent's signed
+minors as four determinants of their own and the row norms in a loop, and
+det A by `distance_jacobian`, against the minors over six shared 2x2
+minors, the corrector's clamp and convergence test by `min`, `max` and
+`abs` against its comparisons, the winding by two atan2 per segment
+against one per vertex, the resultant and the discriminant
 by the subresultant PRS on `MPoly` coefficients against the interpolated
 integer ones, exact division on Fractions against the one on cleared
 integers, the base product of a decomposition by a Fraction gcd, divide
@@ -101,7 +106,9 @@ from kinatlas.realroots import (
     _root_bound, _scale_shift, _sign_at, _sign_variations, _taylor_shift_1,
 )
 from kinatlas.mechanism import JointValues, KinematicsError
-from kinatlas.trajectory import Chain, TrajectoryError, _KINK_WINDOW, _chain_kernel, _tangent4
+from kinatlas.trajectory import (
+    Chain, TrajectoryError, _KINK_WINDOW, _RANK_TOL, _chain_kernel, _tangent4,
+)
 
 
 # the non-default geometry (l2, l3, a, b) of the benchmark's slice sweep
@@ -1411,6 +1418,97 @@ def tangent4(j4, prev=None):
     if prev is not None and sum(a * b for a, b in zip(best, prev)) < 0:
         best = [-v for v in best]
     return best
+
+
+def det3_along_first_row(m, c0: int, c1: int, c2: int) -> float:
+    """Determinant of columns c0, c1, c2 of the 3-row matrix m, expanded
+    along its first row, each 2x2 minor of the last two rows taken where
+    it is used."""
+    r0, r1, r2 = m
+    return (r0[c0] * (r1[c1] * r2[c2] - r1[c2] * r2[c1])
+            - r0[c1] * (r1[c0] * r2[c2] - r1[c2] * r2[c0])
+            + r0[c2] * (r1[c0] * r2[c1] - r1[c1] * r2[c0]))
+
+
+def row_norm_product(m) -> float:
+    """Product of the Euclidean norms of m's rows, each over its first four
+    entries, a zero row counting as 1, in a loop over the rows."""
+    norm = 1.0
+    for row in m:
+        norm *= math.hypot(*row[:4]) or 1.0
+    return norm
+
+
+def tangent4_by_det3(j4, prev) -> list[float]:
+    """The chain tangent as the signed minors, each a determinant of its
+    own, and the row norms in a loop: the operations of the minors that
+    the package takes over the six 2x2 minors of J's last two rows."""
+    t = [det3_along_first_row(j4, 1, 2, 3), -det3_along_first_row(j4, 0, 2, 3),
+         det3_along_first_row(j4, 0, 1, 3), -det3_along_first_row(j4, 0, 1, 2)]
+    n = math.hypot(*t)
+    if not n > _RANK_TOL * row_norm_product(j4):
+        raise TrajectoryError("rank-deficient system on the solution manifold")
+    if t[0] * prev[0] + t[1] * prev[1] + t[2] * prev[2] + t[3] * prev[3] < 0:
+        n = -n
+    return [v / n for v in t]
+
+
+def det_a_normalized(x, y, phi, q: JointValues, params) -> float:
+    """det dF/dX over the product of its row norms, from
+    `distance_jacobian` and a determinant of its own."""
+    j = distance_jacobian(x, y, phi, q, params)
+    return det3_along_first_row(j, 0, 1, 2) / row_norm_product(j)
+
+
+def clamp_s(s: float) -> float:
+    """The corrector's clamp of s to [0, 1] by `min` and `max`."""
+    return min(1.0, max(0.0, s))
+
+
+def converged(f1: float, f2: float, f3: float, plane: float) -> bool:
+    """The corrector's convergence test by `max` and `abs`."""
+    return max(abs(f1), abs(f2), abs(f3), abs(plane)) < 1e-11
+
+
+def corrector4_by_min_max(x, y, phi, s, tangent, system, iters: int = 25):
+    """The chain corrector on a chain kernel's `system`, its clamp and its
+    convergence test by `clamp_s` and `converged`: the converged point,
+    its joints and its rows, or None."""
+    t0, t1, t2, t3 = tangent
+    bx, by, bphi, bs = x, y, phi, s
+    for _ in range(iters):
+        s = clamp_s(s)
+        q, rows = system(x, y, phi, s)
+        r1, r2, r3 = rows
+        plane = 0.0 + t0 * (x - bx) + t1 * (y - by) + t2 * (phi - bphi) + t3 * (s - bs)
+        if converged(r1[4], r2[4], r3[4], plane):
+            return (x, y, phi, s), q, rows
+        try:
+            d = solve([row[:4] for row in (r1, r2, r3, tangent)], [r1[4], r2[4], r3[4], plane])
+        except ZeroDivisionError:
+            return None
+        x, y, phi, s = x - d[0], y - d[1], phi - d[2], s - d[3]
+        if not (-0.05 <= s <= 1.05):
+            return None
+    return None
+
+
+def winding_number_by_segments(path, center) -> int:
+    """Integer winding of a closed polyline around a point, two atan2 per
+    segment, the wrapped differences summed in segment order."""
+    total = 0.0
+    cx, cy = center
+    n = len(path)
+    for i in range(n):
+        x0, y0 = path[i]
+        x1, y1 = path[(i + 1) % n]
+        d = math.atan2(y1 - cy, x1 - cx) - math.atan2(y0 - cy, x0 - cx)
+        while d > math.pi:
+            d -= 2 * math.pi
+        while d < -math.pi:
+            d += 2 * math.pi
+        total += d
+    return round(total / (2 * math.pi))
 
 
 def joints_by_pose(x, y, phi, mode, params):

@@ -309,6 +309,65 @@ class TestWinding:
         assert winding_number(list(reversed(loop)), (0, 0)) == -1
         assert winding_number(loop, (5, 5)) == 0
 
+    def test_random_loops_wind_as_the_segment_route(self):
+        """One atan2 per vertex winds every seeded random closed polyline as
+        two per segment do: star-shaped loops turning up to three times
+        round the centre, and loops of random points."""
+        from oracles import winding_number_by_segments
+        rng = random.Random(43)
+        windings = set()
+        for _ in range(300):
+            c = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            turns = rng.choice((-3, -2, -1, 1, 2, 3))
+            n = rng.randrange(3, 60)
+            star = [(c[0] + r * math.cos(a), c[1] + r * math.sin(a))
+                    for a, r in ((2 * math.pi * turns * i / n + rng.uniform(-0.5, 0.5) / n,
+                                  rng.uniform(0.1, 2.0)) for i in range(n))]
+            scatter = [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+                       for _ in range(rng.randrange(1, 30))]
+            for loop in (star, scatter):
+                want = winding_number_by_segments(loop, c)
+                assert winding_number(loop, c) == want, (loop, c)
+                windings.add(want)
+        assert {-3, -1, 0, 1, 3} <= windings
+
+    @pytest.mark.parametrize("loop, center", [
+        ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], (0.0, 0.0)),
+        ([(1.0, 1.0), (0.0, 0.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)], (0.0, 0.0)),
+        ([(1.0, 1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)],
+         (0.0, 0.0)),
+        ([(1.0, 0.0), (-1.0, 0.0)], (0.0, 0.0)),
+        ([(1.0, 0.5), (-1.0, -0.5)], (0.0, 0.0)),
+        ([(2.0, 3.0)], (0.0, 0.0)),
+        ([(0.0, 0.0)], (0.0, 0.0)),
+        ([], (0.0, 0.0)),
+        ([(-1.0, 1e-300), (1.0, 1e-300), (1.0, -1e-300), (-1.0, -1e-300)], (0.0, 0.0)),
+    ], ids=["vertex-on-centre", "through-centre", "repeated-vertices", "two-point-on-axis",
+            "two-point", "one-point", "one-point-on-centre", "empty", "thin"])
+    def test_degenerate_loops_wind_as_the_segment_route(self, loop, center):
+        from oracles import winding_number_by_segments
+        assert winding_number(loop, center) == winding_number_by_segments(loop, center)
+
+    def test_fig10_loops_wind_as_the_segment_route(self, atlas_pp, monkeypatch):
+        """Every loop and cusp centre that the Fig. 10 verdict winds, in each
+        working mode, against the two-atan2 route."""
+        from oracles import winding_number_by_segments
+        from kinatlas import trajectory as tj
+        wound = []
+
+        def recorded(loop, center):
+            wound.append((loop, center))
+            return winding_number(loop, center)
+
+        monkeypatch.setattr(tj, "winding_number", recorded)
+        for mode in WorkingMode.all_modes():
+            before = len(wound)
+            track_branches(_traj(mode=mode), PARAMS, atlas_pp.in_mode(mode))
+            assert len(wound) - before == len(atlas_pp.cusps), mode.label
+        for loop, center in wound:
+            assert winding_number(loop, center) == winding_number_by_segments(loop, center)
+        assert any(winding_number(loop, center) for loop, center in wound)
+
 
 def _bits(values):
     """The IEEE-754 bytes of each float, so that 0.0 and -0.0 differ."""
@@ -510,6 +569,46 @@ class TestKernelOracles:
                     _tangent4(j, prev)
             assert _outcome(tangent4, j) == ("raise", "TrajectoryError")
 
+    def test_tangent_is_bitwise_the_det3_route(self):
+        """The minors over the six 2x2 minors of J's last two rows and the
+        row norms taken once each: the tangent, or the rank-deficiency
+        error, of four determinants expanded one by one, bit for bit, on
+        the random and edge Jacobians and the walk's own."""
+        from oracles import tangent4_by_det3
+        rng = random.Random(43)
+        _, jacobians, deficient = _kernel_systems(rng)
+        walked = []
+        for wps in (FIG10, tuple(reversed(FIG10))):
+            t = _traj(wps)
+            for s, (x, y, phi) in _system_points(t, rng):
+                walked.append(_chain_kernel(t, PARAMS)[1](x, y, phi, s)[1])
+        raised = 0
+        for j in jacobians + deficient + walked:
+            for prev in ([rng.uniform(-1.0, 1.0) for _ in range(4)], [0.0, 0.0, 0.0, 1.0]):
+                want = _outcome(tangent4_by_det3, j, prev)
+                assert _outcome(_tangent4, j, prev) == want, j
+                raised += want[0] == "raise"
+        assert raised >= 2 * len(deficient)
+
+    def test_det_a_scan_is_bitwise_the_jacobian_route(self):
+        """The verdict's det A scan, the last signed minor of dF/dX bordered
+        by a zero column over its row norms, equals dF/dX of
+        `oracles.distance_jacobian`, its determinant expanded along its
+        first row and its row norms, bit for bit, in every mode and on a
+        geometry whose products by a and b are rounded."""
+        import oracles
+        from kinatlas.trajectory import _det_a_normalized
+        rng = random.Random(17)
+        other = MechanismParams(Fraction(17, 5), Fraction(3), Fraction(4, 3), Fraction(7, 5))
+        for params in (PARAMS, other):
+            for mode in WorkingMode.all_modes():
+                t = _traj(mode=mode)
+                for s, (x, y, phi) in _system_points(t, rng):
+                    jv = oracles.joints_at(t, s, params)
+                    got = _det_a_normalized(x, y, phi, (jv.rho1, jv.rho2, jv.rho3), params)
+                    want = oracles.det_a_normalized(x, y, phi, jv, params)
+                    assert _bits((got,)) == _bits((want,)), (mode.label, s)
+
     def test_jacobian_matches_central_difference_oracle(self):
         """dF/dX bitwise; the analytic dF/ds within 1e-6 of the column's
         norm of the central difference at s +- 1e-7, which is one-sided
@@ -589,6 +688,75 @@ class TestKernelOracles:
             calls.clear()
             assert system(*c) == w
             assert len(calls) == 1
+
+
+_TOL_IN = math.nextafter(1e-11, 0.0)
+_EDGES = (math.nan, 0.0, -0.0, math.inf, -math.inf, 1e-11, -1e-11, _TOL_IN, -_TOL_IN)
+
+
+def _stub_system(f1, f2, f3, calls):
+    """A chain system whose rows are the unit rows of x, y and phi with the
+    residuals f1, f2 and f3 at every iterate; it records each s it is
+    asked at."""
+    def system(x, y, phi, s):
+        calls.append(s)
+        return (0.5, 1.5, 2.5), ((1.0, 0.0, 0.0, 0.0, f1), (0.0, 1.0, 0.0, 0.0, f2),
+                                 (0.0, 0.0, 1.0, 0.0, f3))
+    return system
+
+
+def _corrected(corrector, f, s0, tangent):
+    """(IEEE bytes of each s the corrector asks the stub at, its answer as
+    bytes or None)."""
+    calls = []
+    res = corrector(0.25, 0.5, -0.75, s0, tangent, _stub_system(*f, calls))
+    if res is not None:
+        point, q, rows = res
+        res = (_bits(point), _bits(q), [_bits(row) for row in rows])
+    return _bits(calls), res
+
+
+class TestCorrectorPredicates:
+    """The corrector's clamp of s and its convergence test against
+    `min(1.0, max(0.0, s))` and `max(abs(f1), abs(f2), abs(f3),
+    abs(plane)) < 1e-11` (`oracles.clamp_s`, `oracles.converged`) on edge
+    values, which real walks never reach: NaN, signed zeros, infinities and
+    the tolerance and the next double inside it, in each position."""
+
+    @staticmethod
+    def _plane_start(v):
+        """(s0, tangent) that make the first iterate's plane residual v: s0
+        clamps to 0.0, so the plane is t3 (0.0 - s0)."""
+        if math.isnan(v) or math.copysign(1.0, v) > 0:
+            return -v, (0.0, 0.0, 0.0, 1.0)
+        return v, (0.0, 0.0, 0.0, -1.0)
+
+    def test_edge_residuals_converge_as_max_abs(self):
+        import itertools
+        from oracles import converged, corrector4_by_min_max
+        from kinatlas.trajectory import _corrector4
+        seen = set()
+        for f in itertools.product(_EDGES, repeat=4):
+            s0, tangent = self._plane_start(f[3])
+            got = _corrected(_corrector4, f[:3], s0, tangent)
+            assert got == _corrected(corrector4_by_min_max, f[:3], s0, tangent), f
+            want = converged(*f)
+            assert (len(got[0]) == 1 and got[1] is not None) == want, f
+            seen.add(want)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("s0", [-0.0, 0.0, math.nan, 1.0, math.nextafter(1.0, 2.0),
+                                    math.nextafter(0.0, 1.0), 0.5, -1.0, 2.0, math.inf,
+                                    -math.inf])
+    @pytest.mark.parametrize("f", [(0.0, 0.0, 0.0), (1e-3, 0.0, 0.0), (math.nan, 0.0, 0.0),
+                                   (0.0, math.nan, 0.0)], ids=["zero", "off", "nan", "nan-later"])
+    def test_edge_starts_clamp_as_min_max(self, s0, f):
+        from oracles import clamp_s, corrector4_by_min_max
+        from kinatlas.trajectory import _corrector4
+        for tangent in ((0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 0.0)):
+            got = _corrected(_corrector4, f, s0, tangent)
+            assert got == _corrected(corrector4_by_min_max, f, s0, tangent)
+            assert got[0][0] == _bits((clamp_s(s0),))[0]
 
 
 def _system_points(t, rng):
@@ -723,10 +891,13 @@ class TestWalkOracle:
     per-quantity routes (`oracles.follow_chain`): the same chains, bit for
     bit, or the same error."""
 
-    @pytest.mark.parametrize("wps", [FIG10, tuple(reversed(FIG10))], ids=["fig10", "reversed"])
-    def test_fig10_walks_are_bitwise_the_oracle_walks(self, wps):
+    @pytest.mark.parametrize("wps, mode", [
+        pytest.param(wps, mode, id=name if mode.label == "pp" else f"{name}-{mode.label}")
+        for mode in WorkingMode.all_modes()
+        for name, wps in (("fig10", FIG10), ("reversed", tuple(reversed(FIG10))))])
+    def test_fig10_walks_are_bitwise_the_oracle_walks(self, wps, mode):
         import oracles
-        t = _traj(wps)
+        t = _traj(wps, mode=mode)
         got = _walks(t, follow_chain)
         assert any(w[0] != "raise" and w[2] == 1.0 for w in got)
         assert got == _walks(t, oracles.follow_chain)
