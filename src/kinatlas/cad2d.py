@@ -79,7 +79,6 @@ class Decomposition:
     base_roots: list[IsolatingInterval]
     base_samples: list[Fraction]
     fiber_products: list[UPoly]            # per base region, specialized product
-    fiber_roots: list[list[IsolatingInterval]]
     cells: list[Cell2D]
     columns: list[list[Cell2D]]
 
@@ -266,15 +265,13 @@ def decompose(p2, base_var: str, fiber_var: str) -> Decomposition:
         rows=[int_rows(p, fiber_var, base_var) for p in parts], projection=projection,
         base_poly=base, base_roots=base_roots,
         base_samples=[sample_between(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
-        fiber_products=[], fiber_roots=[], cells=[], columns=[],
+        fiber_products=[], cells=[], columns=[],
     )
     for k1, s in enumerate(dec.base_samples):
         f = dec.fiber_product(s)
-        fr = isolate_squarefree(f)
         dec.fiber_products.append(f)
-        dec.fiber_roots.append(fr)
         col = []
-        fbounds = [NEG_INF, *fr, POS_INF]
+        fbounds = [NEG_INF, *isolate_squarefree(f), POS_INF]
         for k2, (lo, hi) in enumerate(zip(fbounds, fbounds[1:])):
             cell = Cell2D(id=len(dec.cells), base_index=k1, fiber_index=k2,
                           sample=(s, sample_between(lo, hi)))

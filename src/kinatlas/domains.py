@@ -298,10 +298,14 @@ class CuspPoint:
                 "rho1": (float(self.r_box[0]) ** 0.5 + float(self.r_box[1]) ** 0.5) / 2}
 
 
-def cusp_points(js: JointSlice, width: Fraction = Fraction(1, 1 << 40)) -> list[CuspPoint]:
+# each root of a cusp box is refined below this width, and the box widened by it
+_CUSP_WIDTH = Fraction(1, 1 << 40)
+
+
+def cusp_points(js: JointSlice) -> list[CuspPoint]:
     """Singular points of the projected parallel curve in the (r, u) chart,
     by bivariate elimination in w = u^2 (`_cusp_eliminants`), isolation, and
-    interval-verified pairing."""
+    interval-verified pairing on boxes of roots refined below `_CUSP_WIDTH`."""
     P = js.parallel_ru.with_vars(("r", "u"))
     Pr = P.diff("r")
     Pu = P.diff("u")
@@ -316,12 +320,12 @@ def cusp_points(js: JointSlice, width: Fraction = Fraction(1, 1 << 40)) -> list[
     uroots = isolate(UPoly.from_mpoly(gu.with_vars(("u",)), "u"))
     hess = Pr.diff("r") * Pu.diff("u") - Pr.diff("u") ** 2
     out = []
-    rboxes = [ri.refine(width) for ri in rroots]
-    uboxes = [ui.refine(width) for ui in uroots]
+    w = _CUSP_WIDTH
+    rboxes = [ri.refine(w) for ri in rroots]
+    uboxes = [ui.refine(w) for ui in uroots]
     for a in rboxes:
         for b in uboxes:
-            box = {"r": (a.low - width, a.high + width),
-                   "u": (b.low - width, b.high + width)}
+            box = {"r": (a.low - w, a.high + w), "u": (b.low - w, b.high + w)}
             ok = True
             for q in (P, Pr, Pu):
                 lo, hi = interval_eval(q, box)

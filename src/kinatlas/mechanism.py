@@ -102,15 +102,6 @@ class WorkingMode:
     def label(self) -> str:
         return ("p" if self.s2 > 0 else "m") + ("p" if self.s3 > 0 else "m")
 
-    @staticmethod
-    def all_modes() -> list["WorkingMode"]:
-        return [WorkingMode(s2, s3) for s2 in (1, -1) for s3 in (1, -1)]
-
-    @staticmethod
-    def from_label(lab: str) -> "WorkingMode":
-        signs = {"p": 1, "m": -1}
-        return WorkingMode(signs[lab[0]], signs[lab[1]])
-
 
 @dataclass(frozen=True)
 class Pose:
@@ -250,6 +241,12 @@ def inverse_kinematics(pose: Pose, mode: WorkingMode,
     return JointValues(*q), PassiveAngles(alpha2, alpha3)
 
 
+def alpha3_at(x: float, y: float, phi: float, rho3: float, params: MechanismParams) -> float:
+    """Passive angle of leg 3 at a pose solving its distance equation."""
+    _, l3, _, b = params.floats
+    return math.atan2((y + b * math.sin(phi) - rho3) / l3, (x + b * math.cos(phi)) / l3)
+
+
 def direct_kinematics(q: JointValues, params: MechanismParams) -> list[tuple[Pose, PassiveAngles]]:
     """All real solutions of the constraint system for fixed joints, one
     per real root of the eliminant, sorted by (x, y, phi).
@@ -281,7 +278,7 @@ def direct_kinematics(q: JointValues, params: MechanismParams) -> list[tuple[Pos
         raise KinematicsError(f"direct kinematics at joints ({q.rho1}, {q.rho2}, {q.rho3}): "
                               f"the eliminant's root {root} is one of the back-substitution "
                               f"denominator's, where x and y are not determined")
-    l2, l3, _, b = params.floats
+    l2 = params.floats[0]
     sols = []
     for iv in realroots.isolate(poly):
         tf = iv.float()
@@ -291,8 +288,7 @@ def direct_kinematics(q: JointValues, params: MechanismParams) -> list[tuple[Pos
         phi = 2 * math.atan(tf)
         sols.append((Pose(xf, yf, phi),
                      PassiveAngles(math.atan2(yf / l2, (xf - float(r2)) / l2),
-                                   math.atan2((yf + b * math.sin(phi) - float(r3)) / l3,
-                                              (xf + b * math.cos(phi)) / l3))))
+                                   alpha3_at(xf, yf, phi, float(r3), params))))
     sols.sort(key=lambda s: (s[0].x, s[0].y, s[0].phi))
     return sols
 

@@ -761,10 +761,8 @@ class UPoly:
         self.var = var
 
     @staticmethod
-    def from_mpoly(p: MPoly, var: str | None = None) -> "UPoly":
+    def from_mpoly(p: MPoly, var: str) -> "UPoly":
         live = p.live_vars()
-        if var is None:
-            var = live[0] if live else (p.vars[0] if p.vars else "x")
         if any(v != var for v in live):
             raise RatPolyError(f"not univariate in {var!r}: {live}")
         if var not in p.vars:

@@ -230,9 +230,6 @@ class IsolatingInterval:
     def is_exact(self) -> bool:
         return self.A == self.B
 
-    def midpoint(self) -> Fraction:
-        return Fraction(self.A + self.B, self.d << 1)
-
     def refine(self, width: Fraction) -> "IsolatingInterval":
         """Narrow below `width` > 0: the cell that sign-preserving bisection
         reaches (`_bisect`), continuing from the stored state."""
@@ -598,20 +595,23 @@ class UnorderedRootsError(RealRootError):
         self.i, self.k = i, k
 
 
+# the deepest bisection at which `RootMerge` compares two roots
+_MERGE_DEPTH = 245
+
+
 class RootMerge:
     """Two increasing lists of isolated roots in one order: `ranks1` and
     `ranks2` rank their roots 1..m in the merged order, equal roots sharing
     a rank, and `sample_between` samples between any two of their bounds.
 
     Two roots are compared on integer states (A, B, d) of their own
-    bisections at depths 0, 5, 10, 20, 40, ... up to 5 (max_iter - 1), so
-    max_iter = 50 goes past 2^-200 of the starting widths; a state deeper
-    already is compared as it is, and ends by cross-multiplication.  Each
-    root's deepest state and the gcd of each pair of polynomials live as
-    long as the merge, so later comparisons and samples go on from them."""
+    bisections at depths 0, 5, 10, 20, 40, ... up to `_MERGE_DEPTH`, past
+    2^-200 of the starting widths; a state deeper already is compared as it
+    is, and ends by cross-multiplication.  Each root's deepest state and the
+    gcd of each pair of polynomials live as long as the merge, so later
+    comparisons and samples go on from them."""
 
-    def __init__(self, roots1: list[IsolatingInterval], roots2: list[IsolatingInterval],
-                 max_iter: int = 50):
+    def __init__(self, roots1: list[IsolatingInterval], roots2: list[IsolatingInterval]):
         # interval -> its deepest (A, B, d); (polynomial, polynomial) -> gcd
         self._states, self._gcds = {}, {}
         self.ranks1, self.ranks2 = [0] * len(roots1), [0] * len(roots2)
@@ -622,7 +622,7 @@ class RootMerge:
             elif i == len(roots1):
                 c = 1
             else:
-                c = self._compare(roots1[i], roots2[k], max_iter)
+                c = self._compare(roots1[i], roots2[k])
                 if c is None:
                     raise UnorderedRootsError(i, k)
             rank += 1
@@ -633,9 +633,9 @@ class RootMerge:
                 self.ranks2[k] = rank
                 k += 1
 
-    def _compare(self, a: IsolatingInterval, b: IsolatingInterval, max_iter: int) -> int | None:
+    def _compare(self, a: IsolatingInterval, b: IsolatingInterval) -> int | None:
         """Sign of (root a) - (root b); None when the last depth leaves it open."""
-        last = 5 * (max_iter - 1)
+        last = _MERGE_DEPTH
         st = self._states
         x, y = st.get(a, (a.A, a.B, a.d)), st.get(b, (b.A, b.B, b.d))
         t = 0

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .mechanism import (
-    MechanismParams, WorkingMode, Pose, JointValues, as_float, as_fraction,
+    MechanismParams, WorkingMode, Pose, JointValues, alpha3_at, as_float, as_fraction,
     direct_kinematics, slice_ik,
 )
 
@@ -257,13 +257,6 @@ def _det_a_normalized(x, y, phi, q, params) -> float:
     return -t3 / norm
 
 
-def _alpha3_of(x, y, phi, q: JointValues, params) -> float:
-    """Passive angle of leg 3 at a pose solving the distance equations."""
-    _, l3, _, b = params.floats
-    return math.atan2((y + b * math.sin(phi) - q.rho3) / l3,
-                      (x + b * math.cos(phi)) / l3)
-
-
 # ---------------------------------------------------------------------------
 # solution-manifold chains (pseudo-arclength, turns at folds)
 
@@ -365,7 +358,9 @@ def _chain_kernel(traj: Trajectory, params: MechanismParams):
 _RANK_TOL = 1e-14
 # orients the first tangent of a chain toward increasing s
 _ALONG_S = (0.0, 0.0, 0.0, 1.0)
-# a chain walk's step budget, and its corrector's iterations per step
+# a chain walk's first step, its step budget, and its corrector's
+# iterations per step
+_H0 = 1.0 / 256
 _MAX_STEPS = 40000
 _CORRECTOR_ITERS = 25
 # the largest rho1 gap at which a partner chain closes the joint-space loop
@@ -401,16 +396,17 @@ class Chain:
 
     def chart(self, params) -> list[tuple[float, float]]:
         """(rho1, alpha3) samples along the chain."""
-        return [(q.rho1, _alpha3_of(x, y, phi, q, params))
+        return [(q.rho1, alpha3_at(x, y, phi, q.rho3, params))
                 for (x, y, phi, _), q in zip(self.points, self.joints)]
 
 
-def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
-                 h0: float = 1.0 / 256) -> Chain:
+def follow_chain(traj: Trajectory, params: MechanismParams, start_state) -> Chain:
     """Pseudo-arclength walk of F(X; q(s)) = 0 from a boundary solution at
-    s = 0 (forward) until the walk exits at s = 0 or s = 1.  Its one exit
-    is the clamp: a predictor past either end is cut back to that end,
-    where the corrector on the plane s = 0 or 1 converges."""
+    s = 0 (forward) until the walk exits at s = 0 or s = 1, its first step
+    `_H0`, halved where the corrector fails and grown by half while below
+    `_H0`.  Its one exit is the clamp: a predictor past either end is cut
+    back to that end, where the corrector on the plane s = 0 or 1
+    converges."""
     system = _chain_kernel(traj, params)[1]
     x, y, phi = start_state
     s = 0.0
@@ -420,7 +416,7 @@ def follow_chain(traj: Trajectory, params: MechanismParams, start_state,
     tangent = _tangent4(rows, _ALONG_S)
     if abs(tangent[3]) < 1e-12:
         raise TrajectoryError("chain tangent parallel to the fiber at start")
-    h = h0
+    h = h0 = _H0
     for _ in range(_MAX_STEPS):
         # predictor
         px = x + h * tangent[0]

@@ -82,7 +82,10 @@ the reduced Jacobian A and its determinant (`jacobian_a`, `det3`), whose
 branch sum the package's parallel polynomial is checked against, det B
 (`serial_singularity`), the Weierstrass substitution in
 every angle (`rationalize_all`), the benchmark's recorded trajectories
-(`pool_waypoints`) and the slices the tests share (`SLICES`).
+(`pool_waypoints`), the slices the tests share (`SLICES`), the four
+working modes (`MODES`), an isolating interval's rational midpoint
+(`midpoint`) and a decomposition's fibre roots over its base samples
+(`fiber_roots`).
 """
 
 import functools
@@ -95,7 +98,8 @@ from kinatlas import adjacency, realroots
 from kinatlas.adjacency import AdjacencyError, AdjacencyGraph, build_graph, build_graphs
 from kinatlas.cad2d import CadError, bind, int_rows
 from kinatlas.mechanism import (
-    CS_VARS, MechanismParams, PassiveAngles, Pose, constraints_trig, residuals, _dk_univariate,
+    CS_VARS, MechanismParams, PassiveAngles, Pose, WorkingMode, constraints_trig, residuals,
+    _dk_univariate,
 )
 from kinatlas.ratpoly import (
     MPoly, UPoly, RatPolyError, _coeffs_wrt, _grlex_key, _int_prem, _int_primitive,
@@ -103,7 +107,7 @@ from kinatlas.ratpoly import (
 )
 from kinatlas.realroots import (
     NEG_INF, POS_INF, IsolatingInterval, RealRootError, RootMerge, has_root_in, isolate,
-    _root_bound, _scale_shift, _sign_at, _sign_variations, _taylor_shift_1,
+    isolate_squarefree, _root_bound, _scale_shift, _sign_at, _sign_variations, _taylor_shift_1,
 )
 from kinatlas.mechanism import JointValues, KinematicsError
 from kinatlas.trajectory import (
@@ -122,6 +126,9 @@ SLICES = {
     "geom2": (GEOM2, Fraction(1, 2)),
     "y0_1": (MechanismParams(), Fraction(1)),
 }
+
+# the four working modes (s2, s3): ++, +-, -+, --
+MODES = tuple(WorkingMode(s2, s3) for s2 in (1, -1) for s3 in (1, -1))
 
 
 # (cos symbol, sin symbol, half-tangent symbol) of every angle
@@ -988,6 +995,18 @@ def interval(lo, hi, p: UPoly) -> IsolatingInterval:
     return IsolatingInterval(A, hi.numerator * (d // hi.denominator), d, slo, p)
 
 
+def midpoint(iv: IsolatingInterval) -> Fraction:
+    """The rational midpoint of an isolating interval."""
+    return Fraction(iv.A + iv.B, iv.d << 1)
+
+
+def fiber_roots(dec) -> list[list[IsolatingInterval]]:
+    """The fibre roots over each base sample of a decomposition, isolated
+    as `decompose` isolates them, by `isolate_squarefree` on its fibre
+    product: isolation is deterministic, so these are its intervals."""
+    return [isolate_squarefree(f) for f in dec.fiber_products]
+
+
 def refine_by_fractions(iv: IsolatingInterval, width: Fraction) -> IsolatingInterval:
     """Sign-preserving bisection below `width`, every midpoint a Fraction."""
     lo, hi = iv.low, iv.high
@@ -1771,7 +1790,7 @@ def direct_kinematics(q: JointValues, params, tol: float = 1e-9):
         return []
     sols = []
     for iv in isolate(poly):
-        t = iv.refine(Fraction(1, 1 << 80)).midpoint()
+        t = midpoint(iv.refine(Fraction(1, 1 << 80)))
         tf = float(t)
         d = den.eval_float({"t": tf})
         if abs(d) < 1e-14:

@@ -20,6 +20,7 @@ from kinatlas.mechanism import (
     inverse_kinematics, direct_kinematics, slice_workspace,
     project_parallel_to_joint,
 )
+from kinatlas import trajectory
 from kinatlas.trajectory import (
     Trajectory, track_branches, follow_chain,
 )
@@ -27,8 +28,8 @@ from kinatlas.trajectory import (
 from conftest import eq11_reference, sc_quartic_reference
 from groebner import PolySystem, eliminate
 from oracles import (
-    divides, grid_regions, parse_poly, rationalize_all, serial_singularity, upoly_eval,
-    upoly_eval_float,
+    MODES, divides, fiber_roots, grid_regions, midpoint, parse_poly, rationalize_all,
+    serial_singularity, upoly_eval, upoly_eval_float,
 )
 
 PARAMS = MechanismParams()
@@ -127,7 +128,7 @@ class TestAcceptance:
             if u.degree < 1:
                 continue
             for iv in isolate(u):
-                r = iv.refine(Fraction(1, 1 << 70)).midpoint()
+                r = midpoint(iv.refine(Fraction(1, 1 << 70)))
                 worst = max(worst, _rel_residual(ours, {"r": r, "c3": c3}))
                 hits += 1
         n_fwd = hits
@@ -144,7 +145,7 @@ class TestAcceptance:
             if u.degree < 1:
                 continue
             for iv in isolate(u):
-                r = iv.refine(Fraction(1, 1 << 70)).midpoint()
+                r = midpoint(iv.refine(Fraction(1, 1 << 70)))
                 worst = max(worst, _rel_residual(ref, {"r": r, "c3": c3}))
                 hits += 1
         dt = time.time() - t0
@@ -212,7 +213,7 @@ class TestAcceptance:
                 if u.degree < 1:
                     continue
                 for iv in isolate(u):
-                    tv = iv.refine(Fraction(1, 1 << 70)).midpoint()
+                    tv = midpoint(iv.refine(Fraction(1, 1 << 70)))
                     worst = max(worst, _rel_residual(poly_to, {"x": x0, "tphi": tv}))
                     hits += 1
             counts.append(hits)
@@ -228,7 +229,7 @@ class TestAcceptance:
         t0 = time.time()
         n_w = len(atlas_pp.aspects)
         n_q = len(atlas_pp.qaspects)
-        atlases = [atlas_pp.in_mode(mode) for mode in WorkingMode.all_modes()]
+        atlases = [atlas_pp.in_mode(mode) for mode in MODES]
         per_mode = [len(a.aspects) for a in atlases]
         generalized = sum(per_mode)
         n_regions = len(atlas_pp.atlas)
@@ -244,11 +245,11 @@ class TestAcceptance:
                 f"uniqueness domains/mode={ud_all_modes} (pipeline {dt:.0f}s < 600s)")
 
     def test_criterion_7_fig10_trajectory(self, atlas_pp):
-        atlases = {mode: atlas_pp.in_mode(mode) for mode in WorkingMode.all_modes()}
+        atlases = {mode: atlas_pp.in_mode(mode) for mode in MODES}
         t0 = time.time()
         wps = ((-1.0, 1.0), (0.0, 0.5), (1.0, -1.0), (0.5, -2.0))
         winners = []
-        for mode in WorkingMode.all_modes():
+        for mode in MODES:
             traj = Trajectory(y0=Fraction(1, 2), mode=mode, waypoints=wps)
             v = track_branches(traj, PARAMS, atlases[mode])
             if (not v.same_domain and v.assembly_mode_changed
@@ -294,8 +295,9 @@ class TestAcceptance:
     def test_criterion_8c_cell_count_constancy(self, atlas_pp):
         dec = atlas_pp.wa.dec_fine
         checked = 0
+        roots = fiber_roots(dec)
         for k1 in range(len(dec.base_samples)):
-            expect = len(dec.fiber_roots[k1])
+            expect = len(roots[k1])
             lo = dec.base_roots[k1 - 1].high if k1 >= 1 else dec.base_samples[k1] - 1
             hi = dec.base_roots[k1].low if k1 < len(dec.base_roots) else dec.base_samples[k1] + 1
             for i in range(1, 6):
@@ -316,7 +318,7 @@ class TestAcceptance:
         done = 0
         while done < 100:
             pose = _random_reachable(rng)
-            mode = rng.choice(WorkingMode.all_modes())
+            mode = rng.choice(MODES)
             jv, pa = inverse_kinematics(pose, mode, PARAMS)
             from kinatlas.mechanism import constraints_trig, residuals
             r = residuals(pose, jv, pa, constraints_trig(PARAMS))
@@ -355,7 +357,7 @@ class TestAcceptance:
             done += 1
         _report(8, True, "8e: adjacency components match flood-fill oracle on 20 conic arrangements")
 
-    def test_criterion_8f_continuation_stability(self, atlas_pp):
+    def test_criterion_8f_continuation_stability(self, atlas_pp, monkeypatch):
         wps = ((-1.0, 1.0), (0.0, 0.5), (1.0, -1.0), (0.5, -2.0))
         cases = [wps]
         rng = random.Random(31)
@@ -374,8 +376,10 @@ class TestAcceptance:
                 partners = [(p.x, p.y, p.phi) for p, _ in sols
                             if max(abs(p.x - p0.x), abs(p.phi - p0.phi)) > 1e-6]
                 for st in partners:
-                    c1 = follow_chain(traj, PARAMS, st, h0=1.0 / 256)
-                    c2 = follow_chain(traj, PARAMS, st, h0=1.0 / 512)
+                    monkeypatch.setattr(trajectory, "_H0", 1.0 / 256)
+                    c1 = follow_chain(traj, PARAMS, st)
+                    monkeypatch.setattr(trajectory, "_H0", 1.0 / 512)
+                    c2 = follow_chain(traj, PARAMS, st)
                     assert c1.end_s == c2.end_s
                     d = max(abs(a - b) for a, b in zip(c1.points[-1], c2.points[-1]))
                     assert d < 1e-6, d

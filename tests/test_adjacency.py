@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from kinatlas import realroots
 from kinatlas.ratpoly import MPoly, UPoly
 from kinatlas.realroots import RootMerge, UnorderedRootsError, has_root_in, isolate, _sign_at
 from kinatlas.cad2d import bind, decompose, int_rows
@@ -37,8 +38,11 @@ def _sign(x):
 
 
 def _cmp(a, b, max_iter=50):
-    """Sign of (root a) - (root b), by the ranks of a one-root merge."""
-    merge = RootMerge([a], [b], max_iter)
+    """Sign of (root a) - (root b), by the ranks of a one-root merge whose
+    deepest comparison is that of `max_iter` oracle rounds, 5 (max_iter - 1)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realroots, "_MERGE_DEPTH", 5 * (max_iter - 1))
+        merge = RootMerge([a], [b])
     return _sign(merge.ranks1[0] - merge.ranks2[0])
 
 
@@ -234,9 +238,9 @@ class TestComparisonStates:
 
         compare = RootMerge._compare
 
-        def checked(merge, a, b, max_iter):
-            got = compare(merge, a, b, max_iter)
-            assert got == cmp_bounds_by_refine(a, b, {}, max_iter), (a, b)
+        def checked(merge, a, b):
+            got = compare(merge, a, b)
+            assert got == cmp_bounds_by_refine(a, b, {}), (a, b)
             signs.append(got)
             return got
 

@@ -9,7 +9,9 @@ from kinatlas.ratpoly import MPoly, UPoly, format_poly
 from kinatlas.cad2d import CadError, projection_set, decompose, interval_eval
 from kinatlas.adjacency import build_graph, components
 
-from oracles import grid_regions, interval_eval_by_fractions, parse_poly, upoly_eval
+from oracles import (
+    fiber_roots, grid_regions, interval_eval_by_fractions, midpoint, parse_poly, upoly_eval,
+)
 
 
 def P(text):
@@ -85,8 +87,9 @@ class TestDecompose:
         # delineability: re-lift at 5 extra rational samples per base region
         dec = decompose([CIRCLE, P("v^2-u")], "u", "v")
         from kinatlas.realroots import isolate
+        roots = fiber_roots(dec)
         for k1, s in enumerate(dec.base_samples):
-            expect = len(dec.fiber_roots[k1])
+            expect = len(roots[k1])
             lo = dec.base_roots[k1 - 1].high if k1 >= 1 else s - 2
             hi = dec.base_roots[k1].low if k1 < len(dec.base_roots) else s + 2
             for i in range(1, 6):
@@ -378,7 +381,7 @@ class TestIntegerForm:
             for f in (dec.base_poly, *dec.fiber_products):
                 assert _integer_form(f), f
                 products += 1
-            for iv in (*dec.base_roots, *(iv for fr in dec.fiber_roots for iv in fr)):
+            for iv in (*dec.base_roots, *(iv for fr in fiber_roots(dec) for iv in fr)):
                 assert _integer_form(iv.polynomial), iv
                 intervals += 1
         assert products >= 40 and intervals >= 200, (products, intervals)
@@ -746,7 +749,7 @@ class TestLocateOracle:
         dec = decompose([CIRCLE, P("2*v-u")], "u", "v")
         assert any(iv.is_exact() for iv in dec.base_roots)
         for iv in dec.base_roots:
-            px = iv.low if iv.is_exact() else iv.midpoint()
+            px = iv.low if iv.is_exact() else midpoint(iv)
             for py in (Fraction(-2), Fraction(0), Fraction(1, 5)):
                 assert dec.locate(px, py) == locate_by_sturm(dec, px, py)
                 if iv.is_exact():

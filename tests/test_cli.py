@@ -331,6 +331,60 @@ class TestCheckTrajectory:
         assert not (tmp_path / "v").exists()
 
 
+# SHA-256 of command outputs that neither the tests above nor
+# perfbench/reference.json pin: `analyze` of the joint slice
+# alpha2 = pi - asin(1/6), whose joint-view plot.svg and mode (-, +) labels
+# appear nowhere else (its cells.json, adjacency.json and cusps.json are
+# the reference slice's), and `check-trajectory` on Fig. 10 in each
+# working mode (trajectory.svg depends only on s3)
+_SVG_S3 = {1: "ab31c7fabcb35da6c5dde816371abde6c025bc19b9e8fe6a86ae3dba6f1e0db3",
+           -1: "d9cc2a20c4cab93a3fde3a646ee71ffb5c9c9ee6ee13cea61cd988214e9713c3"}
+PINNED = {
+    "Q:alpha2=pi-asin(1/6)": {
+        "adjacency.json": "a35de501217920e5b435ca1d69e496115f713cf13930455585b18fe41ec7e147",
+        "aspects.json": "64e7e2f89a31eed4ed64b811bedc32242ea542a3aea0db5ce230bbc6bfa34493",
+        "cells.json": "70738fe58db580a712c68c6c64e71c798c14b649824ddc97db0d7f92cf5ce558",
+        "cusps.json": "1f3d5ac9af990b0f8de3538eafac807456bd3258ff602b6034e0da0d9bf70316",
+        "plot.svg": "19ab4f4a82b0fddc61637f3581b59b5c2b0aa2b06bbcbcfc78a83901a2eb61fe",
+        "regions.json": "72f8716f9ec1b3602c9098211ad461de2ac90a12561dfcc48ef2bc4543a64081",
+        "uniqueness.json": "a552c42c50e5c6793980f9dbf3ceabc9a461e9ed77b5f57ba7460d20e36349aa",
+    },
+    (1, 1): {"trajectory.svg": _SVG_S3[1],
+             "verdict.json": "246ebca0ea36e99119c1e0264b92054adecb3707c6b58ec67510fe80b68c3e12"},
+    (1, -1): {"trajectory.svg": _SVG_S3[-1],
+              "verdict.json": "c6b55738915a1b07d4cf1914260992ec6176a15fe633291a83fdd75d76987ab6"},
+    (-1, 1): {"trajectory.svg": _SVG_S3[1],
+              "verdict.json": "8d12332defce24547860be407aeee94a088424e882124da5ddf5f3cd12b75842"},
+    (-1, -1): {"trajectory.svg": _SVG_S3[-1],
+               "verdict.json": "a74e5310b18571bb566dfac334756346bec69a03a8def641782233f346ff60c4"},
+}
+
+
+def _digests(out):
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
+
+
+class TestPinnedOutputs:
+    def test_joint_slice_analysis(self, config_file, tmp_path):
+        out = tmp_path / "q"
+        rc = main(["analyze", "--config", config_file, "--slice", "Q:alpha2=pi-asin(1/6)",
+                   "--out", str(out)])
+        assert rc == 0
+        assert _digests(out) == PINNED["Q:alpha2=pi-asin(1/6)"]
+
+    @pytest.mark.parametrize("mode", [(1, 1), (1, -1), (-1, 1), (-1, -1)],
+                             ids=["pp", "pm", "mp", "mm"])
+    def test_fig10_in_every_mode(self, mode, config_file, tmp_path):
+        tf = tmp_path / "traj.json"
+        tf.write_text(json.dumps({
+            "y": "1/2", "mode": list(mode),
+            "waypoints": [["-1", "1"], ["0", "1/2"], ["1", "-1"], ["1/2", "-2"]]}))
+        out = tmp_path / "v"
+        assert main(["check-trajectory", "--config", config_file, "--traj", str(tf),
+                     "--out", str(out)]) == 0
+        assert _digests(out) == PINNED[mode]
+
+
 def _perfbench_curves(case, atlas_pp):
     """The four workspace curves that `plot.svg` draws at a perfbench slice."""
     from kinatlas.domains import characteristic_surface

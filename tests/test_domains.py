@@ -19,7 +19,7 @@ from kinatlas.adjacency import AdjacencyGraph, build_graph, components
 from kinatlas.cad2d import decompose
 from kinatlas.trajectory import Trajectory, track_branches
 
-from oracles import SLICES, cusp_eliminants_in_u, maximal_domains
+from oracles import MODES, SLICES, cusp_eliminants_in_u, maximal_domains, midpoint
 
 PARAMS = MechanismParams()
 MODE = WorkingMode(1, 1)
@@ -50,14 +50,14 @@ def _toy_slice(fine_variety, joint_variety):
 
 class TestCounts:
     def test_two_w_aspects_per_mode(self, atlas_pp):
-        for mode in WorkingMode.all_modes():
+        for mode in MODES:
             assert len(atlas_pp.in_mode(mode).aspects) == 2, mode.label
 
     def test_two_q_aspects(self, atlas_pp):
         assert len(atlas_pp.qaspects) == 2
 
     def test_two_by_four_generalized_aspects(self, atlas_pp):
-        total = sum(len(atlas_pp.in_mode(m).aspects) for m in WorkingMode.all_modes())
+        total = sum(len(atlas_pp.in_mode(m).aspects) for m in MODES)
         assert total == 8
 
     def test_ten_count_regions(self, atlas_pp):
@@ -142,7 +142,7 @@ class TestCharacteristicSurface:
             if u.degree < 1:
                 continue
             for iv in isolate(u):
-                t = iv.refine(Fraction(1, 1 << 60)).midpoint()
+                t = midpoint(iv.refine(Fraction(1, 1 << 60)))
                 r, c3 = atlas_pp.ws.chart_image(x0, t)
                 val = prc.eval({"r": r, "c3": c3})
                 scale = max(abs(c) for c in prc.terms.values())
@@ -290,7 +290,7 @@ class TestUniquenessEnumeration:
         assert rich >= 30, rich
 
     def test_reference_slice_matches_brute_force_in_every_mode(self, atlas_pp):
-        for mode in WorkingMode.all_modes():
+        for mode in MODES:
             atlas = atlas_pp.in_mode(mode)
             want = _oracle_domains(atlas.basics, atlas.wa.graph_fine_sing.edges)
             assert len(atlas.domains) == 4, mode.label
@@ -325,7 +325,7 @@ def _labelled(atlas: SliceAtlas) -> dict:
     }
 
 
-_MODE_CASES = [("ref", m) for m in WorkingMode.all_modes()] + [
+_MODE_CASES = [("ref", m) for m in MODES] + [
     (case, WorkingMode(-1, -1)) for case in ("y0_0", "y0_2", "geom2")]
 
 
@@ -353,7 +353,7 @@ class TestWorkingModes:
         from kinatlas import domains
         from kinatlas.cad2d import Decomposition
         from kinatlas.mechanism import WorkspaceSlice
-        modes = [m for m in WorkingMode.all_modes() if m != atlas_pp.mode]
+        modes = [m for m in MODES if m != atlas_pp.mode]
         fresh = {m: _labelled(SliceAtlas.build(PARAMS, Fraction(1, 2), m)) for m in modes}
 
         def geometry(*args):
@@ -401,9 +401,11 @@ class TestCusps:
         assert sorted(p.kind for p in cusp_points(js)) == ["cusp"] * 4 + ["node"] * 2
 
     @pytest.mark.parametrize("y0", [Fraction(29, 10), Fraction(299, 100)])
-    def test_four_cusps_and_two_nodes_at_width_2_to_the_minus_80(self, y0):
+    def test_four_cusps_and_two_nodes_at_width_2_to_the_minus_80(self, y0, monkeypatch):
+        from kinatlas import domains
         js = slice_jointspace(slice_workspace(y0, PARAMS))
-        points = cusp_points(js, Fraction(1, 1 << 80))
+        monkeypatch.setattr(domains, "_CUSP_WIDTH", Fraction(1, 1 << 80))
+        points = cusp_points(js)
         assert sorted(p.kind for p in points) == ["cusp"] * 4 + ["node"] * 2
 
     # two isolated points at r = 13.1434, u = +-1 of a non-default geometry
@@ -416,9 +418,11 @@ class TestCusps:
         js = slice_jointspace(slice_workspace(Fraction(15, 8), self._ISOLATED))
         assert [p.kind for p in cusp_points(js)] == ["isolated"] * 2
 
-    def test_two_isolated_points_at_width_2_to_the_minus_80(self):
+    def test_two_isolated_points_at_width_2_to_the_minus_80(self, monkeypatch):
+        from kinatlas import domains
         js = slice_jointspace(slice_workspace(Fraction(15, 8), self._ISOLATED))
-        points = cusp_points(js, Fraction(1, 1 << 80))
+        monkeypatch.setattr(domains, "_CUSP_WIDTH", Fraction(1, 1 << 80))
+        points = cusp_points(js)
         assert [p.kind for p in points] == ["isolated"] * 2
         assert [(round(r, 4), u) for r, u in (p.center() for p in points)] == \
             [(13.1434, -1.0), (13.1434, 1.0)]
@@ -489,7 +493,7 @@ class TestCusps:
             targets.append((r, (1 - u * u) / (1 + u * u)))
         found = set()
         for iv in isolate(UPoly.from_mpoly(squarefree_total(rx).with_vars(("x",)), "x")):
-            x0 = iv.refine(Fraction(1, 1 << 50)).midpoint()
+            x0 = midpoint(iv.refine(Fraction(1, 1 << 50)))
             s = pw.eval({"x": x0})
             if isinstance(s, Fraction):
                 continue
@@ -497,7 +501,7 @@ class TestCusps:
             if u.degree < 1:
                 continue
             for tiv in isolate(u):
-                t = tiv.refine(Fraction(1, 1 << 50)).midpoint()
+                t = midpoint(tiv.refine(Fraction(1, 1 << 50)))
                 val = sc.eval({"x": x0, "tphi": t})
                 # keep only genuine intersections
                 den = (1 + t * t) ** sc.degree("tphi")
@@ -573,7 +577,7 @@ class TestSingularImages:
             if u.degree < 1:
                 continue
             for tv in isolate(u):
-                tm = tv.refine(Fraction(1, 1 << 60)).midpoint()
+                tm = midpoint(tv.refine(Fraction(1, 1 << 60)))
                 r, c3 = ws.chart_image(x0, tm)
                 uu = fiber_eliminant(r, c3)
                 cs, x = [float(c) for c in uu.coeffs], float(tm)

@@ -608,7 +608,7 @@ class TestUPoly:
 
     def test_from_mpoly_guard(self):
         with pytest.raises(RatPolyError):
-            UPoly.from_mpoly(P("x+y", ("x", "y")))
+            UPoly.from_mpoly(P("x+y", ("x", "y")), "x")
 
 
 def _rand_poly(rng, vs, deg=3, nz=5):

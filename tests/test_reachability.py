@@ -31,6 +31,11 @@ definitions are.
 
 The package's parameters with a default number at most `MAX_DEFAULTED`:
 an option a change adds shows up as a count that the change must raise.
+And some call in the package sets each of them, by position, by keyword
+or through `*args`, unless `UNSET_DEFAULTS` names it with a reason: a
+setting with one value in use is a constant, not a parameter that only
+tests set.  Calls are matched by the callee's last name component, and a
+class name matches its `__init__`.
 
 The functions `EXACT_FUNCTIONS` names hold no float constant: what they
 decide, they decide exactly, so no tolerance can drop or merge a
@@ -52,12 +57,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "kinatlas"
 
 # definitions kept without a caller in the package, each with its reason
-ALLOWED = {
-    "mechanism.WorkingMode.all_modes": "public enumeration of the four working modes",
-    "mechanism.WorkingMode.from_label": "inverse of WorkingMode.label for library users",
-    "realroots.IsolatingInterval.midpoint": "acceptance criteria 3 and 5 take a refined root's "
-                                            "rational midpoint",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _assigned(node) -> list[str]:
@@ -217,29 +217,44 @@ NONE_DEFAULTS = {
     "cli.main(argv)": "None reads the process's command line, as argparse does",
     "mechanism.KinematicsError.__init__(leg)": "an error that no single leg causes names none",
     "ratpoly.MPoly.var(variables)": "None makes the variable its polynomial's only one",
-    "ratpoly.UPoly.from_mpoly(var)": "None takes the polynomial's only variable",
 }
+
+
+def _default_slots(tree: ast.Module, stem: str) -> list[tuple[str, ast.expr, tuple, int | None]]:
+    """('module.qualname(param)', default, callee names, position) for each
+    parameter in `tree` that has a default, methods qualified by their
+    class.  The callee names are the function's and, for an `__init__`, its
+    class's; the position counts the arguments a call passes, after a
+    method's `self` (not a static method's), and is None for a keyword-only
+    parameter."""
+    out = []
+
+    def visit(body, prefix, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.", node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = (node.name, cls) if node.name == "__init__" else (node.name,)
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                skip = 1 if cls and not static else 0
+                a = node.args
+                pos = a.posonlyargs + a.args
+                first = len(pos) - len(a.defaults)
+                out.extend((f"{stem}.{prefix}{node.name}({arg.arg})", d, names, first + i - skip)
+                           for i, (arg, d) in enumerate(zip(pos[first:], a.defaults)))
+                out.extend((f"{stem}.{prefix}{node.name}({k.arg})", d, names, None)
+                           for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                visit(node.body, f"{prefix}{node.name}.", None)
+
+    visit(tree.body, "", None)
+    return out
 
 
 def _defaults(tree: ast.Module, stem: str) -> list[tuple[str, ast.expr]]:
     """('module.qualname(param)', default) for each parameter in `tree`
     that has a default, methods qualified by their class."""
-    out = []
-
-    def visit(body, prefix):
-        for node in body:
-            if isinstance(node, ast.ClassDef):
-                visit(node.body, f"{prefix}{node.name}.")
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                a = node.args
-                pos = a.posonlyargs + a.args
-                pairs = list(zip(pos[len(pos) - len(a.defaults):], a.defaults))
-                pairs += [(k, d) for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-                out.extend((f"{stem}.{prefix}{node.name}({arg.arg})", d) for arg, d in pairs)
-                visit(node.body, f"{prefix}{node.name}.")
-
-    visit(tree.body, "")
-    return out
+    return [(name, d) for name, d, *_ in _default_slots(tree, stem)]
 
 
 def _none_defaults(tree: ast.Module, stem: str) -> list[str]:
@@ -275,7 +290,7 @@ def test_none_default_guard_flags_functions_methods_and_keywords():
 # the most parameters of package functions and methods that may have a
 # default: an option that a change adds raises this count, and the change
 # says why
-MAX_DEFAULTED = 16
+MAX_DEFAULTED = 12
 
 
 def _all_defaults() -> list[str]:
@@ -296,11 +311,65 @@ def test_default_guard_counts_positional_keyword_and_nested_defaults():
         "mod.f(b)", "mod.f(d)", "mod.f.g(e)", "mod.K.m(y)"]
 
 
+# defaulted parameters that no call in the package sets, each with its
+# reason; any other one is a setting with one value in use, a constant
+UNSET_DEFAULTS = {
+    "cli.main(argv)": "the command line, tests and perfbench/run.py supply argv",
+}
+
+
+def _sets(call: ast.Call, name: str, pos: int | None) -> bool:
+    """Whether `call` passes the parameter `name` at `pos`: by keyword, by
+    position, or through a `*args` at or before its position."""
+    if any(k.arg == name for k in call.keywords):
+        return True
+    if pos is None:
+        return False
+    return any(i == pos or isinstance(a, ast.Starred) for i, a in enumerate(call.args[:pos + 1]))
+
+
+def _unset_defaults(trees) -> list[str]:
+    """'module.qualname(param)' for each defaulted parameter of the modules
+    `trees` maps (stem -> tree) that no call in them sets, a call matched
+    by its callee's last name component."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                callee = n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                calls.setdefault(callee, []).append(n)
+    out = []
+    for stem, tree in trees.items():
+        for qual, _, names, pos in _default_slots(tree, stem):
+            param = qual[qual.rindex("(") + 1:-1]
+            if not any(_sets(c, param, pos) for callee in names for c in calls.get(callee, ())):
+                out.append(qual)
+    return out
+
+
+def test_every_default_is_set_by_a_package_call():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    found = _unset_defaults(trees)
+    unset = [q for q in found if q not in UNSET_DEFAULTS]
+    assert not unset, f"defaulted parameters that no call in src/kinatlas sets: {unset}"
+    stale = set(UNSET_DEFAULTS) - set(found)
+    assert not stale, f"allowlist entries that some call sets or that are gone: {sorted(stale)}"
+
+
+def test_unset_default_guard_counts_keyword_positional_and_star_calls():
+    tree = ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                     "def h(a, b=1):\n    pass\n"
+                     "class K:\n    def __init__(self, x, y=0):\n        pass\n"
+                     "    def m(self, z=0, v=0):\n        pass\n"
+                     "    @staticmethod\n    def s(w=0, u=0):\n        pass\n"
+                     "def g(args, o):\n    f(1, d=2)\n    h(0, *args)\n    K(1, 2)\n"
+                     "    o.m(1)\n    K.s(1)\n")
+    assert _unset_defaults({"m": tree}) == ["m.f(b)", "m.f(c)", "m.f(e)", "m.K.m(v)", "m.K.s(u)"]
+
+
 # dataclass fields that no `Attribute` node of the package reads, each
 # with its reason
 UNREAD_FIELDS = {
-    "cad2d.Decomposition.fiber_roots": "acceptance 8c and test_realroots read the fibre roots "
-                                       "that decompose isolated",
     "domains.SliceAtlas.ja": "tests inspect the joint analysis a build made",
     "mechanism.WorkspaceSlice.excluded": "acceptance criterion 5 reads the excluded pose phi = pi",
 }

@@ -15,7 +15,7 @@ import kinatlas.realroots as realroots
 
 from oracles import (
     atlas_passes, bernstein_by_fractions, bind_int_by_powers, correctly_rounded,
-    count_roots_by_sturm,
+    count_roots_by_sturm, fiber_roots, midpoint,
     graphs_by_ladder, interval,
     isolate_by_scaling, parse_poly, refine_by_bisection_loop, refine_by_fractions,
     sample_between_by_halving, segment_crosses, restrict_to_segment, sign_at_by_powers,
@@ -155,7 +155,7 @@ class TestIsolate:
         w = Fraction(1, 10 ** 12)
         r = iv.refine(w)
         assert r.high - r.low < w
-        assert abs(float(r.midpoint()) - math.sqrt(2)) < 1e-11
+        assert abs(float(midpoint(r)) - math.sqrt(2)) < 1e-11
 
     def test_degree8_vs_scan_oracle(self):
         # joint-space style degree-8 polynomial in rho1 at rational samples:
@@ -309,7 +309,7 @@ class TestIncrementalIsolation:
     def test_reference_fibre_products(self, atlas_pp):
         dec = atlas_pp.wa.dec_fine
         assert len(dec.fiber_products) >= 10
-        for f, roots in zip(dec.fiber_products, dec.fiber_roots):
+        for f, roots in zip(dec.fiber_products, fiber_roots(dec)):
             if f.degree >= 1:
                 assert _bounds(isolate(f)) == _bounds(isolate_by_scaling(f)) == _bounds(roots)
 
@@ -456,7 +456,7 @@ class TestIntegerRefine:
 
     def test_reference_decomposition_roots(self, atlas_pp):
         dec = atlas_pp.wa.dec_fine
-        roots = list(dec.base_roots) + [iv for fr in dec.fiber_roots for iv in fr]
+        roots = list(dec.base_roots) + [iv for fr in fiber_roots(dec) for iv in fr]
         assert len(roots) >= 50
         for iv in roots:
             for k in (40, 80):
@@ -583,7 +583,7 @@ class TestIntervalState:
             assert graphs_by_ladder(dec, varieties, wrap) == graphs
         decs = (atlas.wa.dec_sing, atlas.wa.dec_fine, atlas.ja.dec)
         ivs = [iv for dec in decs for iv in dec.base_roots]
-        ivs += [iv for dec in decs for col in dec.fiber_roots for iv in col]
+        ivs += [iv for dec in decs for col in fiber_roots(dec) for iv in col]
         assert len(ivs) >= 200 and len(fibres) >= 900, (len(ivs), len(fibres))
         for iv in ivs + fibres:
             self._check(iv)
@@ -826,7 +826,7 @@ class TestSampleBetweenOracle:
         for dec, *_ in atlas_passes(atlas):
             for samples, roots in [(dec.base_samples, dec.base_roots)] + [
                     ([c.sample[1] for c in col], fr)
-                    for col, fr in zip(dec.columns, dec.fiber_roots)]:
+                    for col, fr in zip(dec.columns, fiber_roots(dec))]:
                 bounds = [NEG_INF, *roots, POS_INF]
                 assert samples == [sample_between_by_halving(lo, hi)
                                    for lo, hi in zip(bounds, bounds[1:])]

@@ -14,7 +14,7 @@ from kinatlas.trajectory import (
     _solve, _tangent4, _chain_kernel,
 )
 
-from oracles import tracked_chart
+from oracles import MODES, tracked_chart
 
 PARAMS = MechanismParams()
 FIG10 = ((-1.0, 1.0), (0.0, 0.5), (1.0, -1.0), (0.5, -2.0))
@@ -128,7 +128,7 @@ class TestTracking:
 
     def test_tracked_chart_alpha3_is_the_ik_angle(self):
         from kinatlas.mechanism import inverse_kinematics
-        for mode in WorkingMode.all_modes():
+        for mode in MODES:
             t = _traj(mode=mode)
             chart = tracked_chart(t, PARAMS, n=100)
             for i, (rho1, a3) in enumerate(chart):
@@ -136,15 +136,18 @@ class TestTracking:
                 assert _bits((rho1, a3)) == _bits((jv.rho1, pa.alpha3))
                 assert 0.0 <= mode.s3 * a3 <= math.pi
 
-    def test_step_halving_stability(self):
+    def test_step_halving_stability(self, monkeypatch):
+        from kinatlas import trajectory as tj
         t = _traj()
         q0 = _joints_at(t, 0.0, PARAMS)
         sols = direct_kinematics(q0, PARAMS)
         partner = next((p for p, _ in sols
                         if max(abs(p.x + 1.0), abs(p.phi - 1.0)) > 1e-6))
         st = (partner.x, partner.y, partner.phi)
-        c1 = follow_chain(t, PARAMS, st, h0=1.0 / 256)
-        c2 = follow_chain(t, PARAMS, st, h0=1.0 / 512)
+        monkeypatch.setattr(tj, "_H0", 1.0 / 256)
+        c1 = follow_chain(t, PARAMS, st)
+        monkeypatch.setattr(tj, "_H0", 1.0 / 512)
+        c2 = follow_chain(t, PARAMS, st)
         assert c1.end_s == c2.end_s == 1.0
         e1, e2 = c1.points[-1], c2.points[-1]
         assert max(abs(a - b) for a, b in zip(e1, e2)) < 1e-6
@@ -162,7 +165,7 @@ class TestVerdicts:
 
     def test_fig10_some_mode_reproduces(self, atlas_pp):
         hits = []
-        for mode in WorkingMode.all_modes():
+        for mode in MODES:
             t = _traj(mode=mode)
             v = track_branches(t, PARAMS, atlas_pp.in_mode(mode))
             if (not v.same_domain and v.assembly_mode_changed
@@ -360,7 +363,7 @@ class TestWinding:
             return winding_number(loop, center)
 
         monkeypatch.setattr(tj, "winding_number", recorded)
-        for mode in WorkingMode.all_modes():
+        for mode in MODES:
             before = len(wound)
             track_branches(_traj(mode=mode), PARAMS, atlas_pp.in_mode(mode))
             assert len(wound) - before == len(atlas_pp.cusps), mode.label
@@ -521,7 +524,7 @@ class TestKernelOracles:
             assert _outcome(_kernel, m, r) == _outcome(solve, m, r), (m, r)
         rng = random.Random(15)
         systems = 0
-        for mode in WorkingMode.all_modes():
+        for mode in MODES:
             for wps in (FIG10, tuple(reversed(FIG10))):
                 t = _traj(wps, mode=mode)
                 for s, (x, y, phi) in _system_points(t, rng):
@@ -601,7 +604,7 @@ class TestKernelOracles:
         rng = random.Random(17)
         other = MechanismParams(Fraction(17, 5), Fraction(3), Fraction(4, 3), Fraction(7, 5))
         for params in (PARAMS, other):
-            for mode in WorkingMode.all_modes():
+            for mode in MODES:
                 t = _traj(mode=mode)
                 for s, (x, y, phi) in _system_points(t, rng):
                     jv = oracles.joints_at(t, s, params)
@@ -636,7 +639,7 @@ class TestKernelOracles:
         rng = random.Random(11)
         other = MechanismParams(Fraction(17, 5), Fraction(3), Fraction(4, 3), Fraction(7, 5))
         for params in (PARAMS, other):
-            for mode in WorkingMode.all_modes():
+            for mode in MODES:
                 for wps in (FIG10, tuple(reversed(FIG10)), FIG10[1:]):
                     t = _traj(wps, mode=mode)
                     for s, (x, y, phi) in _system_points(t, rng):
@@ -893,7 +896,7 @@ class TestWalkOracle:
 
     @pytest.mark.parametrize("wps, mode", [
         pytest.param(wps, mode, id=name if mode.label == "pp" else f"{name}-{mode.label}")
-        for mode in WorkingMode.all_modes()
+        for mode in MODES
         for name, wps in (("fig10", FIG10), ("reversed", tuple(reversed(FIG10))))])
     def test_fig10_walks_are_bitwise_the_oracle_walks(self, wps, mode):
         import oracles
