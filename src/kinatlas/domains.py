@@ -461,8 +461,10 @@ class SliceAtlas:
 
     def classify_endpoints(self, p0: tuple[Fraction, Fraction],
                            p1: tuple[Fraction, Fraction]):
-        """(start basic, end basic, same_domain, assembly_mode_changed,
-        start label, end label) for two slice points given as (x, tphi)."""
+        """(same_domain, assembly_mode_changed, start label, end label) for
+        two slice points given as (x, tphi): each label is the first
+        uniqueness domain holding the point's basic region, or that
+        region's own label when no domain holds it."""
         b0 = self.locate_basic(*p0)
         b1 = self.locate_basic(*p1)
         for name, (x, t), b in (("start", p0, b0), ("end", p1, b1)):
@@ -478,4 +480,4 @@ class SliceAtlas:
             changed = not b0.components.isdisjoint(b1.components)
         lab0 = d0[0] if d0 else b0.label
         lab1 = d1[0] if d1 else b1.label
-        return b0, b1, same, changed, lab0, lab1
+        return same, changed, lab0, lab1

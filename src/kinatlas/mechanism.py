@@ -1,13 +1,15 @@
 """RPR-2PRR mechanism model.
 
 Constraint equations over cosine/sine symbols, the slice map and its
-fold, closed-form inverse kinematics, exact direct kinematics, and the 2D
-workspace / joint-space slices.  Every slice polynomial comes from a
-rational substitution (`MPoly.substitute`): the parallel curve (the fold),
-the serial curves, rho1^2, cos(alpha3) and the leg-1 fibre over the joint
-chart, all read from the slice map `_slice_map`, are rationalized in phi
-by `rationalize`, the fibre once per slice; the joint projection
-substitutes x from leg 3, and the (r, u) chart substitutes c3.
+fold, closed-form inverse kinematics with its joint rates along a
+velocity of the pose (`slice_ik`, the one home of dq/ds), exact direct
+kinematics, and the 2D workspace / joint-space slices.  Every slice
+polynomial comes from a rational substitution (`MPoly.substitute`): the
+parallel curve (the fold), the serial curves, rho1^2, cos(alpha3) and the
+leg-1 fibre over the joint chart, all read from the slice map
+`_slice_map`, are rationalized in phi by `rationalize`, the fibre once per
+slice; the joint projection substitutes x from leg 3, and the (r, u)
+chart substitutes c3.
 
 Symbol conventions: pose (x, y, phi) with phi carried as (cphi, sphi) or
 as the half-tangent tphi; passive angles as (c2, s2) and (c3, s3); joints
@@ -204,13 +206,16 @@ def parallel_singularity(params: MechanismParams) -> MPoly:
 
 
 def slice_ik(y: float, mode: WorkingMode, params: MechanismParams):
-    """Closed-form inverse kinematics on the slice y: (alpha2, ik).
+    """Closed-form inverse kinematics on the slice y, with its joint rates:
+    (alpha2, ik).
 
     Leg 2's passive angle alpha2 and its term l2 cos(alpha2) of rho2 are
-    constant on the slice and taken once; ik(x, c, sn) gives
-    ((rho1, rho2, rho3), alpha3) at the pose (x, y, phi) with c = cos phi
-    and sn = sin phi.  Leg 2's reach is checked here, legs 3 and 1 in ik,
-    in that order."""
+    constant on the slice and taken once; ik(x, c, sn, vx, vphi) gives
+    ((rho1, rho2, rho3), alpha3, dq) at the pose (x, y, phi) with c = cos phi
+    and sn = sin phi, dq being the joint rates of that pose moving at
+    (dx/ds, dphi/ds) = (vx, vphi): the derivative of the closed form, from
+    the same dx, dy, rho1 and cos(alpha3) as q.  Leg 2's reach is checked
+    here, legs 3 and 1 in ik, in that order."""
     l2, l3, a, b = params.floats
     if abs(y) >= l2:
         raise KinematicsError(f"leg 2 serial singularity / out of reach: |y|={abs(y)} >= l2", leg=2)
@@ -220,7 +225,7 @@ def slice_ik(y: float, mode: WorkingMode, params: MechanismParams):
     l2c2 = l2 * math.cos(alpha2)
     s3 = mode.s3
 
-    def ik(x: float, c: float, sn: float):
+    def ik(x: float, c: float, sn: float, vx: float, vphi: float):
         c3 = (b * c + x) / l3
         if abs(c3) >= 1.0:
             raise KinematicsError(f"leg 3 serial singularity / out of reach: |cos(alpha3)|={abs(c3)} >= 1", leg=3)
@@ -228,7 +233,12 @@ def slice_ik(y: float, mode: WorkingMode, params: MechanismParams):
         if dx == 0.0 and dy == 0.0:
             raise KinematicsError("leg 1 serial singularity: rho1 = 0", leg=1)
         alpha3 = s3 * math.acos(c3)
-        return (math.hypot(dx, dy), x - l2c2, b * sn + y - l3 * math.sin(alpha3)), alpha3
+        rho1 = math.hypot(dx, dy)
+        dc3 = (vx - b * sn * vphi) / l3
+        return ((rho1, x - l2c2, b * sn + y - l3 * math.sin(alpha3)), alpha3,
+                ((dx * (vx + a * sn * vphi) - dy * a * c * vphi) / rho1,
+                 vx,
+                 b * c * vphi + s3 * l3 * c3 * dc3 / math.sqrt(1.0 - c3 * c3)))
 
     return alpha2, ik
 
@@ -237,7 +247,7 @@ def inverse_kinematics(pose: Pose, mode: WorkingMode,
                        params: MechanismParams) -> tuple[JointValues, PassiveAngles]:
     c, sn = math.cos(pose.phi), math.sin(pose.phi)
     alpha2, ik = slice_ik(pose.y, mode, params)
-    q, alpha3 = ik(pose.x, c, sn)
+    q, alpha3, _ = ik(pose.x, c, sn, 0.0, 0.0)
     return JointValues(*q), PassiveAngles(alpha2, alpha3)
 
 
@@ -253,7 +263,7 @@ def direct_kinematics(q: JointValues, params: MechanismParams) -> list[tuple[Pos
 
     Eliminates (x, y) linearly between the three distance equations,
     isolates the half-tangent roots of the eliminant exactly (without its
-    factor (1 + t^2)^4, see `_dk_univariate`), and back-substitutes in
+    factor (1 + t^2)^5, see `_dk_univariate`), and back-substitutes in
     floats at each root's correctly rounded double (`float`).  The
     elimination is an equivalence wherever its denominator den(t) is not
     0, so distinct roots are distinct poses; a real root shared by the
@@ -269,9 +279,8 @@ def direct_kinematics(q: JointValues, params: MechanismParams) -> list[tuple[Pos
     if poly.degree < 1:
         return []
     # without 1 + t^2 the gcd is most often 1, which is settled modulo a prime
-    core = UPoly(_poly_quo(poly.coeffs, _OP, "eliminant by 1 + t^2"), "t")
     den_core = UPoly(_poly_quo(UPoly.from_mpoly(den, "t").coeffs, _OP2, "den by (1 + t^2)^2"), "t")
-    shared = realroots.isolate(core.gcd(den_core))
+    shared = realroots.isolate(poly.gcd(den_core))
     if shared:
         iv = shared[0]
         root = f"t = {iv.low}" if iv.is_exact() else f"t in ({iv.low}, {iv.high})"
@@ -293,14 +302,14 @@ def direct_kinematics(q: JointValues, params: MechanismParams) -> list[tuple[Pos
     return sols
 
 
-# 1 + t^2, (1 + t^2)^2 and (1 + t^2)^4, constant term first
-_OP, _OP2, _OP4 = [1, 0, 1], [1, 0, 2, 0, 1], [1, 0, 4, 0, 6, 0, 4, 0, 1]
+# (1 + t^2)^2 and (1 + t^2)^5, constant term first
+_OP2, _OP5 = [1, 0, 2, 0, 1], [1, 0, 5, 0, 10, 0, 10, 0, 5, 0, 1]
 
 
 def _dk_univariate(r1: Fraction, r2: Fraction, r3: Fraction, params: MechanismParams):
     """Half-tangent eliminant for the direct kinematics.
 
-    Returns (P(t) / (1 + t^2)^4, xnum, ynum, den) with x = xnum/den,
+    Returns (P(t) / (1 + t^2)^5, xnum, ynum, den) with x = xnum/den,
     y = ynum/den on solutions, or None when the eliminant
     P = (xnum - r2 den)^2 + ynum^2 - l2^2 den^2 vanishes identically.
 
@@ -312,10 +321,11 @@ def _dk_univariate(r1: Fraction, r2: Fraction, r3: Fraction, params: MechanismPa
     Q = (X - r2 D)^2 + Y^2 - l2^2 D^2 for the same determinants D, X, Y of
     L1 and L2.  At t = +-i (1 - t^2 = 2, 2t = +-2i), L1 = -4a x -+ 4a i y
     and L2 = 4b x +- 4b i y -+ 4b r3 i, so D = 0, X = -16 a b r3,
-    Y = -+16 a b r3 i and Q = X^2 + Y^2 = 0: (1 + t^2) divides Q as well.
-    Hence P and Q have the same monic squarefree part, and
-    `realroots.isolate` returns the same intervals for both; Q is the exact
-    quotient on the cleared integers.
+    Y = -+16 a b r3 i and Q = X^2 + Y^2 = 0: (1 + t^2) divides Q as well,
+    so the fifth division is exact on the cleared integers.  The quotient
+    has P's real roots, 1 + t^2 having none, and each root's correctly
+    rounded double (`float`) does not depend on the polynomial it is
+    isolated on.
     """
     vs = ("x", "y", "t")
     x = MPoly.var("x", vs)
@@ -345,8 +355,8 @@ def _dk_univariate(r1: Fraction, r2: Fraction, r3: Fraction, params: MechanismPa
     u = expr.with_vars(("t",))
     if u.is_zero():
         return None
-    poly = UPoly(_poly_quo(UPoly.from_mpoly(u, "t").coeffs, _OP4,
-                           "direct kinematics eliminant by (1 + t^2)^4"), "t")
+    poly = UPoly(_poly_quo(UPoly.from_mpoly(u, "t").coeffs, _OP5,
+                           "direct kinematics eliminant by (1 + t^2)^5"), "t")
     return poly, xnum.with_vars(("t",)), ynum.with_vars(("t",)), den.with_vars(("t",))
 
 

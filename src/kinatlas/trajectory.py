@@ -8,24 +8,25 @@ sampling pass each build the trajectory's chain kernel (`_chain_kernel`)
 once: the slice's IK (`mechanism.slice_ik`, leg 2's term
 l2 cos(alpha2) taken once) and the segments' velocities.  Its `path` gives
 the branch's q(s) and alpha3 from `Trajectory.segment_point` and one
-cos/sin of the path point; its `system` takes q(s) the same way and
-writes out, in one body, dq/ds from that cos/sin (dividing by the IK's
-rho1) and the distance equations at the iterate (one cos/sin of the
-iterate, l2^2 and l3^2 taken once per kernel) as augmented rows of
-F(X; q) and its 3x4 Jacobian.  Within `_KINK_WINDOW` of a waypoint, where
-q(s) has a kink, the two one-sided rates, taken when the kernel is built
-(its `rates`), are weighted as a central difference of that half-width
-weighs them.  Every Newton step is one solve of the straight-line 4x4
-kernel `_solve` on four augmented rows, in one corrector (`_corrector4`,
-whose clamp of s and convergence test are comparisons that keep the
-semantics of `min`, `max` and `abs`, NaN and signed zeros included): its
-fourth row is the plane through the predicted point normal to the
-tangent, and at the boundary clamp the plane s = 0 or 1, the row
-(0, 0, 0, 1 | 0).  The converged iterate's Jacobian gives the chain
-tangent, its signed 3x3 minors (`_minors`, over the six 2x2 minors of its
-last two rows); the chain keeps its joints for its joint-space image.  The
-partner chains start from the direct kinematics at the start joints, one
-pose per root, less the start pose that `_start_solution` tells apart.
+cos/sin of the path point; its `system` takes q(s) and dq/ds the same
+way, from one IK call at the segment's velocity (the IK gives the joint
+rates of the closed form it evaluates), and writes out the distance
+equations at the iterate (one cos/sin of the iterate, l2^2 and l3^2 taken
+once per kernel) as augmented rows of F(X; q) and its 3x4 Jacobian.
+Within `_KINK_WINDOW` of a waypoint, where q(s) has a kink, the IK's two
+one-sided rates there, taken when the kernel is built, are weighted as a
+central difference of that half-width weighs them.  Every Newton step
+is one solve of the straight-line 4x4 kernel `_solve` on four augmented
+rows, in one corrector (`_corrector4`, whose clamp of s and convergence
+test are comparisons that keep the semantics of `min`, `max` and `abs`,
+NaN and signed zeros included): its fourth row is the plane through the
+predicted point normal to the tangent, and at the boundary clamp the
+plane s = 0 or 1, the row (0, 0, 0, 1 | 0).  The converged iterate's
+Jacobian gives the chain tangent, its signed 3x3 minors (`_minors`, over
+the six 2x2 minors of its last two rows); the chain keeps its joints for
+its joint-space image.  The partner chains start from the direct
+kinematics at the start joints, one pose per root, less the start pose
+that `_start_solution` tells apart.
 A verdict samples its branch in one pass over s = i/1200, 2 or 3
 dividing i: det A at s = k/600, the forward chart at s = k/400 and the
 joint path at s = k/200, each the same double as its i/1200, both
@@ -271,73 +272,52 @@ def _chain_kernel(traj: Trajectory, params: MechanismParams):
 
     It holds the slice's IK (`mechanism.slice_ik`, whose leg-2 term is
     constant along the path, y being y0 on it), each segment's velocity
-    (n dx, n dphi) and each inner waypoint's two one-sided rates, taken
-    here after its IK, which raises `KinematicsError` where they are
-    undefined.  path(s) gives the path's (x, phi) at s
-    (`Trajectory.segment_point`) and its branch's q = (rho1, rho2, rho3)
-    and alpha3 there.
+    (n dx, n dphi) and each inner waypoint's two one-sided rates, the IK's
+    rates there at the velocities of the segments on either side, taken
+    here, where the IK raises `KinematicsError` if they are undefined.
+    path(s) gives the path's (x, phi) at s (`Trajectory.segment_point`) and
+    its branch's q = (rho1, rho2, rho3) and alpha3 there.
     system(x, y, phi, s) gives path(s)'s q and the chain system at
     (x, y, phi; s): F(X; q) at X = (x, y, phi) and its 3x4 Jacobian as
     three augmented rows (dF/dx, dF/dy, dF/dphi, dF/ds, F).  dF/dq is
     diagonal, (-2 rho1, -2(x - rho2), -2(y + b sin phi - rho3)), so
-    dF/ds = (dF/dq)(dq/ds) takes no second IK, dq/ds being the derivative
-    of the closed-form IK moving along the segment at its velocity, or, within
+    dF/ds = (dF/dq)(dq/ds) takes no second IK: dq/ds is the rates of the
+    one IK call that gives q, at the segment's velocity, or, within
     _KINK_WINDOW of an inner waypoint s_w, where q(s) has a kink, the two
     one-sided rates at s_w weighted by the window's share on each side of
     s_w, [0, 1] clipping it."""
     l2, l3, a, b = params.floats
     l2l2, l3l3 = l2 * l2, l3 * l3
-    y0 = traj.y0_float
-    _, ik = slice_ik(y0, traj.mode, params)
-    s3l3 = traj.mode.s3 * l3
+    _, ik = slice_ik(traj.y0_float, traj.mode, params)
     wps = traj.waypoints
     n = len(wps) - 1
     point = traj.segment_point
     vels = [(n * (x1 - x0), n * (p1 - p0)) for (x0, p0), (x1, p1) in zip(wps, wps[1:])]
-
-    def rates(x, c, sn, vx, vphi):
-        """dq/ds at the path pose (x, y0, phi), c = cos phi and sn = sin phi,
-        moving at the velocity (vx, vphi); `system` writes it out too."""
-        dx, dy = x - a * c, y0 - a * sn
-        c3 = (b * c + x) / l3
-        dc3 = (vx - b * sn * vphi) / l3
-        return ((dx * (vx + a * sn * vphi) - dy * a * c * vphi) / math.hypot(dx, dy),
-                vx,
-                b * c * vphi + s3l3 * c3 * dc3 / math.sqrt(1.0 - c3 * c3))
 
     # inner waypoint w's one-sided rates (left, right) are kinks[w - 1]
     kinks = []
     for w in range(1, n):
         xw, pw = wps[w]
         cw, sw = math.cos(pw), math.sin(pw)
-        ik(xw, cw, sw)
-        kinks.append((rates(xw, cw, sw, *vels[w - 1]), rates(xw, cw, sw, *vels[w])))
+        kinks.append((ik(xw, cw, sw, *vels[w - 1])[2], ik(xw, cw, sw, *vels[w])[2]))
 
     def path(s):
         _, x, phi = point(s)
-        q, alpha3 = ik(x, math.cos(phi), math.sin(phi))
+        q, alpha3, _ = ik(x, math.cos(phi), math.sin(phi), 0.0, 0.0)
         return x, phi, q, alpha3
 
     def system(x, y, phi, s):
         k, xs, ps = point(s)
-        c, sn = math.cos(ps), math.sin(ps)
-        q, _ = ik(xs, c, sn)
+        vx, vphi = vels[k]
+        q, _, dq = ik(xs, math.cos(ps), math.sin(ps), vx, vphi)
         rho1, rho2, rho3 = q
+        r1, r2, r3 = dq
         w = round(s * n)
         if 0 < w < n and -_KINK_WINDOW <= s - w / n <= _KINK_WINDOW:
             left, right = kinks[w - 1]
             lo, hi = max(0.0, s - _KINK_WINDOW), min(1.0, s + _KINK_WINDOW)
             share = (w / n - lo) / (hi - lo)
             r1, r2, r3 = (share * lv + (1.0 - share) * rv for lv, rv in zip(left, right))
-        else:
-            # `rates` at the path pose; the IK's rho1 is its hypot(dx, dy)
-            vx, vphi = vels[k]
-            dx, dy = xs - a * c, y0 - a * sn
-            c3 = (b * c + xs) / l3
-            dc3 = (vx - b * sn * vphi) / l3
-            r1 = (dx * (vx + a * sn * vphi) - dy * a * c * vphi) / rho1
-            r2 = vx
-            r3 = b * c * vphi + s3l3 * c3 * dc3 / math.sqrt(1.0 - c3 * c3)
         # the distance equations at the iterate, one cos/sin of its phi
         c, sn = math.cos(phi), math.sin(phi)
         u1, v1 = x - a * c, y - a * sn
@@ -581,7 +561,7 @@ def track_branches(traj: Trajectory, params: MechanismParams, atlas) -> Verdict:
     p1 = traj.pose_at(1.0)
     e0 = (Fraction(p0.x), Fraction(math.tan(p0.phi / 2)))
     e1 = (Fraction(p1.x), Fraction(math.tan(p1.phi / 2)))
-    b0, b1, same, changed, lab0, lab1 = atlas.classify_endpoints(e0, e1)
+    same, changed, lab0, lab1 = atlas.classify_endpoints(e0, e1)
     # the exact tracked branch, one pass: singularity monitoring at the even
     # i (s = k/600), the forward chart where 3 divides i (s = k/400), the
     # joint path where 6 does (s = k/200); in floats 2k/1200 == k/600, ...

@@ -39,7 +39,7 @@ post-pass over the cut line's blockers (the serial lines x = b +- l3, the
 characteristic surface's leading coefficients, all of it at y0 = 0)
 against the fibre-degree parity rule inside the adjacency pass, the
 direct kinematics isolating the undivided eliminant against the one that
-isolates it without its factor (1 + t^2)^4, root counts on a window by
+isolates it without its factor (1 + t^2)^5, root counts on a window by
 Sturm sequences against `count_roots`'s Descartes walk, and point
 location counting the base and fibre roots below a point by Sturm
 sequences against the bisection over the isolated base roots and the

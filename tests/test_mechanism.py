@@ -353,7 +353,7 @@ class TestDirectKinematicsEliminant:
         assert len(inputs) == 126
 
     def test_poses_are_bitwise_the_undivided_route(self):
-        """`direct_kinematics` isolates P / (1 + t^2)^4 and returns, bit for
+        """`direct_kinematics` isolates P / (1 + t^2)^5 and returns, bit for
         bit, the poses of the route that isolates P."""
         import oracles
         inputs = _dk_inputs() + [(PARAMS, q) for q in _trajectory_starts()]

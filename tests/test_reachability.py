@@ -49,9 +49,17 @@ No stage takes a working mode: the package functions that
 `SliceAtlas.build` calls by name, and `characteristic_surface`, have no
 parameter named `mode` or annotated `WorkingMode`, so every region is
 found once per slice and `SliceAtlas.in_mode` only renames.
+
+No formula is written twice unawares: every BinOp, BoolOp, Compare or
+Call of at least `DUPLICATE_NODES` AST nodes (counted by `ast.walk`,
+operators and contexts included) that two package functions hold, its
+`ast.dump` the same, needs that pair of functions in
+`DUPLICATE_EXPRESSIONS` with a reason.  Methods and closures are
+functions of their own, and an expression belongs to its innermost one.
 """
 
 import ast
+from itertools import combinations
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kinatlas"
@@ -168,7 +176,8 @@ PRIVATE_IMPORTS = {
     "cad2d <- ratpoly._poly_mul": "integer kernel of the fibre products and the base lcm",
     "cad2d <- ratpoly._poly_quo": "integer kernel of the base product's lcm",
     "cad2d <- realroots._horner": "integer Horner kernel that binds a curve's rows",
-    "mechanism <- ratpoly._poly_quo": "exact integer quotient of the DK eliminant by (1 + t^2)^4",
+    "mechanism <- ratpoly._poly_quo": "exact integer quotients of the DK eliminant by (1 + t^2)^5 "
+                                      "and of its denominator by (1 + t^2)^2",
 }
 
 
@@ -603,3 +612,88 @@ def test_mode_guard_flags_stages_by_name_and_annotation():
     assert stages == ["cut", "grid", "late"]
     assert _mode_parameters({"m": tree}, stages) == ["m.cut(mode)", "m.grid(m)", "m.grid(n)",
                                                      "m.late(mode)"]
+
+
+# expressions of at least this many AST nodes (`ast.walk`, operators and
+# contexts included) that two functions hold count as one formula written twice
+DUPLICATE_NODES = 14
+
+# pairs of package functions, methods or closures that hold the same
+# expression of at least DUPLICATE_NODES nodes, each with its reason
+DUPLICATE_EXPRESSIONS = {
+    "cad2d.interval_eval / realroots._descartes":
+        "an interval's ends over their common denominator, a one-line idiom in two modules",
+    "mechanism.constraints_trig / mechanism.slice_workspace":
+        "x = l3 c3 - b cphi, leg 3 solved for x, in the constraint list and in the leg-1 fibre",
+    "ratpoly.MPoly.eval / ratpoly.MPoly.substitute":
+        "the exponents and variables kept by a partial substitution, one-line idioms",
+    "ratpoly.MPoly.leading_coefficient / ratpoly.MPoly.primitive_and_content_in":
+        "the variables other than `var`, for a zero coefficient, a one-line idiom",
+    "ratpoly._heu_gcd / ratpoly._resultant_interp":
+        "the live variables and the zero exponent of two integer term dicts, one-line idioms",
+    "trajectory._chain_kernel.system / trajectory._det_a_normalized":
+        "the dF/dX rows of the distance equations, written out in both for speed: at the "
+        "chain iterate and at the path pose; item 1",
+}
+
+
+def _expressions(tree: ast.Module, stem: str, min_nodes: int) -> dict[str, set[str]]:
+    """`ast.dump` of each BinOp, BoolOp, Compare or Call of at least
+    `min_nodes` nodes in a function of `tree` -> 'module.qualname' of the
+    functions that hold it.  An expression belongs to its innermost
+    function, methods and closures being functions of their own; one
+    outside every function is left out."""
+    out: dict[str, set[str]] = {}
+    kinds = (ast.BinOp, ast.BoolOp, ast.Compare, ast.Call)
+
+    def visit(node: ast.AST, qual: str, in_function: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{qual}.{child.name}",
+                      in_function or not isinstance(child, ast.ClassDef))
+                continue
+            if (in_function and isinstance(child, kinds)
+                    and sum(1 for _ in ast.walk(child)) >= min_nodes):
+                out.setdefault(ast.dump(child), set()).add(qual)
+            visit(child, qual, in_function)
+
+    visit(tree, stem, False)
+    return out
+
+
+def _duplicate_pairs(trees, min_nodes: int) -> set[str]:
+    """'f / g', f before g in sorted order, for each two functions of the
+    modules `trees` maps (stem -> tree) that hold the same expression of
+    at least `min_nodes` nodes."""
+    holders: dict[str, set[str]] = {}
+    for stem, tree in trees.items():
+        for dump, quals in _expressions(tree, stem, min_nodes).items():
+            holders.setdefault(dump, set()).update(quals)
+    return {f"{f} / {g}" for quals in holders.values() for f, g in combinations(sorted(quals), 2)}
+
+
+def test_duplicate_expressions_are_listed():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    found = _duplicate_pairs(trees, DUPLICATE_NODES)
+    unlisted = found - set(DUPLICATE_EXPRESSIONS)
+    assert not unlisted, f"expressions written twice without a DUPLICATE_EXPRESSIONS entry: " \
+                         f"{sorted(unlisted)}"
+    stale = set(DUPLICATE_EXPRESSIONS) - found
+    assert not stale, f"DUPLICATE_EXPRESSIONS entries that no longer share an expression: " \
+                      f"{sorted(stale)}"
+
+
+def test_duplicate_guard_pairs_functions_methods_and_closures():
+    tree = ast.parse("W = (1 + 2) * (3 + 4)\n"
+                     "def f(x, y):\n    def g(x, y):\n        return (x + y) * (x - y)\n"
+                     "    return (x + y) * (x - y) + g(x, y)\n"
+                     "class K:\n    Z = (1 + 2) * (3 + 4)\n"
+                     "    def m(self, x, y):\n        return x if (x + y) * (x - y) else y\n"
+                     "def h(x, y):\n    return (x + y) * (x + y), max(x, y) < 2\n"
+                     "def k(x, y):\n    return (1 + 2) * (3 + 4), max(x, y) < 2\n")
+    assert sum(1 for _ in ast.walk(ast.parse("(x + y) * (x - y)", mode="eval").body)) == 14
+    assert _duplicate_pairs({"m": tree}, 14) == {"m.K.m / m.f", "m.K.m / m.f.g", "m.f / m.f.g"}
+    # the 10-node (1 + 2) * (3 + 4) at module and class level is in no function
+    assert _duplicate_pairs({"m": tree}, 10) == {"m.K.m / m.f", "m.K.m / m.f.g", "m.f / m.f.g",
+                                                 "m.h / m.k"}
+    assert _duplicate_pairs({"m": tree}, 15) == set()
