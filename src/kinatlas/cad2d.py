@@ -121,16 +121,13 @@ class Decomposition:
     def locate(self, px: Fraction, py: Fraction) -> int | None:
         """Cell id containing the rational point; None on the variety or a
         projection boundary.  The base index counts the isolated base roots
-        below px (`roots_below`, px being no base root, as an exact integer
-        sign test says first); the fibre index adds up the roots below py of
-        the parts bound at px (`count_roots`), none of which vanishes at py."""
+        below px (`roots_below`, None at a base root); the fibre index adds
+        up the roots below py of the parts bound at px (`count_roots`), none
+        of which vanishes at py."""
         px, py = Fraction(px), Fraction(py)
-        if self.base_poly.degree > 0:
-            if sign_at(self.base_poly, px) == 0:
-                return None
-            k1 = roots_below(self.base_roots, px)
-        else:
-            k1 = 0
+        k1 = roots_below(self.base_roots, px)
+        if k1 is None:
+            return None
         fibres = [f for _, f in self._fibres(px)]
         if any(sign_at(f, py) == 0 for f in fibres):
             return None
@@ -144,22 +141,14 @@ class Decomposition:
         return (v > 0) - (v < 0)
 
 
-def _normalize_input(polys, base_var: str, fiber_var: str) -> list[MPoly]:
-    vs = (base_var, fiber_var)
-    out: list[MPoly] = []
-    seen = set()
-    for p in polys:
-        q = p.with_vars(vs) if set(p.live_vars()) <= set(vs) else None
-        if q is None:
-            raise CadError(f"polynomial not over ({base_var},{fiber_var}): {p.live_vars()}")
-        if q.is_zero() or q.is_constant():
-            continue
-        q = squarefree_total(q).canonical()
-        key = frozenset(q.nums.items())
-        if key not in seen:
-            seen.add(key)
-            out.append(q)
-    return out
+def _add_squarefree(out: list[MPoly], q: MPoly, vs: tuple[str, ...]):
+    """Append q's canonical squarefree part over the variables vs to out,
+    unless q is constant or out holds it already."""
+    if q.is_constant():
+        return
+    q = squarefree_total(q.with_vars(vs)).canonical()
+    if q not in out:
+        out.append(q)
 
 
 def projection_set(p2, base_var: str, fiber_var: str) -> tuple[list[MPoly], ...]:
@@ -169,16 +158,17 @@ def projection_set(p2, base_var: str, fiber_var: str) -> tuple[list[MPoly], ...]
     resultant tells; and their discriminants, leading coefficients,
     contents and pairwise resultants in the fiber variable, squarefree and
     unique up to constants."""
-    polys = _normalize_input(p2, base_var, fiber_var)
+    vs = (base_var, fiber_var)
+    polys: list[MPoly] = []
+    for p in p2:
+        if not set(p.live_vars()) <= set(vs):
+            raise CadError(f"polynomial not over ({base_var},{fiber_var}): {p.live_vars()}")
+        _add_squarefree(polys, p, vs)
     parts = list(polys)
     p1_m: list[MPoly] = []
 
     def push(q: MPoly):
-        if q.is_zero() or q.is_constant():
-            return
-        q = squarefree_total(q.with_vars((base_var,))).canonical()
-        if all(q != r for r in p1_m):
-            p1_m.append(q)
+        _add_squarefree(p1_m, q, (base_var,))
 
     fiber_polys = []
     for n, p in enumerate(polys):

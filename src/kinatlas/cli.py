@@ -3,8 +3,8 @@
 Subcommands: `analyze` (slice atlas to JSON + SVG), `check-trajectory`
 (assembly-mode verdict), `solve` (direct / inverse kinematics).  All
 output files are written atomically and contain no timestamps, so reruns
-are byte-identical.  Exit codes: 0 success, 2 configuration error,
-3 mathematical degeneracy, 4 indeterminate verdict.
+are byte-identical.  Exit codes (`main`): 0 success, 2 configuration
+error, 3 mathematical degeneracy, 4 indeterminate verdict.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class ConfigError(Exception):
     pass
 
 
-# what the exact layers raise on an input they cannot decide: exit 3 while
-# the atlas is built (degeneracy), exit 4 while a verdict is taken
+# what the exact layers raise on an input they cannot decide: exit 3 from
+# `main` (degeneracy), exit 4 while a verdict is taken
 _MATH_ERRORS = (KinematicsError, DomainError, AdjacencyError, CadError,
                RealRootError, RatPolyError)
 
@@ -129,11 +129,7 @@ def cmd_analyze(args) -> int:
     y0 = val if space == "W" else val * params.l2
     mode = WorkingMode(branch, 1)
     out = Path(args.out)
-    try:
-        atlas = SliceAtlas.build(params, y0, mode)
-    except _MATH_ERRORS as e:
-        print(f"degeneracy: {e}", file=sys.stderr)
-        return 3
+    atlas = SliceAtlas.build(params, y0, mode)
     dec = atlas.wa.dec_fine
     base = format_poly(dec.base_poly.to_mpoly())
     fibers = [format_poly(f.to_mpoly()) for f in dec.fiber_products]
@@ -211,8 +207,7 @@ def cmd_check_trajectory(args) -> int:
         with open(args.traj) as f:
             tdata = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        print(f"config error: cannot read trajectory {args.traj}: {e}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"cannot read trajectory {args.traj}: {e}") from e
     out = Path(args.out)
     try:
         if not isinstance(tdata, dict):
@@ -220,13 +215,8 @@ def cmd_check_trajectory(args) -> int:
         traj = Trajectory.from_json(tdata)
     except (KeyError, IndexError, ValueError, TypeError, ZeroDivisionError,
             OverflowError, TrajectoryError) as e:
-        print(f"config error: bad trajectory: {e}", file=sys.stderr)
-        return 2
-    try:
-        atlas = SliceAtlas.build(params, Fraction(traj.y0), traj.mode)
-    except _MATH_ERRORS as e:
-        print(f"degeneracy: {e}", file=sys.stderr)
-        return 3
+        raise ConfigError(f"bad trajectory: {e}") from e
+    atlas = SliceAtlas.build(params, Fraction(traj.y0), traj.mode)
     try:
         verdict = track_branches(traj, params, atlas)
     except (TrajectoryError,) + _MATH_ERRORS as e:
@@ -264,13 +254,8 @@ def cmd_solve(args) -> int:
         vals = [_float(v) for v in args.dk.split(",")]
         if len(vals) != 3:
             raise ConfigError("--dk needs rho1,rho2,rho3")
-        try:
-            sols = direct_kinematics(JointValues(*vals), params)
-        except _MATH_ERRORS as e:
-            print(f"degeneracy: {e}", file=sys.stderr)
-            return 3
-        for pose, pa in sols:
-            jv = JointValues(*vals)
+        jv = JointValues(*vals)
+        for pose, pa in direct_kinematics(jv, params):
             res = residuals(pose, jv, pa, cons)
             out.append({"x": pose.x, "y": pose.y, "phi": pose.phi,
                         "alpha2": pa.alpha2, "alpha3": pa.alpha3,
@@ -333,6 +318,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except _MATH_ERRORS as e:
+        print(f"degeneracy: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -3,10 +3,11 @@
 One Descartes-rule bisection, `_descartes`, finds the roots on a window:
 `isolate` keeps the nodes it accepts as isolating intervals, `count_roots`
 counts them, and `roots_below` counts on intervals isolation already
-found, with one sign test.  All read the primitive integer coefficients a
-`UPoly` holds.  `isolate` takes the squarefree part of its input itself;
-`isolate_squarefree` and `count_roots` take squarefree input, as the
-plane decomposition's fibre products are.  The walk runs in the Bernstein
+found, with at most one sign test, which also tells a root apart.  All
+read the primitive integer coefficients a `UPoly` holds.  `isolate`
+takes the squarefree part of its input itself; `isolate_squarefree` and
+`count_roots` take squarefree input, as the plane decomposition's fibre
+products are.  The walk runs in the Bernstein
 basis (Mourrain-Rouillier-Roy; Eigenwillig): the Descartes test on (a, b)
 counts the sign variations of p's Bernstein coefficients b_i there, and
 one de Casteljau pass gives those of both halves.  p is converted once per
@@ -271,22 +272,26 @@ class IsolatingInterval:
         return A / d
 
 
-def roots_below(roots: list[IsolatingInterval], x: Fraction) -> int:
+def roots_below(roots: list[IsolatingInterval], x: Fraction) -> int | None:
     """Number of the roots that `roots`, sorted disjoint intervals from
-    `isolate`, isolate below x, x being no root of their polynomial.
+    `isolate`, isolate below x; None when x is one of them.
 
     A bisection over the intervals' upper ends, each compared with x by
-    cross-multiplication, counts those below x; of the
-    rest, only the first can straddle x, low < x <= high, and it is not
-    exact.  Its root is simple and lies strictly inside, where the
-    polynomial changes sign, so it is below x exactly when the sign at x
-    differs from the stored sign at low: one exact integer sign test, no
-    refinement."""
+    cross-multiplication, counts those below x; of the rest, only the
+    first can hold x, low <= x <= high.  Its ends are no roots and its
+    root lies inside it, so one exact integer sign of its own polynomial
+    at x decides: 0 is the root itself (an exact interval's included), and
+    otherwise the root is below x exactly when that sign differs from the
+    stored sign at low.  No refinement, and no sign at all for an x
+    outside every interval."""
     n, m = x.as_integer_ratio()
     k = bisect.bisect_left(roots, True, key=lambda iv: n * iv.d <= iv.B * m)
-    if k < len(roots) and roots[k].A * m < n * roots[k].d:
+    if k < len(roots) and roots[k].A * m <= n * roots[k].d:
         iv = roots[k]
-        if iv.slo != _sign_at(iv.polynomial.coeffs, n, m):
+        s = _sign_at(iv.polynomial.coeffs, n, m)
+        if s == 0:
+            return None
+        if s != iv.slo:
             k += 1
     return k
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .cad2d import bind, int_rows
 from .ratpoly import MPoly, UPoly, discriminant
-from .realroots import isolate, roots_below, round_root, sign_at
+from .realroots import isolate, roots_below, round_root
 
 _NEWTON = 8    # float Newton steps per proposed root, at most
 
@@ -50,8 +50,7 @@ def curve_points(poly: MPoly, base_var: str, fiber_var: str,
         # x_lo + (x_hi - x_lo) i / density, one Fraction
         x0 = Fraction(a * d * (density - i) + c * b * i, b * d * density)
         u = bind(rows, x0, fiber_var)
-        here = (roots_below(crit_roots, x0)
-                if crit is not None and sign_at(crit, x0) != 0 else None)
+        here = roots_below(crit_roots, x0) if crit is not None else None
         found = None
         if here is not None and spans[-1:] == [here]:
             if spans[-2:-1] == [here]:      # the angles of two columns, extrapolated

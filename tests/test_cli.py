@@ -552,6 +552,29 @@ def _error_class(module, name):
     return getattr(importlib.import_module(module), name)
 
 
+def test_every_package_exception_has_an_exit_code():
+    """Each exception class that a module of `src/kinatlas` defines maps to
+    an exit code in `cli.main`: an exact-layer error (a subclass of a class
+    in `cli._MATH_ERRORS`: exit 3, or 4 in a verdict), `cli.ConfigError`
+    (exit 2) or `trajectory.TrajectoryError` (exit 2 while a trajectory is
+    read, exit 4 in a verdict).  Any other would escape as a traceback."""
+    import importlib
+    import inspect
+    import pkgutil
+    import kinatlas
+    from kinatlas import cli, trajectory
+    found = []
+    for info in pkgutil.iter_modules(kinatlas.__path__):
+        module = importlib.import_module(f"kinatlas.{info.name}")
+        found += [c for _, c in inspect.getmembers(module, inspect.isclass)
+                  if c.__module__ == module.__name__ and issubclass(c, Exception)]
+    unmapped = [f"{c.__module__}.{c.__name__}" for c in found
+                if not issubclass(c, cli._MATH_ERRORS)
+                and c not in (cli.ConfigError, trajectory.TrajectoryError)]
+    assert not unmapped, f"exception classes with no exit code in cli.main: {unmapped}"
+    assert len(found) >= 9, found
+
+
 class TestExactLayerErrors:
     """Build-time failures exit 3 (`degeneracy: …`); verdict-time failures
     exit 4 with `{"error": …}` in verdict.json.  Each class is forced by
@@ -575,6 +598,28 @@ class TestExactLayerErrors:
         assert rc == 3
         assert capsys.readouterr().err == f"degeneracy: forced {name} at base root 7\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "check-trajectory"])
+    def test_failure_after_the_build_exit_3(self, command, config_file, traj_file, atlas_pp,
+                                            tmp_path, monkeypatch, capsys):
+        """`main` maps an exact-layer failure outside a verdict to exit 3
+        wherever it is raised: here while the plot's curves are drawn,
+        after the JSON outputs, the verdict included, are written."""
+        from kinatlas import cli, svg
+        from kinatlas.realroots import RealRootError
+
+        def curve_points(*args):
+            raise RealRootError("planted")
+
+        monkeypatch.setattr(cli.SliceAtlas, "build", staticmethod(lambda *a, **k: atlas_pp))
+        monkeypatch.setattr(svg, "curve_points", curve_points)
+        out = tmp_path / "out"
+        args = ["--slice", "W:y=1/2"] if command == "analyze" else ["--traj", traj_file]
+        rc = main([command, "--config", config_file, "--out", str(out)] + args)
+        assert rc == 3
+        assert capsys.readouterr() == ("", "degeneracy: planted\n")
+        assert (out / ("cells.json" if command == "analyze" else "verdict.json")).exists()
+        assert not (out / "plot.svg").exists() and not (out / "trajectory.svg").exists()
 
     @pytest.mark.parametrize("module, name",
                              EXACT_LAYER_ERRORS + [("kinatlas.trajectory", "TrajectoryError")],

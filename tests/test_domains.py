@@ -19,7 +19,7 @@ from kinatlas.adjacency import AdjacencyGraph, build_graph, components
 from kinatlas.cad2d import decompose
 from kinatlas.trajectory import Trajectory, track_branches
 
-from oracles import MODES, SLICES, cusp_eliminants_in_u, maximal_domains, midpoint
+from oracles import GEOM2, MODES, SLICES, cusp_eliminants_in_u, maximal_domains, midpoint
 
 PARAMS = MechanismParams()
 MODE = WorkingMode(1, 1)
@@ -512,6 +512,48 @@ class TestCusps:
                     if abs(float(r) - rt) < 1e-6 and abs(float(c3) - ct) < 1e-6:
                         found.add(i)
         assert found == set(range(4))
+
+
+def _qualifying_pairs(atlas: SliceAtlas) -> list[tuple[str, str]]:
+    """The labels of each two basic regions of one aspect whose images lie
+    in one joint component: two poses of one joint value that no
+    singularity parts, a non-singular assembly-mode change."""
+    return [(b.label, c.label) for i, b in enumerate(atlas.basics) for c in atlas.basics[i + 1:]
+            if b.index[0] == c.index[0] and b.components and b.components == c.components]
+
+
+_ISOLATED = TestCusps._ISOLATED
+
+
+class TestCuspidality:
+    """ROADMAP item 30: a slice admits a non-singular assembly-mode change
+    only if its joint curve has a cusp, so in mode ++ a point of kind
+    "cusp" exists iff a qualifying pair (`_qualifying_pairs`) does; ten of
+    the sweep's 29 slices over three geometries."""
+
+    @pytest.mark.parametrize("params, y0", [
+        *((PARAMS, y0) for y0 in (Fraction(1, 10), Fraction(-1, 2), Fraction(29, 10))),
+        *((GEOM2, y0) for y0 in (Fraction(1, 4), Fraction(15, 8))),
+        *((_ISOLATED, y0) for y0 in (Fraction(1, 2), Fraction(7, 4), Fraction(2), Fraction(5, 2))),
+        # a known wrong result, pinned: two isolated points labelled "cusp"
+        pytest.param(_ISOLATED, Fraction(15, 8), marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 8: cusp_points labels every point whose "
+            "2^-40 box leaves the Hessian sign undecided a cusp")),
+    ], ids=["default-1/10", "default--1/2", "default-29/10", "geom2-1/4", "geom2-15/8",
+            "isolated-1/2", "isolated-7/4", "isolated-2", "isolated-5/2", "isolated-15/8"])
+    def test_a_cusp_iff_a_qualifying_pair(self, params, y0):
+        atlas = SliceAtlas.build(params, y0, MODE)
+        pairs = _qualifying_pairs(atlas)
+        assert bool(atlas.cusps) == bool(pairs), (len(atlas.cusps), pairs)
+
+    def test_a_non_cuspidal_slice(self):
+        """(11/4, 2, 7/4, 3/4) at y0 = 2: two isolated points and no cusp,
+        one joint aspect, and as many uniqueness domains as W-aspects."""
+        atlas = SliceAtlas.build(_ISOLATED, Fraction(2), MODE)
+        assert [len(r) for r in (atlas.aspects, atlas.qaspects, atlas.atlas, atlas.basics,
+                                 atlas.domains)] == [2, 1, 6, 2, 2]
+        assert [p.kind for p in atlas.singular_points] == ["isolated"] * 2
+        assert atlas.cusps == [] and _qualifying_pairs(atlas) == []
 
 
 class TestAtlasCounts:

@@ -43,7 +43,11 @@ solution.  Every function, method or closure that compares with a float
 constant, a module-level float name or a name unpacked from
 `params.floats` is one that `FLOAT_DECISIONS` names, with its reason and
 the ROADMAP item that will certify it, or "display only": an uncertified
-decision is a listed one.
+decision is a listed one.  Every function, method or closure that makes
+a `Fraction(...)` of an argument holding a `math.` call is one that
+`FLOAT_FRACTIONS` names, with its reason and the ROADMAP item that will
+certify it: a float rounded to a rational, which an exact layer then
+decides on, is a listed one too.
 
 No stage takes a working mode: the package functions that
 `SliceAtlas.build` calls by name, and `characteristic_surface`, have no
@@ -561,6 +565,58 @@ def test_float_decision_guard_flags_constants_and_module_floats_by_innermost_fun
                      "    def q(x):\n        return x < l3\n    return abs(y) >= l2, q\n"
                      "def r(params, y):\n    l2 = params.l2\n    return y >= l2\n")
     assert _float_decisions(tree, "m") == ["m.f", "m.f.g", "m.k", "m.K.m", "m.p.q", "m.p"]
+
+
+# package functions, methods and closures that make a Fraction of a float
+# computed by a `math.` call, each with its reason and the ROADMAP item that
+# will certify it
+FLOAT_FRACTIONS = {
+    "trajectory.track_branches": "the end points (x, Fraction(math.tan(phi / 2))) that "
+                                 "classify_endpoints locates exactly; item 13 (e)",
+}
+
+
+def _float_fractions(tree: ast.Module, stem: str) -> list[str]:
+    """'module.qualname' of each function, method or closure of `tree`, in
+    source order, holding a call of `Fraction` an argument of which holds a
+    call of an attribute of `math`; a call belongs to its innermost
+    function."""
+    out: list[str] = []
+
+    def visit(node: ast.AST, qual: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{qual}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "Fraction" and qual not in out and any(
+                        isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                        and isinstance(n.func.value, ast.Name) and n.func.value.id == "math"
+                        for a in child.args for n in ast.walk(a))):
+                out.append(qual)
+            visit(child, qual)
+
+    visit(tree, stem)
+    return out
+
+
+def test_float_fractions_are_listed():
+    found = {q for path in sorted(SRC.glob("*.py"))
+             for q in _float_fractions(ast.parse(path.read_text(), str(path)), path.stem)}
+    unlisted = found - set(FLOAT_FRACTIONS)
+    assert not unlisted, f"Fractions of math calls without a FLOAT_FRACTIONS entry: " \
+                         f"{sorted(unlisted)}"
+    stale = set(FLOAT_FRACTIONS) - found
+    assert not stale, f"FLOAT_FRACTIONS entries that no longer make one: {sorted(stale)}"
+
+
+def test_float_fraction_guard_flags_math_calls_by_innermost_function():
+    tree = ast.parse("def f(x):\n    a = Fraction(math.tan(x / 2))\n"
+                     "    def g(y):\n        return Fraction(1 + math.sqrt(y)), Fraction(y)\n"
+                     "    return a, g\n"
+                     "def h(x):\n    return Fraction(x), math.tan(Fraction(x)), Fraction(math.pi)\n"
+                     "class K:\n    def m(self, x):\n        return Fraction(math.floor(x), 3)\n")
+    assert _float_fractions(tree, "m") == ["m.f", "m.f.g", "m.K.m"]
 
 
 def _geometry_stages(trees: dict[str, ast.Module]) -> list[str]:

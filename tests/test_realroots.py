@@ -1070,3 +1070,47 @@ class TestRootsBelow:
                 assert roots_below(roots, x) == count_roots_by_sturm(p, NEG_INF, x), (p, x)
                 checked += 1
         assert checked >= 1000 and inside >= 100
+
+    def test_tells_a_root_apart_as_signing_the_whole_polynomial_did(self):
+        """roots_below equals the route that signed the whole polynomial
+        first (`_roots_below_signing_p`): None exactly where p vanishes,
+        else the count.  Seeded squarefree products of distinct rational
+        linear factors and irrational quadratics, at seeded points, at
+        every interval end and at every exact root."""
+        from kinatlas.realroots import roots_below
+        rng = random.Random(47)
+        at_roots = exact = ends = 0
+        for _ in range(80):
+            rats = sorted({Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 8)))
+                           for _ in range(rng.randint(1, 4))})
+            p = U(1)
+            for r in rats:
+                p = upoly_mul(p, U(-r, 1))
+            # a x^2 - n, n squarefree and distinct, so no two roots meet
+            for n in rng.sample((2, 3, 5, 6, 7, 10, 11), rng.randint(0, 2)):
+                p = upoly_mul(p, U(-n, 0, rng.choice((1, 4, 9))))
+            roots = isolate(p)
+            assert len(roots) == p.degree
+            exact += sum(iv.is_exact() for iv in roots)
+            xs = [Fraction(rng.randint(-90, 90), rng.randint(1, 12)) for _ in range(10)]
+            xs += [end for iv in roots for end in (iv.low, iv.high)] + rats
+            ends += 2 * len(roots)
+            for x in xs:
+                want = _roots_below_signing_p(roots, p, x)
+                assert roots_below(roots, x) == want, (p, x)
+                at_roots += want is None
+        assert exact >= 80 and ends >= 500 and at_roots >= 300, (exact, ends, at_roots)
+
+
+def _roots_below_signing_p(roots, p: UPoly, x: Fraction) -> int | None:
+    """The former route of `roots_below` and its callers: None where p(x)
+    is 0 (p signed at x first), else the intervals whose upper end lies
+    below x, plus the one with low < x <= high when p's sign at x differs
+    from its sign at low."""
+    from kinatlas.realroots import sign_at
+    if sign_at(p, x) == 0:
+        return None
+    k = sum(iv.high < x for iv in roots)
+    if k < len(roots) and roots[k].low < x:
+        k += sign_at(roots[k].polynomial, x) != roots[k].slo
+    return k
